@@ -12,11 +12,13 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
+from .exactnum import sequence_values
 from .presentations import (AlgebraSpec, ModuleSpec, SpecError,
                             monomial_divides, validate_algebra,
                             validate_module)
 from .hilbert import DimensionSequence, module_dim_sequence, standard_monomial_counts
-from .samuel import detect_polynomial, gk_dimension, multiplicity
+from .samuel import (HilbertSamuelPolynomial, detect_polynomial, gk_dimension,
+                     multiplicity)
 
 
 # ---------------------------------------------------------------------------
@@ -291,16 +293,15 @@ class HolonomyReport:
     min_holonomic: bool
 
 
-def holonomic_defect(ambient: AlgebraSpec, m: ModuleSpec,
-                     catalog: HolonomyCatalog, top: int,
-                     window: int = 6) -> HolonomyReport:
-    """Defect gk(M) - h of a module against the catalog's holonomic number.
+def holonomic_defect(ambient: AlgebraSpec, fit: Optional[HilbertSamuelPolynomial],
+                     catalog: HolonomyCatalog) -> HolonomyReport:
+    """Defect gk(M) - h of a module over `ambient`, given its Hilbert-Samuel
+    fit, against the catalog's holonomic number.
 
-    Raises ValueError when the growth dimension is not detectable on the
-    sampled range or the catalog has no entry for the algebra kind.
+    Raises ValueError when the fit is None (growth not detectable on the
+    sampled range) or the catalog has no entry for the algebra kind.
     """
     h = catalog.h_for(ambient)
-    fit = detect_polynomial(module_dim_sequence(ambient, m, top), window)
     if fit is None:
         raise ValueError("growth dimension is not detectable on the sampled range")
     gk = gk_dimension(fit)
@@ -355,17 +356,11 @@ def filtration_equivalent(s1, s2, c_max: int) -> Optional[int]:
     other); it cannot certify subspace-level containment. Inputs are
     cumulative sequences.
     """
-    a = _cumulative_values(s1)
-    b = _cumulative_values(s2)
+    a = sequence_values(s1, require_cumulative=True)
+    b = sequence_values(s2, require_cumulative=True)
     for c in range(c_max + 1):
         fwd = all(a[i] <= b[i + c] for i in range(min(len(a), len(b) - c)))
         bwd = all(b[i] <= a[i + c] for i in range(min(len(b), len(a) - c)))
         if fwd and bwd:
             return c
     return None
-
-
-def _cumulative_values(s) -> list:
-    if getattr(s, "meaning", None) == "graded_piece":
-        raise ValueError("a cumulative dimension sequence is required")
-    return list(getattr(s, "values", s))

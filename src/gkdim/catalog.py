@@ -19,19 +19,18 @@ class CatalogEntry:
     entry_id: str
     description: str
     expected_classification: str  # "exponential" | "inconclusive"
-    expected_inconclusive: bool
 
 
 _ENTRIES = {
     "free_algebra_2": CatalogEntry(
         "free_algebra_2",
         "free associative algebra on two generators; 2^n words of length n",
-        "exponential", False),
+        "exponential"),
     "smith_lie": CatalogEntry(
         "smith_lie",
         "enveloping algebra of the Lie algebra with basis x, y1, y2, ... and "
         "[x, y_i] = y_{i+1}; growth like exp(sqrt(n))",
-        "inconclusive", True),
+        "inconclusive"),
 }
 
 

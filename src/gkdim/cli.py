@@ -8,7 +8,8 @@ gamma_estimate diagnostic.
 
 Exit codes: 0 success, 1 inconclusive classification (report still
 emitted), 2 unreadable or malformed JSON input, 3 schema violation (the
-error message names the offending field path).
+error message names the offending field path), 4 internal fault (a bug in
+gkdim, reported as "error: internal: ...").
 """
 
 import argparse
@@ -41,6 +42,7 @@ EXIT_OK = 0
 EXIT_INCONCLUSIVE = 1
 EXIT_BAD_INPUT = 2
 EXIT_BAD_SCHEMA = 3
+EXIT_INTERNAL = 4
 
 COMMANDS = ("analyze", "hilbert", "poincare", "check-ses", "chain",
             "refilter", "classify")
@@ -100,8 +102,7 @@ class ParsedInput:
     module: Optional[ModuleSpec] = None
     sub_ideals: Optional[tuple] = None
     chain: Optional[tuple] = None  # tuple of ideals (tuples of monomials)
-    sequence: Optional[tuple] = None
-    sequence_meaning: str = "cumulative"
+    sequence: Optional[DimensionSequence] = None
     weight: Optional[tuple] = None
 
 
@@ -285,12 +286,15 @@ def parse_spec(doc) -> ParsedInput:
         sq = doc["sequence"]
         _require(isinstance(sq, list) and sq, "sequence",
                  "expected a nonempty list of naturals")
-        out.sequence = tuple(_parse_natural(v, f"sequence[{j+1}]")
-                             for j, v in enumerate(sq))
+        values = tuple(_parse_natural(v, f"sequence[{j+1}]")
+                       for j, v in enumerate(sq))
         meaning = doc.get("sequence_meaning", "cumulative")
         _require(meaning in ("cumulative", "graded_piece"), "sequence_meaning",
                  'must be "cumulative" or "graded_piece"')
-        out.sequence_meaning = meaning
+        try:
+            out.sequence = DimensionSequence(values, meaning)
+        except ValueError as e:
+            raise SpecError("sequence", str(e)) from None
     if "weight" in doc:
         w = doc["weight"]
         _require(isinstance(w, list) and w, "weight",
@@ -396,8 +400,7 @@ def _cumulative_input(parsed: ParsedInput, top: int):
     """Cumulative dimension sequence for analyze/classify, from a raw
     sequence, a catalog entry, or a module presentation."""
     if parsed.sequence is not None:
-        seq = DimensionSequence(parsed.sequence, parsed.sequence_meaning)
-        return seq.cumulative()
+        return parsed.sequence.cumulative()
     if parsed.catalog_id is not None:
         return catalog.cumulative_sequence(parsed.catalog_id, top)
     a = _need_algebra(parsed)
@@ -409,7 +412,8 @@ def _catalog_flags(parsed: ParsedInput) -> tuple:
     if parsed.catalog_id is None:
         return ()
     entry = catalog.catalog_entry(parsed.catalog_id)
-    return ("expected_inconclusive",) if entry.expected_inconclusive else ()
+    inconclusive = entry.expected_classification == "inconclusive"
+    return ("expected_inconclusive",) if inconclusive else ()
 
 
 def _cmd_analyze(config: RunConfig, parsed: ParsedInput):
@@ -425,19 +429,22 @@ def _cmd_analyze(config: RunConfig, parsed: ParsedInput):
         "torsion": None,
     }
     a, m = parsed.algebra, parsed.module
-    if a is not None and (a.kind in ("weyl", "polynomial")
-                          or config.h_override is not None):
+    # holonomy and torsion need a presented module; growth fitted its counts
+    # with config.window, as _check_config's max_degree keeps that window
+    if parsed.sequence is None and a is not None and (
+            a.kind in ("weyl", "polynomial") or config.h_override is not None):
         hc = HolonomyCatalog(override=config.h_override)
         mod = m if m is not None else ModuleSpec.regular()
         try:
-            hol = holonomic_defect(a, mod, hc, top, config.window)
+            hol = holonomic_defect(a, growth.hilbert_samuel, hc)
         except ValueError:
             hol = None
         if hol is not None:
             report["holonomy"] = {"gk": hol.gk, "h": hol.h, "defect": hol.defect,
                                   "min_holonomic": hol.min_holonomic}
             if mod.negative_shift is None and len(mod.summands) == 1:
-                afit = detect_polynomial(algebra_dim_sequence(a, top), config.window)
+                afit = (growth.hilbert_samuel if mod == ModuleSpec.regular() else
+                        detect_polynomial(algebra_dim_sequence(a, top), config.window))
                 if afit is not None:
                     gk_a = max(afit.form.degree, 0)
                     tor = torsion_check_cyclic(a, bool(mod.summands[0].ideal),
@@ -668,7 +675,7 @@ def run(config: RunConfig) -> int:
         return e.code
     except Exception as e:  # no raw traceback ever reaches the user
         print(f"error: internal: {type(e).__name__}: {e}", file=sys.stderr)
-        return EXIT_BAD_SCHEMA
+        return EXIT_INTERNAL
 
 
 def main(argv=None) -> int:

@@ -233,6 +233,15 @@ class BinomialForm:
         return f"BinomialForm({[str(c) for c in self.coeffs]})"
 
 
+def sequence_values(s, require_cumulative: bool = False) -> list:
+    """The values of a DimensionSequence, or of any sequence of exact numbers,
+    as a new list. With require_cumulative, a sequence whose meaning is
+    "graded_piece" raises ValueError."""
+    if require_cumulative and getattr(s, "meaning", None) == "graded_piece":
+        raise ValueError("a cumulative dimension sequence is required")
+    return list(getattr(s, "values", s))
+
+
 def finite_difference(values: Sequence[Scalar]) -> list:
     """First difference of a sample sequence: [f(1)-f(0), f(2)-f(1), ...].
 

@@ -1,9 +1,11 @@
 """Dimension sequences of monomial quotients and their Hilbert series.
 
-Standard monomials of a monomial ideal are counted exactly: by
-inclusion-exclusion over generator subsets (lcm of each subset) for small
-generating sets, and by a pivot recursion on the most shared variable above
-that. Weighted degrees come from the ambient algebra's generator weights.
+Standard monomials of a monomial ideal are counted exactly from the
+numerator of the quotient's Hilbert series. One pivot recursion in the style
+of A. M. Bigatti ("Computation of Hilbert-Poincare series", JPAA 119, 1997)
+computes it: split on the variable shared by the most minimal generators
+until the generators are pairwise coprime. Weighted degrees come from the
+ambient algebra's generator weights.
 """
 
 from __future__ import annotations
@@ -13,12 +15,9 @@ from typing import Optional, Sequence
 
 from .exactnum import Polynomial
 from .poincare import RationalSeries
-from .presentations import (AlgebraSpec, ModuleSpec, Monomial, SpecError,
+from .presentations import (AlgebraSpec, ModuleSpec, Monomial,
                             count_monomials_by_weight, monomial_divides,
-                            monomial_lcm, validate_module)
-
-#: inclusion-exclusion is used up to this many minimal generators
-_IE_LIMIT = 20
+                            validate_module)
 
 MEANINGS = ("graded_piece", "cumulative")
 
@@ -95,19 +94,16 @@ def _wdeg(mono: Monomial, weights: Sequence[int]) -> int:
 def numerator_terms(gens: Sequence[Monomial], weights: Sequence[int]) -> dict:
     """Numerator of the Hilbert series of the quotient, over prod(1 - t^w).
 
-    Returns a map degree -> coefficient. Inclusion-exclusion over subsets of
-    the minimal generators when there are at most 20 of them; otherwise a
-    pivot recursion on the variable shared by the most generators.
+    Returns a map degree -> coefficient. For a pivot variable x shared by
+    two or more minimal generators, H(S/I) = H(S/(I + x)) + t^w(x) H(S/(I : x));
+    pairwise coprime generators (at most one generator included) give the
+    product of their factors (1 - t^deg g).
     """
     gens = minimalize_ideal(gens)
     return _numerator(gens, tuple(weights))
 
 
 def _numerator(gens: tuple, weights: tuple) -> dict:
-    if len(gens) <= _IE_LIMIT:
-        terms: dict = {}
-        _ie_walk(gens, 0, None, 1, terms, weights)
-        return {d: c for d, c in terms.items() if c}
     pivot = _most_shared_variable(gens)
     if pivot is None:
         # pairwise coprime generators: the quotient series factors
@@ -121,7 +117,8 @@ def _numerator(gens: tuple, weights: tuple) -> dict:
             terms = nxt
         return {d: c for d, c in terms.items() if c}
     var_mono = tuple(1 if i == pivot else 0 for i in range(len(weights)))
-    plus = minimalize_ideal(gens + (var_mono,))
+    # x absorbs the generators it divides; the rest stay minimal
+    plus = tuple(g for g in gens if not g[pivot]) + (var_mono,)
     colon = minimalize_ideal(tuple(
         tuple(e - 1 if i == pivot and e > 0 else e for i, e in enumerate(g))
         for g in gens))
@@ -130,14 +127,6 @@ def _numerator(gens: tuple, weights: tuple) -> dict:
     for d, c in _numerator(colon, weights).items():
         out[d + shift] = out.get(d + shift, 0) + c
     return {d: c for d, c in out.items() if c}
-
-
-def _ie_walk(gens, start, lcm, sign, terms, weights):
-    d = 0 if lcm is None else _wdeg(lcm, weights)
-    terms[d] = terms.get(d, 0) + sign
-    for i in range(start, len(gens)):
-        nxt = gens[i] if lcm is None else monomial_lcm(lcm, gens[i])
-        _ie_walk(gens, i + 1, nxt, -sign, terms, weights)
 
 
 def _most_shared_variable(gens) -> Optional[int]:
@@ -156,11 +145,17 @@ def standard_monomial_counts(a: AlgebraSpec, ideal: Sequence[Monomial], top: int
                              cumulative: bool = False) -> list:
     """Counts of standard monomials (not in the ideal) by weighted degree 0..top."""
     weights = a.scalar_weights()
-    free = count_monomials_by_weight(weights, top) if weights else [1] + [0] * top
+    free = count_monomials_by_weight(weights, top)
     if cumulative:
         acc = 0
         free = [(acc := acc + v) for v in free]
-    terms = numerator_terms(ideal, weights)
+    return _convolve(numerator_terms(ideal, weights), free)
+
+
+def _convolve(terms: dict, free: list) -> list:
+    """Coefficients 0..len(free) - 1 of the numerator `terms` times the
+    power series `free`."""
+    top = len(free) - 1
     out = [0] * (top + 1)
     for d, c in terms.items():
         if d <= top:
@@ -200,9 +195,10 @@ def hilbert_series_monomial_quotient(a: AlgebraSpec, ideal: Sequence[Monomial]) 
     """Hilbert series of the monomial quotient as p(t) / prod_i (1 - t^w_i).
 
     The denominator is the structured product over the generator weights; the
-    numerator comes from inclusion-exclusion (or the pivot recursion). The
-    power-series expansion is verified against direct monomial counts out to
-    twice the total ideal weight plus ten.
+    numerator comes from the pivot recursion of numerator_terms. The
+    power-series expansion is verified, out to twice the total ideal weight
+    plus ten, against that numerator convolved with the monomial counts of
+    the ambient ring.
     """
     weights = a.scalar_weights()
     gens = minimalize_ideal(ideal)
@@ -217,7 +213,7 @@ def hilbert_series_monomial_quotient(a: AlgebraSpec, ideal: Sequence[Monomial]) 
     series = RationalSeries(p, q)
     check_to = 2 * sum(_wdeg(g, weights) for g in gens) + 10
     expansion = series.expand(check_to + 1)
-    direct = standard_monomial_counts(a, gens, check_to)
+    direct = _convolve(terms, count_monomials_by_weight(weights, check_to))
     if list(expansion) != direct:
         raise RuntimeError("internal error: series expansion disagrees with direct counts")
     return series

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .exactnum import Polynomial, from_binomial_basis
+from .exactnum import Polynomial, from_binomial_basis, sequence_values
 
 
 @dataclass(frozen=True)
@@ -72,10 +72,6 @@ class Recurrence:
                                   for i, c in enumerate(self.coefficients))
 
 
-def _values(s) -> list:
-    return list(getattr(s, "values", s))
-
-
 def _solve_exact(rows: list, rhs: list) -> Optional[list]:
     """One exact solution of a (possibly overdetermined) rational system, or
     None when inconsistent; free variables are set to zero."""
@@ -117,7 +113,7 @@ def minimal_recurrence(s, confirm: int = 8) -> Optional[Recurrence]:
     backwards for its onset. Orders up to (length - confirm) // 2 are tried;
     None means no recurrence of admissible order fits the tail.
     """
-    vals = _values(s)
+    vals = sequence_values(s)
     length = len(vals)
     max_order = (length - confirm) // 2
     if confirm < 1 or max_order < 1:
@@ -145,7 +141,7 @@ def series_from_recurrence(s, rec: Recurrence) -> RationalSeries:
     convolution of the samples with it, truncated at the onset correction
     degree onset + r - 1. The expansion is re-verified exactly.
     """
-    vals = _values(s)
+    vals = sequence_values(s)
     r = rec.order
     q = Polynomial([1] + [-c for c in rec.coefficients])
     top = rec.onset + r
@@ -384,7 +380,7 @@ def fit_quasi_polynomial(s, period: int, window: int = 4) -> Optional[QuasiPolyn
     """
     from .samuel import detect_polynomial  # shared exact fitting
 
-    vals = _values(s)
+    vals = sequence_values(s)
     if period < 1:
         raise ValueError("period must be positive")
     min_len = min(len(vals[i::period]) for i in range(period))
@@ -418,7 +414,7 @@ def quasi_polynomial(series: RationalSeries, samples, window: int = 4) -> QuasiP
     analysis = denominator_analysis(series.reduced().denominator)
     if analysis.s is None:
         raise ValueError("denominator is not of the pure (1 - t^s)^d form")
-    vals = _values(samples)
+    vals = sequence_values(samples)
     min_len = min(len(vals[i::analysis.s]) for i in range(analysis.s))
     if min_len < 8:
         raise ValueError("too few samples in a residue class for branch fitting")

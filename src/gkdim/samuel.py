@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .exactnum import (BinomialForm, Polynomial, falling_binom, from_binomial_basis,
-                       to_binomial_basis)
+                       sequence_values, to_binomial_basis)
 
 
 @dataclass(frozen=True)
@@ -33,15 +33,6 @@ class HilbertSamuelPolynomial:
     stabilization_index: int
 
 
-def _sequence_values(s, require_cumulative: bool = False) -> list:
-    """Accept a DimensionSequence or any sequence of exact numbers."""
-    meaning = getattr(s, "meaning", None)
-    if require_cumulative and meaning == "graded_piece":
-        raise ValueError("a cumulative dimension sequence is required")
-    values = getattr(s, "values", s)
-    return list(values)
-
-
 def detect_polynomial(s, window: int = 6) -> Optional[HilbertSamuelPolynomial]:
     """Exact eventual-polynomial fit of a cumulative sequence, or None.
 
@@ -52,7 +43,7 @@ def detect_polynomial(s, window: int = 6) -> Optional[HilbertSamuelPolynomial]:
     """
     if window < 2:
         raise ValueError("window must be at least 2")
-    vals = _sequence_values(s, require_cumulative=True)
+    vals = sequence_values(s, require_cumulative=True)
     if len(vals) < 2 * window + 4:
         raise ValueError("need at least 2*window + 4 samples")
     levels = [vals]
@@ -119,7 +110,7 @@ def gamma_estimate(s) -> GammaEstimate:
     Purely a diagnostic: exponents are floats and the trend is a heuristic on
     the last five estimates. Never used to make exact claims.
     """
-    vals = _sequence_values(s)
+    vals = sequence_values(s)
     if len(vals) < 8:
         raise ValueError("gamma estimate needs at least 8 samples")
     usable = [(n, v) for n, v in enumerate(vals) if n >= 2 and v >= 1]
@@ -178,7 +169,7 @@ def classify_growth(s, window: int = 6, confirm: int = 8) -> GrowthReport:
     from . import poincare  # local import; poincare uses this module's detector
 
     seq = s if not hasattr(s, "cumulative") else s.cumulative()
-    vals = _sequence_values(seq)
+    vals = sequence_values(seq)
     if len(vals) < 12:
         raise ValueError("growth classification needs at least 12 samples")
     eff_window = max(2, min(window, (len(vals) - 4) // 2))

@@ -22,6 +22,7 @@ from gkdim.axioms import (AxiomReport, ChainReport, HolonomyCatalog,
 from gkdim.hilbert import DimensionSequence, module_dim_sequence
 from gkdim.presentations import (AlgebraSpec, ModuleSpec, SpecError, Summand,
                                  zero_module)
+from gkdim.samuel import detect_polynomial
 
 TOP = 25
 
@@ -268,11 +269,16 @@ def test_chain_strictness_violations_raise():
 # holonomic defect
 
 
+def _fit(a, m):
+    """The module's Hilbert-Samuel fit on degrees 0..TOP, or None."""
+    return detect_polynomial(module_dim_sequence(a, m, TOP))
+
+
 def test_weyl_regular_module_has_defect_equal_to_rank():
     catalog = HolonomyCatalog()
     for rank in (1, 2):
         a = AlgebraSpec.weyl(rank)
-        report = holonomic_defect(a, ModuleSpec.regular(), catalog, TOP)
+        report = holonomic_defect(a, _fit(a, ModuleSpec.regular()), catalog)
         assert report.gk == 2 * rank
         assert report.h == rank
         assert report.defect == rank
@@ -286,7 +292,7 @@ def test_weyl_coordinate_module_is_minimally_holonomic():
         # kill the y generators: what is left are the x monomials
         ideal = [tuple(1 if i == rank + j else 0 for i in range(2 * rank))
                  for j in range(rank)]
-        report = holonomic_defect(a, ModuleSpec.cyclic(ideal), catalog, TOP)
+        report = holonomic_defect(a, _fit(a, ModuleSpec.cyclic(ideal)), catalog)
         assert report.gk == rank
         assert report.defect == 0
         assert report.min_holonomic is True
@@ -294,7 +300,7 @@ def test_weyl_coordinate_module_is_minimally_holonomic():
 
 def test_laurent_module_over_weyl_one_is_minimally_holonomic():
     a = AlgebraSpec.weyl(1)
-    report = holonomic_defect(a, ModuleSpec.laurent(), HolonomyCatalog(), TOP)
+    report = holonomic_defect(a, _fit(a, ModuleSpec.laurent()), HolonomyCatalog())
     assert report.gk == 1
     assert report.h == 1
     assert report.min_holonomic is True
@@ -303,9 +309,10 @@ def test_laurent_module_over_weyl_one_is_minimally_holonomic():
 def test_polynomial_ring_has_holonomic_number_zero():
     a = AlgebraSpec.polynomial(2)
     catalog = HolonomyCatalog()
-    regular = holonomic_defect(a, ModuleSpec.regular(), catalog, TOP)
+    regular = holonomic_defect(a, _fit(a, ModuleSpec.regular()), catalog)
     assert (regular.gk, regular.h, regular.defect) == (2, 0, 2)
-    finite = holonomic_defect(a, ModuleSpec.cyclic([(1, 0), (0, 1)]), catalog, TOP)
+    finite = holonomic_defect(a, _fit(a, ModuleSpec.cyclic([(1, 0), (0, 1)])),
+                              catalog)
     assert finite.gk == 0
     assert finite.min_holonomic is True
 
@@ -315,7 +322,8 @@ def test_holonomy_catalog_override_and_unknown_kind():
     with pytest.raises(ValueError):
         HolonomyCatalog().h_for(quantum)
     assert HolonomyCatalog(override=3).h_for(quantum) == 3
-    report = holonomic_defect(quantum, ModuleSpec.regular(), HolonomyCatalog(override=1), TOP)
+    report = holonomic_defect(quantum, _fit(quantum, ModuleSpec.regular()),
+                              HolonomyCatalog(override=1))
     assert report.h == 1
     assert report.gk == 2
 
@@ -323,7 +331,7 @@ def test_holonomy_catalog_override_and_unknown_kind():
 def test_holonomic_defect_needs_detectable_growth():
     a = AlgebraSpec.polynomial(1, degrees=[(2,)])
     with pytest.raises(ValueError):
-        holonomic_defect(a, ModuleSpec.regular(), HolonomyCatalog(), TOP)
+        holonomic_defect(a, _fit(a, ModuleSpec.regular()), HolonomyCatalog())
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Covers the report envelope (tool version, input digest, sorted keys), the
 exit-code contract (0 ok, 1 inconclusive, 2 unreadable input, 3 schema or
-math-level errors with a field path on stderr), byte-for-byte determinism,
+math-level errors with a field path on stderr, 4 internal faults),
+byte-for-byte determinism,
 the fixed warning catalog, both output formats, and one happy path plus the
 characteristic error paths for each of the seven commands.
 """
@@ -13,6 +14,7 @@ import math
 
 import pytest
 
+from gkdim import cli
 from gkdim.cli import WARNINGS, main
 
 # ---------------------------------------------------------------------------
@@ -72,6 +74,17 @@ def test_analyze_weyl_envelope_and_verdict(tmp_path, capsys):
     assert torsion["applicable"] is True
     assert torsion["torsion"] is False
     assert payload["warnings"] == [WARNINGS["sampled_agreement"]]
+
+
+def test_analyze_raw_sequence_beside_an_algebra_has_no_holonomy(tmp_path, capsys):
+    # the sequence is what gets analyzed; it presents no module whose
+    # holonomy or torsion the report could state
+    doc = dict(WEYL_ONE, sequence=[n + 1 for n in range(31)])
+    code, payload = _run_json(capsys, ["analyze", _write(tmp_path, doc)])
+    assert code == 0
+    assert payload["report"]["growth"]["gk"] == 1
+    assert payload["report"]["holonomy"] is None
+    assert payload["report"]["torsion"] is None
 
 
 def test_output_is_byte_identical_across_runs(tmp_path, capsys):
@@ -242,6 +255,25 @@ def test_classify_short_sequence_is_exit_three(tmp_path, capsys):
     code, _, err = _run(capsys, ["classify", _write(tmp_path, doc)])
     assert code == 3
     assert "sequence" in err
+
+
+def test_decreasing_cumulative_sequence_is_exit_three(tmp_path, capsys):
+    doc = {"spec_version": 1, "sequence": [1, 3, 2] + list(range(3, 20))}
+    code, _, err = _run(capsys, ["classify", _write(tmp_path, doc)])
+    assert code == 3
+    assert err.startswith("error: sequence: ")
+    assert "internal" not in err
+
+
+def test_internal_fault_is_exit_four(tmp_path, capsys, monkeypatch):
+    def broken(config, parsed):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._DISPATCH, "analyze", broken)
+    code, out, err = _run(capsys, ["analyze", _write(tmp_path, WEYL_ONE)])
+    assert code == 4
+    assert out == ""
+    assert err.strip() == "error: internal: RuntimeError: boom"
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,15 @@
 
 The central oracle is brute-force monomial enumeration: list every exponent
 vector up to the degree cap, drop the ones divisible by an ideal generator,
-and tally by weighted degree. Inclusion-exclusion numerators, the pivot
-recursion for large ideals, Hilbert series expansions, and module shift
-bookkeeping are all checked against it or against closed binomial formulas.
+and tally by weighted degree. Numerators from the pivot recursion (on fixed
+and on seeded random ideals of up to 24 minimal generators), Hilbert series
+expansions, and module shift bookkeeping are all checked against it or
+against closed binomial formulas.
 """
 
 import itertools
 import math
+import random
 
 import pytest
 
@@ -107,6 +109,34 @@ IDEAL_FAMILY = [
 ]
 
 
+def _random_antichain(rng, k):
+    """k pairwise non-dividing monomials in 4 variables of total degree 2..6."""
+    candidates = [e for e in itertools.product(range(5), repeat=4) if 2 <= sum(e) <= 6]
+    while True:
+        chosen = []
+        for g in rng.sample(candidates, len(candidates)):
+            if len(chosen) < k and not any(all(x <= y for x, y in zip(h, g)) or
+                                           all(y <= x for x, y in zip(h, g))
+                                           for h in chosen):
+                chosen.append(g)
+        if len(chosen) == k:
+            return chosen
+
+
+def _random_family(seed):
+    """Seeded ideals with 0..24 minimal generators, unweighted and weighted."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(25):
+        gens = _random_antichain(rng, k)
+        weights = [(w,) for w in rng.sample([1, 1, 2, 3], 4)]
+        out += [(4, None, gens), (4, weights, gens)]
+    return out
+
+
+IDEAL_FAMILY += _random_family(1997)
+
+
 def test_standard_monomial_counts_match_brute_force():
     for nvars, degrees, ideal in IDEAL_FAMILY:
         a = AlgebraSpec.polynomial(nvars, degrees=degrees)
@@ -122,8 +152,8 @@ def test_standard_monomial_counts_match_brute_force():
 
 
 def test_large_ideal_uses_same_counts():
-    # 21 generators forces the recursive counting path; the whole degree-5
-    # slice of k[x,y,z] dies, so the quotient is finite dimensional
+    # the whole degree-5 slice of k[x,y,z] dies, so the quotient is finite
+    # dimensional
     a = AlgebraSpec.polynomial(3)
     ideal = [e for e in itertools.product(range(6), repeat=3) if sum(e) == 5]
     assert len(ideal) == 21
