@@ -2,12 +2,18 @@
 
 A dimension sequence has a rational generating function p(t)/q(t) with
 q(0) = 1 exactly when its tail satisfies a linear recurrence with constant
-coefficients. The minimal recurrence is found by exact linear algebra over Q
-(no floating point), the denominator's root locations are settled by trial
-division with cyclotomic polynomials — an integer polynomial with constant
-term 1 and no cyclotomic part must have a root strictly inside the unit disk
-(Kronecker) — and pure denominators (1 - t^s)^d yield quasi-polynomial
-coefficient branches, one per residue class mod s.
+coefficients. A recurrence of order r must hold on the last 2r + confirm
+samples; read backwards, such a tail is generated by a linear shift register
+of length r. One exact Berlekamp-Massey run over the reversed samples
+therefore settles every order r >= 2 at once, and reads off the
+coefficients; order 1 is solved directly, because a zero tail fits a_1 = 0
+but no backward register (minimal_recurrence gives the argument). No
+floating point is used anywhere. The denominator's root locations are
+settled by trial division with cyclotomic polynomials — an integer
+polynomial with constant term 1 and no cyclotomic part must have a root
+strictly inside the unit disk (Kronecker) — and pure denominators
+(1 - t^s)^d yield quasi-polynomial coefficient branches, one per residue
+class mod s.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from typing import Optional, Sequence
 
 from .exactnum import Polynomial, from_binomial_basis, sequence_values
@@ -72,66 +79,88 @@ class Recurrence:
                                   for i, c in enumerate(self.coefficients))
 
 
-def _solve_exact(rows: list, rhs: list) -> Optional[list]:
-    """One exact solution of a (possibly overdetermined) rational system, or
-    None when inconsistent; free variables are set to zero."""
-    if not rows:
-        return None
-    ncols = len(rows[0])
-    aug = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(aug):
-            break
-    for i in range(r, len(aug)):
-        if aug[i][ncols] != 0:
-            return None
-    sol = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        sol[c] = aug[i][ncols]
-    return sol
+def _shift_registers(vals):
+    """Yield (L(N), C) after each of the first N = 1, 2, ... samples.
+
+    Berlekamp-Massey over Q, exact and online (J. L. Massey, "Shift-register
+    synthesis and BCH decoding", 1969): L(N) is the length of the shortest
+    linear shift register that generates vals[:N], and C its connection
+    polynomial: sum_i C[i] * vals[m - i] = 0 for L(N) <= m < N, with
+    C[0] != 0 and C[i] = 0 for every i >= len(C). The samples are scaled to
+    integers and C is kept as integers with unit content, which avoids a gcd
+    per Fraction operation.
+    """
+    exact = [Fraction(v) for v in vals]
+    scale = math.lcm(*(v.denominator for v in exact))
+    seq = [v.numerator * (scale // v.denominator) for v in exact]
+    conn, prev = [1], [1]
+    length, gap, prev_disc = 0, 1, 1
+    for n in range(len(seq)):
+        disc = sum(c * seq[n - i] for i, c in enumerate(conn[:length + 1]))
+        if disc == 0:
+            gap += 1
+        else:
+            update = [prev_disc * c for c in conn] + [0] * (len(prev) + gap - len(conn))
+            for i, c in enumerate(prev):
+                update[i + gap] -= disc * c
+            content = math.gcd(*update)
+            update = [c // content for c in update]
+            if 2 * length <= n:
+                prev, prev_disc = conn, disc
+                length, gap = n + 1 - length, 1
+            else:
+                gap += 1
+            conn = update
+        yield length, conn
 
 
 def minimal_recurrence(s, confirm: int = 8) -> Optional[Recurrence]:
     """Least-order exact linear recurrence satisfied by the sequence tail.
 
-    For each order r the coefficients are solved exactly from the final
-    r + confirm recurrence equations; a consistent solution is then scanned
+    Order r must hold on the final r + confirm recurrence equations, which use
+    the last 2r + confirm samples; the recurrence found is then scanned
     backwards for its onset. Orders up to (length - confirm) // 2 are tried;
     None means no recurrence of admissible order fits the tail.
+
+    Order 1 is solved directly. For r >= 2, Berlekamp-Massey runs once, and
+    lazily, over the samples read backwards: after N of them it holds their
+    linear complexity L = L(N) and a shortest shift register C. With
+    N = 2r + confirm and no lower order fitting, order r fits exactly when
+    L = r and C[r] != 0, and a_i = -C[r - i] / C[r] is then its only solution:
+    - a solution with a_r = 0 is an order r - 1 recurrence on a longer tail,
+      found first; one with a_r != 0 is, read backwards, a register of
+      length r, and N >= 2r samples leave one register of length L = r;
+    - a register of length r > L has C[L] as a factor of its last
+      coefficient (its characteristic polynomial is a multiple of C's), and
+      C[L] != 0 makes C itself an order L recurrence, found first.
+    Order 1 is the exception: a zero tail has the solution a_1 = 0, which no
+    backward register of length 1 matches.
     """
     vals = sequence_values(s)
     length = len(vals)
     max_order = (length - confirm) // 2
     if confirm < 1 or max_order < 1:
         raise ValueError("need at least 2 + confirm samples")
-    for r in range(1, max_order + 1):
-        first_eq = length - 2 * r - confirm
-        rows = [[vals[n + r - 1 - i] for i in range(r)]
-                for n in range(first_eq, length - r)]
-        rhs = [vals[n + r] for n in range(first_eq, length - r)]
-        coeffs = _solve_exact(rows, rhs)
-        if coeffs is None:
-            continue
-        rec = Recurrence(r, tuple(coeffs), first_eq)
-        onset = first_eq
-        while onset > 0 and rec.holds_at(vals, onset - 1):
-            onset -= 1
-        return Recurrence(r, tuple(coeffs), onset)
-    return None
+    tail = vals[length - 2 - confirm:]
+    pivot = next((i for i, v in enumerate(tail[:-1]) if v != 0), None)
+    ratio = (Fraction(0) if pivot is None
+             else Fraction(tail[pivot + 1]) / Fraction(tail[pivot]))
+    if all(b == ratio * a for a, b in zip(tail, tail[1:])):
+        rec = Recurrence(1, (ratio,), length - 2 - confirm)
+    else:
+        registers = islice(_shift_registers(vals[::-1]), 2 * max_order + confirm)
+        for n, (complexity, conn) in enumerate(registers, 1):
+            r, odd = divmod(n - confirm, 2)
+            if not odd and r >= 2 and complexity == r and len(conn) > r and conn[r] != 0:
+                rec = Recurrence(r, tuple(Fraction(-c, conn[r]) for c in conn[r - 1::-1]),
+                                 length - n)
+                break
+        else:
+            return None
+    onset = rec.onset
+    while onset > 0 and rec.holds_at(vals, onset - 1):
+        onset -= 1
+    return Recurrence(rec.order, rec.coefficients, onset)
 
 
 def series_from_recurrence(s, rec: Recurrence) -> RationalSeries:
@@ -178,8 +207,17 @@ def unit_cyclotomic(k: int) -> Polynomial:
     return f * (1 / f.constant_term())
 
 
-def _divisors(n: int) -> set:
-    return {d for d in range(1, n + 1) if n % d == 0}
+def _divisors(n: int) -> list:
+    """The positive divisors of |n| in increasing order; [1] for n = 0.
+
+    Each pair (d, |n| // d) is found from its smaller member d <= isqrt(|n|).
+    """
+    n = abs(n)
+    if n == 0:
+        return [1]
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    large = [n // d for d in reversed(small) if d * d != n]
+    return small + large
 
 
 def _euler_phi(n: int) -> int:
@@ -253,7 +291,7 @@ def denominator_analysis(q: Polynomial) -> DenominatorAnalysis:
     if rem.degree == 0:
         s = max(mults) if mults else 1
         d = mults.get(s, 0)
-        if mults and set(mults) == _divisors(s) and all(m == d for m in mults.values()):
+        if mults and set(mults) == set(_divisors(s)) and all(m == d for m in mults.values()):
             return DenominatorAnalysis("all_roots_on_unit_circle", s=s, d=d,
                                        cyclotomic_multiplicities=mults)
         return DenominatorAnalysis(
@@ -308,8 +346,8 @@ def _split_rational_roots(p: Polynomial):
     num0 = int(scaled.constant_term())
     lead = int(scaled.leading_coefficient())
     candidates = set()
-    for a in _int_divisors(num0):
-        for b in _int_divisors(lead):
+    for a in _divisors(num0):
+        for b in _divisors(lead):
             candidates.add(Fraction(a, b))
             candidates.add(Fraction(-a, b))
     for root in sorted(candidates):
@@ -323,13 +361,6 @@ def _split_rational_roots(p: Polynomial):
             rest = quo
             linear.append(factor)
     return tuple(linear), rest
-
-
-def _int_divisors(n: int) -> list:
-    n = abs(n)
-    if n == 0:
-        return [1]
-    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 def _clear_denominators(p: Polynomial) -> Polynomial:

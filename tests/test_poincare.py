@@ -6,6 +6,9 @@ Oracles:
 * Minimal recurrence order -- the exact rank of the Hankel matrix of the
   sequence (computed here by independent fraction-exact elimination), which
   equals the least recurrence order for sequences recurrent from the start.
+* Minimal recurrence search -- an exact Gauss-Jordan solve per candidate
+  order over the tail must give the same order, coefficients and onset as
+  the Berlekamp-Massey search, on a seeded family of sequences.
 * Round trips -- expand a known reduced series, recover the recurrence, and
   require the identical reduced series back.
 * Cyclotomic polynomials -- frozen low-order values plus the product
@@ -16,12 +19,13 @@ Oracles:
 
 from fractions import Fraction
 import math
+import random
 
 import pytest
 
 from gkdim.exactnum import Polynomial
 from gkdim.poincare import (DenominatorAnalysis, QuasiPolynomial,
-                            RationalSeries, Recurrence, _euler_phi,
+                            RationalSeries, Recurrence, _divisors, _euler_phi,
                             cyclotomic_polynomial, denominator_analysis,
                             fit_quasi_polynomial, minimal_recurrence,
                             quasi_polynomial, series_from_recurrence,
@@ -174,6 +178,117 @@ def test_minimal_order_equals_hankel_rank():
 
 
 # ---------------------------------------------------------------------------
+# Berlekamp-Massey search against the per-order Gauss-Jordan search
+
+
+def _solve_exact(rows, rhs):
+    """One exact solution of a rational system (free variables zero), or None."""
+    ncols = len(rows[0])
+    aug = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        inv = 1 / aug[r][c]
+        aug[r] = [v * inv for v in aug[r]]
+        for i in range(len(aug)):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(aug):
+            break
+    if any(aug[i][ncols] != 0 for i in range(r, len(aug))):
+        return None
+    sol = [Fraction(0)] * ncols
+    for i, c in enumerate(pivots):
+        sol[c] = aug[i][ncols]
+    return sol
+
+
+def _reference_recurrence(vals, confirm):
+    """Least order r whose coefficients solve the last r + confirm equations,
+    one exact solve per order, with the onset scanned backwards."""
+    length = len(vals)
+    for r in range(1, (length - confirm) // 2 + 1):
+        first_eq = length - 2 * r - confirm
+        rows = [[vals[n + r - 1 - i] for i in range(r)] for n in range(first_eq, length - r)]
+        coeffs = _solve_exact(rows, [vals[n + r] for n in range(first_eq, length - r)])
+        if coeffs is None:
+            continue
+        rec = Recurrence(r, tuple(coeffs), first_eq)
+        onset = first_eq
+        while onset > 0 and rec.holds_at(vals, onset - 1):
+            onset -= 1
+        return Recurrence(r, tuple(coeffs), onset)
+    return None
+
+
+def _recurrent(coeffs, start, length):
+    vals = list(start)
+    while len(vals) < length:
+        vals.append(sum(c * vals[-1 - i] for i, c in enumerate(coeffs)))
+    return vals[:length]
+
+
+def _differential_family(rng, confirm):
+    """(kind, values) pairs of at most 30 samples each."""
+    out = []
+    for _ in range(30):
+        length = rng.randint(confirm + 4, 30)
+        r = rng.randint(1, 6)
+        body = _recurrent([rng.randint(-3, 3) for _ in range(r)],
+                          [rng.randint(-5, 5) for _ in range(r)], length)
+        transient = [rng.randint(-9, 9) for _ in range(rng.randint(0, 8))]
+        out.append(("transient", (transient + body)[:length]))
+    for _ in range(30):
+        period = rng.randint(1, 12)
+        pattern = [rng.choice((0, 0, 0, 1)) for _ in range(period)]
+        pattern[rng.randrange(period)] = 1
+        out.append(("zero runs", [pattern[i % period]
+                                  for i in range(rng.randint(confirm + 4, 30))]))
+    for _ in range(18):
+        zeros = rng.randint(0, 12)
+        head = [rng.randint(-4, 4) for _ in range(rng.randint(confirm + 4, 24) - zeros)]
+        out.append(("zero tail", head + [0] * zeros))
+    for _ in range(24):
+        r = rng.randint(1, 4)
+        out.append(("fractions", _recurrent(
+            [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(r)],
+            [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(r)],
+            rng.randint(confirm + 4, 26))))
+    for _ in range(12):
+        out.append(("noise", [rng.randint(-1000, 1000)
+                              for _ in range(rng.randint(confirm + 4, 26))]))
+    return out
+
+
+@pytest.mark.parametrize("confirm", [1, 2, 3, 8])
+def test_search_matches_per_order_solves(confirm):
+    rng = random.Random(1969 + confirm)
+    for name, vals in _differential_family(rng, confirm):
+        got = minimal_recurrence(vals, confirm=confirm)
+        want = _reference_recurrence(vals, confirm)
+        assert got == want, (name, vals)
+        if got is not None:
+            assert all(type(c) is Fraction for c in got.coefficients), (name, vals)
+
+
+def test_long_transient_moves_the_onset_not_the_order():
+    # 21 unrelated samples, then Fibonacci: the tail has order 2 although the
+    # linear complexity of the whole sequence is far above the admissible orders
+    fib = _recurrent([1, 1], [1, 1], 12)
+    vals = [7, -3, 11, 0, 5, 2, -8, 13, 1, 9, -4, 6, 0, 3, 17, -2, 8, 5, -6, 10, 4] + fib
+    rec = minimal_recurrence(vals)
+    assert rec == Recurrence(2, (Fraction(1), Fraction(1)), 21)
+    assert rec == _reference_recurrence(vals, 8)
+
+
+# ---------------------------------------------------------------------------
 # cyclotomic polynomials
 
 
@@ -216,6 +331,14 @@ def test_euler_phi_matches_gcd_count():
     for n in range(1, 60):
         brute = sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
         assert _euler_phi(n) == brute
+
+
+def test_divisors_match_brute_force():
+    for n in range(1, 2001):
+        brute = [d for d in range(1, n + 1) if n % d == 0]
+        assert _divisors(n) == brute, n
+        assert _divisors(-n) == brute, -n
+    assert _divisors(0) == [1]
 
 
 # ---------------------------------------------------------------------------

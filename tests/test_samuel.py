@@ -14,7 +14,7 @@ import math
 
 import pytest
 
-from gkdim.exactnum import BinomialForm, from_binomial_basis
+from gkdim.exactnum import BinomialForm, Polynomial, from_binomial_basis
 from gkdim.hilbert import DimensionSequence
 from gkdim.samuel import (GammaEstimate, classify_growth, detect_polynomial,
                           gamma_estimate, gk_dimension, multiplicity)
@@ -156,6 +156,17 @@ def test_classify_geometric_as_exponential():
     assert report.recurrence.order == 2
     assert report.recurrence.coefficients == (3, -2)
     assert report.denominator.radius_class == "inside_unit_disk"
+
+
+def test_classify_geometric_with_a_large_prime_ratio():
+    # the rational-root split enumerates the divisors of the ratio; trial
+    # division up to the ratio itself would take about a minute here
+    ratio = 10 ** 9 + 7
+    vals = [(ratio ** (n + 1) - 1) // (ratio - 1) for n in range(20)]
+    report = classify_growth(vals)
+    assert report.classification == "exponential"
+    assert report.recurrence.coefficients == (ratio + 1, -ratio)
+    assert report.denominator.linear_factors == (Polynomial([1, -ratio]),)
 
 
 def test_classify_periodic_slope_via_quasi_branches():
