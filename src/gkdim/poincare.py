@@ -44,11 +44,15 @@ class RationalSeries:
             raise ValueError("series denominator must have constant term 1")
 
     def expand(self, count: int) -> list:
-        """First `count` power-series coefficients, exactly."""
+        """First `count` power-series coefficients, exactly: int where
+        integral, Fraction otherwise. An integral numerator and denominator
+        (every Hilbert series) are expanded in int."""
         p, q = self.numerator.coeffs, self.denominator.coeffs
+        if all(c.denominator == 1 for c in p + q):
+            p, q = [int(c) for c in p], [int(c) for c in q]
         out = []
         for n in range(count):
-            acc = Fraction(p[n]) if n < len(p) else Fraction(0)
+            acc = p[n] if n < len(p) else 0
             for k in range(1, min(n, len(q) - 1) + 1):
                 acc -= q[k] * out[n - k]
             out.append(acc)
@@ -267,6 +271,14 @@ def denominator_analysis(q: Polynomial) -> DenominatorAnalysis:
     theorem); for non-integer rational residuals a Sturm-chain count of real
     roots in (0, 1) is the certified fallback, and failing that the class is
     reported as "mixed" with a caveat.
+
+    Rational roots of the residual are split off as linear_factors. A
+    degree-1 residual's root is read off directly; for higher degrees the
+    split scans the divisors of the integer-scaled residual's end
+    coefficients c_0 and c_D, and is skipped, with the note
+    ROOT_SPLIT_SKIPPED, when |c_0 * c_D| > ROOT_SPLIT_BOUND = 10^12. The
+    radius class does not depend on the split when the residual is integral
+    (Kronecker), and every Hilbert series denominator is.
     """
     if q.constant_term() != 1:
         raise ValueError("denominator must have constant term 1")
@@ -298,31 +310,25 @@ def denominator_analysis(q: Polynomial) -> DenominatorAnalysis:
             "all_roots_on_unit_circle", cyclotomic_multiplicities=mults,
             notes=("cyclotomic orders do not form a pure (1-t^s)^d pattern",))
 
-    linear, residual = _split_rational_roots(rem)
+    linear, residual, split_notes = _split_rational_roots(rem)
+
+    def verdict(radius_class: str, note: str) -> DenominatorAnalysis:
+        return DenominatorAnalysis(
+            radius_class, cyclotomic_multiplicities=mults, residual=residual,
+            linear_factors=linear, notes=(note,) + split_notes)
+
     if rem.is_integer():
-        return DenominatorAnalysis(
-            "inside_unit_disk", cyclotomic_multiplicities=mults, residual=residual,
-            linear_factors=linear,
-            notes=("integer non-cyclotomic factor certifies a root inside the unit disk",))
+        return verdict("inside_unit_disk",
+                       "integer non-cyclotomic factor certifies a root inside the unit disk")
     if any(abs(c) < 1 for _, c in _linear_roots(linear)):
-        return DenominatorAnalysis(
-            "inside_unit_disk", cyclotomic_multiplicities=mults, residual=residual,
-            linear_factors=linear,
-            notes=("rational root of modulus < 1",))
+        return verdict("inside_unit_disk", "rational root of modulus < 1")
     scaled = _clear_denominators(rem)
     if abs(scaled.constant_term()) < abs(scaled.leading_coefficient()):
-        return DenominatorAnalysis(
-            "inside_unit_disk", cyclotomic_multiplicities=mults, residual=residual,
-            linear_factors=linear,
-            notes=("product of root moduli below 1 certifies a root inside the unit disk",))
+        return verdict("inside_unit_disk",
+                       "product of root moduli below 1 certifies a root inside the unit disk")
     if _sturm_roots_in_unit_interval(rem) > 0:
-        return DenominatorAnalysis(
-            "inside_unit_disk", cyclotomic_multiplicities=mults, residual=residual,
-            linear_factors=linear,
-            notes=("real root in (0, 1) certified by a Sturm chain",))
-    return DenominatorAnalysis(
-        "mixed", cyclotomic_multiplicities=mults, residual=residual, linear_factors=linear,
-        notes=("root locations of the non-cyclotomic factor not certified",))
+        return verdict("inside_unit_disk", "real root in (0, 1) certified by a Sturm chain")
+    return verdict("mixed", "root locations of the non-cyclotomic factor not certified")
 
 
 def _linear_roots(linear_factors):
@@ -334,22 +340,39 @@ def _linear_roots(linear_factors):
     return out
 
 
+#: Past this value of |c_0 * c_D| (the end coefficients of the integer-scaled
+#: polynomial) the rational-root split is skipped: the divisor scan costs
+#: sqrt|c_0| + sqrt|c_D| trial divisions, at most 2 * 10^6 here.
+ROOT_SPLIT_BOUND = 10 ** 12
+
+ROOT_SPLIT_SKIPPED = ("rational-root split skipped: the residual's end coefficients "
+                      "have a product above 10^12")
+
+
 def _split_rational_roots(p: Polynomial):
     """Split off factors (1 - c t) for each rational root 1/c of p.
 
-    Returns (tuple of linear factors, remaining polynomial). Candidate roots
-    come from the rational-root theorem on the integer-scaled polynomial.
+    Returns (tuple of linear factors, remaining polynomial, notes). The root
+    of a degree-1 p is read off directly. Otherwise candidate roots come from
+    the rational-root theorem on the integer-scaled polynomial, unless its
+    end coefficients pass ROOT_SPLIT_BOUND: then nothing is split and the
+    notes say so.
     """
     linear = []
     rest = p
-    scaled = _clear_denominators(rest)
-    num0 = int(scaled.constant_term())
-    lead = int(scaled.leading_coefficient())
-    candidates = set()
-    for a in _divisors(num0):
-        for b in _divisors(lead):
-            candidates.add(Fraction(a, b))
-            candidates.add(Fraction(-a, b))
+    if p.degree == 1:
+        candidates = {-p.coeffs[0] / p.coeffs[1]}
+    else:
+        scaled = _clear_denominators(rest)
+        num0 = int(scaled.constant_term())
+        lead = int(scaled.leading_coefficient())
+        if abs(num0 * lead) > ROOT_SPLIT_BOUND:
+            return (), p, (ROOT_SPLIT_SKIPPED,)
+        candidates = set()
+        for a in _divisors(num0):
+            for b in _divisors(lead):
+                candidates.add(Fraction(a, b))
+                candidates.add(Fraction(-a, b))
     for root in sorted(candidates):
         if root == 0:
             continue
@@ -360,7 +383,7 @@ def _split_rational_roots(p: Polynomial):
                 raise RuntimeError("internal error: root division left a remainder")
             rest = quo
             linear.append(factor)
-    return tuple(linear), rest
+    return tuple(linear), rest, ()
 
 
 def _clear_denominators(p: Polynomial) -> Polynomial:

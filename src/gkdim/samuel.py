@@ -2,22 +2,25 @@
 
 A cumulative dimension sequence that is eventually a polynomial f(n) =
 sum a_i C(n, i) is recovered exactly from its finite-difference tower: the
-degree is the first level whose tail is constant, the coefficients come from
-the Newton forward differences at the stabilization window, and the fit is
-re-verified against every trailing sample before it is reported. The degree
-is the growth dimension of the module and the top coefficient a_d is its
-multiplicity (Bernstein number).
+degree d is the first level whose tail is constant. The column of
+differences at the start of that constant window determines f; running it
+backwards to n = 0 with exact subtraction gives Delta^i f(0), which are the
+coefficients a_i. Running the same tower forwards from n = 0 with exact
+addition gives f at every sample, and every sample is checked against it
+before the fit is reported. All of this is int (or, for rational samples,
+Fraction) addition: no polynomial is built. The degree is the growth
+dimension of the module and the top coefficient a_d is its multiplicity
+(Bernstein number).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional
 
-from .exactnum import (BinomialForm, Polynomial, falling_binom, from_binomial_basis,
-                       sequence_values, to_binomial_basis)
+from .exactnum import BinomialForm, sequence_values
 
 
 @dataclass(frozen=True)
@@ -36,10 +39,15 @@ class HilbertSamuelPolynomial:
 def detect_polynomial(s, window: int = 6) -> Optional[HilbertSamuelPolynomial]:
     """Exact eventual-polynomial fit of a cumulative sequence, or None.
 
-    Differences are taken until some level is constant on its final `window`
-    entries; the candidate polynomial is reconstructed from the difference
-    tower anchored at that window and must then agree with every trailing
-    sample. Returns None when no level stabilizes within the data.
+    Differences are taken until some level d is constant on its final
+    `window` entries, which start at index `anchor`. The column
+    Delta^0 f(anchor), ..., Delta^d f(anchor) is run backwards to n = 0 by
+    Delta^i f(n - 1) = Delta^i f(n) - Delta^(i+1) f(n - 1), for i = d - 1
+    down to 0, since Delta^d f is constant; the column at n = 0 is the form's
+    (a_0, ..., a_d). Running it forwards from n = 0 gives the fitted value at
+    every sample. The samples are compared with these from the last one
+    backwards, and stabilization_index is one past the last disagreement.
+    Returns None when no level stabilizes within the data.
     """
     if window < 2:
         raise ValueError("window must be at least 2")
@@ -58,27 +66,25 @@ def detect_polynomial(s, window: int = 6) -> Optional[HilbertSamuelPolynomial]:
         levels.append([cur[i + 1] - cur[i] for i in range(len(cur) - 1)])
 
     anchor = len(levels[degree]) - window
-    newton = [levels[i][anchor] for i in range(degree + 1)]
+    tower = [levels[i][anchor] for i in range(degree + 1)]
+    for _ in range(anchor):
+        for i in range(degree - 1, -1, -1):
+            tower[i] -= tower[i + 1]
+    form = BinomialForm(tower)
 
-    def predicted(n: int):
-        return sum(c * falling_binom(n - anchor, i) for i, c in enumerate(newton))
-
+    fitted = []
+    for _ in vals:
+        fitted.append(tower[0])
+        for i in range(degree):
+            tower[i] += tower[i + 1]
     stabilization = 0
     for n in range(len(vals) - 1, -1, -1):
-        if predicted(n) != vals[n]:
+        if fitted[n] != vals[n]:
             stabilization = n + 1
             break
     if stabilization > anchor:
         raise RuntimeError("internal error: reconstructed polynomial misses its anchor window")
-
-    poly = Polynomial()
-    cpoly = Polynomial([1])
-    for i, c in enumerate(newton):
-        if i > 0:
-            cpoly = cpoly * Polynomial([-(anchor + i - 1), 1]) * Fraction(1, i)
-        if c:
-            poly = poly + c * cpoly
-    return HilbertSamuelPolynomial(to_binomial_basis(poly), stabilization)
+    return HilbertSamuelPolynomial(form, stabilization)
 
 
 def gk_dimension(h: HilbertSamuelPolynomial) -> int:

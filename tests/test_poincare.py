@@ -11,6 +11,9 @@ Oracles:
   the Berlekamp-Massey search, on a seeded family of sequences.
 * Round trips -- expand a known reduced series, recover the recurrence, and
   require the identical reduced series back.
+* Series expansion -- the Fraction recurrence that expand runs for rational
+  coefficients must give the same values, and the same types, as its int
+  path on a seeded family of integral series.
 * Cyclotomic polynomials -- frozen low-order values plus the product
   identity prod_{d | n} Phi_d(t) = t^n - 1.
 * Root-location certificates -- frozen on denominators whose roots are known
@@ -24,7 +27,7 @@ import random
 import pytest
 
 from gkdim.exactnum import Polynomial
-from gkdim.poincare import (DenominatorAnalysis, QuasiPolynomial,
+from gkdim.poincare import (ROOT_SPLIT_SKIPPED, DenominatorAnalysis, QuasiPolynomial,
                             RationalSeries, Recurrence, _divisors, _euler_phi,
                             cyclotomic_polynomial, denominator_analysis,
                             fit_quasi_polynomial, minimal_recurrence,
@@ -40,6 +43,42 @@ def test_series_expansion_frozen():
     assert geom.expand(6) == [1, 2, 4, 8, 16, 32]
     line = RationalSeries(Polynomial([1]), Polynomial([1, -1]) ** 2)
     assert line.expand(5) == [1, 2, 3, 4, 5]
+
+
+def _expand_in_fractions(series, count):
+    """The power-series recurrence run in Fraction throughout."""
+    p, q = series.numerator.coeffs, series.denominator.coeffs
+    out = []
+    for n in range(count):
+        acc = Fraction(p[n]) if n < len(p) else Fraction(0)
+        for k in range(1, min(n, len(q) - 1) + 1):
+            acc -= q[k] * out[n - k]
+        out.append(acc)
+    return [int(v) if v.denominator == 1 else v for v in out]
+
+
+def test_integer_expansion_matches_fraction_expansion():
+    rng = random.Random(77)
+    for _ in range(200):
+        numerator = Polynomial([rng.randint(-9, 9) for _ in range(rng.randrange(7))])
+        denominator = Polynomial([1])
+        for _ in range(rng.randrange(5)):
+            w, c = rng.randint(1, 4), rng.choice((-1, -2, 1))
+            denominator = denominator * Polynomial([1] + [0] * (w - 1) + [c])
+        series = RationalSeries(numerator, denominator)
+        got = series.expand(30)
+        assert got == _expand_in_fractions(series, 30)
+        assert all(type(v) is int for v in got)
+
+
+def test_rational_coefficients_still_expand_to_fractions():
+    half = RationalSeries(Polynomial([1, Fraction(1, 2)]), Polynomial([1, -1]))
+    got = half.expand(5)
+    assert got == [1, Fraction(3, 2), Fraction(3, 2), Fraction(3, 2), Fraction(3, 2)]
+    assert [type(v) for v in got] == [int] + [Fraction] * 4
+    assert got == _expand_in_fractions(half, 5)
+    damped = RationalSeries(Polynomial([1]), Polynomial([1, Fraction(-1, 2)]))
+    assert damped.expand(4) == [1, Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)]
 
 
 def test_series_requires_unit_constant_term():
@@ -382,6 +421,24 @@ def test_integer_residual_certifies_exponential_growth():
 
     fib = denominator_analysis(Polynomial([1, -1, -1]))
     assert fib.radius_class == "inside_unit_disk"
+
+
+def test_large_end_coefficients_skip_the_root_split():
+    p, q = 10 ** 9 + 7, 10 ** 9 + 9  # both prime
+    denominator = Polynomial([1, -p]) * Polynomial([1, -q])
+    analysis = denominator_analysis(denominator)
+    assert analysis.radius_class == "inside_unit_disk"
+    assert analysis.linear_factors == ()
+    assert analysis.residual == denominator
+    assert analysis.notes == (
+        "integer non-cyclotomic factor certifies a root inside the unit disk",
+        ROOT_SPLIT_SKIPPED)
+    # a rational residual: the root 1/p goes unsplit, and a Sturm chain finds it
+    rational = denominator_analysis(Polynomial([1, -p]) * Polynomial([1, Fraction(-1, q)]))
+    assert rational.radius_class == "inside_unit_disk"
+    assert rational.linear_factors == ()
+    assert rational.notes == ("real root in (0, 1) certified by a Sturm chain",
+                              ROOT_SPLIT_SKIPPED)
 
 
 def test_sturm_chain_certifies_irrational_inside_root():
