@@ -465,7 +465,7 @@ def _cmd_hilbert(config: RunConfig, parsed: ParsedInput):
     combined = None
     for s in m.summands:
         piece = hilbert_series_monomial_quotient(a, s.ideal)
-        shifted = Polynomial([0] * s.shift + [1]) * piece.numerator
+        shifted = Polynomial([0] * s.shift + list(piece.numerator.coeffs))
         if combined is None:
             combined = RationalSeries(shifted, piece.denominator)
         else:

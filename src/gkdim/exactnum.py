@@ -3,13 +3,26 @@ binomial-coefficient basis C(n,0), C(n,1), ... used for integer-valued
 polynomials.
 
 Everything in this module is exact: values are Python ints and
-fractions.Fraction, never floats.
+fractions.Fraction, never floats. Polynomials store Fraction coefficients,
+but the costly kernels run on plain int coefficient lists and build
+Fractions once, at the end:
+- gcd is a primitive polynomial remainder sequence over Z (G. E. Collins,
+  "Subresultants and reduced polynomial remainder sequences", J. ACM 14,
+  1967; Knuth, TAOCP vol. 2, 4.6.1): both inputs are scaled to primitive
+  integer lists, which clears any denominators, and each pseudo-remainder
+  is reduced to its primitive part, so the coefficients stay small;
+- division by an integral polynomial with leading coefficient +-1 runs in
+  int (int_divmod), as do exact quotients by a primitive divisor (Gauss's
+  lemma makes them integral);
+- the binomial-basis conversions use cached integer Stirling numbers over one
+  common denominator.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 #: Exact rational number with normalized sign and lowest terms.
@@ -144,6 +157,10 @@ class Polynomial:
     def __divmod__(self, other: "Polynomial"):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
+        if abs(other.coeffs[-1]) == 1 and self.is_integer() and other.is_integer():
+            quo, rem = int_divmod([c.numerator for c in self.coeffs],
+                                  [c.numerator for c in other.coeffs])
+            return Polynomial(quo), Polynomial(rem)
         rem = list(self.coeffs)
         den = other.coeffs
         qdeg = len(rem) - len(den)
@@ -173,15 +190,110 @@ class Polynomial:
 
     @staticmethod
     def gcd(a: "Polynomial", b: "Polynomial") -> "Polynomial":
-        """Monic greatest common divisor over Q (Euclidean algorithm)."""
-        while not b.is_zero():
-            _, r = divmod(a, b)
-            a, b = b, r
-        return a.monic()
+        """Monic greatest common divisor over Q; zero when both are zero.
+
+        Both inputs are scaled to integer coefficient lists, which clears
+        their denominators; a primitive remainder sequence over Z
+        (primitive_gcd: pseudo-remainder, then primitive part) gives their
+        primitive gcd, which is made monic once, at the end.
+        """
+        g = primitive_gcd(integer_coefficients(a.coeffs)[0],
+                          integer_coefficients(b.coeffs)[0])
+        return Polynomial([Fraction(c, g[-1]) for c in g])
 
     @staticmethod
     def one() -> "Polynomial":
         return Polynomial([1])
+
+
+# ---------------------------------------------------------------------------
+# integer coefficient-list kernels (ascending ints, no trailing zeros)
+
+
+def integer_coefficients(coeffs: Sequence[Fraction]) -> tuple:
+    """(ints, scale): exact coefficients times scale, the lcm of their
+    denominators, as a list of ints."""
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (scale // c.denominator) for c in coeffs], scale
+
+
+def _primitive_part(cs: list) -> list:
+    """cs divided by its content, with a positive leading coefficient."""
+    if not cs:
+        return []
+    content = math.gcd(*cs)
+    if cs[-1] < 0:
+        content = -content
+    return [c // content for c in cs]
+
+
+def _pseudo_remainder(u: list, v: list) -> list:
+    """A nonzero integer multiple of the remainder of u by v (len(u) >= len(v)).
+
+    Each step scales the running remainder by lead(v) / g and subtracts
+    c / g times the shifted v, where c is its top coefficient and
+    g = gcd(c, lead(v)); no step is skipped, so the result is u mod v up to
+    a nonzero integer factor.
+    """
+    rem = list(u)
+    n = len(v) - 1
+    lead = v[-1]
+    for top in range(len(rem) - 1, n - 1, -1):
+        c = rem.pop()
+        if c:
+            g = math.gcd(c, lead)
+            scale, c = lead // g, c // g
+            if scale != 1:
+                rem = [scale * x for x in rem]
+            shift = top - n
+            for j in range(n):
+                rem[shift + j] -= c * v[j]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return rem
+
+
+def primitive_gcd(u: list, v: list) -> list:
+    """The primitive gcd, with positive leading coefficient, of two integer
+    coefficient lists; [] when both are zero.
+
+    Primitive remainder sequence: keep the longer list first, then replace
+    (u, v) by (v, primitive part of the pseudo-remainder of u by v) until v
+    is zero. By Gauss's lemma, the gcd over Z of primitive polynomials is the
+    gcd over Q scaled to be primitive.
+    """
+    u, v = _primitive_part(u), _primitive_part(v)
+    if len(u) < len(v):
+        u, v = v, u
+    while v:
+        u, v = v, _primitive_part(_pseudo_remainder(u, v))
+    return u
+
+
+def int_divmod(u: list, v: list) -> tuple:
+    """Quotient and remainder of integer coefficient lists, in int.
+
+    Requires every step's division by v's leading coefficient to be exact:
+    always when it is +-1, and when v is primitive and divides u (Gauss's
+    lemma). An inexact step raises RuntimeError.
+    """
+    n = len(v) - 1
+    lead = v[-1]
+    rem = list(u)
+    quo = [0] * max(len(u) - n, 0)
+    for i in range(len(quo) - 1, -1, -1):
+        c, r = divmod(rem[i + n], lead)
+        if r:
+            raise RuntimeError("internal error: inexact integer polynomial division")
+        quo[i] = c
+        if c:  # rem[i + n] is not read again, so it is left as it is
+            for j in range(n):
+                rem[i + j] -= c * v[j]
+    if quo:
+        del rem[n:]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return quo, rem
 
 
 class BinomialForm:
@@ -252,31 +364,62 @@ def finite_difference(values: Sequence[Scalar]) -> list:
     return [values[i + 1] - values[i] for i in range(len(values) - 1)]
 
 
-def to_binomial_basis(p: Polynomial) -> BinomialForm:
-    """Coefficients a_i with p(n) = sum a_i * C(n, i), via differences at 0.
+@lru_cache(maxsize=None)
+def _stirling_rows(d: int) -> tuple:
+    """Rows 0..d of the Stirling numbers, as (first, second) tuples of int tuples.
 
-    a_i is the i-th finite difference of p evaluated at 0 (Newton forward
-    differences); the conversion is exact and a bijection on polynomials.
+    first[i][k] = s(i, k), signed, of the first kind:
+    n(n-1)...(n-i+1) = sum_k s(i, k) n^k; second[k][i] = S(k, i), of the
+    second kind: n^k = sum_i S(k, i) n(n-1)...(n-i+1).
+    """
+    first, second = [(1,)], [(1,)]
+    for m in range(1, d + 1):
+        row = [0] * (m + 1)
+        for k, c in enumerate(first[-1]):  # times (n - (m - 1))
+            row[k + 1] += c
+            row[k] -= (m - 1) * c
+        first.append(tuple(row))
+        prev = second[-1] + (0,)
+        second.append((0,) + tuple(i * prev[i] + prev[i - 1] for i in range(1, m + 1)))
+    return tuple(first), tuple(second)
+
+
+def to_binomial_basis(p: Polynomial) -> BinomialForm:
+    """Coefficients a_i with p(n) = sum a_i * C(n, i); exact and a bijection.
+
+    With p = sum_k c_k n^k and n^k = sum_i S(k, i) i! C(n, i), the
+    coefficient a_i is i! sum_k c_k S(k, i): integer sums over the common
+    denominator of the c_k, one Fraction per coefficient.
     """
     d = p.degree
     if d < 0:
         return BinomialForm()
-    row = [p.evaluate(n) for n in range(d + 1)]
-    coeffs = [row[0]]
-    for _ in range(d):
-        row = finite_difference(row)
-        coeffs.append(row[0])
+    cs, scale = integer_coefficients(p.coeffs)
+    _, second = _stirling_rows(d)
+    coeffs, fact = [], 1
+    for i in range(d + 1):
+        fact *= i or 1
+        coeffs.append(Fraction(fact * sum(cs[k] * second[k][i] for k in range(i, d + 1)),
+                               scale))
     return BinomialForm(coeffs)
 
 
 def from_binomial_basis(b: BinomialForm) -> Polynomial:
-    """Expand sum a_i * C(n, i) into a dense polynomial in n (exact inverse)."""
-    total = Polynomial()
-    # C(n, i) as a polynomial: prod_{j<i} (n - j) / i!
-    cpoly = Polynomial([1])
-    for i, a in enumerate(b.coeffs):
-        if i > 0:
-            cpoly = cpoly * Polynomial([-(i - 1), 1]) * Fraction(1, i)
-        if a:
-            total = total + a * cpoly
-    return total
+    """Expand sum a_i * C(n, i) into a dense polynomial in n (exact inverse).
+
+    C(n, i) = sum_k s(i, k) n^k / i!, so the n^k coefficient is
+    sum_i a_i s(i, k) (d! / i!) over the common denominator (lcm of the a_i's
+    denominators) * d!: integer sums, one Fraction per coefficient.
+    """
+    d = b.degree
+    if d < 0:
+        return Polynomial()
+    cs, scale = integer_coefficients(b.coeffs)
+    first, _ = _stirling_rows(d)
+    weights = [1] * (d + 1)  # d! / i!
+    for i in range(d - 1, -1, -1):
+        weights[i] = weights[i + 1] * (i + 1)
+    return Polynomial(
+        Fraction(sum(cs[i] * weights[i] * first[i][k] for i in range(k, d + 1)),
+                 scale * weights[0])
+        for k in range(d + 1))

@@ -3,9 +3,13 @@
 Standard monomials of a monomial ideal are counted exactly from the
 numerator of the quotient's Hilbert series. One pivot recursion in the style
 of A. M. Bigatti ("Computation of Hilbert-Poincare series", JPAA 119, 1997)
-computes it: split on the variable shared by the most minimal generators
-until the generators are pairwise coprime. Weighted degrees come from the
-ambient algebra's generator weights.
+computes it: split on the variable x shared by the most minimal generators
+until the generators are pairwise coprime. Both ideals of the split get
+their minimal generators without a general re-minimalisation: I + (x) keeps
+the x-free generators and adds x, and the colon I : x keeps every lowered
+generator g / x and drops an x-free generator only when a lowered generator
+that lost its last x divides it. Weighted degrees come from the ambient
+algebra's generator weights.
 """
 
 from __future__ import annotations
@@ -119,14 +123,32 @@ def _numerator(gens: tuple, weights: tuple) -> dict:
     var_mono = tuple(1 if i == pivot else 0 for i in range(len(weights)))
     # x absorbs the generators it divides; the rest stay minimal
     plus = tuple(g for g in gens if not g[pivot]) + (var_mono,)
-    colon = minimalize_ideal(tuple(
-        tuple(e - 1 if i == pivot and e > 0 else e for i, e in enumerate(g))
-        for g in gens))
     out = dict(_numerator(plus, weights))
     shift = weights[pivot]
-    for d, c in _numerator(colon, weights).items():
+    for d, c in _numerator(_colon(gens, pivot), weights).items():
         out[d + shift] = out.get(d + shift, 0) + c
     return {d: c for d, c in out.items() if c}
+
+
+def _colon(gens: tuple, pivot: int) -> tuple:
+    """Minimal generators of (I : x) for minimal generators `gens` of I and
+    x the pivot variable.
+
+    The colon is generated by the x-free generators and the lowered ones
+    g / x. Lowered generators stay an antichain, and none is divisible by an
+    x-free generator a (a | g / x would give a | g). An x-free generator is
+    dropped exactly when a lowered generator divides it, which needs one that
+    has lost its last x.
+    """
+    lowered, free = [], []
+    for g in gens:
+        if g[pivot]:
+            lowered.append(g[:pivot] + (g[pivot] - 1,) + g[pivot + 1:])
+        else:
+            free.append(g)
+    emptied = [h for h in lowered if not h[pivot]]
+    return tuple(lowered) + tuple(
+        a for a in free if not any(monomial_divides(h, a) for h in emptied))
 
 
 def _most_shared_variable(gens) -> Optional[int]:
@@ -194,23 +216,22 @@ def algebra_dim_sequence(a: AlgebraSpec, top: int) -> DimensionSequence:
 def hilbert_series_monomial_quotient(a: AlgebraSpec, ideal: Sequence[Monomial]) -> RationalSeries:
     """Hilbert series of the monomial quotient as p(t) / prod_i (1 - t^w_i).
 
-    The denominator is the structured product over the generator weights; the
-    numerator comes from the pivot recursion of numerator_terms. The
-    power-series expansion is verified, out to twice the total ideal weight
-    plus ten, against that numerator convolved with the monomial counts of
-    the ambient ring.
+    The denominator is the structured product over the generator weights,
+    built as an int coefficient list; the numerator comes from the pivot
+    recursion on the minimal generators. The power-series expansion is
+    verified, out to twice the total ideal weight plus ten, against that
+    numerator convolved with the monomial counts of the ambient ring.
     """
     weights = a.scalar_weights()
     gens = minimalize_ideal(ideal)
-    terms = numerator_terms(gens, weights)
+    terms = _numerator(gens, tuple(weights))
     num_deg = max(terms, default=0)
     p = Polynomial([terms.get(d, 0) for d in range(num_deg + 1)])
-    q = Polynomial([1])
-    for w in weights:
-        factor = [0] * (w + 1)
-        factor[0], factor[w] = 1, -1
-        q = q * Polynomial(factor)
-    series = RationalSeries(p, q)
+    q = [1] + [0] * sum(weights)
+    for w in weights:  # times (1 - t^w), from the top index down
+        for i in range(len(q) - 1, w - 1, -1):
+            q[i] -= q[i - w]
+    series = RationalSeries(p, Polynomial(q))
     check_to = 2 * sum(_wdeg(g, weights) for g in gens) + 10
     expansion = series.expand(check_to + 1)
     direct = _convolve(terms, count_monomials_by_weight(weights, check_to))

@@ -25,7 +25,8 @@ from functools import lru_cache
 from itertools import islice
 from typing import Optional, Sequence
 
-from .exactnum import Polynomial, from_binomial_basis, sequence_values
+from .exactnum import (Polynomial, from_binomial_basis, int_divmod,
+                       integer_coefficients, primitive_gcd, sequence_values)
 
 
 @dataclass(frozen=True)
@@ -59,14 +60,25 @@ class RationalSeries:
         return [int(v) if v.denominator == 1 else v for v in out]
 
     def reduced(self) -> "RationalSeries":
-        """The equivalent series with coprime numerator and denominator."""
-        g = Polynomial.gcd(self.numerator, self.denominator)
-        if g.degree < 1:
+        """The equivalent series with coprime numerator and denominator.
+
+        p and q are scaled by one common denominator, which keeps p/q, and
+        divided in int by their primitive gcd g; since g is primitive and
+        divides both over Q, both quotients are integral (Gauss's lemma).
+        The pair is normalised to q(0) = 1 once, at the end; the result is
+        the unique coprime form with that normalisation.
+        """
+        p, q = self.numerator.coeffs, self.denominator.coeffs
+        ints, _ = integer_coefficients(p + q)
+        p, q = ints[:len(p)], ints[len(p):]
+        g = primitive_gcd(p, q)
+        if len(g) < 2:
             return self
-        p, _ = divmod(self.numerator, g)
-        q, _ = divmod(self.denominator, g)
-        scale = 1 / q.constant_term()
-        return RationalSeries(p * scale, q * scale)
+        (p, p_rem), (q, q_rem) = int_divmod(p, g), int_divmod(q, g)
+        if p_rem or q_rem:
+            raise RuntimeError("internal error: the gcd leaves a remainder")
+        return RationalSeries(Polynomial([Fraction(c, q[0]) for c in p]),
+                              Polynomial([Fraction(c, q[0]) for c in q]))
 
 
 @dataclass(frozen=True)
@@ -322,8 +334,8 @@ def denominator_analysis(q: Polynomial) -> DenominatorAnalysis:
                        "integer non-cyclotomic factor certifies a root inside the unit disk")
     if any(abs(c) < 1 for _, c in _linear_roots(linear)):
         return verdict("inside_unit_disk", "rational root of modulus < 1")
-    scaled = _clear_denominators(rem)
-    if abs(scaled.constant_term()) < abs(scaled.leading_coefficient()):
+    scaled, _ = integer_coefficients(rem.coeffs)
+    if abs(scaled[0]) < abs(scaled[-1]):
         return verdict("inside_unit_disk",
                        "product of root moduli below 1 certifies a root inside the unit disk")
     if _sturm_roots_in_unit_interval(rem) > 0:
@@ -363,9 +375,8 @@ def _split_rational_roots(p: Polynomial):
     if p.degree == 1:
         candidates = {-p.coeffs[0] / p.coeffs[1]}
     else:
-        scaled = _clear_denominators(rest)
-        num0 = int(scaled.constant_term())
-        lead = int(scaled.leading_coefficient())
+        scaled, _ = integer_coefficients(rest.coeffs)
+        num0, lead = scaled[0], scaled[-1]
         if abs(num0 * lead) > ROOT_SPLIT_BOUND:
             return (), p, (ROOT_SPLIT_SKIPPED,)
         candidates = set()
@@ -384,11 +395,6 @@ def _split_rational_roots(p: Polynomial):
             rest = quo
             linear.append(factor)
     return tuple(linear), rest, ()
-
-
-def _clear_denominators(p: Polynomial) -> Polynomial:
-    mult = math.lcm(*(c.denominator for c in p.coeffs)) if p.coeffs else 1
-    return p * mult
 
 
 def _sturm_roots_in_unit_interval(p: Polynomial) -> int:

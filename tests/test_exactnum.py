@@ -3,19 +3,24 @@ polynomials, and the Newton-difference conversion between the power basis
 and the binomial basis.
 
 Oracles: math.comb for ordinary binomials, hand-expanded falling factorials
-for negative upper arguments (frozen below), and round-trip/evaluation
-identities for the basis conversions.
+for negative upper arguments (frozen below), round-trip/evaluation
+identities for the basis conversions, and differential references: the
+integer kernels (primitive remainder sequence gcd, int division, Stirling
+basis conversions) are compared with the Fraction implementations they
+replaced, kept below as references, and the gcd also with sympy.gcd.
 """
 
 from fractions import Fraction
 import itertools
 import math
+import random
 
 import pytest
+import sympy
 
 from gkdim.exactnum import (BinomialForm, Polynomial, binom, falling_binom,
                             finite_difference, from_binomial_basis,
-                            to_binomial_basis)
+                            int_divmod, primitive_gcd, to_binomial_basis)
 
 
 # ---------------------------------------------------------------------------
@@ -198,3 +203,148 @@ def test_non_integer_valued_polynomial_has_non_integral_form():
     form = to_binomial_basis(half_square)
     assert form.coeffs == (0, Fraction(1, 2), 1)
     assert not form.is_integral()
+
+
+# ---------------------------------------------------------------------------
+# integer kernels against the Fraction implementations they replaced
+
+
+def _gcd_reference(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Monic gcd over Q by the Euclidean algorithm in Fraction."""
+    while not b.is_zero():
+        _, r = _divmod_reference(a, b)
+        a, b = b, r
+    return a.monic()
+
+
+def _divmod_reference(num: Polynomial, den: Polynomial):
+    """Schoolbook division over Q in Fraction."""
+    rem = list(num.coeffs)
+    den = den.coeffs
+    qdeg = len(rem) - len(den)
+    if qdeg < 0:
+        return Polynomial(), Polynomial(rem)
+    quo = [Fraction(0)] * (qdeg + 1)
+    inv_lead = 1 / den[-1]
+    for i in range(qdeg, -1, -1):
+        c = rem[i + len(den) - 1] * inv_lead
+        quo[i] = c
+        if c:
+            for j, d in enumerate(den):
+                rem[i + j] -= c * d
+    return Polynomial(quo), Polynomial(rem)
+
+
+def _to_binomial_basis_reference(p: Polynomial) -> BinomialForm:
+    """Newton forward differences of p's values at 0, 1, ..., deg p."""
+    d = p.degree
+    if d < 0:
+        return BinomialForm()
+    row = [p.evaluate(n) for n in range(d + 1)]
+    coeffs = [row[0]]
+    for _ in range(d):
+        row = finite_difference(row)
+        coeffs.append(row[0])
+    return BinomialForm(coeffs)
+
+
+def _from_binomial_basis_reference(b: BinomialForm) -> Polynomial:
+    """sum a_i * C(n, i) with C(n, i) built as a Fraction polynomial."""
+    total = Polynomial()
+    cpoly = Polynomial([1])
+    for i, a in enumerate(b.coeffs):
+        if i > 0:
+            cpoly = cpoly * Polynomial([-(i - 1), 1]) * Fraction(1, i)
+        if a:
+            total = total + a * cpoly
+    return total
+
+
+def _hilbert_denominator(weights) -> Polynomial:
+    q = Polynomial([1])
+    for w in weights:
+        q = q * Polynomial([1] + [0] * (w - 1) + [-1])
+    return q
+
+
+def _random_poly(rng, degree, rational):
+    coeffs = [rng.randint(-9, 9) for _ in range(degree + 1)]
+    if rational:
+        coeffs = [Fraction(c, rng.randint(1, 12)) for c in coeffs]
+    return Polynomial(coeffs)
+
+
+def _gcd_pairs():
+    """Seeded pairs: products with a shared factor (integer or rational),
+    Hilbert-type denominators prod(1 - t^w) against numerators that share
+    some of their cyclotomic factors, coprime pairs, and zero operands."""
+    rng = random.Random(20240721)
+    pairs = []
+    for _ in range(60):
+        rational = rng.random() < 0.4
+        common = _random_poly(rng, rng.randint(0, 3), rational)
+        a = common * _random_poly(rng, rng.randint(0, 4), rational)
+        b = common * _random_poly(rng, rng.randint(0, 4), rational)
+        pairs.append((a, b))
+    for _ in range(30):
+        weights = [rng.randint(1, 6) for _ in range(rng.randint(1, 5))]
+        q = _hilbert_denominator(weights)
+        shared = _hilbert_denominator(rng.sample(weights, rng.randint(0, len(weights))))
+        pairs.append((shared * _random_poly(rng, rng.randint(0, 6), False), q))
+    for _ in range(10):
+        pairs.append((Polynomial([1, rng.randint(2, 9)]), Polynomial([1, -rng.randint(2, 9)])))
+    zero, unit = Polynomial(), Polynomial([Fraction(3, 7), 0, 2])
+    pairs += [(zero, zero), (zero, unit), (unit, zero), (Polynomial([5]), unit)]
+    return pairs
+
+
+def _sympy_monic_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    t = sympy.Symbol("t")
+    pa, pb = (sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                          for c in reversed(p.coeffs)] or [0], t, domain="QQ")
+              for p in (a, b))
+    g = sympy.gcd(pa, pb)
+    return Polynomial([Fraction(int(c.p), int(c.q)) for c in reversed(g.all_coeffs())]).monic()
+
+
+def test_gcd_matches_euclid_and_sympy():
+    for a, b in _gcd_pairs():
+        g = Polynomial.gcd(a, b)
+        assert g == _gcd_reference(a, b), (a, b)
+        assert g == _sympy_monic_gcd(a, b), (a, b)
+        assert Polynomial.gcd(b, a) == g
+        assert g.is_zero() or g.leading_coefficient() == 1
+
+
+def test_primitive_gcd_is_primitive_with_positive_lead():
+    assert primitive_gcd([], []) == []
+    assert primitive_gcd([-4, 0, 6], []) == [-2, 0, 3]
+    # 6(t - 1)(t + 2) and -10(t - 1)(t - 3)
+    assert primitive_gcd([-12, 6, 6], [-30, 40, -10]) == [-1, 1]
+
+
+def test_integer_division_matches_fraction_division():
+    rng = random.Random(7)
+    for _ in range(200):
+        num = _random_poly(rng, rng.randint(0, 8), False)
+        den = Polynomial([rng.randint(-5, 5) for _ in range(rng.randint(0, 4))]
+                         + [rng.choice((1, -1))])
+        assert divmod(num, den) == _divmod_reference(num, den)
+        quo, rem = divmod(num, den)
+        assert all(type(c) is Fraction for c in quo.coeffs + rem.coeffs)
+    # a primitive divisor that divides exactly: integral quotient, no remainder
+    assert int_divmod([-2, -1, 3, 2], [-2, 1, 2]) == ([1, 1], [])
+    with pytest.raises(RuntimeError, match="internal error"):
+        int_divmod([1, 0, 1], [1, 2])
+
+
+def test_stirling_conversions_match_the_fraction_references():
+    rng = random.Random(12)
+    for degree in range(-1, 13):
+        for _ in range(4):
+            coeffs = [Fraction(rng.randint(-30, 30), rng.randint(1, 20))
+                      for _ in range(degree + 1)]
+            p = Polynomial(coeffs)
+            form = BinomialForm(coeffs)
+            assert to_binomial_basis(p) == _to_binomial_basis_reference(p)
+            assert from_binomial_basis(form) == _from_binomial_basis_reference(form)

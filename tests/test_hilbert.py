@@ -5,7 +5,9 @@ vector up to the degree cap, drop the ones divisible by an ideal generator,
 and tally by weighted degree. Numerators from the pivot recursion (on fixed
 and on seeded random ideals of up to 24 minimal generators), Hilbert series
 expansions, and module shift bookkeeping are all checked against it or
-against closed binomial formulas.
+against closed binomial formulas. The colon step of the recursion, which
+skips a general re-minimalisation, is checked against minimalize_ideal of
+the lowered generators on seeded ideals.
 """
 
 import itertools
@@ -15,7 +17,7 @@ import random
 import pytest
 
 from gkdim.exactnum import Polynomial
-from gkdim.hilbert import (DimensionSequence, algebra_dim_sequence,
+from gkdim.hilbert import (DimensionSequence, _colon, algebra_dim_sequence,
                            graded_piece_dim, hilbert_series_monomial_quotient,
                            minimalize_ideal, module_dim_sequence,
                            numerator_terms, standard_monomial_counts)
@@ -135,6 +137,20 @@ def _random_family(seed):
 
 
 IDEAL_FAMILY += _random_family(1997)
+
+
+def test_colon_matches_minimalize_ideal():
+    rng = random.Random(1992)
+    for _ in range(300):
+        nvars = rng.randint(1, 5)
+        gens = minimalize_ideal([tuple(rng.randint(0, 3) for _ in range(nvars))
+                                 for _ in range(rng.randint(0, 12))])
+        for pivot in range(nvars):
+            lowered = [tuple(e - 1 if i == pivot and e > 0 else e for i, e in enumerate(g))
+                       for g in gens]
+            colon = _colon(gens, pivot)
+            assert len(colon) == len(set(colon)), (gens, pivot)
+            assert set(colon) == set(minimalize_ideal(lowered)), (gens, pivot)
 
 
 def test_standard_monomial_counts_match_brute_force():

@@ -11,6 +11,10 @@ Oracles:
   the Berlekamp-Massey search, on a seeded family of sequences.
 * Round trips -- expand a known reduced series, recover the recurrence, and
   require the identical reduced series back.
+* Reduction -- sympy.cancel, normalised to denominator(0) = 1, must give the
+  same coprime pair as RationalSeries.reduced on seeded integer and rational
+  series, Hilbert-type denominators prod(1 - t^w), zero numerators and
+  coprime pairs.
 * Series expansion -- the Fraction recurrence that expand runs for rational
   coefficients must give the same values, and the same types, as its int
   path on a seeded family of integral series.
@@ -25,6 +29,7 @@ import math
 import random
 
 import pytest
+import sympy
 
 from gkdim.exactnum import Polynomial
 from gkdim.poincare import (ROOT_SPLIT_SKIPPED, DenominatorAnalysis, QuasiPolynomial,
@@ -92,6 +97,68 @@ def test_series_reduction_cancels_common_factor():
     reduced = RationalSeries(p, q).reduced()
     assert reduced.numerator == Polynomial([1])
     assert reduced.denominator == Polynomial([1, -1])
+
+
+def _cancel_reference(series: RationalSeries) -> tuple:
+    """sympy.cancel of p/q as (numerator, denominator) coefficient tuples,
+    normalised to denominator(0) = 1."""
+    t = sympy.Symbol("t")
+    p, q = (sum(sympy.Rational(c.numerator, c.denominator) * t ** i
+                for i, c in enumerate(poly.coeffs)) for poly in
+            (series.numerator, series.denominator))
+    num, den = sympy.fraction(sympy.cancel(p / q))
+    num, den = sympy.Poly(num, t, domain="QQ"), sympy.Poly(den, t, domain="QQ")
+    unit = den.eval(0)
+
+    def coeffs(poly):
+        return tuple(Fraction(int(c.p), int(c.q)) / Fraction(int(unit.p), int(unit.q))
+                     for c in reversed(poly.all_coeffs()) if not poly.is_zero)
+
+    return coeffs(num), coeffs(den)
+
+
+def _reduction_cases():
+    """Seeded series: integer and rational numerators times a shared factor
+    over a denominator with constant term 1, Hilbert-type denominators
+    prod(1 - t^w) over numerators sharing some of their factors, zero
+    numerators, and coprime pairs."""
+    rng = random.Random(1967)
+
+    def poly(degree, rational, unit_constant=False):
+        cs = [rng.randint(-6, 6) for _ in range(degree + 1)]
+        cs = [Fraction(c, rng.randint(1, 9)) if rational else c for c in cs]
+        return Polynomial([1] + cs[1:] if unit_constant else cs)
+
+    def hilbert_denominator(weights):
+        q = Polynomial([1])
+        for w in weights:
+            q = q * Polynomial([1] + [0] * (w - 1) + [-1])
+        return q
+
+    cases = []
+    for _ in range(25):
+        rational = rng.random() < 0.5
+        common = poly(rng.randint(0, 2), rational, unit_constant=True)
+        den = poly(rng.randint(0, 3), rational, unit_constant=True)
+        cases.append(RationalSeries(common * poly(rng.randint(0, 4), rational), common * den))
+    for _ in range(20):
+        weights = [rng.randint(1, 5) for _ in range(rng.randint(1, 4))]
+        shared = hilbert_denominator(rng.sample(weights, rng.randint(0, len(weights))))
+        cases.append(RationalSeries(shared * poly(rng.randint(0, 5), False),
+                                    hilbert_denominator(weights)))
+    cases += [RationalSeries(Polynomial(), hilbert_denominator([1, 2])),
+              RationalSeries(Polynomial(), Polynomial([1])),
+              RationalSeries(Polynomial([2, 1]), Polynomial([1, -3])),
+              RationalSeries(Polynomial([Fraction(1, 2)]), hilbert_denominator([2, 3]))]
+    return cases
+
+
+def test_reduction_matches_sympy_cancel():
+    for series in _reduction_cases():
+        reduced = series.reduced()
+        assert reduced.denominator.constant_term() == 1
+        assert (reduced.numerator.coeffs, reduced.denominator.coeffs) == \
+            _cancel_reference(series), series
 
 
 # ---------------------------------------------------------------------------
