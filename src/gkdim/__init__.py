@@ -9,8 +9,9 @@ sequences. All arithmetic is exact over the rationals; the one floating
 value (a log-growth diagnostic) is explicitly labeled as such.
 """
 
-from .exactnum import (BinomialForm, Polynomial, Rational, binom,
-                       falling_binom, finite_difference, from_binomial_basis,
+from .exactnum import (BinomialForm, HilbertSamuelPolynomial, Polynomial,
+                       Rational, binom, detect_polynomial, falling_binom,
+                       finite_difference, from_binomial_basis,
                        to_binomial_basis)
 from .presentations import (AdmissibilityReport, AdmissibleOrder, AlgebraSpec,
                             ModuleSpec, RefilterError, Relation, SpecError,
@@ -24,14 +25,14 @@ from .hilbert import (DimensionSequence, algebra_dim_sequence,
                       graded_piece_dim, hilbert_series_monomial_quotient,
                       minimalize_ideal, module_dim_sequence,
                       standard_monomial_counts)
-from .samuel import (GammaEstimate, GrowthReport, HilbertSamuelPolynomial,
-                     classify_growth, detect_polynomial, gamma_estimate,
-                     gk_dimension, multiplicity)
-from .poincare import (DenominatorAnalysis, QuasiPolynomial, RationalSeries,
-                       Recurrence, cyclotomic_polynomial,
+from .poincare import (DenominatorAnalysis, QuasiPolynomial, RationalAnalysis,
+                       RationalSeries, Recurrence, cyclotomic_polynomial,
                        denominator_analysis, fit_quasi_polynomial,
                        minimal_recurrence, quasi_polynomial,
-                       series_from_recurrence, unit_cyclotomic)
+                       rational_analysis, series_from_recurrence,
+                       unit_cyclotomic)
+from .samuel import (GammaEstimate, GrowthReport, classify_growth,
+                     gamma_estimate, gk_dimension, multiplicity)
 from .axioms import (AxiomReport, ChainReport, HolonomyCatalog,
                      HolonomyReport, SESSpec, TorsionReport,
                      chain_bound_check, check_exactness,
@@ -49,12 +50,12 @@ __all__ = [
     "DimensionSequence", "GammaEstimate", "GrowthReport",
     "HilbertSamuelPolynomial", "HolonomyCatalog", "HolonomyReport",
     "ModuleSpec", "Polynomial", "QuasiPolynomial", "Rational",
-    "RationalSeries", "Recurrence", "RefilterError", "Relation", "SESSpec",
-    "SpecError", "Summand", "TorsionReport", "algebra_dim_sequence", "binom",
-    "catalog_entry", "catalog_ids", "chain_bound_check",
-    "check_admissibility", "check_exactness", "check_multiplicity_axioms",
-    "check_semicommutative_leading", "classify_growth",
-    "count_monomials_by_weight", "cumulative_sequence",
+    "RationalAnalysis", "RationalSeries", "Recurrence", "RefilterError",
+    "Relation", "SESSpec", "SpecError", "Summand", "TorsionReport",
+    "algebra_dim_sequence", "binom", "catalog_entry", "catalog_ids",
+    "chain_bound_check", "check_admissibility", "check_exactness",
+    "check_multiplicity_axioms", "check_semicommutative_leading",
+    "classify_growth", "count_monomials_by_weight", "cumulative_sequence",
     "cyclotomic_polynomial", "defining_relations", "denominator_analysis",
     "detect_polynomial", "falling_binom", "filtration_equivalent",
     "filtration_layer_dim", "finite_difference", "fit_quasi_polynomial",
@@ -62,8 +63,9 @@ __all__ = [
     "graded_piece_dim", "graded_values", "hilbert_series_monomial_quotient",
     "minimal_recurrence", "minimalize_ideal", "module_dim_sequence",
     "multiplicity", "normal_order_quantum", "normal_order_weyl",
-    "quasi_polynomial", "refilter", "series_from_recurrence",
-    "ses_dimension_triple", "standard_monomial_counts", "to_binomial_basis",
-    "torsion_check_cyclic", "unit_cyclotomic", "validate_algebra",
-    "validate_module", "validate_ses", "zero_module",
+    "quasi_polynomial", "rational_analysis", "refilter",
+    "series_from_recurrence", "ses_dimension_triple",
+    "standard_monomial_counts", "to_binomial_basis", "torsion_check_cyclic",
+    "unit_cyclotomic", "validate_algebra", "validate_module", "validate_ses",
+    "zero_module",
 ]

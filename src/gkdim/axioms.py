@@ -12,13 +12,12 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from .exactnum import sequence_values
+from .exactnum import HilbertSamuelPolynomial, detect_polynomial, sequence_values
 from .presentations import (AlgebraSpec, ModuleSpec, SpecError,
                             monomial_divides, validate_algebra,
                             validate_module)
 from .hilbert import DimensionSequence, module_dim_sequence, standard_monomial_counts
-from .samuel import (HilbertSamuelPolynomial, detect_polynomial, gk_dimension,
-                     multiplicity)
+from .samuel import gk_dimension, multiplicity
 
 
 # ---------------------------------------------------------------------------

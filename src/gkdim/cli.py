@@ -15,7 +15,6 @@ gkdim, reported as "error: internal: ...").
 import argparse
 import hashlib
 import json
-import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,16 +24,14 @@ from . import catalog
 from .axioms import (HolonomyCatalog, SESSpec, chain_bound_check,
                      check_multiplicity_axioms, holonomic_defect,
                      torsion_check_cyclic)
-from .exactnum import Polynomial
+from .exactnum import Polynomial, detect_polynomial
 from .hilbert import (DimensionSequence, algebra_dim_sequence,
                       hilbert_series_monomial_quotient, module_dim_sequence)
-from .poincare import (RationalSeries, denominator_analysis,
-                       fit_quasi_polynomial, minimal_recurrence,
-                       series_from_recurrence)
+from .poincare import RationalSeries, rational_analysis
 from .presentations import (AlgebraSpec, ModuleSpec, RefilterError, SpecError,
                             Summand, refilter, validate_algebra,
                             validate_module)
-from .samuel import classify_growth, detect_polynomial
+from .samuel import classify_growth
 
 TOOL_VERSION = "0.1.0"
 
@@ -494,32 +491,18 @@ def _cmd_poincare(config: RunConfig, parsed: ParsedInput):
     confirm = min(config.confirm, max(1, len(values) - 2))
     if (len(values) - confirm) // 2 < 1:
         raise SpecError("sequence", "too few terms for recurrence detection")
-    rec = minimal_recurrence(values, confirm=confirm)
+    ra = rational_analysis(values, confirm)
     flags = _catalog_flags(parsed)
-    if rec is None:
-        report = {"coefficients_analyzed": len(values), "recurrence": None,
-                  "series": None, "denominator": None, "quasi": None}
+    report = {"coefficients_analyzed": len(values), "recurrence": None,
+              "series": None, "denominator": None, "quasi": None}
+    if ra is None:
         return EXIT_INCONCLUSIVE, report, flags
-    series = series_from_recurrence(values, rec)
-    analysis = denominator_analysis(series.denominator)
-    quasi = None
-    if analysis.radius_class == "all_roots_on_unit_circle":
-        period = analysis.s
-        if period is None:
-            orders = analysis.cyclotomic_multiplicities
-            period = math.lcm(*orders) if orders else 1
-            flags = flags + ("mixed_cyclotomic",)
-        qp = fit_quasi_polynomial(values, period, window=4)
-        if qp is not None:
-            quasi = _quasi_payload(qp)
-    report = {
-        "coefficients_analyzed": len(values),
-        "recurrence": _recurrence_payload(rec),
-        "series": _series_payload(series),
-        "denominator": _denominator_payload(analysis),
-        "quasi": quasi,
-    }
-    return EXIT_OK, report, flags
+    report.update(recurrence=_recurrence_payload(ra.recurrence),
+                  series=_series_payload(ra.series),
+                  denominator=_denominator_payload(ra.denominator),
+                  quasi=None if ra.quasi is None else _quasi_payload(ra.quasi))
+    mixed = ("mixed_cyclotomic",) if ra.mixed_cyclotomic else ()
+    return EXIT_OK, report, flags + mixed
 
 
 def _cmd_check_ses(config: RunConfig, parsed: ParsedInput):

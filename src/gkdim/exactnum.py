@@ -15,15 +15,20 @@ Fractions once, at the end:
   int (int_divmod), as do exact quotients by a primitive divisor (Gauss's
   lemma makes them integral);
 - the binomial-basis conversions use cached integer Stirling numbers over one
-  common denominator.
+  common denominator;
+- the difference tower (detect_polynomial) fits an eventual polynomial
+  f(n) = sum a_i C(n, i) by exact addition alone: its column at the first
+  constant window, run back to n = 0, is (a_0, ..., a_d), and run forward it
+  checks every sample. d is the growth dimension, a_d the multiplicity.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 #: Exact rational number with normalized sign and lowest terms.
 Rational = Fraction
@@ -352,6 +357,70 @@ def sequence_values(s, require_cumulative: bool = False) -> list:
     if require_cumulative and getattr(s, "meaning", None) == "graded_piece":
         raise ValueError("a cumulative dimension sequence is required")
     return list(getattr(s, "values", s))
+
+
+@dataclass(frozen=True)
+class HilbertSamuelPolynomial:
+    """An exact eventual-polynomial fit in the binomial basis.
+
+    form holds (a_0, ..., a_d) with f(n) = sum a_i C(n, i) for every sampled
+    n >= stabilization_index; for genuine dimension sequences the leading
+    coefficient is positive (the zero module yields the zero form).
+    """
+
+    form: BinomialForm
+    stabilization_index: int
+
+
+def detect_polynomial(s, window: int = 6) -> Optional[HilbertSamuelPolynomial]:
+    """Exact eventual-polynomial fit of a cumulative sequence, or None.
+
+    Differences are taken until some level d is constant on its final
+    `window` entries, which start at index `anchor`. The column
+    Delta^0 f(anchor), ..., Delta^d f(anchor) is run backwards to n = 0 by
+    Delta^i f(n - 1) = Delta^i f(n) - Delta^(i+1) f(n - 1), for i = d - 1
+    down to 0, since Delta^d f is constant; the column at n = 0 is the form's
+    (a_0, ..., a_d). Running it forwards from n = 0 gives the fitted value at
+    every sample. The samples are compared with these from the last one
+    backwards, and stabilization_index is one past the last disagreement.
+    Returns None when no level stabilizes within the data.
+    """
+    if window < 2:
+        raise ValueError("window must be at least 2")
+    vals = sequence_values(s, require_cumulative=True)
+    if len(vals) < 2 * window + 4:
+        raise ValueError("need at least 2*window + 4 samples")
+    levels = [vals]
+    degree = None
+    while True:
+        cur = levels[-1]
+        if len(cur) >= window and all(v == cur[-1] for v in cur[-window:]):
+            degree = len(levels) - 1
+            break
+        if len(cur) <= window:
+            return None
+        levels.append([cur[i + 1] - cur[i] for i in range(len(cur) - 1)])
+
+    anchor = len(levels[degree]) - window
+    tower = [levels[i][anchor] for i in range(degree + 1)]
+    for _ in range(anchor):
+        for i in range(degree - 1, -1, -1):
+            tower[i] -= tower[i + 1]
+    form = BinomialForm(tower)
+
+    fitted = []
+    for _ in vals:
+        fitted.append(tower[0])
+        for i in range(degree):
+            tower[i] += tower[i + 1]
+    stabilization = 0
+    for n in range(len(vals) - 1, -1, -1):
+        if fitted[n] != vals[n]:
+            stabilization = n + 1
+            break
+    if stabilization > anchor:
+        raise RuntimeError("internal error: reconstructed polynomial misses its anchor window")
+    return HilbertSamuelPolynomial(form, stabilization)
 
 
 def finite_difference(values: Sequence[Scalar]) -> list:

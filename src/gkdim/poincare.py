@@ -14,6 +14,9 @@ polynomial with constant term 1 and no cyclotomic part must have a root
 strictly inside the unit disk (Kronecker) — and pure denominators
 (1 - t^s)^d yield quasi-polynomial coefficient branches, one per residue
 class mod s.
+
+rational_analysis runs this chain once for growth classification and for the
+poincare command: recurrence, series, denominator, period, branches.
 """
 
 from __future__ import annotations
@@ -25,8 +28,9 @@ from functools import lru_cache
 from itertools import islice
 from typing import Optional, Sequence
 
-from .exactnum import (Polynomial, from_binomial_basis, int_divmod,
-                       integer_coefficients, primitive_gcd, sequence_values)
+from .exactnum import (Polynomial, detect_polynomial, from_binomial_basis,
+                       int_divmod, integer_coefficients, primitive_gcd,
+                       sequence_values)
 
 
 @dataclass(frozen=True)
@@ -47,15 +51,19 @@ class RationalSeries:
     def expand(self, count: int) -> list:
         """First `count` power-series coefficients, exactly: int where
         integral, Fraction otherwise. An integral numerator and denominator
-        (every Hilbert series) are expanded in int."""
+        (every Hilbert series) are expanded in int. Each coefficient steps
+        over the nonzero denominator terms only, not over its degree."""
         p, q = self.numerator.coeffs, self.denominator.coeffs
         if all(c.denominator == 1 for c in p + q):
             p, q = [int(c) for c in p], [int(c) for c in q]
+        terms = [(k, c) for k, c in enumerate(q) if k and c]
         out = []
         for n in range(count):
             acc = p[n] if n < len(p) else 0
-            for k in range(1, min(n, len(q) - 1) + 1):
-                acc -= q[k] * out[n - k]
+            for k, c in terms:
+                if k > n:
+                    break
+                acc -= c * out[n - k]
             out.append(acc)
         return [int(v) if v.denominator == 1 else v for v in out]
 
@@ -332,7 +340,7 @@ def denominator_analysis(q: Polynomial) -> DenominatorAnalysis:
     if rem.is_integer():
         return verdict("inside_unit_disk",
                        "integer non-cyclotomic factor certifies a root inside the unit disk")
-    if any(abs(c) < 1 for _, c in _linear_roots(linear)):
+    if any(abs(f.coeffs[1]) > 1 for f in linear):  # f = 1 - c t has root 1/c
         return verdict("inside_unit_disk", "rational root of modulus < 1")
     scaled, _ = integer_coefficients(rem.coeffs)
     if abs(scaled[0]) < abs(scaled[-1]):
@@ -341,15 +349,6 @@ def denominator_analysis(q: Polynomial) -> DenominatorAnalysis:
     if _sturm_roots_in_unit_interval(rem) > 0:
         return verdict("inside_unit_disk", "real root in (0, 1) certified by a Sturm chain")
     return verdict("mixed", "root locations of the non-cyclotomic factor not certified")
-
-
-def _linear_roots(linear_factors):
-    """(factor 1 - c t, root 1/c) pairs as (factor index, root) with rational roots."""
-    out = []
-    for f in linear_factors:
-        c = -f.coeffs[1]  # factor is 1 - c t, root at 1/c
-        out.append((f, Fraction(1, 1) / c))
-    return out
 
 
 #: Past this value of |c_0 * c_D| (the end coefficients of the integer-scaled
@@ -438,12 +437,10 @@ def fit_quasi_polynomial(s, period: int, window: int = 4) -> Optional[QuasiPolyn
     is returned when any branch fails to stabilize. Every sample at or beyond
     the reported onset is re-verified against its branch.
     """
-    from .samuel import detect_polynomial  # shared exact fitting
-
     vals = sequence_values(s)
     if period < 1:
         raise ValueError("period must be positive")
-    min_len = min(len(vals[i::period]) for i in range(period))
+    min_len = len(vals) // period  # the samples in the shortest residue class
     eff_window = max(2, min(window, (min_len - 4) // 2))
     if min_len < 2 * eff_window + 4:
         return None
@@ -475,8 +472,7 @@ def quasi_polynomial(series: RationalSeries, samples, window: int = 4) -> QuasiP
     if analysis.s is None:
         raise ValueError("denominator is not of the pure (1 - t^s)^d form")
     vals = sequence_values(samples)
-    min_len = min(len(vals[i::analysis.s]) for i in range(analysis.s))
-    if min_len < 8:
+    if len(vals) // analysis.s < 8:
         raise ValueError("too few samples in a residue class for branch fitting")
     qp = fit_quasi_polynomial(vals, analysis.s, window)
     if qp is None:
@@ -485,3 +481,35 @@ def quasi_polynomial(series: RationalSeries, samples, window: int = 4) -> QuasiP
     if top > analysis.d - 1:
         raise RuntimeError("internal error: branch degree exceeds d - 1")
     return qp
+
+
+@dataclass(frozen=True)
+class RationalAnalysis:
+    """The rational analysis of a sequence. With every denominator root on
+    the unit circle, period is the pure form's s or, when mixed_cyclotomic,
+    the lcm of the cyclotomic orders, and quasi holds the branches unless
+    they do not stabilize on the samples; otherwise both are None."""
+
+    recurrence: Recurrence
+    series: RationalSeries
+    denominator: DenominatorAnalysis
+    period: Optional[int] = None
+    mixed_cyclotomic: bool = False
+    quasi: Optional[QuasiPolynomial] = None
+
+
+def rational_analysis(vals, confirm: int) -> Optional[RationalAnalysis]:
+    """Recurrence, series, denominator analysis and, on the unit circle, the
+    period and its quasi-polynomial branches; None when no recurrence of
+    admissible order fits (minimal_recurrence with `confirm`)."""
+    rec = minimal_recurrence(vals, confirm=confirm)
+    if rec is None:
+        return None
+    series = series_from_recurrence(vals, rec)
+    analysis = denominator_analysis(series.denominator)
+    if analysis.radius_class != "all_roots_on_unit_circle":
+        return RationalAnalysis(rec, series, analysis)
+    mixed = analysis.s is None
+    period = math.lcm(*analysis.cyclotomic_multiplicities) if mixed else analysis.s
+    return RationalAnalysis(rec, series, analysis, period, mixed,
+                            fit_quasi_polynomial(vals, period, window=4))

@@ -1,16 +1,9 @@
-"""Detection of eventually-polynomial dimension growth.
+"""Growth classification of dimension sequences.
 
-A cumulative dimension sequence that is eventually a polynomial f(n) =
-sum a_i C(n, i) is recovered exactly from its finite-difference tower: the
-degree d is the first level whose tail is constant. The column of
-differences at the start of that constant window determines f; running it
-backwards to n = 0 with exact subtraction gives Delta^i f(0), which are the
-coefficients a_i. Running the same tower forwards from n = 0 with exact
-addition gives f at every sample, and every sample is checked against it
-before the fit is reported. All of this is int (or, for rational samples,
-Fraction) addition: no polynomial is built. The degree is the growth
-dimension of the module and the top coefficient a_d is its multiplicity
-(Bernstein number).
+Polynomial growth comes from the difference tower (exactnum), or else from
+the quasi-polynomial branches of poincare.rational_analysis; exponential
+growth from a denominator root strictly inside the unit disk. The gamma
+diagnostic, the one floating-point value, goes only on inconclusive reports.
 """
 
 from __future__ import annotations
@@ -20,71 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exactnum import BinomialForm, sequence_values
-
-
-@dataclass(frozen=True)
-class HilbertSamuelPolynomial:
-    """An exact eventual-polynomial fit in the binomial basis.
-
-    form holds (a_0, ..., a_d) with f(n) = sum a_i C(n, i) for every sampled
-    n >= stabilization_index; for genuine dimension sequences the leading
-    coefficient is positive (the zero module yields the zero form).
-    """
-
-    form: BinomialForm
-    stabilization_index: int
-
-
-def detect_polynomial(s, window: int = 6) -> Optional[HilbertSamuelPolynomial]:
-    """Exact eventual-polynomial fit of a cumulative sequence, or None.
-
-    Differences are taken until some level d is constant on its final
-    `window` entries, which start at index `anchor`. The column
-    Delta^0 f(anchor), ..., Delta^d f(anchor) is run backwards to n = 0 by
-    Delta^i f(n - 1) = Delta^i f(n) - Delta^(i+1) f(n - 1), for i = d - 1
-    down to 0, since Delta^d f is constant; the column at n = 0 is the form's
-    (a_0, ..., a_d). Running it forwards from n = 0 gives the fitted value at
-    every sample. The samples are compared with these from the last one
-    backwards, and stabilization_index is one past the last disagreement.
-    Returns None when no level stabilizes within the data.
-    """
-    if window < 2:
-        raise ValueError("window must be at least 2")
-    vals = sequence_values(s, require_cumulative=True)
-    if len(vals) < 2 * window + 4:
-        raise ValueError("need at least 2*window + 4 samples")
-    levels = [vals]
-    degree = None
-    while True:
-        cur = levels[-1]
-        if len(cur) >= window and all(v == cur[-1] for v in cur[-window:]):
-            degree = len(levels) - 1
-            break
-        if len(cur) <= window:
-            return None
-        levels.append([cur[i + 1] - cur[i] for i in range(len(cur) - 1)])
-
-    anchor = len(levels[degree]) - window
-    tower = [levels[i][anchor] for i in range(degree + 1)]
-    for _ in range(anchor):
-        for i in range(degree - 1, -1, -1):
-            tower[i] -= tower[i + 1]
-    form = BinomialForm(tower)
-
-    fitted = []
-    for _ in vals:
-        fitted.append(tower[0])
-        for i in range(degree):
-            tower[i] += tower[i + 1]
-    stabilization = 0
-    for n in range(len(vals) - 1, -1, -1):
-        if fitted[n] != vals[n]:
-            stabilization = n + 1
-            break
-    if stabilization > anchor:
-        raise RuntimeError("internal error: reconstructed polynomial misses its anchor window")
-    return HilbertSamuelPolynomial(form, stabilization)
+from .exactnum import HilbertSamuelPolynomial, detect_polynomial, sequence_values
+from .poincare import (DenominatorAnalysis, QuasiPolynomial, RationalSeries,
+                       Recurrence, rational_analysis)
 
 
 def gk_dimension(h: HilbertSamuelPolynomial) -> int:
@@ -155,10 +86,10 @@ class GrowthReport:
     gamma: Optional[GammaEstimate] = None
     evidence: str = ""
     hilbert_samuel: Optional[HilbertSamuelPolynomial] = None
-    recurrence: Optional[object] = None
-    series: Optional[object] = None
-    denominator: Optional[object] = None
-    quasi: Optional[object] = None
+    recurrence: Optional[Recurrence] = None
+    series: Optional[RationalSeries] = None
+    denominator: Optional[DenominatorAnalysis] = None
+    quasi: Optional[QuasiPolynomial] = None
     flags: tuple = ()
 
 
@@ -172,8 +103,6 @@ def classify_growth(s, window: int = 6, confirm: int = 8) -> GrowthReport:
     has a root strictly inside the unit disk. The floating gamma estimate is
     attached to inconclusive reports as a diagnostic only.
     """
-    from . import poincare  # local import; poincare uses this module's detector
-
     seq = s if not hasattr(s, "cumulative") else s.cumulative()
     vals = sequence_values(seq)
     if len(vals) < 12:
@@ -198,8 +127,8 @@ def classify_growth(s, window: int = 6, confirm: int = 8) -> GrowthReport:
 
     eff_confirm = min(confirm, len(vals) - 2)
     max_order = (len(vals) - eff_confirm) // 2
-    rec = poincare.minimal_recurrence(vals, confirm=eff_confirm)
-    if rec is None:
+    ra = rational_analysis(vals, eff_confirm)
+    if ra is None:
         gamma = _gamma_or_none(vals)
         note = f"{gamma.value:.4f} ({gamma.trend})" if gamma else "unavailable"
         return GrowthReport(
@@ -208,50 +137,34 @@ def classify_growth(s, window: int = 6, confirm: int = 8) -> GrowthReport:
                       f"{max_order}; gamma estimate {note}"),
             flags=("gamma_diagnostic_only",))
 
-    series = poincare.series_from_recurrence(vals, rec)
-    analysis = poincare.denominator_analysis(series.denominator)
-    if analysis.radius_class == "inside_unit_disk":
+    rec, qp = ra.recurrence, ra.quasi
+    exact = dict(recurrence=rec, series=ra.series, denominator=ra.denominator)
+    if ra.denominator.radius_class == "inside_unit_disk":
         return GrowthReport(
-            "exponential", recurrence=rec, series=series, denominator=analysis,
+            "exponential", **exact,
             evidence=(f"minimal recurrence of order {rec.order} whose denominator "
                       f"has a root strictly inside the unit disk"))
-    if analysis.radius_class == "all_roots_on_unit_circle":
-        if analysis.s is not None:
-            period, flags = analysis.s, ()
-        else:
-            orders = analysis.cyclotomic_multiplicities
-            period = math.lcm(*orders) if orders else 1
-            flags = ("mixed_cyclotomic",)
-        qp = poincare.fit_quasi_polynomial(vals, period, window=4)
-        if qp is not None:
-            top = max((b.degree for b in qp.branches), default=-1)
-            gk = max(top, 0)
-            if top >= 0:
-                leads = [b.coeffs[top] for b in qp.branches if b.degree == top]
-                e = max(leads) * math.factorial(top)
-                if any(l != leads[0] for l in leads):
-                    flags = flags + ("branch_multiplicity_disagreement",)
-            else:
-                e = Fraction(0)
-            return GrowthReport(
-                "polynomial", gk=gk, multiplicity=e, recurrence=rec, series=series,
-                denominator=analysis, quasi=qp,
-                evidence=(f"recurrence of order {rec.order}; cyclotomic denominator "
-                          f"with period {period}; quasi-polynomial branches of "
-                          f"degree <= {top}"),
-                flags=("sampled_agreement",) + flags)
-        gamma = _gamma_or_none(vals)
+    if qp is not None:
+        flags = ("mixed_cyclotomic",) if ra.mixed_cyclotomic else ()
+        top = max(b.degree for b in qp.branches)  # -1 when every branch is zero
+        leads = [b.leading_coefficient() for b in qp.branches if b.degree == top]
+        e = max(leads) * math.factorial(max(top, 0))
+        if any(l != leads[0] for l in leads):
+            flags = flags + ("branch_multiplicity_disagreement",)
         return GrowthReport(
-            "inconclusive", gamma=gamma, recurrence=rec, series=series,
-            denominator=analysis,
-            evidence="cyclotomic denominator but no quasi-polynomial fit on the samples",
-            flags=("gamma_diagnostic_only",))
-    gamma = _gamma_or_none(vals)
-    return GrowthReport(
-        "inconclusive", gamma=gamma, recurrence=rec, series=series,
-        denominator=analysis,
-        evidence="denominator root locations not certified (mixed radius class)",
-        flags=("residual_not_certified", "gamma_diagnostic_only"))
+            "polynomial", gk=max(top, 0), multiplicity=e, quasi=qp, **exact,
+            evidence=(f"recurrence of order {rec.order}; cyclotomic denominator "
+                      f"with period {ra.period}; quasi-polynomial branches of "
+                      f"degree <= {top}"),
+            flags=("sampled_agreement",) + flags)
+    if ra.denominator.radius_class == "all_roots_on_unit_circle":
+        evidence = "cyclotomic denominator but no quasi-polynomial fit on the samples"
+        flags = ("gamma_diagnostic_only",)
+    else:
+        evidence = "denominator root locations not certified (mixed radius class)"
+        flags = ("residual_not_certified", "gamma_diagnostic_only")
+    return GrowthReport("inconclusive", gamma=_gamma_or_none(vals), **exact,
+                        evidence=evidence, flags=flags)
 
 
 def _gamma_or_none(vals) -> Optional[GammaEstimate]:

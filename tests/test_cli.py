@@ -11,6 +11,7 @@ characteristic error paths for each of the seven commands.
 import hashlib
 import json
 import math
+import time
 
 import pytest
 
@@ -291,6 +292,24 @@ def test_hilbert_series_of_plane_curve(tmp_path, capsys):
     assert report["graded_dimensions"][:5] == [1, 2, 2, 2, 2]
 
 
+def test_hilbert_of_a_heavy_generator_is_fast(tmp_path, capsys):
+    # k[x, y]/(xy) with x of weight 8000: the denominator (1 - t^8000)(1 - t)
+    # has three terms, and the self-check and expansion step over those only
+    doc = {"spec_version": 1,
+           "algebra": {"kind": "polynomial",
+                       "generators": [{"name": "x", "degree": [8000]},
+                                      {"name": "y"}]},
+           "module": {"summands": [{"ideal": ["x*y"]}]}}
+    path = _write(tmp_path, doc)
+    start = time.perf_counter()
+    code, payload = _run_json(capsys, ["hilbert", path, "--max-degree", "16001"])
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    # basis 1, x^i, y^j: one y-power in every positive degree, and x^(n/8000)
+    assert payload["report"]["graded_dimensions"] == [
+        1 if n == 0 else 1 + (n % 8000 == 0) for n in range(16002)]
+
+
 def test_hilbert_rejects_two_directional_modules(tmp_path, capsys):
     doc = {"spec_version": 1,
            "algebra": {"kind": "weyl", "weyl_rank": 1},
@@ -317,6 +336,62 @@ def test_poincare_weighted_line(tmp_path, capsys):
     assert report["quasi"]["period"] == 2
     assert report["quasi"]["onset"] == 0
     assert report["quasi"]["branches"] == [[[1, 1]], []]
+
+
+def _weighted_plane(a: int, b: int) -> dict:
+    return {"spec_version": 1,
+            "algebra": {"kind": "polynomial",
+                        "generators": [{"name": "a", "degree": [a]},
+                                       {"name": "b", "degree": [b]}]}}
+
+
+def test_poincare_mixed_cyclotomic_flags_without_a_fit(tmp_path, capsys):
+    # 1/((1-t^2)(1-t^3)): orders 1, 2, 3 are no pure (1-t^s)^d, so the
+    # period is their lcm 6, and 41 samples are too few to fit six branches
+    path = _write(tmp_path, _weighted_plane(2, 3))
+    code, payload = _run_json(capsys, ["poincare", path, "--max-degree", "40"])
+    assert code == 0
+    report = payload["report"]
+    assert report["denominator"]["s"] is None
+    assert report["denominator"]["cyclotomic_multiplicities"] == [[1, 2], [2, 1], [3, 1]]
+    assert report["quasi"] is None
+    assert payload["warnings"] == [WARNINGS["mixed_cyclotomic"]]
+
+
+def test_classify_mixed_cyclotomic_without_a_fit_is_inconclusive(tmp_path, capsys):
+    # the inconclusive branch reports only the gamma flag, not the period rule's
+    path = _write(tmp_path, _weighted_plane(2, 3))
+    code, payload = _run_json(capsys, ["classify", path, "--max-degree", "40"])
+    assert code == 1
+    growth = payload["report"]["growth"]
+    assert growth["classification"] == "inconclusive"
+    assert growth["evidence"] == ("cyclotomic denominator but no quasi-polynomial "
+                                  "fit on the samples")
+    assert growth["quasi"] is None
+    assert payload["warnings"] == [WARNINGS["gamma_diagnostic_only"]]
+
+
+def test_classify_mixed_cyclotomic_fits_period_lcm_branches(tmp_path, capsys):
+    path = _write(tmp_path, _weighted_plane(2, 3))
+    code, payload = _run_json(capsys, ["classify", path, "--max-degree", "60"])
+    assert code == 0
+    growth = payload["report"]["growth"]
+    assert growth["classification"] == "polynomial"
+    assert growth["gk"] == 2
+    assert growth["multiplicity"] == [1, 6]
+    assert growth["quasi"]["period"] == 6
+    assert payload["warnings"] == [WARNINGS["sampled_agreement"],
+                                   WARNINGS["mixed_cyclotomic"]]
+
+
+def test_poincare_pure_denominator_takes_its_period(tmp_path, capsys):
+    path = _write(tmp_path, _weighted_plane(2, 2))
+    code, payload = _run_json(capsys, ["poincare", path, "--max-degree", "40"])
+    assert code == 0
+    report = payload["report"]
+    assert report["denominator"]["s"] == 2
+    assert report["quasi"]["period"] == 2
+    assert payload["warnings"] == []
 
 
 def test_poincare_raw_sequence_without_recurrence_is_exit_one(tmp_path, capsys):

@@ -1,0 +1,78 @@
+"""The package's import graph, read from the source with ast.
+
+Every import of one gkdim module by another stands at module level, and
+these imports run one way: no chain of them leads back to where it started.
+A cycle could otherwise only be held together by imports deferred into
+function bodies, which these tests forbid as well.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gkdim"
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+
+
+def _gkdim_targets(node) -> list:
+    """The gkdim modules an Import or ImportFrom node names."""
+    if isinstance(node, ast.ImportFrom):
+        if node.level == 0 and not (node.module or "").startswith("gkdim"):
+            return []
+        base = (node.module or "").removeprefix("gkdim").lstrip(".")
+        if base:
+            return [base.split(".")[0]]
+        return [a.name for a in node.names if a.name in MODULES]
+    if isinstance(node, ast.Import):
+        return [a.name.split(".")[1] for a in node.names
+                if a.name.startswith("gkdim.")]
+    return []
+
+
+def _imports(module: str):
+    """(target module, line, inside a function body) for each gkdim import."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(), f"{module}.py")
+    out = []
+
+    def visit(node, in_function):
+        for target in _gkdim_targets(node):
+            out.append((target, node.lineno, in_function))
+        inner = in_function or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for child in ast.iter_child_nodes(node):
+            visit(child, inner)
+
+    visit(tree, False)
+    return out
+
+
+def test_the_scan_sees_the_package():
+    assert {"cli", "exactnum", "poincare", "samuel"} <= set(MODULES)
+    assert ("samuel", False) in {(t, f) for t, _, f in _imports("cli")}
+    assert ("catalog", False) in {(t, f) for t, _, f in _imports("cli")}
+
+
+def test_no_gkdim_import_inside_a_function():
+    deferred = [f"{m}.py:{line} imports {target}" for m in MODULES
+                for target, line, in_function in _imports(m) if in_function]
+    assert deferred == []
+
+
+def test_intra_package_imports_are_acyclic():
+    # deferred imports count as edges too, so a cycle they close is named
+    edges = {m: sorted({t for t, _, _ in _imports(m) if t in MODULES and t != m})
+             for m in MODULES}
+    done, path = set(), []
+
+    def visit(m):
+        if m in path:
+            cycle = path[path.index(m):] + [m]
+            raise AssertionError("import cycle: " + " -> ".join(cycle))
+        if m in done:
+            return
+        path.append(m)
+        for t in edges[m]:
+            visit(t)
+        path.pop()
+        done.add(m)
+
+    for m in MODULES:
+        visit(m)

@@ -15,9 +15,12 @@ Oracles:
   same coprime pair as RationalSeries.reduced on seeded integer and rational
   series, Hilbert-type denominators prod(1 - t^w), zero numerators and
   coprime pairs.
-* Series expansion -- the Fraction recurrence that expand runs for rational
-  coefficients must give the same values, and the same types, as its int
-  path on a seeded family of integral series.
+* Series expansion -- the dense Fraction recurrence, over every denominator
+  coefficient, must give the same values, and the same types, as expand's
+  int path on a seeded family of integral series, and as its steps over the
+  nonzero terms only on sparse rational denominators.
+* The rational-analysis pipeline -- its recurrence, series, denominator and
+  branches must equal those of the four stages run one by one.
 * Cyclotomic polynomials -- frozen low-order values plus the product
   identity prod_{d | n} Phi_d(t) = t^n - 1.
 * Root-location certificates -- frozen on denominators whose roots are known
@@ -27,6 +30,7 @@ Oracles:
 from fractions import Fraction
 import math
 import random
+import time
 
 import pytest
 import sympy
@@ -36,8 +40,8 @@ from gkdim.poincare import (ROOT_SPLIT_SKIPPED, DenominatorAnalysis, QuasiPolyno
                             RationalSeries, Recurrence, _divisors, _euler_phi,
                             cyclotomic_polynomial, denominator_analysis,
                             fit_quasi_polynomial, minimal_recurrence,
-                            quasi_polynomial, series_from_recurrence,
-                            unit_cyclotomic)
+                            quasi_polynomial, rational_analysis,
+                            series_from_recurrence, unit_cyclotomic)
 
 # ---------------------------------------------------------------------------
 # rational series basics
@@ -84,6 +88,15 @@ def test_rational_coefficients_still_expand_to_fractions():
     assert got == _expand_in_fractions(half, 5)
     damped = RationalSeries(Polynomial([1]), Polynomial([1, Fraction(-1, 2)]))
     assert damped.expand(4) == [1, Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)]
+
+
+def test_sparse_rational_denominator_expands_like_the_dense_recurrence():
+    # zero denominator terms are skipped; the values and types are unchanged
+    for q in ([1, 0, 0, Fraction(-1, 2)], [1, 0, Fraction(1, 3), 0, 0, -1]):
+        series = RationalSeries(Polynomial([1, Fraction(1, 2)]), Polynomial(q))
+        got = series.expand(25)
+        assert got == _expand_in_fractions(series, 25)
+        assert [type(v) for v in got] == [type(v) for v in _expand_in_fractions(series, 25)]
 
 
 def test_series_requires_unit_constant_term():
@@ -508,6 +521,19 @@ def test_large_end_coefficients_skip_the_root_split():
                               ROOT_SPLIT_SKIPPED)
 
 
+def test_split_rational_root_inside_the_disk_certifies():
+    # a rational residual with roots 2/3 and 3: the split-off 1 - (3/2) t
+    # has its root inside the disk; 1/3 and 1/5 leave none inside
+    inside = denominator_analysis(Polynomial([1, Fraction(-3, 2)])
+                                  * Polynomial([1, Fraction(-1, 3)]))
+    assert inside.radius_class == "inside_unit_disk"
+    assert inside.notes == ("rational root of modulus < 1",)
+    outside = denominator_analysis(Polynomial([1, Fraction(-1, 3)])
+                                   * Polynomial([1, Fraction(-1, 5)]))
+    assert outside.radius_class == "mixed"
+    assert len(outside.linear_factors) == 2
+
+
 def test_sturm_chain_certifies_irrational_inside_root():
     # roots (-1 +- sqrt(37)) / 6: one near 0.847, one outside
     q = Polynomial([1, Fraction(-1, 3), -1])
@@ -572,9 +598,65 @@ def test_fit_returns_none_for_non_polynomial_branches():
     assert fit_quasi_polynomial(vals, 2) is None
 
 
+def test_fit_sizes_its_window_by_the_shortest_residue_class():
+    # 23 samples mod 2: classes of 12 and 11, so the window is 3, not 4
+    qp = fit_quasi_polynomial([n // 2 + 1 for n in range(23)], 2)
+    assert qp.branches == (Polynomial([1, Fraction(1, 2)]),
+                           Polynomial([Fraction(1, 2), Fraction(1, 2)]))
+
+
+def test_fit_with_a_period_beyond_the_samples_returns_at_once():
+    # a period of 10^8 leaves no residue class enough samples; deciding that
+    # must not walk the classes one by one
+    start = time.perf_counter()
+    assert fit_quasi_polynomial(list(range(40)), 10 ** 8) is None
+    assert time.perf_counter() - start < 0.5
+
+
 def test_fit_rejects_bad_period():
     with pytest.raises(ValueError):
         fit_quasi_polynomial([1] * 20, 0)
+
+
+# ---------------------------------------------------------------------------
+# the rational-analysis pipeline
+
+
+def _pipeline_parts(vals, confirm=8):
+    rec = minimal_recurrence(vals, confirm=confirm)
+    series = series_from_recurrence(vals, rec)
+    return rec, series, denominator_analysis(series.denominator)
+
+
+def test_rational_analysis_without_a_recurrence_is_none():
+    assert rational_analysis([math.factorial(n) for n in range(20)], 8) is None
+
+
+def test_rational_analysis_off_the_unit_circle_has_no_period():
+    vals = [2 ** n for n in range(20)]
+    ra = rational_analysis(vals, 8)
+    assert (ra.recurrence, ra.series, ra.denominator) == _pipeline_parts(vals)
+    assert ra.denominator.radius_class == "inside_unit_disk"
+    assert (ra.period, ra.mixed_cyclotomic, ra.quasi) == (None, False, None)
+
+
+def test_rational_analysis_takes_the_pure_period():
+    vals = RationalSeries(Polynomial([1]), Polynomial([1, 0, -1]) ** 2).expand(40)
+    ra = rational_analysis(vals, 8)
+    assert (ra.recurrence, ra.series, ra.denominator) == _pipeline_parts(vals)
+    assert (ra.period, ra.mixed_cyclotomic) == (2, False)
+    assert ra.quasi == fit_quasi_polynomial(vals, 2, window=4)
+
+
+def test_rational_analysis_takes_the_lcm_of_mixed_orders():
+    # 1/((1 - t^2)(1 - t^3)): orders 1, 2, 3, no pure (1 - t^s)^d
+    q = Polynomial([1, 0, -1]) * Polynomial([1, 0, 0, -1])
+    vals = RationalSeries(Polynomial([1]), q).expand(60)
+    ra = rational_analysis(vals, 8)
+    assert ra.denominator.s is None
+    assert (ra.period, ra.mixed_cyclotomic) == (6, True)
+    assert ra.quasi == fit_quasi_polynomial(vals, 6, window=4)
+    assert rational_analysis(vals[:30], 8).quasi is None
 
 
 # ---------------------------------------------------------------------------

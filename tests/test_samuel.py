@@ -281,6 +281,19 @@ def test_classify_periodic_slope_via_quasi_branches():
     assert "sampled_agreement" in report.flags
 
 
+def test_classify_reports_the_largest_of_disagreeing_branch_leads():
+    # leads 1 and 2 on the two residue classes, then 3 against 1 and 1
+    for vals, period, e in (([n if n % 2 == 0 else 2 * n for n in range(40)], 2, 2),
+                            ([3 * n if n % 3 == 0 else n for n in range(40)], 3, 3)):
+        report = classify_growth(vals)
+        assert (report.classification, report.gk, report.multiplicity) == ("polynomial", 1, e)
+        assert report.quasi.period == period
+        assert report.flags == ("sampled_agreement", "branch_multiplicity_disagreement")
+    # a lower-degree branch has no lead to disagree with
+    report = classify_growth([n if n % 2 == 0 else 7 for n in range(40)])
+    assert (report.gk, report.multiplicity, report.flags) == (1, 1, ("sampled_agreement",))
+
+
 def test_classify_partition_sums_as_inconclusive():
     # intermediate growth: cumulative sums of partition numbers
     partitions = [1]
