@@ -24,7 +24,7 @@ from .presentations import (AdmissibilityReport, AdmissibleOrder, AlgebraSpec,
 from .hilbert import (DimensionSequence, algebra_dim_sequence,
                       graded_piece_dim, hilbert_series_monomial_quotient,
                       minimalize_ideal, module_dim_sequence,
-                      standard_monomial_counts)
+                      module_hilbert_series, standard_monomial_counts)
 from .poincare import (DenominatorAnalysis, QuasiPolynomial, RationalAnalysis,
                        RationalSeries, Recurrence, cyclotomic_polynomial,
                        denominator_analysis, fit_quasi_polynomial,
@@ -62,8 +62,8 @@ __all__ = [
     "from_binomial_basis", "gamma_estimate", "gk_dimension",
     "graded_piece_dim", "graded_values", "hilbert_series_monomial_quotient",
     "minimal_recurrence", "minimalize_ideal", "module_dim_sequence",
-    "multiplicity", "normal_order_quantum", "normal_order_weyl",
-    "quasi_polynomial", "rational_analysis", "refilter",
+    "module_hilbert_series", "multiplicity", "normal_order_quantum",
+    "normal_order_weyl", "quasi_polynomial", "rational_analysis", "refilter",
     "series_from_recurrence", "ses_dimension_triple",
     "standard_monomial_counts", "to_binomial_basis", "torsion_check_cyclic",
     "unit_cyclotomic", "validate_algebra", "validate_module", "validate_ses",

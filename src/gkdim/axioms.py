@@ -13,10 +13,10 @@ from fractions import Fraction
 from typing import Optional
 
 from .exactnum import HilbertSamuelPolynomial, detect_polynomial, sequence_values
-from .presentations import (AlgebraSpec, ModuleSpec, SpecError,
+from .presentations import (AlgebraSpec, ModuleSpec, SpecError, Summand,
                             monomial_divides, validate_algebra,
                             validate_module)
-from .hilbert import DimensionSequence, module_dim_sequence, standard_monomial_counts
+from .hilbert import DimensionSequence, module_dim_sequence
 from .samuel import gk_dimension, multiplicity
 
 
@@ -31,9 +31,8 @@ class SESSpec:
     `big` presents M as a direct sum of shifted monomial quotients A/I_k; for
     each summand, sub_ideals[k] is a monomial ideal J_k containing I_k, and
     the sub-piece M' is the span of J_k inside A/I_k (summed over summands).
-    The quotient M'' is derived by exact dimension subtraction, never
-    supplied: this mirrors the identity dim M_n = dim M'_n + dim M''_n and
-    avoids a second counting path that could silently disagree.
+    The quotient M'' is the direct sum of the A/J_k with the same shifts,
+    never supplied; M' is derived from dim M'_n = dim M_n - dim M''_n.
     """
 
     ambient: AlgebraSpec
@@ -73,24 +72,19 @@ def ses_dimension_triple(s: SESSpec, top: int):
     """Cumulative dimension sequences (M', M, M'') of the sequence, degrees
     0..top.
 
-    M comes from the module presentation, M' from the per-summand count
-    difference between the two ideals, and M'' by exact subtraction. The
+    M and M'' (the direct sum of the A/J_k, shifted as in M) are each
+    counted once as module presentations, and M' by exact subtraction. The
     balance dim M'_n + dim M''_n = dim M_n therefore holds by construction;
     validity of all three as dimension sequences (natural, nondecreasing) is
     asserted before anything is fitted.
     """
     validate_ses(s)
-    m_vals = list(module_dim_sequence(s.ambient, s.big, top))
-    prime = [0] * (top + 1)
-    for summand, sub in zip(s.big.summands, s.sub_ideals):
-        cum_i = standard_monomial_counts(s.ambient, summand.ideal, top, cumulative=True)
-        cum_j = standard_monomial_counts(s.ambient, sub, top, cumulative=True)
-        for n in range(summand.shift, top + 1):
-            prime[n] += cum_i[n - summand.shift] - cum_j[n - summand.shift]
-    double = [m - p for m, p in zip(m_vals, prime)]
-    return (DimensionSequence(tuple(prime), "cumulative"),
-            DimensionSequence(tuple(m_vals), "cumulative"),
-            DimensionSequence(tuple(double), "cumulative"))
+    quotient = ModuleSpec(tuple(Summand(summand.shift, sub) for summand, sub
+                                in zip(s.big.summands, s.sub_ideals)))
+    m = module_dim_sequence(s.ambient, s.big, top)
+    double = module_dim_sequence(s.ambient, quotient, top)
+    prime = tuple(a - b for a, b in zip(m, double))
+    return DimensionSequence(prime, "cumulative"), m, double
 
 
 @dataclass(frozen=True)
@@ -119,7 +113,15 @@ _INCONCLUSIVE_SES = AxiomReport(
     notes=("polynomial detection failed on at least one term; no verdict",))
 
 
-def _analyze_ses(s: SESSpec, top: int, window: int) -> AxiomReport:
+def check_multiplicity_axioms(s: SESSpec, top: int, window: int = 6) -> AxiomReport:
+    """Full multiplicity verdict on the sequence.
+
+    Classifies the growth-dimension pattern into case "a" (e(M) = e(M'')),
+    "b" (e(M') = e(M)), "c" (additivity e(M) = e(M') + e(M'')), or
+    "degenerate" (a zero piece), and checks the applicable identity exactly
+    over the rationals. Also checks that multiplicity 0 occurs exactly on
+    zero pieces. Detection failure gives an inconclusive report.
+    """
     seqs = ses_dimension_triple(s, top)
     fits = [detect_polynomial(seq, window) for seq in seqs]
     if any(f is None for f in fits):
@@ -171,20 +173,8 @@ def check_exactness(s: SESSpec, top: int, window: int = 6) -> AxiomReport:
     multiplicity fields are left empty. Detection failure on any term gives
     an inconclusive report, never a false verdict.
     """
-    report = _analyze_ses(s, top, window)
+    report = check_multiplicity_axioms(s, top, window)
     return replace(report, e_values=None, additivity_ok=None)
-
-
-def check_multiplicity_axioms(s: SESSpec, top: int, window: int = 6) -> AxiomReport:
-    """Full multiplicity verdict on the sequence.
-
-    Classifies the growth-dimension pattern into case "a" (e(M) = e(M'')),
-    "b" (e(M') = e(M)), "c" (additivity e(M) = e(M') + e(M'')), or
-    "degenerate" (a zero piece), and checks the applicable identity exactly
-    over the rationals. Also checks that multiplicity 0 occurs exactly on
-    zero pieces. Detection failure gives an inconclusive report.
-    """
-    return _analyze_ses(s, top, window)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ classifier is expected to return "inconclusive" on it).
 from dataclasses import dataclass
 
 from .hilbert import DimensionSequence
+from .presentations import count_monomials_by_weight
 
 
 @dataclass(frozen=True)
@@ -45,15 +46,6 @@ def catalog_entry(entry_id: str) -> CatalogEntry:
     return _ENTRIES[entry_id]
 
 
-def _partition_counts(top: int) -> list:
-    """p(0..top), the number of partitions of each integer."""
-    p = [1] + [0] * top
-    for part in range(1, top + 1):
-        for n in range(part, top + 1):
-            p[n] += p[n - part]
-    return p
-
-
 def graded_values(entry_id: str, top: int) -> list:
     """Graded piece dimensions of a catalog entry, degrees 0..top."""
     catalog_entry(entry_id)
@@ -61,7 +53,8 @@ def graded_values(entry_id: str, top: int) -> list:
         return [2 ** n for n in range(top + 1)]
     # smith_lie: words x^a * (monomial in the y's of weight w) with a + w = n
     # and deg y_i = i, so the degree-n piece counts partitions of every w <= n
-    p = _partition_counts(top)
+    # (partitions of w are the monomials of weight w in parts 1..top)
+    p = count_monomials_by_weight(range(1, top + 1), top)
     acc = 0
     return [(acc := acc + p[n]) for n in range(top + 1)]
 

@@ -26,12 +26,12 @@ from .axioms import (HolonomyCatalog, SESSpec, chain_bound_check,
                      torsion_check_cyclic)
 from .exactnum import Polynomial, detect_polynomial
 from .hilbert import (DimensionSequence, algebra_dim_sequence,
-                      hilbert_series_monomial_quotient, module_dim_sequence)
+                      module_dim_sequence, module_hilbert_series)
 from .poincare import RationalSeries, rational_analysis
 from .presentations import (AlgebraSpec, ModuleSpec, RefilterError, SpecError,
                             Summand, refilter, validate_algebra,
                             validate_module)
-from .samuel import classify_growth
+from .samuel import classify_growth, gk_dimension
 
 TOOL_VERSION = "0.1.0"
 
@@ -393,16 +393,22 @@ def _need_algebra(parsed: ParsedInput) -> AlgebraSpec:
     return parsed.algebra
 
 
-def _cumulative_input(parsed: ParsedInput, top: int):
-    """Cumulative dimension sequence for analyze/classify, from a raw
-    sequence, a catalog entry, or a module presentation."""
+def _growth(config: RunConfig, parsed: ParsedInput):
+    """The growth step analyze and classify share: the cumulative input (a
+    raw sequence, a catalog entry, or a module presentation), its growth
+    classification, the warning flags and the exit code."""
     if parsed.sequence is not None:
-        return parsed.sequence.cumulative()
-    if parsed.catalog_id is not None:
-        return catalog.cumulative_sequence(parsed.catalog_id, top)
-    a = _need_algebra(parsed)
-    m = parsed.module if parsed.module is not None else ModuleSpec.regular()
-    return module_dim_sequence(a, m, top)
+        seq = parsed.sequence.cumulative()
+    elif parsed.catalog_id is not None:
+        seq = catalog.cumulative_sequence(parsed.catalog_id, config.max_degree)
+    else:
+        m = parsed.module if parsed.module is not None else ModuleSpec.regular()
+        seq = module_dim_sequence(_need_algebra(parsed), m, config.max_degree)
+    if len(seq) < 12:
+        raise SpecError("sequence", "growth classification needs at least 12 terms")
+    growth = classify_growth(seq, config.window, config.confirm)
+    code = EXIT_INCONCLUSIVE if growth.classification == "inconclusive" else EXIT_OK
+    return seq, growth, growth.flags + _catalog_flags(parsed), code
 
 
 def _catalog_flags(parsed: ParsedInput) -> tuple:
@@ -415,9 +421,7 @@ def _catalog_flags(parsed: ParsedInput) -> tuple:
 
 def _cmd_analyze(config: RunConfig, parsed: ParsedInput):
     top = config.max_degree
-    seq = _cumulative_input(parsed, top)
-    growth = classify_growth(seq, config.window, config.confirm)
-    flags = growth.flags + _catalog_flags(parsed)
+    seq, growth, flags, code = _growth(config, parsed)
     report = {
         "dimensions": {"cumulative": list(seq),
                        "graded": list(seq.graded())},
@@ -443,13 +447,11 @@ def _cmd_analyze(config: RunConfig, parsed: ParsedInput):
                 afit = (growth.hilbert_samuel if mod == ModuleSpec.regular() else
                         detect_polynomial(algebra_dim_sequence(a, top), config.window))
                 if afit is not None:
-                    gk_a = max(afit.form.degree, 0)
                     tor = torsion_check_cyclic(a, bool(mod.summands[0].ideal),
-                                               gk_a, hol.h)
+                                               gk_dimension(afit), hol.h)
                     report["torsion"] = {"applicable": tor.applicable,
                                          "torsion": tor.torsion,
                                          "reason": tor.reason}
-    code = EXIT_INCONCLUSIVE if growth.classification == "inconclusive" else EXIT_OK
     return code, report, flags
 
 
@@ -459,21 +461,11 @@ def _cmd_hilbert(config: RunConfig, parsed: ParsedInput):
     if m.negative_shift is not None:
         raise SpecError("module.negative_shift",
                         "the hilbert command needs a summand presentation")
-    combined = None
-    for s in m.summands:
-        piece = hilbert_series_monomial_quotient(a, s.ideal)
-        shifted = Polynomial([0] * s.shift + list(piece.numerator.coeffs))
-        if combined is None:
-            combined = RationalSeries(shifted, piece.denominator)
-        else:
-            combined = RationalSeries(combined.numerator + shifted,
-                                      combined.denominator)
-    reduced = combined.reduced()
-    top = config.max_degree
+    series = module_hilbert_series(a, m)
     report = {
-        "series": _series_payload(combined),
-        "reduced": _series_payload(reduced),
-        "graded_dimensions": [int(v) for v in combined.expand(top + 1)],
+        "series": _series_payload(series),
+        "reduced": _series_payload(series.reduced()),
+        "graded_dimensions": [int(v) for v in series.expand(config.max_degree + 1)],
     }
     return EXIT_OK, report, ()
 
@@ -510,9 +502,6 @@ def _cmd_check_ses(config: RunConfig, parsed: ParsedInput):
     if parsed.sub_ideals is None:
         raise SpecError("ses", "the check-ses command needs an ses field")
     m = parsed.module if parsed.module is not None else ModuleSpec.regular()
-    if m.negative_shift is None and len(parsed.sub_ideals) != len(m.summands):
-        raise SpecError("ses.sub_ideals",
-                        "need exactly one sub-ideal per module summand")
     ses = SESSpec(a, m, parsed.sub_ideals)
     report = check_multiplicity_axioms(ses, config.max_degree, config.window)
     payload = {
@@ -565,15 +554,8 @@ def _cmd_refilter(config: RunConfig, parsed: ParsedInput):
 
 
 def _cmd_classify(config: RunConfig, parsed: ParsedInput):
-    top = config.max_degree
-    seq = _cumulative_input(parsed, top)
-    if len(seq) < 12:
-        raise SpecError("sequence", "growth classification needs at least 12 terms")
-    growth = classify_growth(seq, config.window, config.confirm)
-    flags = growth.flags + _catalog_flags(parsed)
-    report = {"growth": _growth_payload(growth)}
-    code = EXIT_INCONCLUSIVE if growth.classification == "inconclusive" else EXIT_OK
-    return code, report, flags
+    _, growth, flags, code = _growth(config, parsed)
+    return code, {"growth": _growth_payload(growth)}, flags
 
 
 _DISPATCH = {

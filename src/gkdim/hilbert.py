@@ -1,4 +1,9 @@
-"""Dimension sequences of monomial quotients and their Hilbert series.
+"""Dimension sequences of monomial modules and their Hilbert series.
+
+A module presented as a direct sum of shifted quotients A/I_k has one
+series (Hilbert-Serre): the summands' numerators, shifted and summed, over
+one prod(1 - t^w). _module_numerator is the one place a summand's shift is
+applied; dimension counts and Hilbert series are both read from it.
 
 Standard monomials of a monomial ideal are counted exactly from the
 numerator of the quotient's Hilbert series. One pivot recursion in the style
@@ -163,27 +168,45 @@ def _most_shared_variable(gens) -> Optional[int]:
     return best
 
 
-def standard_monomial_counts(a: AlgebraSpec, ideal: Sequence[Monomial], top: int,
-                             cumulative: bool = False) -> list:
-    """Counts of standard monomials (not in the ideal) by weighted degree 0..top."""
+def _module_numerator(a: AlgebraSpec, m: ModuleSpec) -> tuple:
+    """Numerator of the module's Hilbert series over prod(1 - t^w), as a map
+    degree -> coefficient, and the degree its expansion self-check reaches.
+
+    Each summand's ideal is minimalised once; its numerator is shifted by the
+    summand's shift and added in. The self-check reaches, for every summand,
+    its shift plus twice the weight of its minimal generators plus ten.
+    """
+    validate_module(a, m)
     weights = a.scalar_weights()
-    free = count_monomials_by_weight(weights, top)
+    terms, reach = {}, 10
+    for s in m.summands:
+        gens = minimalize_ideal(s.ideal)
+        for d, c in _numerator(gens, weights).items():
+            terms[d + s.shift] = terms.get(d + s.shift, 0) + c
+        reach = max(reach, s.shift + 2 * sum(_wdeg(g, weights) for g in gens) + 10)
+    return terms, reach
+
+
+def _counts(a: AlgebraSpec, terms: dict, top: int, cumulative: bool) -> list:
+    """Coefficients 0..top of the numerator `terms` over prod(1 - t^w), or
+    their prefix sums when cumulative: one free count, one convolution."""
+    free = count_monomials_by_weight(a.scalar_weights(), top)
     if cumulative:
         acc = 0
         free = [(acc := acc + v) for v in free]
-    return _convolve(numerator_terms(ideal, weights), free)
-
-
-def _convolve(terms: dict, free: list) -> list:
-    """Coefficients 0..len(free) - 1 of the numerator `terms` times the
-    power series `free`."""
-    top = len(free) - 1
     out = [0] * (top + 1)
     for d, c in terms.items():
         if d <= top:
             for n in range(d, top + 1):
                 out[n] += c * free[n - d]
     return out
+
+
+def standard_monomial_counts(a: AlgebraSpec, ideal: Sequence[Monomial], top: int,
+                             cumulative: bool = False) -> list:
+    """Counts of standard monomials (not in the ideal) by weighted degree 0..top."""
+    terms, _ = _module_numerator(a, ModuleSpec.cyclic(ideal))
+    return _counts(a, terms, top, cumulative)
 
 
 def graded_piece_dim(a: AlgebraSpec, ideal: Sequence[Monomial], n: int) -> int:
@@ -194,13 +217,10 @@ def graded_piece_dim(a: AlgebraSpec, ideal: Sequence[Monomial], n: int) -> int:
 
 
 def module_dim_sequence(a: AlgebraSpec, m: ModuleSpec, top: int) -> DimensionSequence:
-    """Cumulative dimensions of a module presentation, degrees 0..top."""
-    validate_module(a, m)
-    values = [0] * (top + 1)
-    for s in m.summands:
-        cum = standard_monomial_counts(a, s.ideal, top, cumulative=True)
-        for n in range(s.shift, top + 1):
-            values[n] += cum[n - s.shift]
+    """Cumulative dimensions of a module presentation, degrees 0..top, read
+    from the module's Hilbert-series numerator."""
+    terms, _ = _module_numerator(a, m)
+    values = _counts(a, terms, top, cumulative=True)
     if m.negative_shift is not None:
         # rank-one module stretching in two directions: 2j + 1 states at level j
         for n in range(top + 1):
@@ -213,28 +233,31 @@ def algebra_dim_sequence(a: AlgebraSpec, top: int) -> DimensionSequence:
     return module_dim_sequence(a, ModuleSpec.regular(), top)
 
 
-def hilbert_series_monomial_quotient(a: AlgebraSpec, ideal: Sequence[Monomial]) -> RationalSeries:
-    """Hilbert series of the monomial quotient as p(t) / prod_i (1 - t^w_i).
+def module_hilbert_series(a: AlgebraSpec, m: ModuleSpec) -> RationalSeries:
+    """Hilbert series of a summand presentation as p(t) / prod_i (1 - t^w_i).
 
-    The denominator is the structured product over the generator weights,
-    built as an int coefficient list; the numerator comes from the pivot
-    recursion on the minimal generators. The power-series expansion is
-    verified, out to twice the total ideal weight plus ten, against that
-    numerator convolved with the monomial counts of the ambient ring.
+    p(t) is the sum of the summands' numerators, each shifted by its
+    summand's shift; the denominator is the structured product over the
+    generator weights, built as an int coefficient list. The power-series
+    expansion is verified once, out to the reach of _module_numerator,
+    against p times the monomial counts of the ambient ring.
     """
+    if m.negative_shift is not None:
+        raise ValueError("a Hilbert series needs a summand presentation")
     weights = a.scalar_weights()
-    gens = minimalize_ideal(ideal)
-    terms = _numerator(gens, tuple(weights))
-    num_deg = max(terms, default=0)
-    p = Polynomial([terms.get(d, 0) for d in range(num_deg + 1)])
+    terms, reach = _module_numerator(a, m)
+    p = Polynomial([terms.get(d, 0) for d in range(max(terms, default=0) + 1)])
     q = [1] + [0] * sum(weights)
     for w in weights:  # times (1 - t^w), from the top index down
         for i in range(len(q) - 1, w - 1, -1):
             q[i] -= q[i - w]
     series = RationalSeries(p, Polynomial(q))
-    check_to = 2 * sum(_wdeg(g, weights) for g in gens) + 10
-    expansion = series.expand(check_to + 1)
-    direct = _convolve(terms, count_monomials_by_weight(weights, check_to))
-    if list(expansion) != direct:
+    if list(series.expand(reach + 1)) != _counts(a, terms, reach, cumulative=False):
         raise RuntimeError("internal error: series expansion disagrees with direct counts")
     return series
+
+
+def hilbert_series_monomial_quotient(a: AlgebraSpec, ideal: Sequence[Monomial]) -> RationalSeries:
+    """Hilbert series of the monomial quotient A/I: the cyclic case of
+    module_hilbert_series."""
+    return module_hilbert_series(a, ModuleSpec.cyclic(ideal))

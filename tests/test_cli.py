@@ -252,10 +252,18 @@ def test_classify_raw_graded_sequence(tmp_path, capsys):
 
 
 def test_classify_short_sequence_is_exit_three(tmp_path, capsys):
-    doc = {"spec_version": 1, "sequence": [1, 2, 3]}
-    code, _, err = _run(capsys, ["classify", _write(tmp_path, doc)])
-    assert code == 3
-    assert "sequence" in err
+    # analyze shares classify's growth step, so too few samples is bad input
+    # there too, not an internal fault
+    plane = {"spec_version": 1, "algebra": PLANE_MOD_XY["algebra"]}
+    short = {"spec_version": 1, "sequence": [1, 2, 3]}
+    ten = {"spec_version": 1, "sequence": list(range(1, 11))}
+    for argv in (["classify", _write(tmp_path, short, "short.json")],
+                 ["analyze", _write(tmp_path, ten, "ten.json")],
+                 ["analyze", _write(tmp_path, plane, "plane.json"), "--window", "2",
+                  "--max-degree", "8"]):
+        code, _, err = _run(capsys, argv)
+        assert code == 3, argv
+        assert err == "error: sequence: growth classification needs at least 12 terms\n"
 
 
 def test_decreasing_cumulative_sequence_is_exit_three(tmp_path, capsys):

@@ -7,20 +7,28 @@ and on seeded random ideals of up to 24 minimal generators), Hilbert series
 expansions, and module shift bookkeeping are all checked against it or
 against closed binomial formulas. The colon step of the recursion, which
 skips a general re-minimalisation, is checked against minimalize_ideal of
-the lowered generators on seeded ideals.
+the lowered generators on seeded ideals. Module counts and module Hilbert
+series are checked against the brute-force counts of their shifted summands
+on seeded weighted modules, and call counters pin that each command counts
+every module once: one free count per module, one minimalisation per
+summand and one expansion self-check per series.
 """
 
 import itertools
+import json
 import math
 import random
 
 import pytest
 
 from gkdim.exactnum import Polynomial
+import gkdim.hilbert
+from gkdim.cli import main
 from gkdim.hilbert import (DimensionSequence, _colon, algebra_dim_sequence,
                            graded_piece_dim, hilbert_series_monomial_quotient,
                            minimalize_ideal, module_dim_sequence,
-                           numerator_terms, standard_monomial_counts)
+                           module_hilbert_series, numerator_terms,
+                           standard_monomial_counts)
 from gkdim.presentations import AlgebraSpec, ModuleSpec, Summand
 
 # ---------------------------------------------------------------------------
@@ -280,3 +288,79 @@ def test_series_ignores_redundant_generators():
     redundant = hilbert_series_monomial_quotient(a, [(2, 0), (3, 0), (2, 2)])
     assert minimal.numerator == redundant.numerator
     assert minimal.denominator == redundant.denominator
+
+
+# ---------------------------------------------------------------------------
+# one counting path per module
+
+
+def _random_module(rng):
+    """A weighted ring in 1..3 variables and 1..3 summands with shifts 0..3."""
+    nvars = rng.randint(1, 3)
+    a = AlgebraSpec.polynomial(nvars, degrees=[(rng.randint(1, 3),) for _ in range(nvars)])
+    summands = tuple(
+        Summand(rng.randint(0, 3),
+                tuple(tuple(rng.randint(0, 3) for _ in range(nvars))
+                      for _ in range(rng.randint(0, 3))))
+        for _ in range(rng.randint(1, 3)))
+    return a, ModuleSpec(summands)
+
+
+def test_module_counts_series_and_brute_force_agree():
+    rng = random.Random(2024)
+    top = 12
+    for _ in range(60):
+        a, m = _random_module(rng)
+        brute = [0] * (top + 1)
+        for s in m.summands:
+            for n, c in enumerate(_brute_counts(a.scalar_weights(), s.ideal, top - s.shift)):
+                brute[n + s.shift] += c
+        dims = module_dim_sequence(a, m, top)
+        assert list(dims.graded()) == brute, m
+        assert list(module_hilbert_series(a, m).expand(top + 1)) == brute, m
+
+
+def test_module_hilbert_series_rejects_two_directional_modules():
+    with pytest.raises(ValueError):
+        module_hilbert_series(AlgebraSpec.weyl(1), ModuleSpec.laurent())
+
+
+def test_each_module_is_counted_once_per_command(tmp_path, monkeypatch):
+    free_tops, minimalised = [], []
+    count, minimalize = gkdim.hilbert.count_monomials_by_weight, minimalize_ideal
+
+    def counting(weights, top):
+        free_tops.append(top)
+        return count(weights, top)
+
+    def minimalizing(gens):
+        minimalised.append(gens)
+        return minimalize(gens)
+
+    monkeypatch.setattr(gkdim.hilbert, "count_monomials_by_weight", counting)
+    monkeypatch.setattr(gkdim.hilbert, "minimalize_ideal", minimalizing)
+    ideals = (["x^2"], ["x*y", "y^3"], ["y^2"])
+    summands = [{"shift": k, "ideal": ideal} for k, ideal in enumerate(ideals)]
+    doc = {"spec_version": 1,
+           "algebra": {"kind": "polynomial",
+                       "generators": [{"name": "x"}, {"name": "y"}]},
+           "module": {"summands": summands},
+           "ses": {"sub_ideals": [["x"], ["y"], ["y"]]}}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    k = len(ideals)
+
+    a, m = AlgebraSpec.polynomial(2), ModuleSpec((Summand(0, ()),) * k)
+    module_dim_sequence(a, m, 10)
+    assert len(free_tops) == 1  # one free count for the module, not one per summand
+
+    minimalised.clear()
+    assert main(["check-ses", str(path)]) == 0
+    assert len(minimalised) == 2 * k  # M and M'', each summand once
+
+    free_tops.clear()
+    assert main(["hilbert", str(path)]) == 0
+    assert len(free_tops) == 1  # one expansion self-check for the whole module
+    # it reaches shift + 2 * (weight of the minimal generators) + 10 for
+    # every summand: x^2 weighs 2, xy and y^3 weigh 5, y^2 weighs 2
+    assert free_tops[0] >= max(0 + 4, 1 + 10, 2 + 4) + 10
