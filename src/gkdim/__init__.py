@@ -18,9 +18,9 @@ from .presentations import (AdmissibilityReport, AdmissibleOrder, AlgebraSpec,
                             Summand, check_admissibility,
                             check_semicommutative_leading,
                             count_monomials_by_weight, defining_relations,
-                            filtration_layer_dim, normal_order_quantum,
-                            normal_order_weyl, refilter, validate_algebra,
-                            validate_module, zero_module)
+                            divide_by_weights, filtration_layer_dim,
+                            normal_order_quantum, normal_order_weyl, refilter,
+                            validate_algebra, validate_module, zero_module)
 from .hilbert import (DimensionSequence, algebra_dim_sequence,
                       graded_piece_dim, hilbert_series_monomial_quotient,
                       minimalize_ideal, module_dim_sequence,
@@ -57,8 +57,9 @@ __all__ = [
     "check_multiplicity_axioms", "check_semicommutative_leading",
     "classify_growth", "count_monomials_by_weight", "cumulative_sequence",
     "cyclotomic_polynomial", "defining_relations", "denominator_analysis",
-    "detect_polynomial", "falling_binom", "filtration_equivalent",
-    "filtration_layer_dim", "finite_difference", "fit_quasi_polynomial",
+    "detect_polynomial", "divide_by_weights", "falling_binom",
+    "filtration_equivalent", "filtration_layer_dim", "finite_difference",
+    "fit_quasi_polynomial",
     "from_binomial_basis", "gamma_estimate", "gk_dimension",
     "graded_piece_dim", "graded_values", "hilbert_series_monomial_quotient",
     "minimal_recurrence", "minimalize_ideal", "module_dim_sequence",

@@ -29,8 +29,7 @@ from .hilbert import (DimensionSequence, algebra_dim_sequence,
                       module_dim_sequence, module_hilbert_series)
 from .poincare import RationalSeries, rational_analysis
 from .presentations import (AlgebraSpec, ModuleSpec, RefilterError, SpecError,
-                            Summand, refilter, validate_algebra,
-                            validate_module)
+                            Summand, refilter, validate_module)
 from .samuel import classify_growth, gk_dimension
 
 TOOL_VERSION = "0.1.0"
@@ -198,27 +197,31 @@ def parse_algebra(doc, path: str = "algebra"):
         return entry_id
     if kind == "weyl":
         rank = _parse_natural(doc.get("weyl_rank"), f"{path}.weyl_rank", minimum=1)
-        a = AlgebraSpec.weyl(rank)
     else:
         names, degrees = _parse_generators(doc.get("generators"), f"{path}.generators")
+    if kind == "quantum_affine":
+        lam_doc = doc.get("lambda")
+        n = len(names)
+        _require(isinstance(lam_doc, list) and len(lam_doc) == n,
+                 f"{path}.lambda", f"expected an {n} x {n} matrix")
+        lam = []
+        for i, row in enumerate(lam_doc):
+            _require(isinstance(row, list) and len(row) == n,
+                     f"{path}.lambda[{i+1}]", f"expected a row of {n} entries")
+            lam.append(tuple(_parse_fraction(v, f"{path}.lambda[{i+1}][{j+1}]")
+                             for j, v in enumerate(row)))
+    # the constructors run validate_algebra, whose paths are relative to the algebra
+    try:
+        if kind == "weyl":
+            return AlgebraSpec.weyl(rank)
         if kind == "polynomial":
-            a = AlgebraSpec.polynomial(len(names), degrees=degrees, names=names)
-        elif kind == "quantum_affine":
-            lam_doc = doc.get("lambda")
-            n = len(names)
-            _require(isinstance(lam_doc, list) and len(lam_doc) == n,
-                     f"{path}.lambda", f"expected an {n} x {n} matrix")
-            lam = []
-            for i, row in enumerate(lam_doc):
-                _require(isinstance(row, list) and len(row) == n,
-                         f"{path}.lambda[{i+1}]", f"expected a row of {n} entries")
-                lam.append(tuple(_parse_fraction(v, f"{path}.lambda[{i+1}][{j+1}]")
-                                 for j, v in enumerate(row)))
-            a = AlgebraSpec.quantum_affine(tuple(lam), degrees=degrees, names=names)
-        else:  # pbw_weighted: the JSON format carries weights only
-            a = AlgebraSpec.pbw_weighted(degrees, relations=(), names=names)
-    validate_algebra(a)
-    return a
+            return AlgebraSpec.polynomial(len(names), degrees=degrees, names=names)
+        if kind == "quantum_affine":
+            return AlgebraSpec.quantum_affine(tuple(lam), degrees=degrees, names=names)
+        # pbw_weighted: the JSON format carries weights only
+        return AlgebraSpec.pbw_weighted(degrees, relations=(), names=names)
+    except SpecError as e:
+        raise SpecError(f"{path}.{e.path}", e.message) from None
 
 
 def parse_module(doc, a: AlgebraSpec, path: str = "module") -> ModuleSpec:

@@ -16,10 +16,13 @@ Fractions once, at the end:
   lemma makes them integral);
 - the binomial-basis conversions use cached integer Stirling numbers over one
   common denominator;
+- evaluation is int Horner over the coefficients' common denominator, with
+  one Fraction built at the end;
 - the difference tower (detect_polynomial) fits an eventual polynomial
-  f(n) = sum a_i C(n, i) by exact addition alone: its column at the first
-  constant window, run back to n = 0, is (a_0, ..., a_d), and run forward it
-  checks every sample. d is the growth dimension, a_d the multiplicity.
+  f(n) = sum a_i C(n, i) by exact subtraction: its column at the first
+  constant window, moved back to n = 0 in one closed-form step, is
+  (a_0, ..., a_d), and one scan of the constant level finds where the
+  samples start to agree. d is the growth dimension, a_d the multiplicity.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul, sub
 from typing import Iterable, Optional, Sequence, Union
 
 #: Exact rational number with normalized sign and lowest terms.
@@ -58,13 +62,14 @@ class Polynomial:
     polynomial has an empty coefficient tuple and degree -1.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_scaled")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         cs = [Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        self._scaled = None  # integer_coefficients(coeffs), once evaluate needs it
 
     # -- basic structure -------------------------------------------------
 
@@ -140,11 +145,23 @@ class Polynomial:
         return out
 
     def evaluate(self, x: Scalar) -> Fraction:
-        """Evaluate by Horner's rule; exact for int/Fraction arguments."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """The exact value at an int or Fraction x = p/q.
+
+        With the coefficients scaled to ints c_k over one common denominator
+        s (cached), int Horner gives sum_k c_k p^k q^(n-k), and the value is
+        that over s q^n: one Fraction, built at the end.
+        """
+        if not self.coeffs:
+            return Fraction(0)
+        if self._scaled is None:
+            self._scaled = integer_coefficients(self.coeffs)
+        ints, scale = self._scaled
+        p, q = x.numerator, x.denominator
+        acc, qpow = 0, 1
+        for c in reversed(ints):
+            acc = acc * p + c * qpow
+            qpow *= q
+        return Fraction(acc, scale * qpow // q)
 
     def compose_affine(self, a: Scalar, b: Scalar) -> "Polynomial":
         """The polynomial p(a*x + b)."""
@@ -376,14 +393,15 @@ def detect_polynomial(s, window: int = 6) -> Optional[HilbertSamuelPolynomial]:
     """Exact eventual-polynomial fit of a cumulative sequence, or None.
 
     Differences are taken until some level d is constant on its final
-    `window` entries, which start at index `anchor`. The column
-    Delta^0 f(anchor), ..., Delta^d f(anchor) is run backwards to n = 0 by
-    Delta^i f(n - 1) = Delta^i f(n) - Delta^(i+1) f(n - 1), for i = d - 1
-    down to 0, since Delta^d f is constant; the column at n = 0 is the form's
-    (a_0, ..., a_d). Running it forwards from n = 0 gives the fitted value at
-    every sample. The samples are compared with these from the last one
-    backwards, and stabilization_index is one past the last disagreement.
-    Returns None when no level stabilizes within the data.
+    `window` entries, which start at index `anchor`. The fit P is the
+    polynomial with the column c_k = Delta^k f(anchor), k = 0..d; its form is
+    (a_0, ..., a_d) with a_i = Delta^i P(0). Newton's forward formula with
+    E^-anchor = (1 + Delta)^-anchor gives a_i = sum_j C(-anchor, j) c_(i+j),
+    where C(-m, j) = (-1)^j C(m + j - 1, j); the form is checked by mapping it
+    forward onto the whole column again. The samples agree with P from
+    anchor on. Below it, Delta^d f(n) depends on f(n..n+d) alone, so
+    stabilization_index is one past the last n < anchor where level d differs
+    from its constant. Returns None when no level stabilizes within the data.
     """
     if window < 2:
         raise ValueError("window must be at least 2")
@@ -394,33 +412,31 @@ def detect_polynomial(s, window: int = 6) -> Optional[HilbertSamuelPolynomial]:
     degree = None
     while True:
         cur = levels[-1]
-        if len(cur) >= window and all(v == cur[-1] for v in cur[-window:]):
+        if len(cur) >= window and cur[-window:].count(cur[-1]) == window:
             degree = len(levels) - 1
             break
         if len(cur) <= window:
             return None
-        levels.append([cur[i + 1] - cur[i] for i in range(len(cur) - 1)])
+        levels.append(list(map(sub, cur[1:], cur)))
 
     anchor = len(levels[degree]) - window
-    tower = [levels[i][anchor] for i in range(degree + 1)]
-    for _ in range(anchor):
-        for i in range(degree - 1, -1, -1):
-            tower[i] -= tower[i + 1]
-    form = BinomialForm(tower)
-
-    fitted = []
-    for _ in vals:
-        fitted.append(tower[0])
-        for i in range(degree):
-            tower[i] += tower[i + 1]
-    stabilization = 0
-    for n in range(len(vals) - 1, -1, -1):
-        if fitted[n] != vals[n]:
-            stabilization = n + 1
-            break
-    if stabilization > anchor:
+    column = [levels[i][anchor] for i in range(degree + 1)]
+    # a_i = sum_j C(-anchor, j) Delta^(i+j) f(anchor): E^-anchor = (1 + Delta)^-anchor
+    back = [1] + [(-1) ** j * math.comb(anchor + j - 1, j) for j in range(1, degree + 1)]
+    tower = [sum(map(mul, back, column[i:])) for i in range(degree + 1)]
+    # and forwards again, E^anchor = (1 + Delta)^anchor, onto the whole column
+    ahead = [math.comb(anchor, j) for j in range(degree + 1)]
+    if any(sum(map(mul, ahead, tower[k:])) != column[k] for k in range(degree + 1)):
         raise RuntimeError("internal error: reconstructed polynomial misses its anchor window")
-    return HilbertSamuelPolynomial(form, stabilization)
+
+    # f agrees with the fit from anchor on; below, Delta^d f(n) depends on
+    # f(n..n+d) alone, so once f(n+1..n+d) agree it equals the constant
+    # exactly when f(n) agrees too
+    last, const = levels[degree], column[degree]
+    stabilization = anchor
+    while stabilization and last[stabilization - 1] == const:
+        stabilization -= 1
+    return HilbertSamuelPolynomial(BinomialForm(tower), stabilization)
 
 
 def finite_difference(values: Sequence[Scalar]) -> list:

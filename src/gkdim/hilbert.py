@@ -3,7 +3,10 @@
 A module presented as a direct sum of shifted quotients A/I_k has one
 series (Hilbert-Serre): the summands' numerators, shifted and summed, over
 one prod(1 - t^w). _module_numerator is the one place a summand's shift is
-applied; dimension counts and Hilbert series are both read from it.
+applied; dimension counts and Hilbert series are both read from it. Counts
+divide the numerator by prod(1 - t^w) as integer running sums, one per
+factor (presentations.divide_by_weights), with one more factor (1 - t) for
+cumulative counts.
 
 Standard monomials of a monomial ideal are counted exactly from the
 numerator of the quotient's Hilbert series. One pivot recursion in the style
@@ -20,12 +23,14 @@ algebra's generator weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import le
 from typing import Optional, Sequence
 
 from .exactnum import Polynomial
 from .poincare import RationalSeries
 from .presentations import (AlgebraSpec, ModuleSpec, Monomial,
-                            count_monomials_by_weight, monomial_divides,
+                            divide_by_weights, monomial_divides,
                             validate_module)
 
 MEANINGS = ("graded_piece", "cumulative")
@@ -45,14 +50,12 @@ class DimensionSequence:
     def __post_init__(self):
         if self.meaning not in MEANINGS:
             raise ValueError(f"unknown sequence meaning {self.meaning!r}")
-        object.__setattr__(self, "values", tuple(self.values))
-        for v in self.values:
-            if (not isinstance(v, int)) or v < 0:
-                raise ValueError("dimension sequences hold natural numbers")
-        if self.meaning == "cumulative":
-            for a, b in zip(self.values, self.values[1:]):
-                if b < a:
-                    raise ValueError("cumulative dimension sequences must be nondecreasing")
+        vals = tuple(self.values)
+        object.__setattr__(self, "values", vals)
+        if not all(map(isinstance, vals, repeat(int))) or (vals and min(vals) < 0):
+            raise ValueError("dimension sequences hold natural numbers")
+        if self.meaning == "cumulative" and not all(map(le, vals, vals[1:])):
+            raise ValueError("cumulative dimension sequences must be nondecreasing")
 
     def __len__(self):
         return len(self.values)
@@ -189,17 +192,15 @@ def _module_numerator(a: AlgebraSpec, m: ModuleSpec) -> tuple:
 
 def _counts(a: AlgebraSpec, terms: dict, top: int, cumulative: bool) -> list:
     """Coefficients 0..top of the numerator `terms` over prod(1 - t^w), or
-    their prefix sums when cumulative: one free count, one convolution."""
-    free = count_monomials_by_weight(a.scalar_weights(), top)
-    if cumulative:
-        acc = 0
-        free = [(acc := acc + v) for v in free]
-    out = [0] * (top + 1)
+    their prefix sums when cumulative: the numerator as a dense list of
+    length top + 1, divided by the ring's (1 - t^w) factors in one
+    divide_by_weights call, with one more factor (1 - t) for the prefix sums."""
+    dense = [0] * (top + 1)
     for d, c in terms.items():
         if d <= top:
-            for n in range(d, top + 1):
-                out[n] += c * free[n - d]
-    return out
+            dense[d] = c
+    weights = a.scalar_weights()
+    return divide_by_weights(dense, weights + (1,) if cumulative else weights)
 
 
 def standard_monomial_counts(a: AlgebraSpec, ideal: Sequence[Monomial], top: int,
@@ -239,8 +240,9 @@ def module_hilbert_series(a: AlgebraSpec, m: ModuleSpec) -> RationalSeries:
     p(t) is the sum of the summands' numerators, each shifted by its
     summand's shift; the denominator is the structured product over the
     generator weights, built as an int coefficient list. The power-series
-    expansion is verified once, out to the reach of _module_numerator,
-    against p times the monomial counts of the ambient ring.
+    expansion (a recurrence over the denominator's nonzero terms) is verified
+    once, out to the reach of _module_numerator, against the running sums of
+    _counts.
     """
     if m.negative_shift is not None:
         raise ValueError("a Hilbert series needs a summand presentation")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 #: Exponent vector of a normal monomial, one entry per generator.
@@ -343,20 +344,29 @@ def normal_order_quantum(word: Sequence[int], lam) -> LinearCombo:
 # layer dimensions
 
 
-def count_monomials_by_weight(weights: Sequence[int], top: int) -> list:
-    """Number of monomials of each weighted total degree 0..top.
+def divide_by_weights(coeffs: Sequence[int], weights: Iterable[int]) -> list:
+    """The power series coeffs / prod_w (1 - t^w), truncated to len(coeffs).
 
-    Unbounded-knapsack dynamic programming over the generator weights; exact
-    integers throughout.
+    Dividing by (1 - t^w) is a running sum with stride w, c[i] += c[i - w]
+    from the bottom up; for w = 1 it is one itertools.accumulate over the
+    whole list. Exact integers throughout; a weight <= 0 raises ValueError.
     """
-    dp = [0] * (top + 1)
-    dp[0] = 1
+    c = list(coeffs)
     for w in weights:
         if w <= 0:
             raise ValueError("generator weights must be positive")
-        for d in range(w, top + 1):
-            dp[d] += dp[d - w]
-    return dp
+        if w == 1:
+            c = list(accumulate(c))
+        else:
+            for i in range(w, len(c)):
+                c[i] += c[i - w]
+    return c
+
+
+def count_monomials_by_weight(weights: Sequence[int], top: int) -> list:
+    """Number of monomials of each weighted total degree 0..top: the
+    coefficients of 1 / prod_w (1 - t^w), by divide_by_weights."""
+    return divide_by_weights([1] + [0] * top, weights)
 
 
 def filtration_layer_dim(a: AlgebraSpec, i: int) -> int:

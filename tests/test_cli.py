@@ -145,8 +145,28 @@ def test_bad_commutation_matrix_is_exit_three_with_path(tmp_path, capsys):
                        "lambda": [[1, 2], [3, 1]]}}
     code, _, err = _run(capsys, ["analyze", _write(tmp_path, doc)])
     assert code == 3
-    assert err == ("error: lambda[2][1]: lambda[i][j] * lambda[j][i] "
+    assert err == ("error: algebra.lambda[2][1]: lambda[i][j] * lambda[j][i] "
                    "must equal 1\n")
+
+
+def test_algebra_schema_errors_share_the_algebra_path(tmp_path, capsys):
+    # one path per field, whether the JSON parser or validate_algebra rejects it
+    cases = [
+        ([{"name": "x", "degree": [0]}, {"name": "y"}],
+         "error: algebra.generators[1].degree: generator degree must be nonzero\n"),
+        ([{"name": "x", "degree": [-1]}, {"name": "y"}],
+         "error: algebra.generators[1].degree[1]: expected an integer >= 0\n"),
+        ([{"name": "x"}, {"name": "y", "degree": [1, 2]}],
+         "error: algebra.generators[2].degree: "
+         "all multi-degrees must have the same length\n"),
+        ([{"name": "x"}, {"name": "x"}],
+         "error: algebra.generators: generator names must be distinct\n"),
+    ]
+    for generators, message in cases:
+        doc = {"spec_version": 1,
+               "algebra": {"kind": "polynomial", "generators": generators}}
+        code, out, err = _run(capsys, ["analyze", _write(tmp_path, doc)])
+        assert (code, out, err) == (3, "", message)
 
 
 def test_wrong_spec_version_is_exit_three(tmp_path, capsys):

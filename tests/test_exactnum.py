@@ -6,8 +6,11 @@ Oracles: math.comb for ordinary binomials, hand-expanded falling factorials
 for negative upper arguments (frozen below), round-trip/evaluation
 identities for the basis conversions, and differential references: the
 integer kernels (primitive remainder sequence gcd, int division, Stirling
-basis conversions) are compared with the Fraction implementations they
-replaced, kept below as references, and the gcd also with sympy.gcd.
+basis conversions, int Horner evaluation) are compared with the Fraction
+implementations they replaced, kept below as references, and the gcd also
+with sympy.gcd. detect_polynomial's closed-form back step and level-d scan
+are compared with the step-by-step integer tower and with the Fraction
+polynomial round trip, both kept below.
 """
 
 from fractions import Fraction
@@ -18,9 +21,10 @@ import random
 import pytest
 import sympy
 
-from gkdim.exactnum import (BinomialForm, Polynomial, binom, falling_binom,
-                            finite_difference, from_binomial_basis,
-                            int_divmod, primitive_gcd, to_binomial_basis)
+from gkdim.exactnum import (BinomialForm, Polynomial, binom, detect_polynomial,
+                            falling_binom, finite_difference,
+                            from_binomial_basis, int_divmod, primitive_gcd,
+                            sequence_values, to_binomial_basis)
 
 
 # ---------------------------------------------------------------------------
@@ -348,3 +352,200 @@ def test_stirling_conversions_match_the_fraction_references():
             form = BinomialForm(coeffs)
             assert to_binomial_basis(p) == _to_binomial_basis_reference(p)
             assert from_binomial_basis(form) == _from_binomial_basis_reference(form)
+
+
+# ---------------------------------------------------------------------------
+# int Horner evaluation against the Fraction Horner it replaced
+
+
+def _evaluate_reference(p: Polynomial, x):
+    """Polynomial.evaluate as Horner's rule in Fraction."""
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def test_evaluate_matches_the_fraction_horner():
+    rng = random.Random(8)
+    points = [0, 1, -1, 2, -3, 7, 10 ** 6, Fraction(1, 2), Fraction(-2, 3),
+              Fraction(5, 7), Fraction(-11, 4)]
+    assert all(Polynomial().evaluate(x) == 0 for x in points)
+    for _ in range(150):
+        p = _random_poly(rng, rng.randrange(8), rational=rng.random() < 0.5)
+        extra = [rng.randint(-20, 20), Fraction(rng.randint(-20, 20), rng.randint(1, 9))]
+        for x in points + extra:
+            value = p.evaluate(x)
+            assert type(value) is Fraction
+            assert value == _evaluate_reference(p, x), (p, x)
+        assert p.evaluate(3) == _evaluate_reference(p, 3)  # the cached scaling is reused
+
+
+# ---------------------------------------------------------------------------
+# difference tower: detect_polynomial against the reconstructions it replaced
+
+
+def _detect_polynomial_tower(s, window=6):
+    """detect_polynomial as the integer tower it replaced, as (form,
+    stabilization) or None: the anchor column is stepped back to n = 0 one n
+    at a time, run forwards again to give every fitted value, and the
+    samples are compared with these from the last one down."""
+    vals = sequence_values(s, require_cumulative=True)
+    levels = [vals]
+    while True:
+        cur = levels[-1]
+        if len(cur) >= window and all(v == cur[-1] for v in cur[-window:]):
+            degree = len(levels) - 1
+            break
+        if len(cur) <= window:
+            return None
+        levels.append([cur[i + 1] - cur[i] for i in range(len(cur) - 1)])
+    anchor = len(levels[degree]) - window
+    tower = [levels[i][anchor] for i in range(degree + 1)]
+    for _ in range(anchor):
+        for i in range(degree - 1, -1, -1):
+            tower[i] -= tower[i + 1]
+    form = BinomialForm(tower)
+    fitted = []
+    for _ in vals:
+        fitted.append(tower[0])
+        for i in range(degree):
+            tower[i] += tower[i + 1]
+    stabilization = 0
+    for n in range(len(vals) - 1, -1, -1):
+        if fitted[n] != vals[n]:
+            stabilization = n + 1
+            break
+    return form, stabilization
+
+
+def _detect_polynomial_reference(s, window=6):
+    """detect_polynomial as a Fraction polynomial round trip: the Newton form
+    at the anchor is evaluated at every sample for the stabilization scan,
+    expanded into a Polynomial, and converted back by to_binomial_basis."""
+    vals = sequence_values(s, require_cumulative=True)
+    levels = [vals]
+    while True:
+        cur = levels[-1]
+        if len(cur) >= window and all(v == cur[-1] for v in cur[-window:]):
+            degree = len(levels) - 1
+            break
+        if len(cur) <= window:
+            return None
+        levels.append([cur[i + 1] - cur[i] for i in range(len(cur) - 1)])
+    anchor = len(levels[degree]) - window
+    newton = [levels[i][anchor] for i in range(degree + 1)]
+
+    def predicted(n):
+        return sum(c * falling_binom(n - anchor, i) for i, c in enumerate(newton))
+
+    stabilization = 0
+    for n in range(len(vals) - 1, -1, -1):
+        if predicted(n) != vals[n]:
+            stabilization = n + 1
+            break
+    poly = Polynomial()
+    cpoly = Polynomial([1])
+    for i, c in enumerate(newton):
+        if i > 0:
+            cpoly = cpoly * Polynomial([-(anchor + i - 1), 1]) * Fraction(1, i)
+        if c:
+            poly = poly + c * cpoly
+    return to_binomial_basis(poly), stabilization
+
+
+def _fit_family(rng):
+    """(samples, window) pairs: binomial-form polynomials of degree 0-6 with
+    int or Fraction coefficients, with transient heads ending at 0, midway or
+    at the anchor window, plus constant, zero and non-polynomial sequences."""
+    for window in range(2, 7):
+        for _ in range(40):
+            length = 2 * window + 4 + rng.randrange(12)
+            degree = rng.randrange(7)
+            if rng.random() < 0.25:
+                coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                          for _ in range(degree + 1)]
+            else:
+                coeffs = [rng.randint(-9, 9) for _ in range(degree + 1)]
+            coeffs[-1] = coeffs[-1] or 1
+            vals = [sum(c * math.comb(n, i) for i, c in enumerate(coeffs))
+                    for n in range(length)]
+            anchor = max(length - degree - window, 0)
+            for head in (0, anchor // 2, anchor):
+                noisy = [rng.randint(-50, 50) for _ in range(head)] + vals[head:]
+                yield noisy, window
+        length = 2 * window + 4
+        yield [rng.randint(0, 9)] * length, window
+        yield [0] * length, window
+        yield [2 ** n for n in range(length)], window
+        yield [n // 2 for n in range(length)], window
+        yield [rng.randint(-50, 50) for _ in range(length + 5)], window
+
+
+def test_fit_matches_the_fraction_round_trip():
+    rng = random.Random(20240607)
+    cases = list(_fit_family(rng))
+    nones = 0
+    for vals, window in cases:
+        fit = detect_polynomial(vals, window)
+        reference = _detect_polynomial_reference(vals, window)
+        assert (fit is None) == (reference is None), (vals, window)
+        if fit is None:
+            nones += 1
+            continue
+        form, stabilization = reference
+        assert fit.form.coeffs == form.coeffs, (vals, window)
+        assert [type(c) for c in fit.form.coeffs] == [type(c) for c in form.coeffs]
+        assert fit.stabilization_index == stabilization, (vals, window)
+    assert 0 < nones < len(cases) // 4
+
+
+def _isolated_agreements(rng):
+    """(samples, window, stabilization) triples: polynomial samples whose
+    head is corrupted below a chosen stabilization index s, always at s - 1
+    and at about half of the indices below it, so that the samples agree
+    with the fit at isolated n just below s."""
+    for window in range(2, 7):
+        for _ in range(30):
+            degree = rng.randrange(6)
+            length = 2 * window + 4 + rng.randrange(10)
+            coeffs = [rng.randint(-9, 9) for _ in range(degree + 1)]
+            coeffs[-1] = coeffs[-1] or 1
+            vals = [sum(c * math.comb(n, i) for i, c in enumerate(coeffs))
+                    for n in range(length)]
+            if _detect_polynomial_tower(vals, window) != (BinomialForm(coeffs), 0):
+                continue  # a lower level happens to be constant on its final window
+            anchor = length - degree - window
+            stabilization = rng.randint(1, anchor)
+            for n in range(stabilization):
+                if n == stabilization - 1 or rng.random() < 0.5:
+                    vals[n] += rng.choice((-3, -2, -1, 1, 2, 3))
+            yield vals, window, stabilization
+
+
+def test_fit_matches_the_integer_tower():
+    rng = random.Random(20240607)
+    cases = [(vals, window, None) for vals, window in _fit_family(rng)]
+    assert len(cases) == 625
+    cases += list(_isolated_agreements(random.Random(88)))
+    assert len(cases) > 625 + 140
+    for vals, window, stabilization in cases:
+        fit = detect_polynomial(vals, window)
+        tower = _detect_polynomial_tower(vals, window)
+        assert (fit is None) == (tower is None), (vals, window)
+        if fit is None:
+            continue
+        assert (fit.form, fit.stabilization_index) == tower, (vals, window)
+        if stabilization is not None:
+            form, reference = _detect_polynomial_reference(vals, window)
+            assert fit.form == form
+            assert fit.stabilization_index == reference == stabilization, (vals, window)
+
+
+def test_fit_at_anchor_zero():
+    # degree 6 on 8 samples with window 2: level 6 is its own final window
+    form = BinomialForm((3, -1, 0, 2, -5, 1, 4))
+    vals = [form.evaluate(n) for n in range(8)]
+    fit = detect_polynomial(vals, window=2)
+    assert (fit.form, fit.stabilization_index) == (form, 0)
+    assert _detect_polynomial_tower(vals, window=2) == (form, 0)

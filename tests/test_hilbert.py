@@ -10,10 +10,14 @@ skips a general re-minimalisation, is checked against minimalize_ideal of
 the lowered generators on seeded ideals. Module counts and module Hilbert
 series are checked against the brute-force counts of their shifted summands
 on seeded weighted modules, and call counters pin that each command counts
-every module once: one free count per module, one minimalisation per
-summand and one expansion self-check per series.
+every module once: one divide_by_weights call per module, one
+minimalisation per summand and one expansion self-check per series. The
+kernel-based counts are compared with the free count and convolution they
+replaced, kept below as a reference, and the DimensionSequence validators
+by the messages they raise.
 """
 
+from fractions import Fraction
 import itertools
 import json
 import math
@@ -24,7 +28,8 @@ import pytest
 from gkdim.exactnum import Polynomial
 import gkdim.hilbert
 from gkdim.cli import main
-from gkdim.hilbert import (DimensionSequence, _colon, algebra_dim_sequence,
+from gkdim.hilbert import (MEANINGS, DimensionSequence, _colon, _counts,
+                           _module_numerator, algebra_dim_sequence,
                            graded_piece_dim, hilbert_series_monomial_quotient,
                            minimalize_ideal, module_dim_sequence,
                            module_hilbert_series, numerator_terms,
@@ -46,13 +51,24 @@ def test_dimension_sequence_round_trip():
 
 
 def test_dimension_sequence_validation():
-    with pytest.raises(ValueError):
-        DimensionSequence((1, -1))
-    with pytest.raises(ValueError):
-        DimensionSequence((2, 1), "cumulative")  # decreasing
-    with pytest.raises(ValueError):
-        DimensionSequence((1, 2), "nonsense")
-    DimensionSequence((2, 1, 0), "graded_piece")  # graded values may decrease
+    natural = "dimension sequences hold natural numbers"
+    for values in [(1, -1), (0, Fraction(1, 2)), (1, 2.0), (Fraction(3),),
+                   (3, -1, 2), (Fraction(-1, 2),)]:
+        for meaning in MEANINGS:
+            with pytest.raises(ValueError, match=f"^{natural}$"):
+                DimensionSequence(values, meaning)
+    for values in [(2, 1), (0, 1, 1, 0), (5, 6, 4, 7)]:
+        with pytest.raises(ValueError,
+                           match="^cumulative dimension sequences must be nondecreasing$"):
+            DimensionSequence(values, "cumulative")
+        # graded values may decrease
+        assert DimensionSequence(values, "graded_piece").values == values
+    with pytest.raises(ValueError, match="^unknown sequence meaning 'nonsense'$"):
+        DimensionSequence((-1,), "nonsense")  # the meaning is checked first
+    # bool is an int subclass and stays accepted; the empty sequence too
+    assert DimensionSequence((False, True, 2)).values == (False, True, 2)
+    assert DimensionSequence(iter([0, 1, 1])).values == (0, 1, 1)
+    assert DimensionSequence(()).values == ()
 
 
 def test_dimension_sequence_container_protocol():
@@ -327,17 +343,17 @@ def test_module_hilbert_series_rejects_two_directional_modules():
 
 def test_each_module_is_counted_once_per_command(tmp_path, monkeypatch):
     free_tops, minimalised = [], []
-    count, minimalize = gkdim.hilbert.count_monomials_by_weight, minimalize_ideal
+    divide, minimalize = gkdim.hilbert.divide_by_weights, minimalize_ideal
 
-    def counting(weights, top):
-        free_tops.append(top)
-        return count(weights, top)
+    def counting(coeffs, weights):
+        free_tops.append(len(coeffs) - 1)
+        return divide(coeffs, weights)
 
     def minimalizing(gens):
         minimalised.append(gens)
         return minimalize(gens)
 
-    monkeypatch.setattr(gkdim.hilbert, "count_monomials_by_weight", counting)
+    monkeypatch.setattr(gkdim.hilbert, "divide_by_weights", counting)
     monkeypatch.setattr(gkdim.hilbert, "minimalize_ideal", minimalizing)
     ideals = (["x^2"], ["x*y", "y^3"], ["y^2"])
     summands = [{"shift": k, "ideal": ideal} for k, ideal in enumerate(ideals)]
@@ -352,7 +368,7 @@ def test_each_module_is_counted_once_per_command(tmp_path, monkeypatch):
 
     a, m = AlgebraSpec.polynomial(2), ModuleSpec((Summand(0, ()),) * k)
     module_dim_sequence(a, m, 10)
-    assert len(free_tops) == 1  # one free count for the module, not one per summand
+    assert len(free_tops) == 1  # one count for the module, not one per summand
 
     minimalised.clear()
     assert main(["check-ses", str(path)]) == 0
@@ -364,3 +380,35 @@ def test_each_module_is_counted_once_per_command(tmp_path, monkeypatch):
     # it reaches shift + 2 * (weight of the minimal generators) + 10 for
     # every summand: x^2 weighs 2, xy and y^3 weigh 5, y^2 weighs 2
     assert free_tops[0] >= max(0 + 4, 1 + 10, 2 + 4) + 10
+
+
+def _counts_reference(a, terms, top, cumulative):
+    """_counts as one free count (unbounded-knapsack dynamic programming) and
+    one convolution with the numerator, as it was before the kernel."""
+    free = [1] + [0] * top
+    for w in a.scalar_weights():
+        for d in range(w, top + 1):
+            free[d] += free[d - w]
+    if cumulative:
+        acc = 0
+        free = [(acc := acc + v) for v in free]
+    out = [0] * (top + 1)
+    for d, c in terms.items():
+        if d <= top:
+            for n in range(d, top + 1):
+                out[n] += c * free[n - d]
+    return out
+
+
+def test_counts_match_the_free_count_convolution():
+    rng = random.Random(77)
+    high = 0
+    for _ in range(80):
+        a, m = _random_module(rng)
+        terms, _ = _module_numerator(a, m)
+        for top in (0, 1, 3, 6, 11):
+            high += max(terms, default=0) > top
+            for cumulative in (False, True):
+                assert _counts(a, terms, top, cumulative) == \
+                    _counts_reference(a, terms, top, cumulative), (m, top)
+    assert high > 100  # numerator degrees above top are cut off

@@ -7,7 +7,8 @@ What is verified, and against what:
   plus the multiplicativity of normal ordering over word concatenation.
 * Quantum-affine normal ordering -- against a bubble-sort oracle that
   rewrites one adjacent inversion at a time.
-* Weighted monomial counting -- against brute-force enumeration.
+* Weighted monomial counting and the divide_by_weights kernel -- against
+  brute-force enumeration.
 * Admissible orders, weight re-filtering, and the presentation validators --
   frozen examples and error paths.
 """
@@ -15,6 +16,7 @@ What is verified, and against what:
 from fractions import Fraction
 import itertools
 import math
+import random
 
 import pytest
 
@@ -23,7 +25,7 @@ from gkdim.presentations import (AdmissibleOrder, AlgebraSpec, ModuleSpec,
                                  check_admissibility,
                                  check_semicommutative_leading,
                                  count_monomials_by_weight, defining_relations,
-                                 filtration_layer_dim, monomial_divides,
+                                 divide_by_weights, filtration_layer_dim, monomial_divides,
                                  monomial_lcm, monomial_mul,
                                  normal_order_quantum, normal_order_weyl,
                                  quantum_inversion_scalar, refilter,
@@ -219,15 +221,36 @@ def _brute_counts(weights, top):
     return counts
 
 
+KERNEL_WEIGHTS = [(), (1,), (2,), (3,), (15,), (1, 1), (1, 2), (2, 3), (2, 2), (1, 20),
+                  (1, 1, 1), (1, 2, 3), (2, 2, 3), (4, 1, 4, 2), (2, 3, 5, 7)]
+
+
 def test_count_monomials_by_weight_matches_brute_force():
-    for weights in [(1,), (2,), (1, 1), (1, 2), (2, 3), (1, 1, 1), (2, 2), (1, 2, 3)]:
-        top = 14
-        assert count_monomials_by_weight(weights, top) == _brute_counts(weights, top)
+    # weights above top, repeated weights, and top = 0 included
+    for weights in KERNEL_WEIGHTS:
+        for top in (0, 1, 2, 9, 14):
+            assert count_monomials_by_weight(weights, top) == _brute_counts(weights, top)
 
 
 def test_count_monomials_rejects_nonpositive_weight():
     with pytest.raises(ValueError):
         count_monomials_by_weight((1, 0), 5)
+    for weights in ((0,), (1, -1), (2, 0, 1)):
+        with pytest.raises(ValueError, match="generator weights must be positive"):
+            divide_by_weights([1, 2, 3], weights)
+
+
+def test_divide_by_weights_matches_brute_force_convolution():
+    rng = random.Random(31)
+    for weights in KERNEL_WEIGHTS:
+        for length in (0, 1, 2, 7, 15):
+            coeffs = [rng.randint(-5, 5) for _ in range(length)]
+            free = _brute_counts(weights, max(length - 1, 0))
+            want = [sum(coeffs[d] * free[n - d] for d in range(n + 1))
+                    for n in range(length)]
+            kept = list(coeffs)
+            assert divide_by_weights(coeffs, weights) == want, (weights, coeffs)
+            assert coeffs == kept  # the input is not modified
 
 
 def test_weyl_layer_dims_are_binomials():
