@@ -29,11 +29,18 @@ from typing import Optional, Sequence
 
 from .exactnum import Polynomial
 from .poincare import RationalSeries
-from .presentations import (AlgebraSpec, ModuleSpec, Monomial,
+from .presentations import (AlgebraSpec, ModuleSpec, Monomial, SpecError,
                             divide_by_weights, monomial_divides,
                             validate_module)
 
 MEANINGS = ("graded_piece", "cumulative")
+
+#: The largest degree module_hilbert_series builds densely: the degree its
+#: expansion self-check reaches (_module_numerator) and the degree sum(w) of
+#: the denominator prod(1 - t^w). Both are set by single integers of the
+#: input (a summand's shift, a generator weight), and time and output grow
+#: linearly with them, so past this bound the series is refused as bad input.
+SERIES_DEGREE_BOUND = 10 ** 5
 
 
 @dataclass(frozen=True)
@@ -242,12 +249,19 @@ def module_hilbert_series(a: AlgebraSpec, m: ModuleSpec) -> RationalSeries:
     generator weights, built as an int coefficient list. The power-series
     expansion (a recurrence over the denominator's nonzero terms) is verified
     once, out to the reach of _module_numerator, against the running sums of
-    _counts.
+    _counts. A reach or a sum(w) above SERIES_DEGREE_BOUND raises SpecError
+    (path "module" or "algebra") before any dense work.
     """
     if m.negative_shift is not None:
         raise ValueError("a Hilbert series needs a summand presentation")
     weights = a.scalar_weights()
     terms, reach = _module_numerator(a, m)
+    if reach > SERIES_DEGREE_BOUND:
+        raise SpecError("module", f"the series self-check would reach degree {reach}, "
+                                  f"above the bound {SERIES_DEGREE_BOUND}")
+    if sum(weights) > SERIES_DEGREE_BOUND:
+        raise SpecError("algebra", f"the generator weights sum to {sum(weights)}, "
+                                   f"above the series degree bound {SERIES_DEGREE_BOUND}")
     p = Polynomial([terms.get(d, 0) for d in range(max(terms, default=0) + 1)])
     q = [1] + [0] * sum(weights)
     for w in weights:  # times (1 - t^w), from the top index down

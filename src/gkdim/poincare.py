@@ -16,7 +16,21 @@ strictly inside the unit disk (Kronecker) — and pure denominators
 class mod s.
 
 rational_analysis runs this chain once for growth classification and for the
-poincare command: recurrence, series, denominator, period, branches.
+poincare command: recurrence, series, denominator, period, branches. Every
+stage runs on integer coefficient lists and builds one Fraction per output
+coefficient:
+- the samples are scaled to ints once; Berlekamp-Massey runs on them, and
+  the onset scan checks the integer characteristic row, sum_j row[j] f(n + j)
+  = 0, where row is the shift register C[0..r] itself (order r >= 2) or
+  [-num, den] of the ratio (order 1);
+- the series numerator is the int convolution of the scaled denominator with
+  the samples, reduced by the same primitive-gcd quotient as
+  RationalSeries.reduced, and its expansion is compared with the samples as
+  they are;
+- cyclotomic trial division divides the integer-scaled denominator by cached
+  int lists of Phi_k (int_divmod) and builds the residual once;
+- each quasi-polynomial branch is rescaled by int Horner
+  (Polynomial.compose_affine).
 """
 
 from __future__ import annotations
@@ -26,6 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
+from operator import mul
 from typing import Optional, Sequence
 
 from .exactnum import (Polynomial, detect_polynomial, from_binomial_basis,
@@ -71,22 +86,37 @@ class RationalSeries:
         """The equivalent series with coprime numerator and denominator.
 
         p and q are scaled by one common denominator, which keeps p/q, and
-        divided in int by their primitive gcd g; since g is primitive and
-        divides both over Q, both quotients are integral (Gauss's lemma).
-        The pair is normalised to q(0) = 1 once, at the end; the result is
-        the unique coprime form with that normalisation.
+        divided in int by their primitive gcd (_lowest_terms). The pair is
+        normalised to q(0) = 1 once, at the end; the result is the unique
+        coprime form with that normalisation, and an already coprime series
+        is returned as it is.
         """
         p, q = self.numerator.coeffs, self.denominator.coeffs
         ints, _ = integer_coefficients(p + q)
-        p, q = ints[:len(p)], ints[len(p):]
-        g = primitive_gcd(p, q)
-        if len(g) < 2:
+        p_low, q_low = _lowest_terms(ints[:len(p)], ints[len(p):])
+        if len(q_low) == len(q):
             return self
-        (p, p_rem), (q, q_rem) = int_divmod(p, g), int_divmod(q, g)
-        if p_rem or q_rem:
-            raise RuntimeError("internal error: the gcd leaves a remainder")
-        return RationalSeries(Polynomial([Fraction(c, q[0]) for c in p]),
-                              Polynomial([Fraction(c, q[0]) for c in q]))
+        return _normalised_series(p_low, q_low)
+
+
+def _lowest_terms(p: list, q: list) -> tuple:
+    """p / g and q / g for integer coefficient lists p and q != 0 and g their
+    primitive gcd; both quotients are exact in int, since g is primitive and
+    divides both over Q (Gauss's lemma). Coprime lists come back as they are."""
+    g = primitive_gcd(p, q)
+    if len(g) < 2:
+        return p, q
+    (p, p_rem), (q, q_rem) = int_divmod(p, g), int_divmod(q, g)
+    if p_rem or q_rem:
+        raise RuntimeError("internal error: the gcd leaves a remainder")
+    return p, q
+
+
+def _normalised_series(p: list, q: list) -> RationalSeries:
+    """The series p/q of integer coefficient lists, scaled to q(0) = 1: one
+    Fraction per coefficient."""
+    return RationalSeries(Polynomial([Fraction(c, q[0]) for c in p]),
+                          Polynomial([Fraction(c, q[0]) for c in q]))
 
 
 @dataclass(frozen=True)
@@ -97,26 +127,18 @@ class Recurrence:
     coefficients: tuple  # tuple[Fraction, ...]
     onset: int
 
-    def holds_at(self, vals: Sequence, n: int) -> bool:
-        r = self.order
-        return vals[n + r] == sum(c * vals[n + r - 1 - i]
-                                  for i, c in enumerate(self.coefficients))
 
-
-def _shift_registers(vals):
-    """Yield (L(N), C) after each of the first N = 1, 2, ... samples.
+def _shift_registers(seq):
+    """Yield (L(N), C) after each of the first N = 1, 2, ... integer samples.
 
     Berlekamp-Massey over Q, exact and online (J. L. Massey, "Shift-register
     synthesis and BCH decoding", 1969): L(N) is the length of the shortest
-    linear shift register that generates vals[:N], and C its connection
-    polynomial: sum_i C[i] * vals[m - i] = 0 for L(N) <= m < N, with
-    C[0] != 0 and C[i] = 0 for every i >= len(C). The samples are scaled to
-    integers and C is kept as integers with unit content, which avoids a gcd
-    per Fraction operation.
+    linear shift register that generates seq[:N], and C its connection
+    polynomial: sum_i C[i] * seq[m - i] = 0 for L(N) <= m < N, with
+    C[0] != 0 and C[i] = 0 for every i >= len(C). The samples come scaled
+    to integers, and C is kept as integers with unit content, which avoids a
+    gcd per Fraction operation.
     """
-    exact = [Fraction(v) for v in vals]
-    scale = math.lcm(*(v.denominator for v in exact))
-    seq = [v.numerator * (scale // v.denominator) for v in exact]
     conn, prev = [1], [1]
     length, gap, prev_disc = 0, 1, 1
     for n in range(len(seq)):
@@ -136,6 +158,12 @@ def _shift_registers(vals):
                 gap += 1
             conn = update
         yield length, conn
+
+
+def _integer_samples(vals: Sequence) -> tuple:
+    """(ints, scale): the exact samples times scale, the lcm of their
+    denominators, as a list of ints; int samples are read as they are."""
+    return integer_coefficients([v if isinstance(v, int) else Fraction(v) for v in vals])
 
 
 def minimal_recurrence(s, confirm: int = 8) -> Optional[Recurrence]:
@@ -165,45 +193,55 @@ def minimal_recurrence(s, confirm: int = 8) -> Optional[Recurrence]:
     max_order = (length - confirm) // 2
     if confirm < 1 or max_order < 1:
         raise ValueError("need at least 2 + confirm samples")
-    tail = vals[length - 2 - confirm:]
+    ints, _ = _integer_samples(vals)
+    start = length - 2 - confirm
+    tail = ints[start:]
     pivot = next((i for i, v in enumerate(tail[:-1]) if v != 0), None)
-    ratio = (Fraction(0) if pivot is None
-             else Fraction(tail[pivot + 1]) / Fraction(tail[pivot]))
-    if all(b == ratio * a for a, b in zip(tail, tail[1:])):
-        rec = Recurrence(1, (ratio,), length - 2 - confirm)
+    ratio = Fraction(0) if pivot is None else Fraction(tail[pivot + 1], tail[pivot])
+    num, den = ratio.numerator, ratio.denominator
+    if all(den * b == num * a for a, b in zip(tail, tail[1:])):
+        order, coefficients, row = 1, (ratio,), [-num, den]
     else:
-        registers = islice(_shift_registers(vals[::-1]), 2 * max_order + confirm)
+        registers = islice(_shift_registers(ints[::-1]), 2 * max_order + confirm)
         for n, (complexity, conn) in enumerate(registers, 1):
             r, odd = divmod(n - confirm, 2)
             if not odd and r >= 2 and complexity == r and len(conn) > r and conn[r] != 0:
-                rec = Recurrence(r, tuple(Fraction(-c, conn[r]) for c in conn[r - 1::-1]),
-                                 length - n)
+                order, row, start = r, conn[:r + 1], length - n
+                coefficients = tuple(Fraction(-c, conn[r]) for c in conn[r - 1::-1])
                 break
         else:
             return None
-    onset = rec.onset
-    while onset > 0 and rec.holds_at(vals, onset - 1):
+    # the characteristic row: sum_j row[j] f(n + j) = 0 exactly where the
+    # recurrence holds at n, checked on the integer samples
+    onset = start
+    while onset > 0 and sum(map(mul, row, ints[onset - 1:onset + order])) == 0:
         onset -= 1
-    return Recurrence(rec.order, rec.coefficients, onset)
+    return Recurrence(order, coefficients, onset)
 
 
 def series_from_recurrence(s, rec: Recurrence) -> RationalSeries:
     """The reduced rational series whose expansion reproduces every sample.
 
-    The denominator is 1 - a_1 t - ... - a_r t^r; the numerator is the
+    The denominator is q = 1 - a_1 t - ... - a_r t^r; the numerator is the
     convolution of the samples with it, truncated at the onset correction
-    degree onset + r - 1. The expansion is re-verified exactly.
+    degree onset + r - 1. Both are built as integer coefficient lists: q
+    scaled by the a_i's common denominator, the samples by theirs, which the
+    denominator takes on as well. They are reduced by the integer gcd path of
+    RationalSeries.reduced, and the expansion is re-verified exactly.
     """
     vals = sequence_values(s)
-    r = rec.order
-    q = Polynomial([1] + [-c for c in rec.coefficients])
-    top = rec.onset + r
-    p = Polynomial([
-        sum(q.coeffs[j] * vals[k - j] for j in range(min(k, r) + 1) if j < len(q.coeffs))
-        for k in range(min(top, len(vals)))
-    ])
-    series = RationalSeries(p, q).reduced()
-    if series.expand(len(vals)) != [Fraction(v) for v in vals]:
+    ints, sample_scale = _integer_samples(vals)
+    coeff_ints, coeff_scale = integer_coefficients(rec.coefficients)
+    q = [coeff_scale] + [-c for c in coeff_ints]
+    while q[-1] == 0:
+        q.pop()
+    width = len(q)  # p_k = sum_j q_j f(k - j), over the last `width` samples up to k
+    p = [sum(map(mul, q, ints[k:k - width if k >= width else None:-1]))
+         for k in range(min(rec.onset + rec.order, len(ints)))]
+    while p and p[-1] == 0:
+        p.pop()
+    series = _normalised_series(*_lowest_terms(p, [sample_scale * c for c in q]))
+    if series.expand(len(vals)) != vals:
         raise RuntimeError("internal error: series expansion disagrees with the samples")
     return series
 
@@ -257,6 +295,38 @@ def _euler_phi(n: int) -> int:
     return out
 
 
+@lru_cache(maxsize=None)
+def _cyclotomic_ints(k: int) -> tuple:
+    """The k-th cyclotomic polynomial as a tuple of ints (monic)."""
+    return tuple(c.numerator for c in cyclotomic_polynomial(k).coeffs)
+
+
+def _strip_cyclotomic(q: Polynomial) -> tuple:
+    """(multiplicities, residual): the cyclotomic orders k of q's factors with
+    their multiplicities, and q divided by each Phi_k to that power,
+    normalised to constant term 1 (q(0) = 1, deg q >= 1).
+
+    Trial division runs up to order 2 deg(q)^2 + 16, on q scaled to integer
+    coefficients; each Phi_k is monic, so every division is exact in int
+    (int_divmod), and the residual polynomial is built once, at the end.
+    """
+    rem, _ = integer_coefficients(q.coeffs)
+    mults: dict = {}
+    for k in range(1, 2 * q.degree ** 2 + 17):
+        if _euler_phi(k) > len(rem) - 1:
+            continue
+        phi = _cyclotomic_ints(k)
+        while True:
+            quo, r = int_divmod(rem, phi)
+            if r:
+                break
+            rem = quo
+            mults[k] = mults.get(k, 0) + 1
+        if len(rem) == 1:
+            break
+    return mults, Polynomial([Fraction(c, rem[0]) for c in rem])
+
+
 @dataclass
 class DenominatorAnalysis:
     """Root-location report for a series denominator q with q(0) = 1.
@@ -304,22 +374,7 @@ def denominator_analysis(q: Polynomial) -> DenominatorAnalysis:
         raise ValueError("denominator must have constant term 1")
     if q.degree <= 0:
         return DenominatorAnalysis("all_roots_on_unit_circle", s=1, d=0)
-    bound = 2 * q.degree ** 2 + 16
-    mults: dict = {}
-    rem = q
-    for k in range(1, bound + 1):
-        if _euler_phi(k) > rem.degree:
-            continue
-        psi = unit_cyclotomic(k)
-        while True:
-            quo, r = divmod(rem, psi)
-            if not r.is_zero():
-                break
-            rem = quo
-            mults[k] = mults.get(k, 0) + 1
-        if rem.degree == 0:
-            break
-
+    mults, rem = _strip_cyclotomic(q)
     if rem.degree == 0:
         s = max(mults) if mults else 1
         d = mults.get(s, 0)

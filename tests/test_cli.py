@@ -338,6 +338,32 @@ def test_hilbert_of_a_heavy_generator_is_fast(tmp_path, capsys):
         1 if n == 0 else 1 + (n % 8000 == 0) for n in range(16002)]
 
 
+def test_hilbert_past_the_series_degree_bound_is_exit_three(tmp_path, capsys):
+    # one shift integer would drive a dense numerator of degree 10^6 and its
+    # self-check; the bound refuses it before any dense work
+    doc = {"spec_version": 1,
+           "algebra": {"kind": "polynomial",
+                       "generators": [{"name": "x"}, {"name": "y"}]},
+           "module": {"summands": [{"ideal": ["x*y"]},
+                                   {"ideal": ["x"], "shift": 10 ** 6}]}}
+    path = _write(tmp_path, doc)
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["hilbert", path])
+    assert time.perf_counter() - start < 0.1
+    assert code == 3
+    assert out == ""
+    assert err == ("error: module: the series self-check would reach degree 1000012, "
+                   "above the bound 100000\n")
+    # a generator weight drives the denominator prod(1 - t^w) the same way
+    doc = {"spec_version": 1,
+           "algebra": {"kind": "polynomial",
+                       "generators": [{"name": "x", "degree": [10 ** 6]}]}}
+    code, out, err = _run(capsys, ["hilbert", _write(tmp_path, doc)])
+    assert code == 3
+    assert err == ("error: algebra: the generator weights sum to 1000000, "
+                   "above the series degree bound 100000\n")
+
+
 def test_hilbert_rejects_two_directional_modules(tmp_path, capsys):
     doc = {"spec_version": 1,
            "algebra": {"kind": "weyl", "weyl_rank": 1},
@@ -420,6 +446,34 @@ def test_poincare_pure_denominator_takes_its_period(tmp_path, capsys):
     assert report["denominator"]["s"] == 2
     assert report["quasi"]["period"] == 2
     assert payload["warnings"] == []
+
+
+FIVE_WEIGHTS = {"spec_version": 1,
+                "algebra": {"kind": "polynomial",
+                            "generators": [{"name": f"v{i}", "degree": [w]}
+                                           for i, w in enumerate((2, 3, 5, 7, 11), 1)]}}
+
+
+def test_poincare_deep_samples_of_five_weights_are_fast(tmp_path, capsys):
+    # 1/prod(1 - t^w) over weights 2, 3, 5, 7, 11: the reduced denominator has
+    # degree 28, and the onset scan walks all 10001 samples back to 0
+    path = _write(tmp_path, FIVE_WEIGHTS)
+    start = time.perf_counter()
+    code, payload = _run_json(capsys, ["poincare", path, "--max-degree", "10000"])
+    assert time.perf_counter() - start < 0.25
+    assert code == 0
+    assert payload["report"]["recurrence"]["order"] == 28
+    assert payload["report"]["recurrence"]["onset"] == 0
+
+
+@pytest.mark.xfail(strict=True, reason="an order-7 recurrence fits the last 22 of "
+                   "5001 samples, and its onset scan stops at 4978")
+def test_poincare_five_weights_at_depth_5000(tmp_path, capsys):
+    path = _write(tmp_path, FIVE_WEIGHTS)
+    code, payload = _run_json(capsys, ["poincare", path, "--max-degree", "5000"])
+    assert code == 0
+    assert payload["report"]["recurrence"]["order"] == 28
+    assert payload["report"]["recurrence"]["onset"] == 0
 
 
 def test_poincare_raw_sequence_without_recurrence_is_exit_one(tmp_path, capsys):

@@ -6,8 +6,9 @@ Oracles: math.comb for ordinary binomials, hand-expanded falling factorials
 for negative upper arguments (frozen below), round-trip/evaluation
 identities for the basis conversions, and differential references: the
 integer kernels (primitive remainder sequence gcd, int division, Stirling
-basis conversions, int Horner evaluation) are compared with the Fraction
-implementations they replaced, kept below as references, and the gcd also
+basis conversions, int Horner evaluation and affine substitution) are
+compared with the Fraction implementations they replaced, kept below as
+references, and the gcd also
 with sympy.gcd. detect_polynomial's closed-form back step and level-d scan
 are compared with the step-by-step integer tower and with the Fraction
 polynomial round trip, both kept below.
@@ -379,6 +380,38 @@ def test_evaluate_matches_the_fraction_horner():
             assert type(value) is Fraction
             assert value == _evaluate_reference(p, x), (p, x)
         assert p.evaluate(3) == _evaluate_reference(p, 3)  # the cached scaling is reused
+
+
+# ---------------------------------------------------------------------------
+# int Horner affine substitution against the Fraction Horner it replaced
+
+
+def _compose_affine_reference(p: Polynomial, a, b) -> Polynomial:
+    """Polynomial.compose_affine as Horner's rule over Polynomial([b, a]) in
+    Fraction."""
+    arg = Polynomial([b, a])
+    acc = Polynomial()
+    for c in reversed(p.coeffs):
+        acc = acc * arg + Polynomial([c])
+    return acc
+
+
+def test_compose_affine_matches_the_fraction_horner():
+    rng = random.Random(2310)
+    pairs = [(1, 0), (0, 5), (-1, 0), (2, -3), (Fraction(1, 6), Fraction(-5, 6)),
+             (Fraction(-2, 3), Fraction(7, 4)), (Fraction(1, 2310), Fraction(-2309, 2310)),
+             (Fraction(3, 5), 0), (-7, Fraction(1, 9)), (0, Fraction(-4, 3))]
+    for a, b in pairs:
+        assert Polynomial().compose_affine(a, b) == Polynomial()
+    for _ in range(150):
+        p = _random_poly(rng, rng.randrange(9), rational=rng.random() < 0.5)
+        extra = (Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+                 Fraction(rng.randint(-9, 9), rng.randint(1, 12)))
+        for a, b in pairs + [extra]:
+            got = p.compose_affine(a, b)
+            assert got == _compose_affine_reference(p, a, b), (p, a, b)
+            assert all(type(c) is Fraction for c in got.coeffs)
+        assert p.compose_affine(2, 1) == _compose_affine_reference(p, 2, 1)  # cached scaling
 
 
 # ---------------------------------------------------------------------------

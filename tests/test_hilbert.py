@@ -28,13 +28,14 @@ import pytest
 from gkdim.exactnum import Polynomial
 import gkdim.hilbert
 from gkdim.cli import main
-from gkdim.hilbert import (MEANINGS, DimensionSequence, _colon, _counts,
+from gkdim.hilbert import (MEANINGS, SERIES_DEGREE_BOUND, DimensionSequence,
+                           _colon, _counts,
                            _module_numerator, algebra_dim_sequence,
                            graded_piece_dim, hilbert_series_monomial_quotient,
                            minimalize_ideal, module_dim_sequence,
                            module_hilbert_series, numerator_terms,
                            standard_monomial_counts)
-from gkdim.presentations import AlgebraSpec, ModuleSpec, Summand
+from gkdim.presentations import AlgebraSpec, ModuleSpec, SpecError, Summand
 
 # ---------------------------------------------------------------------------
 # dimension sequences
@@ -339,6 +340,27 @@ def test_module_counts_series_and_brute_force_agree():
 def test_module_hilbert_series_rejects_two_directional_modules():
     with pytest.raises(ValueError):
         module_hilbert_series(AlgebraSpec.weyl(1), ModuleSpec.laurent())
+
+
+def test_series_degree_bound_is_inclusive_and_names_its_path():
+    # the self-check reaches shift + 2 * (weight of the minimal generators) + 10
+    plane = AlgebraSpec.polynomial(2)
+    at_bound = ModuleSpec((Summand(SERIES_DEGREE_BOUND - 14, ((1, 1),)),))
+    series = module_hilbert_series(plane, at_bound)
+    assert series.numerator.degree == SERIES_DEGREE_BOUND - 12
+    past = ModuleSpec((Summand(SERIES_DEGREE_BOUND - 13, ((1, 1),)),))
+    with pytest.raises(SpecError) as err:
+        module_hilbert_series(plane, past)
+    assert err.value.path == "module"
+    assert str(SERIES_DEGREE_BOUND + 1) in err.value.message
+    # the denominator prod(1 - t^w) has degree sum(w); no summand is needed
+    heavy = AlgebraSpec.polynomial(2, degrees=[(SERIES_DEGREE_BOUND,), (1,)])
+    with pytest.raises(SpecError) as err:
+        module_hilbert_series(heavy, ModuleSpec.regular())
+    assert err.value.path == "algebra"
+    assert str(SERIES_DEGREE_BOUND + 1) in err.value.message
+    # counting is not bounded by it: dimensions are read up to the asked degree
+    assert list(module_dim_sequence(heavy, ModuleSpec.regular(), 4)) == [1, 2, 3, 4, 5]
 
 
 def test_each_module_is_counted_once_per_command(tmp_path, monkeypatch):

@@ -3,10 +3,13 @@
 Every import of one gkdim module by another stands at module level, and
 these imports run one way: no chain of them leads back to where it started.
 A cycle could otherwise only be held together by imports deferred into
-function bodies, which these tests forbid as well.
+function bodies, which these tests forbid as well. The runtime needs only
+the standard library, so every import outside the package names a module in
+sys.stdlib_module_names.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gkdim"
@@ -76,3 +79,19 @@ def test_intra_package_imports_are_acyclic():
 
     for m in MODULES:
         visit(m)
+
+
+def test_runtime_imports_only_the_standard_library():
+    # every module the package imports is in the standard library or in gkdim
+    outside = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), path.name)):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue  # relative imports stay inside the package
+            outside += [f"{path.name}:{node.lineno} imports {name}" for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names | {"gkdim"}]
+    assert outside == []

@@ -9,6 +9,12 @@ Oracles:
 * Minimal recurrence search -- an exact Gauss-Jordan solve per candidate
   order over the tail must give the same order, coefficients and onset as
   the Berlekamp-Massey search, on a seeded family of sequences.
+* Integer onset scan -- the Fraction walk it replaced (_holds_at, kept
+  here) must give the same onset on seeded recurrences behind transients,
+  runs of agreeing samples that end at a break, order 1 with integer,
+  Fraction and zero ratios, zero tails and Fraction samples.
+* Integer series numerator -- the Fraction convolution, RationalSeries.reduced
+  and Fraction check it replaced must give the same series.
 * Round trips -- expand a known reduced series, recover the recurrence, and
   require the identical reduced series back.
 * Reduction -- sympy.cancel, normalised to denominator(0) = 1, must give the
@@ -23,6 +29,11 @@ Oracles:
   branches must equal those of the four stages run one by one.
 * Cyclotomic polynomials -- frozen low-order values plus the product
   identity prod_{d | n} Phi_d(t) = t^n - 1.
+* Cyclotomic trial division -- the Fraction division it replaced must strip
+  the same multiplicities and leave the same residual, and sympy's
+  factor_list and cyclotomic_poly must give denominator_analysis's
+  multiplicities and residual (times its split-off linear factors) on seeded
+  cyclotomic products times integer residuals of degree <= 30.
 * Root-location certificates -- frozen on denominators whose roots are known
   in closed form.
 """
@@ -38,6 +49,7 @@ import sympy
 from gkdim.exactnum import Polynomial
 from gkdim.poincare import (ROOT_SPLIT_SKIPPED, DenominatorAnalysis, QuasiPolynomial,
                             RationalSeries, Recurrence, _divisors, _euler_phi,
+                            _strip_cyclotomic,
                             cyclotomic_polynomial, denominator_analysis,
                             fit_quasi_polynomial, minimal_recurrence,
                             quasi_polynomial, rational_analysis,
@@ -178,11 +190,19 @@ def test_reduction_matches_sympy_cancel():
 # minimal recurrences: frozen examples
 
 
+def _holds_at(rec: Recurrence, vals, n: int) -> bool:
+    """The Fraction reference for the onset scan: the recurrence, with its
+    coefficients as given, reproduces vals[n + order] from the samples
+    before it."""
+    r = rec.order
+    return vals[n + r] == sum(c * vals[n + r - 1 - i] for i, c in enumerate(rec.coefficients))
+
+
 def test_recurrence_of_geometric_minus_one():
     vals = [2 ** (n + 1) - 1 for n in range(24)]
     rec = minimal_recurrence(vals)
     assert rec == Recurrence(2, (Fraction(3), Fraction(-2)), 0)
-    assert rec.holds_at(vals, 5)
+    assert _holds_at(rec, vals, 5)
 
 
 def test_recurrence_of_linear_counts():
@@ -341,7 +361,7 @@ def _reference_recurrence(vals, confirm):
             continue
         rec = Recurrence(r, tuple(coeffs), first_eq)
         onset = first_eq
-        while onset > 0 and rec.holds_at(vals, onset - 1):
+        while onset > 0 and _holds_at(rec, vals, onset - 1):
             onset -= 1
         return Recurrence(r, tuple(coeffs), onset)
     return None
@@ -405,6 +425,118 @@ def test_long_transient_moves_the_onset_not_the_order():
     rec = minimal_recurrence(vals)
     assert rec == Recurrence(2, (Fraction(1), Fraction(1)), 21)
     assert rec == _reference_recurrence(vals, 8)
+
+
+# ---------------------------------------------------------------------------
+# the integer onset scan and series numerator against the Fraction code they
+# replaced
+
+
+def _fraction_onset(vals, rec, confirm):
+    """The onset scan in Fraction: from the first equation of the fitted tail
+    (the last 1 + confirm for order 1, the last r + confirm for order r >= 2)
+    step back while _holds_at does."""
+    r = rec.order
+    onset = len(vals) - (2 + confirm if r == 1 else 2 * r + confirm)
+    while onset > 0 and _holds_at(rec, vals, onset - 1):
+        onset -= 1
+    return onset
+
+
+def _series_from_recurrence_reference(vals, rec):
+    """series_from_recurrence in Fraction: the numerator convolution over the
+    denominator's Fraction coefficients, RationalSeries.reduced, and the
+    samples as Fractions for the check."""
+    r = rec.order
+    q = Polynomial([1] + [-c for c in rec.coefficients])
+    p = Polynomial([
+        sum(q.coeffs[j] * vals[k - j] for j in range(min(k, r) + 1) if j < len(q.coeffs))
+        for k in range(min(rec.onset + r, len(vals)))
+    ])
+    series = RationalSeries(p, q).reduced()
+    if series.expand(len(vals)) != [Fraction(v) for v in vals]:
+        raise RuntimeError("internal error: series expansion disagrees with the samples")
+    return series
+
+
+def _backward_run(coeffs, body, steps, rng):
+    """body extended backwards by `steps` samples that the recurrence with
+    these coefficients (a_r != 0) reproduces, then by one that it does not,
+    then by a random head: the onset is the start of the backward run."""
+    r, vals = len(coeffs), list(body)
+    for step in range(steps + 1):
+        # f(n + r) = sum_i a_i f(n + r - i), solved for f(n)
+        x = Fraction(vals[r - 1] - sum(coeffs[i - 1] * vals[r - 1 - i]
+                                       for i in range(1, r)), coeffs[r - 1])
+        if step == steps:
+            x += rng.choice((-2, -1, 1, 3))
+        vals.insert(0, int(x) if x.denominator == 1 else x)
+    return [rng.randint(-9, 9) for _ in range(rng.randint(0, 4))] + vals
+
+
+def _onset_family(rng, confirm):
+    """(kind, values): recurrent tails whose onset scan walks back through
+    a run of agreeing samples and stops at a break, with integer and Fraction
+    coefficients; order 1 with integer, Fraction, negative and zero ratios;
+    zero tails behind nonzero heads."""
+    out = []
+    for _ in range(40):
+        r = rng.randint(2, 5)
+        coeffs = [rng.randint(-3, 3) for _ in range(r - 1)] + [rng.choice((-2, -1, 1, 2, 3))]
+        if rng.random() < 0.3:
+            coeffs[-1] = Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(2, 4))
+        body = _recurrent(coeffs, [rng.randint(-5, 5) for _ in range(r)],
+                          2 * r + confirm + rng.randint(0, 6))
+        out.append(("backward run", _backward_run(coeffs, body, rng.randint(0, 12), rng)))
+    for _ in range(20):
+        ratio = rng.choice((2, -3, 1, -1, Fraction(3, 2), Fraction(-1, 4), 0))
+        body = _recurrent([ratio], [rng.choice((1, -2, Fraction(5, 3)))],
+                          confirm + 2 + rng.randint(0, 10))
+        head = [rng.randint(-9, 9) for _ in range(rng.randint(0, 6))]
+        out.append(("order one", head + body))
+    for _ in range(10):
+        head = [rng.randint(-9, 9) for _ in range(rng.randint(1, 6))]
+        out.append(("zero tail", head + [0] * (confirm + 2 + rng.randint(0, 8))))
+    return out
+
+
+@pytest.mark.parametrize("confirm", [1, 3, 8])
+def test_onset_scan_matches_the_fraction_walk(confirm):
+    rng = random.Random(1978 + confirm)
+    walked = 0
+    for name, vals in _onset_family(rng, confirm) + _differential_family(rng, confirm):
+        rec = minimal_recurrence(vals, confirm=confirm)
+        if rec is None:
+            continue
+        assert rec.onset == _fraction_onset(vals, rec, confirm), (name, vals)
+        start = len(vals) - (2 + confirm if rec.order == 1 else 2 * rec.order + confirm)
+        walked += 0 < rec.onset < start
+        if name != "noise":
+            assert rec == _reference_recurrence(vals, confirm), (name, vals)
+    assert walked >= 30  # the walk stops inside the samples, not only at 0
+
+
+@pytest.mark.parametrize("confirm", [1, 8])
+def test_series_from_recurrence_matches_the_fraction_convolution(confirm):
+    rng = random.Random(1990 + confirm)
+    cases = _onset_family(rng, confirm) + _differential_family(rng, confirm)
+    cases += [("catalog", RationalSeries(p, q).expand(40)) for p, q in SERIES_CATALOG]
+    checked = 0
+    for name, vals in cases:
+        rec = minimal_recurrence(vals, confirm=confirm)
+        if rec is None:
+            continue
+        got = series_from_recurrence(vals, rec)
+        assert got == _series_from_recurrence_reference(vals, rec), (name, vals)
+        checked += 1
+    assert checked >= 100
+    # a recurrence given with int coefficients, and one the samples break
+    vals = [5] + [2 ** n for n in range(23)]
+    assert (series_from_recurrence(vals, Recurrence(1, (2,), 1))
+            == _series_from_recurrence_reference(vals, Recurrence(1, (2,), 1)))
+    for func in (series_from_recurrence, _series_from_recurrence_reference):
+        with pytest.raises(RuntimeError, match="internal error"):
+            func(vals, Recurrence(1, (3,), 1))
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +684,107 @@ def test_all_roots_outside_is_reported_uncertified():
 def test_denominator_analysis_requires_unit_constant():
     with pytest.raises(ValueError):
         denominator_analysis(Polynomial([2, 1]))
+
+
+# ---------------------------------------------------------------------------
+# the integer trial division against the Fraction one it replaced, and
+# denominator_analysis against sympy's factorization
+
+
+def _strip_cyclotomic_reference(q: Polynomial) -> tuple:
+    """_strip_cyclotomic as the Fraction trial division it replaced: divmod
+    by unit_cyclotomic(k) on Polynomials, up to order 2 deg(q)^2 + 16."""
+    mults, rem = {}, q
+    for k in range(1, 2 * q.degree ** 2 + 17):
+        if _euler_phi(k) > rem.degree:
+            continue
+        psi = unit_cyclotomic(k)
+        while True:
+            quo, r = divmod(rem, psi)
+            if not r.is_zero():
+                break
+            rem = quo
+            mults[k] = mults.get(k, 0) + 1
+        if rem.degree == 0:
+            break
+    return mults, rem
+
+
+def _cyclotomic_denominators(rng, count, max_residual_degree, rational):
+    """Seeded denominators with q(0) = 1: products of unit cyclotomic factors
+    (orders 1..12, multiplicities 1..3) times a residual with constant term 1
+    and small integer (or, with `rational`, Fraction) coefficients, of
+    degree at most max_residual_degree, sometimes 0 and sometimes with a
+    rational root."""
+    out = []
+    for _ in range(count):
+        q = Polynomial([1])
+        for k in rng.sample(range(1, 13), rng.randint(0, 3)):
+            q = q * unit_cyclotomic(k) ** rng.randint(1, 3)
+        degree = 0 if rng.random() < 0.2 else rng.randint(1, max_residual_degree)
+        coeffs = [1] + [rng.randint(-3, 3) for _ in range(degree)]
+        if degree:
+            coeffs[-1] = coeffs[-1] or 1
+        if rational:
+            coeffs = [1] + [Fraction(c, rng.randint(1, 4)) for c in coeffs[1:]]
+        if degree and degree < max_residual_degree and rng.random() < 0.3:
+            coeffs = (Polynomial(coeffs) * Polynomial([1, rng.choice((-2, 3))])).coeffs
+        out.append(q * Polynomial(coeffs))
+    return out
+
+
+def test_trial_division_matches_the_fraction_division():
+    rng = random.Random(2024)
+    cases = (_cyclotomic_denominators(rng, 40, 8, rational=False)
+             + _cyclotomic_denominators(rng, 25, 6, rational=True))
+    for ws in ((1,), (2, 3), (1, 1, 4), (2, 3, 5, 7), (6, 10, 15)):
+        q = Polynomial([1])
+        for w in ws:
+            q = q * Polynomial([1] + [0] * (w - 1) + [-1])
+        cases.append(q)
+    for q in cases:
+        if q.degree >= 1:
+            assert _strip_cyclotomic(q) == _strip_cyclotomic_reference(q), q
+
+
+def _sympy_cyclotomic_split(q: Polynomial) -> tuple:
+    """(multiplicities, residual) from sympy.factor_list: each irreducible
+    factor equal to +-cyclotomic_poly(k) counts toward order k, and the
+    product of the others, scaled to constant term 1, is the residual."""
+    t = sympy.Symbol("t")
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * t ** i
+               for i, c in enumerate(q.coeffs))
+    _, factors = sympy.factor_list(expr, t)
+    mults, residual = {}, sympy.Integer(1)
+    for f, m in factors:
+        f = sympy.Poly(f, t)
+        k = next((k for k in range(1, 2 * f.degree() ** 2 + 17)
+                  if sympy.totient(k) == f.degree()
+                  and sympy.Poly(sympy.cyclotomic_poly(k, t), t) in (f, -f)), None)
+        if k is None:
+            residual *= f.as_expr() ** m
+        else:
+            mults[k] = mults.get(k, 0) + m
+    residual = sympy.Poly(sympy.expand(residual / residual.subs(t, 0)), t, domain="QQ")
+    return mults, Polynomial(Fraction(int(c.p), int(c.q))
+                             for c in reversed(residual.all_coeffs()))
+
+
+def test_denominator_analysis_matches_sympy_factor_list():
+    rng = random.Random(1876)
+    for q in _cyclotomic_denominators(rng, 40, 30, rational=False):
+        if q.degree < 1:
+            continue
+        mults, residual = _sympy_cyclotomic_split(q)
+        analysis = denominator_analysis(q)
+        assert analysis.cyclotomic_multiplicities == mults, q
+        split = analysis.residual
+        for f in analysis.linear_factors:
+            split = split * f
+        assert split == residual, q
+        # Kronecker: an integer residual with constant term 1 that is not a
+        # constant has a root strictly inside the unit disk
+        assert (analysis.radius_class == "inside_unit_disk") == (residual.degree >= 1), q
 
 
 # ---------------------------------------------------------------------------
