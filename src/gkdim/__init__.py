@@ -26,11 +26,10 @@ from .hilbert import (DimensionSequence, algebra_dim_sequence,
                       minimalize_ideal, module_dim_sequence,
                       module_hilbert_series, standard_monomial_counts)
 from .poincare import (DenominatorAnalysis, QuasiPolynomial, RationalAnalysis,
-                       RationalSeries, Recurrence, cyclotomic_polynomial,
-                       denominator_analysis, fit_quasi_polynomial,
-                       minimal_recurrence, quasi_polynomial,
-                       rational_analysis, series_from_recurrence,
-                       unit_cyclotomic)
+                       RationalSeries, Recurrence, denominator_analysis,
+                       fit_quasi_polynomial, minimal_recurrence,
+                       quasi_polynomial, rational_analysis,
+                       series_from_recurrence)
 from .samuel import (GammaEstimate, GrowthReport, classify_growth,
                      gamma_estimate, gk_dimension, multiplicity)
 from .axioms import (AxiomReport, ChainReport, HolonomyCatalog,
@@ -56,17 +55,16 @@ __all__ = [
     "chain_bound_check", "check_admissibility", "check_exactness",
     "check_multiplicity_axioms", "check_semicommutative_leading",
     "classify_growth", "count_monomials_by_weight", "cumulative_sequence",
-    "cyclotomic_polynomial", "defining_relations", "denominator_analysis",
-    "detect_polynomial", "divide_by_weights", "falling_binom",
-    "filtration_equivalent", "filtration_layer_dim", "finite_difference",
-    "fit_quasi_polynomial",
+    "defining_relations", "denominator_analysis", "detect_polynomial",
+    "divide_by_weights", "falling_binom", "filtration_equivalent",
+    "filtration_layer_dim", "finite_difference", "fit_quasi_polynomial",
     "from_binomial_basis", "gamma_estimate", "gk_dimension",
     "graded_piece_dim", "graded_values", "hilbert_series_monomial_quotient",
-    "minimal_recurrence", "minimalize_ideal", "module_dim_sequence",
-    "module_hilbert_series", "multiplicity", "normal_order_quantum",
-    "normal_order_weyl", "quasi_polynomial", "rational_analysis", "refilter",
-    "series_from_recurrence", "ses_dimension_triple",
-    "standard_monomial_counts", "to_binomial_basis", "torsion_check_cyclic",
-    "unit_cyclotomic", "validate_algebra", "validate_module", "validate_ses",
-    "zero_module",
+    "holonomic_defect", "minimal_recurrence", "minimalize_ideal",
+    "module_dim_sequence", "module_hilbert_series", "multiplicity",
+    "normal_order_quantum", "normal_order_weyl", "quasi_polynomial",
+    "rational_analysis", "refilter", "series_from_recurrence",
+    "ses_dimension_triple", "standard_monomial_counts", "to_binomial_basis",
+    "torsion_check_cyclic", "validate_algebra", "validate_module",
+    "validate_ses", "zero_module",
 ]

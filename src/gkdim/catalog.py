@@ -51,16 +51,12 @@ def graded_values(entry_id: str, top: int) -> list:
     catalog_entry(entry_id)
     if entry_id == "free_algebra_2":
         return [2 ** n for n in range(top + 1)]
-    # smith_lie: words x^a * (monomial in the y's of weight w) with a + w = n
-    # and deg y_i = i, so the degree-n piece counts partitions of every w <= n
-    # (partitions of w are the monomials of weight w in parts 1..top)
-    p = count_monomials_by_weight(range(1, top + 1), top)
-    acc = 0
-    return [(acc := acc + p[n]) for n in range(top + 1)]
+    # smith_lie: the degree-n piece is spanned by the monomials x^a y^b of
+    # weight n, with deg x = 1 and deg y_i = i, so it counts the monomials of
+    # weight n in parts 1, 1, 2, ..., top
+    return count_monomials_by_weight((1, *range(1, top + 1)), top)
 
 
 def cumulative_sequence(entry_id: str, top: int) -> DimensionSequence:
     """Cumulative dimensions of a catalog entry as a DimensionSequence."""
-    graded = graded_values(entry_id, top)
-    acc = 0
-    return DimensionSequence(tuple((acc := acc + g) for g in graded), "cumulative")
+    return DimensionSequence(tuple(graded_values(entry_id, top)), "graded_piece").cumulative()

@@ -407,8 +407,9 @@ def _growth(config: RunConfig, parsed: ParsedInput):
     else:
         m = parsed.module if parsed.module is not None else ModuleSpec.regular()
         seq = module_dim_sequence(_need_algebra(parsed), m, config.max_degree)
-    if len(seq) < 12:
-        raise SpecError("sequence", "growth classification needs at least 12 terms")
+    if len(seq) < 12:  # a module or catalog entry has max_degree + 1 terms
+        path = "sequence" if parsed.sequence is not None else "config.max_degree"
+        raise SpecError(path, "growth classification needs at least 12 terms")
     growth = classify_growth(seq, config.window, config.confirm)
     code = EXIT_INCONCLUSIVE if growth.classification == "inconclusive" else EXIT_OK
     return seq, growth, growth.flags + _catalog_flags(parsed), code

@@ -11,9 +11,9 @@ Fractions once, at the end:
   1967; Knuth, TAOCP vol. 2, 4.6.1): both inputs are scaled to primitive
   integer lists, which clears any denominators, and each pseudo-remainder
   is reduced to its primitive part, so the coefficients stay small;
-- division by an integral polynomial with leading coefficient +-1 runs in
-  int (int_divmod), as do exact quotients by a primitive divisor (Gauss's
-  lemma makes them integral);
+- int_divmod divides integer coefficient lists exactly: by a divisor with
+  leading coefficient +-1 (cyclotomic trial division), or by a primitive
+  divisor of the dividend (Gauss's lemma makes the quotient integral);
 - the binomial-basis conversions use cached integer Stirling numbers over one
   common denominator;
 - evaluation is int Horner over the coefficients' common denominator, with
@@ -85,10 +85,6 @@ class Polynomial:
 
     def constant_term(self) -> Fraction:
         return self.coeffs[0] if self.coeffs else Fraction(0)
-
-    def is_integer(self) -> bool:
-        """True when every coefficient is an integer."""
-        return all(c.denominator == 1 for c in self.coeffs)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
@@ -195,10 +191,6 @@ class Polynomial:
     def __divmod__(self, other: "Polynomial"):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        if abs(other.coeffs[-1]) == 1 and self.is_integer() and other.is_integer():
-            quo, rem = int_divmod([c.numerator for c in self.coeffs],
-                                  [c.numerator for c in other.coeffs])
-            return Polynomial(quo), Polynomial(rem)
         rem = list(self.coeffs)
         den = other.coeffs
         qdeg = len(rem) - len(den)
@@ -317,6 +309,7 @@ def int_divmod(u: list, v: list) -> tuple:
     """
     n = len(v) - 1
     lead = v[-1]
+    terms = [(j, x) for j, x in enumerate(v[:n]) if x]  # cyclotomic v are often sparse
     rem = list(u)
     quo = [0] * max(len(u) - n, 0)
     for i in range(len(quo) - 1, -1, -1):
@@ -325,8 +318,8 @@ def int_divmod(u: list, v: list) -> tuple:
             raise RuntimeError("internal error: inexact integer polynomial division")
         quo[i] = c
         if c:  # rem[i + n] is not read again, so it is left as it is
-            for j in range(n):
-                rem[i + j] -= c * v[j]
+            for j, x in terms:
+                rem[i + j] -= c * x
     if quo:
         del rem[n:]
     while rem and rem[-1] == 0:

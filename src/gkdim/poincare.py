@@ -27,8 +27,9 @@ coefficient:
   the samples, reduced by the same primitive-gcd quotient as
   RationalSeries.reduced, and its expansion is compared with the samples as
   they are;
-- cyclotomic trial division divides the integer-scaled denominator by cached
-  int lists of Phi_k (int_divmod) and builds the residual once;
+- cyclotomic trial division walks the about 2D orders k with phi(k) <= D of
+  a degree-D denominator, divides by cached int Phi_k built from binomials
+  (1 - t^d)^(+-1), and hands the root tests one integer residual;
 - each quasi-polynomial branch is rescaled by int Horner
   (Polynomial.compose_affine).
 """
@@ -39,7 +40,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
+from itertools import combinations, islice
 from operator import mul
 from typing import Optional, Sequence
 
@@ -250,25 +251,6 @@ def series_from_recurrence(s, rec: Recurrence) -> RationalSeries:
 # denominator root analysis
 
 
-@lru_cache(maxsize=None)
-def cyclotomic_polynomial(k: int) -> Polynomial:
-    """The k-th cyclotomic polynomial (monic, integer coefficients)."""
-    num = Polynomial([-1] + [0] * (k - 1) + [1])
-    for d in range(1, k):
-        if k % d == 0:
-            num, rem = divmod(num, cyclotomic_polynomial(d))
-            if not rem.is_zero():
-                raise RuntimeError("internal error: cyclotomic recursion broke")
-    return num
-
-
-@lru_cache(maxsize=None)
-def unit_cyclotomic(k: int) -> Polynomial:
-    """The k-th cyclotomic polynomial rescaled to constant term 1 (same roots)."""
-    f = cyclotomic_polynomial(k)
-    return f * (1 / f.constant_term())
-
-
 def _divisors(n: int) -> list:
     """The positive divisors of |n| in increasing order; [1] for n = 0.
 
@@ -282,49 +264,80 @@ def _divisors(n: int) -> list:
     return small + large
 
 
-def _euler_phi(n: int) -> int:
-    out, m, p = n, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            out -= out // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out -= out // m
-    return out
+@lru_cache(maxsize=None)
+def _cyclotomic_orders(n: int) -> tuple:
+    """(k, phi(k), primes of k) for exactly the k with phi(k) <= n, in
+    ascending order of k.
+
+    The walk extends k by a power p^a of a prime p above k's largest prime,
+    with phi(k p^a) = phi(k) (p - 1) p^(a - 1); every p - 1 <= n is a
+    candidate, and the primes are tried in ascending order, so a branch ends
+    at the first p with phi(k) (p - 1) > n. There are about 2n such k.
+    """
+    primes = [p for p in range(2, n + 2) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    found = []
+
+    def walk(k, phi, ps, start):
+        found.append((k, phi, ps))
+        for i, p in enumerate(primes[start:], start):
+            f, pa = phi * (p - 1), p
+            if f > n:
+                break
+            while f <= n:
+                walk(k * pa, f, ps + (p,), i + 1)
+                f, pa = f * p, pa * p
+
+    if n >= 1:
+        walk(1, 1, (), 0)
+    return tuple(sorted(found))
 
 
 @lru_cache(maxsize=None)
-def _cyclotomic_ints(k: int) -> tuple:
-    """The k-th cyclotomic polynomial as a tuple of ints (monic)."""
-    return tuple(c.numerator for c in cyclotomic_polynomial(k).coeffs)
+def _cyclotomic_ints(k: int, phi: int, primes: tuple) -> tuple:
+    """Phi_k scaled to constant term 1 (1 - t for k = 1), as ascending ints.
+
+    Phi_k is prod_{e | rad k} (1 - t^(k/e))^mu(e), a polynomial of degree
+    phi(k), so the product is computed as a power series cut after that
+    degree: multiplying by 1 - t^d is one top-down pass c[i] -= c[i - d],
+    dividing by it one bottom-up running sum c[i] += c[i - d].
+    """
+    c = [1] + [0] * phi
+    for r in range(len(primes) + 1):
+        for e in combinations(primes, r):
+            d = k // math.prod(e)
+            if r % 2:
+                for i in range(d, phi + 1):
+                    c[i] += c[i - d]
+            else:
+                for i in range(phi, d - 1, -1):
+                    c[i] -= c[i - d]
+    return tuple(c)
 
 
 def _strip_cyclotomic(q: Polynomial) -> tuple:
-    """(multiplicities, residual): the cyclotomic orders k of q's factors with
-    their multiplicities, and q divided by each Phi_k to that power,
-    normalised to constant term 1 (q(0) = 1, deg q >= 1).
+    """(multiplicities, residual) for deg q >= 1: the orders k of q's
+    cyclotomic factors, ascending, with their multiplicities, and what is
+    left of q as a primitive int list with a positive constant term.
 
-    Trial division runs up to order 2 deg(q)^2 + 16, on q scaled to integer
-    coefficients; each Phi_k is monic, so every division is exact in int
-    (int_divmod), and the residual polynomial is built once, at the end.
+    Trial division walks the orders with phi(k) <= deg q on q scaled to ints,
+    skips any Phi_k above the residual's degree and stops at a constant
+    residual. Each Phi_k has leading coefficient +-1, so int_divmod is exact.
+    q(0) = 1 makes the scaled q primitive with a positive constant term, and
+    Gauss's lemma and Phi_k(0) = 1 keep both through every division.
     """
     rem, _ = integer_coefficients(q.coeffs)
     mults: dict = {}
-    for k in range(1, 2 * q.degree ** 2 + 17):
-        if _euler_phi(k) > len(rem) - 1:
-            continue
-        phi = _cyclotomic_ints(k)
-        while True:
-            quo, r = int_divmod(rem, phi)
-            if r:
-                break
-            rem = quo
-            mults[k] = mults.get(k, 0) + 1
+    for k, phi, primes in _cyclotomic_orders(q.degree):
         if len(rem) == 1:
             break
-    return mults, Polynomial([Fraction(c, rem[0]) for c in rem])
+        if phi >= len(rem):
+            continue
+        cyc = _cyclotomic_ints(k, phi, primes)
+        quo, r = int_divmod(rem, cyc)
+        while not r:
+            rem, mults[k] = quo, mults.get(k, 0) + 1
+            quo, r = int_divmod(rem, cyc)
+    return mults, rem
 
 
 @dataclass
@@ -352,10 +365,10 @@ class DenominatorAnalysis:
 def denominator_analysis(q: Polynomial) -> DenominatorAnalysis:
     """Classify the roots of q exactly.
 
-    Cyclotomic factors are stripped by trial division up to order
-    2 deg(q)^2 + 16 (complete: any cyclotomic factor of a degree-D polynomial
-    has order at most 2 D^2 + 16 since phi(k) >= sqrt(k/2)). If nothing is
-    left, all roots lie on the unit circle and the pure (1 - t^s)^d shape is
+    Cyclotomic factors are stripped by trial division with Phi_k for exactly
+    the orders k with phi(k) <= deg q (_strip_cyclotomic): a factor Phi_k of
+    q has degree phi(k), so the search is complete. If nothing is left, all
+    roots lie on the unit circle and the pure (1 - t^s)^d shape is
     recognized from the multiplicities. An integer residual with constant
     term 1 certifies a root strictly inside the unit disk (Kronecker's
     theorem); for non-integer rational residuals a Sturm-chain count of real
@@ -368,14 +381,15 @@ def denominator_analysis(q: Polynomial) -> DenominatorAnalysis:
     coefficients c_0 and c_D, and is skipped, with the note
     ROOT_SPLIT_SKIPPED, when |c_0 * c_D| > ROOT_SPLIT_BOUND = 10^12. The
     radius class does not depend on the split when the residual is integral
-    (Kronecker), and every Hilbert series denominator is.
+    (Kronecker), and every Hilbert series denominator is. The root tests and
+    the split read the one integer residual list of _strip_cyclotomic.
     """
     if q.constant_term() != 1:
         raise ValueError("denominator must have constant term 1")
     if q.degree <= 0:
         return DenominatorAnalysis("all_roots_on_unit_circle", s=1, d=0)
     mults, rem = _strip_cyclotomic(q)
-    if rem.degree == 0:
+    if len(rem) == 1:
         s = max(mults) if mults else 1
         d = mults.get(s, 0)
         if mults and set(mults) == set(_divisors(s)) and all(m == d for m in mults.values()):
@@ -392,16 +406,16 @@ def denominator_analysis(q: Polynomial) -> DenominatorAnalysis:
             radius_class, cyclotomic_multiplicities=mults, residual=residual,
             linear_factors=linear, notes=(note,) + split_notes)
 
-    if rem.is_integer():
+    if rem[0] == 1:  # rem is primitive, so the residual rem / rem[0] is integral
         return verdict("inside_unit_disk",
                        "integer non-cyclotomic factor certifies a root inside the unit disk")
     if any(abs(f.coeffs[1]) > 1 for f in linear):  # f = 1 - c t has root 1/c
         return verdict("inside_unit_disk", "rational root of modulus < 1")
-    scaled, _ = integer_coefficients(rem.coeffs)
-    if abs(scaled[0]) < abs(scaled[-1]):
+    if rem[0] < abs(rem[-1]):
         return verdict("inside_unit_disk",
                        "product of root moduli below 1 certifies a root inside the unit disk")
-    if _sturm_roots_in_unit_interval(rem) > 0:
+    # a positive multiple of the residual has the same Sturm count
+    if _sturm_roots_in_unit_interval(Polynomial(rem)) > 0:
         return verdict("inside_unit_disk", "real root in (0, 1) certified by a Sturm chain")
     return verdict("mixed", "root locations of the non-cyclotomic factor not certified")
 
@@ -415,29 +429,26 @@ ROOT_SPLIT_SKIPPED = ("rational-root split skipped: the residual's end coefficie
                       "have a product above 10^12")
 
 
-def _split_rational_roots(p: Polynomial):
-    """Split off factors (1 - c t) for each rational root 1/c of p.
+def _split_rational_roots(ints: list):
+    """Split off factors (1 - c t) for each rational root 1/c of the
+    polynomial with primitive integer coefficients `ints` (ints[0] > 0).
 
-    Returns (tuple of linear factors, remaining polynomial, notes). The root
-    of a degree-1 p is read off directly. Otherwise candidate roots come from
-    the rational-root theorem on the integer-scaled polynomial, unless its
-    end coefficients pass ROOT_SPLIT_BOUND: then nothing is split and the
-    notes say so.
+    Returns (tuple of linear factors, the remaining polynomial scaled to
+    constant term 1, notes). The root of a degree-1 polynomial is read off
+    directly. Otherwise candidate roots come from the rational-root theorem
+    on `ints`, unless its end coefficients pass ROOT_SPLIT_BOUND: then
+    nothing is split and the notes say so.
     """
     linear = []
-    rest = p
-    if p.degree == 1:
-        candidates = {-p.coeffs[0] / p.coeffs[1]}
+    rest = Polynomial([Fraction(c, ints[0]) for c in ints])
+    num0, lead = ints[0], ints[-1]
+    if len(ints) == 2:
+        candidates = {Fraction(-num0, lead)}
+    elif abs(num0 * lead) > ROOT_SPLIT_BOUND:
+        return (), rest, (ROOT_SPLIT_SKIPPED,)
     else:
-        scaled, _ = integer_coefficients(rest.coeffs)
-        num0, lead = scaled[0], scaled[-1]
-        if abs(num0 * lead) > ROOT_SPLIT_BOUND:
-            return (), p, (ROOT_SPLIT_SKIPPED,)
-        candidates = set()
-        for a in _divisors(num0):
-            for b in _divisors(lead):
-                candidates.add(Fraction(a, b))
-                candidates.add(Fraction(-a, b))
+        candidates = {Fraction(sign * a, b) for a in _divisors(num0)
+                      for b in _divisors(lead) for sign in (1, -1)}
     for root in sorted(candidates):
         if root == 0:
             continue

@@ -278,12 +278,21 @@ def test_classify_short_sequence_is_exit_three(tmp_path, capsys):
     short = {"spec_version": 1, "sequence": [1, 2, 3]}
     ten = {"spec_version": 1, "sequence": list(range(1, 11))}
     for argv in (["classify", _write(tmp_path, short, "short.json")],
-                 ["analyze", _write(tmp_path, ten, "ten.json")],
-                 ["analyze", _write(tmp_path, plane, "plane.json"), "--window", "2",
-                  "--max-degree", "8"]):
+                 ["analyze", _write(tmp_path, ten, "ten.json")]):
         code, _, err = _run(capsys, argv)
         assert code == 3, argv
         assert err == "error: sequence: growth classification needs at least 12 terms\n"
+    # a module or catalog input has no sequence; its length is set by --max-degree
+    catalog = {"spec_version": 1,
+               "algebra": {"kind": "catalog", "catalog_id": "free_algebra_2"}}
+    for command in ("classify", "analyze"):
+        for doc in (plane, catalog):
+            argv = [command, _write(tmp_path, doc, "input.json"), "--window", "2",
+                    "--max-degree", "8"]
+            code, _, err = _run(capsys, argv)
+            assert code == 3, argv
+            assert err == ("error: config.max_degree: growth classification needs "
+                           "at least 12 terms\n")
 
 
 def test_decreasing_cumulative_sequence_is_exit_three(tmp_path, capsys):

@@ -12,6 +12,8 @@ import ast
 import sys
 from pathlib import Path
 
+import gkdim
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gkdim"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 
@@ -95,3 +97,14 @@ def test_runtime_imports_only_the_standard_library():
             outside += [f"{path.name}:{node.lineno} imports {name}" for name in names
                         if name.split(".")[0] not in sys.stdlib_module_names | {"gkdim"}]
     assert outside == []
+
+
+def test_the_export_list_is_what_the_package_imports():
+    # every name __init__ imports from a submodule is exported, and nothing else
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(), "__init__.py")
+    imported = {a.asname or a.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for a in node.names}
+    assert sorted(gkdim.__all__) == sorted(imported)
+    assert len(set(gkdim.__all__)) == len(gkdim.__all__)
+    assert all(hasattr(gkdim, name) for name in gkdim.__all__)

@@ -27,10 +27,15 @@ Oracles:
   nonzero terms only on sparse rational denominators.
 * The rational-analysis pipeline -- its recurrence, series, denominator and
   branches must equal those of the four stages run one by one.
-* Cyclotomic polynomials -- frozen low-order values plus the product
-  identity prod_{d | n} Phi_d(t) = t^n - 1.
+* Cyclotomic polynomials -- the integer kernel against frozen low-order
+  values, sympy's cyclotomic_poly and the Fraction recursion it replaced
+  (kept here as the reference), plus the product identity
+  prod_{d | n} Phi_d(t) = +-(t^n - 1).
+* Cyclotomic orders -- exactly the k with phi(k) <= n, against a scan of
+  every k up to 2 n^2 + 16 with the reference's Euler phi.
 * Cyclotomic trial division -- the Fraction division it replaced must strip
-  the same multiplicities and leave the same residual, and sympy's
+  the same multiplicities, in the same key order, and leave the same
+  residual, and sympy's
   factor_list and cyclotomic_poly must give denominator_analysis's
   multiplicities and residual (times its split-off linear factors) on seeded
   cyclotomic products times integer residuals of degree <= 30.
@@ -39,6 +44,7 @@ Oracles:
 """
 
 from fractions import Fraction
+from functools import lru_cache
 import math
 import random
 import time
@@ -48,12 +54,11 @@ import sympy
 
 from gkdim.exactnum import Polynomial
 from gkdim.poincare import (ROOT_SPLIT_SKIPPED, DenominatorAnalysis, QuasiPolynomial,
-                            RationalSeries, Recurrence, _divisors, _euler_phi,
-                            _strip_cyclotomic,
-                            cyclotomic_polynomial, denominator_analysis,
-                            fit_quasi_polynomial, minimal_recurrence,
-                            quasi_polynomial, rational_analysis,
-                            series_from_recurrence, unit_cyclotomic)
+                            RationalSeries, Recurrence, _cyclotomic_ints,
+                            _cyclotomic_orders, _divisors, _strip_cyclotomic,
+                            denominator_analysis, fit_quasi_polynomial,
+                            minimal_recurrence, quasi_polynomial,
+                            rational_analysis, series_from_recurrence)
 
 # ---------------------------------------------------------------------------
 # rational series basics
@@ -540,7 +545,41 @@ def test_series_from_recurrence_matches_the_fraction_convolution(confirm):
 
 
 # ---------------------------------------------------------------------------
-# cyclotomic polynomials
+# cyclotomic polynomials: the integer kernel against the Fraction recursion
+# it replaced (cyclotomic_polynomial, unit_cyclotomic and _euler_phi, kept
+# here verbatim as the reference) and against sympy
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_polynomial(k: int) -> Polynomial:
+    """The k-th cyclotomic polynomial (monic, integer coefficients)."""
+    num = Polynomial([-1] + [0] * (k - 1) + [1])
+    for d in range(1, k):
+        if k % d == 0:
+            num, rem = divmod(num, cyclotomic_polynomial(d))
+            if not rem.is_zero():
+                raise RuntimeError("internal error: cyclotomic recursion broke")
+    return num
+
+
+@lru_cache(maxsize=None)
+def unit_cyclotomic(k: int) -> Polynomial:
+    """The k-th cyclotomic polynomial rescaled to constant term 1 (same roots)."""
+    f = cyclotomic_polynomial(k)
+    return f * (1 / f.constant_term())
+
+
+def _euler_phi(n: int) -> int:
+    out, m, p = n, n, 2
+    while p * p <= m:
+        if m % p == 0:
+            out -= out // p
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        out -= out // m
+    return out
 
 
 CYCLOTOMIC_FROZEN = {
@@ -558,8 +597,12 @@ CYCLOTOMIC_FROZEN = {
 
 
 def test_cyclotomic_polynomials_frozen():
+    orders = {o[0]: o for o in _cyclotomic_orders(12)}
     for k, coeffs in CYCLOTOMIC_FROZEN.items():
         assert cyclotomic_polynomial(k) == Polynomial(coeffs), k
+        # the kernel scales Phi_k to constant term 1, which negates Phi_1 only
+        sign = -1 if k == 1 else 1
+        assert list(_cyclotomic_ints(*orders[k])) == [sign * c for c in coeffs], k
 
 
 def test_cyclotomic_product_identity():
@@ -569,6 +612,37 @@ def test_cyclotomic_product_identity():
             if n % d == 0:
                 product = product * cyclotomic_polynomial(d)
         assert product == Polynomial([-1] + [0] * (n - 1) + [1]), n
+    # the kernel's Phi_d have constant term 1, so their product is 1 - t^n
+    orders = {k: _cyclotomic_ints(k, phi, primes)
+              for k, phi, primes in _cyclotomic_orders(300) if k <= 300}
+    for n in range(1, 301):
+        product = [1]
+        for d in _divisors(n):
+            product = _int_product(product, orders[d])
+        assert product == [1] + [0] * (n - 1) + [-1], n
+
+
+def _int_product(a: list, b) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def test_cyclotomic_kernel_matches_sympy_and_the_recursion():
+    t = sympy.Symbol("t")
+    orders = [o for o in _cyclotomic_orders(300) if o[0] <= 300]
+    assert [k for k, _, _ in orders] == list(range(1, 301))
+    for k, phi, primes in orders:
+        coeffs = _cyclotomic_ints(k, phi, primes)
+        monic = sympy.cyclotomic_poly(k, t, polys=True).all_coeffs()[::-1]
+        reference = [int(c) for c in monic]
+        assert list(coeffs) == [c * reference[0] for c in reference], k
+        assert len(coeffs) == phi + 1 and coeffs[0] == 1, k
+        if k <= 60:
+            assert Polynomial(coeffs) == unit_cyclotomic(k), k
 
 
 def test_unit_cyclotomic_has_constant_term_one():
@@ -576,12 +650,29 @@ def test_unit_cyclotomic_has_constant_term_one():
         f = unit_cyclotomic(k)
         assert f.constant_term() == 1
         assert f.degree == cyclotomic_polynomial(k).degree
+    # the kernel's leading coefficient is +-1, so int_divmod by it is exact
+    for k, phi, primes in _cyclotomic_orders(200):
+        coeffs = _cyclotomic_ints(k, phi, primes)
+        assert coeffs[0] == 1 and coeffs[-1] == (-1 if k == 1 else 1), k
 
 
 def test_euler_phi_matches_gcd_count():
     for n in range(1, 60):
         brute = sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
         assert _euler_phi(n) == brute
+
+
+def test_cyclotomic_orders_are_exactly_the_small_totients():
+    # phi(k) >= sqrt(k / 2), so phi(k) <= n forces k <= 2 n^2 + 16; every k
+    # with phi(k) <= 200 is therefore found below 2 * 200^2 + 17
+    small = [(k, phi) for k in range(1, 2 * 200 ** 2 + 17)
+             if (phi := _euler_phi(k)) <= 200]
+    for n in range(0, 201):
+        orders = _cyclotomic_orders(n)
+        assert [k for k, _, _ in orders] == [k for k, phi in small if phi <= n], n
+        assert all(phi == _euler_phi(k) for k, phi, _ in orders), n
+    for k, _, primes in _cyclotomic_orders(200):
+        assert primes == tuple(sympy.primefactors(k)), k
 
 
 def test_divisors_match_brute_force():
@@ -686,6 +777,19 @@ def test_denominator_analysis_requires_unit_constant():
         denominator_analysis(Polynomial([2, 1]))
 
 
+def test_cyclotomic_stage_on_a_degree_320_denominator_is_fast():
+    # 1 - t - 2 t^320 = (1 + t) r(t) with r integral of degree 319, so trial
+    # division tries every order k with phi(k) <= 320 against r; the Fraction
+    # recursion over every k up to 2 * 320^2 + 16 took seconds here
+    _cyclotomic_orders.cache_clear()
+    _cyclotomic_ints.cache_clear()
+    start = time.perf_counter()
+    analysis = denominator_analysis(Polynomial([1, -1] + [0] * 318 + [-2]))
+    assert time.perf_counter() - start < 1.0
+    assert analysis.radius_class == "inside_unit_disk"
+    assert analysis.cyclotomic_multiplicities == {2: 1}
+
+
 # ---------------------------------------------------------------------------
 # the integer trial division against the Fraction one it replaced, and
 # denominator_analysis against sympy's factorization
@@ -742,9 +846,20 @@ def test_trial_division_matches_the_fraction_division():
         for w in ws:
             q = q * Polynomial([1] + [0] * (w - 1) + [-1])
         cases.append(q)
+    # orders 13..30 too, beyond the first twelve
+    for _ in range(40):
+        q = Polynomial([1])
+        for k in rng.sample(range(1, 31), rng.randint(1, 2)):
+            q = q * unit_cyclotomic(k)
+        cases.append(q * Polynomial([1] + [rng.randint(-2, 2) for _ in range(rng.randint(0, 4))]))
     for q in cases:
         if q.degree >= 1:
-            assert _strip_cyclotomic(q) == _strip_cyclotomic_reference(q), q
+            mults, rem = _strip_cyclotomic(q)
+            ref_mults, ref_rem = _strip_cyclotomic_reference(q)
+            assert list(mults.items()) == list(ref_mults.items()), q
+            # rem is the residual's primitive integer form, constant term > 0
+            assert rem[0] > 0 and math.gcd(*rem) == 1, q
+            assert Polynomial(Fraction(c, rem[0]) for c in rem) == ref_rem, q
 
 
 def _sympy_cyclotomic_split(q: Polynomial) -> tuple:

@@ -7,7 +7,7 @@ stabilization index. Its differential tests against the reconstructions it
 replaced live in test_exactnum, beside the function. The classifier's
 verdicts are frozen on sequences whose growth is known in closed form
 (binomial layer counts, geometric growth, periodic slopes, partition-sum
-growth).
+growth), and the catalog's values on sympy's partition counts.
 """
 
 from fractions import Fraction
@@ -16,7 +16,9 @@ import math
 import time
 
 import pytest
+import sympy
 
+from gkdim.catalog import cumulative_sequence, graded_values
 from gkdim.exactnum import BinomialForm, Polynomial, from_binomial_basis
 from gkdim.hilbert import DimensionSequence
 from gkdim.samuel import (GammaEstimate, classify_growth, detect_polynomial,
@@ -252,3 +254,18 @@ def test_classify_adapts_window_to_short_input():
     report = classify_growth(vals, window=6)
     assert report.classification == "polynomial"
     assert report.gk == 1
+
+
+def test_catalog_values_match_partition_counts():
+    # smith_lie's degree-n piece counts the partitions of every w <= n
+    # (sympy's partition), free_algebra_2's is 2^n; the cumulative sequence
+    # sums them
+    partition_sums = list(itertools.accumulate(int(sympy.partition(w)) for w in range(60)))
+    for top in range(60):
+        smith = partition_sums[:top + 1]
+        free = [2 ** n for n in range(top + 1)]
+        for entry, graded in (("smith_lie", smith), ("free_algebra_2", free)):
+            assert graded_values(entry, top) == graded, (entry, top)
+            cum = cumulative_sequence(entry, top)
+            assert cum.meaning == "cumulative"
+            assert list(cum) == list(itertools.accumulate(graded)), (entry, top)
