@@ -4,7 +4,9 @@ Parses JSON problem specs, dispatches to the analysis pipelines, and emits
 deterministic machine-readable JSON reports (or flattened text summaries).
 Every numeric field in the JSON output is an exact integer or a
 [numerator, denominator] pair; the only float is the explicitly labeled
-gamma_estimate diagnostic.
+gamma_estimate diagnostic. The JSON format is fixed: keys sorted at every
+level, a two-space indent, strings ASCII-escaped; a report is byte for byte
+what json.dumps(payload, sort_keys=True, indent=2) writes, plus a newline.
 
 Exit codes: 0 success, 1 inconclusive classification (report still
 emitted), 2 unreadable or malformed JSON input, 3 schema violation (the
@@ -308,8 +310,7 @@ def parse_spec(doc) -> ParsedInput:
 
 
 def _frac(x) -> list:
-    f = Fraction(x)
-    return [f.numerator, f.denominator]
+    return [x.numerator, x.denominator]
 
 
 def _frac_or_none(x):
@@ -592,9 +593,36 @@ def _render_text(payload, prefix: str = "") -> list:
     return lines
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json(value, pad: str) -> str:
+    """json.dumps(value, sort_keys=True, indent=2) for a value at indent
+    `pad`, built by joining strings: json's indenting encoder is pure Python
+    and yields one chunk per item. Dict keys must be str, as every report's
+    are; a type JSON cannot encode raises TypeError."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        # `type(v) is int`, not isinstance: a bool must render as true/false
+        items = [int.__repr__(v) if type(v) is int else _json(v, inner) for v in value]
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        items = [_encode_str(k) + ": " + (int.__repr__(v) if type(v) is int else _json(v, inner))
+                 for k, v in sorted(value.items())]
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
+    return json.dumps(value)
+
+
 def render_report(payload: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return _json(payload, "") + "\n"
     return "\n".join(_render_text(payload)) + "\n"
 
 
@@ -608,7 +636,10 @@ def run(config: RunConfig) -> int:
             raise CliError(EXIT_BAD_INPUT, f"cannot read input: {e}") from None
         try:
             doc = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        # ValueError: bad UTF-8, bad JSON syntax, or an integer past Python's
+        # int max-str-digits; RecursionError: nesting deeper than the decoder
+        # can follow
+        except (ValueError, RecursionError) as e:
             raise CliError(EXIT_BAD_INPUT, f"malformed JSON: {e}") from None
         _check_config(config)
         parsed = parse_spec(doc)

@@ -4,7 +4,8 @@ Covers the report envelope (tool version, input digest, sorted keys), the
 exit-code contract (0 ok, 1 inconclusive, 2 unreadable input, 3 schema or
 math-level errors with a field path on stderr, 4 internal faults),
 byte-for-byte determinism,
-the fixed warning catalog, both output formats, and one happy path plus the
+the fixed warning catalog, both output formats, the JSON emitter against
+json.dumps(sort_keys=True, indent=2), and one happy path plus the
 characteristic error paths for each of the seven commands.
 """
 
@@ -12,8 +13,11 @@ import hashlib
 import json
 import math
 import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkdim import cli
 from gkdim.cli import WARNINGS, main
@@ -37,7 +41,10 @@ def _run(capsys, argv):
 def _run_json(capsys, argv):
     code, out, err = _run(capsys, argv)
     assert err == ""
-    return code, json.loads(out)
+    payload = json.loads(out)
+    # the format contract: byte for byte json.dumps(sort_keys=True, indent=2)
+    assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return code, payload
 
 
 WEYL_ONE = {"spec_version": 1, "algebra": {"kind": "weyl", "weyl_rank": 1}}
@@ -110,6 +117,35 @@ def test_output_flag_writes_the_report_to_a_file(tmp_path, capsys):
     assert target.read_text() == stdout_mode
 
 
+# strings with quotes, backslashes, control characters and non-ASCII text
+_TEXT = st.text() | st.text(alphabet='"\\/\x00\x1f\x7f\n\té€\u2028\U0001f600ab')
+_LEAVES = (st.none() | st.booleans() | st.integers()
+           | st.integers(min_value=-(10 ** 40), max_value=10 ** 40)
+           | st.floats() | _TEXT
+           # bools among ints, where an int fast path could render True as 1
+           | st.lists(st.integers() | st.booleans()))
+_TREES = st.recursive(
+    _LEAVES,
+    lambda children: (st.lists(children) | st.lists(children).map(tuple)
+                      | st.dictionaries(_TEXT, children)),
+    max_leaves=20)
+
+
+@settings(derandomize=True, max_examples=150)
+@given(_TREES)
+def test_json_report_is_json_dumps_with_sorted_keys_and_indent_two(value):
+    expected = json.dumps(value, sort_keys=True, indent=2) + "\n"
+    assert cli.render_report(value, "json") == expected
+
+
+def test_json_report_refuses_what_json_cannot_encode():
+    for value in (Fraction(1, 2), {"a": [1, {"b": Fraction(1, 2)}]}, [object()]):
+        with pytest.raises(TypeError):
+            json.dumps(value, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            cli.render_report(value, "json")
+
+
 def test_text_format_flattens_keys(tmp_path, capsys):
     path = _write(tmp_path, WEYL_ONE)
     code, out, _ = _run(capsys, ["analyze", path, "--format", "text"])
@@ -136,6 +172,17 @@ def test_malformed_json_is_exit_two(tmp_path, capsys):
     code, _, err = _run(capsys, ["analyze", str(path)])
     assert code == 2
     assert "malformed JSON" in err
+
+
+@pytest.mark.parametrize("text", ["[" * 100000, "[" + "9" * 5000 + "]"],
+                         ids=["nested-too-deep", "int-past-4300-digits"])
+def test_json_the_decoder_refuses_is_exit_two(tmp_path, capsys, text):
+    path = tmp_path / "refused.json"
+    path.write_text(text)
+    code, out, err = _run(capsys, ["analyze", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed JSON: ")
 
 
 def test_bad_commutation_matrix_is_exit_three_with_path(tmp_path, capsys):
