@@ -10,6 +10,7 @@ polynomial detection fails on a needed sequence, the report says
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import gt, sub
 from typing import Optional
 
 from .exactnum import HilbertSamuelPolynomial, detect_polynomial, sequence_values
@@ -83,7 +84,7 @@ def ses_dimension_triple(s: SESSpec, top: int):
                                 in zip(s.big.summands, s.sub_ideals)))
     m = module_dim_sequence(s.ambient, s.big, top)
     double = module_dim_sequence(s.ambient, quotient, top)
-    prime = tuple(a - b for a, b in zip(m, double))
+    prime = tuple(map(sub, m.values, double.values))
     return DimensionSequence(prime, "cumulative"), m, double
 
 
@@ -214,11 +215,11 @@ def chain_bound_check(ambient: AlgebraSpec, chain, top: int,
         raise SpecError("chain", "chain must start with the module itself")
     dims = [module_dim_sequence(ambient, m, top) for m in chain]
     for i in range(len(dims) - 1):
-        prev, cur = dims[i], dims[i + 1]
-        if any(c > p for p, c in zip(prev, cur)):
+        prev, cur = dims[i].values, dims[i + 1].values
+        if any(map(gt, cur, prev)):
             raise SpecError(f"chain[{i+2}]",
                             "chain member exceeds the previous one in some degree")
-        if all(c == p for p, c in zip(prev, cur)):
+        if cur == prev:
             raise SpecError(f"chain[{i+2}]",
                             "chain containment is not strict in the sampled range")
     n = len(chain) - 1
@@ -231,7 +232,7 @@ def chain_bound_check(ambient: AlgebraSpec, chain, top: int,
     quotients_full_gk: Optional[bool] = True
     notes = []
     for i in range(n):
-        diffs = tuple(p - c for p, c in zip(dims[i], dims[i + 1]))
+        diffs = tuple(map(sub, dims[i].values, dims[i + 1].values))
         try:
             qseq = DimensionSequence(diffs, "cumulative")
         except ValueError:

@@ -26,13 +26,15 @@ from . import catalog
 from .axioms import (HolonomyCatalog, SESSpec, chain_bound_check,
                      check_multiplicity_axioms, holonomic_defect,
                      torsion_check_cyclic)
-from .exactnum import Polynomial, detect_polynomial
-from .hilbert import (DimensionSequence, algebra_dim_sequence,
-                      module_dim_sequence, module_hilbert_series)
+# detect_polynomial is not called here; bench/test_bench.py checks that its
+# tracer rebinds this module's name
+from .exactnum import Polynomial, detect_polynomial  # noqa: F401
+from .hilbert import (SERIES_DEGREE_BOUND, DimensionSequence, _checked_series,
+                      module_dim_sequence)
 from .poincare import RationalSeries, rational_analysis
 from .presentations import (AlgebraSpec, ModuleSpec, RefilterError, SpecError,
                             Summand, refilter, validate_module)
-from .samuel import classify_growth, gk_dimension
+from .samuel import classify_growth
 
 TOOL_VERSION = "0.1.0"
 
@@ -135,13 +137,17 @@ def _parse_natural(value, path: str, minimum: int = 0) -> int:
 def parse_monomial(text, names, path: str) -> tuple:
     """Parse "x1^2*x2" style monomial syntax into an exponent tuple; "1" is
     the unit monomial."""
+    return _monomial(text, {n: i for i, n in enumerate(names)}, path)
+
+
+def _monomial(text, index: dict, path: str) -> tuple:
+    """parse_monomial with the generator name -> position map built."""
     _require(isinstance(text, str), path, "monomial must be a string")
     stripped = text.strip()
     if stripped == "1":
-        return (0,) * len(names)
+        return (0,) * len(index)
     _require(bool(stripped), path, "monomial must not be empty")
-    index = {n: i for i, n in enumerate(names)}
-    expo = [0] * len(names)
+    expo = [0] * len(index)
     for factor in stripped.split("*"):
         factor = factor.strip()
         name, caret, exp_text = factor.partition("^")
@@ -161,7 +167,8 @@ def parse_monomial(text, names, path: str) -> tuple:
 
 def _parse_ideal(doc, names, path: str) -> tuple:
     _require(isinstance(doc, list), path, "expected a list of monomial strings")
-    return tuple(parse_monomial(m, names, f"{path}[{j+1}]") for j, m in enumerate(doc))
+    index = {n: i for i, n in enumerate(names)}
+    return tuple(_monomial(m, index, f"{path}[{j+1}]") for j, m in enumerate(doc))
 
 
 def _parse_generators(doc, path: str):
@@ -381,6 +388,9 @@ def _check_config(config: RunConfig) -> None:
     _require(config.confirm >= 1, "config.confirm", "confirm must be at least 1")
     _require(config.max_degree >= 1, "config.max_degree",
              "max_degree must be at least 1")
+    # time and memory grow linearly with the sampling depth
+    _require(config.max_degree <= SERIES_DEGREE_BOUND, "config.max_degree",
+             f"max_degree must be at most {SERIES_DEGREE_BOUND}")
     if config.command in _DETECTION_COMMANDS:
         need = 2 * config.window + 4
         _require(config.max_degree >= need, "config.max_degree",
@@ -425,7 +435,6 @@ def _catalog_flags(parsed: ParsedInput) -> tuple:
 
 
 def _cmd_analyze(config: RunConfig, parsed: ParsedInput):
-    top = config.max_degree
     seq, growth, flags, code = _growth(config, parsed)
     report = {
         "dimensions": {"cumulative": list(seq),
@@ -449,14 +458,13 @@ def _cmd_analyze(config: RunConfig, parsed: ParsedInput):
             report["holonomy"] = {"gk": hol.gk, "h": hol.h, "defect": hol.defect,
                                   "min_holonomic": hol.min_holonomic}
             if mod.negative_shift is None and len(mod.summands) == 1:
-                afit = (growth.hilbert_samuel if mod == ModuleSpec.regular() else
-                        detect_polynomial(algebra_dim_sequence(a, top), config.window))
-                if afit is not None:
-                    tor = torsion_check_cyclic(a, bool(mod.summands[0].ideal),
-                                               gk_dimension(afit), hol.h)
-                    report["torsion"] = {"applicable": tor.applicable,
-                                         "torsion": tor.torsion,
-                                         "reason": tor.reason}
+                # Hilbert-Serre: A's series is 1 / prod(1 - t^w) with every
+                # w >= 1, so gk(A) is its number of generators
+                tor = torsion_check_cyclic(a, bool(mod.summands[0].ideal),
+                                           a.num_generators, hol.h)
+                report["torsion"] = {"applicable": tor.applicable,
+                                     "torsion": tor.torsion,
+                                     "reason": tor.reason}
     return code, report, flags
 
 
@@ -466,11 +474,14 @@ def _cmd_hilbert(config: RunConfig, parsed: ParsedInput):
     if m.negative_shift is not None:
         raise SpecError("module.negative_shift",
                         "the hilbert command needs a summand presentation")
-    series = module_hilbert_series(a, m)
+    series, counts = _checked_series(a, m)
+    top = config.max_degree
     report = {
         "series": _series_payload(series),
         "reduced": _series_payload(series.reduced()),
-        "graded_dimensions": [int(v) for v in series.expand(config.max_degree + 1)],
+        # the self-check's expansion, when it reaches max_degree
+        "graded_dimensions": (counts[:top + 1] if top < len(counts) else
+                              [int(v) for v in series.expand(top + 1)]),
     }
     return EXIT_OK, report, ()
 
@@ -594,22 +605,27 @@ def _render_text(payload, prefix: str = "") -> list:
 
 
 _encode_str = json.encoder.encode_basestring_ascii
+_INT = {int}
+_LITERALS = {None: "null", True: "true", False: "false"}
 
 
 def _json(value, pad: str) -> str:
     """json.dumps(value, sort_keys=True, indent=2) for a value at indent
     `pad`, built by joining strings: json's indenting encoder is pure Python
     and yields one chunk per item. Dict keys must be str, as every report's
-    are; a type JSON cannot encode raises TypeError."""
-    if isinstance(value, str):
-        return _encode_str(value)
+    are; a type JSON cannot encode raises TypeError. Items are tested with
+    `type(v) is int`, not isinstance: a bool must render as true/false."""
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         inner = pad + "  "
-        # `type(v) is int`, not isinstance: a bool must render as true/false
+        sep = f",\n{inner}"
+        if type(value[0]) is int and set(map(type, value)) == _INT:
+            return f"[\n{inner}{sep.join(map(int.__repr__, value))}\n{pad}]"
         items = [int.__repr__(v) if type(v) is int else _json(v, inner) for v in value]
-        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
+        return f"[\n{inner}{sep.join(items)}\n{pad}]"
+    if isinstance(value, str):
+        return _encode_str(value)
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -617,6 +633,8 @@ def _json(value, pad: str) -> str:
         items = [_encode_str(k) + ": " + (int.__repr__(v) if type(v) is int else _json(v, inner))
                  for k, v in sorted(value.items())]
         return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
+    if value is None or type(value) is bool:
+        return _LITERALS[value]
     return json.dumps(value)
 
 

@@ -30,8 +30,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from operator import mul, sub
+from functools import lru_cache, partial
+from itertools import takewhile
+from operator import eq, mul, sub
 from typing import Iterable, Optional, Sequence, Union
 
 #: Exact rational number with normalized sign and lowest terms.
@@ -212,11 +213,6 @@ class Polynomial:
             return other.is_zero()
         _, r = divmod(other, self)
         return r.is_zero()
-
-    def monic(self) -> "Polynomial":
-        if self.is_zero():
-            return self
-        return self * (1 / self.leading_coefficient())
 
     @staticmethod
     def gcd(a: "Polynomial", b: "Polynomial") -> "Polynomial":
@@ -441,10 +437,8 @@ def detect_polynomial(s, window: int = 6) -> Optional[HilbertSamuelPolynomial]:
     # f agrees with the fit from anchor on; below, Delta^d f(n) depends on
     # f(n..n+d) alone, so once f(n+1..n+d) agree it equals the constant
     # exactly when f(n) agrees too
-    last, const = levels[degree], column[degree]
-    stabilization = anchor
-    while stabilization and last[stabilization - 1] == const:
-        stabilization -= 1
+    agreeing = takewhile(partial(eq, column[degree]), reversed(levels[degree][:anchor]))
+    stabilization = anchor - len(list(agreeing))
     return HilbertSamuelPolynomial(BinomialForm(tower), stabilization)
 
 

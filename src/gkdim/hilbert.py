@@ -17,15 +17,20 @@ their minimal generators without a general re-minimalisation: I + (x) keeps
 the x-free generators and adds x, and the colon I : x keeps every lowered
 generator g / x and drops an x-free generator only when a lowered generator
 that lost its last x divides it. Weighted degrees come from the ambient
-algebra's generator weights.
+algebra's generator weights. The recursion runs on dense int lists: the
+pivot comes from per-variable column counts, the coprime base case
+multiplies by each (1 - t^d) in place, and the colon's numerator is added
+at the pivot's weight in one slice. The hilbert command takes its graded
+dimensions from the expansion the series self-check already verified
+(_checked_series) whenever that expansion reaches far enough.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from operator import le
-from typing import Optional, Sequence
+from operator import add, le, mul, sub
+from typing import Sequence
 
 from .exactnum import Polynomial
 from .poincare import RationalSeries
@@ -87,9 +92,8 @@ class DimensionSequence:
         """This sequence with graded meaning (first differences if cumulative)."""
         if self.meaning == "graded_piece":
             return self
-        out = [self.values[0]] if self.values else []
-        out.extend(self.values[i + 1] - self.values[i] for i in range(len(self.values) - 1))
-        return DimensionSequence(tuple(out), "graded_piece")
+        vals = self.values
+        return DimensionSequence(vals[:1] + tuple(map(sub, vals[1:], vals)), "graded_piece")
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +111,7 @@ def minimalize_ideal(gens: Sequence[Monomial]) -> tuple:
 
 
 def _wdeg(mono: Monomial, weights: Sequence[int]) -> int:
-    return sum(e * w for e, w in zip(mono, weights))
+    return sum(map(mul, mono, weights))
 
 
 def numerator_terms(gens: Sequence[Monomial], weights: Sequence[int]) -> dict:
@@ -118,31 +122,38 @@ def numerator_terms(gens: Sequence[Monomial], weights: Sequence[int]) -> dict:
     pairwise coprime generators (at most one generator included) give the
     product of their factors (1 - t^deg g).
     """
-    gens = minimalize_ideal(gens)
-    return _numerator(gens, tuple(weights))
+    dense = _numerator(minimalize_ideal(gens), tuple(weights))
+    return {d: c for d, c in enumerate(dense) if c}
 
 
-def _numerator(gens: tuple, weights: tuple) -> dict:
-    pivot = _most_shared_variable(gens)
-    if pivot is None:
-        # pairwise coprime generators: the quotient series factors
-        terms = {0: 1}
-        for g in gens:
-            d = _wdeg(g, weights)
-            nxt: dict = {}
-            for k, c in terms.items():
-                nxt[k] = nxt.get(k, 0) + c
-                nxt[k + d] = nxt.get(k + d, 0) - c
-            terms = nxt
-        return {d: c for d, c in terms.items() if c}
+def _numerator(gens: tuple, weights: tuple) -> list:
+    """The numerator of numerator_terms for minimal generators `gens`, as a
+    dense int list by ascending degree, possibly with trailing zeros."""
+    # the pivot: the first variable shared by the most generators
+    counts = [len(col) - col.count(0) for col in zip(*gens)]
+    most = max(counts, default=0)
+    if most < 2:
+        # pairwise coprime generators: times (1 - t^d) per generator, in place
+        # from the top index down
+        degrees = [_wdeg(g, weights) for g in gens]
+        c = [1] + [0] * sum(degrees)
+        filled = 0
+        for d in degrees:
+            filled += d
+            for i in range(filled, d - 1, -1):
+                c[i] -= c[i - d]
+        return c
+    pivot = counts.index(most)
     var_mono = tuple(1 if i == pivot else 0 for i in range(len(weights)))
     # x absorbs the generators it divides; the rest stay minimal
-    plus = tuple(g for g in gens if not g[pivot]) + (var_mono,)
-    out = dict(_numerator(plus, weights))
+    out = _numerator(tuple(g for g in gens if not g[pivot]) + (var_mono,), weights)
+    low = _numerator(_colon(gens, pivot), weights)
     shift = weights[pivot]
-    for d, c in _numerator(_colon(gens, pivot), weights).items():
-        out[d + shift] = out.get(d + shift, 0) + c
-    return {d: c for d, c in out.items() if c}
+    end = shift + len(low)
+    if len(out) < end:
+        out.extend([0] * (end - len(out)))
+    out[shift:end] = map(add, out[shift:end], low)
+    return out
 
 
 def _colon(gens: tuple, pivot: int) -> tuple:
@@ -166,18 +177,6 @@ def _colon(gens: tuple, pivot: int) -> tuple:
         a for a in free if not any(monomial_divides(h, a) for h in emptied))
 
 
-def _most_shared_variable(gens) -> Optional[int]:
-    counts = [0] * (len(gens[0]) if gens else 0)
-    for g in gens:
-        for i, e in enumerate(g):
-            if e > 0:
-                counts[i] += 1
-    best = max(range(len(counts)), key=counts.__getitem__, default=None)
-    if best is None or counts[best] < 2:
-        return None
-    return best
-
-
 def _module_numerator(a: AlgebraSpec, m: ModuleSpec) -> tuple:
     """Numerator of the module's Hilbert series over prod(1 - t^w), as a map
     degree -> coefficient, and the degree its expansion self-check reaches.
@@ -191,8 +190,9 @@ def _module_numerator(a: AlgebraSpec, m: ModuleSpec) -> tuple:
     terms, reach = {}, 10
     for s in m.summands:
         gens = minimalize_ideal(s.ideal)
-        for d, c in _numerator(gens, weights).items():
-            terms[d + s.shift] = terms.get(d + s.shift, 0) + c
+        for d, c in enumerate(_numerator(gens, weights), s.shift):
+            if c:
+                terms[d] = terms.get(d, 0) + c
         reach = max(reach, s.shift + 2 * sum(_wdeg(g, weights) for g in gens) + 10)
     return terms, reach
 
@@ -252,6 +252,12 @@ def module_hilbert_series(a: AlgebraSpec, m: ModuleSpec) -> RationalSeries:
     _counts. A reach or a sum(w) above SERIES_DEGREE_BOUND raises SpecError
     (path "module" or "algebra") before any dense work.
     """
+    return _checked_series(a, m)[0]
+
+
+def _checked_series(a: AlgebraSpec, m: ModuleSpec) -> tuple:
+    """(module_hilbert_series(a, m), the graded dimensions 0..reach that its
+    self-check verified)."""
     if m.negative_shift is not None:
         raise ValueError("a Hilbert series needs a summand presentation")
     weights = a.scalar_weights()
@@ -268,9 +274,10 @@ def module_hilbert_series(a: AlgebraSpec, m: ModuleSpec) -> RationalSeries:
         for i in range(len(q) - 1, w - 1, -1):
             q[i] -= q[i - w]
     series = RationalSeries(p, Polynomial(q))
-    if list(series.expand(reach + 1)) != _counts(a, terms, reach, cumulative=False):
+    counts = _counts(a, terms, reach, cumulative=False)
+    if list(series.expand(reach + 1)) != counts:
         raise RuntimeError("internal error: series expansion disagrees with direct counts")
-    return series
+    return series, counts
 
 
 def hilbert_series_monomial_quotient(a: AlgebraSpec, ideal: Sequence[Monomial]) -> RationalSeries:

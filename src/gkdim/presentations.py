@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import le
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 #: Exponent vector of a normal monomial, one entry per generator.
@@ -42,18 +43,9 @@ class RefilterError(ValueError):
 # monomial helpers
 
 
-def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
-
 def monomial_divides(a: Monomial, b: Monomial) -> bool:
     """True when a | b, i.e. every exponent of a is <= that of b."""
-    return all(x <= y for x, y in zip(a, b))
-
-def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-def total_degree(a: Monomial) -> int:
-    return sum(a)
+    return all(map(le, a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -293,24 +285,6 @@ def _add_term(combo: LinearCombo, mono: Monomial, coeff: Fraction) -> None:
         combo[mono] = acc
     else:
         combo.pop(mono, None)
-
-
-def weyl_multiply(a: LinearCombo, b: LinearCombo, rank: int) -> LinearCombo:
-    """Product of two normal-ordered expansions, re-normalized."""
-    out: LinearCombo = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            word = _monomial_word(m1, rank) + _monomial_word(m2, rank)
-            for mono, c in normal_order_weyl(word, rank).items():
-                _add_term(out, mono, c1 * c2 * c)
-    return out
-
-
-def _monomial_word(mono: Monomial, rank: int) -> list:
-    word = []
-    for g, e in enumerate(mono):
-        word.extend([g] * e)
-    return word
 
 
 def quantum_inversion_scalar(word: Sequence[int], lam) -> Fraction:
@@ -575,6 +549,6 @@ def validate_module(a: AlgebraSpec, m: ModuleSpec) -> None:
             if len(mono) != a.num_generators:
                 raise SpecError(f"module.summands[{s_idx+1}].ideal[{g_idx+1}]",
                                 "monomial has the wrong number of exponents")
-            if any((not isinstance(e, int)) or e < 0 for e in mono):
+            if not all(map(isinstance, mono, repeat(int))) or min(mono, default=0) < 0:
                 raise SpecError(f"module.summands[{s_idx+1}].ideal[{g_idx+1}]",
                                 "exponents must be naturals")

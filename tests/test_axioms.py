@@ -5,11 +5,15 @@ The short-exact-sequence triples are checked against closed-form dimension
 counts (binomial coefficients and linear counts computed with math.comb),
 so every growth dimension and multiplicity asserted here is known on paper
 before the library runs. Chain bounds use explicit flags of free summands
-where the length and the multiplicity coincide by construction.
+where the length and the multiplicity coincide by construction. The
+triple's subtraction and the chain check's comparisons and differences are
+also compared, on seeded modules and chains, with the generator loops they
+replaced, kept below as references.
 """
 
 from fractions import Fraction
 import math
+import random
 
 import pytest
 
@@ -22,7 +26,7 @@ from gkdim.axioms import (AxiomReport, ChainReport, HolonomyCatalog,
 from gkdim.hilbert import DimensionSequence, module_dim_sequence
 from gkdim.presentations import (AlgebraSpec, ModuleSpec, SpecError, Summand,
                                  zero_module)
-from gkdim.samuel import detect_polynomial
+from gkdim.samuel import detect_polynomial, gk_dimension, multiplicity
 
 TOP = 25
 
@@ -383,3 +387,111 @@ def test_filtration_comparison_accepts_dimension_sequences():
     assert filtration_equivalent(dims, dims, 3) == 0
     with pytest.raises(ValueError):
         filtration_equivalent(dims.graded(), dims, 3)
+
+
+# ---------------------------------------------------------------------------
+# dimension triples and the chain check against the code they replaced
+
+
+def _triple_reference(s: SESSpec, top: int) -> tuple:
+    """ses_dimension_triple with M' subtracted term by term."""
+    quotient = ModuleSpec(tuple(Summand(summand.shift, sub) for summand, sub
+                                in zip(s.big.summands, s.sub_ideals)))
+    m = module_dim_sequence(s.ambient, s.big, top)
+    double = module_dim_sequence(s.ambient, quotient, top)
+    prime = tuple(a - b for a, b in zip(m, double))
+    return DimensionSequence(prime, "cumulative"), m, double
+
+
+def _chain_reference(ambient, chain, top: int, window: int = 6) -> ChainReport:
+    """chain_bound_check with its comparisons and differences as generator
+    loops over zipped sequences."""
+    if not chain:
+        raise SpecError("chain", "chain must start with the module itself")
+    dims = [module_dim_sequence(ambient, m, top) for m in chain]
+    for i in range(len(dims) - 1):
+        prev, cur = dims[i], dims[i + 1]
+        if any(c > p for p, c in zip(prev, cur)):
+            raise SpecError(f"chain[{i+2}]",
+                            "chain member exceeds the previous one in some degree")
+        if all(c == p for p, c in zip(prev, cur)):
+            raise SpecError(f"chain[{i+2}]",
+                            "chain containment is not strict in the sampled range")
+    n = len(chain) - 1
+    fit = detect_polynomial(dims[0], window)
+    if fit is None:
+        return ChainReport(n, None, None, None, None,
+                           notes=("growth of the top module is not detectable",))
+    e_m = multiplicity(fit)
+    gk_m = gk_dimension(fit)
+    quotients_full_gk = True
+    notes = []
+    for i in range(n):
+        diffs = tuple(p - c for p, c in zip(dims[i], dims[i + 1]))
+        try:
+            qseq = DimensionSequence(diffs, "cumulative")
+        except ValueError:
+            raise SpecError(f"chain[{i+2}]",
+                            "difference with the previous member is not a "
+                            "valid cumulative dimension sequence") from None
+        qfit = detect_polynomial(qseq, window)
+        if qfit is None:
+            quotients_full_gk = None
+            notes.append(f"growth of quotient {i+1} is not detectable")
+        elif qfit.form.is_zero() or gk_dimension(qfit) != gk_m:
+            quotients_full_gk = False
+            notes.append(f"quotient {i+1} has smaller growth dimension than the module")
+    return ChainReport(n, e_m, gk_m, n <= e_m, quotients_full_gk, tuple(notes))
+
+
+def _outcome(check, *args):
+    """A check's report, or the path and message of the SpecError it raised."""
+    try:
+        return check(*args)
+    except SpecError as e:
+        return (e.path, e.message)
+
+
+def _random_ideal(rng, nvars: int, count: int) -> tuple:
+    return tuple(tuple(rng.randint(0, 3) for _ in range(nvars)) for _ in range(count))
+
+
+def test_triple_matches_termwise_subtraction():
+    rng = random.Random(3131)
+    for _ in range(60):
+        nvars = rng.randint(1, 4)
+        a = AlgebraSpec.polynomial(nvars, degrees=[(rng.choice((1, 1, 2)),)
+                                                   for _ in range(nvars)])
+        summands = tuple(Summand(rng.randint(0, 3), _random_ideal(rng, nvars, rng.randint(0, 3)))
+                         for _ in range(rng.randint(1, 3)))
+        subs = tuple(s.ideal + _random_ideal(rng, nvars, rng.randint(1, 2)) for s in summands)
+        ses = SESSpec(a, ModuleSpec(summands), subs)
+        top = rng.randint(0, 30)
+        got = ses_dimension_triple(ses, top)
+        assert got == _triple_reference(ses, top), ses
+        assert [p + d for p, d in zip(got[0], got[2])] == list(got[1])
+
+
+def test_chain_check_matches_the_generator_loops():
+    rng = random.Random(7272)
+    seen = set()
+    for _ in range(150):
+        nvars = rng.randint(1, 3)
+        a = AlgebraSpec.polynomial(nvars)
+        ideal = _random_ideal(rng, nvars, rng.randint(0, 2))
+        chain = [ModuleSpec.cyclic(ideal)]
+        for _ in range(rng.randint(0, 3)):
+            # usually grow the ideal (a smaller quotient); sometimes repeat
+            # or shrink it, which breaks strictness
+            move = rng.random()
+            if move < 0.15:
+                ideal = ideal[:-1]
+            elif move > 0.25:
+                ideal = ideal + _random_ideal(rng, nvars, 1)
+            chain.append(ModuleSpec.cyclic(ideal))
+        got = _outcome(chain_bound_check, a, chain, TOP)
+        assert got == _outcome(_chain_reference, a, chain, TOP), chain
+        seen.add(got[1] if isinstance(got, tuple) else "report")
+    assert seen == {"report",
+                    "chain member exceeds the previous one in some degree",
+                    "chain containment is not strict in the sampled range"}

@@ -6,12 +6,15 @@ math-level errors with a field path on stderr, 4 internal faults),
 byte-for-byte determinism,
 the fixed warning catalog, both output formats, the JSON emitter against
 json.dumps(sort_keys=True, indent=2), and one happy path plus the
-characteristic error paths for each of the seven commands.
+characteristic error paths for each of the seven commands, the bound on
+--max-degree, and analyze's torsion verdict with gk(A) taken from the
+number of generators.
 """
 
 import hashlib
 import json
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -21,6 +24,10 @@ from hypothesis import strategies as st
 
 from gkdim import cli
 from gkdim.cli import WARNINGS, main
+from gkdim.exactnum import detect_polynomial
+from gkdim.hilbert import SERIES_DEGREE_BOUND, algebra_dim_sequence
+from gkdim.presentations import AlgebraSpec
+from gkdim.samuel import gk_dimension
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -227,6 +234,20 @@ def test_too_small_max_degree_is_exit_three(tmp_path, capsys):
     code, _, err = _run(capsys, ["analyze", path, "--max-degree", "10"])
     assert code == 3
     assert "config.max_degree" in err
+
+
+def test_max_degree_above_the_series_bound_is_exit_three(tmp_path, capsys):
+    # sampling time and memory grow linearly with the depth; the refusal
+    # comes before any counting, for every command
+    path = _write(tmp_path, PLANE_MOD_XY)
+    for command in ("analyze", "hilbert", "poincare", "refilter"):
+        code, out, err = _run(capsys, [command, path, "--max-degree",
+                                       str(SERIES_DEGREE_BOUND + 1)])
+        assert (code, out) == (3, "")
+        assert err == (f"error: config.max_degree: max_degree must be at most "
+                       f"{SERIES_DEGREE_BOUND}\n")
+    code, out, err = _run(capsys, ["analyze", path, "--max-degree", "0"])
+    assert (code, err) == (3, "error: config.max_degree: max_degree must be at least 1\n")
 
 
 def test_unknown_catalog_entry_is_exit_three(tmp_path, capsys):
@@ -654,3 +675,57 @@ def test_h_override_supplies_the_holonomic_number(tmp_path, capsys):
     # without the override there is no catalog entry for this kind
     code, payload = _run_json(capsys, ["analyze", path])
     assert payload["report"]["holonomy"] is None
+
+
+# ---------------------------------------------------------------------------
+# torsion: gk(A) from the presentation
+
+
+def test_algebra_gk_is_its_generator_count_where_the_recount_fits():
+    # the algebra's series is 1 / prod(1 - t^w) with every w >= 1, so gk(A)
+    # is the number of generators; analyze used to recount A and fit it
+    rng = random.Random(1212)
+    algebras = [AlgebraSpec.weyl(r) for r in (1, 2, 3)]
+    for _ in range(20):
+        n = rng.randint(1, 6)
+        algebras.append(AlgebraSpec.polynomial(n))
+        lam = [[Fraction(1)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                q = Fraction(rng.randint(2, 5), rng.randint(1, 3))
+                lam[i][j], lam[j][i] = q, 1 / q
+        algebras.append(AlgebraSpec.quantum_affine(lam))
+    fitted = 0
+    for a in algebras:
+        for top in (16, 30, rng.randint(17, 60)):
+            fit = detect_polynomial(algebra_dim_sequence(a, top), 6)
+            if fit is not None:
+                fitted += 1
+                assert gk_dimension(fit) == a.num_generators, (a, top)
+    assert fitted > 100
+
+
+def test_torsion_is_reported_where_the_recount_had_no_fit(tmp_path, capsys):
+    # k[x1..x12] / (x1, ..., x10) at depth 16: the algebra's sampled tower
+    # does not stabilize (12 generators > 16 - 6), so torsion used to be null
+    names = [f"x{i + 1}" for i in range(12)]
+    a = AlgebraSpec.polynomial(12, names=names)
+    assert detect_polynomial(algebra_dim_sequence(a, 16), 6) is None
+    doc = {"spec_version": 1,
+           "algebra": {"kind": "polynomial", "generators": [{"name": n} for n in names]},
+           "module": {"summands": [{"ideal": names[:10]}]}}
+    path = _write(tmp_path, doc)
+    code, payload = _run_json(capsys, ["analyze", path, "--max-degree", "16"])
+    assert code == 0
+    assert payload["report"]["holonomy"]["gk"] == 2
+    assert payload["report"]["torsion"] == {
+        "applicable": False, "torsion": None,
+        "reason": "criterion needs the algebra's growth dimension above a "
+                  "positive holonomic number"}
+    code, payload = _run_json(capsys, ["analyze", path, "--max-degree", "16",
+                                       "--h-override", "1"])
+    assert code == 0
+    assert payload["report"]["torsion"] == {
+        "applicable": True, "torsion": True,
+        "reason": "a nonzero ideal lowers the quotient's growth dimension, "
+                  "so every generator is torsion"}

@@ -135,11 +135,18 @@ def test_divmod_exact():
     assert not Polynomial([5, 1]).divides(product)
 
 
+def _monic(p: Polynomial) -> Polynomial:
+    """p scaled to leading coefficient 1; the zero polynomial stays zero."""
+    if p.is_zero():
+        return p
+    return p * (1 / p.leading_coefficient())
+
+
 def test_gcd_is_monic_common_factor():
     a = Polynomial([2, -3, 1])   # (x - 1)(x - 2)
     b = Polynomial([3, -4, 1])   # (x - 1)(x - 3)
     assert Polynomial.gcd(a, b) == Polynomial([-1, 1])
-    assert Polynomial.gcd(a, Polynomial()) == a.monic()
+    assert Polynomial.gcd(a, Polynomial()) == _monic(a)
 
 
 def test_derivative():
@@ -219,7 +226,7 @@ def _gcd_reference(a: Polynomial, b: Polynomial) -> Polynomial:
     while not b.is_zero():
         _, r = _divmod_reference(a, b)
         a, b = b, r
-    return a.monic()
+    return _monic(a)
 
 
 def _divmod_reference(num: Polynomial, den: Polynomial):
@@ -309,7 +316,7 @@ def _sympy_monic_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
                           for c in reversed(p.coeffs)] or [0], t, domain="QQ")
               for p in (a, b))
     g = sympy.gcd(pa, pb)
-    return Polynomial([Fraction(int(c.p), int(c.q)) for c in reversed(g.all_coeffs())]).monic()
+    return _monic(Polynomial([Fraction(int(c.p), int(c.q)) for c in reversed(g.all_coeffs())]))
 
 
 def test_gcd_matches_euclid_and_sympy():

@@ -13,8 +13,9 @@ on seeded weighted modules, and call counters pin that each command counts
 every module once: one divide_by_weights call per module, one
 minimalisation per summand and one expansion self-check per series. The
 kernel-based counts are compared with the free count and convolution they
-replaced, kept below as a reference, and the DimensionSequence validators
-by the messages they raise.
+replaced, the dense-list numerator with the dict recursion it replaced, and
+graded() with its index loop, all kept below as references, and the
+DimensionSequence validators by the messages they raise.
 """
 
 from fractions import Fraction
@@ -26,6 +27,7 @@ import random
 import pytest
 
 from gkdim.exactnum import Polynomial
+from gkdim.poincare import RationalSeries
 import gkdim.hilbert
 from gkdim.cli import main
 from gkdim.hilbert import (MEANINGS, SERIES_DEGREE_BOUND, DimensionSequence,
@@ -434,3 +436,116 @@ def test_counts_match_the_free_count_convolution():
                 assert _counts(a, terms, top, cumulative) == \
                     _counts_reference(a, terms, top, cumulative), (m, top)
     assert high > 100  # numerator degrees above top are cut off
+
+
+# ---------------------------------------------------------------------------
+# the dense numerator and graded() against the code they replaced
+
+
+def _numerator_reference(gens: tuple, weights: tuple) -> dict:
+    """The pivot recursion on degree -> coefficient dicts, as it was before
+    the dense int lists: the pivot from a per-exponent count, the coprime
+    base case by one dict per factor, the colon branch added term by term."""
+    counts = [0] * (len(gens[0]) if gens else 0)
+    for g in gens:
+        for i, e in enumerate(g):
+            if e > 0:
+                counts[i] += 1
+    pivot = max(range(len(counts)), key=counts.__getitem__, default=None)
+    if pivot is None or counts[pivot] < 2:
+        terms = {0: 1}
+        for g in gens:
+            d = sum(e * w for e, w in zip(g, weights))
+            nxt = {}
+            for k, c in terms.items():
+                nxt[k] = nxt.get(k, 0) + c
+                nxt[k + d] = nxt.get(k + d, 0) - c
+            terms = nxt
+        return {d: c for d, c in terms.items() if c}
+    var_mono = tuple(1 if i == pivot else 0 for i in range(len(weights)))
+    plus = tuple(g for g in gens if not g[pivot]) + (var_mono,)
+    out = dict(_numerator_reference(plus, weights))
+    shift = weights[pivot]
+    for d, c in _numerator_reference(_colon(gens, pivot), weights).items():
+        out[d + shift] = out.get(d + shift, 0) + c
+    return {d: c for d, c in out.items() if c}
+
+
+def test_dense_numerator_matches_the_dict_recursion():
+    rng = random.Random(4242)
+    cases = [(tuple(w for (w,) in degrees) if degrees else (1,) * nvars, ideal)
+             for nvars, degrees, ideal in IDEAL_FAMILY]
+    for _ in range(200):
+        nvars = rng.randint(1, 5)
+        weights = tuple(rng.choice((1, 1, 2, 3, 5)) for _ in range(nvars))
+        if rng.random() < 0.5:
+            weights = (1,) * nvars
+        cases.append((weights, [tuple(rng.randint(0, 3) for _ in range(nvars))
+                                for _ in range(rng.randint(0, 14))]))
+    weighted = 0
+    for weights, ideal in cases:
+        weighted += set(weights) != {1}
+        expected = _numerator_reference(minimalize_ideal(ideal), weights)
+        assert numerator_terms(ideal, weights) == expected, (weights, ideal)
+    assert weighted > 100 and len(cases) - weighted > 100
+    # the unit ideal kills everything; the zero ideal keeps the constant 1
+    assert numerator_terms([(0, 0), (1, 2)], (1, 1)) == {}
+    assert numerator_terms([], (2, 3)) == {0: 1}
+
+
+def test_module_numerator_matches_the_dict_recursion():
+    rng = random.Random(5151)
+    for _ in range(80):
+        a, m = _random_module(rng)
+        weights = a.scalar_weights()
+        expected = {}
+        for s in m.summands:
+            for d, c in _numerator_reference(minimalize_ideal(s.ideal), weights).items():
+                expected[d + s.shift] = expected.get(d + s.shift, 0) + c
+        terms, _ = _module_numerator(a, m)
+        assert {d: c for d, c in terms.items() if c} == \
+            {d: c for d, c in expected.items() if c}, m
+
+
+def _graded_reference(values: tuple) -> tuple:
+    out = [values[0]] if values else []
+    out.extend(values[i + 1] - values[i] for i in range(len(values) - 1))
+    return tuple(out)
+
+
+def test_graded_matches_the_index_loop():
+    rng = random.Random(6060)
+    for length in list(range(6)) + [rng.randint(6, 300) for _ in range(40)]:
+        acc, values = 0, []
+        for _ in range(length):
+            acc += rng.randint(0, 10 ** rng.randint(0, 30))
+            values.append(acc)
+        graded = DimensionSequence(tuple(values)).graded()
+        assert graded.values == _graded_reference(tuple(values))
+        assert graded.meaning == "graded_piece"
+        assert graded.cumulative().values == tuple(values)
+
+
+def test_hilbert_reads_graded_dimensions_from_the_self_check(tmp_path, monkeypatch):
+    # k[x, y] / (x*y): the self-check reaches 2 * 2 + 10 = 14
+    doc = {"spec_version": 1,
+           "algebra": {"kind": "polynomial",
+                       "generators": [{"name": "x"}, {"name": "y"}]},
+           "module": {"summands": [{"ideal": ["x*y"]}]}}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    expand, lengths = RationalSeries.expand, []
+
+    def counting(self, n):
+        lengths.append(n)
+        return expand(self, n)
+
+    monkeypatch.setattr(RationalSeries, "expand", counting)
+    for top, expansions in ((3, [15]), (14, [15]), (15, [15, 16]), (40, [15, 41])):
+        lengths.clear()
+        out = tmp_path / f"{top}.json"
+        assert main(["hilbert", str(path), "--max-degree", str(top),
+                     "--output", str(out)]) == 0
+        assert lengths == expansions, top
+        graded = json.loads(out.read_text())["report"]["graded_dimensions"]
+        assert graded == [1] + [2] * top, top

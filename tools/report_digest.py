@@ -1,0 +1,70 @@
+"""One sha256 per benchmark workload and seed over every report of its batch.
+
+Usage, from the root of a checkout:
+
+    python3 tools/report_digest.py                       # seeds 1 and 3, all workloads
+    python3 tools/report_digest.py --seed 5 --workload analyze-modules
+    python3 tools/report_digest.py --src ../other/src    # another checkout's gkdim
+
+Each seeded batch of bench/workloads.py is written to a temporary directory
+and run in this process through gkdim.cli.run, one report after another.
+The digest covers each report's exit code, stdout and stderr, in batch
+order, with the temporary directory replaced by a fixed placeholder, so two
+commits that print the same bytes for every request print the same digests.
+Comparing the lines of two checkouts is the byte-identity check of a change
+that must not alter output.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+
+import workloads  # noqa: E402
+
+
+def digest(cli, workload: str, seed: int) -> tuple:
+    """(sha256 hex digest, number of reports) of one seeded batch."""
+    cases = workloads.make_cases(workload, seed)
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory(prefix="report-digest-") as tmp:
+        for i, case in enumerate(cases):
+            path = Path(tmp) / f"{i:04d}.json"
+            path.write_bytes(json.dumps(case.doc, sort_keys=True).encode())
+            config = cli.RunConfig(command=case.command, input_path=str(path),
+                                   max_degree=case.max_degree)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.run(config)
+            record = [code, out.getvalue(), err.getvalue()]
+            h.update(json.dumps(record).replace(tmp, "<tmp>").encode() + b"\n")
+    return h.hexdigest(), len(cases)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", action="append", choices=workloads.WORKLOADS,
+                        help="workload to digest (repeatable; default all)")
+    parser.add_argument("--seed", action="append", type=int,
+                        help="batch seed (repeatable; default 1 and 3)")
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="directory holding the gkdim package (default this checkout's src)")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(args.src.resolve()))
+    import gkdim.cli
+    for workload in args.workload or workloads.WORKLOADS:
+        for seed in args.seed or (1, 3):
+            hexdigest, count = digest(gkdim.cli, workload, seed)
+            print(f"{workload} seed {seed}: {hexdigest} ({count} reports)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
