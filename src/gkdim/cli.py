@@ -474,14 +474,12 @@ def _cmd_hilbert(config: RunConfig, parsed: ParsedInput):
     if m.negative_shift is not None:
         raise SpecError("module.negative_shift",
                         "the hilbert command needs a summand presentation")
-    series, counts = _checked_series(a, m)
-    top = config.max_degree
+    # one expansion, for the self-check and the graded dimensions
+    series, expansion = _checked_series(a, m, config.max_degree)
     report = {
         "series": _series_payload(series),
         "reduced": _series_payload(series.reduced()),
-        # the self-check's expansion, when it reaches max_degree
-        "graded_dimensions": (counts[:top + 1] if top < len(counts) else
-                              [int(v) for v in series.expand(top + 1)]),
+        "graded_dimensions": expansion[:config.max_degree + 1],
     }
     return EXIT_OK, report, ()
 

@@ -17,12 +17,13 @@ their minimal generators without a general re-minimalisation: I + (x) keeps
 the x-free generators and adds x, and the colon I : x keeps every lowered
 generator g / x and drops an x-free generator only when a lowered generator
 that lost its last x divides it. Weighted degrees come from the ambient
-algebra's generator weights. The recursion runs on dense int lists: the
-pivot comes from per-variable column counts, the coprime base case
-multiplies by each (1 - t^d) in place, and the colon's numerator is added
-at the pivot's weight in one slice. The hilbert command takes its graded
-dimensions from the expansion the series self-check already verified
-(_checked_series) whenever that expansion reaches far enough.
+algebra's generator weights. The recursion runs on dense int lists cut
+after a degree top, so memory follows the degree asked for, not the input's
+exponents, weights or shifts: the pivot comes from per-variable column
+counts, the coprime base case multiplies by each (1 - t^d) in place, and the
+colon's numerator is added at the pivot's weight in one slice, or not at all
+above top. The hilbert command's graded dimensions are the one expansion
+the series self-check verifies (_checked_series).
 """
 
 from __future__ import annotations
@@ -120,39 +121,44 @@ def numerator_terms(gens: Sequence[Monomial], weights: Sequence[int]) -> dict:
     Returns a map degree -> coefficient. For a pivot variable x shared by
     two or more minimal generators, H(S/I) = H(S/(I + x)) + t^w(x) H(S/(I : x));
     pairwise coprime generators (at most one generator included) give the
-    product of their factors (1 - t^deg g).
+    product of their factors (1 - t^deg g). A weighted degree sum of the
+    minimal generators above SERIES_DEGREE_BOUND raises ValueError.
     """
-    dense = _numerator(minimalize_ideal(gens), tuple(weights))
-    return {d: c for d, c in enumerate(dense) if c}
+    gens, weights = minimalize_ideal(gens), tuple(weights)
+    top = sum(_wdeg(g, weights) for g in gens)
+    if top > SERIES_DEGREE_BOUND:
+        raise ValueError(f"numerator degree bound {top} above {SERIES_DEGREE_BOUND}")
+    return {d: c for d, c in enumerate(_numerator(gens, weights, top)) if c}
 
 
-def _numerator(gens: tuple, weights: tuple) -> list:
-    """The numerator of numerator_terms for minimal generators `gens`, as a
-    dense int list by ascending degree, possibly with trailing zeros."""
+def _numerator(gens: tuple, weights: tuple, top: int) -> list:
+    """The numerator of numerator_terms for minimal generators `gens`, cut
+    after degree `top`: a dense int list by ascending degree, at most
+    top + 1 long, possibly with trailing zeros."""
     # the pivot: the first variable shared by the most generators
     counts = [len(col) - col.count(0) for col in zip(*gens)]
     most = max(counts, default=0)
     if most < 2:
         # pairwise coprime generators: times (1 - t^d) per generator, in place
-        # from the top index down
+        # from the top index down; a factor of degree above top is 1
         degrees = [_wdeg(g, weights) for g in gens]
-        c = [1] + [0] * sum(degrees)
+        c = [1] + [0] * min(sum(degrees), top)
         filled = 0
         for d in degrees:
-            filled += d
+            filled = min(filled + d, top)
             for i in range(filled, d - 1, -1):
                 c[i] -= c[i - d]
         return c
     pivot = counts.index(most)
     var_mono = tuple(1 if i == pivot else 0 for i in range(len(weights)))
     # x absorbs the generators it divides; the rest stay minimal
-    out = _numerator(tuple(g for g in gens if not g[pivot]) + (var_mono,), weights)
-    low = _numerator(_colon(gens, pivot), weights)
+    out = _numerator(tuple(g for g in gens if not g[pivot]) + (var_mono,), weights, top)
     shift = weights[pivot]
-    end = shift + len(low)
-    if len(out) < end:
+    if shift <= top:
+        low = _numerator(_colon(gens, pivot), weights, top - shift)
+        end = shift + len(low)
         out.extend([0] * (end - len(out)))
-    out[shift:end] = map(add, out[shift:end], low)
+        out[shift:end] = map(add, out[shift:end], low)
     return out
 
 
@@ -177,35 +183,43 @@ def _colon(gens: tuple, pivot: int) -> tuple:
         a for a in free if not any(monomial_divides(h, a) for h in emptied))
 
 
-def _module_numerator(a: AlgebraSpec, m: ModuleSpec) -> tuple:
-    """Numerator of the module's Hilbert series over prod(1 - t^w), as a map
-    degree -> coefficient, and the degree its expansion self-check reaches.
+def _module_numerator(a: AlgebraSpec, m: ModuleSpec, top=None) -> tuple:
+    """The module's Hilbert-series numerator over prod(1 - t^w) as a dense
+    int list, degrees 0..top, and the degree its expansion self-check reaches.
 
     Each summand's ideal is minimalised once; its numerator is shifted by the
     summand's shift and added in. The self-check reaches, for every summand,
-    its shift plus twice the weight of its minimal generators plus ten.
+    its shift plus twice the weight of its minimal generators plus ten, past
+    the numerator's degree. top=None asks for the numerator to that reach,
+    after refusing a reach or a sum(w) above SERIES_DEGREE_BOUND (SpecError).
     """
     validate_module(a, m)
     weights = a.scalar_weights()
-    terms, reach = {}, 10
-    for s in m.summands:
-        gens = minimalize_ideal(s.ideal)
-        for d, c in enumerate(_numerator(gens, weights), s.shift):
-            if c:
-                terms[d] = terms.get(d, 0) + c
-        reach = max(reach, s.shift + 2 * sum(_wdeg(g, weights) for g in gens) + 10)
-    return terms, reach
-
-
-def _counts(a: AlgebraSpec, terms: dict, top: int, cumulative: bool) -> list:
-    """Coefficients 0..top of the numerator `terms` over prod(1 - t^w), or
-    their prefix sums when cumulative: the numerator as a dense list of
-    length top + 1, divided by the ring's (1 - t^w) factors in one
-    divide_by_weights call, with one more factor (1 - t) for the prefix sums."""
+    minimal = [(s.shift, minimalize_ideal(s.ideal)) for s in m.summands]
+    reach = max([10] + [shift + 2 * sum(_wdeg(g, weights) for g in gens) + 10
+                        for shift, gens in minimal])
+    if top is None:
+        if reach > SERIES_DEGREE_BOUND:
+            raise SpecError("module", f"the series self-check would reach degree {reach}, "
+                                      f"above the bound {SERIES_DEGREE_BOUND}")
+        if sum(weights) > SERIES_DEGREE_BOUND:
+            raise SpecError("algebra", f"the generator weights sum to {sum(weights)}, "
+                                       f"above the series degree bound {SERIES_DEGREE_BOUND}")
+        top = reach
     dense = [0] * (top + 1)
-    for d, c in terms.items():
-        if d <= top:
-            dense[d] = c
+    for shift, gens in minimal:
+        if shift <= top:
+            low = _numerator(gens, weights, top - shift)
+            end = shift + len(low)
+            dense[shift:end] = map(add, dense[shift:end], low)
+    return dense, reach
+
+
+def _counts(a: AlgebraSpec, dense: list, cumulative: bool) -> list:
+    """Coefficients 0..len(dense) - 1 of the numerator `dense` over
+    prod(1 - t^w), or their prefix sums when cumulative: one
+    divide_by_weights call over the ring's (1 - t^w) factors, with one more
+    factor (1 - t) for the prefix sums."""
     weights = a.scalar_weights()
     return divide_by_weights(dense, weights + (1,) if cumulative else weights)
 
@@ -213,8 +227,8 @@ def _counts(a: AlgebraSpec, terms: dict, top: int, cumulative: bool) -> list:
 def standard_monomial_counts(a: AlgebraSpec, ideal: Sequence[Monomial], top: int,
                              cumulative: bool = False) -> list:
     """Counts of standard monomials (not in the ideal) by weighted degree 0..top."""
-    terms, _ = _module_numerator(a, ModuleSpec.cyclic(ideal))
-    return _counts(a, terms, top, cumulative)
+    dense, _ = _module_numerator(a, ModuleSpec.cyclic(ideal), top)
+    return _counts(a, dense, cumulative)
 
 
 def graded_piece_dim(a: AlgebraSpec, ideal: Sequence[Monomial], n: int) -> int:
@@ -227,8 +241,8 @@ def graded_piece_dim(a: AlgebraSpec, ideal: Sequence[Monomial], n: int) -> int:
 def module_dim_sequence(a: AlgebraSpec, m: ModuleSpec, top: int) -> DimensionSequence:
     """Cumulative dimensions of a module presentation, degrees 0..top, read
     from the module's Hilbert-series numerator."""
-    terms, _ = _module_numerator(a, m)
-    values = _counts(a, terms, top, cumulative=True)
+    dense, _ = _module_numerator(a, m, top)
+    values = _counts(a, dense, cumulative=True)
     if m.negative_shift is not None:
         # rank-one module stretching in two directions: 2j + 1 states at level j
         for n in range(top + 1):
@@ -252,32 +266,26 @@ def module_hilbert_series(a: AlgebraSpec, m: ModuleSpec) -> RationalSeries:
     _counts. A reach or a sum(w) above SERIES_DEGREE_BOUND raises SpecError
     (path "module" or "algebra") before any dense work.
     """
-    return _checked_series(a, m)[0]
+    return _checked_series(a, m, 0)[0]
 
 
-def _checked_series(a: AlgebraSpec, m: ModuleSpec) -> tuple:
-    """(module_hilbert_series(a, m), the graded dimensions 0..reach that its
-    self-check verified)."""
+def _checked_series(a: AlgebraSpec, m: ModuleSpec, top: int) -> tuple:
+    """(module_hilbert_series(a, m), its expansion to degree max(reach, top)),
+    from one expansion whose first reach + 1 terms the self-check verifies."""
     if m.negative_shift is not None:
         raise ValueError("a Hilbert series needs a summand presentation")
+    dense, reach = _module_numerator(a, m)
+    end = next((n for n in range(len(dense), 0, -1) if dense[n - 1]), 0)  # p's length
     weights = a.scalar_weights()
-    terms, reach = _module_numerator(a, m)
-    if reach > SERIES_DEGREE_BOUND:
-        raise SpecError("module", f"the series self-check would reach degree {reach}, "
-                                  f"above the bound {SERIES_DEGREE_BOUND}")
-    if sum(weights) > SERIES_DEGREE_BOUND:
-        raise SpecError("algebra", f"the generator weights sum to {sum(weights)}, "
-                                   f"above the series degree bound {SERIES_DEGREE_BOUND}")
-    p = Polynomial([terms.get(d, 0) for d in range(max(terms, default=0) + 1)])
     q = [1] + [0] * sum(weights)
     for w in weights:  # times (1 - t^w), from the top index down
         for i in range(len(q) - 1, w - 1, -1):
             q[i] -= q[i - w]
-    series = RationalSeries(p, Polynomial(q))
-    counts = _counts(a, terms, reach, cumulative=False)
-    if list(series.expand(reach + 1)) != counts:
+    series = RationalSeries(Polynomial(dense[:end]), Polynomial(q))
+    expansion = series.expand(max(reach, top) + 1)
+    if expansion[:reach + 1] != _counts(a, dense, cumulative=False):
         raise RuntimeError("internal error: series expansion disagrees with direct counts")
-    return series, counts
+    return series, expansion
 
 
 def hilbert_series_monomial_quotient(a: AlgebraSpec, ideal: Sequence[Monomial]) -> RationalSeries:

@@ -441,6 +441,31 @@ def test_hilbert_past_the_series_degree_bound_is_exit_three(tmp_path, capsys):
                    "above the series degree bound 100000\n")
 
 
+def test_huge_exponents_and_weights_build_nothing_dense(tmp_path, capsys):
+    # an exponent or a generator weight of 10^9: analyze reads the numerator
+    # only to --max-degree, and hilbert refuses the series before building it
+    big = 10 ** 9
+    plane = [{"name": "x"}, {"name": "y"}]
+    heavy = [{"name": "x", "degree": [big]}, {"name": "y"}]
+    for generators, ideal in ((plane, f"x^{big}"), (heavy, "x")):
+        doc = {"spec_version": 1,
+               "algebra": {"kind": "polynomial", "generators": generators},
+               "module": {"summands": [{"ideal": [ideal]}]}}
+        path = _write(tmp_path, doc)
+        start = time.perf_counter()
+        code, payload = _run_json(capsys, ["analyze", path])
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        graded = payload["report"]["dimensions"]["graded"]
+        assert graded == (list(range(1, 32)) if generators is plane else [1] * 31)
+        start = time.perf_counter()
+        code, out, err = _run(capsys, ["hilbert", path])
+        assert time.perf_counter() - start < 0.1
+        assert (code, out) == (3, "")
+        assert err == (f"error: module: the series self-check would reach degree "
+                       f"{2 * big + 10}, above the bound 100000\n")
+
+
 def test_hilbert_rejects_two_directional_modules(tmp_path, capsys):
     doc = {"spec_version": 1,
            "algebra": {"kind": "weyl", "weyl_rank": 1},

@@ -31,7 +31,7 @@ from gkdim.poincare import RationalSeries
 import gkdim.hilbert
 from gkdim.cli import main
 from gkdim.hilbert import (MEANINGS, SERIES_DEGREE_BOUND, DimensionSequence,
-                           _colon, _counts,
+                           _colon, _counts, _numerator,
                            _module_numerator, algebra_dim_sequence,
                            graded_piece_dim, hilbert_series_monomial_quotient,
                            minimalize_ideal, module_dim_sequence,
@@ -429,11 +429,13 @@ def test_counts_match_the_free_count_convolution():
     high = 0
     for _ in range(80):
         a, m = _random_module(rng)
-        terms, _ = _module_numerator(a, m)
+        full, _ = _module_numerator(a, m)
+        terms = {d: c for d, c in enumerate(full) if c}
         for top in (0, 1, 3, 6, 11):
             high += max(terms, default=0) > top
+            dense, _ = _module_numerator(a, m, top)
             for cumulative in (False, True):
-                assert _counts(a, terms, top, cumulative) == \
+                assert _counts(a, dense, cumulative) == \
                     _counts_reference(a, terms, top, cumulative), (m, top)
     assert high > 100  # numerator degrees above top are cut off
 
@@ -502,9 +504,34 @@ def test_module_numerator_matches_the_dict_recursion():
         for s in m.summands:
             for d, c in _numerator_reference(minimalize_ideal(s.ideal), weights).items():
                 expected[d + s.shift] = expected.get(d + s.shift, 0) + c
-        terms, _ = _module_numerator(a, m)
-        assert {d: c for d, c in terms.items() if c} == \
+        dense, reach = _module_numerator(a, m)
+        assert len(dense) == reach + 1
+        assert {d: c for d, c in enumerate(dense) if c} == \
             {d: c for d, c in expected.items() if c}, m
+        # cut after degree top: the reference's coefficients 0..top
+        for top in (0, 2, 5, 9):
+            dense, _ = _module_numerator(a, m, top)
+            assert dense == [expected.get(d, 0) for d in range(top + 1)], (m, top)
+
+
+def test_numerator_memory_follows_the_degree_asked_for():
+    # exponents, weights and shifts of 10^9: counts to degree 30 build lists
+    # of at most 31 entries, where a whole numerator would need 10^9
+    big = 10 ** 9
+    assert _numerator(((big, 0), (0, 2)), (1, 1), 30) == [1, 0, -1] + [0] * 28
+    assert _numerator(((1, 1), (2, 0)), (big, 1), 30) == [1] + [0] * 30
+    heavy = AlgebraSpec.polynomial(2, degrees=[(big,), (1,)])
+    assert standard_monomial_counts(heavy, [(1, 0)], 30) == [1] * 31
+    assert standard_monomial_counts(heavy, [(1, 1), (2, 0)], 30) == [1] * 31
+    plane = AlgebraSpec.polynomial(2)
+    assert standard_monomial_counts(plane, [(big, 0)], 30) == list(range(1, 32))
+    far = ModuleSpec((Summand(0, ((1, 1),)), Summand(big, ())))
+    assert list(module_dim_sequence(plane, far, 30)) == [2 * n + 1 for n in range(31)]
+    with pytest.raises(ValueError):
+        numerator_terms([(big, 0)], (1, 1))
+    with pytest.raises(SpecError) as err:
+        module_hilbert_series(plane, ModuleSpec.cyclic([(big, 0)]))
+    assert err.value.path == "module"
 
 
 def _graded_reference(values: tuple) -> tuple:
@@ -541,7 +568,7 @@ def test_hilbert_reads_graded_dimensions_from_the_self_check(tmp_path, monkeypat
         return expand(self, n)
 
     monkeypatch.setattr(RationalSeries, "expand", counting)
-    for top, expansions in ((3, [15]), (14, [15]), (15, [15, 16]), (40, [15, 41])):
+    for top, expansions in ((3, [15]), (14, [15]), (15, [16]), (40, [41])):
         lengths.clear()
         out = tmp_path / f"{top}.json"
         assert main(["hilbert", str(path), "--max-degree", str(top),
