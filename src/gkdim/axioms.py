@@ -8,10 +8,9 @@ polynomial detection fails on a needed sequence, the report says
 "inconclusive" rather than guessing.
 """
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import gt, sub
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .exactnum import HilbertSamuelPolynomial, detect_polynomial, sequence_values
 from .presentations import (AlgebraSpec, ModuleSpec, SpecError, Summand,
@@ -25,8 +24,7 @@ from .samuel import gk_dimension, multiplicity
 # short exact sequences of monomial modules
 
 
-@dataclass(frozen=True)
-class SESSpec:
+class SESSpec(NamedTuple):
     """A short exact sequence 0 -> M' -> M -> M'' -> 0 of monomial modules.
 
     `big` presents M as a direct sum of shifted monomial quotients A/I_k; for
@@ -88,8 +86,7 @@ def ses_dimension_triple(s: SESSpec, top: int):
     return DimensionSequence(prime, "cumulative"), m, double
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     """Exactness / multiplicity verdict on a short exact sequence.
 
     gk_triple lists growth dimensions as (GK M', GK M, GK M''), with None
@@ -175,15 +172,14 @@ def check_exactness(s: SESSpec, top: int, window: int = 6) -> AxiomReport:
     an inconclusive report, never a false verdict.
     """
     report = check_multiplicity_axioms(s, top, window)
-    return replace(report, e_values=None, additivity_ok=None)
+    return report._replace(e_values=None, additivity_ok=None)
 
 
 # ---------------------------------------------------------------------------
 # descending-chain length bound
 
 
-@dataclass(frozen=True)
-class ChainReport:
+class ChainReport(NamedTuple):
     """Outcome of the chain-length bound n <= e(M) on a strictly descending
     chain M = M_0 > M_1 > ... > M_n.
 
@@ -253,8 +249,7 @@ def chain_bound_check(ambient: AlgebraSpec, chain, top: int,
 # holonomic numbers and torsion
 
 
-@dataclass(frozen=True)
-class HolonomyCatalog:
+class HolonomyCatalog(NamedTuple):
     """Known smallest growth dimensions over finitely generated modules, by
     algebra kind: a Weyl algebra of rank n has h = n, a polynomial ring has
     h = 0. An explicit override (when set) wins for every algebra."""
@@ -272,8 +267,7 @@ class HolonomyCatalog:
                          "supply an explicit override")
 
 
-@dataclass(frozen=True)
-class HolonomyReport:
+class HolonomyReport(NamedTuple):
     """gk of the module, the ambient algebra's holonomic number h, their
     difference, and whether the module attains the minimum (defect 0)."""
 
@@ -298,8 +292,7 @@ def holonomic_defect(ambient: AlgebraSpec, fit: Optional[HilbertSamuelPolynomial
     return HolonomyReport(gk, h, gk - h, gk - h == 0)
 
 
-@dataclass(frozen=True)
-class TorsionReport:
+class TorsionReport(NamedTuple):
     """Verdict of the torsion criterion for a cyclic module A/I.
 
     applicable is False (torsion None) when the hypotheses gk(A) > h > 0 do

@@ -7,14 +7,13 @@ enveloping algebra of the Lie algebra spanned by x, y1, y2, ... with
 classifier is expected to return "inconclusive" on it).
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .hilbert import DimensionSequence
 from .presentations import count_monomials_by_weight
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     """A named dimension sequence with a known growth verdict."""
 
     entry_id: str

@@ -18,9 +18,8 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import catalog
 from .axioms import (HolonomyCatalog, SESSpec, chain_bound_check,
@@ -83,8 +82,7 @@ class CliError(Exception):
         self.message = message
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     command: str
     input_path: str
     max_degree: int = 30
@@ -95,8 +93,7 @@ class RunConfig:
     h_override: Optional[int] = None
 
 
-@dataclass
-class ParsedInput:
+class ParsedInput(NamedTuple):
     algebra: Optional[AlgebraSpec] = None
     catalog_id: Optional[str] = None
     module: Optional[ModuleSpec] = None
@@ -256,41 +253,41 @@ def parse_module(doc, a: AlgebraSpec, path: str = "module") -> ModuleSpec:
 def parse_spec(doc) -> ParsedInput:
     _require(isinstance(doc, dict), "spec", "top level must be an object")
     _require(doc.get("spec_version") == 1, "spec_version", "must be the integer 1")
-    out = ParsedInput()
+    algebra = catalog_id = module = sub_ideals = chain = sequence = weight = None
     if "algebra" in doc:
         parsed = parse_algebra(doc["algebra"])
         if isinstance(parsed, str):
-            out.catalog_id = parsed
+            catalog_id = parsed
         else:
-            out.algebra = parsed
+            algebra = parsed
     if "module" in doc:
-        _require(out.algebra is not None, "algebra",
+        _require(algebra is not None, "algebra",
                  "an explicit algebra presentation is required with a module")
-        out.module = parse_module(doc["module"], out.algebra)
+        module = parse_module(doc["module"], algebra)
     if "ses" in doc:
-        _require(out.algebra is not None, "algebra",
+        _require(algebra is not None, "algebra",
                  "an explicit algebra presentation is required with an ses")
         sdoc = doc["ses"]
         _require(isinstance(sdoc, dict), "ses", "expected an object")
         if "sub_ideal" in sdoc:
-            out.sub_ideals = (_parse_ideal(sdoc["sub_ideal"], out.algebra.names,
-                                           "ses.sub_ideal"),)
+            sub_ideals = (_parse_ideal(sdoc["sub_ideal"], algebra.names,
+                                       "ses.sub_ideal"),)
         elif "sub_ideals" in sdoc:
             ldoc = sdoc["sub_ideals"]
             _require(isinstance(ldoc, list), "ses.sub_ideals", "expected a list")
-            out.sub_ideals = tuple(
-                _parse_ideal(ideal, out.algebra.names, f"ses.sub_ideals[{k+1}]")
+            sub_ideals = tuple(
+                _parse_ideal(ideal, algebra.names, f"ses.sub_ideals[{k+1}]")
                 for k, ideal in enumerate(ldoc))
         else:
             raise SpecError("ses", "expected a sub_ideal or sub_ideals field")
     if "chain" in doc:
-        _require(out.algebra is not None, "algebra",
+        _require(algebra is not None, "algebra",
                  "an explicit algebra presentation is required with a chain")
         cdoc = doc["chain"]
         _require(isinstance(cdoc, list) and cdoc, "chain",
                  "expected a nonempty list of ideals")
-        out.chain = tuple(_parse_ideal(ideal, out.algebra.names, f"chain[{k+1}]")
-                          for k, ideal in enumerate(cdoc))
+        chain = tuple(_parse_ideal(ideal, algebra.names, f"chain[{k+1}]")
+                      for k, ideal in enumerate(cdoc))
     if "sequence" in doc:
         sq = doc["sequence"]
         _require(isinstance(sq, list) and sq, "sequence",
@@ -301,15 +298,15 @@ def parse_spec(doc) -> ParsedInput:
         _require(meaning in ("cumulative", "graded_piece"), "sequence_meaning",
                  'must be "cumulative" or "graded_piece"')
         try:
-            out.sequence = DimensionSequence(values, meaning)
+            sequence = DimensionSequence(values, meaning)
         except ValueError as e:
             raise SpecError("sequence", str(e)) from None
     if "weight" in doc:
         w = doc["weight"]
         _require(isinstance(w, list) and w, "weight",
                  "expected a nonempty list of integers")
-        out.weight = tuple(_parse_natural(v, f"weight[{j+1}]") for j, v in enumerate(w))
-    return out
+        weight = tuple(_parse_natural(v, f"weight[{j+1}]") for j, v in enumerate(w))
+    return ParsedInput(algebra, catalog_id, module, sub_ideals, chain, sequence, weight)
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +395,9 @@ def _check_config(config: RunConfig) -> None:
                  f"(2 * window + 4)")
     _require(config.fmt in ("json", "text"), "config.format",
              'format must be "json" or "text"')
+    # a holonomic number is a smallest growth dimension, so a natural number
+    _require(config.h_override is None or config.h_override >= 0, "config.h_override",
+             "h_override must be a natural number")
 
 
 def _need_algebra(parsed: ParsedInput) -> AlgebraSpec:

@@ -28,12 +28,11 @@ Fractions once, at the end:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import takewhile
 from operator import eq, mul, sub
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 #: Exact rational number with normalized sign and lowest terms.
 Rational = Fraction
@@ -381,8 +380,7 @@ def sequence_values(s, require_cumulative: bool = False) -> list:
     return list(getattr(s, "values", s))
 
 
-@dataclass(frozen=True)
-class HilbertSamuelPolynomial:
+class HilbertSamuelPolynomial(NamedTuple):
     """An exact eventual-polynomial fit in the binomial basis.
 
     form holds (a_0, ..., a_d) with f(n) = sum a_i C(n, i) for every sampled

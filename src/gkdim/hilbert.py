@@ -28,7 +28,6 @@ the series self-check verifies (_checked_series).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 from operator import add, le, mul, sub
 from typing import Sequence
@@ -49,26 +48,42 @@ MEANINGS = ("graded_piece", "cumulative")
 SERIES_DEGREE_BOUND = 10 ** 5
 
 
-@dataclass(frozen=True)
 class DimensionSequence:
     """Natural-number dimensions indexed by filtration degree 0..N.
 
     meaning is "graded_piece" (dimensions of the graded layers) or
     "cumulative" (dimensions of the filtration steps, nondecreasing).
+    Immutable: equal and hashed by (values, meaning).
     """
 
-    values: tuple
-    meaning: str = "cumulative"
+    __slots__ = ("values", "meaning")
 
-    def __post_init__(self):
-        if self.meaning not in MEANINGS:
-            raise ValueError(f"unknown sequence meaning {self.meaning!r}")
-        vals = tuple(self.values)
-        object.__setattr__(self, "values", vals)
+    def __init__(self, values: tuple, meaning: str = "cumulative"):
+        if meaning not in MEANINGS:
+            raise ValueError(f"unknown sequence meaning {meaning!r}")
+        vals = tuple(values)
         if not all(map(isinstance, vals, repeat(int))) or (vals and min(vals) < 0):
             raise ValueError("dimension sequences hold natural numbers")
-        if self.meaning == "cumulative" and not all(map(le, vals, vals[1:])):
+        if meaning == "cumulative" and not all(map(le, vals, vals[1:])):
             raise ValueError("cumulative dimension sequences must be nondecreasing")
+        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "meaning", meaning)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"DimensionSequence is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.values, self.meaning) == (other.values, other.meaning)
+
+    def __hash__(self):
+        return hash((self.values, self.meaning))
+
+    def __repr__(self):
+        return f"DimensionSequence(values={self.values!r}, meaning={self.meaning!r})"
 
     def __len__(self):
         return len(self.values)

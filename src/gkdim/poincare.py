@@ -37,32 +37,39 @@ coefficient:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, islice
 from operator import mul
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .exactnum import (Polynomial, detect_polynomial, from_binomial_basis,
                        int_divmod, integer_coefficients, primitive_gcd,
                        sequence_values)
 
 
-@dataclass(frozen=True)
-class RationalSeries:
+class _SeriesFields(NamedTuple):
+    numerator: Polynomial
+    denominator: Polynomial
+
+
+class RationalSeries(_SeriesFields):
     """A generating function numerator/denominator with denominator(0) = 1.
 
     The pair is stored as given (a structured denominator like
     prod(1 - t^w_i) is preserved); call reduced() for the coprime form.
     """
 
-    numerator: Polynomial
-    denominator: Polynomial
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.denominator.constant_term() != 1:
+    def __new__(cls, numerator: Polynomial, denominator: Polynomial):
+        if denominator.constant_term() != 1:
             raise ValueError("series denominator must have constant term 1")
+        return super().__new__(cls, numerator, denominator)
+
+    # _replace builds through _make; route it through the check above
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def expand(self, count: int) -> list:
         """First `count` power-series coefficients, exactly: int where
@@ -120,8 +127,7 @@ def _normalised_series(p: list, q: list) -> RationalSeries:
                           Polynomial([Fraction(c, q[0]) for c in q]))
 
 
-@dataclass(frozen=True)
-class Recurrence:
+class Recurrence(NamedTuple):
     """f(n + order) = sum_i coefficients[i-1] * f(n + order - i), for n >= onset."""
 
     order: int
@@ -340,8 +346,7 @@ def _strip_cyclotomic(q: Polynomial) -> tuple:
     return mults, rem
 
 
-@dataclass
-class DenominatorAnalysis:
+class DenominatorAnalysis(NamedTuple):
     """Root-location report for a series denominator q with q(0) = 1.
 
     radius_class: "inside_unit_disk" (some root strictly inside, so the
@@ -356,8 +361,8 @@ class DenominatorAnalysis:
     radius_class: str
     s: Optional[int] = None
     d: Optional[int] = None
-    cyclotomic_multiplicities: dict = field(default_factory=dict)
-    residual: Polynomial = field(default_factory=Polynomial.one)
+    cyclotomic_multiplicities: Mapping = MappingProxyType({})
+    residual: Polynomial = Polynomial.one()
     linear_factors: tuple = ()
     notes: tuple = ()
 
@@ -487,8 +492,7 @@ def _sturm_roots_in_unit_interval(p: Polynomial) -> int:
 # quasi-polynomial extraction
 
 
-@dataclass(frozen=True)
-class QuasiPolynomial:
+class QuasiPolynomial(NamedTuple):
     """Periodic polynomial branches: f(n) = branches[n % period](n) for n >= onset."""
 
     period: int
@@ -549,8 +553,7 @@ def quasi_polynomial(series: RationalSeries, samples, window: int = 4) -> QuasiP
     return qp
 
 
-@dataclass(frozen=True)
-class RationalAnalysis:
+class RationalAnalysis(NamedTuple):
     """The rational analysis of a sequence. With every denominator root on
     the unit circle, period is the pure form's s or, when mixed_cyclotomic,
     the lcm of the cyclotomic orders, and quasi holds the branches unless

@@ -9,11 +9,10 @@ re-filtering along a positive weight vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import le
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 #: Exponent vector of a normal monomial, one entry per generator.
 Monomial = tuple  # tuple[int, ...]
@@ -52,8 +51,7 @@ def monomial_divides(a: Monomial, b: Monomial) -> bool:
 # relations and algebra presentations
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(NamedTuple):
     """Rewrite rule x_greater * x_lesser -> scalar * x_lesser * x_greater + lower.
 
     `lower` lists the non-leading terms as (monomial, coefficient) pairs; for
@@ -66,8 +64,7 @@ class Relation:
     lower: tuple = ()  # tuple[tuple[Monomial, Fraction], ...]
 
 
-@dataclass(frozen=True)
-class AlgebraSpec:
+class AlgebraSpec(NamedTuple):
     """A filtered algebra presented by generators with multi-degrees.
 
     kind: one of "polynomial", "quantum_affine", "weyl", "pbw_weighted".
@@ -354,28 +351,35 @@ def filtration_layer_dim(a: AlgebraSpec, i: int) -> int:
 # admissible orders on N^m
 
 
-@dataclass(frozen=True)
-class AdmissibleOrder:
+class _OrderFields(NamedTuple):
+    kind: str
+    weight: Optional[tuple] = None
+
+
+class AdmissibleOrder(_OrderFields):
     """A monomial order on N^m: "lex", "deglex", or "weightlex".
 
     deglex compares total degree first; weightlex compares the weighted
     degree <weight, alpha> first; ties fall back to lex.
     """
 
-    kind: str
-    weight: Optional[tuple] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ORDER_KINDS:
-            raise SpecError("order.kind", f"unknown order kind {self.kind!r}")
-        if self.kind == "weightlex":
-            if not self.weight:
+    def __new__(cls, kind: str, weight: Optional[tuple] = None):
+        if kind not in ORDER_KINDS:
+            raise SpecError("order.kind", f"unknown order kind {kind!r}")
+        if kind == "weightlex":
+            if not weight:
                 raise SpecError("order.weight", "weightlex needs a weight vector")
-            if any((not isinstance(w, int)) or w <= 0 for w in self.weight):
+            if any((not isinstance(w, int)) or w <= 0 for w in weight):
                 raise SpecError("order.weight", "weight entries must be positive integers")
-            object.__setattr__(self, "weight", tuple(self.weight))
-        elif self.weight is not None:
-            raise SpecError("order.weight", f"{self.kind} takes no weight vector")
+            weight = tuple(weight)
+        elif weight is not None:
+            raise SpecError("order.weight", f"{kind} takes no weight vector")
+        return super().__new__(cls, kind, weight)
+
+    # _replace builds through _make; route it through the checks above
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def compare(self, alpha: Monomial, beta: Monomial) -> int:
         """-1, 0, or 1 as alpha is below, equal to, or above beta."""
@@ -402,8 +406,7 @@ def compare(order: AdmissibleOrder, alpha: Monomial, beta: Monomial) -> int:
     return order.compare(alpha, beta)
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(NamedTuple):
     ok: bool
     counterexample: Optional[tuple] = None
     reason: Optional[str] = None
@@ -494,8 +497,7 @@ def _collapsed_weights(a: AlgebraSpec, weight: Sequence[int]) -> tuple:
 # module presentations
 
 
-@dataclass(frozen=True)
-class Summand:
+class Summand(NamedTuple):
     """A shifted cyclic piece: the monomial quotient by `ideal`, placed in
     filtration degree `shift`."""
 
@@ -503,8 +505,7 @@ class Summand:
     ideal: tuple = ()  # tuple[Monomial, ...]
 
 
-@dataclass(frozen=True)
-class ModuleSpec:
+class ModuleSpec(NamedTuple):
     """A graded module presented as a direct sum of shifted monomial quotients.
 
     negative_shift encodes the rank-one two-directions module (the Laurent

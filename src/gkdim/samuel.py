@@ -9,9 +9,8 @@ diagnostic, the one floating-point value, goes only on inconclusive reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .exactnum import HilbertSamuelPolynomial, detect_polynomial, sequence_values
 from .poincare import (DenominatorAnalysis, QuasiPolynomial, RationalSeries,
@@ -33,8 +32,7 @@ def multiplicity(h: HilbertSamuelPolynomial) -> Fraction:
 # floating-point growth diagnostic
 
 
-@dataclass(frozen=True)
-class GammaEstimate:
+class GammaEstimate(NamedTuple):
     """Diagnostic log-growth estimate; the only non-exact value in the library."""
 
     value: float
@@ -71,8 +69,7 @@ def gamma_estimate(s) -> GammaEstimate:
 # growth classification
 
 
-@dataclass(frozen=True)
-class GrowthReport:
+class GrowthReport(NamedTuple):
     """Outcome of growth classification on a dimension sequence.
 
     classification is one of "finite_dimensional", "polynomial",

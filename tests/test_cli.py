@@ -702,6 +702,19 @@ def test_h_override_supplies_the_holonomic_number(tmp_path, capsys):
     assert payload["report"]["holonomy"] is None
 
 
+def test_negative_h_override_is_exit_three(tmp_path, capsys):
+    # a holonomic number is a natural number; -3 gave defect 5 above gk 2
+    path = _write(tmp_path, WEYL_ONE)
+    for value in ("-3", "-1"):
+        code, out, err = _run(capsys, ["analyze", path, "--h-override", value])
+        assert (code, out) == (3, "")
+        assert err == "error: config.h_override: h_override must be a natural number\n"
+    code, payload = _run_json(capsys, ["analyze", path, "--h-override", "0"])
+    assert code == 0
+    assert payload["report"]["holonomy"] == {
+        "gk": 2, "h": 0, "defect": 2, "min_holonomic": False}
+
+
 # ---------------------------------------------------------------------------
 # torsion: gk(A) from the presentation
 

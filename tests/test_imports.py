@@ -5,10 +5,14 @@ these imports run one way: no chain of them leads back to where it started.
 A cycle could otherwise only be held together by imports deferred into
 function bodies, which these tests forbid as well. The runtime needs only
 the standard library, so every import outside the package names a module in
-sys.stdlib_module_names.
+sys.stdlib_module_names. Start-up stays cheap: no module imports dataclasses,
+which would load inspect (and ast, dis, tokenize) with every gkdim.cli
+import, and a fresh interpreter's import of gkdim.cli loads neither.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -108,3 +112,34 @@ def test_the_export_list_is_what_the_package_imports():
     assert sorted(gkdim.__all__) == sorted(imported)
     assert len(set(gkdim.__all__)) == len(gkdim.__all__)
     assert all(hasattr(gkdim, name) for name in gkdim.__all__)
+
+
+def test_no_module_imports_dataclasses():
+    # the records are NamedTuples or slotted classes; dataclasses would pull
+    # inspect into every start-up and exec each record's methods on import
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), path.name)):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name.split(".")[0] == "dataclasses"]
+    assert found == []
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # measured against the interpreter's own start-up set, so modules that
+    # site loads before gkdim do not count
+    script = ("import sys; before = set(sys.modules); import gkdim.cli; "
+              "print(' '.join(sorted(set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    added = set(done.stdout.split())
+    assert "gkdim.cli" in added
+    assert added & {"dataclasses", "inspect"} == set()
