@@ -85,6 +85,9 @@ class DimensionSequence:
     def __repr__(self):
         return f"DimensionSequence(values={self.values!r}, meaning={self.meaning!r})"
 
+    def __reduce__(self):
+        return DimensionSequence, (self.values, self.meaning)
+
     def __len__(self):
         return len(self.values)
 

@@ -366,6 +366,10 @@ class DenominatorAnalysis(NamedTuple):
     linear_factors: tuple = ()
     notes: tuple = ()
 
+    def __reduce__(self):
+        # the read-only default map cannot be pickled; copies carry a dict
+        return DenominatorAnalysis, (*self[:3], dict(self[3]), *self[4:])
+
 
 def denominator_analysis(q: Polynomial) -> DenominatorAnalysis:
     """Classify the roots of q exactly.

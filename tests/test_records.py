@@ -4,10 +4,13 @@ Each public record is a NamedTuple, or a slotted class where it validates
 (DimensionSequence, which also iterates over its values rather than its
 fields). For each one these tests pin the field names, their order and
 defaults, positional and keyword construction, value equality and hashing,
-that a field cannot be assigned, and the Name(field=value, ...) repr. The
-validating constructors still refuse bad input, also through _replace.
+that a field cannot be assigned, the Name(field=value, ...) repr, and that
+copy, deepcopy and pickle rebuild the record. The validating constructors
+still refuse bad input, also through _replace.
 """
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -127,6 +130,21 @@ def test_fields_cannot_be_assigned(cls, required, defaults):
         assert getattr(record, name) is before
     with pytest.raises(AttributeError):
         record.not_a_field = 1
+
+
+@pytest.mark.parametrize("cls, required, defaults", RECORDS, ids=IDS)
+def test_copy_deepcopy_and_pickle_round_trip(cls, required, defaults):
+    record = cls(*required.values())
+    for twin in (copy.copy(record), copy.deepcopy(record),
+                 pickle.loads(pickle.dumps(record))):
+        assert type(twin) is cls and twin == record
+
+
+def test_records_holding_records_round_trip():
+    report = GrowthReport("polynomial", gk=2, series=SERIES,
+                          denominator=DenominatorAnalysis("mixed"))
+    nested = (report, DimensionSequence((1, 3, 6)), ANALYSIS)
+    assert pickle.loads(pickle.dumps(nested)) == copy.deepcopy(nested) == nested
 
 
 @pytest.mark.parametrize("cls, required, defaults", RECORDS, ids=IDS)

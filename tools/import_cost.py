@@ -2,19 +2,19 @@
 
 Usage, from the root of a checkout:
 
-    python3 tools/import_cost.py                         # 15 runs, top 12 modules
-    python3 tools/import_cost.py --runs 31 --top 20
-    python3 tools/import_cost.py --src ../other/src      # another checkout's gkdim
+    python3 tools/import_cost.py                      # this checkout's gkdim
+    python3 tools/import_cost.py --src ../other/src   # another checkout's gkdim
 
 The gkdim sources are copied to a temporary directory without any cached
-bytecode, and each run starts a new interpreter on that copy with
+bytecode, and each of RUNS runs starts a new interpreter on that copy with
 PYTHONDONTWRITEBYTECODE=1, so every gkdim module is compiled on import, as
 in a fresh checkout. The interpreter times its own `import gkdim.cli` with
-time.perf_counter; the median of those times is the first line printed. A second interpreter per run imports it again under
-`python -X importtime`, and the modules with the largest median self time
-follow, so a change in start-up cost can be traced to one module. Only the
-modules that `import gkdim.cli` loads count: whatever the interpreter
-imports at start-up (site and its .pth files) is already loaded and left out.
+time.perf_counter; the median of those times is the first line printed. A
+second interpreter per run imports it again under `python -X importtime`,
+and every module it loads follows, largest median self time first, so a
+change in start-up cost can be traced to one module. Only the modules that
+`import gkdim.cli` loads count: whatever the interpreter imports at
+start-up (site and its .pth files) is already loaded and left out.
 """
 
 import argparse
@@ -28,6 +28,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+#: fresh interpreters per measurement
+RUNS = 15
 
 #: printed to stderr just before the import, so importtime lines after it
 #: belong to gkdim.cli and not to interpreter start-up
@@ -61,34 +64,28 @@ def self_times(stderr: str) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--runs", type=int, default=15,
-                        help="fresh interpreters per measurement (default 15)")
-    parser.add_argument("--top", type=int, default=12,
-                        help="modules to list by self time (default 12)")
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="directory holding the gkdim package (default this checkout's src)")
     args = parser.parse_args(argv)
-    if args.runs < 1:
-        parser.error("--runs must be at least 1")
     src = args.src.resolve()
     totals, profiles = [], []
     with tempfile.TemporaryDirectory(prefix="import-cost-") as copy:
         shutil.copytree(src / "gkdim", Path(copy) / "gkdim",
                         ignore=shutil.ignore_patterns("__pycache__"))
-        for _ in range(args.runs):
+        for _ in range(RUNS):
             totals.append(float(_child(["-c", _TIMED], copy).stdout))
             profiles.append(self_times(_child(["-X", "importtime", "-c", _PROFILED],
                                               copy).stderr))
     print(f"import gkdim.cli: median {statistics.median(totals) * 1e3:.1f} ms over "
-          f"{args.runs} fresh interpreters (min {min(totals) * 1e3:.1f}, "
+          f"{RUNS} fresh interpreters (min {min(totals) * 1e3:.1f}, "
           f"max {max(totals) * 1e3:.1f}) from {src}")
     names = {name for profile in profiles for name in profile}
     rows = sorted(((statistics.median(p.get(n, (0, 0))[0] for p in profiles),
                     statistics.median(p.get(n, (0, 0))[1] for p in profiles), n)
                    for n in names), reverse=True)
-    print(f"{len(names)} modules loaded; largest median self time under -X importtime:")
+    print(f"{len(names)} modules loaded, by median self time under -X importtime:")
     print(f"{'self ms':>9} {'cum ms':>9}  module")
-    for self_us, cum_us, name in rows[:args.top]:
+    for self_us, cum_us, name in rows:
         print(f"{self_us / 1e3:9.2f} {cum_us / 1e3:9.2f}  {name}")
     return 0
 
