@@ -3,21 +3,27 @@ exact sequences of monomial modules, plus chain-length bounds, holonomic
 defects, a torsion criterion for cyclic modules, and dimension-level
 filtration comparison.
 
-All verdicts are computed from exact integer dimension counts; whenever
-polynomial detection fails on a needed sequence, the report says
-"inconclusive" rather than guessing.
+Growth dimensions and multiplicities of presented modules are certified
+from their exact Hilbert numerators (hilbert.growth_certificate), not fitted
+to sampled counts, so the exactness and multiplicity verdicts hold on every
+filtration, weighted ones included. Only the chain's strictness, a
+degreewise comparison, is checked on the counts up to the sampled degree.
 """
 
 from fractions import Fraction
 from operator import gt, sub
 from typing import NamedTuple, Optional
 
-from .exactnum import HilbertSamuelPolynomial, detect_polynomial, sequence_values
+# detect_polynomial is not called here; bench/test_bench.py checks that its
+# tracer rebinds this module's name
+from .exactnum import (HilbertSamuelPolynomial, detect_polynomial,  # noqa: F401
+                       sequence_values)
 from .presentations import (AlgebraSpec, ModuleSpec, SpecError, Summand,
                             monomial_divides, validate_algebra,
                             validate_module)
-from .hilbert import DimensionSequence, module_dim_sequence
-from .samuel import gk_dimension, multiplicity
+from .hilbert import (DimensionSequence, growth_certificate, module_dim_sequence,
+                      module_dims_at_one, numerator_at_one)
+from .samuel import gk_dimension
 
 
 # ---------------------------------------------------------------------------
@@ -31,7 +37,8 @@ class SESSpec(NamedTuple):
     each summand, sub_ideals[k] is a monomial ideal J_k containing I_k, and
     the sub-piece M' is the span of J_k inside A/I_k (summed over summands).
     The quotient M'' is the direct sum of the A/J_k with the same shifts,
-    never supplied; M' is derived from dim M'_n = dim M_n - dim M''_n.
+    never supplied; M' is derived by subtraction, of counts (dim M'_n =
+    dim M_n - dim M''_n) and of Hilbert numerators alike.
     """
 
     ambient: AlgebraSpec
@@ -67,21 +74,24 @@ def validate_ses(s: SESSpec) -> None:
                                 "among the sub-ideal generators)")
 
 
+def _quotient(s: SESSpec) -> ModuleSpec:
+    """M'': the direct sum of the A/J_k, shifted as in M."""
+    return ModuleSpec(tuple(Summand(summand.shift, sub) for summand, sub
+                            in zip(s.big.summands, s.sub_ideals)))
+
+
 def ses_dimension_triple(s: SESSpec, top: int):
     """Cumulative dimension sequences (M', M, M'') of the sequence, degrees
     0..top.
 
-    M and M'' (the direct sum of the A/J_k, shifted as in M) are each
-    counted once as module presentations, and M' by exact subtraction. The
-    balance dim M'_n + dim M''_n = dim M_n therefore holds by construction;
-    validity of all three as dimension sequences (natural, nondecreasing) is
-    asserted before anything is fitted.
+    M and M'' are each counted once as module presentations, and M' by
+    exact subtraction. The balance dim M'_n + dim M''_n = dim M_n therefore
+    holds by construction; validity of all three as dimension sequences
+    (natural, nondecreasing) is asserted.
     """
     validate_ses(s)
-    quotient = ModuleSpec(tuple(Summand(summand.shift, sub) for summand, sub
-                                in zip(s.big.summands, s.sub_ideals)))
     m = module_dim_sequence(s.ambient, s.big, top)
-    double = module_dim_sequence(s.ambient, quotient, top)
+    double = module_dim_sequence(s.ambient, _quotient(s), top)
     prime = tuple(map(sub, m.values, double.values))
     return DimensionSequence(prime, "cumulative"), m, double
 
@@ -92,9 +102,10 @@ class AxiomReport(NamedTuple):
     gk_triple lists growth dimensions as (GK M', GK M, GK M''), with None
     for a zero piece. case is "a" (GK M' < GK M = GK M''), "b" (GK M'' <
     GK M = GK M'), "c" (all three equal), "degenerate" (some piece is
-    zero), or "inconclusive" (detection failed). exactness_ok checks
-    GK M = max(GK M', GK M''); additivity_ok checks the multiplicity
-    identity of the applicable case. Both are None when inconclusive.
+    zero), or "inconclusive" (the growth dimensions match no multiplicity
+    clause). exactness_ok checks GK M = max(GK M', GK M''); additivity_ok
+    checks the multiplicity identity of the applicable case, and is None
+    when no case applies.
     """
 
     gk_triple: tuple
@@ -105,12 +116,6 @@ class AxiomReport(NamedTuple):
     notes: tuple = ()
 
 
-_INCONCLUSIVE_SES = AxiomReport(
-    gk_triple=(None, None, None), e_values=None, case="inconclusive",
-    exactness_ok=None, additivity_ok=None,
-    notes=("polynomial detection failed on at least one term; no verdict",))
-
-
 def check_multiplicity_axioms(s: SESSpec, top: int, window: int = 6) -> AxiomReport:
     """Full multiplicity verdict on the sequence.
 
@@ -118,15 +123,18 @@ def check_multiplicity_axioms(s: SESSpec, top: int, window: int = 6) -> AxiomRep
     "b" (e(M') = e(M)), "c" (additivity e(M) = e(M') + e(M'')), or
     "degenerate" (a zero piece), and checks the applicable identity exactly
     over the rationals. Also checks that multiplicity 0 occurs exactly on
-    zero pieces. Detection failure gives an inconclusive report.
+    zero pieces. M and M'' are certified from their Hilbert numerators, and
+    M' from the difference of the two numerators, so the verdict holds in
+    every degree; `top` and `window` do not enter it.
     """
-    seqs = ses_dimension_triple(s, top)
-    fits = [detect_polynomial(seq, window) for seq in seqs]
-    if any(f is None for f in fits):
-        return _INCONCLUSIVE_SES
-    zero = [f.form.is_zero() for f in fits]
-    gk = tuple(None if z else gk_dimension(f) for z, f in zip(zero, fits))
-    e = tuple(Fraction(0) if z else multiplicity(f) for z, f in zip(zero, fits))
+    validate_ses(s)
+    m = numerator_at_one(s.ambient, s.big)
+    double = numerator_at_one(s.ambient, _quotient(s))
+    certs = [growth_certificate(s.ambient, c)
+             for c in (tuple(map(sub, m, double)), m, double)]
+    zero = [c is None for c in certs]
+    gk = tuple(None if c is None else c[0] for c in certs)
+    e = tuple(Fraction(0) if c is None else c[1] for c in certs)
     notes = []
 
     side_gks = [g for g in (gk[0], gk[2]) if g is not None]
@@ -168,8 +176,8 @@ def check_exactness(s: SESSpec, top: int, window: int = 6) -> AxiomReport:
     """Growth-dimension exactness GK M = max(GK M', GK M'') on the sequence.
 
     Returns a partial report: gk_triple, case, and exactness_ok are filled,
-    multiplicity fields are left empty. Detection failure on any term gives
-    an inconclusive report, never a false verdict.
+    multiplicity fields are left empty. The growth dimensions are certified
+    as in check_multiplicity_axioms; `top` and `window` do not enter them.
     """
     report = check_multiplicity_axioms(s, top, window)
     return report._replace(e_values=None, additivity_ok=None)
@@ -185,8 +193,7 @@ class ChainReport(NamedTuple):
 
     quotients_full_gk reports the precondition that every quotient
     M_i / M_{i+1} has the same growth dimension as M; when it fails the
-    bound verdict is still computed but the hypothesis did not hold. None
-    values mean detection failed somewhere.
+    bound verdict is still computed but the hypothesis did not hold.
     """
 
     n: int
@@ -201,15 +208,24 @@ def chain_bound_check(ambient: AlgebraSpec, chain, top: int,
                       window: int = 6) -> ChainReport:
     """Check the length bound n <= e(M) on a chain of module presentations.
 
-    `chain` lists module specs whose dimension sequences must be strictly
-    descending degreewise, starting with M itself; n = len(chain) - 1. An
-    empty tail (just M) gives n = 0. Strictness violations raise SpecError;
-    a quotient of smaller growth dimension is reported via
-    quotients_full_gk, not raised.
+    `chain` lists summand presentations whose dimension sequences must be
+    strictly descending degreewise, starting with M itself; n =
+    len(chain) - 1. An empty tail (just M) gives n = 0. A negative_shift
+    member and strictness violations on degrees 0..top raise SpecError;
+    `top` sizes only that comparison, and `window` is not used. e(M),
+    gk(M) and each quotient's growth dimension are certified from the
+    members' Hilbert numerators (a quotient's is the difference of two),
+    read with the counts from one numerator per member where it can
+    (hilbert.module_dims_at_one); a quotient of smaller growth dimension is
+    reported via quotients_full_gk, not raised.
     """
     if not chain:
         raise SpecError("chain", "chain must start with the module itself")
-    dims = [module_dim_sequence(ambient, m, top) for m in chain]
+    for k, m in enumerate(chain):
+        if m.negative_shift is not None:
+            raise SpecError(f"chain[{k+1}]", "chain checks need summand "
+                                             "presentations, not a negative_shift module")
+    dims, numerators = zip(*(module_dims_at_one(ambient, m, top) for m in chain))
     for i in range(len(dims) - 1):
         prev, cur = dims[i].values, dims[i + 1].values
         if any(map(gt, cur, prev)):
@@ -219,27 +235,20 @@ def chain_bound_check(ambient: AlgebraSpec, chain, top: int,
             raise SpecError(f"chain[{i+2}]",
                             "chain containment is not strict in the sampled range")
     n = len(chain) - 1
-    fit = detect_polynomial(dims[0], window)
-    if fit is None:
-        return ChainReport(n, None, None, None, None,
-                           notes=("growth of the top module is not detectable",))
-    e_m = multiplicity(fit)
-    gk_m = gk_dimension(fit)
-    quotients_full_gk: Optional[bool] = True
+    gk_m, e_m = growth_certificate(ambient, numerators[0]) or (0, Fraction(0))
+    quotients_full_gk = True
     notes = []
     for i in range(n):
+        # natural by the comparison above; a cumulative sequence also needs
+        # to be nondecreasing
         diffs = tuple(map(sub, dims[i].values, dims[i + 1].values))
-        try:
-            qseq = DimensionSequence(diffs, "cumulative")
-        except ValueError:
+        if any(map(gt, diffs, diffs[1:])):
             raise SpecError(f"chain[{i+2}]",
                             "difference with the previous member is not a "
-                            "valid cumulative dimension sequence") from None
-        qfit = detect_polynomial(qseq, window)
-        if qfit is None:
-            quotients_full_gk = None
-            notes.append(f"growth of quotient {i+1} is not detectable")
-        elif qfit.form.is_zero() or gk_dimension(qfit) != gk_m:
+                            "valid cumulative dimension sequence")
+        quotient = growth_certificate(ambient, tuple(map(sub, numerators[i],
+                                                         numerators[i + 1])))
+        if quotient is None or quotient[0] != gk_m:
             quotients_full_gk = False
             notes.append(f"quotient {i+1} has smaller growth dimension than the module")
     return ChainReport(n, e_m, gk_m, n <= e_m, quotients_full_gk, tuple(notes))

@@ -46,8 +46,9 @@ EXIT_INTERNAL = 4
 COMMANDS = ("analyze", "hilbert", "poincare", "check-ses", "chain",
             "refilter", "classify")
 
-# commands whose pipeline runs the exact difference-tower detector and so
-# need max_degree >= 2 * window + 4 samples
+# commands that need max_degree >= 2 * window + 4 samples: analyze and
+# classify run the exact difference-tower detector; check-ses and chain,
+# whose verdicts come from Hilbert numerators, keep the same rule
 _DETECTION_COMMANDS = ("analyze", "check-ses", "chain", "classify")
 
 # the fixed warning catalog: reports carry symbolic flags, output carries
@@ -539,14 +540,13 @@ def _cmd_chain(config: RunConfig, parsed: ParsedInput):
     report = chain_bound_check(a, modules, config.max_degree, config.window)
     payload = {
         "n": report.n,
-        "e_m": _frac_or_none(report.e_m),
+        "e_m": _frac(report.e_m),
         "gk_m": report.gk_m,
         "bound_ok": report.bound_ok,
         "quotients_full_gk": report.quotients_full_gk,
         "notes": list(report.notes),
     }
-    code = EXIT_INCONCLUSIVE if report.bound_ok is None else EXIT_OK
-    return code, payload, ()
+    return EXIT_OK, payload, ()
 
 
 def _cmd_refilter(config: RunConfig, parsed: ParsedInput):

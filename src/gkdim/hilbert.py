@@ -2,11 +2,11 @@
 
 A module presented as a direct sum of shifted quotients A/I_k has one
 series (Hilbert-Serre): the summands' numerators, shifted and summed, over
-one prod(1 - t^w). _module_numerator is the one place a summand's shift is
-applied; dimension counts and Hilbert series are both read from it. Counts
-divide the numerator by prod(1 - t^w) as integer running sums, one per
-factor (presentations.divide_by_weights), with one more factor (1 - t) for
-cumulative counts.
+one prod(1 - t^w). _module_numerator applies each summand's shift to the
+dense numerator; dimension counts and Hilbert series are both read from it.
+Counts divide the numerator by prod(1 - t^w) as integer running sums, one
+per factor (presentations.divide_by_weights), with one more factor (1 - t)
+for cumulative counts.
 
 Standard monomials of a monomial ideal are counted exactly from the
 numerator of the quotient's Hilbert series. One pivot recursion in the style
@@ -24,11 +24,20 @@ counts, the coprime base case multiplies by each (1 - t^d) in place, and the
 colon's numerator is added at the pivot's weight in one slice, or not at all
 above top. The hilbert command's graded dimensions are the one expansion
 the series self-check verifies (_checked_series).
+
+The growth certificate (numerator_at_one, growth_certificate) reads gk and
+the multiplicity off the numerator's Taylor coefficients at t = 1 alone. It
+runs the same recursion in powers of t - 1, cut after order n, where every
+shift t^s is a product with the binomials C(s, j); so it depends on no
+degree. module_dims_at_one reads those coefficients and the counts from one
+dense numerator when that numerator is whole below the degree counted to.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
+from fractions import Fraction
+from itertools import accumulate, repeat
+from math import comb, prod
 from operator import add, le, mul, sub
 from typing import Sequence
 
@@ -180,25 +189,82 @@ def _numerator(gens: tuple, weights: tuple, top: int) -> list:
     return out
 
 
-def _colon(gens: tuple, pivot: int) -> tuple:
-    """Minimal generators of (I : x) for minimal generators `gens` of I and
-    x the pivot variable.
+def _colon(gens: tuple, pivot: int, power: int = 1) -> tuple:
+    """Minimal generators of (I : x^power) for minimal generators `gens` of
+    I, x the pivot variable and power at most the least positive exponent
+    of x among them.
 
     The colon is generated by the x-free generators and the lowered ones
-    g / x. Lowered generators stay an antichain, and none is divisible by an
-    x-free generator a (a | g / x would give a | g). An x-free generator is
-    dropped exactly when a lowered generator divides it, which needs one that
-    has lost its last x.
+    g / x^power. Lowered generators stay an antichain, and none is divisible
+    by an x-free generator a (a | g / x^power would give a | g). An x-free
+    generator is dropped exactly when a lowered generator divides it, which
+    needs one that has lost its last x.
     """
     lowered, free = [], []
     for g in gens:
         if g[pivot]:
-            lowered.append(g[:pivot] + (g[pivot] - 1,) + g[pivot + 1:])
+            lowered.append(g[:pivot] + (g[pivot] - power,) + g[pivot + 1:])
         else:
             free.append(g)
     emptied = [h for h in lowered if not h[pivot]]
     return tuple(lowered) + tuple(
         a for a in free if not any(monomial_divides(h, a) for h in emptied))
+
+
+def _taylor_numerator(gens: tuple, weights: tuple, order: int) -> list:
+    """The numerator of _numerator in powers of u = t - 1: its coefficients
+    c_j = sum_i C(i, j) p_i for j = 0..order.
+
+    The same pivot recursion, read at t = 1, where t^d = (1 + u)^d: a
+    pivot's shift is a product with the binomials C(d, j), j <= order
+    (_times_t_power), and a coprime factor 1 - t^d = -u (d + C(d, 2) u + ...)
+    raises the order of vanishing by one. The pivot variable x is split off
+    as x^m, m its least positive exponent, so every colon step takes x out
+    of some generator: neither the lists nor the depth of the recursion
+    depend on a degree or an exponent.
+    """
+    counts = [len(col) - col.count(0) for col in zip(*gens)]
+    most = max(counts, default=0)
+    if most < 2:
+        rest = order - len(gens)
+        if rest < 0:
+            return [0] * (order + 1)
+        q = [1] + [0] * rest
+        for g in gens:
+            d = _wdeg(g, weights)
+            factor = [comb(d, j) for j in range(1, rest + 2)]
+            q = [sum(map(mul, factor, q[k::-1])) for k in range(rest + 1)]
+        return [0] * len(gens) + ([-c for c in q] if len(gens) % 2 else q)
+    pivot = counts.index(most)
+    power = min(g[pivot] for g in gens if g[pivot])
+    var_mono = tuple(power if i == pivot else 0 for i in range(len(weights)))
+    # x^power divides every generator x divides, and absorbs them
+    out = _taylor_numerator(tuple(g for g in gens if not g[pivot]) + (var_mono,),
+                            weights, order)
+    low = _taylor_numerator(_colon(gens, pivot, power), weights, order)
+    return list(map(add, out, _times_t_power(low, power * weights[pivot])))
+
+
+def _times_t_power(c: list, d: int) -> list:
+    """t^d times the series c in powers of u = t - 1, cut after len(c)
+    terms: t^d = sum_j C(d, j) u^j."""
+    if not d:
+        return c
+    binomials = [comb(d, j) for j in range(len(c))]
+    return [sum(map(mul, binomials, c[k::-1])) for k in range(len(c))]
+
+
+def _dense_at_one(dense: list, order: int) -> list:
+    """c_0..c_order of the polynomial `dense` in powers of t - 1, by
+    order + 1 synthetic divisions by t - 1: each quotient's coefficients
+    are the suffix sums of the dividend, and the remainder is its value
+    at t = 1."""
+    out = []
+    for _ in range(order + 1):
+        sums = list(accumulate(reversed(dense)))
+        out.append(sums[-1] if sums else 0)
+        dense = sums[-2::-1]
+    return out
 
 
 def _module_numerator(a: AlgebraSpec, m: ModuleSpec, top=None) -> tuple:
@@ -271,6 +337,72 @@ def module_dim_sequence(a: AlgebraSpec, m: ModuleSpec, top: int) -> DimensionSeq
 def algebra_dim_sequence(a: AlgebraSpec, top: int) -> DimensionSequence:
     """Cumulative dimensions of the algebra as a module over itself."""
     return module_dim_sequence(a, ModuleSpec.regular(), top)
+
+
+def numerator_at_one(a: AlgebraSpec, m: ModuleSpec) -> tuple:
+    """The module's Hilbert numerator p in powers of (t - 1): the Taylor
+    coefficients c_j = sum_i C(i, j) p_i at t = 1 for j = 0..n, n the
+    number of generators, which is all growth_certificate reads.
+
+    Each summand's numerator comes from its own pivot recursion, and its
+    shift s multiplies by t^s, whose coefficients are C(s, j); so the work
+    depends on neither the shifts nor the degrees of the generators.
+    Raises ValueError for a negative_shift module, which has no summand
+    series.
+    """
+    validate_module(a, m)
+    if m.negative_shift is not None:
+        raise ValueError("a Hilbert numerator needs a summand presentation")
+    weights = a.scalar_weights()
+    order = len(weights)
+    total = [0] * (order + 1)
+    for s in m.summands:
+        c = _taylor_numerator(minimalize_ideal(s.ideal), weights, order)
+        total = list(map(add, total, _times_t_power(c, s.shift)))
+    return tuple(total)
+
+
+def module_dims_at_one(a: AlgebraSpec, m: ModuleSpec, top: int) -> tuple:
+    """(module_dim_sequence(a, m, top), numerator_at_one(a, m)) from one
+    numerator where it can.
+
+    When every summand's shift plus the weight of its ideal's generators is
+    at most top, the dense numerator the counts are read from is the whole
+    numerator, and its coefficients at t = 1 come from it; otherwise they
+    come from numerator_at_one. Raises ValueError for a negative_shift
+    module.
+    """
+    if m.negative_shift is not None:
+        raise ValueError("a Hilbert numerator needs a summand presentation")
+    dense, _ = _module_numerator(a, m, top)
+    dims = DimensionSequence(tuple(_counts(a, dense, cumulative=True)), "cumulative")
+    weights = a.scalar_weights()
+    end = max(s.shift + sum(_wdeg(g, weights) for g in s.ideal) for s in m.summands)
+    if end > top:
+        return dims, numerator_at_one(a, m)
+    return dims, tuple(_dense_at_one(dense[:end + 1], len(weights)))
+
+
+def growth_certificate(a: AlgebraSpec, coefficients: Sequence[int]):
+    """(gk, e) of a module whose Hilbert numerator has the coefficients
+    numerator_at_one gives, or None when they all vanish (the zero module).
+
+    Hilbert-Serre (Bruns-Herzog, Cohen-Macaulay Rings, ch. 4): with r the
+    index of the first nonzero c_r, p = (1 - t)^r q and q(1) = (-1)^r c_r,
+    so the series p / prod(1 - t^w), n factors, has a pole of order
+    gk = n - r at t = 1 with leading coefficient e = q(1) / prod(w). The
+    counts are nonnegative, so no other root of unity is a pole of higher
+    order, and the cumulative counts grow like e n^gk / gk!. A nonzero
+    module has r <= n: its series has a pole at t = 1 or is a nonzero
+    polynomial, positive there. Differences of coefficients certify
+    differences of modules, such as the sub-piece of a short exact
+    sequence.
+    """
+    r = next((j for j, c in enumerate(coefficients) if c), None)
+    if r is None:
+        return None
+    weights = a.scalar_weights()
+    return len(weights) - r, Fraction((-1) ** r * coefficients[r], prod(weights))
 
 
 def module_hilbert_series(a: AlgebraSpec, m: ModuleSpec) -> RationalSeries:

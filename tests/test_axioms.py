@@ -165,15 +165,33 @@ def test_exactness_report_leaves_multiplicities_empty():
     assert report.additivity_ok is None
 
 
-def test_undetectable_dimensions_give_inconclusive():
-    # a weight-2 generator makes the counts quasi-periodic, which the plain
-    # polynomial detector refuses
+def test_weighted_ring_gets_a_certified_verdict():
+    # a weight-2 generator makes the counts quasi-periodic, which the
+    # difference tower refuses; the Hilbert numerators still decide it:
+    # k[x] grows like n / 2, the sub-piece (x) likewise, k[x]/(x) is k
     a = AlgebraSpec.polynomial(1, degrees=[(2,)])
-    report = check_exactness(SESSpec(a, ModuleSpec.regular(), (((1,),),)), TOP)
-    assert report.case == "inconclusive"
-    assert report.gk_triple == (None, None, None)
-    assert report.exactness_ok is None
-    assert report.notes
+    ses = SESSpec(a, ModuleSpec.regular(), (((1,),),))
+    report = check_exactness(ses, TOP)
+    assert report.case == "b"
+    assert report.gk_triple == (1, 1, 0)
+    assert report.exactness_ok is True
+    full = check_multiplicity_axioms(ses, TOP)
+    assert full.e_values == (Fraction(1, 2), Fraction(1, 2), Fraction(1))
+    assert full.additivity_ok is True
+    assert full.notes == ()
+
+
+def test_verdict_does_not_depend_on_the_sampled_depth():
+    # below degree 20 the sub-piece (x^20) of k[x, y] has no elements, so
+    # counts up to 16 looked like a zero sub-piece; the numerators see it
+    a = AlgebraSpec.polynomial(2)
+    ses = SESSpec(a, ModuleSpec.regular(), (((20, 0),),))
+    for top in (16, TOP, 200):
+        report = check_multiplicity_axioms(ses, top)
+        assert report.case == "b"
+        assert report.gk_triple == (2, 2, 1)
+        assert report.e_values == (1, 1, 20)
+        assert report.additivity_ok is True
 
 
 def test_validate_ses_error_paths():
@@ -267,6 +285,17 @@ def test_chain_strictness_violations_raise():
 
     with pytest.raises(SpecError):
         chain_bound_check(a, [], TOP)
+
+
+def test_chain_refuses_a_negative_shift_member():
+    a = AlgebraSpec.weyl(1)
+    laurent = ModuleSpec.laurent()
+    for chain, path in (([laurent], "chain[1]"),
+                        ([ModuleSpec.regular(), laurent], "chain[2]")):
+        with pytest.raises(SpecError) as exc:
+            chain_bound_check(a, chain, TOP)
+        assert exc.value.path == path
+        assert "negative_shift" in exc.value.message
 
 
 # ---------------------------------------------------------------------------

@@ -606,6 +606,29 @@ def test_check_ses_coordinate_ideal(tmp_path, capsys):
     assert report["additivity_ok"] is True
 
 
+WEIGHTS_3_4 = {"kind": "polynomial",
+               "generators": [{"name": "a", "degree": [3]},
+                              {"name": "b", "degree": [4]}]}
+
+
+@pytest.mark.parametrize("depth", ["40", "120"])
+def test_check_ses_on_a_weighted_ring(tmp_path, capsys, depth):
+    # the counts of k[a, b] with weights 3, 4 are quasi-polynomial, which
+    # no difference tower fits; the Hilbert numerators certify the verdict
+    doc = {"spec_version": 1, "algebra": WEIGHTS_3_4, "ses": {"sub_ideal": ["a"]}}
+    code, payload = _run_json(capsys, ["check-ses", _write(tmp_path, doc),
+                                       "--max-degree", depth])
+    assert code == 0
+    assert payload["report"] == {
+        "gk_triple": [2, 2, 1],
+        "e_values": [[1, 12], [1, 12], [1, 4]],
+        "case": "b",
+        "exactness_ok": True,
+        "additivity_ok": True,
+        "notes": [],
+    }
+
+
 def test_check_ses_sub_ideal_count_mismatch(tmp_path, capsys):
     doc = {"spec_version": 1,
            "algebra": {"kind": "polynomial", "generators": [{"name": "x"}]},
@@ -632,6 +655,23 @@ def test_chain_of_nested_ideals(tmp_path, capsys):
     assert report["gk_m"] == 1
     assert report["bound_ok"] is False   # a one-variable ring caps chains at 1
     assert report["quotients_full_gk"] is False
+
+
+@pytest.mark.parametrize("depth", ["40", "120"])
+def test_chain_on_a_weighted_ring(tmp_path, capsys, depth):
+    doc = {"spec_version": 1, "algebra": WEIGHTS_3_4,
+           "chain": [[], ["a"], ["a", "b^2"]]}
+    code, payload = _run_json(capsys, ["chain", _write(tmp_path, doc),
+                                       "--max-degree", depth])
+    assert code == 0
+    assert payload["report"] == {
+        "n": 2,
+        "e_m": [1, 12],
+        "gk_m": 2,
+        "bound_ok": False,
+        "quotients_full_gk": False,
+        "notes": ["quotient 2 has smaller growth dimension than the module"],
+    }
 
 
 def test_chain_rejects_non_nested_ideals(tmp_path, capsys):

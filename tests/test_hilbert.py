@@ -16,6 +16,12 @@ kernel-based counts are compared with the free count and convolution they
 replaced, the dense-list numerator with the dict recursion it replaced, and
 graded() with its index loop, all kept below as references, and the
 DimensionSequence validators by the messages they raise.
+
+The growth certificate (gk and e from the numerator at t = 1) is checked
+against three oracles: the difference tower on unweighted modules, sympy's
+pole order and leading Laurent coefficient at t = 1 on weighted modules
+with shifts up to 5000, and tower fits along the residue classes of the
+period on weighted modules whose counts the brute-force oracle vouches for.
 """
 
 from fractions import Fraction
@@ -25,6 +31,7 @@ import math
 import random
 
 import pytest
+import sympy
 
 from gkdim.exactnum import Polynomial
 from gkdim.poincare import RationalSeries
@@ -33,11 +40,14 @@ from gkdim.cli import main
 from gkdim.hilbert import (MEANINGS, SERIES_DEGREE_BOUND, DimensionSequence,
                            _colon, _counts, _numerator,
                            _module_numerator, algebra_dim_sequence,
-                           graded_piece_dim, hilbert_series_monomial_quotient,
+                           graded_piece_dim, growth_certificate,
+                           hilbert_series_monomial_quotient,
                            minimalize_ideal, module_dim_sequence,
-                           module_hilbert_series, numerator_terms,
+                           module_dims_at_one, module_hilbert_series,
+                           numerator_at_one, numerator_terms,
                            standard_monomial_counts)
 from gkdim.presentations import AlgebraSpec, ModuleSpec, SpecError, Summand
+from gkdim.samuel import detect_polynomial, gk_dimension, multiplicity
 
 # ---------------------------------------------------------------------------
 # dimension sequences
@@ -178,6 +188,24 @@ def test_colon_matches_minimalize_ideal():
             colon = _colon(gens, pivot)
             assert len(colon) == len(set(colon)), (gens, pivot)
             assert set(colon) == set(minimalize_ideal(lowered)), (gens, pivot)
+
+
+def test_colon_by_a_pivot_power_matches_minimalize_ideal():
+    rng = random.Random(1993)
+    for _ in range(300):
+        nvars = rng.randint(1, 5)
+        gens = minimalize_ideal([tuple(rng.randint(0, 5) for _ in range(nvars))
+                                 for _ in range(rng.randint(1, 12))])
+        for pivot in range(nvars):
+            exponents = [g[pivot] for g in gens if g[pivot]]
+            if not exponents:
+                continue
+            power = rng.randint(1, min(exponents))
+            lowered = [tuple(max(e - power, 0) if i == pivot else e
+                             for i, e in enumerate(g)) for g in gens]
+            colon = _colon(gens, pivot, power)
+            assert len(colon) == len(set(colon)), (gens, pivot, power)
+            assert set(colon) == set(minimalize_ideal(lowered)), (gens, pivot, power)
 
 
 def test_standard_monomial_counts_match_brute_force():
@@ -576,3 +604,158 @@ def test_hilbert_reads_graded_dimensions_from_the_self_check(tmp_path, monkeypat
         assert lengths == expansions, top
         graded = json.loads(out.read_text())["report"]["graded_dimensions"]
         assert graded == [1] + [2] * top, top
+
+
+# ---------------------------------------------------------------------------
+# the growth certificate: gk and e from the numerator at t = 1
+
+
+def _certificate(a, m):
+    return growth_certificate(a, numerator_at_one(a, m))
+
+
+def _random_unweighted_module(rng):
+    """k[x_1..x_n], n in 1..4, with 1..3 summands: shifts 0..3, ideals of up
+    to 4 generators with exponents 0..2 (the unit ideal included)."""
+    nvars = rng.randint(1, 4)
+    summands = tuple(
+        Summand(rng.randint(0, 3),
+                tuple(tuple(rng.randint(0, 2) for _ in range(nvars))
+                      for _ in range(rng.randint(0, 4))))
+        for _ in range(rng.randint(1, 3)))
+    return AlgebraSpec.polynomial(nvars), ModuleSpec(summands)
+
+
+def test_certificate_matches_the_difference_tower():
+    # on unweighted modules the counts are polynomial past a degree below
+    # 40 here, so the tower's fit at depth 80 is the Hilbert-Samuel
+    # polynomial: its degree and top binomial coefficient are gk and e
+    rng = random.Random(1414)
+    zero = 0
+    for _ in range(300):
+        a, m = _random_unweighted_module(rng)
+        fit = detect_polynomial(module_dim_sequence(a, m, 80))
+        assert fit is not None, m
+        if fit.form.is_zero():
+            zero += 1
+            assert _certificate(a, m) is None, m
+        else:
+            assert _certificate(a, m) == (gk_dimension(fit), multiplicity(fit)), m
+    assert 0 < zero < 300
+
+
+def _sympy_growth(weights, m):
+    """(gk, e) from the pole of C(t) = p(t) / ((1 - t) prod(1 - t^w)) at
+    t = 1, by sympy: C has a pole of order gk + 1 there, and its leading
+    Laurent coefficient lim (1 - t)^(gk + 1) C(t) is e. None when p = 0."""
+    t = sympy.symbols("t")
+    p = sum(t ** (s.shift + d) * c for s in m.summands
+            for d, c in numerator_terms(s.ideal, weights).items())
+    num = sympy.Poly(p, t)
+    den = sympy.Poly((1 - t) * sympy.prod([1 - t ** w for w in weights]), t)
+    if num.is_zero:
+        return None
+    line = sympy.Poly(t - 1, t)
+    orders = []
+    for poly in (num, den):
+        k = 0
+        while poly.eval(1) == 0:
+            poly, rest = poly.div(line)
+            assert rest.is_zero
+            k += 1
+        orders.append((k, poly.eval(1)))
+    (kn, vn), (kd, vd) = orders
+    pole = kd - kn
+    # (t - 1)^kn / (t - 1)^kd = (-1)^pole (1 - t)^(-pole)
+    lead = (-1) ** pole * sympy.Rational(vn) / sympy.Rational(vd)
+    return pole - 1, Fraction(int(lead.p), int(lead.q))
+
+
+def test_certificate_matches_sympy_at_t_equals_one():
+    rng = random.Random(5000)
+    seen_zero = False
+    for _ in range(60):
+        nvars = rng.randint(1, 4)
+        weights = tuple(rng.randint(1, 5) for _ in range(nvars))
+        a = AlgebraSpec.polynomial(nvars, degrees=[(w,) for w in weights])
+        summands = tuple(
+            Summand(rng.choice((0, rng.randint(0, 40), rng.randint(0, 5000))),
+                    tuple(tuple(rng.randint(0, 3) for _ in range(nvars))
+                          for _ in range(rng.randint(0, 4))))
+            for _ in range(rng.randint(1, 3)))
+        m = ModuleSpec(summands)
+        want = _sympy_growth(weights, m)
+        seen_zero |= want is None
+        assert _certificate(a, m) == want, m
+    assert seen_zero
+
+
+def test_numerator_counts_match_brute_force_on_weighted_rings():
+    # the counts the chain check compares come with the numerator's
+    # coefficients at t = 1, from the dense numerator when it is whole
+    # (top past every shift plus generator weight) and from the recursion
+    # at t = 1 otherwise; both readings must agree
+    rng = random.Random(2025)
+    whole = cut = 0
+    for _ in range(80):
+        a, m = _random_module(rng)
+        top = rng.randint(0, 30)
+        brute = [0] * (top + 1)
+        for s in m.summands:
+            if s.shift <= top:
+                for n, c in enumerate(_brute_counts(a.scalar_weights(), s.ideal,
+                                                    top - s.shift)):
+                    brute[n + s.shift] += c
+        dims, at_one = module_dims_at_one(a, m, top)
+        assert list(dims.graded()) == brute, (m, top)
+        assert dims == module_dim_sequence(a, m, top)
+        assert at_one == numerator_at_one(a, m), (m, top)
+        weights = a.scalar_weights()
+        end = max(s.shift + sum(sum(map(math.prod, zip(g, weights))) for g in s.ideal)
+                  for s in m.summands)
+        whole += end <= top
+        cut += end > top
+    assert whole and cut
+
+
+def test_certificate_on_weighted_rings_matches_progression_fits():
+    # on a weighted ring the cumulative counts are a quasi-polynomial of
+    # period L = lcm(w); along each progression n = L k + r they are a
+    # polynomial in k whose top binomial coefficient is e L^gk
+    rng = random.Random(77)
+    for _ in range(40):
+        a, m = _random_module(rng)
+        weights = a.scalar_weights()
+        period = math.lcm(*weights)
+        counts = module_dim_sequence(a, m, 40 * period).values
+        cert = _certificate(a, m)
+        for r in range(period):
+            fit = detect_polynomial(DimensionSequence(counts[period * 20 + r::period]))
+            assert fit is not None, (m, r)
+            if cert is None:
+                assert fit.form.is_zero(), m
+            else:
+                gk, e = cert
+                assert gk_dimension(fit) == gk, (m, r)
+                assert multiplicity(fit) == e * period ** gk, (m, r)
+
+
+def test_certificate_work_depends_on_no_exponent_or_shift():
+    a = AlgebraSpec.polynomial(1)
+    assert _certificate(a, ModuleSpec.cyclic([(10 ** 9,)])) == (0, Fraction(10 ** 9))
+    shifted = ModuleSpec((Summand(10 ** 12, ()),))
+    assert numerator_at_one(a, shifted) == (1, 10 ** 12)
+    assert _certificate(a, shifted) == (1, Fraction(1))
+    # a colon by x alone would recurse 3000 levels deep here: x^3000 y^b and
+    # x^3000 z^c for b, c >= 1 lie outside the ideal only below x^3000, and
+    # the x-axis is free, so e = 3000 + 3000 + 1
+    a = AlgebraSpec.polynomial(3)
+    m = ModuleSpec.cyclic([(3000, 1, 0), (3000, 0, 1), (0, 1, 1)])
+    assert _certificate(a, m) == (1, Fraction(6001))
+
+
+def test_certificate_refuses_a_laurent_module():
+    with pytest.raises(ValueError):
+        numerator_at_one(AlgebraSpec.weyl(1), ModuleSpec.laurent())
+    with pytest.raises(ValueError):
+        module_dims_at_one(AlgebraSpec.weyl(1), ModuleSpec.laurent(), 10)
