@@ -22,7 +22,7 @@ from .presentations import (AlgebraSpec, ModuleSpec, SpecError, Summand,
                             monomial_divides, validate_algebra,
                             validate_module)
 from .hilbert import (DimensionSequence, growth_certificate, module_dim_sequence,
-                      module_dims_at_one, numerator_at_one)
+                      numerator_at_one)
 from .samuel import gk_dimension
 
 
@@ -214,10 +214,9 @@ def chain_bound_check(ambient: AlgebraSpec, chain, top: int,
     member and strictness violations on degrees 0..top raise SpecError;
     `top` sizes only that comparison, and `window` is not used. e(M),
     gk(M) and each quotient's growth dimension are certified from the
-    members' Hilbert numerators (a quotient's is the difference of two),
-    read with the counts from one numerator per member where it can
-    (hilbert.module_dims_at_one); a quotient of smaller growth dimension is
-    reported via quotients_full_gk, not raised.
+    members' Hilbert numerators (a quotient's is the difference of two);
+    a quotient of smaller growth dimension is reported via
+    quotients_full_gk, not raised.
     """
     if not chain:
         raise SpecError("chain", "chain must start with the module itself")
@@ -225,7 +224,7 @@ def chain_bound_check(ambient: AlgebraSpec, chain, top: int,
         if m.negative_shift is not None:
             raise SpecError(f"chain[{k+1}]", "chain checks need summand "
                                              "presentations, not a negative_shift module")
-    dims, numerators = zip(*(module_dims_at_one(ambient, m, top) for m in chain))
+    dims = [module_dim_sequence(ambient, m, top) for m in chain]
     for i in range(len(dims) - 1):
         prev, cur = dims[i].values, dims[i + 1].values
         if any(map(gt, cur, prev)):
@@ -235,6 +234,7 @@ def chain_bound_check(ambient: AlgebraSpec, chain, top: int,
             raise SpecError(f"chain[{i+2}]",
                             "chain containment is not strict in the sampled range")
     n = len(chain) - 1
+    numerators = [numerator_at_one(ambient, m) for m in chain]
     gk_m, e_m = growth_certificate(ambient, numerators[0]) or (0, Fraction(0))
     quotients_full_gk = True
     notes = []

@@ -29,14 +29,13 @@ The growth certificate (numerator_at_one, growth_certificate) reads gk and
 the multiplicity off the numerator's Taylor coefficients at t = 1 alone. It
 runs the same recursion in powers of t - 1, cut after order n, where every
 shift t^s is a product with the binomials C(s, j); so it depends on no
-degree. module_dims_at_one reads those coefficients and the counts from one
-dense numerator when that numerator is whole below the degree counted to.
+degree.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import repeat
 from math import comb, prod
 from operator import add, le, mul, sub
 from typing import Sequence
@@ -254,19 +253,6 @@ def _times_t_power(c: list, d: int) -> list:
     return [sum(map(mul, binomials, c[k::-1])) for k in range(len(c))]
 
 
-def _dense_at_one(dense: list, order: int) -> list:
-    """c_0..c_order of the polynomial `dense` in powers of t - 1, by
-    order + 1 synthetic divisions by t - 1: each quotient's coefficients
-    are the suffix sums of the dividend, and the remainder is its value
-    at t = 1."""
-    out = []
-    for _ in range(order + 1):
-        sums = list(accumulate(reversed(dense)))
-        out.append(sums[-1] if sums else 0)
-        dense = sums[-2::-1]
-    return out
-
-
 def _module_numerator(a: AlgebraSpec, m: ModuleSpec, top=None) -> tuple:
     """The module's Hilbert-series numerator over prod(1 - t^w) as a dense
     int list, degrees 0..top, and the degree its expansion self-check reaches.
@@ -360,27 +346,6 @@ def numerator_at_one(a: AlgebraSpec, m: ModuleSpec) -> tuple:
         c = _taylor_numerator(minimalize_ideal(s.ideal), weights, order)
         total = list(map(add, total, _times_t_power(c, s.shift)))
     return tuple(total)
-
-
-def module_dims_at_one(a: AlgebraSpec, m: ModuleSpec, top: int) -> tuple:
-    """(module_dim_sequence(a, m, top), numerator_at_one(a, m)) from one
-    numerator where it can.
-
-    When every summand's shift plus the weight of its ideal's generators is
-    at most top, the dense numerator the counts are read from is the whole
-    numerator, and its coefficients at t = 1 come from it; otherwise they
-    come from numerator_at_one. Raises ValueError for a negative_shift
-    module.
-    """
-    if m.negative_shift is not None:
-        raise ValueError("a Hilbert numerator needs a summand presentation")
-    dense, _ = _module_numerator(a, m, top)
-    dims = DimensionSequence(tuple(_counts(a, dense, cumulative=True)), "cumulative")
-    weights = a.scalar_weights()
-    end = max(s.shift + sum(_wdeg(g, weights) for g in s.ideal) for s in m.summands)
-    if end > top:
-        return dims, numerator_at_one(a, m)
-    return dims, tuple(_dense_at_one(dense[:end + 1], len(weights)))
 
 
 def growth_certificate(a: AlgebraSpec, coefficients: Sequence[int]):

@@ -43,7 +43,7 @@ from gkdim.hilbert import (MEANINGS, SERIES_DEGREE_BOUND, DimensionSequence,
                            graded_piece_dim, growth_certificate,
                            hilbert_series_monomial_quotient,
                            minimalize_ideal, module_dim_sequence,
-                           module_dims_at_one, module_hilbert_series,
+                           module_hilbert_series,
                            numerator_at_one, numerator_terms,
                            standard_monomial_counts)
 from gkdim.presentations import AlgebraSpec, ModuleSpec, SpecError, Summand
@@ -690,32 +690,31 @@ def test_certificate_matches_sympy_at_t_equals_one():
     assert seen_zero
 
 
-def test_numerator_counts_match_brute_force_on_weighted_rings():
-    # the counts the chain check compares come with the numerator's
-    # coefficients at t = 1, from the dense numerator when it is whole
-    # (top past every shift plus generator weight) and from the recursion
-    # at t = 1 otherwise; both readings must agree
+def test_counts_and_numerator_at_one_match_brute_force_on_weighted_rings():
+    # the chain check compares module_dim_sequence's counts and reads
+    # numerator_at_one's coefficients; both against standard monomials
+    # enumerated one by one. The numerator is the graded counts times
+    # prod(1 - t^w), whole below each shift plus generator weight.
     rng = random.Random(2025)
-    whole = cut = 0
     for _ in range(80):
         a, m = _random_module(rng)
-        top = rng.randint(0, 30)
-        brute = [0] * (top + 1)
-        for s in m.summands:
-            if s.shift <= top:
-                for n, c in enumerate(_brute_counts(a.scalar_weights(), s.ideal,
-                                                    top - s.shift)):
-                    brute[n + s.shift] += c
-        dims, at_one = module_dims_at_one(a, m, top)
-        assert list(dims.graded()) == brute, (m, top)
-        assert dims == module_dim_sequence(a, m, top)
-        assert at_one == numerator_at_one(a, m), (m, top)
         weights = a.scalar_weights()
         end = max(s.shift + sum(sum(map(math.prod, zip(g, weights))) for g in s.ideal)
                   for s in m.summands)
-        whole += end <= top
-        cut += end > top
-    assert whole and cut
+        top = rng.randint(0, 30)
+        deep = max(top, end)
+        brute = [0] * (deep + 1)
+        for s in m.summands:
+            if s.shift <= deep:
+                for n, c in enumerate(_brute_counts(weights, s.ideal, deep - s.shift)):
+                    brute[n + s.shift] += c
+        assert list(module_dim_sequence(a, m, top).graded()) == brute[:top + 1], (m, top)
+        p = brute[:end + 1]
+        for w in weights:
+            p = [c - (p[i - w] if i >= w else 0) for i, c in enumerate(p)]
+        want = tuple(sum(math.comb(i, j) * c for i, c in enumerate(p))
+                     for j in range(len(weights) + 1))
+        assert numerator_at_one(a, m) == want, m
 
 
 def test_certificate_on_weighted_rings_matches_progression_fits():
@@ -757,5 +756,3 @@ def test_certificate_work_depends_on_no_exponent_or_shift():
 def test_certificate_refuses_a_laurent_module():
     with pytest.raises(ValueError):
         numerator_at_one(AlgebraSpec.weyl(1), ModuleSpec.laurent())
-    with pytest.raises(ValueError):
-        module_dims_at_one(AlgebraSpec.weyl(1), ModuleSpec.laurent(), 10)
