@@ -32,7 +32,7 @@ CASES = [
 ]
 
 for title, ses in CASES:
-    report = check_multiplicity_axioms(ses, 25)
+    report = check_multiplicity_axioms(ses)
     prime, big, double = ses_dimension_triple(ses, 25)
     balanced = all(prime[k] + double[k] == big[k] for k in range(26))
     print(title)

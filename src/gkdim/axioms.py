@@ -6,7 +6,7 @@ filtration comparison.
 Growth dimensions and multiplicities of presented modules are certified
 from their exact Hilbert numerators (hilbert.growth_certificate), not fitted
 to sampled counts, so the exactness and multiplicity verdicts hold on every
-filtration, weighted ones included. Only the chain's strictness, a
+filtration, weighted ones included. Only the chain's containment, a
 degreewise comparison, is checked on the counts up to the sampled degree.
 """
 
@@ -116,7 +116,7 @@ class AxiomReport(NamedTuple):
     notes: tuple = ()
 
 
-def check_multiplicity_axioms(s: SESSpec, top: int, window: int = 6) -> AxiomReport:
+def check_multiplicity_axioms(s: SESSpec) -> AxiomReport:
     """Full multiplicity verdict on the sequence.
 
     Classifies the growth-dimension pattern into case "a" (e(M) = e(M'')),
@@ -125,7 +125,7 @@ def check_multiplicity_axioms(s: SESSpec, top: int, window: int = 6) -> AxiomRep
     over the rationals. Also checks that multiplicity 0 occurs exactly on
     zero pieces. M and M'' are certified from their Hilbert numerators, and
     M' from the difference of the two numerators, so the verdict holds in
-    every degree; `top` and `window` do not enter it.
+    every degree and needs no sampling depth.
     """
     validate_ses(s)
     m = numerator_at_one(s.ambient, s.big)
@@ -172,14 +172,14 @@ def check_multiplicity_axioms(s: SESSpec, top: int, window: int = 6) -> AxiomRep
     return AxiomReport(gk, e, case, exactness_ok, additivity_ok, tuple(notes))
 
 
-def check_exactness(s: SESSpec, top: int, window: int = 6) -> AxiomReport:
+def check_exactness(s: SESSpec) -> AxiomReport:
     """Growth-dimension exactness GK M = max(GK M', GK M'') on the sequence.
 
     Returns a partial report: gk_triple, case, and exactness_ok are filled,
     multiplicity fields are left empty. The growth dimensions are certified
-    as in check_multiplicity_axioms; `top` and `window` do not enter them.
+    as in check_multiplicity_axioms.
     """
-    report = check_multiplicity_axioms(s, top, window)
+    report = check_multiplicity_axioms(s)
     return report._replace(e_values=None, additivity_ok=None)
 
 
@@ -204,19 +204,19 @@ class ChainReport(NamedTuple):
     notes: tuple = ()
 
 
-def chain_bound_check(ambient: AlgebraSpec, chain, top: int,
-                      window: int = 6) -> ChainReport:
+def chain_bound_check(ambient: AlgebraSpec, chain, top: int) -> ChainReport:
     """Check the length bound n <= e(M) on a chain of module presentations.
 
-    `chain` lists summand presentations whose dimension sequences must be
-    strictly descending degreewise, starting with M itself; n =
-    len(chain) - 1. An empty tail (just M) gives n = 0. A negative_shift
-    member and strictness violations on degrees 0..top raise SpecError;
-    `top` sizes only that comparison, and `window` is not used. e(M),
-    gk(M) and each quotient's growth dimension are certified from the
-    members' Hilbert numerators (a quotient's is the difference of two);
-    a quotient of smaller growth dimension is reported via
-    quotients_full_gk, not raised.
+    `chain` lists summand presentations, starting with M itself, each
+    contained in the one before; n = len(chain) - 1. An empty tail (just M)
+    gives n = 0. e(M), gk(M) and each quotient's growth dimension are
+    certified from the members' Hilbert numerators (a quotient's is the
+    difference of two); a quotient of smaller growth dimension is reported
+    via quotients_full_gk, not raised. SpecError is raised for a
+    negative_shift member, for a member that exceeds the previous one or
+    whose difference with it is not a cumulative dimension sequence in some
+    degree 0..top (`top` sizes only these two comparisons), and for a
+    member with the previous one's numerator, whose quotient is zero.
     """
     if not chain:
         raise SpecError("chain", "chain must start with the module itself")
@@ -225,16 +225,16 @@ def chain_bound_check(ambient: AlgebraSpec, chain, top: int,
             raise SpecError(f"chain[{k+1}]", "chain checks need summand "
                                              "presentations, not a negative_shift module")
     dims = [module_dim_sequence(ambient, m, top) for m in chain]
+    numerators = [numerator_at_one(ambient, m) for m in chain]
     for i in range(len(dims) - 1):
-        prev, cur = dims[i].values, dims[i + 1].values
-        if any(map(gt, cur, prev)):
+        if any(map(gt, dims[i + 1].values, dims[i].values)):
             raise SpecError(f"chain[{i+2}]",
                             "chain member exceeds the previous one in some degree")
-        if cur == prev:
-            raise SpecError(f"chain[{i+2}]",
-                            "chain containment is not strict in the sampled range")
+        # equal numerators leave a zero quotient certificate: members that
+        # differ only above top still pass
+        if numerators[i + 1] == numerators[i]:
+            raise SpecError(f"chain[{i+2}]", "chain containment is not strict")
     n = len(chain) - 1
-    numerators = [numerator_at_one(ambient, m) for m in chain]
     gk_m, e_m = growth_certificate(ambient, numerators[0]) or (0, Fraction(0))
     quotients_full_gk = True
     notes = []
@@ -248,7 +248,7 @@ def chain_bound_check(ambient: AlgebraSpec, chain, top: int,
                             "valid cumulative dimension sequence")
         quotient = growth_certificate(ambient, tuple(map(sub, numerators[i],
                                                          numerators[i + 1])))
-        if quotient is None or quotient[0] != gk_m:
+        if quotient[0] != gk_m:
             quotients_full_gk = False
             notes.append(f"quotient {i+1} has smaller growth dimension than the module")
     return ChainReport(n, e_m, gk_m, n <= e_m, quotients_full_gk, tuple(notes))

@@ -47,9 +47,8 @@ COMMANDS = ("analyze", "hilbert", "poincare", "check-ses", "chain",
             "refilter", "classify")
 
 # commands that need max_degree >= 2 * window + 4 samples: analyze and
-# classify run the exact difference-tower detector; check-ses and chain,
-# whose verdicts come from Hilbert numerators, keep the same rule
-_DETECTION_COMMANDS = ("analyze", "check-ses", "chain", "classify")
+# classify run the exact difference-tower detector
+_DETECTION_COMMANDS = ("analyze", "classify")
 
 # the fixed warning catalog: reports carry symbolic flags, output carries
 # exactly these strings
@@ -65,9 +64,10 @@ WARNINGS = {
     "expected_inconclusive":
         "catalog entry is known to grow faster than any polynomial and "
         "slower than any exponential; inconclusive is the honest verdict",
-    "residual_not_certified":
-        "denominator has a non-cyclotomic factor whose root locations could "
-        "not be certified",
+    "non_integral_series":
+        "the fitted series has a non-integral denominator, so it is the "
+        "generating function of no natural-number sequence (Fatou); its "
+        "roots are not analysed",
     "branch_multiplicity_disagreement":
         "quasi-polynomial branches have different leading coefficients; "
         "multiplicity reported as their maximum",
@@ -505,8 +505,10 @@ def _cmd_poincare(config: RunConfig, parsed: ParsedInput):
     if ra is None:
         return EXIT_INCONCLUSIVE, report, flags
     report.update(recurrence=_recurrence_payload(ra.recurrence),
-                  series=_series_payload(ra.series),
-                  denominator=_denominator_payload(ra.denominator),
+                  series=_series_payload(ra.series))
+    if ra.denominator is None:
+        return EXIT_INCONCLUSIVE, report, flags + ("non_integral_series",)
+    report.update(denominator=_denominator_payload(ra.denominator),
                   quasi=None if ra.quasi is None else _quasi_payload(ra.quasi))
     mixed = ("mixed_cyclotomic",) if ra.mixed_cyclotomic else ()
     return EXIT_OK, report, flags + mixed
@@ -518,7 +520,7 @@ def _cmd_check_ses(config: RunConfig, parsed: ParsedInput):
         raise SpecError("ses", "the check-ses command needs an ses field")
     m = parsed.module if parsed.module is not None else ModuleSpec.regular()
     ses = SESSpec(a, m, parsed.sub_ideals)
-    report = check_multiplicity_axioms(ses, config.max_degree, config.window)
+    report = check_multiplicity_axioms(ses)
     payload = {
         "gk_triple": list(report.gk_triple),
         "e_values": (None if report.e_values is None
@@ -537,7 +539,7 @@ def _cmd_chain(config: RunConfig, parsed: ParsedInput):
     if parsed.chain is None:
         raise SpecError("chain", "the chain command needs a chain field")
     modules = [ModuleSpec.cyclic(ideal) for ideal in parsed.chain]
-    report = chain_bound_check(a, modules, config.max_degree, config.window)
+    report = chain_bound_check(a, modules, config.max_degree)
     payload = {
         "n": report.n,
         "e_m": _frac(report.e_m),

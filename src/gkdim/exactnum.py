@@ -183,9 +183,6 @@ class Polynomial:
         den = scale * wpow // w
         return Polynomial([Fraction(c, den) for c in acc])
 
-    def derivative(self) -> "Polynomial":
-        return Polynomial([i * c for i, c in enumerate(self.coeffs)][1:])
-
     # -- division ---------------------------------------------------------
 
     def __divmod__(self, other: "Polynomial"):

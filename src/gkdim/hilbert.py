@@ -12,18 +12,20 @@ Standard monomials of a monomial ideal are counted exactly from the
 numerator of the quotient's Hilbert series. One pivot recursion in the style
 of A. M. Bigatti ("Computation of Hilbert-Poincare series", JPAA 119, 1997)
 computes it: split on the variable x shared by the most minimal generators
-until the generators are pairwise coprime. Both ideals of the split get
-their minimal generators without a general re-minimalisation: I + (x) keeps
-the x-free generators and adds x, and the colon I : x keeps every lowered
-generator g / x and drops an x-free generator only when a lowered generator
-that lost its last x divides it. Weighted degrees come from the ambient
-algebra's generator weights. The recursion runs on dense int lists cut
-after a degree top, so memory follows the degree asked for, not the input's
-exponents, weights or shifts: the pivot comes from per-variable column
-counts, the coprime base case multiplies by each (1 - t^d) in place, and the
-colon's numerator is added at the pivot's weight in one slice, or not at all
-above top. The hilbert command's graded dimensions are the one expansion
-the series self-check verifies (_checked_series).
+until the generators are pairwise coprime, taking x^m with m the least
+positive exponent of x among them, so every colon step takes x out of some
+generator and the depth follows no exponent. Both ideals of the split get
+their minimal generators without a general re-minimalisation: I + (x^m)
+keeps the x-free generators and adds x^m, and the colon I : x^m keeps every
+lowered generator g / x^m and drops an x-free generator only when a lowered
+generator that lost its last x divides it. Weighted degrees come from the
+ambient algebra's generator weights. The recursion runs on dense int lists
+cut after a degree top, so memory follows the degree asked for, not the
+input's exponents, weights or shifts: the pivot comes from per-variable
+column counts, the coprime base case multiplies by each (1 - t^d) in place,
+and the colon's numerator is added at the weight of x^m in one slice, or
+not at all above top. The hilbert command's graded dimensions are the one
+expansion the series self-check verifies (_checked_series).
 
 The growth certificate (numerator_at_one, growth_certificate) reads gk and
 the multiplicity off the numerator's Taylor coefficients at t = 1 alone. It
@@ -145,7 +147,8 @@ def numerator_terms(gens: Sequence[Monomial], weights: Sequence[int]) -> dict:
     """Numerator of the Hilbert series of the quotient, over prod(1 - t^w).
 
     Returns a map degree -> coefficient. For a pivot variable x shared by
-    two or more minimal generators, H(S/I) = H(S/(I + x)) + t^w(x) H(S/(I : x));
+    two or more minimal generators, and m its least positive exponent among
+    them, H(S/I) = H(S/(I + x^m)) + t^(m w(x)) H(S/(I : x^m));
     pairwise coprime generators (at most one generator included) give the
     product of their factors (1 - t^deg g). A weighted degree sum of the
     minimal generators above SERIES_DEGREE_BOUND raises ValueError.
@@ -176,12 +179,14 @@ def _numerator(gens: tuple, weights: tuple, top: int) -> list:
                 c[i] -= c[i - d]
         return c
     pivot = counts.index(most)
-    var_mono = tuple(1 if i == pivot else 0 for i in range(len(weights)))
-    # x absorbs the generators it divides; the rest stay minimal
+    power = min([g[pivot] for g in gens if g[pivot]])
+    var_mono = tuple(power if i == pivot else 0 for i in range(len(weights)))
+    # x^power divides every generator x divides, and absorbs them; the rest
+    # stay minimal
     out = _numerator(tuple(g for g in gens if not g[pivot]) + (var_mono,), weights, top)
-    shift = weights[pivot]
+    shift = power * weights[pivot]
     if shift <= top:
-        low = _numerator(_colon(gens, pivot), weights, top - shift)
+        low = _numerator(_colon(gens, pivot, power), weights, top - shift)
         end = shift + len(low)
         out.extend([0] * (end - len(out)))
         out[shift:end] = map(add, out[shift:end], low)

@@ -8,10 +8,13 @@ of length r. One exact Berlekamp-Massey run over the reversed samples
 therefore settles every order r >= 2 at once, and reads off the
 coefficients; order 1 is solved directly, because a zero tail fits a_1 = 0
 but no backward register (minimal_recurrence gives the argument). No
-floating point is used anywhere. The denominator's root locations are
-settled by trial division with cyclotomic polynomials — an integer
-polynomial with constant term 1 and no cyclotomic part must have a root
-strictly inside the unit disk (Kronecker) — and pure denominators
+floating point is used anywhere. A series with integer coefficients has
+an integral reduced denominator with constant term 1 (Fatou), so a
+non-integral one shows that the fitted series generates no natural-number
+sequence, and only integral denominators get a root analysis. Their root
+locations are settled by trial division with cyclotomic polynomials — an
+integer polynomial with constant term 1 and no cyclotomic part must have a
+root strictly inside the unit disk (Kronecker) — and pure denominators
 (1 - t^s)^d yield quasi-polynomial coefficient branches, one per residue
 class mod s.
 
@@ -347,12 +350,14 @@ def _strip_cyclotomic(q: Polynomial) -> tuple:
 
 
 class DenominatorAnalysis(NamedTuple):
-    """Root-location report for a series denominator q with q(0) = 1.
+    """Root-location report for an integral series denominator q with
+    q(0) = 1.
 
-    radius_class: "inside_unit_disk" (some root strictly inside, so the
-    coefficients grow exponentially), "all_roots_on_unit_circle", or "mixed"
-    (not certified / roots both on and off the circle). For the pure form
-    q = (1 - t^s)^d the pair (s, d) is reported; otherwise s = d = None.
+    radius_class is one of two: "all_roots_on_unit_circle" (q is a product
+    of cyclotomic factors) or "inside_unit_disk" (some root strictly inside,
+    so the coefficients grow exponentially; Kronecker's theorem). For the
+    pure form q = (1 - t^s)^d the pair (s, d) is reported; otherwise
+    s = d = None.
     cyclotomic_multiplicities maps each cyclotomic order to its multiplicity
     in q, residual is the non-cyclotomic factor, and linear_factors lists
     split-off rational-root factors (1 - c t) of the residual.
@@ -372,29 +377,32 @@ class DenominatorAnalysis(NamedTuple):
 
 
 def denominator_analysis(q: Polynomial) -> DenominatorAnalysis:
-    """Classify the roots of q exactly.
+    """Classify the roots of an integral q with q(0) = 1 exactly.
+
+    q must lie in Z[t]: a rational series with integer coefficients reduces
+    to P/Q with Q integral and Q(0) = 1 (P. Fatou, Acta Math. 30, 1906), so
+    every dimension series has such a denominator; any other q raises
+    ValueError, as does q(0) != 1.
 
     Cyclotomic factors are stripped by trial division with Phi_k for exactly
     the orders k with phi(k) <= deg q (_strip_cyclotomic): a factor Phi_k of
     q has degree phi(k), so the search is complete. If nothing is left, all
     roots lie on the unit circle and the pure (1 - t^s)^d shape is
-    recognized from the multiplicities. An integer residual with constant
-    term 1 certifies a root strictly inside the unit disk (Kronecker's
-    theorem); for non-integer rational residuals a Sturm-chain count of real
-    roots in (0, 1) is the certified fallback, and failing that the class is
-    reported as "mixed" with a caveat.
+    recognized from the multiplicities. Otherwise the residual is integral
+    with constant term 1 and not constant, so it has a root strictly inside
+    the unit disk (Kronecker's theorem).
 
     Rational roots of the residual are split off as linear_factors. A
     degree-1 residual's root is read off directly; for higher degrees the
-    split scans the divisors of the integer-scaled residual's end
-    coefficients c_0 and c_D, and is skipped, with the note
-    ROOT_SPLIT_SKIPPED, when |c_0 * c_D| > ROOT_SPLIT_BOUND = 10^12. The
-    radius class does not depend on the split when the residual is integral
-    (Kronecker), and every Hilbert series denominator is. The root tests and
-    the split read the one integer residual list of _strip_cyclotomic.
+    split scans the divisors of the residual's end coefficients c_0 = 1 and
+    c_D, and is skipped, with the note ROOT_SPLIT_SKIPPED, when
+    |c_0 * c_D| > ROOT_SPLIT_BOUND = 10^12. The radius class does not depend
+    on the split.
     """
     if q.constant_term() != 1:
         raise ValueError("denominator must have constant term 1")
+    if any(c.denominator != 1 for c in q.coeffs):
+        raise ValueError("denominator must have integer coefficients")
     if q.degree <= 0:
         return DenominatorAnalysis("all_roots_on_unit_circle", s=1, d=0)
     mults, rem = _strip_cyclotomic(q)
@@ -409,24 +417,11 @@ def denominator_analysis(q: Polynomial) -> DenominatorAnalysis:
             notes=("cyclotomic orders do not form a pure (1-t^s)^d pattern",))
 
     linear, residual, split_notes = _split_rational_roots(rem)
-
-    def verdict(radius_class: str, note: str) -> DenominatorAnalysis:
-        return DenominatorAnalysis(
-            radius_class, cyclotomic_multiplicities=mults, residual=residual,
-            linear_factors=linear, notes=(note,) + split_notes)
-
-    if rem[0] == 1:  # rem is primitive, so the residual rem / rem[0] is integral
-        return verdict("inside_unit_disk",
-                       "integer non-cyclotomic factor certifies a root inside the unit disk")
-    if any(abs(f.coeffs[1]) > 1 for f in linear):  # f = 1 - c t has root 1/c
-        return verdict("inside_unit_disk", "rational root of modulus < 1")
-    if rem[0] < abs(rem[-1]):
-        return verdict("inside_unit_disk",
-                       "product of root moduli below 1 certifies a root inside the unit disk")
-    # a positive multiple of the residual has the same Sturm count
-    if _sturm_roots_in_unit_interval(Polynomial(rem)) > 0:
-        return verdict("inside_unit_disk", "real root in (0, 1) certified by a Sturm chain")
-    return verdict("mixed", "root locations of the non-cyclotomic factor not certified")
+    return DenominatorAnalysis(
+        "inside_unit_disk", cyclotomic_multiplicities=mults, residual=residual,
+        linear_factors=linear,
+        notes=("integer non-cyclotomic factor certifies a root inside the unit disk",)
+        + split_notes)
 
 
 #: Past this value of |c_0 * c_D| (the end coefficients of the integer-scaled
@@ -469,27 +464,6 @@ def _split_rational_roots(ints: list):
             rest = quo
             linear.append(factor)
     return tuple(linear), rest, ()
-
-
-def _sturm_roots_in_unit_interval(p: Polynomial) -> int:
-    """Exact count of distinct real roots of p in the open interval (0, 1)."""
-    base = p
-    g = Polynomial.gcd(base, base.derivative())
-    if g.degree >= 1:
-        base, _ = divmod(base, g)
-    chain = [base, base.derivative()]
-    while chain[-1].degree >= 1:
-        _, r = divmod(chain[-2], chain[-1])
-        if r.is_zero():
-            break
-        chain.append(-r)
-
-    def sign_changes(x):
-        signs = [f.evaluate(x) for f in chain]
-        signs = [v for v in signs if v != 0]
-        return sum(1 for a, b in zip(signs, signs[1:]) if (a < 0) != (b < 0))
-
-    return sign_changes(Fraction(0)) - sign_changes(Fraction(1))
 
 
 # ---------------------------------------------------------------------------
@@ -561,11 +535,14 @@ class RationalAnalysis(NamedTuple):
     """The rational analysis of a sequence. With every denominator root on
     the unit circle, period is the pure form's s or, when mixed_cyclotomic,
     the lcm of the cyclotomic orders, and quasi holds the branches unless
-    they do not stabilize on the samples; otherwise both are None."""
+    they do not stabilize on the samples; otherwise both are None.
+    denominator is None when the series' reduced denominator is not
+    integral: by Fatou's lemma the series then generates no natural-number
+    sequence, and no root analysis runs."""
 
     recurrence: Recurrence
     series: RationalSeries
-    denominator: DenominatorAnalysis
+    denominator: Optional[DenominatorAnalysis]
     period: Optional[int] = None
     mixed_cyclotomic: bool = False
     quasi: Optional[QuasiPolynomial] = None
@@ -574,11 +551,14 @@ class RationalAnalysis(NamedTuple):
 def rational_analysis(vals, confirm: int) -> Optional[RationalAnalysis]:
     """Recurrence, series, denominator analysis and, on the unit circle, the
     period and its quasi-polynomial branches; None when no recurrence of
-    admissible order fits (minimal_recurrence with `confirm`)."""
+    admissible order fits (minimal_recurrence with `confirm`). A series
+    whose reduced denominator is not integral gets no denominator analysis."""
     rec = minimal_recurrence(vals, confirm=confirm)
     if rec is None:
         return None
     series = series_from_recurrence(vals, rec)
+    if any(c.denominator != 1 for c in series.denominator.coeffs):
+        return RationalAnalysis(rec, series, None)
     analysis = denominator_analysis(series.denominator)
     if analysis.radius_class != "all_roots_on_unit_circle":
         return RationalAnalysis(rec, series, analysis)

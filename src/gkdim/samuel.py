@@ -2,8 +2,10 @@
 
 Polynomial growth comes from the difference tower (exactnum), or else from
 the quasi-polynomial branches of poincare.rational_analysis; exponential
-growth from a denominator root strictly inside the unit disk. The gamma
-diagnostic, the one floating-point value, goes only on inconclusive reports.
+growth from a denominator root strictly inside the unit disk. A fitted
+series with a non-integral denominator generates no natural-number sequence
+(Fatou), so it leaves the verdict inconclusive. The gamma diagnostic, the
+one floating-point value, goes only on inconclusive reports.
 """
 
 from __future__ import annotations
@@ -136,6 +138,14 @@ def classify_growth(s, window: int = 6, confirm: int = 8) -> GrowthReport:
 
     rec, qp = ra.recurrence, ra.quasi
     exact = dict(recurrence=rec, series=ra.series, denominator=ra.denominator)
+    if ra.denominator is None:
+        coeffs = ", ".join(map(str, ra.series.denominator.coeffs))
+        return GrowthReport(
+            "inconclusive", gamma=_gamma_or_none(vals), **exact,
+            evidence=(f"minimal recurrence of order {rec.order} gives the "
+                      f"non-integral denominator [{coeffs}]; a natural-number "
+                      f"sequence has an integral one (Fatou)"),
+            flags=("non_integral_series", "gamma_diagnostic_only"))
     if ra.denominator.radius_class == "inside_unit_disk":
         return GrowthReport(
             "exponential", **exact,
@@ -154,14 +164,10 @@ def classify_growth(s, window: int = 6, confirm: int = 8) -> GrowthReport:
                       f"with period {ra.period}; quasi-polynomial branches of "
                       f"degree <= {top}"),
             flags=("sampled_agreement",) + flags)
-    if ra.denominator.radius_class == "all_roots_on_unit_circle":
-        evidence = "cyclotomic denominator but no quasi-polynomial fit on the samples"
-        flags = ("gamma_diagnostic_only",)
-    else:
-        evidence = "denominator root locations not certified (mixed radius class)"
-        flags = ("residual_not_certified", "gamma_diagnostic_only")
-    return GrowthReport("inconclusive", gamma=_gamma_or_none(vals), **exact,
-                        evidence=evidence, flags=flags)
+    return GrowthReport(
+        "inconclusive", gamma=_gamma_or_none(vals), **exact,
+        evidence="cyclotomic denominator but no quasi-polynomial fit on the samples",
+        flags=("gamma_diagnostic_only",))
 
 
 def _gamma_or_none(vals) -> Optional[GammaEstimate]:

@@ -229,7 +229,7 @@ def test_06_short_exact_sequences_nested_ideals():
                 prime, big, double = ses_dimension_triple(ses, top)
                 assert all(prime[k] + double[k] == big[k]
                            for k in range(top + 1))
-                report = check_multiplicity_axioms(ses, top)
+                report = check_multiplicity_axioms(ses)
                 assert report.case != "inconclusive"
                 assert report.exactness_ok is True
                 assert report.additivity_ok is True

@@ -7,11 +7,14 @@ byte-for-byte determinism,
 the fixed warning catalog, both output formats, the JSON emitter against
 json.dumps(sort_keys=True, indent=2), and one happy path plus the
 characteristic error paths for each of the seven commands, the bound on
---max-degree, and analyze's torsion verdict with gk(A) taken from the
-number of generators.
+--max-degree, analyze's torsion verdict with gk(A) taken from the
+number of generators, and a derandomized fuzz of poincare and classify on
+natural-number sequences.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import random
@@ -587,6 +590,69 @@ def test_poincare_raw_sequence_without_recurrence_is_exit_one(tmp_path, capsys):
     assert json.loads(out)["report"]["recurrence"] is None
 
 
+GEOMETRIC_3_2 = {"spec_version": 1,
+                 "sequence": [2 ** (11 - i) * 3 ** i for i in range(12)],
+                 "sequence_meaning": "graded_piece"}
+
+
+def test_non_integral_series_is_refused_by_poincare_and_classify(tmp_path, capsys):
+    # 2^(11 - i) 3^i fits 2048 / (1 - (3/2) t), whose next coefficient is no
+    # integer: no natural-number sequence has that series (Fatou)
+    path = _write(tmp_path, GEOMETRIC_3_2)
+    code, payload = _run_json(capsys, ["poincare", path])
+    assert code == 1
+    report = payload["report"]
+    assert report["recurrence"] == {"order": 1, "coefficients": [[3, 2]], "onset": 0}
+    assert report["series"] == {"numerator": [[2048, 1]],
+                                "denominator": [[1, 1], [-3, 2]]}
+    assert (report["denominator"], report["quasi"]) == (None, None)
+    assert payload["warnings"] == [WARNINGS["non_integral_series"]]
+
+    code, payload = _run_json(capsys, ["classify", path])
+    assert code == 1
+    growth = payload["report"]["growth"]
+    assert growth["classification"] == "inconclusive"
+    assert growth["series"]["denominator"] == [[1, 1], [-5, 2], [3, 2]]
+    assert (growth["denominator"], growth["quasi"]) == (None, None)
+    assert "non-integral denominator [1, -5/2, 3/2]" in growth["evidence"]
+    assert payload["warnings"] == [WARNINGS["non_integral_series"],
+                                   WARNINGS["gamma_diagnostic_only"]]
+
+
+def _natural_sequences():
+    """Sequences of 12..40 naturals below 10^6: arbitrary lists, and the
+    structured shapes that reach the recurrence and root stages (geometric
+    c p^i q^(n - 1 - i), integer polynomials in binomial form)."""
+    raw = st.lists(st.integers(0, 10 ** 6 - 1), min_size=12, max_size=40)
+    geometric = st.builds(
+        lambda n, c, p, q: [c * p ** i * q ** (n - 1 - i) for i in range(n)],
+        st.integers(12, 20), st.integers(1, 5), st.integers(1, 3), st.integers(1, 3))
+    binomial = st.builds(
+        lambda n, form: [sum(a * math.comb(i, k) for k, a in enumerate(form))
+                         for i in range(n)],
+        st.integers(12, 40), st.lists(st.integers(0, 6), min_size=1, max_size=5))
+    return (raw | geometric | binomial).filter(lambda v: max(v) < 10 ** 6)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_natural_sequences(), st.sampled_from(["cumulative", "graded_piece"]))
+def test_sequence_commands_survive_fuzzed_sequences(tmp_path_factory, values, meaning):
+    path = tmp_path_factory.mktemp("fuzz") / "spec.json"
+    path.write_text(json.dumps({"spec_version": 1, "sequence": values,
+                                "sequence_meaning": meaning}))
+    for command in ("poincare", "classify"):
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(cli.RunConfig(command=command, input_path=str(path)))
+        assert time.perf_counter() - start < 2.0, (command, values, meaning)
+        assert code in (0, 1, 3), (command, values, meaning, err.getvalue())
+        assert "internal" not in err.getvalue()
+        if command == "poincare" and code == 0:
+            denominator = json.loads(out.getvalue())["report"]["series"]["denominator"]
+            assert all(den == 1 for _, den in denominator), (values, meaning)
+
+
 # ---------------------------------------------------------------------------
 # check-ses
 
@@ -672,6 +738,64 @@ def test_chain_on_a_weighted_ring(tmp_path, capsys, depth):
         "quotients_full_gk": False,
         "notes": ["quotient 2 has smaller growth dimension than the module"],
     }
+
+
+def test_chain_members_may_differ_only_above_max_degree(tmp_path, capsys):
+    # k[x, y] and k[x, y]/(x^20) have equal counts below degree 20; their
+    # numerators differ, and the quotient (x^20) has gk 2 and e 1
+    doc = {"spec_version": 1,
+           "algebra": {"kind": "polynomial",
+                       "generators": [{"name": "x"}, {"name": "y"}]},
+           "chain": [[], ["x^20"]]}
+    code, payload = _run_json(capsys, ["chain", _write(tmp_path, doc),
+                                       "--max-degree", "16"])
+    assert code == 0
+    assert payload["report"] == {"n": 1, "e_m": [1, 1], "gk_m": 2, "bound_ok": True,
+                                 "quotients_full_gk": True, "notes": []}
+
+
+@pytest.mark.parametrize("command, field", [
+    ("check-ses", {"ses": {"sub_ideal": ["x"]}}),
+    ("chain", {"chain": [[], ["x"]]})])
+def test_numerator_commands_answer_below_the_detection_depth(tmp_path, capsys,
+                                                             command, field):
+    # check-ses and chain read their verdicts from Hilbert numerators, so
+    # they no longer need max_degree >= 2 * window + 4; analyze still does
+    doc = {"spec_version": 1,
+           "algebra": {"kind": "polynomial",
+                       "generators": [{"name": "x"}, {"name": "y"}]}, **field}
+    path = _write(tmp_path, doc)
+    code, payload = _run_json(capsys, [command, path, "--max-degree", "5"])
+    assert code == 0
+    code, _, err = _run(capsys, ["analyze", path, "--max-degree", "5"])
+    assert code == 3 and "2 * window + 4" in err
+
+
+DEEP_EXPONENTS = ["x^3000*y", "x^3000*z", "y*z"]
+XYZ = {"kind": "polynomial",
+       "generators": [{"name": "x"}, {"name": "y"}, {"name": "z"}]}
+
+
+def test_counting_depth_follows_no_exponent(tmp_path, capsys):
+    # the dense counting recursion lowered x one exponent at a time, so
+    # x^3000 ran out of stack at --max-degree 5000 (exit 4); k[x, y, z] / I
+    # is one x-line and 3000 lines each along y and z
+    doc = {"spec_version": 1, "algebra": XYZ,
+           "module": {"summands": [{"ideal": DEEP_EXPONENTS}]}}
+    code, payload = _run_json(capsys, ["analyze", _write(tmp_path, doc),
+                                       "--max-degree", "5000"])
+    assert code == 0
+    growth = payload["report"]["growth"]
+    assert (growth["classification"], growth["gk"]) == ("polynomial", 1)
+    assert growth["multiplicity"] == [6001, 1]
+
+    doc = {"spec_version": 1, "algebra": XYZ,
+           "chain": [DEEP_EXPONENTS, ["x^3000", "y*z"]]}
+    code, payload = _run_json(capsys, ["chain", _write(tmp_path, doc, "chain.json"),
+                                       "--max-degree", "5000"])
+    assert code == 0
+    assert payload["report"] == {"n": 1, "e_m": [6001, 1], "gk_m": 1, "bound_ok": True,
+                                 "quotients_full_gk": True, "notes": []}
 
 
 def test_chain_rejects_non_nested_ideals(tmp_path, capsys):

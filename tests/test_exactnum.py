@@ -149,12 +149,6 @@ def test_gcd_is_monic_common_factor():
     assert Polynomial.gcd(a, Polynomial()) == _monic(a)
 
 
-def test_derivative():
-    p = Polynomial([5, -2, 0, 1])  # x^3 - 2x + 5
-    assert p.derivative() == Polynomial([-2, 0, 3])
-    assert Polynomial([7]).derivative() == Polynomial()
-
-
 # ---------------------------------------------------------------------------
 # binomial forms and finite differences
 

@@ -222,6 +222,21 @@ def test_standard_monomial_counts_match_brute_force():
         assert standard_monomial_counts(a, ideal, top, cumulative=True) == cum
 
 
+def test_counts_with_exponents_up_to_nine_match_brute_force():
+    # the recursion splits off x^m, m the pivot's least positive exponent,
+    # so both branches see powers above 1
+    rng = random.Random(909)
+    top = 20
+    for _ in range(30):
+        nvars = rng.randint(1, 3)
+        weights = tuple(rng.choice((1, 1, 2, 3)) for _ in range(nvars))
+        a = AlgebraSpec.polynomial(nvars, degrees=[(w,) for w in weights])
+        ideal = [tuple(rng.randint(0, 9) for _ in range(nvars))
+                 for _ in range(rng.randint(1, 6))]
+        assert standard_monomial_counts(a, ideal, top) == _brute_counts(weights, ideal, top), (
+            weights, ideal)
+
+
 def test_large_ideal_uses_same_counts():
     # the whole degree-5 slice of k[x,y,z] dies, so the quotient is finite
     # dimensional

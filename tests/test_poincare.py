@@ -40,7 +40,8 @@ Oracles:
   multiplicities and residual (times its split-off linear factors) on seeded
   cyclotomic products times integer residuals of degree <= 30.
 * Root-location certificates -- frozen on denominators whose roots are known
-  in closed form.
+  in closed form; non-integral denominators, which no series with integer
+  coefficients has (Fatou), are refused.
 """
 
 from fractions import Fraction
@@ -736,40 +737,27 @@ def test_large_end_coefficients_skip_the_root_split():
     assert analysis.notes == (
         "integer non-cyclotomic factor certifies a root inside the unit disk",
         ROOT_SPLIT_SKIPPED)
-    # a rational residual: the root 1/p goes unsplit, and a Sturm chain finds it
-    rational = denominator_analysis(Polynomial([1, -p]) * Polynomial([1, Fraction(-1, q)]))
-    assert rational.radius_class == "inside_unit_disk"
-    assert rational.linear_factors == ()
-    assert rational.notes == ("real root in (0, 1) certified by a Sturm chain",
-                              ROOT_SPLIT_SKIPPED)
 
 
-def test_split_rational_root_inside_the_disk_certifies():
-    # a rational residual with roots 2/3 and 3: the split-off 1 - (3/2) t
-    # has its root inside the disk; 1/3 and 1/5 leave none inside
-    inside = denominator_analysis(Polynomial([1, Fraction(-3, 2)])
-                                  * Polynomial([1, Fraction(-1, 3)]))
-    assert inside.radius_class == "inside_unit_disk"
-    assert inside.notes == ("rational root of modulus < 1",)
-    outside = denominator_analysis(Polynomial([1, Fraction(-1, 3)])
-                                   * Polynomial([1, Fraction(-1, 5)]))
-    assert outside.radius_class == "mixed"
-    assert len(outside.linear_factors) == 2
-
-
-def test_sturm_chain_certifies_irrational_inside_root():
-    # roots (-1 +- sqrt(37)) / 6: one near 0.847, one outside
-    q = Polynomial([1, Fraction(-1, 3), -1])
-    analysis = denominator_analysis(q)
-    assert analysis.radius_class == "inside_unit_disk"
-    assert any("Sturm" in note for note in analysis.notes)
-
-
-def test_all_roots_outside_is_reported_uncertified():
-    q = Polynomial([1, Fraction(-1, 2)])  # single root at 2
-    analysis = denominator_analysis(q)
-    assert analysis.radius_class == "mixed"
-    assert any("not certified" in note for note in analysis.notes)
+def test_non_integral_denominators_are_refused():
+    # inputs of the deleted rational-residual branches (a split-off root of
+    # modulus < 1, a Sturm chain, the uncertified "mixed" class), and a
+    # degree-80 q with coefficients c / 97 on which the Sturm chain took
+    # seconds. No series with integer coefficients has such a reduced
+    # denominator (Fatou), so each is refused at once
+    p, q = 10 ** 9 + 7, 10 ** 9 + 9
+    rng = random.Random(97)
+    for den in (Polynomial([1, -p]) * Polynomial([1, Fraction(-1, q)]),
+                Polynomial([1, Fraction(-3, 2)]) * Polynomial([1, Fraction(-1, 3)]),
+                Polynomial([1, Fraction(-1, 3)]) * Polynomial([1, Fraction(-1, 5)]),
+                Polynomial([1, Fraction(-1, 3), -1]),
+                Polynomial([1, Fraction(-1, 2)]),
+                Polynomial([1] + [Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), 97)
+                                  for _ in range(80)])):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="integer coefficients"):
+            denominator_analysis(den)
+        assert time.perf_counter() - start < 0.1
 
 
 def test_denominator_analysis_requires_unit_constant():
@@ -898,7 +886,9 @@ def test_denominator_analysis_matches_sympy_factor_list():
             split = split * f
         assert split == residual, q
         # Kronecker: an integer residual with constant term 1 that is not a
-        # constant has a root strictly inside the unit disk
+        # constant has a root strictly inside the unit disk; an integral q
+        # has no third class
+        assert analysis.radius_class in ("all_roots_on_unit_circle", "inside_unit_disk"), q
         assert (analysis.radius_class == "inside_unit_disk") == (residual.degree >= 1), q
 
 
@@ -986,6 +976,16 @@ def test_rational_analysis_off_the_unit_circle_has_no_period():
     assert (ra.recurrence, ra.series, ra.denominator) == _pipeline_parts(vals)
     assert ra.denominator.radius_class == "inside_unit_disk"
     assert (ra.period, ra.mixed_cyclotomic, ra.quasi) == (None, False, None)
+
+
+def test_rational_analysis_stops_at_a_non_integral_denominator():
+    # 2^(11 - i) 3^i fits 2048 / (1 - (3/2) t), which leaves the integers
+    # at the next index: no root analysis, no period, no branches
+    vals = [2 ** (11 - i) * 3 ** i for i in range(12)]
+    ra = rational_analysis(vals, 8)
+    assert ra.recurrence == minimal_recurrence(vals, confirm=8)
+    assert ra.series.denominator == Polynomial([1, Fraction(-3, 2)])
+    assert (ra.denominator, ra.period, ra.quasi) == (None, None, None)
 
 
 def test_rational_analysis_takes_the_pure_period():

@@ -61,7 +61,7 @@ RECORDS = [
     (DimensionSequence, {"values": (1, 2, 3)}, {"meaning": "cumulative"}),
     (RationalSeries, {"numerator": ONE, "denominator": Polynomial([1, -1])}, {}),
     (Recurrence, {"order": 1, "coefficients": (Fraction(1),), "onset": 0}, {}),
-    (DenominatorAnalysis, {"radius_class": "mixed"},
+    (DenominatorAnalysis, {"radius_class": "inside_unit_disk"},
      {"s": None, "d": None, "cyclotomic_multiplicities": {}, "residual": ONE,
       "linear_factors": (), "notes": ()}),
     (QuasiPolynomial, {"period": 2, "branches": (ONE, ONE), "onset": 0}, {}),
@@ -142,7 +142,7 @@ def test_copy_deepcopy_and_pickle_round_trip(cls, required, defaults):
 
 def test_records_holding_records_round_trip():
     report = GrowthReport("polynomial", gk=2, series=SERIES,
-                          denominator=DenominatorAnalysis("mixed"))
+                          denominator=DenominatorAnalysis("inside_unit_disk"))
     nested = (report, DimensionSequence((1, 3, 6)), ANALYSIS)
     assert pickle.loads(pickle.dumps(nested)) == copy.deepcopy(nested) == nested
 
@@ -220,7 +220,7 @@ def test_admissible_order_refuses_bad_kinds_and_weights():
 
 
 def test_default_denominator_analyses_share_no_mutable_state():
-    a, b = DenominatorAnalysis("mixed"), DenominatorAnalysis("mixed")
+    a, b = DenominatorAnalysis("inside_unit_disk"), DenominatorAnalysis("inside_unit_disk")
     with pytest.raises(TypeError):
         a.cyclotomic_multiplicities[1] = 1
     assert b.cyclotomic_multiplicities == {} and a.cyclotomic_multiplicities == {}

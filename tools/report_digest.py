@@ -5,6 +5,7 @@ Usage, from the root of a checkout:
     python3 tools/report_digest.py                       # seeds 1 and 3, all workloads
     python3 tools/report_digest.py --seed 5 --workload analyze-modules
     python3 tools/report_digest.py --src ../other/src    # another checkout's gkdim
+    python3 tools/report_digest.py --demos               # each demo's output instead
 
 Each seeded batch of bench/workloads.py is written to a temporary directory
 and run in this process through gkdim.cli.run, one report after another.
@@ -13,6 +14,10 @@ order, with the temporary directory replaced by a fixed placeholder, so two
 commits that print the same bytes for every request print the same digests.
 Comparing the lines of two checkouts is the byte-identity check of a change
 that must not alter output.
+
+--demos digests the scripts in demos/ instead: each runs in its own
+interpreter with the --src package on its path, and its digest covers its
+exit code, stdout and stderr.
 """
 
 import argparse
@@ -20,6 +25,8 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -48,6 +55,15 @@ def digest(cli, workload: str, seed: int) -> tuple:
     return h.hexdigest(), len(cases)
 
 
+def demo_digest(demo: Path, src: Path) -> str:
+    """sha256 hex digest of one demo's exit code, stdout and stderr."""
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    record = [done.returncode, done.stdout, done.stderr]
+    return hashlib.sha256(json.dumps(record).encode()).hexdigest()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", action="append", choices=workloads.WORKLOADS,
@@ -56,7 +72,13 @@ def main(argv=None) -> int:
                         help="batch seed (repeatable; default 1 and 3)")
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="directory holding the gkdim package (default this checkout's src)")
+    parser.add_argument("--demos", action="store_true",
+                        help="digest each script in demos/ instead of the benchmark batches")
     args = parser.parse_args(argv)
+    if args.demos:
+        for demo in sorted((ROOT / "demos").glob("*.py")):
+            print(f"{demo.name}: {demo_digest(demo, args.src.resolve())}")
+        return 0
     sys.path.insert(0, str(args.src.resolve()))
     import gkdim.cli
     for workload in args.workload or workloads.WORKLOADS:
