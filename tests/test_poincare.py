@@ -739,25 +739,45 @@ def test_large_end_coefficients_skip_the_root_split():
         ROOT_SPLIT_SKIPPED)
 
 
+def _assert_refused_at_once(den):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="integer coefficients"):
+        denominator_analysis(den)
+    assert time.perf_counter() - start < 0.1
+
+
 def test_non_integral_denominators_are_refused():
-    # inputs of the deleted rational-residual branches (a split-off root of
-    # modulus < 1, a Sturm chain, the uncertified "mixed" class), and a
-    # degree-80 q with coefficients c / 97 on which the Sturm chain took
-    # seconds. No series with integer coefficients has such a reduced
-    # denominator (Fatou), so each is refused at once
+    # no series with integer coefficients has a reduced denominator outside
+    # Z[t] (Fatou), so each is refused at once: a product with a huge
+    # rational root, and a degree-80 q with coefficients c / 97 on which the
+    # former Sturm chain took seconds
     p, q = 10 ** 9 + 7, 10 ** 9 + 9
     rng = random.Random(97)
     for den in (Polynomial([1, -p]) * Polynomial([1, Fraction(-1, q)]),
-                Polynomial([1, Fraction(-3, 2)]) * Polynomial([1, Fraction(-1, 3)]),
-                Polynomial([1, Fraction(-1, 3)]) * Polynomial([1, Fraction(-1, 5)]),
-                Polynomial([1, Fraction(-1, 3), -1]),
-                Polynomial([1, Fraction(-1, 2)]),
                 Polynomial([1] + [Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), 97)
                                   for _ in range(80)])):
-        start = time.perf_counter()
-        with pytest.raises(ValueError, match="integer coefficients"):
-            denominator_analysis(den)
-        assert time.perf_counter() - start < 0.1
+        _assert_refused_at_once(den)
+
+
+def test_split_rational_root_inside_the_disk_certifies():
+    # rational residuals with roots 2/3 and 3, and 3 and 5: the split-off
+    # root inside the disk is now never reached, the non-integral q is refused
+    _assert_refused_at_once(Polynomial([1, Fraction(-3, 2)])
+                            * Polynomial([1, Fraction(-1, 3)]))
+    _assert_refused_at_once(Polynomial([1, Fraction(-1, 3)])
+                            * Polynomial([1, Fraction(-1, 5)]))
+
+
+def test_sturm_chain_certifies_irrational_inside_root():
+    # roots (-1 +- sqrt(37)) / 6, one near 0.847: the Sturm chain that
+    # certified it is gone, the non-integral q is refused
+    _assert_refused_at_once(Polynomial([1, Fraction(-1, 3), -1]))
+
+
+def test_all_roots_outside_is_reported_uncertified():
+    # single root at 2: the uncertified "mixed" class is gone, the
+    # non-integral q is refused
+    _assert_refused_at_once(Polynomial([1, Fraction(-1, 2)]))
 
 
 def test_denominator_analysis_requires_unit_constant():
