@@ -54,7 +54,7 @@ chain = [rank3,
          ModuleSpec((Summand(0, ()), Summand(0, ()))),
          ModuleSpec.regular(),
          zero_module(line)]
-report = chain_bound_check(line, chain, 25)
+report = chain_bound_check(line, chain)
 print("free module of rank 3 over k[x], full flag of free submodules:")
 print(f"  chain length n = {report.n}, e(M) = {report.e_m}, "
       f"bound n <= e(M): {report.bound_ok}")

@@ -6,12 +6,12 @@ filtration comparison.
 Growth dimensions and multiplicities of presented modules are certified
 from their exact Hilbert numerators (hilbert.growth_certificate), not fitted
 to sampled counts, so the exactness and multiplicity verdicts hold on every
-filtration, weighted ones included. Only the chain's containment, a
-degreewise comparison, is checked on the counts up to the sampled degree.
+filtration, weighted ones included. The chain's nesting is checked exactly
+on the presentations, by divisibility of ideal generators.
 """
 
 from fractions import Fraction
-from operator import gt, sub
+from operator import sub
 from typing import NamedTuple, Optional
 
 # detect_polynomial is not called here; bench/test_bench.py checks that its
@@ -21,13 +21,18 @@ from .exactnum import (HilbertSamuelPolynomial, detect_polynomial,  # noqa: F401
 from .presentations import (AlgebraSpec, ModuleSpec, SpecError, Summand,
                             monomial_divides, validate_algebra,
                             validate_module)
-from .hilbert import (DimensionSequence, growth_certificate, module_dim_sequence,
-                      numerator_at_one)
+from .hilbert import (DimensionSequence, _numerator_at_one, growth_certificate,
+                      module_dim_sequence)
 from .samuel import gk_dimension
 
 
 # ---------------------------------------------------------------------------
 # short exact sequences of monomial modules
+
+
+def _contains(ideal, gens) -> bool:
+    """True when every monomial in `gens` has a divisor in `ideal`."""
+    return all(any(monomial_divides(h, g) for h in ideal) for g in gens)
 
 
 class SESSpec(NamedTuple):
@@ -66,12 +71,10 @@ def validate_ses(s: SESSpec) -> None:
             if any((not isinstance(e, int)) or e < 0 for e in mono):
                 raise SpecError(f"ses.sub_ideals[{k+1}][{j+1}]",
                                 "exponents must be naturals")
-        for gen in summand.ideal:
-            if not any(monomial_divides(h, gen) for h in sub):
-                raise SpecError(f"ses.sub_ideals[{k+1}]",
-                                "sub-ideal must contain the summand ideal "
-                                "(every ideal generator needs a divisor "
-                                "among the sub-ideal generators)")
+        if not _contains(sub, summand.ideal):
+            raise SpecError(f"ses.sub_ideals[{k+1}]", "sub-ideal must contain the summand "
+                            "ideal (every ideal generator needs a divisor among the "
+                            "sub-ideal generators)")
 
 
 def _quotient(s: SESSpec) -> ModuleSpec:
@@ -128,8 +131,8 @@ def check_multiplicity_axioms(s: SESSpec) -> AxiomReport:
     every degree and needs no sampling depth.
     """
     validate_ses(s)
-    m = numerator_at_one(s.ambient, s.big)
-    double = numerator_at_one(s.ambient, _quotient(s))
+    m = _numerator_at_one(s.ambient, s.big)
+    double = _numerator_at_one(s.ambient, _quotient(s))
     certs = [growth_certificate(s.ambient, c)
              for c in (tuple(map(sub, m, double)), m, double)]
     zero = [c is None for c in certs]
@@ -191,8 +194,8 @@ class ChainReport(NamedTuple):
     """Outcome of the chain-length bound n <= e(M) on a strictly descending
     chain M = M_0 > M_1 > ... > M_n.
 
-    quotients_full_gk reports the precondition that every quotient
-    M_i / M_{i+1} has the same growth dimension as M; when it fails the
+    quotients_full_gk reports the precondition that every factor (kernel of
+    M_i -> M_{i+1}) has the same growth dimension as M; when it fails the
     bound verdict is still computed but the hypothesis did not hold.
     """
 
@@ -204,19 +207,21 @@ class ChainReport(NamedTuple):
     notes: tuple = ()
 
 
-def chain_bound_check(ambient: AlgebraSpec, chain, top: int) -> ChainReport:
-    """Check the length bound n <= e(M) on a chain of module presentations.
+def chain_bound_check(ambient: AlgebraSpec, chain) -> ChainReport:
+    """Check the length bound n <= e(M) on a chain M = M_0, ..., M_n of
+    summand presentations, each nested in the one before (n = 0 for just M).
 
-    `chain` lists summand presentations, starting with M itself, each
-    contained in the one before; n = len(chain) - 1. An empty tail (just M)
-    gives n = 0. e(M), gk(M) and each quotient's growth dimension are
-    certified from the members' Hilbert numerators (a quotient's is the
-    difference of two); a quotient of smaller growth dimension is reported
-    via quotients_full_gk, not raised. SpecError is raised for a
-    negative_shift member, for a member that exceeds the previous one or
-    whose difference with it is not a cumulative dimension sequence in some
-    degree 0..top (`top` sizes only these two comparisons), and for a
-    member with the previous one's numerator, whose quotient is zero.
+    M_{i+1} is nested in M_i when it has at most as many summands, and its
+    k-th summand has M_i's k-th shift and an ideal J_k containing M_i's I_k
+    (every generator of I_k has a divisor among J_k's). M_i -> M_{i+1} is
+    then A/I_k -> A/J_k on shared summands and kills M_i's others; its
+    kernel is the i-th factor of the ascending chain of kernels of M -> M_i,
+    with the difference of the two numerators as its Hilbert numerator.
+    e(M), gk(M) and the factors' growth dimensions are certified from these;
+    a factor of smaller growth dimension is reported via quotients_full_gk.
+    SpecError is raised for a negative_shift member, a member not nested in
+    the previous one, and one with the previous one's numerator (a zero
+    factor).
     """
     if not chain:
         raise SpecError("chain", "chain must start with the module itself")
@@ -224,34 +229,24 @@ def chain_bound_check(ambient: AlgebraSpec, chain, top: int) -> ChainReport:
         if m.negative_shift is not None:
             raise SpecError(f"chain[{k+1}]", "chain checks need summand "
                                              "presentations, not a negative_shift module")
-    dims = [module_dim_sequence(ambient, m, top) for m in chain]
-    numerators = [numerator_at_one(ambient, m) for m in chain]
-    for i in range(len(dims) - 1):
-        if any(map(gt, dims[i + 1].values, dims[i].values)):
-            raise SpecError(f"chain[{i+2}]",
-                            "chain member exceeds the previous one in some degree")
-        # equal numerators leave a zero quotient certificate: members that
-        # differ only above top still pass
-        if numerators[i + 1] == numerators[i]:
-            raise SpecError(f"chain[{i+2}]", "chain containment is not strict")
-    n = len(chain) - 1
+        validate_module(ambient, m)
+    numerators = [_numerator_at_one(ambient, m) for m in chain]
     gk_m, e_m = growth_certificate(ambient, numerators[0]) or (0, Fraction(0))
-    quotients_full_gk = True
     notes = []
-    for i in range(n):
-        # natural by the comparison above; a cumulative sequence also needs
-        # to be nondecreasing
-        diffs = tuple(map(sub, dims[i].values, dims[i + 1].values))
-        if any(map(gt, diffs, diffs[1:])):
+    for i, (outer, inner) in enumerate(zip(chain, chain[1:])):
+        if len(inner.summands) > len(outer.summands) or not all(
+                o.shift == j.shift and _contains(j.ideal, o.ideal)
+                for o, j in zip(outer.summands, inner.summands)):
             raise SpecError(f"chain[{i+2}]",
-                            "difference with the previous member is not a "
-                            "valid cumulative dimension sequence")
-        quotient = growth_certificate(ambient, tuple(map(sub, numerators[i],
-                                                         numerators[i + 1])))
-        if quotient[0] != gk_m:
-            quotients_full_gk = False
+                            "chain member is not nested in the previous one")
+        factor = growth_certificate(ambient, tuple(map(sub, numerators[i],
+                                                       numerators[i + 1])))
+        if factor is None:  # equal numerators: under nesting, a zero factor
+            raise SpecError(f"chain[{i+2}]", "chain containment is not strict")
+        if factor[0] != gk_m:
             notes.append(f"quotient {i+1} has smaller growth dimension than the module")
-    return ChainReport(n, e_m, gk_m, n <= e_m, quotients_full_gk, tuple(notes))
+    n = len(chain) - 1
+    return ChainReport(n, e_m, gk_m, n <= e_m, not notes, tuple(notes))
 
 
 # ---------------------------------------------------------------------------

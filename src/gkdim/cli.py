@@ -538,8 +538,7 @@ def _cmd_chain(config: RunConfig, parsed: ParsedInput):
     a = _need_algebra(parsed)
     if parsed.chain is None:
         raise SpecError("chain", "the chain command needs a chain field")
-    modules = [ModuleSpec.cyclic(ideal) for ideal in parsed.chain]
-    report = chain_bound_check(a, modules, config.max_degree)
+    report = chain_bound_check(a, [ModuleSpec.cyclic(ideal) for ideal in parsed.chain])
     payload = {
         "n": report.n,
         "e_m": _frac(report.e_m),

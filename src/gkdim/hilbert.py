@@ -344,6 +344,11 @@ def numerator_at_one(a: AlgebraSpec, m: ModuleSpec) -> tuple:
     validate_module(a, m)
     if m.negative_shift is not None:
         raise ValueError("a Hilbert numerator needs a summand presentation")
+    return _numerator_at_one(a, m)
+
+
+def _numerator_at_one(a: AlgebraSpec, m: ModuleSpec) -> tuple:
+    """numerator_at_one of a summand presentation already validated."""
     weights = a.scalar_weights()
     order = len(weights)
     total = [0] * (order + 1)

@@ -257,12 +257,12 @@ def test_07_chain_bound_free_modules():
             chain = [_free(r)]
             chain += [m for m, k in zip(steps[:-1], keep) if k]
             chain.append(steps[-1])
-            report = chain_bound_check(a, chain, 25)
+            report = chain_bound_check(a, chain)
             assert report.e_m == r
             assert report.n == len(chain) - 1
             assert report.bound_ok is True
         full = chain_bound_check(a, [_free(k) for k in range(r, 0, -1)]
-                                 + [zero_module(a)], 25)
+                                 + [zero_module(a)])
         assert full.n == r
         assert full.e_m == r
         assert full.bound_ok is True

@@ -6,9 +6,10 @@ counts (binomial coefficients and linear counts computed with math.comb),
 so every growth dimension and multiplicity asserted here is known on paper
 before the library runs. Chain bounds use explicit flags of free summands
 where the length and the multiplicity coincide by construction. The
-triple's subtraction and the chain check's comparisons and differences are
-also compared, on seeded modules and chains, with the generator loops they
-replaced, kept below as references.
+triple's subtraction is also compared, on seeded modules, with the generator
+loops it replaced, and the chain check, on seeded chains, with a reference
+that decides nesting by brute-force divisibility and asserts the count
+conditions the exact nesting check replaced.
 """
 
 from fractions import Fraction
@@ -226,7 +227,7 @@ def test_full_flag_attains_the_bound():
     a = AlgebraSpec.polynomial(1)
     for r in (1, 2, 3, 4):
         chain = [_free_sum(k) for k in range(r, 0, -1)] + [zero_module(a)]
-        report = chain_bound_check(a, chain, TOP)
+        report = chain_bound_check(a, chain)
         assert report.n == r
         assert report.e_m == r
         assert report.gk_m == 1
@@ -237,7 +238,7 @@ def test_full_flag_attains_the_bound():
 def test_partial_flag_stays_below_the_bound():
     a = AlgebraSpec.polynomial(1)
     chain = [_free_sum(3), _free_sum(1), zero_module(a)]
-    report = chain_bound_check(a, chain, TOP)
+    report = chain_bound_check(a, chain)
     assert report.n == 2
     assert report.e_m == 3
     assert report.bound_ok is True
@@ -245,7 +246,7 @@ def test_partial_flag_stays_below_the_bound():
 
 def test_single_module_chain_has_length_zero():
     a = AlgebraSpec.polynomial(1)
-    report = chain_bound_check(a, [ModuleSpec.regular()], TOP)
+    report = chain_bound_check(a, [ModuleSpec.regular()])
     assert report.n == 0
     assert report.bound_ok is True
     assert report.quotients_full_gk is True
@@ -255,7 +256,7 @@ def test_single_module_chain_has_length_zero():
 def test_weyl_ideal_chain():
     a = AlgebraSpec.weyl(1)
     chain = [ModuleSpec.regular(), ModuleSpec.cyclic([(0, 1)])]
-    report = chain_bound_check(a, chain, TOP)
+    report = chain_bound_check(a, chain)
     assert report.n == 1
     assert report.e_m == 1
     assert report.gk_m == 2
@@ -264,10 +265,12 @@ def test_weyl_ideal_chain():
 
 
 def test_small_growth_quotient_is_reported_not_raised():
-    a = AlgebraSpec.polynomial(1)
-    shifted = ModuleSpec((Summand(1, ()),))
-    report = chain_bound_check(a, [ModuleSpec.regular(), shifted], TOP)
-    assert report.n == 1
+    # k[x, y]/(x^2, xy) onto k[x, y]/(x): the factor (x)/(x^2, xy) is the
+    # span of x, of growth dimension 0 against the module's 1
+    a = AlgebraSpec.polynomial(2)
+    chain = [ModuleSpec.cyclic([(2, 0), (1, 1)]), ModuleSpec.cyclic([(1, 0)])]
+    report = chain_bound_check(a, chain)
+    assert (report.n, report.e_m, report.gk_m) == (1, 1, 1)
     assert report.bound_ok is True
     assert report.quotients_full_gk is False
     assert any("smaller growth dimension" in note for note in report.notes)
@@ -276,15 +279,31 @@ def test_small_growth_quotient_is_reported_not_raised():
 def test_chain_strictness_violations_raise():
     a = AlgebraSpec.polynomial(1)
     with pytest.raises(SpecError) as exc:
-        chain_bound_check(a, [ModuleSpec.regular(), ModuleSpec.regular()], TOP)
+        chain_bound_check(a, [ModuleSpec.regular(), ModuleSpec.regular()])
     assert exc.value.path == "chain[2]"
+    assert "not strict" in exc.value.message
 
     with pytest.raises(SpecError) as exc:
-        chain_bound_check(a, [ModuleSpec.cyclic([(1,)]), ModuleSpec.regular()], TOP)
+        chain_bound_check(a, [ModuleSpec.cyclic([(1,)]), ModuleSpec.regular()])
     assert exc.value.path == "chain[2]"
+    assert "not nested" in exc.value.message
 
     with pytest.raises(SpecError):
-        chain_bound_check(a, [], TOP)
+        chain_bound_check(a, [])
+
+
+@pytest.mark.parametrize("member", [
+    ModuleSpec((Summand(1, ()),)),               # another shift: no surjection
+    ModuleSpec((Summand(0, ()), Summand(0, ()))),  # more summands than A
+])
+def test_chain_refuses_a_member_that_is_no_quotient_of_the_previous(member):
+    # the counts of k[x](-1) stay below those of k[x], but it is no
+    # summand-wise quotient of k[x], and neither is k[x]^2
+    a = AlgebraSpec.polynomial(1)
+    with pytest.raises(SpecError) as exc:
+        chain_bound_check(a, [ModuleSpec.regular(), member])
+    assert exc.value.path == "chain[2]"
+    assert "not nested" in exc.value.message
 
 
 def test_chain_refuses_a_negative_shift_member():
@@ -293,7 +312,7 @@ def test_chain_refuses_a_negative_shift_member():
     for chain, path in (([laurent], "chain[1]"),
                         ([ModuleSpec.regular(), laurent], "chain[2]")):
         with pytest.raises(SpecError) as exc:
-            chain_bound_check(a, chain, TOP)
+            chain_bound_check(a, chain)
         assert exc.value.path == path
         assert "negative_shift" in exc.value.message
 
@@ -432,20 +451,34 @@ def _triple_reference(s: SESSpec, top: int) -> tuple:
     return DimensionSequence(prime, "cumulative"), m, double
 
 
+def _ideal_within(small, big) -> bool:
+    """(small) is contained in (big): every generator of small is a multiple
+    of some generator of big, by an exponent-wise loop."""
+    return all(any(all(h <= g for h, g in zip(hm, gm)) for hm in big)
+               for gm in small)
+
+
 def _chain_reference(ambient, chain, top: int, window: int = 6) -> ChainReport:
-    """chain_bound_check with its comparisons and differences as generator
-    loops over zipped sequences."""
+    """chain_bound_check on a chain of cyclic modules A/I_i, with nesting and
+    strictness decided by brute-force divisibility of the generators, the
+    count conditions the nesting check replaced asserted up to top, and e,
+    gk and each factor's growth dimension fitted to the counts."""
     if not chain:
         raise SpecError("chain", "chain must start with the module itself")
+    ideals = [m.summands[0].ideal for m in chain]
+    for i in range(len(chain) - 1):
+        if not _ideal_within(ideals[i], ideals[i + 1]):
+            raise SpecError(f"chain[{i+2}]",
+                            "chain member is not nested in the previous one")
+        if _ideal_within(ideals[i + 1], ideals[i]):
+            raise SpecError(f"chain[{i+2}]", "chain containment is not strict")
     dims = [module_dim_sequence(ambient, m, top) for m in chain]
-    for i in range(len(dims) - 1):
-        prev, cur = dims[i], dims[i + 1]
-        if any(c > p for p, c in zip(prev, cur)):
-            raise SpecError(f"chain[{i+2}]",
-                            "chain member exceeds the previous one in some degree")
-        if all(c == p for p, c in zip(prev, cur)):
-            raise SpecError(f"chain[{i+2}]",
-                            "chain containment is not strict")
+    for prev, cur in zip(dims, dims[1:]):
+        # no member exceeds the previous one, and each difference is a
+        # cumulative dimension sequence (natural and nondecreasing)
+        diffs = [p - c for p, c in zip(prev, cur)]
+        assert min(diffs) >= 0
+        assert all(d <= e for d, e in zip(diffs, diffs[1:]))
     n = len(chain) - 1
     fit = detect_polynomial(dims[0], window)
     if fit is None:
@@ -457,13 +490,7 @@ def _chain_reference(ambient, chain, top: int, window: int = 6) -> ChainReport:
     notes = []
     for i in range(n):
         diffs = tuple(p - c for p, c in zip(dims[i], dims[i + 1]))
-        try:
-            qseq = DimensionSequence(diffs, "cumulative")
-        except ValueError:
-            raise SpecError(f"chain[{i+2}]",
-                            "difference with the previous member is not a "
-                            "valid cumulative dimension sequence") from None
-        qfit = detect_polynomial(qseq, window)
+        qfit = detect_polynomial(DimensionSequence(diffs, "cumulative"), window)
         if qfit is None:
             quotients_full_gk = None
             notes.append(f"growth of quotient {i+1} is not detectable")
@@ -511,16 +538,17 @@ def test_chain_check_matches_the_generator_loops():
         chain = [ModuleSpec.cyclic(ideal)]
         for _ in range(rng.randint(0, 3)):
             # usually grow the ideal (a smaller quotient); sometimes repeat
-            # or shrink it, which breaks strictness
+            # it, which breaks strictness, or shrink it, which can break
+            # nesting
             move = rng.random()
             if move < 0.15:
                 ideal = ideal[:-1]
             elif move > 0.25:
                 ideal = ideal + _random_ideal(rng, nvars, 1)
             chain.append(ModuleSpec.cyclic(ideal))
-        got = _outcome(chain_bound_check, a, chain, TOP)
+        got = _outcome(chain_bound_check, a, chain)
         assert got == _outcome(_chain_reference, a, chain, TOP), chain
         seen.add("report" if isinstance(got, ChainReport) else got[1])
     assert seen == {"report",
-                    "chain member exceeds the previous one in some degree",
+                    "chain member is not nested in the previous one",
                     "chain containment is not strict"}

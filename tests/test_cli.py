@@ -8,13 +8,14 @@ the fixed warning catalog, both output formats, the JSON emitter against
 json.dumps(sort_keys=True, indent=2), and one happy path plus the
 characteristic error paths for each of the seven commands, the bound on
 --max-degree, analyze's torsion verdict with gk(A) taken from the
-number of generators, and a derandomized fuzz of poincare and classify on
-natural-number sequences.
+number of generators, a derandomized fuzz of poincare and classify on
+natural-number sequences, and one of chain and check-ses on monomial ideals.
 """
 
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import random
@@ -805,6 +806,95 @@ def test_chain_rejects_non_nested_ideals(tmp_path, capsys):
     code, _, err = _run(capsys, ["chain", _write(tmp_path, doc)])
     assert code == 3
     assert "chain[2]" in err
+
+
+@pytest.mark.parametrize("chain", [[["x^2"], ["y"]], [["x"], ["y"]]])
+def test_chain_refuses_ideals_that_do_not_contain_the_previous_one(tmp_path, capsys,
+                                                                  chain):
+    # A/(y) has fewer monomials than A/(x^2) in every degree and as many as
+    # A/(x), but (x^2) and (x) are not inside (y)
+    doc = {"spec_version": 1,
+           "algebra": {"kind": "polynomial",
+                       "generators": [{"name": "x"}, {"name": "y"}]},
+           "chain": chain}
+    code, out, err = _run(capsys, ["chain", _write(tmp_path, doc)])
+    assert (code, out) == (3, "")
+    assert "chain[2]" in err and "not nested" in err
+
+
+def test_chain_report_does_not_depend_on_max_degree(tmp_path, capsys):
+    doc = {"spec_version": 1, "algebra": WEIGHTS_3_4,
+           "chain": [[], ["a^2"], ["a", "b^3"], ["1"]]}
+    path = _write(tmp_path, doc)
+    outs = set()
+    for depth in ("1", "16", "200"):
+        code, out, err = _run(capsys, ["chain", path, "--max-degree", depth])
+        assert (code, err) == (0, "")
+        outs.add(out)
+    assert len(outs) == 1
+
+
+_NAMES = ("x", "y", "z")
+
+
+def _mono_text(exponents) -> str:
+    parts = [n if e == 1 else f"{n}^{e}" for n, e in zip(_NAMES, exponents) if e]
+    return "*".join(parts) or "1"
+
+
+@st.composite
+def _ideal_chains(draw):
+    """(number of variables, list of monomial ideals): 1..3 variables,
+    exponents <= 3, each ideal after the first either the previous one grown
+    by new generators or drawn afresh."""
+    nvars = draw(st.integers(1, 3))
+    mono = st.tuples(*[st.integers(0, 3)] * nvars)
+    ideals = [draw(st.lists(mono, max_size=3))]
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            ideals.append(ideals[-1] + draw(st.lists(mono, min_size=1, max_size=2)))
+        else:
+            ideals.append(draw(st.lists(mono, max_size=3)))
+    return nvars, ideals
+
+
+def _standard_counts(ideal, nvars: int, top: int) -> list:
+    """Monomials outside the ideal by degree 0..top, by enumeration."""
+    counts = [0] * (top + 1)
+    for exponents in itertools.product(range(top + 1), repeat=nvars):
+        if sum(exponents) <= top and not any(
+                all(g <= e for g, e in zip(gen, exponents)) for gen in ideal):
+            counts[sum(exponents)] += 1
+    return counts
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_ideal_chains())
+def test_chain_and_check_ses_survive_fuzzed_ideals(tmp_path_factory, case):
+    nvars, ideals = case
+    texts = [[_mono_text(g) for g in ideal] for ideal in ideals]
+    algebra = {"kind": "polynomial",
+               "generators": [{"name": n} for n in _NAMES[:nvars]]}
+    fields = {"chain": {"chain": texts},
+              "check-ses": {"module": {"summands": [{"ideal": texts[0]}]},
+                            "ses": {"sub_ideal": texts[-1]}}}
+    directory = tmp_path_factory.mktemp("fuzz")
+    codes = {}
+    for command, field in fields.items():
+        path = directory / f"{command}.json"
+        path.write_text(json.dumps({"spec_version": 1, "algebra": algebra, **field}))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            codes[command] = cli.run(cli.RunConfig(command=command,
+                                                   input_path=str(path)))
+        assert codes[command] in (0, 3), (command, ideals, err.getvalue())
+        assert "internal" not in err.getvalue()
+    if codes["chain"] == 0:
+        # an accepted chain's factors are real modules: their graded counts
+        # are differences of the members' and never negative
+        counts = [_standard_counts(ideal, nvars, 10) for ideal in ideals]
+        for prev, cur in zip(counts, counts[1:]):
+            assert all(p >= c for p, c in zip(prev, cur)), ideals
 
 
 # ---------------------------------------------------------------------------
