@@ -10,7 +10,7 @@ value (a log-growth diagnostic) is explicitly labeled as such.
 """
 
 from .exactnum import (BinomialForm, HilbertSamuelPolynomial, Polynomial,
-                       Rational, binom, detect_polynomial, falling_binom,
+                       Rational, detect_polynomial, falling_binom,
                        finite_difference, from_binomial_basis,
                        to_binomial_basis)
 from .presentations import (AdmissibilityReport, AdmissibleOrder, AlgebraSpec,
@@ -22,7 +22,7 @@ from .presentations import (AdmissibilityReport, AdmissibleOrder, AlgebraSpec,
                             normal_order_quantum, normal_order_weyl, refilter,
                             validate_algebra, validate_module, zero_module)
 from .hilbert import (DimensionSequence, algebra_dim_sequence,
-                      graded_piece_dim, hilbert_series_monomial_quotient,
+                      hilbert_series_monomial_quotient,
                       minimalize_ideal, module_dim_sequence,
                       module_hilbert_series, standard_monomial_counts)
 from .poincare import (DenominatorAnalysis, QuasiPolynomial, RationalAnalysis,
@@ -51,7 +51,7 @@ __all__ = [
     "ModuleSpec", "Polynomial", "QuasiPolynomial", "Rational",
     "RationalAnalysis", "RationalSeries", "Recurrence", "RefilterError",
     "Relation", "SESSpec", "SpecError", "Summand", "TorsionReport",
-    "algebra_dim_sequence", "binom", "catalog_entry", "catalog_ids",
+    "algebra_dim_sequence", "catalog_entry", "catalog_ids",
     "chain_bound_check", "check_admissibility", "check_exactness",
     "check_multiplicity_axioms", "check_semicommutative_leading",
     "classify_growth", "count_monomials_by_weight", "cumulative_sequence",
@@ -59,7 +59,7 @@ __all__ = [
     "divide_by_weights", "falling_binom", "filtration_equivalent",
     "filtration_layer_dim", "finite_difference", "fit_quasi_polynomial",
     "from_binomial_basis", "gamma_estimate", "gk_dimension",
-    "graded_piece_dim", "graded_values", "hilbert_series_monomial_quotient",
+    "graded_values", "hilbert_series_monomial_quotient",
     "holonomic_defect", "minimal_recurrence", "minimalize_ideal",
     "module_dim_sequence", "module_hilbert_series", "multiplicity",
     "normal_order_quantum", "normal_order_weyl", "quasi_polynomial",

@@ -40,11 +40,6 @@ Rational = Fraction
 Scalar = Union[int, Fraction]
 
 
-def binom(n: int, k: int) -> int:
-    """Binomial coefficient C(n, k) for naturals; 0 when k > n."""
-    return math.comb(n, k)
-
-
 def falling_binom(m: int, i: int) -> int:
     """C(m, i) = m(m-1)...(m-i+1)/i! for any integer m (exact, possibly negative m)."""
     if m >= 0:

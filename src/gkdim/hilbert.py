@@ -2,36 +2,40 @@
 
 A module presented as a direct sum of shifted quotients A/I_k has one
 series (Hilbert-Serre): the summands' numerators, shifted and summed, over
-one prod(1 - t^w). _module_numerator applies each summand's shift to the
-dense numerator; dimension counts and Hilbert series are both read from it.
-Counts divide the numerator by prod(1 - t^w) as integer running sums, one
-per factor (presentations.divide_by_weights), with one more factor (1 - t)
-for cumulative counts.
+one prod(1 - t^w). Every count, series and certificate is read from those
+numerators, and one routine computes them: numerator_terms, a pivot
+recursion in the style of A. M. Bigatti ("Computation of Hilbert-Poincare
+series", JPAA 119, 1997) that returns {degree: coefficient}. It splits on
+the variable x shared by the most generators until they are pairwise
+coprime, taking x^m with m the least positive exponent of x among them, so
+every colon step takes x out of some generator and the depth follows no
+exponent. Both ideals of the split get their minimal generators without a
+general re-minimalisation: I + (x^m) keeps the x-free generators and adds
+x^m, and the colon I : x^m (_colon) keeps every lowered generator g / x^m
+and drops an x-free generator only when a lowered generator that lost its
+last x divides it. Weighted degrees come from the ambient algebra's
+generator weights.
 
-Standard monomials of a monomial ideal are counted exactly from the
-numerator of the quotient's Hilbert series. One pivot recursion in the style
-of A. M. Bigatti ("Computation of Hilbert-Poincare series", JPAA 119, 1997)
-computes it: split on the variable x shared by the most minimal generators
-until the generators are pairwise coprime, taking x^m with m the least
-positive exponent of x among them, so every colon step takes x out of some
-generator and the depth follows no exponent. Both ideals of the split get
-their minimal generators without a general re-minimalisation: I + (x^m)
-keeps the x-free generators and adds x^m, and the colon I : x^m keeps every
-lowered generator g / x^m and drops an x-free generator only when a lowered
-generator that lost its last x divides it. Weighted degrees come from the
-ambient algebra's generator weights. The recursion runs on dense int lists
-cut after a degree top, so memory follows the degree asked for, not the
-input's exponents, weights or shifts: the pivot comes from per-variable
-column counts, the coprime base case multiplies by each (1 - t^d) in place,
-and the colon's numerator is added at the weight of x^m in one slice, or
-not at all above top. The hilbert command's graded dimensions are the one
-expansion the series self-check verifies (_checked_series).
+The recursion can drop the terms above a degree top: the colon branch is
+skipped when x^m weighs more than what is left below top, and a coprime
+leaf keeps only its products of degree at most top, so the cut path builds
+nothing past top, whatever the input's exponents, weights or shifts. Uncut,
+its size is the number of distinct degrees its leaves reach, never an
+exponent or a shift; past SERIES_DEGREE_BOUND of them it refuses.
 
-The growth certificate (numerator_at_one, growth_certificate) reads gk and
-the multiplicity off the numerator's Taylor coefficients at t = 1 alone. It
-runs the same recursion in powers of t - 1, cut after order n, where every
-shift t^s is a product with the binomials C(s, j); so it depends on no
-degree.
+Three readers scatter the summands' terms, each shifted by its summand's
+shift:
+- counts (_module_numerator, _counts): into a dense list up to the degree
+  asked for, divided by prod(1 - t^w) as integer running sums, one per
+  factor (presentations.divide_by_weights), with one more factor (1 - t)
+  for cumulative counts;
+- the series (_checked_series): into a dense list up to the reach of its
+  expansion self-check; the hilbert command's graded dimensions are that
+  verified expansion;
+- the growth certificate (numerator_at_one, growth_certificate): the
+  numerator's Taylor coefficients at t = 1, c_j = sum_i C(i, j) p_i for
+  j <= n, from which gk and the multiplicity are read, so the certificate
+  depends on no degree asked for.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import repeat
 from math import comb, prod
-from operator import add, le, mul, sub
+from operator import le, mul, sub
 from typing import Sequence
 
 from .exactnum import Polynomial
@@ -55,6 +59,7 @@ MEANINGS = ("graded_piece", "cumulative")
 #: the denominator prod(1 - t^w). Both are set by single integers of the
 #: input (a summand's shift, a generator weight), and time and output grow
 #: linearly with them, so past this bound the series is refused as bad input.
+#: It also bounds the distinct degrees an uncut numerator_terms collects.
 SERIES_DEGREE_BOUND = 10 ** 5
 
 
@@ -143,54 +148,55 @@ def _wdeg(mono: Monomial, weights: Sequence[int]) -> int:
     return sum(map(mul, mono, weights))
 
 
-def numerator_terms(gens: Sequence[Monomial], weights: Sequence[int]) -> dict:
-    """Numerator of the Hilbert series of the quotient, over prod(1 - t^w).
+def numerator_terms(gens: Sequence[Monomial], weights: Sequence[int], top=None) -> dict:
+    """Numerator of the Hilbert series of the quotient by the monomial ideal
+    generated by `gens`, over prod(1 - t^w): a map degree -> coefficient,
+    without the terms above degree `top` when one is given.
 
-    Returns a map degree -> coefficient. For a pivot variable x shared by
-    two or more minimal generators, and m its least positive exponent among
-    them, H(S/I) = H(S/(I + x^m)) + t^(m w(x)) H(S/(I : x^m));
-    pairwise coprime generators (at most one generator included) give the
-    product of their factors (1 - t^deg g). A weighted degree sum of the
-    minimal generators above SERIES_DEGREE_BOUND raises ValueError.
+    For a pivot variable x shared by two or more generators, and m its least
+    positive exponent among them, H(S/I) = H(S/(I + x^m)) + t^(m w(x))
+    H(S/(I : x^m)); pairwise coprime generators (at most one generator
+    included) give the product of their factors (1 - t^deg g). The split
+    runs on a stack of (generators, shift) nodes, each leaf adding its
+    product at its shift. Every generating set gives the same numerator;
+    minimal generators give the fewest nodes. Uncut, more than
+    SERIES_DEGREE_BOUND distinct degrees raise ValueError; no term lies
+    above the degree of the generators' lcm.
     """
-    gens, weights = minimalize_ideal(gens), tuple(weights)
-    top = sum(_wdeg(g, weights) for g in gens)
-    if top > SERIES_DEGREE_BOUND:
-        raise ValueError(f"numerator degree bound {top} above {SERIES_DEGREE_BOUND}")
-    return {d: c for d, c in enumerate(_numerator(gens, weights, top)) if c}
-
-
-def _numerator(gens: tuple, weights: tuple, top: int) -> list:
-    """The numerator of numerator_terms for minimal generators `gens`, cut
-    after degree `top`: a dense int list by ascending degree, at most
-    top + 1 long, possibly with trailing zeros."""
-    # the pivot: the first variable shared by the most generators
-    counts = [len(col) - col.count(0) for col in zip(*gens)]
-    most = max(counts, default=0)
-    if most < 2:
-        # pairwise coprime generators: times (1 - t^d) per generator, in place
-        # from the top index down; a factor of degree above top is 1
-        degrees = [_wdeg(g, weights) for g in gens]
-        c = [1] + [0] * min(sum(degrees), top)
-        filled = 0
-        for d in degrees:
-            filled = min(filled + d, top)
-            for i in range(filled, d - 1, -1):
-                c[i] -= c[i - d]
-        return c
-    pivot = counts.index(most)
-    power = min([g[pivot] for g in gens if g[pivot]])
-    var_mono = tuple(power if i == pivot else 0 for i in range(len(weights)))
-    # x^power divides every generator x divides, and absorbs them; the rest
-    # stay minimal
-    out = _numerator(tuple(g for g in gens if not g[pivot]) + (var_mono,), weights, top)
-    shift = power * weights[pivot]
-    if shift <= top:
-        low = _numerator(_colon(gens, pivot, power), weights, top - shift)
-        end = shift + len(low)
-        out.extend([0] * (end - len(out)))
-        out[shift:end] = map(add, out[shift:end], low)
-    return out
+    weights = tuple(weights)
+    gens = tuple(map(tuple, gens))
+    uncut = top is None
+    if uncut:
+        top = sum(map(mul, map(max, zip(*gens)), weights))
+    out = {}
+    stack = [(gens, 0)]
+    while stack:
+        gens, shift = stack.pop()
+        # the pivot: the first variable shared by the most generators
+        counts = [len(col) - col.count(0) for col in zip(*gens)]
+        most = max(counts, default=0)
+        if most < 2:
+            # pairwise coprime generators: t^shift times each (1 - t^d)
+            terms = [(shift, 1)]
+            for g in gens:
+                d = _wdeg(g, weights)
+                terms += [(k + d, -c) for k, c in terms if k + d <= top]
+            for k, c in terms:
+                out[k] = out.get(k, 0) + c
+            if uncut and len(out) > SERIES_DEGREE_BOUND:
+                raise ValueError(f"the numerator has more than {SERIES_DEGREE_BOUND} "
+                                 f"distinct degrees")
+            continue
+        pivot = counts.index(most)
+        power = min([g[pivot] for g in gens if g[pivot]])
+        var_mono = tuple(power if i == pivot else 0 for i in range(len(weights)))
+        # x^power divides every generator x divides, and absorbs them; the rest
+        # stay minimal
+        stack.append((tuple(g for g in gens if not g[pivot]) + (var_mono,), shift))
+        lifted = shift + power * weights[pivot]
+        if lifted <= top:
+            stack.append((_colon(gens, pivot, power), lifted))
+    return {d: c for d, c in out.items() if c}
 
 
 def _colon(gens: tuple, pivot: int, power: int = 1) -> tuple:
@@ -215,57 +221,14 @@ def _colon(gens: tuple, pivot: int, power: int = 1) -> tuple:
         a for a in free if not any(monomial_divides(h, a) for h in emptied))
 
 
-def _taylor_numerator(gens: tuple, weights: tuple, order: int) -> list:
-    """The numerator of _numerator in powers of u = t - 1: its coefficients
-    c_j = sum_i C(i, j) p_i for j = 0..order.
-
-    The same pivot recursion, read at t = 1, where t^d = (1 + u)^d: a
-    pivot's shift is a product with the binomials C(d, j), j <= order
-    (_times_t_power), and a coprime factor 1 - t^d = -u (d + C(d, 2) u + ...)
-    raises the order of vanishing by one. The pivot variable x is split off
-    as x^m, m its least positive exponent, so every colon step takes x out
-    of some generator: neither the lists nor the depth of the recursion
-    depend on a degree or an exponent.
-    """
-    counts = [len(col) - col.count(0) for col in zip(*gens)]
-    most = max(counts, default=0)
-    if most < 2:
-        rest = order - len(gens)
-        if rest < 0:
-            return [0] * (order + 1)
-        q = [1] + [0] * rest
-        for g in gens:
-            d = _wdeg(g, weights)
-            factor = [comb(d, j) for j in range(1, rest + 2)]
-            q = [sum(map(mul, factor, q[k::-1])) for k in range(rest + 1)]
-        return [0] * len(gens) + ([-c for c in q] if len(gens) % 2 else q)
-    pivot = counts.index(most)
-    power = min(g[pivot] for g in gens if g[pivot])
-    var_mono = tuple(power if i == pivot else 0 for i in range(len(weights)))
-    # x^power divides every generator x divides, and absorbs them
-    out = _taylor_numerator(tuple(g for g in gens if not g[pivot]) + (var_mono,),
-                            weights, order)
-    low = _taylor_numerator(_colon(gens, pivot, power), weights, order)
-    return list(map(add, out, _times_t_power(low, power * weights[pivot])))
-
-
-def _times_t_power(c: list, d: int) -> list:
-    """t^d times the series c in powers of u = t - 1, cut after len(c)
-    terms: t^d = sum_j C(d, j) u^j."""
-    if not d:
-        return c
-    binomials = [comb(d, j) for j in range(len(c))]
-    return [sum(map(mul, binomials, c[k::-1])) for k in range(len(c))]
-
-
 def _module_numerator(a: AlgebraSpec, m: ModuleSpec, top=None) -> tuple:
     """The module's Hilbert-series numerator over prod(1 - t^w) as a dense
     int list, degrees 0..top, and the degree its expansion self-check reaches.
 
-    Each summand's ideal is minimalised once; its numerator is shifted by the
-    summand's shift and added in. The self-check reaches, for every summand,
-    its shift plus twice the weight of its minimal generators plus ten, past
-    the numerator's degree. top=None asks for the numerator to that reach,
+    Each summand's ideal is minimalised once; its numerator_terms, cut after
+    top less its shift, are added in at that shift. The self-check reaches,
+    for every summand, its shift plus twice the weight of its minimal
+    generators plus ten, past the numerator's degree. top=None asks for the numerator to that reach,
     after refusing a reach or a sum(w) above SERIES_DEGREE_BOUND (SpecError).
     """
     validate_module(a, m)
@@ -284,9 +247,8 @@ def _module_numerator(a: AlgebraSpec, m: ModuleSpec, top=None) -> tuple:
     dense = [0] * (top + 1)
     for shift, gens in minimal:
         if shift <= top:
-            low = _numerator(gens, weights, top - shift)
-            end = shift + len(low)
-            dense[shift:end] = map(add, dense[shift:end], low)
+            for d, c in numerator_terms(gens, weights, top - shift).items():
+                dense[shift + d] += c
     return dense, reach
 
 
@@ -304,13 +266,6 @@ def standard_monomial_counts(a: AlgebraSpec, ideal: Sequence[Monomial], top: int
     """Counts of standard monomials (not in the ideal) by weighted degree 0..top."""
     dense, _ = _module_numerator(a, ModuleSpec.cyclic(ideal), top)
     return _counts(a, dense, cumulative)
-
-
-def graded_piece_dim(a: AlgebraSpec, ideal: Sequence[Monomial], n: int) -> int:
-    """Dimension of the degree-n graded piece of the monomial quotient."""
-    if n < 0:
-        raise ValueError("degree must be a natural number")
-    return standard_monomial_counts(a, ideal, n)[n]
 
 
 def module_dim_sequence(a: AlgebraSpec, m: ModuleSpec, top: int) -> DimensionSequence:
@@ -335,11 +290,11 @@ def numerator_at_one(a: AlgebraSpec, m: ModuleSpec) -> tuple:
     coefficients c_j = sum_i C(i, j) p_i at t = 1 for j = 0..n, n the
     number of generators, which is all growth_certificate reads.
 
-    Each summand's numerator comes from its own pivot recursion, and its
-    shift s multiplies by t^s, whose coefficients are C(s, j); so the work
-    depends on neither the shifts nor the degrees of the generators.
-    Raises ValueError for a negative_shift module, which has no summand
-    series.
+    Each summand's numerator_terms are read uncut at their shifted degrees,
+    so the work follows the number of terms, not a shift or a degree. Raises
+    ValueError for a negative_shift module, which has no summand series, and
+    SpecError (path "module") for a summand numerator with more than
+    SERIES_DEGREE_BOUND distinct degrees.
     """
     validate_module(a, m)
     if m.negative_shift is not None:
@@ -350,12 +305,16 @@ def numerator_at_one(a: AlgebraSpec, m: ModuleSpec) -> tuple:
 def _numerator_at_one(a: AlgebraSpec, m: ModuleSpec) -> tuple:
     """numerator_at_one of a summand presentation already validated."""
     weights = a.scalar_weights()
-    order = len(weights)
-    total = [0] * (order + 1)
+    terms = {}
     for s in m.summands:
-        c = _taylor_numerator(minimalize_ideal(s.ideal), weights, order)
-        total = list(map(add, total, _times_t_power(c, s.shift)))
-    return tuple(total)
+        try:
+            summand = numerator_terms(minimalize_ideal(s.ideal), weights)
+        except ValueError as err:
+            raise SpecError("module", str(err)) from None
+        for d, c in summand.items():
+            terms[s.shift + d] = terms.get(s.shift + d, 0) + c
+    return tuple(sum(comb(d, j) * c for d, c in terms.items())
+                 for j in range(len(weights) + 1))
 
 
 def growth_certificate(a: AlgebraSpec, coefficients: Sequence[int]):

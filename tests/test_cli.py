@@ -897,6 +897,60 @@ def test_chain_and_check_ses_survive_fuzzed_ideals(tmp_path_factory, case):
             assert all(p >= c for p, c in zip(prev, cur)), ideals
 
 
+@st.composite
+def _weighted_presentations(draw):
+    """(weights, summands) for a polynomial ring in 1..3 variables of weight
+    1..4: 1..3 summands, each shift 0..3 or 10^5..10^12, each ideal up to 3
+    generators with exponents mostly 0..3 and some up to 10^6."""
+    nvars = draw(st.integers(1, 3))
+    weights = draw(st.lists(st.integers(1, 4), min_size=nvars, max_size=nvars))
+    exponent = st.one_of(st.integers(0, 3), st.integers(0, 3), st.integers(0, 10 ** 6))
+    ideal = st.lists(st.tuples(*[exponent] * nvars), max_size=3)
+    shift = st.one_of(st.integers(0, 3), st.integers(0, 3), st.integers(10 ** 5, 10 ** 12))
+    return weights, draw(st.lists(st.tuples(shift, ideal), min_size=1, max_size=3))
+
+
+def _weighted_counts(weights, summands, top: int) -> list:
+    """Graded dimensions 0..top of a sum of shifted monomial quotients, by
+    enumerating the monomials of weighted degree at most top."""
+    counts = [0] * (top + 1)
+    for exponents in itertools.product(*[range(top // w + 1) for w in weights]):
+        degree = sum(map(math.prod, zip(exponents, weights)))
+        for shift, ideal in summands:
+            if shift + degree <= top and not any(
+                    all(g <= e for g, e in zip(gen, exponents)) for gen in ideal):
+                counts[shift + degree] += 1
+    return counts
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_weighted_presentations())
+def test_hilbert_and_analyze_survive_fuzzed_presentations(tmp_path_factory, case):
+    weights, summands = case
+    doc = {"spec_version": 1,
+           "algebra": {"kind": "polynomial",
+                       "generators": [{"name": n, "degree": [w]}
+                                      for n, w in zip(_NAMES, weights)]},
+           "module": {"summands": [{"shift": shift,
+                                    "ideal": [_mono_text(g) for g in ideal]}
+                                   for shift, ideal in summands]}}
+    path = tmp_path_factory.mktemp("fuzz") / "spec.json"
+    path.write_text(json.dumps(doc))
+    outs = {}
+    for command, codes in (("hilbert", (0, 3)), ("analyze", (0, 1, 3))):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(cli.RunConfig(command=command, input_path=str(path),
+                                         max_degree=16))
+        assert code in codes, (command, case, err.getvalue())
+        assert "internal" not in err.getvalue()
+        outs[command] = code, out.getvalue()
+    code, out = outs["hilbert"]
+    if code == 0:
+        graded = json.loads(out)["report"]["graded_dimensions"]
+        assert graded[:11] == _weighted_counts(weights, summands, 10), case
+
+
 # ---------------------------------------------------------------------------
 # refilter
 

@@ -22,7 +22,7 @@ import random
 import pytest
 import sympy
 
-from gkdim.exactnum import (BinomialForm, Polynomial, binom, detect_polynomial,
+from gkdim.exactnum import (BinomialForm, Polynomial, detect_polynomial,
                             falling_binom, finite_difference,
                             from_binomial_basis, int_divmod, primitive_gcd,
                             sequence_values, to_binomial_basis)
@@ -30,12 +30,6 @@ from gkdim.exactnum import (BinomialForm, Polynomial, binom, detect_polynomial,
 
 # ---------------------------------------------------------------------------
 # binomial coefficients
-
-
-def test_binom_matches_math_comb():
-    for n in range(0, 20):
-        for k in range(0, 20):
-            assert binom(n, k) == math.comb(n, k)
 
 
 def test_falling_binom_agrees_with_comb_for_naturals():

@@ -13,9 +13,12 @@ on seeded weighted modules, and call counters pin that each command counts
 every module once: one divide_by_weights call per module, one
 minimalisation per summand and one expansion self-check per series. The
 kernel-based counts are compared with the free count and convolution they
-replaced, the dense-list numerator with the dict recursion it replaced, and
-graded() with its index loop, all kept below as references, and the
-DimensionSequence validators by the messages they raise.
+replaced, the one numerator recursion with the dict recursion that split
+off x alone, with the dense-list recursion cut after a degree and with the
+recursion in powers of t - 1 that it replaced (also by a hypothesis property
+test on exponents up to 10^6 and shifts up to 10^12), and graded() with its
+index loop, all kept below as references, and the DimensionSequence
+validators by the messages they raise.
 
 The growth certificate (gk and e from the numerator at t = 1) is checked
 against three oracles: the difference tower on unweighted modules, sympy's
@@ -28,19 +31,21 @@ from fractions import Fraction
 import itertools
 import json
 import math
+import operator
 import random
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkdim.exactnum import Polynomial
 from gkdim.poincare import RationalSeries
 import gkdim.hilbert
 from gkdim.cli import main
 from gkdim.hilbert import (MEANINGS, SERIES_DEGREE_BOUND, DimensionSequence,
-                           _colon, _counts, _numerator,
-                           _module_numerator, algebra_dim_sequence,
-                           graded_piece_dim, growth_certificate,
+                           _colon, _counts, _module_numerator,
+                           algebra_dim_sequence, growth_certificate,
                            hilbert_series_monomial_quotient,
                            minimalize_ideal, module_dim_sequence,
                            module_hilbert_series,
@@ -247,15 +252,6 @@ def test_large_ideal_uses_same_counts():
     got = standard_monomial_counts(a, ideal, top)
     assert got == _brute_counts((1, 1, 1), ideal, top)
     assert got[5:] == [0] * 6
-
-
-def test_graded_piece_dim_frozen():
-    a = AlgebraSpec.polynomial(2)
-    assert graded_piece_dim(a, [(1, 1)], 0) == 1
-    for n in range(1, 8):
-        assert graded_piece_dim(a, [(1, 1)], n) == 2
-    with pytest.raises(ValueError):
-        graded_piece_dim(a, [], -1)
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +480,7 @@ def test_counts_match_the_free_count_convolution():
 
 
 # ---------------------------------------------------------------------------
-# the dense numerator and graded() against the code they replaced
+# the numerator recursion and graded() against the code they replaced
 
 
 def _numerator_reference(gens: tuple, weights: tuple) -> dict:
@@ -516,6 +512,72 @@ def _numerator_reference(gens: tuple, weights: tuple) -> dict:
     return {d: c for d, c in out.items() if c}
 
 
+def _dense_reference(gens: tuple, weights: tuple, top: int) -> list:
+    """numerator_terms cut after degree top, as it was computed on dense int
+    lists before the one recursion: at most top + 1 entries, possibly with
+    trailing zeros, for minimal generators `gens`."""
+    counts = [len(col) - col.count(0) for col in zip(*gens)]
+    most = max(counts, default=0)
+    if most < 2:
+        # pairwise coprime generators: times (1 - t^d) per generator, in place
+        # from the top index down; a factor of degree above top is 1
+        degrees = [sum(map(operator.mul, g, weights)) for g in gens]
+        c = [1] + [0] * min(sum(degrees), top)
+        filled = 0
+        for d in degrees:
+            filled = min(filled + d, top)
+            for i in range(filled, d - 1, -1):
+                c[i] -= c[i - d]
+        return c
+    pivot = counts.index(most)
+    power = min([g[pivot] for g in gens if g[pivot]])
+    var_mono = tuple(power if i == pivot else 0 for i in range(len(weights)))
+    out = _dense_reference(tuple(g for g in gens if not g[pivot]) + (var_mono,), weights, top)
+    shift = power * weights[pivot]
+    if shift <= top:
+        low = _dense_reference(_colon(gens, pivot, power), weights, top - shift)
+        end = shift + len(low)
+        out.extend([0] * (end - len(out)))
+        out[shift:end] = map(operator.add, out[shift:end], low)
+    return out
+
+
+def _taylor_reference(gens: tuple, weights: tuple, order: int) -> list:
+    """The numerator in powers of u = t - 1, c_j = sum_i C(i, j) p_i for
+    j = 0..order, as it was computed before the one recursion: the same
+    pivot split read at t = 1, where a shift t^d is a product with the
+    binomials C(d, j) and a coprime factor 1 - t^d = -u (d + C(d, 2) u + ...)
+    raises the order of vanishing by one."""
+    counts = [len(col) - col.count(0) for col in zip(*gens)]
+    most = max(counts, default=0)
+    if most < 2:
+        rest = order - len(gens)
+        if rest < 0:
+            return [0] * (order + 1)
+        q = [1] + [0] * rest
+        for g in gens:
+            d = sum(map(operator.mul, g, weights))
+            factor = [math.comb(d, j) for j in range(1, rest + 2)]
+            q = [sum(map(operator.mul, factor, q[k::-1])) for k in range(rest + 1)]
+        return [0] * len(gens) + ([-c for c in q] if len(gens) % 2 else q)
+    pivot = counts.index(most)
+    power = min(g[pivot] for g in gens if g[pivot])
+    var_mono = tuple(power if i == pivot else 0 for i in range(len(weights)))
+    out = _taylor_reference(tuple(g for g in gens if not g[pivot]) + (var_mono,),
+                            weights, order)
+    low = _taylor_reference(_colon(gens, pivot, power), weights, order)
+    return list(map(operator.add, out, _times_t_power_reference(low, power * weights[pivot])))
+
+
+def _times_t_power_reference(c: list, d: int) -> list:
+    """t^d times the series c in powers of u = t - 1, cut after len(c)
+    terms: t^d = sum_j C(d, j) u^j."""
+    if not d:
+        return c
+    binomials = [math.comb(d, j) for j in range(len(c))]
+    return [sum(map(operator.mul, binomials, c[k::-1])) for k in range(len(c))]
+
+
 def test_dense_numerator_matches_the_dict_recursion():
     rng = random.Random(4242)
     cases = [(tuple(w for (w,) in degrees) if degrees else (1,) * nvars, ideal)
@@ -530,8 +592,15 @@ def test_dense_numerator_matches_the_dict_recursion():
     weighted = 0
     for weights, ideal in cases:
         weighted += set(weights) != {1}
-        expected = _numerator_reference(minimalize_ideal(ideal), weights)
+        minimal = minimalize_ideal(ideal)
+        expected = _numerator_reference(minimal, weights)
         assert numerator_terms(ideal, weights) == expected, (weights, ideal)
+        assert numerator_terms(minimal, weights) == expected, (weights, ideal)
+        # cut after top: the dense reference's coefficients 0..top
+        for top in (0, 2, 5, 9):
+            dense = _dense_reference(minimal, weights, top)
+            assert numerator_terms(minimal, weights, top) == \
+                {d: c for d, c in enumerate(dense) if c}, (weights, ideal, top)
     assert weighted > 100 and len(cases) - weighted > 100
     # the unit ideal kills everything; the zero ideal keeps the constant 1
     assert numerator_terms([(0, 0), (1, 2)], (1, 1)) == {}
@@ -557,12 +626,12 @@ def test_module_numerator_matches_the_dict_recursion():
             assert dense == [expected.get(d, 0) for d in range(top + 1)], (m, top)
 
 
-def test_numerator_memory_follows_the_degree_asked_for():
+def test_numerator_memory_follows_the_degree_asked_for(monkeypatch):
     # exponents, weights and shifts of 10^9: counts to degree 30 build lists
     # of at most 31 entries, where a whole numerator would need 10^9
     big = 10 ** 9
-    assert _numerator(((big, 0), (0, 2)), (1, 1), 30) == [1, 0, -1] + [0] * 28
-    assert _numerator(((1, 1), (2, 0)), (big, 1), 30) == [1] + [0] * 30
+    assert numerator_terms(((big, 0), (0, 2)), (1, 1), 30) == {0: 1, 2: -1}
+    assert numerator_terms(((1, 1), (2, 0)), (big, 1), 30) == {0: 1}
     heavy = AlgebraSpec.polynomial(2, degrees=[(big,), (1,)])
     assert standard_monomial_counts(heavy, [(1, 0)], 30) == [1] * 31
     assert standard_monomial_counts(heavy, [(1, 1), (2, 0)], 30) == [1] * 31
@@ -570,11 +639,60 @@ def test_numerator_memory_follows_the_degree_asked_for():
     assert standard_monomial_counts(plane, [(big, 0)], 30) == list(range(1, 32))
     far = ModuleSpec((Summand(0, ((1, 1),)), Summand(big, ())))
     assert list(module_dim_sequence(plane, far, 30)) == [2 * n + 1 for n in range(31)]
-    with pytest.raises(ValueError):
-        numerator_terms([(big, 0)], (1, 1))
+    # uncut, the size follows the distinct degrees, not an exponent
+    assert numerator_terms([(big, 0)], (1, 1)) == {0: 1, big: -1}
     with pytest.raises(SpecError) as err:
         module_hilbert_series(plane, ModuleSpec.cyclic([(big, 0)]))
     assert err.value.path == "module"
+    # past SERIES_DEGREE_BOUND distinct degrees an uncut numerator is refused;
+    # x^2, xy, y^2 collects the degrees 0..3 on its way to 1 - 3t^2 + 2t^3
+    staircase = [(2, 0), (1, 1), (0, 2)]
+    monkeypatch.setattr(gkdim.hilbert, "SERIES_DEGREE_BOUND", 3)
+    with pytest.raises(ValueError, match="more than 3 distinct degrees"):
+        numerator_terms(staircase, (1, 1))
+    assert numerator_terms(staircase, (1, 1), 2) == {0: 1, 2: -3}
+    with pytest.raises(SpecError) as err:
+        numerator_at_one(plane, ModuleSpec.cyclic(staircase))
+    assert err.value.path == "module"
+    assert "more than 3 distinct degrees" in err.value.message
+    monkeypatch.setattr(gkdim.hilbert, "SERIES_DEGREE_BOUND", 4)
+    assert numerator_terms(staircase, (1, 1)) == {0: 1, 2: -3, 3: 2}
+
+
+@st.composite
+def _wide_modules(draw):
+    """(weights, summands, top): 1..4 variables of weight 1..5, and 1..3
+    summands with shifts up to 10^12 and up to 5 generators whose exponents
+    are mostly 0..3, some up to 10^6; top is 0..20, so that cuts
+    often fall inside the numerators."""
+    nvars = draw(st.integers(1, 4))
+    weights = tuple(draw(st.lists(st.integers(1, 5), min_size=nvars, max_size=nvars)))
+    exponent = st.one_of(st.integers(0, 3), st.integers(0, 3), st.integers(0, 10 ** 6))
+    ideal = st.lists(st.tuples(*[exponent] * nvars), max_size=5)
+    shift = st.one_of(st.integers(0, 5), st.integers(0, 10 ** 12))
+    summands = draw(st.lists(st.tuples(shift, ideal), min_size=1, max_size=3))
+    return weights, summands, draw(st.integers(0, 20))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_wide_modules())
+def test_the_one_recursion_matches_the_dense_and_taylor_references(case):
+    weights, summands, top = case
+    a = AlgebraSpec.polynomial(len(weights), degrees=[(w,) for w in weights])
+    m = ModuleSpec(tuple(Summand(shift, tuple(ideal)) for shift, ideal in summands))
+    dense = [0] * (top + 1)
+    taylor = [0] * (len(weights) + 1)
+    for shift, ideal in summands:
+        minimal = minimalize_ideal(ideal)
+        cut = _dense_reference(minimal, weights, top)
+        assert numerator_terms(minimal, weights, top) == \
+            {d: c for d, c in enumerate(cut) if c}, (weights, ideal, top)
+        for d, c in enumerate(cut[:max(top + 1 - shift, 0)]):
+            dense[shift + d] += c
+        low = _taylor_reference(minimal, weights, len(weights))
+        taylor = list(map(operator.add, taylor, _times_t_power_reference(low, shift)))
+    assert _module_numerator(a, m, top)[0] == dense, (m, top)
+    assert numerator_at_one(a, m) == tuple(taylor), m
 
 
 def _graded_reference(values: tuple) -> tuple:
@@ -665,7 +783,7 @@ def _sympy_growth(weights, m):
     Laurent coefficient lim (1 - t)^(gk + 1) C(t) is e. None when p = 0."""
     t = sympy.symbols("t")
     p = sum(t ** (s.shift + d) * c for s in m.summands
-            for d, c in numerator_terms(s.ideal, weights).items())
+            for d, c in _numerator_reference(minimalize_ideal(s.ideal), weights).items())
     num = sympy.Poly(p, t)
     den = sympy.Poly((1 - t) * sympy.prod([1 - t ** w for w in weights]), t)
     if num.is_zero:
