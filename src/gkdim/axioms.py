@@ -131,8 +131,8 @@ def check_multiplicity_axioms(s: SESSpec) -> AxiomReport:
     every degree and needs no sampling depth.
     """
     validate_ses(s)
-    m = _numerator_at_one(s.ambient, s.big)
-    double = _numerator_at_one(s.ambient, _quotient(s))
+    m = _numerator_at_one(s.ambient, s.big, "module")
+    double = _numerator_at_one(s.ambient, _quotient(s), "ses.sub_ideals")
     certs = [growth_certificate(s.ambient, c)
              for c in (tuple(map(sub, m, double)), m, double)]
     zero = [c is None for c in certs]
@@ -220,8 +220,9 @@ def chain_bound_check(ambient: AlgebraSpec, chain) -> ChainReport:
     e(M), gk(M) and the factors' growth dimensions are certified from these;
     a factor of smaller growth dimension is reported via quotients_full_gk.
     SpecError is raised for a negative_shift member, a member not nested in
-    the previous one, and one with the previous one's numerator (a zero
-    factor).
+    the previous one, one with the previous one's numerator (a zero
+    factor), and one whose numerator has more than SERIES_DEGREE_BOUND
+    distinct degrees.
     """
     if not chain:
         raise SpecError("chain", "chain must start with the module itself")
@@ -230,7 +231,8 @@ def chain_bound_check(ambient: AlgebraSpec, chain) -> ChainReport:
             raise SpecError(f"chain[{k+1}]", "chain checks need summand "
                                              "presentations, not a negative_shift module")
         validate_module(ambient, m)
-    numerators = [_numerator_at_one(ambient, m) for m in chain]
+    numerators = [_numerator_at_one(ambient, m, f"chain[{k+1}]")
+                  for k, m in enumerate(chain)]
     gk_m, e_m = growth_certificate(ambient, numerators[0]) or (0, Fraction(0))
     notes = []
     for i, (outer, inner) in enumerate(zip(chain, chain[1:])):

@@ -176,16 +176,23 @@ def numerator_terms(gens: Sequence[Monomial], weights: Sequence[int], top=None) 
         counts = [len(col) - col.count(0) for col in zip(*gens)]
         most = max(counts, default=0)
         if most < 2:
-            # pairwise coprime generators: t^shift times each (1 - t^d)
-            terms = [(shift, 1)]
+            # pairwise coprime generators: t^shift times each (1 - t^d), one
+            # factor at a time with equal degrees merged, so a leaf holds its
+            # distinct degrees, not 2^len(gens) products
+            leaf = {shift: 1}
             for g in gens:
                 d = _wdeg(g, weights)
-                terms += [(k + d, -c) for k, c in terms if k + d <= top]
-            for k, c in terms:
+                nxt = dict(leaf)
+                for k, c in leaf.items():
+                    if k + d <= top:
+                        nxt[k + d] = nxt.get(k + d, 0) - c
+                leaf = nxt
+                if uncut:
+                    _check_term_count(leaf)
+            for k, c in leaf.items():
                 out[k] = out.get(k, 0) + c
-            if uncut and len(out) > SERIES_DEGREE_BOUND:
-                raise ValueError(f"the numerator has more than {SERIES_DEGREE_BOUND} "
-                                 f"distinct degrees")
+            if uncut:
+                _check_term_count(out)
             continue
         pivot = counts.index(most)
         power = min([g[pivot] for g in gens if g[pivot]])
@@ -197,6 +204,12 @@ def numerator_terms(gens: Sequence[Monomial], weights: Sequence[int], top=None) 
         if lifted <= top:
             stack.append((_colon(gens, pivot, power), lifted))
     return {d: c for d, c in out.items() if c}
+
+
+def _check_term_count(terms: dict) -> None:
+    if len(terms) > SERIES_DEGREE_BOUND:
+        raise ValueError(f"the numerator has more than {SERIES_DEGREE_BOUND} "
+                         f"distinct degrees")
 
 
 def _colon(gens: tuple, pivot: int, power: int = 1) -> tuple:
@@ -299,18 +312,20 @@ def numerator_at_one(a: AlgebraSpec, m: ModuleSpec) -> tuple:
     validate_module(a, m)
     if m.negative_shift is not None:
         raise ValueError("a Hilbert numerator needs a summand presentation")
-    return _numerator_at_one(a, m)
+    return _numerator_at_one(a, m, "module")
 
 
-def _numerator_at_one(a: AlgebraSpec, m: ModuleSpec) -> tuple:
-    """numerator_at_one of a summand presentation already validated."""
+def _numerator_at_one(a: AlgebraSpec, m: ModuleSpec, path: str) -> tuple:
+    """numerator_at_one of a summand presentation already validated; the
+    term-count refusal is a SpecError at `path`, the input field that
+    presented the module."""
     weights = a.scalar_weights()
     terms = {}
     for s in m.summands:
         try:
             summand = numerator_terms(minimalize_ideal(s.ideal), weights)
         except ValueError as err:
-            raise SpecError("module", str(err)) from None
+            raise SpecError(path, str(err)) from None
         for d, c in summand.items():
             terms[s.shift + d] = terms.get(s.shift + d, 0) + c
     return tuple(sum(comb(d, j) * c for d, c in terms.items())

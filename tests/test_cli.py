@@ -26,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gkdim.hilbert
 from gkdim import cli
 from gkdim.cli import WARNINGS, main
 from gkdim.exactnum import detect_polynomial
@@ -820,6 +821,23 @@ def test_chain_refuses_ideals_that_do_not_contain_the_previous_one(tmp_path, cap
     code, out, err = _run(capsys, ["chain", _write(tmp_path, doc)])
     assert (code, out) == (3, "")
     assert "chain[2]" in err and "not nested" in err
+
+
+def test_term_count_refusals_name_the_field_they_come_from(tmp_path, capsys,
+                                                         monkeypatch):
+    # x^2, xy, y^2 collects four distinct degrees, one past a bound of 3
+    monkeypatch.setattr(gkdim.hilbert, "SERIES_DEGREE_BOUND", 3)
+    plane = {"kind": "polynomial", "generators": [{"name": "x"}, {"name": "y"}]}
+    staircase = ["x^2", "x*y", "y^2"]
+    cases = [("chain", {"chain": [[], staircase]}, "chain[2]"),
+             ("check-ses", {"ses": {"sub_ideal": staircase}}, "ses.sub_ideals"),
+             ("check-ses", {"module": {"summands": [{"shift": 0, "ideal": staircase}]},
+                            "ses": {"sub_ideal": staircase}}, "module")]
+    for command, fields, path in cases:
+        doc = {"spec_version": 1, "algebra": plane, **fields}
+        code, out, err = _run(capsys, [command, _write(tmp_path, doc)])
+        assert (code, out) == (3, ""), (command, path)
+        assert err == f"error: {path}: the numerator has more than 3 distinct degrees\n"
 
 
 def test_chain_report_does_not_depend_on_max_degree(tmp_path, capsys):

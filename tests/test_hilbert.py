@@ -659,6 +659,24 @@ def test_numerator_memory_follows_the_degree_asked_for(monkeypatch):
     assert numerator_terms(staircase, (1, 1)) == {0: 1, 2: -3, 3: 2}
 
 
+def test_a_coprime_leaf_grows_with_its_distinct_degrees():
+    # the maximal ideal of 30 variables is one pairwise coprime leaf: its
+    # numerator (1 - t)^30 has 31 terms, not the 2^30 products of its factors
+    n = 30
+    maximal = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    space = AlgebraSpec.polynomial(n)
+    assert numerator_terms(maximal, (1,) * n) == \
+        {d: (-1) ** d * math.comb(n, d) for d in range(n + 1)}
+    assert numerator_at_one(space, ModuleSpec.cyclic(maximal)) == (0,) * n + (1,)
+    assert standard_monomial_counts(space, maximal, 5) == [1, 0, 0, 0, 0, 0]
+    # with weights 1, 2, 4, ... every product has its own degree: cut, the
+    # leaf keeps degrees 0..top; uncut, it is refused once it passes the bound
+    doubling = tuple(2 ** i for i in range(n))
+    assert len(numerator_terms(maximal, doubling, 1000)) == 1001
+    with pytest.raises(ValueError, match="distinct degrees"):
+        numerator_terms(maximal, doubling)
+
+
 @st.composite
 def _wide_modules(draw):
     """(weights, summands, top): 1..4 variables of weight 1..5, and 1..3
