@@ -14,8 +14,6 @@ error message names the offending field path), 4 internal fault (a bug in
 gkdim, reported as "error: internal: ...").
 """
 
-import argparse
-import hashlib
 import json
 import sys
 from fractions import Fraction
@@ -30,10 +28,18 @@ from .axioms import (HolonomyCatalog, SESSpec, chain_bound_check,
 from .exactnum import Polynomial, detect_polynomial  # noqa: F401
 from .hilbert import (SERIES_DEGREE_BOUND, DimensionSequence, _checked_series,
                       module_dim_sequence)
-from .poincare import RationalSeries, rational_analysis
+from .poincare import RationalSeries, _lowest_terms, rational_analysis
 from .presentations import (AlgebraSpec, ModuleSpec, RefilterError, SpecError,
-                            Summand, refilter, validate_module)
+                            Summand, refilter)
 from .samuel import classify_growth
+
+try:  # the builtin sha256 (_sha2 from Python 3.12): hashlib loads OpenSSL
+    from _sha256 import sha256
+except ImportError:
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 TOOL_VERSION = "0.1.0"
 
@@ -132,14 +138,9 @@ def _parse_natural(value, path: str, minimum: int = 0) -> int:
     return value
 
 
-def parse_monomial(text, names, path: str) -> tuple:
-    """Parse "x1^2*x2" style monomial syntax into an exponent tuple; "1" is
-    the unit monomial."""
-    return _monomial(text, {n: i for i, n in enumerate(names)}, path)
-
-
 def _monomial(text, index: dict, path: str) -> tuple:
-    """parse_monomial with the generator name -> position map built."""
+    """Parse "x1^2*x2" style monomial syntax into an exponent tuple, given
+    the generator name -> position map; "1" is the unit monomial."""
     _require(isinstance(text, str), path, "monomial must be a string")
     stripped = text.strip()
     if stripped == "1":
@@ -246,9 +247,10 @@ def parse_module(doc, a: AlgebraSpec, path: str = "module") -> ModuleSpec:
     if negative_shift is not None:
         negative_shift = _parse_natural(negative_shift, f"{path}.negative_shift",
                                         minimum=1)
-    m = ModuleSpec(tuple(summands), negative_shift)
-    validate_module(a, m)
-    return m
+    # the one rule of validate_module that parsing leaves open
+    _require(summands or negative_shift is not None, f"{path}.summands",
+             "module needs summands or a negative_shift")
+    return ModuleSpec(tuple(summands), negative_shift)
 
 
 def parse_spec(doc) -> ParsedInput:
@@ -318,16 +320,17 @@ def _frac(x) -> list:
     return [x.numerator, x.denominator]
 
 
-def _frac_or_none(x):
-    return None if x is None else _frac(x)
-
-
 def _poly(p: Polynomial) -> list:
     return [_frac(c) for c in p.coeffs]
 
 
 def _series_payload(s: RationalSeries) -> dict:
     return {"numerator": _poly(s.numerator), "denominator": _poly(s.denominator)}
+
+
+def _int_series_payload(p: list, q: list) -> dict:
+    # int lists with q[0] = +-1, normalised to q(0) = 1 as a RationalSeries is
+    return {"numerator": [[q[0] * c, 1] for c in p], "denominator": [[q[0] * c, 1] for c in q]}
 
 
 def _recurrence_payload(rec) -> dict:
@@ -362,7 +365,7 @@ def _growth_payload(g) -> dict:
     return {
         "classification": g.classification,
         "gk": g.gk,
-        "multiplicity": _frac_or_none(g.multiplicity),
+        "multiplicity": None if g.multiplicity is None else _frac(g.multiplicity),
         "evidence": g.evidence,
         "gamma_estimate": (None if g.gamma is None else
                            {"value": g.gamma.value, "trend": g.gamma.trend}),
@@ -476,10 +479,11 @@ def _cmd_hilbert(config: RunConfig, parsed: ParsedInput):
         raise SpecError("module.negative_shift",
                         "the hilbert command needs a summand presentation")
     # one expansion, for the self-check and the graded dimensions
-    series, expansion = _checked_series(a, m, config.max_degree)
+    p, q, expansion = _checked_series(a, m, config.max_degree)
     report = {
-        "series": _series_payload(series),
-        "reduced": _series_payload(series.reduced()),
+        "series": _int_series_payload(p, q),
+        # q(0) = 1, so the constant term of the gcd, and of q's quotient, is +-1
+        "reduced": _int_series_payload(*_lowest_terms(p, q)),
         "graded_dimensions": expansion[:config.max_degree + 1],
     }
     return EXIT_OK, report, ()
@@ -621,6 +625,11 @@ def _json(value, pad: str) -> str:
         sep = f",\n{inner}"
         if type(value[0]) is int and set(map(type, value)) == _INT:
             return f"[\n{inner}{sep.join(map(int.__repr__, value))}\n{pad}]"
+        if set(map(type, value)) == {list} and set(map(len, value)) == {2}:
+            nums, dens = zip(*value)  # [int, int] pairs, one format call each
+            if set(map(type, nums + dens)) == _INT:
+                pair = f"[\n{inner}  {{}},\n{inner}  {{}}\n{inner}]"
+                return f"[\n{inner}{sep.join(map(pair.format, nums, dens))}\n{pad}]"
         items = [int.__repr__(v) if type(v) is int else _json(v, inner) for v in value]
         return f"[\n{inner}{sep.join(items)}\n{pad}]"
     if isinstance(value, str):
@@ -670,7 +679,7 @@ def run(config: RunConfig) -> int:
             "tool_version": TOOL_VERSION,
             "spec_version": 1,
             "command": config.command,
-            "input_digest": hashlib.sha256(raw).hexdigest(),
+            "input_digest": sha256(raw).hexdigest(),
             "report": report,
             "warnings": warnings,
         }
@@ -696,6 +705,7 @@ def run(config: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
+    import argparse  # here, so that importing the module for run() skips it
     parser = argparse.ArgumentParser(
         prog="gkdim",
         description="Growth analysis of filtered algebras and modules from "

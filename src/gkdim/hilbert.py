@@ -30,8 +30,9 @@ shift:
   factor (presentations.divide_by_weights), with one more factor (1 - t)
   for cumulative counts;
 - the series (_checked_series): into a dense list up to the reach of its
-  expansion self-check; the hilbert command's graded dimensions are that
-  verified expansion;
+  expansion self-check (poincare._expansion); p, q = prod(1 - t^w) and the
+  expansion stay int lists into the hilbert command's report, whose graded
+  dimensions are that verified expansion;
 - the growth certificate (numerator_at_one, growth_certificate): the
   numerator's Taylor coefficients at t = 1, c_j = sum_i C(i, j) p_i for
   j <= n, from which gk and the multiplicity are read, so the certificate
@@ -47,7 +48,7 @@ from operator import le, mul, sub
 from typing import Sequence
 
 from .exactnum import Polynomial
-from .poincare import RationalSeries
+from .poincare import RationalSeries, _expansion
 from .presentations import (AlgebraSpec, ModuleSpec, Monomial, SpecError,
                             divide_by_weights, monomial_divides,
                             validate_module)
@@ -244,7 +245,6 @@ def _module_numerator(a: AlgebraSpec, m: ModuleSpec, top=None) -> tuple:
     generators plus ten, past the numerator's degree. top=None asks for the numerator to that reach,
     after refusing a reach or a sum(w) above SERIES_DEGREE_BOUND (SpecError).
     """
-    validate_module(a, m)
     weights = a.scalar_weights()
     minimal = [(s.shift, minimalize_ideal(s.ideal)) for s in m.summands]
     reach = max([10] + [shift + 2 * sum(_wdeg(g, weights) for g in gens) + 10
@@ -277,13 +277,16 @@ def _counts(a: AlgebraSpec, dense: list, cumulative: bool) -> list:
 def standard_monomial_counts(a: AlgebraSpec, ideal: Sequence[Monomial], top: int,
                              cumulative: bool = False) -> list:
     """Counts of standard monomials (not in the ideal) by weighted degree 0..top."""
-    dense, _ = _module_numerator(a, ModuleSpec.cyclic(ideal), top)
+    m = ModuleSpec.cyclic(ideal)
+    validate_module(a, m)
+    dense, _ = _module_numerator(a, m, top)
     return _counts(a, dense, cumulative)
 
 
 def module_dim_sequence(a: AlgebraSpec, m: ModuleSpec, top: int) -> DimensionSequence:
     """Cumulative dimensions of a module presentation, degrees 0..top, read
     from the module's Hilbert-series numerator."""
+    validate_module(a, m)
     dense, _ = _module_numerator(a, m, top)
     values = _counts(a, dense, cumulative=True)
     if m.negative_shift is not None:
@@ -365,26 +368,27 @@ def module_hilbert_series(a: AlgebraSpec, m: ModuleSpec) -> RationalSeries:
     _counts. A reach or a sum(w) above SERIES_DEGREE_BOUND raises SpecError
     (path "module" or "algebra") before any dense work.
     """
-    return _checked_series(a, m, 0)[0]
+    if m.negative_shift is not None:
+        raise ValueError("a Hilbert series needs a summand presentation")
+    validate_module(a, m)
+    p, q, _ = _checked_series(a, m, 0)
+    return RationalSeries(Polynomial(p), Polynomial(q))
 
 
 def _checked_series(a: AlgebraSpec, m: ModuleSpec, top: int) -> tuple:
-    """(module_hilbert_series(a, m), its expansion to degree max(reach, top)),
-    from one expansion whose first reach + 1 terms the self-check verifies."""
-    if m.negative_shift is not None:
-        raise ValueError("a Hilbert series needs a summand presentation")
+    """(p, q, expansion) in int lists: module_hilbert_series(a, m), m validated,
+    and its expansion to degree max(reach, top), self-checked to reach."""
     dense, reach = _module_numerator(a, m)
-    end = next((n for n in range(len(dense), 0, -1) if dense[n - 1]), 0)  # p's length
+    p = dense[:next((n for n in range(len(dense), 0, -1) if dense[n - 1]), 0)]
     weights = a.scalar_weights()
     q = [1] + [0] * sum(weights)
     for w in weights:  # times (1 - t^w), from the top index down
         for i in range(len(q) - 1, w - 1, -1):
             q[i] -= q[i - w]
-    series = RationalSeries(Polynomial(dense[:end]), Polynomial(q))
-    expansion = series.expand(max(reach, top) + 1)
+    expansion = _expansion(p, q, max(reach, top) + 1)
     if expansion[:reach + 1] != _counts(a, dense, cumulative=False):
         raise RuntimeError("internal error: series expansion disagrees with direct counts")
-    return series, expansion
+    return p, q, expansion
 
 
 def hilbert_series_monomial_quotient(a: AlgebraSpec, ideal: Sequence[Monomial]) -> RationalSeries:

@@ -77,21 +77,11 @@ class RationalSeries(_SeriesFields):
     def expand(self, count: int) -> list:
         """First `count` power-series coefficients, exactly: int where
         integral, Fraction otherwise. An integral numerator and denominator
-        (every Hilbert series) are expanded in int. Each coefficient steps
-        over the nonzero denominator terms only, not over its degree."""
+        (every Hilbert series) are expanded in int (_expansion)."""
         p, q = self.numerator.coeffs, self.denominator.coeffs
         if all(c.denominator == 1 for c in p + q):
-            p, q = [int(c) for c in p], [int(c) for c in q]
-        terms = [(k, c) for k, c in enumerate(q) if k and c]
-        out = []
-        for n in range(count):
-            acc = p[n] if n < len(p) else 0
-            for k, c in terms:
-                if k > n:
-                    break
-                acc -= c * out[n - k]
-            out.append(acc)
-        return [int(v) if v.denominator == 1 else v for v in out]
+            return _expansion([int(c) for c in p], [int(c) for c in q], count)
+        return [int(v) if v.denominator == 1 else v for v in _expansion(p, q, count)]
 
     def reduced(self) -> "RationalSeries":
         """The equivalent series with coprime numerator and denominator.
@@ -108,6 +98,21 @@ class RationalSeries(_SeriesFields):
         if len(q_low) == len(q):
             return self
         return _normalised_series(p_low, q_low)
+
+
+def _expansion(p: Sequence, q: Sequence, count: int) -> list:
+    """The first `count` power-series coefficients of p/q, q[0] = 1, in their
+    own arithmetic: each steps over q's nonzero terms, not over its degree."""
+    terms = [(k, c) for k, c in enumerate(q) if k and c]
+    out = []
+    for n in range(count):
+        acc = p[n] if n < len(p) else 0
+        for k, c in terms:
+            if k > n:
+                break
+            acc -= c * out[n - k]
+        out.append(acc)
+    return out
 
 
 def _lowest_terms(p: list, q: list) -> tuple:

@@ -19,6 +19,7 @@ import itertools
 import json
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gkdim.hilbert
+import gkdim.presentations
 from gkdim import cli
 from gkdim.cli import WARNINGS, main
 from gkdim.exactnum import detect_polynomial
@@ -135,7 +137,14 @@ _LEAVES = (st.none() | st.booleans() | st.integers()
            | st.integers(min_value=-(10 ** 40), max_value=10 ** 40)
            | st.floats() | _TEXT
            # bools among ints, where an int fast path could render True as 1
-           | st.lists(st.integers() | st.booleans()))
+           | st.lists(st.integers() | st.booleans())
+           # [int, int] pairs, the series payloads, alone and mixed with pairs
+           # holding bools, tuple pairs and lists of other lengths, which the
+           # pair fast path must leave to the general one
+           | st.lists(st.lists(st.integers(), min_size=2, max_size=2))
+           | st.lists(st.lists(st.integers() | st.booleans(), min_size=2, max_size=2)
+                      | st.tuples(st.integers(), st.integers())
+                      | st.lists(st.integers(), max_size=3)))
 _TREES = st.recursive(
     _LEAVES,
     lambda children: (st.lists(children) | st.lists(children).map(tuple)
@@ -166,6 +175,31 @@ def test_text_format_flattens_keys(tmp_path, capsys):
     assert 'report.growth.classification = "polynomial"' in lines
     assert "report.growth.gk = 2" in lines
     assert all(" = " in line for line in lines)
+
+
+def test_each_command_validates_each_module_once(tmp_path, capsys, monkeypatch):
+    # parse_module checks every field of a module as it parses it; then a
+    # library entry point validates it once (check-ses through validate_ses,
+    # chain once per member), and hilbert's private helpers not at all
+    original, modules = gkdim.presentations.validate_module, []
+
+    def counting(a, m):
+        modules.append(m)
+        return original(a, m)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gkdim") and getattr(module, "validate_module", None) is original:
+            monkeypatch.setattr(module, "validate_module", counting)
+    doc = dict(PLANE_MOD_XY, ses={"sub_ideal": ["x"]}, chain=[[], ["x"]], weight=[1])
+    path = _write(tmp_path, doc)
+    expected = {"analyze": 1, "classify": 1, "poincare": 1, "hilbert": 0,
+                "check-ses": 1, "chain": 2, "refilter": 0}
+    for command in cli.COMMANDS:
+        modules.clear()
+        assert main([command, path]) in (0, 1), command
+        capsys.readouterr()
+        assert len(modules) == expected[command], command
+        assert len(set(modules)) == len(modules), command
 
 
 # ---------------------------------------------------------------------------

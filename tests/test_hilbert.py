@@ -36,12 +36,13 @@ import random
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gkdim.exactnum import Polynomial
 from gkdim.poincare import RationalSeries
 import gkdim.hilbert
+from gkdim import cli
 from gkdim.cli import main
 from gkdim.hilbert import (MEANINGS, SERIES_DEGREE_BOUND, DimensionSequence,
                            _colon, _counts, _module_numerator,
@@ -740,13 +741,14 @@ def test_hilbert_reads_graded_dimensions_from_the_self_check(tmp_path, monkeypat
            "module": {"summands": [{"ideal": ["x*y"]}]}}
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(doc))
-    expand, lengths = RationalSeries.expand, []
+    # the shared kernel of RationalSeries.expand, which hilbert calls on int lists
+    expand, lengths = gkdim.hilbert._expansion, []
 
-    def counting(self, n):
+    def counting(p, q, n):
         lengths.append(n)
-        return expand(self, n)
+        return expand(p, q, n)
 
-    monkeypatch.setattr(RationalSeries, "expand", counting)
+    monkeypatch.setattr(gkdim.hilbert, "_expansion", counting)
     for top, expansions in ((3, [15]), (14, [15]), (15, [16]), (40, [41])):
         lengths.clear()
         out = tmp_path / f"{top}.json"
@@ -755,6 +757,54 @@ def test_hilbert_reads_graded_dimensions_from_the_self_check(tmp_path, monkeypat
         assert lengths == expansions, top
         graded = json.loads(out.read_text())["report"]["graded_dimensions"]
         assert graded == [1] + [2] * top, top
+
+
+@st.composite
+def _weighted_presentations(draw):
+    """(weights, summands): k[x_1..x_n], n in 1..3, weights 1..3, and 1..3
+    summands with shifts 0..4 and ideals of up to 3 monomials, exponents
+    0..2, the unit ideal (a zero summand) included."""
+    nvars = draw(st.integers(1, 3))
+    weights = draw(st.lists(st.integers(1, 3), min_size=nvars, max_size=nvars))
+    monomial = st.lists(st.integers(0, 2), min_size=nvars, max_size=nvars)
+    summand = st.tuples(st.integers(0, 4), st.lists(monomial, max_size=3))
+    return weights, draw(st.lists(summand, min_size=1, max_size=3))
+
+
+def _hilbert_doc(weights, summands) -> dict:
+    names = [f"x{i + 1}" for i in range(len(weights))]
+
+    def text(g):
+        return "*".join(f"{n}^{e}" for n, e in zip(names, g) if e) or "1"
+
+    return {"spec_version": 1,
+            "algebra": {"kind": "polynomial",
+                        "generators": [{"name": n, "degree": [w]}
+                                       for n, w in zip(names, weights)]},
+            "module": {"summands": [{"shift": shift, "ideal": [text(g) for g in ideal]}
+                                    for shift, ideal in summands]}}
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@example(([1, 1], [(0, [[1, 1]])]))  # k[x, y]/(xy): p and q share 1 - t
+@example(([2, 3], [(0, [])]))  # the regular module: 1 / q, coprime
+@example(([1, 2], [(3, [[0, 0]])]))  # the zero module: p = 0
+@given(_weighted_presentations())
+def test_hilbert_report_series_are_the_library_series(tmp_path_factory, case):
+    # the hilbert command keeps its series in int lists; they render as the
+    # library's RationalSeries and its reduced() form do
+    doc = _hilbert_doc(*case)
+    tmp = tmp_path_factory.mktemp("series")
+    path, out = tmp / "spec.json", tmp / "report.json"
+    path.write_text(json.dumps(doc))
+    assert main(["hilbert", str(path), "--output", str(out)]) == 0
+    report = json.loads(out.read_text())["report"]
+    parsed = cli.parse_spec(doc)
+    series = module_hilbert_series(parsed.algebra, parsed.module)
+    assert report["series"] == cli._series_payload(series)
+    assert report["reduced"] == cli._series_payload(series.reduced())
+    if all([0] * len(case[0]) in ideal for _, ideal in case[1]):
+        assert report["reduced"] == {"numerator": [], "denominator": [[1, 1]]}
 
 
 # ---------------------------------------------------------------------------
