@@ -28,9 +28,10 @@ from .axioms import (HolonomyCatalog, SESSpec, chain_bound_check,
 from .exactnum import Polynomial, detect_polynomial  # noqa: F401
 from .hilbert import (SERIES_DEGREE_BOUND, DimensionSequence, _checked_series,
                       module_dim_sequence)
-from .poincare import RationalSeries, _lowest_terms, rational_analysis
+from .poincare import (RationalSeries, _lowest_terms, certified_rational_analysis,
+                       rational_analysis)
 from .presentations import (AlgebraSpec, ModuleSpec, RefilterError, SpecError,
-                            Summand, refilter)
+                            Summand, refilter, validate_module)
 from .samuel import classify_growth
 
 try:  # the builtin sha256 (_sha2 from Python 3.12): hashlib loads OpenSSL
@@ -491,18 +492,27 @@ def _cmd_hilbert(config: RunConfig, parsed: ParsedInput):
 
 def _cmd_poincare(config: RunConfig, parsed: ParsedInput):
     top = config.max_degree
-    if parsed.sequence is not None:
-        values = list(parsed.sequence)
-    elif parsed.catalog_id is not None:
-        values = catalog.graded_values(parsed.catalog_id, top)
-    else:
+    a = m = None
+    if parsed.sequence is None and parsed.catalog_id is None:
         a = _need_algebra(parsed)
         m = parsed.module if parsed.module is not None else ModuleSpec.regular()
-        values = list(module_dim_sequence(a, m, top).graded())
-    confirm = min(config.confirm, max(1, len(values) - 2))
-    if (len(values) - confirm) // 2 < 1:
-        raise SpecError("sequence", "too few terms for recurrence detection")
-    ra = rational_analysis(values, confirm)
+    if m is not None and m.negative_shift is None:
+        # an exact series (Hilbert-Serre): no recurrence search
+        validate_module(a, m)
+        p, q, expansion = _checked_series(a, m, top)
+        values = expansion[:top + 1]
+        ra = certified_rational_analysis(p, q, values)
+    else:
+        if parsed.sequence is not None:
+            values = list(parsed.sequence)
+        elif parsed.catalog_id is not None:
+            values = catalog.graded_values(parsed.catalog_id, top)
+        else:
+            values = list(module_dim_sequence(a, m, top).graded())
+        if len(values) < 3:  # an order-1 recurrence and one confirming equation
+            path = "sequence" if parsed.sequence is not None else "config.max_degree"
+            raise SpecError(path, "too few terms for recurrence detection")
+        ra = rational_analysis(values, min(config.confirm, len(values) - 2))
     flags = _catalog_flags(parsed)
     report = {"coefficients_analyzed": len(values), "recurrence": None,
               "series": None, "denominator": None, "quasi": None}
@@ -715,7 +725,8 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("input", help="path to a JSON problem spec")
     parser.add_argument("--max-degree", type=int, default=30, dest="max_degree",
-                        help="largest filtration degree to sample (default 30)")
+                        help="largest filtration degree to sample (default 30); hilbert and "
+                             "poincare read a presentation's exact series, and it sizes the output")
     parser.add_argument("--window", type=int, default=6,
                         help="constancy window for polynomial detection (default 6)")
     parser.add_argument("--confirm", type=int, default=8,

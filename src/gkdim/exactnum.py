@@ -60,7 +60,7 @@ class Polynomial:
     __slots__ = ("coeffs", "_scaled")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
@@ -153,30 +153,6 @@ class Polynomial:
             acc = acc * p + c * qpow
             qpow *= q
         return Fraction(acc, scale * qpow // q)
-
-    def compose_affine(self, a: Scalar, b: Scalar) -> "Polynomial":
-        """The polynomial p(a*x + b).
-
-        With a*x + b = (u*x + v) / w over ints (w the lcm of the
-        denominators of a and b) and the coefficients scaled to ints c_k over
-        their common denominator s (cached), int Horner over u*x + v gives
-        sum_k c_k w^(n-k) (u*x + v)^k; each coefficient of p(a*x + b) is one
-        of those over s w^n, one Fraction apiece.
-        """
-        if not self.coeffs:
-            return Polynomial()
-        if self._scaled is None:
-            self._scaled = integer_coefficients(self.coeffs)
-        ints, scale = self._scaled
-        w = math.lcm(a.denominator, b.denominator)
-        u, v = a.numerator * (w // a.denominator), b.numerator * (w // b.denominator)
-        acc, wpow = [], 1
-        for c in reversed(ints):  # acc = acc * (v + u x) + c * w^(n-k)
-            acc = [v * lo + u * hi for lo, hi in zip(acc + [0], [0] + acc)]
-            acc[0] += c * wpow
-            wpow *= w
-        den = scale * wpow // w
-        return Polynomial([Fraction(c, den) for c in acc])
 
     # -- division ---------------------------------------------------------
 
@@ -324,7 +300,7 @@ class BinomialForm:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)

@@ -7,34 +7,33 @@ samples; read backwards, such a tail is generated by a linear shift register
 of length r. One exact Berlekamp-Massey run over the reversed samples
 therefore settles every order r >= 2 at once, and reads off the
 coefficients; order 1 is solved directly, because a zero tail fits a_1 = 0
-but no backward register (minimal_recurrence gives the argument). No
-floating point is used anywhere. A series with integer coefficients has
-an integral reduced denominator with constant term 1 (Fatou), so a
-non-integral one shows that the fitted series generates no natural-number
-sequence, and only integral denominators get a root analysis. Their root
-locations are settled by trial division with cyclotomic polynomials — an
-integer polynomial with constant term 1 and no cyclotomic part must have a
-root strictly inside the unit disk (Kronecker) — and pure denominators
-(1 - t^s)^d yield quasi-polynomial coefficient branches, one per residue
-class mod s.
+but no backward register (minimal_recurrence gives the argument). An exact
+series, such as a presentation's (Hilbert-Serre), needs no search: its
+reduced denominator is the recurrence. No floating point is used anywhere.
+A series with integer coefficients has an integral reduced denominator with
+constant term 1 (Fatou), so only integral denominators get a root analysis.
+Trial division with cyclotomic polynomials settles their roots — an integer
+polynomial with constant term 1 and no cyclotomic part has a root strictly
+inside the unit disk (Kronecker) — and pure denominators (1 - t^s)^d yield
+quasi-polynomial branches, one per residue class mod s.
 
-rational_analysis runs this chain once for growth classification and for the
-poincare command: recurrence, series, denominator, period, branches. Every
-stage runs on integer coefficient lists and builds one Fraction per output
-coefficient:
+The chain recurrence, series, denominator, period, branches has two heads,
+rational_analysis (search the samples, build the series) and
+certified_rational_analysis (reduce an exact series, read the recurrence),
+and one tail. Every stage runs on integer coefficient lists and builds one
+Fraction per output coefficient:
 - the samples are scaled to ints once; Berlekamp-Massey runs on them, and
   the onset scan checks the integer characteristic row, sum_j row[j] f(n + j)
   = 0, where row is the shift register C[0..r] itself (order r >= 2) or
   [-num, den] of the ratio (order 1);
 - the series numerator is the int convolution of the scaled denominator with
   the samples, reduced by the same primitive-gcd quotient as
-  RationalSeries.reduced, and its expansion is compared with the samples as
-  they are;
+  RationalSeries.reduced, and its expansion is compared with the samples;
 - cyclotomic trial division walks the about 2D orders k with phi(k) <= D of
   a degree-D denominator, divides by cached int Phi_k built from binomials
   (1 - t^d)^(+-1), and hands the root tests one integer residual;
-- each quasi-polynomial branch is rescaled by int Horner
-  (Polynomial.compose_affine).
+- each quasi-polynomial branch is built in int from its binomial form
+  (_integer_branch) and checked on the samples by int Horner.
 """
 
 from __future__ import annotations
@@ -47,9 +46,8 @@ from operator import mul
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Sequence
 
-from .exactnum import (Polynomial, detect_polynomial, from_binomial_basis,
-                       int_divmod, integer_coefficients, primitive_gcd,
-                       sequence_values)
+from .exactnum import (BinomialForm, Polynomial, detect_polynomial, int_divmod,
+                       integer_coefficients, primitive_gcd, sequence_values)
 
 
 class _SeriesFields(NamedTuple):
@@ -483,12 +481,32 @@ class QuasiPolynomial(NamedTuple):
     onset: int
 
 
+def _integer_branch(form: BinomialForm, period: int, residue: int) -> tuple:
+    """(ints, den) with sum_k ints[k] n^k / den = sum_j a_j C((n - residue) /
+    period, j) for the form (a_0, ..., a_d): C((n - i)/P, j) is
+    prod_(m < j) (n - i - mP) / (j! P^j), so over den = s d! P^d (s the a_j's
+    common denominator) term j is s a_j (d! / j!) P^(d - j) times that product.
+    """
+    d = form.degree
+    if d < 0:
+        return [], 1
+    cs, scale = integer_coefficients(form.coeffs)
+    ints, falling = [0] * (d + 1), [1]
+    for j, a in enumerate(cs):
+        weight = a * (math.factorial(d) // math.factorial(j)) * period ** (d - j)
+        for k, c in enumerate(falling):
+            ints[k] += weight * c
+        root = residue + j * period  # times (n - root)
+        falling = [hi - root * lo for lo, hi in zip(falling + [0], [0] + falling)]
+    return ints, scale * math.factorial(d) * period ** d
+
+
 def fit_quasi_polynomial(s, period: int, window: int = 4) -> Optional[QuasiPolynomial]:
     """Fit one exact polynomial branch per residue class mod `period`.
 
     The window adapts to the number of samples available in each class; None
     is returned when any branch fails to stabilize. Every sample at or beyond
-    the reported onset is re-verified against its branch.
+    the reported onset is re-verified against its branch, in int.
     """
     vals = sequence_values(s)
     if period < 1:
@@ -497,22 +515,25 @@ def fit_quasi_polynomial(s, period: int, window: int = 4) -> Optional[QuasiPolyn
     eff_window = max(2, min(window, (min_len - 4) // 2))
     if min_len < 2 * eff_window + 4:
         return None
-    branches = []
+    scaled = []
     onset = 0
     for i in range(period):
-        sub = vals[i::period]
-        fit = detect_polynomial(sub, eff_window)
+        fit = detect_polynomial(vals[i::period], eff_window)
         if fit is None:
             return None
-        poly_k = from_binomial_basis(fit.form)
-        branches.append(poly_k.compose_affine(Fraction(1, period), Fraction(-i, period)))
+        scaled.append(_integer_branch(fit.form, period, i))
         # a branch valid on its whole residue class constrains nothing below it
         if fit.stabilization_index > 0:
             onset = max(onset, i + period * fit.stabilization_index)
-    for n in range(onset, len(vals)):
-        if branches[n % period].evaluate(n) != vals[n]:
-            raise RuntimeError("internal error: quasi-polynomial branch misses a sample")
-    return QuasiPolynomial(period, tuple(branches), onset)
+    for i, (ints, den) in enumerate(scaled):
+        for n in range(onset + (i - onset) % period, len(vals), period):
+            acc = 0
+            for c in reversed(ints):
+                acc = acc * n + c
+            if acc != den * vals[n]:
+                raise RuntimeError("internal error: quasi-polynomial branch misses a sample")
+    branches = tuple(Polynomial([Fraction(c, den) for c in ints]) for ints, den in scaled)
+    return QuasiPolynomial(period, branches, onset)
 
 
 def quasi_polynomial(series: RationalSeries, samples, window: int = 4) -> QuasiPolynomial:
@@ -561,7 +582,24 @@ def rational_analysis(vals, confirm: int) -> Optional[RationalAnalysis]:
     rec = minimal_recurrence(vals, confirm=confirm)
     if rec is None:
         return None
-    series = series_from_recurrence(vals, rec)
+    return _analysed(vals, rec, series_from_recurrence(vals, rec))
+
+
+def certified_rational_analysis(p: list, q: list, vals) -> RationalAnalysis:
+    """rational_analysis of the exact series p/q (int lists, q(0) = 1) whose
+    expansion begins with `vals`, with no search: the reduced q, of degree r,
+    gives a_i = -q_i / q_0, which holds at n exactly when p_(n + r) = 0, so
+    from onset max(0, len(p) - r). A constant q (a finite-dimensional or zero
+    module) keeps the search's order-1 convention, a_1 = 0."""
+    p, q = _lowest_terms(p, q)
+    order = max(len(q) - 1, 1)
+    coefficients = tuple(Fraction(-c, q[0]) for c in q[1:]) or (Fraction(0),)
+    rec = Recurrence(order, coefficients, max(0, len(p) - order))
+    return _analysed(vals, rec, _normalised_series(p, q))
+
+
+def _analysed(vals, rec: Recurrence, series: RationalSeries) -> RationalAnalysis:
+    """The tail both heads share: denominator, period, branches on `vals`."""
     if any(c.denominator != 1 for c in series.denominator.coeffs):
         return RationalAnalysis(rec, series, None)
     analysis = denominator_analysis(series.denominator)

@@ -9,7 +9,9 @@ json.dumps(sort_keys=True, indent=2), and one happy path plus the
 characteristic error paths for each of the seven commands, the bound on
 --max-degree, analyze's torsion verdict with gk(A) taken from the
 number of generators, a derandomized fuzz of poincare and classify on
-natural-number sequences, and one of chain and check-ses on monomial ideals.
+natural-number sequences, one of chain and check-ses on monomial ideals, and
+one of poincare on monomial presentations, whose exact series is checked
+against brute-force counts, sympy's cancelled series and the sampled search.
 """
 
 import contextlib
@@ -24,10 +26,12 @@ import time
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gkdim.hilbert
+import gkdim.poincare
 import gkdim.presentations
 from gkdim import cli
 from gkdim.cli import WARNINGS, main
@@ -607,14 +611,124 @@ def test_poincare_deep_samples_of_five_weights_are_fast(tmp_path, capsys):
     assert payload["report"]["recurrence"]["onset"] == 0
 
 
-@pytest.mark.xfail(strict=True, reason="an order-7 recurrence fits the last 22 of "
-                   "5001 samples, and its onset scan stops at 4978")
 def test_poincare_five_weights_at_depth_5000(tmp_path, capsys):
     path = _write(tmp_path, FIVE_WEIGHTS)
     code, payload = _run_json(capsys, ["poincare", path, "--max-degree", "5000"])
     assert code == 0
     assert payload["report"]["recurrence"]["order"] == 28
     assert payload["report"]["recurrence"]["onset"] == 0
+
+
+def _weighted_ring(weights) -> dict:
+    return {"kind": "polynomial",
+            "generators": [{"name": f"v{i}", "degree": [w]}
+                           for i, w in enumerate(weights, 1)]}
+
+
+def _weights_denominator(weights) -> list:
+    """prod(1 - t^w) as the report's [numerator, denominator] pairs."""
+    q = [1] + [0] * sum(weights)
+    for w in weights:
+        for i in range(len(q) - 1, w - 1, -1):
+            q[i] -= q[i - w]
+    return [[c, 1] for c in q]
+
+
+@pytest.mark.parametrize("weights", [(3, 4), (2, 3, 5), (2, 3, 5, 7, 11), (1, 1, 2, 3)])
+def test_poincare_reads_weighted_rings_right_at_every_depth(tmp_path, capsys, weights):
+    # the sampled search exited 1 at up to 61 of the depths 1..200 for these
+    # rings, and at depth 2 fitted a false order-1 recurrence to (3, 4) and
+    # (1, 1, 2, 3); the series 1 / prod(1 - t^w) is reduced, so its
+    # denominator gives the recurrence at every depth
+    path = _write(tmp_path, {"spec_version": 1, "algebra": _weighted_ring(weights)})
+    series = {"numerator": [[1, 1]], "denominator": _weights_denominator(weights)}
+    for depth in range(1, 201):
+        code, payload = _run_json(capsys, ["poincare", path, "--max-degree", str(depth)])
+        assert code == 0, depth
+        report = payload["report"]
+        assert report["coefficients_analyzed"] == depth + 1
+        assert report["recurrence"]["order"] == sum(weights), depth
+        assert report["recurrence"]["onset"] == 0, depth
+        assert report["series"] == series, depth
+
+
+def test_poincare_refusal_names_the_field_that_is_short(tmp_path, capsys):
+    # a catalog entry is sampled to --max-degree, so that is the short field;
+    # a raw sequence is its own; a presentation is not sampled and is
+    # answered at the least depth
+    doc = {"spec_version": 1, "algebra": {"kind": "catalog", "catalog_id": "free_algebra_2"}}
+    code, out, err = _run(capsys, ["poincare", _write(tmp_path, doc), "--max-degree", "1"])
+    assert (code, out) == (3, "")
+    assert err == "error: config.max_degree: too few terms for recurrence detection\n"
+    doc = {"spec_version": 1, "sequence": [1, 2]}
+    code, out, err = _run(capsys, ["poincare", _write(tmp_path, doc)])
+    assert (code, out) == (3, "")
+    assert err == "error: sequence: too few terms for recurrence detection\n"
+    code, payload = _run_json(capsys, ["poincare", _write(tmp_path, PLANE_MOD_XY),
+                                       "--max-degree", "1"])
+    assert code == 0
+    assert payload["report"]["recurrence"] == {"order": 1, "coefficients": [[1, 1]],
+                                               "onset": 1}
+
+
+# k[x, y], weights 1 and 2, and a summand at shift 1: one basis element in
+# each degree 1..6 (finite-dimensional), or none (the zero module)
+WEIGHTS_1_2 = {"kind": "polynomial",
+               "generators": [{"name": "x", "degree": [1]}, {"name": "y", "degree": [2]}]}
+UNIT_CIRCLE_CONSTANT = {"cyclotomic_multiplicities": [], "d": 0, "linear_factors": [],
+                        "notes": [], "radius_class": "all_roots_on_unit_circle",
+                        "residual": [[1, 1]], "s": 1}
+
+
+@pytest.mark.parametrize("ideal, numerator, onset, quasi_onset", [
+    (["x^2", "y^3"], [[0, 1]] + [[1, 1]] * 6, 6, 7),
+    (["1"], [], 0, 0)])
+def test_poincare_of_a_finite_module_keeps_the_order_one_convention(
+        tmp_path, capsys, ideal, numerator, onset, quasi_onset):
+    # a constant reduced denominator gives no recurrence order; the report
+    # keeps the sampled search's a_1 = 0 from the last nonzero coefficient,
+    # as that search reported it at depth 30, and now also at depth 12,
+    # where the search found nothing
+    doc = {"spec_version": 1, "algebra": WEIGHTS_1_2,
+           "module": {"summands": [{"shift": 1, "ideal": ideal}]}}
+    path = _write(tmp_path, doc)
+    for depth in (12, 30):
+        code, payload = _run_json(capsys, ["poincare", path, "--max-degree", str(depth)])
+        assert code == 0
+        assert payload["warnings"] == []
+        assert payload["report"] == {
+            "coefficients_analyzed": depth + 1,
+            "recurrence": {"order": 1, "coefficients": [[0, 1]], "onset": onset},
+            "series": {"numerator": numerator, "denominator": [[1, 1]]},
+            "denominator": UNIT_CIRCLE_CONSTANT,
+            "quasi": {"period": 1, "onset": quasi_onset, "branches": [[]]}}
+
+
+def test_poincare_on_a_presentation_searches_for_no_recurrence(tmp_path, capsys,
+                                                               monkeypatch):
+    calls = []
+    for name in ("minimal_recurrence", "series_from_recurrence", "validate_module"):
+        module = gkdim.presentations if name == "validate_module" else gkdim.poincare
+        original = getattr(module, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        for loaded in [m for n, m in sys.modules.items() if n.startswith("gkdim")]:
+            if getattr(loaded, name, None) is original:
+                monkeypatch.setattr(loaded, name, counting)
+    code, payload = _run_json(capsys, ["poincare", _write(tmp_path, PLANE_MOD_XY)])
+    assert code == 0
+    assert calls == ["validate_module"]
+    # a raw sequence is still searched
+    calls.clear()
+    graded = {"spec_version": 1, "sequence": [1] + [2] * 30,
+              "sequence_meaning": "graded_piece"}
+    code, sampled = _run_json(capsys, ["poincare", _write(tmp_path, graded, "seq.json")])
+    assert code == 0
+    assert calls == ["minimal_recurrence", "series_from_recurrence"]
+    assert sampled["report"] == payload["report"]
 
 
 def test_poincare_raw_sequence_without_recurrence_is_exit_one(tmp_path, capsys):
@@ -886,7 +1000,7 @@ def test_chain_report_does_not_depend_on_max_degree(tmp_path, capsys):
     assert len(outs) == 1
 
 
-_NAMES = ("x", "y", "z")
+_NAMES = ("x", "y", "z", "w")
 
 
 def _mono_text(exponents) -> str:
@@ -1001,6 +1115,88 @@ def test_hilbert_and_analyze_survive_fuzzed_presentations(tmp_path_factory, case
     if code == 0:
         graded = json.loads(out)["report"]["graded_dimensions"]
         assert graded[:11] == _weighted_counts(weights, summands, 10), case
+
+
+@st.composite
+def _monomial_presentations(draw):
+    """(weights, summands) for a polynomial ring in 1..4 variables of weight
+    1..4: 1..2 summands, each shift 0..3 and each ideal 0..4 generators with
+    exponents 0..3."""
+    nvars = draw(st.integers(1, 4))
+    weights = draw(st.lists(st.integers(1, 4), min_size=nvars, max_size=nvars))
+    ideal = st.lists(st.tuples(*[st.integers(0, 3)] * nvars), max_size=4)
+    return weights, draw(st.lists(st.tuples(st.integers(0, 3), ideal),
+                                  min_size=1, max_size=2))
+
+
+def _sympy_series(weights, summands) -> tuple:
+    """(p, q): the Hilbert series sum_s t^shift p_s / prod(1 - t^w) cancelled
+    by sympy, as ascending coefficient lists; each p_s by inclusion-exclusion
+    over the subsets of the summand's generators, a subset's lcm having
+    weighted degree sum_i w_i max_g g_i."""
+    t = sympy.Symbol("t")
+    numerator = 0
+    for shift, ideal in summands:
+        for r in range(len(ideal) + 1):
+            for subset in itertools.combinations(ideal, r):
+                lcm = [max(e) for e in zip(*subset)] if subset else []
+                numerator += (-1) ** r * t ** (shift + sum(map(math.prod, zip(weights, lcm))))
+    p, q = sympy.fraction(sympy.cancel(numerator / sympy.prod([1 - t ** w for w in weights])))
+    return tuple([Fraction(int(c)) for c in reversed(sympy.Poly(f, t).all_coeffs())]
+                 for f in (p, q))
+
+
+def _expand(p, q, count: int) -> list:
+    """The first `count` power-series coefficients of p/q, q(0) != 0."""
+    out = []
+    for n in range(count):
+        acc = p[n] if n < len(p) else 0
+        acc -= sum(q[k] * out[n - k] for k in range(1, min(n, len(q) - 1) + 1))
+        out.append(acc / q[0])
+    return out
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_monomial_presentations())
+def test_poincare_on_presentations_matches_brute_force_sympy_and_the_search(
+        tmp_path_factory, case):
+    weights, summands = case
+    algebra = {"kind": "polynomial",
+               "generators": [{"name": n, "degree": [w]} for n, w in zip(_NAMES, weights)]}
+    module = {"summands": [{"shift": shift, "ideal": [_mono_text(g) for g in ideal]}
+                           for shift, ideal in summands]}
+    path = tmp_path_factory.mktemp("fuzz") / "spec.json"
+
+    def poincare(doc, depth):
+        path.write_text(json.dumps({"spec_version": 1, **doc}))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(cli.RunConfig(command="poincare", input_path=str(path),
+                                         max_degree=depth))
+        assert code in (0, 1), (case, err.getvalue())
+        return code, json.loads(out.getvalue())["report"]
+
+    code, report = poincare({"algebra": algebra, "module": module}, 10)
+    assert code == 0, case
+    # the reported series expands to the brute-force counts
+    series = [[Fraction(*c) for c in report["series"][k]] for k in ("numerator", "denominator")]
+    counts = _weighted_counts(weights, summands, 10)
+    assert _expand(*series, 11) == counts, case
+    # its order is the degree of sympy's cancelled denominator; a constant one
+    # (a finite-dimensional or zero module) keeps the order-1 convention
+    p, q = _sympy_series(weights, summands)
+    assert _expand(p, q, 11) == counts, case
+    order = report["recurrence"]["order"]
+    assert order == max(len(q) - 1, 1), case
+    # and where the sampled search answers on samples deep enough to hold
+    # the recurrence twice past the numerator, it answers the same
+    depth = 2 * (order + len(p)) + 20
+    code, report = poincare({"algebra": algebra, "module": module}, depth)
+    assert code == 0, case
+    code, sampled = poincare({"sequence": [int(c) for c in _expand(p, q, depth + 1)],
+                              "sequence_meaning": "graded_piece"}, depth)
+    if code == 0:
+        assert sampled == report, case
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ integer kernels (primitive remainder sequence gcd, int division, Stirling
 basis conversions, int Horner evaluation and affine substitution) are
 compared with the Fraction implementations they replaced, kept below as
 references, and the gcd also
-with sympy.gcd. detect_polynomial's closed-form back step and level-d scan
+with sympy.gcd. The int Horner affine substitution is itself kept here as
+the reference of poincare's integer quasi-polynomial branch kernel, which
+replaced it and from_binomial_basis in the branch fit. detect_polynomial's closed-form back step and level-d scan
 are compared with the step-by-step integer tower and with the Fraction
 polynomial round trip, both kept below.
 """
@@ -21,11 +23,15 @@ import random
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkdim.exactnum import (BinomialForm, Polynomial, detect_polynomial,
                             falling_binom, finite_difference,
-                            from_binomial_basis, int_divmod, primitive_gcd,
+                            from_binomial_basis, int_divmod,
+                            integer_coefficients, primitive_gcd,
                             sequence_values, to_binomial_basis)
+from gkdim.poincare import _integer_branch
 
 
 # ---------------------------------------------------------------------------
@@ -107,12 +113,37 @@ def test_evaluate_frozen():
     assert p.evaluate(Fraction(1, 2)) == Fraction(5 * 4 - 2 + 1, 4)
 
 
+def _compose_affine(p: Polynomial, a, b) -> Polynomial:
+    """The polynomial p(a*x + b), the quasi-polynomial branch rescaling that
+    poincare._integer_branch replaced, kept as its reference.
+
+    With a*x + b = (u*x + v) / w over ints (w the lcm of the denominators of
+    a and b) and the coefficients scaled to ints c_k over their common
+    denominator s, int Horner over u*x + v gives sum_k c_k w^(n-k)
+    (u*x + v)^k; each coefficient of p(a*x + b) is one of those over
+    s w^n, one Fraction apiece.
+    """
+    if not p.coeffs:
+        return Polynomial()
+    a, b = Fraction(a), Fraction(b)
+    ints, scale = integer_coefficients(p.coeffs)
+    w = math.lcm(a.denominator, b.denominator)
+    u, v = a.numerator * (w // a.denominator), b.numerator * (w // b.denominator)
+    acc, wpow = [], 1
+    for c in reversed(ints):  # acc = acc * (v + u x) + c * w^(n-k)
+        acc = [v * lo + u * hi for lo, hi in zip(acc + [0], [0] + acc)]
+        acc[0] += c * wpow
+        wpow *= w
+    den = scale * wpow // w
+    return Polynomial([Fraction(c, den) for c in acc])
+
+
 def test_compose_affine_frozen_and_pointwise():
     square = Polynomial([0, 0, 1])
-    assert square.compose_affine(2, 1) == Polynomial([1, 4, 4])
+    assert _compose_affine(square, 2, 1) == Polynomial([1, 4, 4])
     p = Polynomial([3, -2, 0, 1])
     a, b = Fraction(1, 3), Fraction(-2)
-    comp = p.compose_affine(a, b)
+    comp = _compose_affine(p, a, b)
     for x in range(-4, 5):
         assert comp.evaluate(x) == p.evaluate(a * x + b)
 
@@ -382,8 +413,7 @@ def test_evaluate_matches_the_fraction_horner():
 
 
 def _compose_affine_reference(p: Polynomial, a, b) -> Polynomial:
-    """Polynomial.compose_affine as Horner's rule over Polynomial([b, a]) in
-    Fraction."""
+    """_compose_affine as Horner's rule over Polynomial([b, a]) in Fraction."""
     arg = Polynomial([b, a])
     acc = Polynomial()
     for c in reversed(p.coeffs):
@@ -397,16 +427,39 @@ def test_compose_affine_matches_the_fraction_horner():
              (Fraction(-2, 3), Fraction(7, 4)), (Fraction(1, 2310), Fraction(-2309, 2310)),
              (Fraction(3, 5), 0), (-7, Fraction(1, 9)), (0, Fraction(-4, 3))]
     for a, b in pairs:
-        assert Polynomial().compose_affine(a, b) == Polynomial()
+        assert _compose_affine(Polynomial(), a, b) == Polynomial()
     for _ in range(150):
         p = _random_poly(rng, rng.randrange(9), rational=rng.random() < 0.5)
         extra = (Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
                  Fraction(rng.randint(-9, 9), rng.randint(1, 12)))
         for a, b in pairs + [extra]:
-            got = p.compose_affine(a, b)
+            got = _compose_affine(p, a, b)
             assert got == _compose_affine_reference(p, a, b), (p, a, b)
             assert all(type(c) is Fraction for c in got.coeffs)
-        assert p.compose_affine(2, 1) == _compose_affine_reference(p, 2, 1)  # cached scaling
+
+
+# ---------------------------------------------------------------------------
+# the int branch kernel against from_binomial_basis and _compose_affine
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.lists(st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12)), max_size=7),
+       st.integers(1, 12), st.data())
+def test_integer_branch_matches_the_composed_binomial_form(coeffs, period, data):
+    residue = data.draw(st.integers(0, period - 1))
+    form = BinomialForm(coeffs)
+    ints, den = _integer_branch(form, period, residue)
+    got = Polynomial([Fraction(c, den) for c in ints])
+    expected = _compose_affine(from_binomial_basis(form), Fraction(1, period),
+                               Fraction(-residue, period))
+    assert got == expected
+    # and pointwise: the branch at n = residue + k * period is the form at k
+    for k in range(4):
+        n = residue + k * period
+        acc = 0
+        for c in reversed(ints):
+            acc = acc * n + c
+        assert Fraction(acc, den) == form.evaluate(k)
 
 
 # ---------------------------------------------------------------------------

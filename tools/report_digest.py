@@ -6,6 +6,7 @@ Usage, from the root of a checkout:
     python3 tools/report_digest.py --seed 5 --workload analyze-modules
     python3 tools/report_digest.py --src ../other/src    # another checkout's gkdim
     python3 tools/report_digest.py --demos               # each demo's output instead
+    python3 tools/report_digest.py --per-report          # one line per report
 
 Each seeded batch of bench/workloads.py is written to a temporary directory
 and run in this process through gkdim.cli.run, one report after another.
@@ -13,7 +14,10 @@ The digest covers each report's exit code, stdout and stderr, in batch
 order, with the temporary directory replaced by a fixed placeholder, so two
 commits that print the same bytes for every request print the same digests.
 Comparing the lines of two checkouts is the byte-identity check of a change
-that must not alter output.
+that must not alter output. --per-report prints, instead of one digest per
+batch, one line per report (its index in the batch, command, input family,
+max degree and the sha256 of its record), so that a diff of two checkouts'
+output names each report that changed.
 
 --demos digests the scripts in demos/ instead: each runs in its own
 interpreter with the --src package on its path, and its digest covers its
@@ -37,10 +41,10 @@ sys.path.insert(0, str(ROOT / "bench"))
 import workloads  # noqa: E402
 
 
-def digest(cli, workload: str, seed: int) -> tuple:
-    """(sha256 hex digest, number of reports) of one seeded batch."""
+def records(cli, workload: str, seed: int):
+    """Yield (case, record) for each report of one seeded batch, in batch
+    order: the record is the JSON line of its exit code, stdout and stderr."""
     cases = workloads.make_cases(workload, seed)
-    h = hashlib.sha256()
     with tempfile.TemporaryDirectory(prefix="report-digest-") as tmp:
         for i, case in enumerate(cases):
             path = Path(tmp) / f"{i:04d}.json"
@@ -51,8 +55,16 @@ def digest(cli, workload: str, seed: int) -> tuple:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.run(config)
             record = [code, out.getvalue(), err.getvalue()]
-            h.update(json.dumps(record).replace(tmp, "<tmp>").encode() + b"\n")
-    return h.hexdigest(), len(cases)
+            yield case, json.dumps(record).replace(tmp, "<tmp>").encode() + b"\n"
+
+
+def digest(cli, workload: str, seed: int) -> tuple:
+    """(sha256 hex digest, number of reports) of one seeded batch."""
+    h, count = hashlib.sha256(), 0
+    for _, record in records(cli, workload, seed):
+        h.update(record)
+        count += 1
+    return h.hexdigest(), count
 
 
 def demo_digest(demo: Path, src: Path) -> str:
@@ -74,6 +86,8 @@ def main(argv=None) -> int:
                         help="directory holding the gkdim package (default this checkout's src)")
     parser.add_argument("--demos", action="store_true",
                         help="digest each script in demos/ instead of the benchmark batches")
+    parser.add_argument("--per-report", action="store_true", dest="per_report",
+                        help="one line per report: index, command, family, max degree, sha256")
     args = parser.parse_args(argv)
     if args.demos:
         for demo in sorted((ROOT / "demos").glob("*.py")):
@@ -83,6 +97,11 @@ def main(argv=None) -> int:
     import gkdim.cli
     for workload in args.workload or workloads.WORKLOADS:
         for seed in args.seed or (1, 3):
+            if args.per_report:
+                for i, (case, record) in enumerate(records(gkdim.cli, workload, seed)):
+                    print(f"{workload} seed {seed} #{i} {case.command} {case.family} "
+                          f"{case.max_degree}: {hashlib.sha256(record).hexdigest()}")
+                continue
             hexdigest, count = digest(gkdim.cli, workload, seed)
             print(f"{workload} seed {seed}: {hexdigest} ({count} reports)")
     return 0
