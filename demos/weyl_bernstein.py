@@ -67,7 +67,7 @@ for n in (1, 2, 3):
     module = ModuleSpec.cyclic(kill_y)
     dims = module_dim_sequence(a, module, 24)
     fit = detect_polynomial(dims)
-    report = holonomic_defect(a, fit, catalog)
+    report = holonomic_defect(a, gk_dimension(fit), catalog)
     print(f"  over W_{n}: growth {gk_dimension(fit)}, "
           f"multiplicity {multiplicity(fit)}, defect {report.defect}, "
           f"minimally holonomic: {report.min_holonomic}")

@@ -16,14 +16,12 @@ from typing import NamedTuple, Optional
 
 # detect_polynomial is not called here; bench/test_bench.py checks that its
 # tracer rebinds this module's name
-from .exactnum import (HilbertSamuelPolynomial, detect_polynomial,  # noqa: F401
-                       sequence_values)
+from .exactnum import detect_polynomial, sequence_values  # noqa: F401
 from .presentations import (AlgebraSpec, ModuleSpec, SpecError, Summand,
                             monomial_divides, validate_algebra,
                             validate_module)
 from .hilbert import (DimensionSequence, _numerator_at_one, growth_certificate,
                       module_dim_sequence)
-from .samuel import gk_dimension
 
 
 # ---------------------------------------------------------------------------
@@ -283,18 +281,20 @@ class HolonomyReport(NamedTuple):
     min_holonomic: bool
 
 
-def holonomic_defect(ambient: AlgebraSpec, fit: Optional[HilbertSamuelPolynomial],
+def holonomic_defect(ambient: AlgebraSpec, gk: Optional[int],
                      catalog: HolonomyCatalog) -> HolonomyReport:
-    """Defect gk(M) - h of a module over `ambient`, given its Hilbert-Samuel
-    fit, against the catalog's holonomic number.
+    """Defect gk(M) - h of a module over `ambient` of growth dimension gk,
+    against the catalog's holonomic number.
 
-    Raises ValueError when the fit is None (growth not detectable on the
-    sampled range) or the catalog has no entry for the algebra kind.
+    analyze passes the gk that samuel.certified_growth reads from a
+    presentation's exact Hilbert series, so the min-holonomic verdict on a
+    presentation is exact; on other inputs it passes the sampled one.
+    Raises ValueError when gk is None (no growth dimension was established)
+    or the catalog has no entry for the algebra kind.
     """
     h = catalog.h_for(ambient)
-    if fit is None:
-        raise ValueError("growth dimension is not detectable on the sampled range")
-    gk = gk_dimension(fit)
+    if gk is None:
+        raise ValueError("the module has no established growth dimension")
     return HolonomyReport(gk, h, gk - h, gk - h == 0)
 
 

@@ -32,7 +32,7 @@ from .poincare import (RationalSeries, _lowest_terms, certified_rational_analysi
                        rational_analysis)
 from .presentations import (AlgebraSpec, ModuleSpec, RefilterError, SpecError,
                             Summand, refilter, validate_module)
-from .samuel import classify_growth
+from .samuel import certified_growth, classify_growth
 
 try:  # the builtin sha256 (_sha2 from Python 3.12): hashlib loads OpenSSL
     from _sha256 import sha256
@@ -53,8 +53,10 @@ EXIT_INTERNAL = 4
 COMMANDS = ("analyze", "hilbert", "poincare", "check-ses", "chain",
             "refilter", "classify")
 
-# commands that need max_degree >= 2 * window + 4 samples: analyze and
-# classify run the exact difference-tower detector
+# commands that need max_degree >= 2 * window + 4 samples: classify runs the
+# exact difference-tower detector, and so does analyze on a raw sequence, a
+# catalog entry or a negative_shift module; analyze keeps the rule on a
+# presentation too, whose verdict it reads from the exact series
 _DETECTION_COMMANDS = ("analyze", "classify")
 
 # the fixed warning catalog: reports carry symbolic flags, output carries
@@ -440,32 +442,42 @@ def _catalog_flags(parsed: ParsedInput) -> tuple:
 
 
 def _cmd_analyze(config: RunConfig, parsed: ParsedInput):
-    seq, growth, flags, code = _growth(config, parsed)
+    a, m = parsed.algebra, parsed.module
+    presented = parsed.sequence is None and parsed.catalog_id is None
+    if presented:
+        a = _need_algebra(parsed)
+        m = m if m is not None else ModuleSpec.regular()
+    if presented and m.negative_shift is None:
+        # an exact series (Hilbert-Serre): no counting past max_degree, no tower
+        if config.max_degree + 1 < 12:
+            raise SpecError("config.max_degree",
+                            "growth classification needs at least 12 terms")
+        graded, cumulative, growth = certified_growth(a, m, config.max_degree)
+        flags, code = growth.flags, EXIT_OK
+    else:
+        seq, growth, flags, code = _growth(config, parsed)
+        graded, cumulative = list(seq.graded()), list(seq)
     report = {
-        "dimensions": {"cumulative": list(seq),
-                       "graded": list(seq.graded())},
+        "dimensions": {"cumulative": cumulative, "graded": graded},
         "growth": _growth_payload(growth),
         "holonomy": None,
         "torsion": None,
     }
-    a, m = parsed.algebra, parsed.module
-    # holonomy and torsion need a presented module; growth fitted its counts
-    # with config.window, as _check_config's max_degree keeps that window
+    # holonomy and torsion need a presented module and its growth dimension
     if parsed.sequence is None and a is not None and (
             a.kind in ("weyl", "polynomial") or config.h_override is not None):
         hc = HolonomyCatalog(override=config.h_override)
-        mod = m if m is not None else ModuleSpec.regular()
         try:
-            hol = holonomic_defect(a, growth.hilbert_samuel, hc)
+            hol = holonomic_defect(a, growth.gk, hc)
         except ValueError:
             hol = None
         if hol is not None:
             report["holonomy"] = {"gk": hol.gk, "h": hol.h, "defect": hol.defect,
                                   "min_holonomic": hol.min_holonomic}
-            if mod.negative_shift is None and len(mod.summands) == 1:
+            if m.negative_shift is None and len(m.summands) == 1:
                 # Hilbert-Serre: A's series is 1 / prod(1 - t^w) with every
                 # w >= 1, so gk(A) is its number of generators
-                tor = torsion_check_cyclic(a, bool(mod.summands[0].ideal),
+                tor = torsion_check_cyclic(a, bool(m.summands[0].ideal),
                                            a.num_generators, hol.h)
                 report["torsion"] = {"applicable": tor.applicable,
                                      "torsion": tor.torsion,
@@ -501,7 +513,7 @@ def _cmd_poincare(config: RunConfig, parsed: ParsedInput):
         validate_module(a, m)
         p, q, expansion = _checked_series(a, m, top)
         values = expansion[:top + 1]
-        ra = certified_rational_analysis(p, q, values)
+        ra = certified_rational_analysis(*_lowest_terms(p, q), values)
     else:
         if parsed.sequence is not None:
             values = list(parsed.sequence)
@@ -725,8 +737,9 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("input", help="path to a JSON problem spec")
     parser.add_argument("--max-degree", type=int, default=30, dest="max_degree",
-                        help="largest filtration degree to sample (default 30); hilbert and "
-                             "poincare read a presentation's exact series, and it sizes the output")
+                        help="largest filtration degree to sample (default 30); analyze, "
+                             "hilbert and poincare read a presentation's exact series, and it "
+                             "sizes the output")
     parser.add_argument("--window", type=int, default=6,
                         help="constancy window for polynomial detection (default 6)")
     parser.add_argument("--confirm", type=int, default=8,

@@ -37,6 +37,11 @@ shift:
   numerator's Taylor coefficients at t = 1, c_j = sum_i C(i, j) p_i for
   j <= n, from which gk and the multiplicity are read, so the certificate
   depends on no degree asked for.
+
+The analyze command (samuel.certified_growth) reads one uncut pass
+(_module_terms) for its counts, its certificate and its Hilbert-Samuel
+polynomial (_samuel_fit), which on an unweighted ring it takes from the same
+Taylor coefficients.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from math import comb, prod
 from operator import le, mul, sub
 from typing import Sequence
 
-from .exactnum import Polynomial
+from .exactnum import BinomialForm, HilbertSamuelPolynomial, Polynomial
 from .poincare import RationalSeries, _expansion
 from .presentations import (AlgebraSpec, ModuleSpec, Monomial, SpecError,
                             divide_by_weights, monomial_divides,
@@ -322,6 +327,15 @@ def _numerator_at_one(a: AlgebraSpec, m: ModuleSpec, path: str) -> tuple:
     """numerator_at_one of a summand presentation already validated; the
     term-count refusal is a SpecError at `path`, the input field that
     presented the module."""
+    return _at_one(_module_terms(a, m, path), a.num_generators + 1)
+
+
+def _module_terms(a: AlgebraSpec, m: ModuleSpec, path: str) -> dict:
+    """The Hilbert numerator of a summand presentation already validated, over
+    prod(1 - t^w), as {degree: coefficient} without zero terms: each
+    summand's uncut numerator_terms at its shift. More than
+    SERIES_DEGREE_BOUND distinct degrees in a summand raise SpecError at
+    `path`."""
     weights = a.scalar_weights()
     terms = {}
     for s in m.summands:
@@ -331,8 +345,13 @@ def _numerator_at_one(a: AlgebraSpec, m: ModuleSpec, path: str) -> tuple:
             raise SpecError(path, str(err)) from None
         for d, c in summand.items():
             terms[s.shift + d] = terms.get(s.shift + d, 0) + c
-    return tuple(sum(comb(d, j) * c for d, c in terms.items())
-                 for j in range(len(weights) + 1))
+    return {d: c for d, c in terms.items() if c}
+
+
+def _at_one(terms: dict, count: int) -> tuple:
+    """The Taylor coefficients c_j = sum_d C(d, j) p_d, j < count, at t = 1
+    of the polynomial with the terms {d: p_d}: p = sum_j c_j (t - 1)^j."""
+    return tuple(sum(comb(d, j) * c for d, c in terms.items()) for j in range(count))
 
 
 def growth_certificate(a: AlgebraSpec, coefficients: Sequence[int]):
@@ -355,6 +374,36 @@ def growth_certificate(a: AlgebraSpec, coefficients: Sequence[int]):
         return None
     weights = a.scalar_weights()
     return len(weights) - r, Fraction((-1) ** r * coefficients[r], prod(weights))
+
+
+def _samuel_fit(coefficients: Sequence[int], degree: int) -> HilbertSamuelPolynomial:
+    """The Hilbert-Samuel polynomial of the cumulative counts of the series
+    p / (1 - t)^(n + 1), from the Taylor coefficients c_0..c_n of p at t = 1
+    (not all zero) and the degree of p.
+
+    p = sum_j (-1)^j c_j (1 - t)^j, and for j <= n the coefficients of
+    (1 - t)^(j - n - 1) are C(m + n - j, n - j) = sum_i C(n - j, i) C(m, i)
+    (Vandermonde), so the form is a_i = sum_(j >= r) (-1)^j c_j C(n - j, i)
+    for i = 0..n - r, r the first index with c_r != 0. The counts exceed it
+    by the coefficients of the quotient of p by (1 - t)^(n + 1), a
+    polynomial of degree deg p - n - 1 whose top coefficient is +-lead(p),
+    never 0: they agree from deg p - n on and differ just below, so that is
+    the least index.
+    """
+    n = len(coefficients) - 1
+    r = next(j for j, c in enumerate(coefficients) if c)
+    form = [sum((-1) ** j * coefficients[j] * comb(n - j, i) for j in range(r, n + 1))
+            for i in range(n - r + 1)]
+    return HilbertSamuelPolynomial(BinomialForm(form), max(0, degree - n))
+
+
+def _weights_denominator(weights: Sequence[int]) -> list:
+    """prod(1 - t^w) over the weights, as an int coefficient list."""
+    q = [1] + [0] * sum(weights)
+    for w in weights:  # times (1 - t^w), from the top index down
+        for i in range(len(q) - 1, w - 1, -1):
+            q[i] -= q[i - w]
+    return q
 
 
 def module_hilbert_series(a: AlgebraSpec, m: ModuleSpec) -> RationalSeries:
@@ -380,11 +429,7 @@ def _checked_series(a: AlgebraSpec, m: ModuleSpec, top: int) -> tuple:
     and its expansion to degree max(reach, top), self-checked to reach."""
     dense, reach = _module_numerator(a, m)
     p = dense[:next((n for n in range(len(dense), 0, -1) if dense[n - 1]), 0)]
-    weights = a.scalar_weights()
-    q = [1] + [0] * sum(weights)
-    for w in weights:  # times (1 - t^w), from the top index down
-        for i in range(len(q) - 1, w - 1, -1):
-            q[i] -= q[i - w]
+    q = _weights_denominator(a.scalar_weights())
     expansion = _expansion(p, q, max(reach, top) + 1)
     if expansion[:reach + 1] != _counts(a, dense, cumulative=False):
         raise RuntimeError("internal error: series expansion disagrees with direct counts")

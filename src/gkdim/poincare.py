@@ -19,9 +19,9 @@ quasi-polynomial branches, one per residue class mod s.
 
 The chain recurrence, series, denominator, period, branches has two heads,
 rational_analysis (search the samples, build the series) and
-certified_rational_analysis (reduce an exact series, read the recurrence),
-and one tail. Every stage runs on integer coefficient lists and builds one
-Fraction per output coefficient:
+certified_rational_analysis (read the recurrence off an exact series in
+lowest terms), and one tail. Every stage runs on integer coefficient lists
+and builds one Fraction per output coefficient:
 - the samples are scaled to ints once; Berlekamp-Massey runs on them, and
   the onset scan checks the integer characteristic row, sum_j row[j] f(n + j)
   = 0, where row is the shift register C[0..r] itself (order r >= 2) or
@@ -33,7 +33,9 @@ Fraction per output coefficient:
   a degree-D denominator, divides by cached int Phi_k built from binomials
   (1 - t^d)^(+-1), and hands the root tests one integer residual;
 - each quasi-polynomial branch is built in int from its binomial form
-  (_integer_branch) and checked on the samples by int Horner.
+  (_integer_branch) and checked on the samples by int Horner; an exact
+  series may instead be fitted on its own expansion, to a length that
+  certifies the branches (certified_rational_analysis).
 """
 
 from __future__ import annotations
@@ -585,21 +587,44 @@ def rational_analysis(vals, confirm: int) -> Optional[RationalAnalysis]:
     return _analysed(vals, rec, series_from_recurrence(vals, rec))
 
 
-def certified_rational_analysis(p: list, q: list, vals) -> RationalAnalysis:
-    """rational_analysis of the exact series p/q (int lists, q(0) = 1) whose
-    expansion begins with `vals`, with no search: the reduced q, of degree r,
-    gives a_i = -q_i / q_0, which holds at n exactly when p_(n + r) = 0, so
-    from onset max(0, len(p) - r). A constant q (a finite-dimensional or zero
-    module) keeps the search's order-1 convention, a_1 = 0."""
-    p, q = _lowest_terms(p, q)
+def certified_rational_analysis(p: list, q: list, vals=None,
+                                limit: int = 0) -> RationalAnalysis:
+    """rational_analysis of the exact series p/q, int lists in lowest terms
+    with q(0) = +-1 (_lowest_terms), with no search: q, of degree r, gives
+    a_i = -q_i / q_0, which holds at n exactly when p_(n + r) = 0, so from
+    onset max(0, len(p) - r). A constant q (a finite-dimensional or zero
+    module) keeps the search's order-1 convention, a_1 = 0.
+
+    The branches are fitted on `vals`, the series' first coefficients. With
+    vals None they are fitted on the series' own expansion, to a length the
+    series fixes, which certifies them. A branch has degree below m, the
+    highest multiplicity of a cyclotomic factor of q, and the coefficients
+    lie on their branches from len(p) - r on; len(p) + period (2m + 6)
+    coefficients give each residue class 2m + 6 on its branch, as many as
+    fit_quasi_polynomial needs for a window of m + 1. No difference level
+    below a branch's degree is constant on m + 1 points of it, so each fit
+    is its branch, from the least index its class agrees with it. Past
+    `limit` coefficients the branches are not fitted (quasi None).
+    """
+    if q[0] < 0:
+        p, q = [-c for c in p], [-c for c in q]
     order = max(len(q) - 1, 1)
-    coefficients = tuple(Fraction(-c, q[0]) for c in q[1:]) or (Fraction(0),)
+    coefficients = tuple(Fraction(-c) for c in q[1:]) or (Fraction(0),)
     rec = Recurrence(order, coefficients, max(0, len(p) - order))
-    return _analysed(vals, rec, _normalised_series(p, q))
+    ra = _analysed(vals, rec, _normalised_series(p, q))
+    if vals is not None:
+        return ra
+    m = max(ra.denominator.cyclotomic_multiplicities.values(), default=1)
+    count = len(p) + ra.period * (2 * m + 6)
+    if count > limit:
+        return ra
+    return ra._replace(quasi=fit_quasi_polynomial(_expansion(p, q, count), ra.period,
+                                                  window=m + 1))
 
 
 def _analysed(vals, rec: Recurrence, series: RationalSeries) -> RationalAnalysis:
-    """The tail both heads share: denominator, period, branches on `vals`."""
+    """The tail both heads share: denominator, period, branches on `vals`
+    (none when vals is None)."""
     if any(c.denominator != 1 for c in series.denominator.coeffs):
         return RationalAnalysis(rec, series, None)
     analysis = denominator_analysis(series.denominator)
@@ -607,5 +632,5 @@ def _analysed(vals, rec: Recurrence, series: RationalSeries) -> RationalAnalysis
         return RationalAnalysis(rec, series, analysis)
     mixed = analysis.s is None
     period = math.lcm(*analysis.cyclotomic_multiplicities) if mixed else analysis.s
-    return RationalAnalysis(rec, series, analysis, period, mixed,
-                            fit_quasi_polynomial(vals, period, window=4))
+    quasi = None if vals is None else fit_quasi_polynomial(vals, period, window=4)
+    return RationalAnalysis(rec, series, analysis, period, mixed, quasi)

@@ -1,22 +1,32 @@
-"""Growth classification of dimension sequences.
+"""Growth classification of dimension sequences and of module presentations.
 
-Polynomial growth comes from the difference tower (exactnum), or else from
-the quasi-polynomial branches of poincare.rational_analysis; exponential
-growth from a denominator root strictly inside the unit disk. A fitted
-series with a non-integral denominator generates no natural-number sequence
-(Fatou), so it leaves the verdict inconclusive. The gamma diagnostic, the
-one floating-point value, goes only on inconclusive reports.
+On a sampled sequence (classify_growth), polynomial growth comes from the
+difference tower (exactnum), or else from the quasi-polynomial branches of
+poincare.rational_analysis; exponential growth from a denominator root
+strictly inside the unit disk. A fitted series with a non-integral
+denominator generates no natural-number sequence (Fatou), so it leaves the
+verdict inconclusive. The gamma diagnostic, the one floating-point value,
+goes only on inconclusive reports.
+
+A summand presentation fixes its Hilbert series exactly (Hilbert-Serre), so
+certified_growth reads its verdict from that series and samples nothing.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 from typing import NamedTuple, Optional
 
-from .exactnum import HilbertSamuelPolynomial, detect_polynomial, sequence_values
+from .exactnum import (BinomialForm, HilbertSamuelPolynomial, detect_polynomial,
+                       sequence_values)
+from .hilbert import (SERIES_DEGREE_BOUND, _at_one, _module_terms, _samuel_fit,
+                      _weights_denominator, growth_certificate)
 from .poincare import (DenominatorAnalysis, QuasiPolynomial, RationalSeries,
-                       Recurrence, rational_analysis)
+                       Recurrence, _lowest_terms, certified_rational_analysis,
+                       rational_analysis)
+from .presentations import AlgebraSpec, ModuleSpec, divide_by_weights, validate_module
 
 
 def gk_dimension(h: HilbertSamuelPolynomial) -> int:
@@ -175,3 +185,88 @@ def _gamma_or_none(vals) -> Optional[GammaEstimate]:
         return gamma_estimate(vals)
     except ValueError:
         return None
+
+
+# ---------------------------------------------------------------------------
+# certified growth of a presentation
+
+
+_CERTIFIED = "exact Hilbert series (Hilbert-Serre)"
+
+
+def certified_growth(a: AlgebraSpec, m: ModuleSpec, top: int) -> tuple:
+    """(graded, cumulative, report) for a summand presentation: its
+    dimensions in degrees 0..top as int lists, and a GrowthReport read from
+    its exact Hilbert series, not fitted to them.
+
+    One uncut numerator_terms pass per summand (hilbert._module_terms) gives
+    the dimensions (its terms up to top over prod(1 - t^w)), gk and e
+    (growth_certificate) and, on an unweighted ring, the Hilbert-Samuel
+    polynomial (hilbert._samuel_fit), so nothing dense is built past top and
+    an exponent of 10^9 costs what 1 does. On a weighted ring the cumulative
+    series p / ((1 - t) prod(1 - t^w)) is reduced: a reduced denominator
+    (1 - t)^k gives the polynomial the same way, any other the branches of
+    certified_rational_analysis, fitted on the series' own expansion. A
+    weighted series that passes degree SERIES_DEGREE_BOUND, or whose
+    branches need more coefficients than that, keeps gk and e only. More
+    than SERIES_DEGREE_BOUND distinct degrees in a summand numerator raise
+    SpecError at "module".
+    """
+    validate_module(a, m)
+    weights = a.scalar_weights()
+    terms = _module_terms(a, m, "module")
+    graded = divide_by_weights(_dense(terms, top + 1), weights)
+    cumulative = list(accumulate(graded))
+    coefficients = _at_one(terms, len(weights) + 1)
+    cert = growth_certificate(a, coefficients)
+    if cert is None:  # the zero module
+        zero = HilbertSamuelPolynomial(BinomialForm(), 0)
+        return graded, cumulative, _polynomial_growth(0, Fraction(0), zero)
+    gk, e = cert
+    if set(weights) == {1}:
+        fit = _samuel_fit(coefficients, max(terms))
+        return graded, cumulative, _polynomial_growth(gk, e, fit)
+    pole = f"{_CERTIFIED}: pole of order {gk} at t = 1"
+    kind = "finite_dimensional" if gk == 0 else "polynomial"
+    degree = max(terms)
+    if max(degree, sum(weights) + 1) > SERIES_DEGREE_BOUND:
+        return graded, cumulative, GrowthReport(
+            kind, gk, e, evidence=(f"{pole}; the series passes degree "
+                                   f"{SERIES_DEGREE_BOUND} and is not expanded"))
+    p, q = _lowest_terms(_dense(terms, degree + 1), _weights_denominator(weights + (1,)))
+    k = len(q) - 1
+    if q == [q[0] * (-1) ** j * math.comb(k, j) for j in range(k + 1)]:  # +-(1 - t)^k
+        fit = _samuel_fit(_at_one({d: q[0] * c for d, c in enumerate(p)}, k), len(p) - 1)
+        return graded, cumulative, _polynomial_growth(gk, e, fit)
+    ra = certified_rational_analysis(p, q, limit=SERIES_DEGREE_BOUND)
+    branches = ("branches not fitted: they need more than "
+                f"{SERIES_DEGREE_BOUND} coefficients" if ra.quasi is None else
+                f"quasi-polynomial branches from index {ra.quasi.onset}")
+    return graded, cumulative, GrowthReport(
+        kind, gk, e, recurrence=ra.recurrence, series=ra.series,
+        denominator=ra.denominator, quasi=ra.quasi,
+        evidence=(f"{pole}; reduced denominator of degree {k} with period "
+                  f"{ra.period}; {branches}"),
+        flags=("mixed_cyclotomic",) if ra.mixed_cyclotomic else ())
+
+
+def _dense(terms: dict, length: int) -> list:
+    """The coefficients 0..length - 1 of the polynomial with the terms {d: p_d}."""
+    out = [0] * length
+    for d, c in terms.items():
+        if d < length:
+            out[d] = c
+    return out
+
+
+def _polynomial_growth(gk: int, e: Fraction, fit: HilbertSamuelPolynomial) -> GrowthReport:
+    """The certified report of growth read as a Hilbert-Samuel polynomial."""
+    if gk == 0:
+        return GrowthReport(
+            "finite_dimensional", gk=0, multiplicity=e, hilbert_samuel=fit,
+            evidence=(f"{_CERTIFIED}: cumulative dimensions constant at {e} from "
+                      f"index {fit.stabilization_index}"))
+    return GrowthReport(
+        "polynomial", gk=gk, multiplicity=e, hilbert_samuel=fit,
+        evidence=(f"{_CERTIFIED}: pole of order {gk} at t = 1; Hilbert-Samuel "
+                  f"polynomial from index {fit.stabilization_index}"))

@@ -321,16 +321,18 @@ def test_chain_refuses_a_negative_shift_member():
 # holonomic defect
 
 
-def _fit(a, m):
-    """The module's Hilbert-Samuel fit on degrees 0..TOP, or None."""
-    return detect_polynomial(module_dim_sequence(a, m, TOP))
+def _gk(a, m):
+    """The growth dimension of the module's Hilbert-Samuel fit on degrees
+    0..TOP, or None when there is no fit."""
+    fit = detect_polynomial(module_dim_sequence(a, m, TOP))
+    return None if fit is None else gk_dimension(fit)
 
 
 def test_weyl_regular_module_has_defect_equal_to_rank():
     catalog = HolonomyCatalog()
     for rank in (1, 2):
         a = AlgebraSpec.weyl(rank)
-        report = holonomic_defect(a, _fit(a, ModuleSpec.regular()), catalog)
+        report = holonomic_defect(a, _gk(a, ModuleSpec.regular()), catalog)
         assert report.gk == 2 * rank
         assert report.h == rank
         assert report.defect == rank
@@ -344,7 +346,7 @@ def test_weyl_coordinate_module_is_minimally_holonomic():
         # kill the y generators: what is left are the x monomials
         ideal = [tuple(1 if i == rank + j else 0 for i in range(2 * rank))
                  for j in range(rank)]
-        report = holonomic_defect(a, _fit(a, ModuleSpec.cyclic(ideal)), catalog)
+        report = holonomic_defect(a, _gk(a, ModuleSpec.cyclic(ideal)), catalog)
         assert report.gk == rank
         assert report.defect == 0
         assert report.min_holonomic is True
@@ -352,7 +354,7 @@ def test_weyl_coordinate_module_is_minimally_holonomic():
 
 def test_laurent_module_over_weyl_one_is_minimally_holonomic():
     a = AlgebraSpec.weyl(1)
-    report = holonomic_defect(a, _fit(a, ModuleSpec.laurent()), HolonomyCatalog())
+    report = holonomic_defect(a, _gk(a, ModuleSpec.laurent()), HolonomyCatalog())
     assert report.gk == 1
     assert report.h == 1
     assert report.min_holonomic is True
@@ -361,9 +363,9 @@ def test_laurent_module_over_weyl_one_is_minimally_holonomic():
 def test_polynomial_ring_has_holonomic_number_zero():
     a = AlgebraSpec.polynomial(2)
     catalog = HolonomyCatalog()
-    regular = holonomic_defect(a, _fit(a, ModuleSpec.regular()), catalog)
+    regular = holonomic_defect(a, _gk(a, ModuleSpec.regular()), catalog)
     assert (regular.gk, regular.h, regular.defect) == (2, 0, 2)
-    finite = holonomic_defect(a, _fit(a, ModuleSpec.cyclic([(1, 0), (0, 1)])),
+    finite = holonomic_defect(a, _gk(a, ModuleSpec.cyclic([(1, 0), (0, 1)])),
                               catalog)
     assert finite.gk == 0
     assert finite.min_holonomic is True
@@ -374,7 +376,7 @@ def test_holonomy_catalog_override_and_unknown_kind():
     with pytest.raises(ValueError):
         HolonomyCatalog().h_for(quantum)
     assert HolonomyCatalog(override=3).h_for(quantum) == 3
-    report = holonomic_defect(quantum, _fit(quantum, ModuleSpec.regular()),
+    report = holonomic_defect(quantum, _gk(quantum, ModuleSpec.regular()),
                               HolonomyCatalog(override=1))
     assert report.h == 1
     assert report.gk == 2
@@ -383,7 +385,7 @@ def test_holonomy_catalog_override_and_unknown_kind():
 def test_holonomic_defect_needs_detectable_growth():
     a = AlgebraSpec.polynomial(1, degrees=[(2,)])
     with pytest.raises(ValueError):
-        holonomic_defect(a, _fit(a, ModuleSpec.regular()), HolonomyCatalog())
+        holonomic_defect(a, _gk(a, ModuleSpec.regular()), HolonomyCatalog())
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ the fixed warning catalog, both output formats, the JSON emitter against
 json.dumps(sort_keys=True, indent=2), and one happy path plus the
 characteristic error paths for each of the seven commands, the bound on
 --max-degree, analyze's torsion verdict with gk(A) taken from the
-number of generators, a derandomized fuzz of poincare and classify on
-natural-number sequences, one of chain and check-ses on monomial ideals, and
+number of generators, analyze's certified verdicts on weighted rings at
+every depth and on an exponent of 10^9, a derandomized fuzz of poincare
+and classify on natural-number sequences, one of chain and check-ses on monomial ideals, and
 one of poincare on monomial presentations, whose exact series is checked
 against brute-force counts, sympy's cancelled series and the sampled search.
 """
@@ -99,7 +100,8 @@ def test_analyze_weyl_envelope_and_verdict(tmp_path, capsys):
     torsion = payload["report"]["torsion"]
     assert torsion["applicable"] is True
     assert torsion["torsion"] is False
-    assert payload["warnings"] == [WARNINGS["sampled_agreement"]]
+    # the verdict is read from the exact series, not fitted to samples
+    assert payload["warnings"] == []
 
 
 def test_analyze_raw_sequence_beside_an_algebra_has_no_holonomy(tmp_path, capsys):
@@ -485,12 +487,15 @@ def test_hilbert_past_the_series_degree_bound_is_exit_three(tmp_path, capsys):
 
 
 def test_huge_exponents_and_weights_build_nothing_dense(tmp_path, capsys):
-    # an exponent or a generator weight of 10^9: analyze reads the numerator
-    # only to --max-degree, and hilbert refuses the series before building it
+    # an exponent or a generator weight of 10^9: analyze scatters the sparse
+    # numerator only to --max-degree and reads its verdict from the terms,
+    # and hilbert refuses the series before building it. k[x, y]/(x^(10^9))
+    # has 10^9 monomials in each degree from 10^9 - 1 on (the sampled tower
+    # read gk 2, e 1); in k[x, y]/(x) with x of weight 10^9 only y is left
     big = 10 ** 9
     plane = [{"name": "x"}, {"name": "y"}]
     heavy = [{"name": "x", "degree": [big]}, {"name": "y"}]
-    for generators, ideal in ((plane, f"x^{big}"), (heavy, "x")):
+    for generators, ideal, e in ((plane, f"x^{big}", big), (heavy, "x", 1)):
         doc = {"spec_version": 1,
                "algebra": {"kind": "polynomial", "generators": generators},
                "module": {"summands": [{"ideal": [ideal]}]}}
@@ -501,6 +506,8 @@ def test_huge_exponents_and_weights_build_nothing_dense(tmp_path, capsys):
         assert code == 0
         graded = payload["report"]["dimensions"]["graded"]
         assert graded == (list(range(1, 32)) if generators is plane else [1] * 31)
+        growth = payload["report"]["growth"]
+        assert (growth["gk"], growth["multiplicity"]) == (1, [e, 1])
         start = time.perf_counter()
         code, out, err = _run(capsys, ["hilbert", path])
         assert time.perf_counter() - start < 0.1
@@ -650,6 +657,37 @@ def test_poincare_reads_weighted_rings_right_at_every_depth(tmp_path, capsys, we
         assert report["recurrence"]["order"] == sum(weights), depth
         assert report["recurrence"]["onset"] == 0, depth
         assert report["series"] == series, depth
+
+
+@pytest.mark.parametrize("weights, depths", [
+    ((3, 4), range(16, 201)), ((2, 3, 5), range(16, 201)),
+    ((2, 3, 5, 7, 11), (60, 120, 300))])
+def test_analyze_reads_weighted_rings_right_at_every_depth(tmp_path, capsys, weights,
+                                                          depths):
+    # the sampled tower read gk 1 for (3, 4) at 15 of the depths 16..200 and
+    # gk 2 for (2, 3, 5) at 18, with exit 0, and was inconclusive at 73 and
+    # 167 more and at all three depths of the five weights; the pole of
+    # 1 / prod(1 - t^w) at t = 1 has order n and leading coefficient 1/prod(w)
+    path = _write(tmp_path, {"spec_version": 1, "algebra": _weighted_ring(weights)})
+    growths = set()
+    for depth in depths:
+        code, payload = _run_json(capsys, ["analyze", path, "--max-degree", str(depth)])
+        assert code == 0, depth
+        growth = payload["report"]["growth"]
+        assert growth["classification"] == "polynomial", depth
+        assert growth["gk"] == len(weights), depth
+        assert growth["multiplicity"] == [1, math.prod(weights)], depth
+        assert payload["report"]["holonomy"]["gk"] == len(weights), depth
+        assert len(payload["report"]["dimensions"]["cumulative"]) == depth + 1
+        growths.add(json.dumps(growth))
+    # the depth sizes the dimensions only; the branches hold far past it
+    assert len(growths) == 1
+    quasi = json.loads(growths.pop())["quasi"]
+    a = AlgebraSpec.polynomial(len(weights), degrees=[(w,) for w in weights])
+    counts = algebra_dim_sequence(a, 3 * quasi["period"]).values
+    for n in range(quasi["onset"], len(counts)):
+        branch = quasi["branches"][n % quasi["period"]]
+        assert sum(Fraction(*c) * n ** i for i, c in enumerate(branch)) == counts[n], n
 
 
 def test_poincare_refusal_names_the_field_that_is_short(tmp_path, capsys):
@@ -980,7 +1018,9 @@ def test_term_count_refusals_name_the_field_they_come_from(tmp_path, capsys,
     cases = [("chain", {"chain": [[], staircase]}, "chain[2]"),
              ("check-ses", {"ses": {"sub_ideal": staircase}}, "ses.sub_ideals"),
              ("check-ses", {"module": {"summands": [{"shift": 0, "ideal": staircase}]},
-                            "ses": {"sub_ideal": staircase}}, "module")]
+                            "ses": {"sub_ideal": staircase}}, "module"),
+             ("analyze", {"module": {"summands": [{"shift": 0, "ideal": staircase}]}},
+              "module")]
     for command, fields, path in cases:
         doc = {"spec_version": 1, "algebra": plane, **fields}
         code, out, err = _run(capsys, [command, _write(tmp_path, doc)])
@@ -1103,7 +1143,7 @@ def test_hilbert_and_analyze_survive_fuzzed_presentations(tmp_path_factory, case
     path = tmp_path_factory.mktemp("fuzz") / "spec.json"
     path.write_text(json.dumps(doc))
     outs = {}
-    for command, codes in (("hilbert", (0, 3)), ("analyze", (0, 1, 3))):
+    for command, codes in (("hilbert", (0, 3)), ("analyze", (0, 3))):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.run(cli.RunConfig(command=command, input_path=str(path),

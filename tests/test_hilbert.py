@@ -25,6 +25,12 @@ against three oracles: the difference tower on unweighted modules, sympy's
 pole order and leading Laurent coefficient at t = 1 on weighted modules
 with shifts up to 5000, and tower fits along the residue classes of the
 period on weighted modules whose counts the brute-force oracle vouches for.
+The growth analyze certifies from the exact series (samuel.certified_growth)
+is checked against counts from the dense numerator reference: its
+Hilbert-Samuel polynomial and least stabilization index on unweighted
+presentations, where the difference tower must fit the same polynomial once
+its window lies past that index (a derandomized hypothesis test), and its
+polynomial or quasi-polynomial branches on weighted rings.
 """
 
 from fractions import Fraction
@@ -53,7 +59,8 @@ from gkdim.hilbert import (MEANINGS, SERIES_DEGREE_BOUND, DimensionSequence,
                            numerator_at_one, numerator_terms,
                            standard_monomial_counts)
 from gkdim.presentations import AlgebraSpec, ModuleSpec, SpecError, Summand
-from gkdim.samuel import detect_polynomial, gk_dimension, multiplicity
+from gkdim.samuel import (certified_growth, detect_polynomial, gk_dimension,
+                          multiplicity)
 
 # ---------------------------------------------------------------------------
 # dimension sequences
@@ -957,3 +964,95 @@ def test_certificate_work_depends_on_no_exponent_or_shift():
 def test_certificate_refuses_a_laurent_module():
     with pytest.raises(ValueError):
         numerator_at_one(AlgebraSpec.weyl(1), ModuleSpec.laurent())
+
+
+# ---------------------------------------------------------------------------
+# certified growth: the Hilbert-Samuel polynomial from the exact series
+
+
+def _reference_cumulative(weights, summands, top: int) -> list:
+    """Cumulative counts 0..top of a sum of shifted monomial quotients, from
+    the dense numerator reference cut at top, divided by prod(1 - t^w) and
+    by (1 - t) with index loops."""
+    c = [0] * (top + 1)
+    for shift, ideal in summands:
+        if shift <= top:
+            for d, v in enumerate(_dense_reference(minimalize_ideal(ideal), weights,
+                                                   top - shift)):
+                c[shift + d] += v
+    for w in weights + (1,):
+        for i in range(w, top + 1):
+            c[i] += c[i - w]
+    return c
+
+
+@st.composite
+def _unweighted_presentations(draw):
+    """(number of variables, summands): 2..4 variables of weight 1, 1..3
+    summands with shifts 0..3 and up to 4 generators with exponents 0..3."""
+    nvars = draw(st.integers(2, 4))
+    ideal = st.lists(st.tuples(*[st.integers(0, 3)] * nvars), max_size=4)
+    return nvars, draw(st.lists(st.tuples(st.integers(0, 3), ideal), min_size=1, max_size=3))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_unweighted_presentations())
+def test_certified_growth_matches_the_counts_and_the_tower(case):
+    # a numerator here has degree at most 3 + 3 * 4, so the counts are
+    # polynomial from index 11 on at the latest, and 40 degrees pin it
+    nvars, summands = case
+    weights = (1,) * nvars
+    a = AlgebraSpec.polynomial(nvars)
+    m = ModuleSpec(tuple(Summand(shift, tuple(ideal)) for shift, ideal in summands))
+    deep = _reference_cumulative(weights, summands, 40)
+    graded, cumulative, growth = certified_growth(a, m, 16)
+    assert cumulative == deep[:17], case
+    assert graded == deep[:1] + [y - x for x, y in zip(deep[:16], deep[1:17])], case
+    fit = growth.hilbert_samuel
+    start = fit.stabilization_index
+    values = [fit.form.evaluate(n) for n in range(41)]
+    assert values[start:] == deep[start:], case
+    assert start == 0 or values[start - 1] != deep[start - 1], case
+    assert (growth.gk, growth.multiplicity) == (gk_dimension(fit), multiplicity(fit)), case
+    assert growth.classification == ("polynomial" if growth.gk else "finite_dimensional")
+    assert growth.flags == () and growth.quasi is None, case
+    # the tower fits the same polynomial wherever its window, the last
+    # gk + 6 samples, lies past the stabilization index
+    for depth in range(16, 41):
+        if depth + 1 - gk_dimension(fit) - 6 >= start:
+            assert detect_polynomial(DimensionSequence(tuple(deep[:depth + 1]))) == fit, \
+                (case, depth)
+
+
+def test_certified_growth_on_weighted_rings_matches_the_counts():
+    # the reduced cumulative series gives a Hilbert-Samuel polynomial when
+    # its denominator is a power of 1 - t, and certified branches otherwise;
+    # both agree with the dense counts from their index on, far past the
+    # fitted length, and say nothing about the depth asked for
+    rng = random.Random(2020)
+    kinds = set()
+    for _ in range(60):
+        a, m = _random_module(rng)
+        weights = a.scalar_weights()
+        summands = [(s.shift, s.ideal) for s in m.summands]
+        deep = _reference_cumulative(weights, summands, 300)
+        graded, cumulative, growth = certified_growth(a, m, 20)
+        assert cumulative == deep[:21], m
+        assert certified_growth(a, m, 40)[2] == growth, m
+        cert = _certificate(a, m)
+        assert (growth.gk, growth.multiplicity) == (cert or (0, Fraction(0))), m
+        if growth.hilbert_samuel is not None:
+            kinds.add("polynomial")
+            fit = growth.hilbert_samuel
+            start = fit.stabilization_index
+            values = [fit.form.evaluate(n) for n in range(301)]
+            assert values[start:] == deep[start:], m
+            assert start == 0 or values[start - 1] != deep[start - 1], m
+            assert growth.quasi is None, m
+        else:
+            kinds.add("quasi")
+            qp = growth.quasi
+            for n in range(qp.onset, 301):
+                assert qp.branches[n % qp.period].evaluate(n) == deep[n], (m, n)
+            assert max(b.degree for b in qp.branches) == growth.gk, m
+    assert kinds == {"polynomial", "quasi"}
