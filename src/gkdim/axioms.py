@@ -288,7 +288,9 @@ def holonomic_defect(ambient: AlgebraSpec, gk: Optional[int],
 
     analyze passes the gk that samuel.certified_growth reads from a
     presentation's exact Hilbert series, so the min-holonomic verdict on a
-    presentation is exact; on other inputs it passes the sampled one.
+    presentation is exact; on other inputs it passes the sampled one when
+    the difference tower fitted a Hilbert-Samuel polynomial, and None
+    otherwise.
     Raises ValueError when gk is None (no growth dimension was established)
     or the catalog has no entry for the algebra kind.
     """

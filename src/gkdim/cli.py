@@ -425,12 +425,15 @@ def _growth(config: RunConfig, parsed: ParsedInput):
     else:
         m = parsed.module if parsed.module is not None else ModuleSpec.regular()
         seq = module_dim_sequence(_need_algebra(parsed), m, config.max_degree)
-    if len(seq) < 12:  # a module or catalog entry has max_degree + 1 terms
-        path = "sequence" if parsed.sequence is not None else "config.max_degree"
-        raise SpecError(path, "growth classification needs at least 12 terms")
+    # a module or catalog entry has max_degree + 1 terms
+    _need_terms(len(seq), "sequence" if parsed.sequence is not None else "config.max_degree")
     growth = classify_growth(seq, config.window, config.confirm)
     code = EXIT_INCONCLUSIVE if growth.classification == "inconclusive" else EXIT_OK
     return seq, growth, growth.flags + _catalog_flags(parsed), code
+
+
+def _need_terms(count: int, path: str) -> None:
+    _require(count >= 12, path, "growth classification needs at least 12 terms")
 
 
 def _catalog_flags(parsed: ParsedInput) -> tuple:
@@ -447,11 +450,10 @@ def _cmd_analyze(config: RunConfig, parsed: ParsedInput):
     if presented:
         a = _need_algebra(parsed)
         m = m if m is not None else ModuleSpec.regular()
-    if presented and m.negative_shift is None:
+    certified = presented and m.negative_shift is None
+    if certified:
         # an exact series (Hilbert-Serre): no counting past max_degree, no tower
-        if config.max_degree + 1 < 12:
-            raise SpecError("config.max_degree",
-                            "growth classification needs at least 12 terms")
+        _need_terms(config.max_degree + 1, "config.max_degree")
         graded, cumulative, growth = certified_growth(a, m, config.max_degree)
         flags, code = growth.flags, EXIT_OK
     else:
@@ -463,12 +465,14 @@ def _cmd_analyze(config: RunConfig, parsed: ParsedInput):
         "holonomy": None,
         "torsion": None,
     }
-    # holonomy and torsion need a presented module and its growth dimension
+    # holonomy and torsion need a presented module and its growth dimension:
+    # the certified one, or a sampled one with its Hilbert-Samuel fit
     if parsed.sequence is None and a is not None and (
             a.kind in ("weyl", "polynomial") or config.h_override is not None):
         hc = HolonomyCatalog(override=config.h_override)
+        gk = growth.gk if certified or growth.hilbert_samuel is not None else None
         try:
-            hol = holonomic_defect(a, growth.gk, hc)
+            hol = holonomic_defect(a, gk, hc)
         except ValueError:
             hol = None
         if hol is not None:
@@ -513,7 +517,7 @@ def _cmd_poincare(config: RunConfig, parsed: ParsedInput):
         validate_module(a, m)
         p, q, expansion = _checked_series(a, m, top)
         values = expansion[:top + 1]
-        ra = certified_rational_analysis(*_lowest_terms(p, q), values)
+        ra = certified_rational_analysis(p, q, values)
     else:
         if parsed.sequence is not None:
             values = list(parsed.sequence)

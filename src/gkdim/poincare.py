@@ -19,9 +19,9 @@ quasi-polynomial branches, one per residue class mod s.
 
 The chain recurrence, series, denominator, period, branches has two heads,
 rational_analysis (search the samples, build the series) and
-certified_rational_analysis (read the recurrence off an exact series in
-lowest terms), and one tail. Every stage runs on integer coefficient lists
-and builds one Fraction per output coefficient:
+certified_rational_analysis (reduce an exact series, read the recurrence),
+and one tail. Every stage runs on integer coefficient lists and builds one
+Fraction per output coefficient:
 - the samples are scaled to ints once; Berlekamp-Massey runs on them, and
   the onset scan checks the integer characteristic row, sum_j row[j] f(n + j)
   = 0, where row is the shift register C[0..r] itself (order r >= 2) or
@@ -31,11 +31,11 @@ and builds one Fraction per output coefficient:
   RationalSeries.reduced, and its expansion is compared with the samples;
 - cyclotomic trial division walks the about 2D orders k with phi(k) <= D of
   a degree-D denominator, divides by cached int Phi_k built from binomials
-  (1 - t^d)^(+-1), and hands the root tests one integer residual;
+  (1 - t^d)^(+-1), and hands the root tests one integer residual; a series
+  whose denominator's cyclotomic factors are known in advance is reduced
+  against those orders alone (_cancel_cyclotomic);
 - each quasi-polynomial branch is built in int from its binomial form
-  (_integer_branch) and checked on the samples by int Horner; an exact
-  series may instead be fitted on its own expansion, to a length that
-  certifies the branches (certified_rational_analysis).
+  (_integer_branch) and checked on the samples by int Horner.
 """
 
 from __future__ import annotations
@@ -328,6 +328,48 @@ def _cyclotomic_ints(k: int, phi: int, primes: tuple) -> tuple:
     return tuple(c)
 
 
+#: The most int_divmod steps _cancel_cyclotomic may need before it refuses:
+#: dividing a list of length L by Phi_k costs up to (L - phi(k)) steps over
+#: Phi_k's nonzero terms, and a weight with several large prime factors
+#: (30030) gives a Phi_k of high degree with thousands of them. 10^8 steps
+#: take a few seconds.
+CANCEL_STEP_BOUND = 10 ** 8
+
+
+def _cancel_cyclotomic(p: list, q: list, mults: dict) -> Optional[tuple]:
+    """(p, q, mults) in lowest terms, for int lists p != 0 and q the product
+    of Phi_k^mults[k] (scaled to constant term 1), whose multiplicities come
+    back ascending and without zeros; None when the trial division could
+    need more than CANCEL_STEP_BOUND steps.
+
+    The gcd is the product of the Phi_k that divide p, each at most
+    mults[k] times, so trial division by those orders alone finds it: no
+    walk over every order with phi(k) <= deg q, as _strip_cyclotomic needs
+    for a q whose factors are unknown.
+    """
+    factors = {k: _cyclotomic(k) for k in sorted(mults)}
+    steps = sum(mults[k] * (max(0, len(p) - len(c) + 1) + max(0, len(q) - len(c) + 1))
+                * sum(map(bool, c)) for k, c in factors.items())
+    if steps > CANCEL_STEP_BOUND:
+        return None
+    mults = dict(mults)
+    for k, cyc in factors.items():
+        while mults[k]:
+            quo, rem = int_divmod(p, cyc)
+            if rem:
+                break
+            p, q, mults[k] = quo, int_divmod(q, cyc)[0], mults[k] - 1
+    return p, q, {k: mults[k] for k in factors if mults[k]}
+
+
+def _cyclotomic(k: int) -> tuple:
+    """_cyclotomic_ints for the order k alone."""
+    primes = tuple(d for d in _divisors(k)[1:]
+                   if all(d % e for e in range(2, math.isqrt(d) + 1)))
+    return _cyclotomic_ints(k, k * math.prod(d - 1 for d in primes) // math.prod(primes),
+                            primes)
+
+
 def _strip_cyclotomic(q: Polynomial) -> tuple:
     """(multiplicities, residual) for deg q >= 1: the orders k of q's
     cyclotomic factors, ascending, with their multiplicities, and what is
@@ -412,14 +454,7 @@ def denominator_analysis(q: Polynomial) -> DenominatorAnalysis:
         return DenominatorAnalysis("all_roots_on_unit_circle", s=1, d=0)
     mults, rem = _strip_cyclotomic(q)
     if len(rem) == 1:
-        s = max(mults) if mults else 1
-        d = mults.get(s, 0)
-        if mults and set(mults) == set(_divisors(s)) and all(m == d for m in mults.values()):
-            return DenominatorAnalysis("all_roots_on_unit_circle", s=s, d=d,
-                                       cyclotomic_multiplicities=mults)
-        return DenominatorAnalysis(
-            "all_roots_on_unit_circle", cyclotomic_multiplicities=mults,
-            notes=("cyclotomic orders do not form a pure (1-t^s)^d pattern",))
+        return _unit_circle_analysis(mults)
 
     linear, residual, split_notes = _split_rational_roots(rem)
     return DenominatorAnalysis(
@@ -427,6 +462,20 @@ def denominator_analysis(q: Polynomial) -> DenominatorAnalysis:
         linear_factors=linear,
         notes=("integer non-cyclotomic factor certifies a root inside the unit disk",)
         + split_notes)
+
+
+def _unit_circle_analysis(mults: dict) -> DenominatorAnalysis:
+    """The report on a product of cyclotomic factors, from the
+    multiplicities of their orders: the pure (1 - t^s)^d shape is the one
+    whose orders are exactly the divisors of the largest, s, all d times."""
+    s = max(mults) if mults else 1
+    d = mults.get(s, 0)
+    if mults and set(mults) == set(_divisors(s)) and all(m == d for m in mults.values()):
+        return DenominatorAnalysis("all_roots_on_unit_circle", s=s, d=d,
+                                   cyclotomic_multiplicities=mults)
+    return DenominatorAnalysis(
+        "all_roots_on_unit_circle", cyclotomic_multiplicities=mults,
+        notes=("cyclotomic orders do not form a pure (1-t^s)^d pattern",))
 
 
 #: Past this value of |c_0 * c_D| (the end coefficients of the integer-scaled
@@ -587,44 +636,26 @@ def rational_analysis(vals, confirm: int) -> Optional[RationalAnalysis]:
     return _analysed(vals, rec, series_from_recurrence(vals, rec))
 
 
-def certified_rational_analysis(p: list, q: list, vals=None,
-                                limit: int = 0) -> RationalAnalysis:
-    """rational_analysis of the exact series p/q, int lists in lowest terms
-    with q(0) = +-1 (_lowest_terms), with no search: q, of degree r, gives
-    a_i = -q_i / q_0, which holds at n exactly when p_(n + r) = 0, so from
-    onset max(0, len(p) - r). A constant q (a finite-dimensional or zero
-    module) keeps the search's order-1 convention, a_1 = 0.
+def certified_rational_analysis(p: list, q: list, vals) -> RationalAnalysis:
+    """rational_analysis of the exact series p/q (int lists, q(0) = 1) whose
+    expansion begins with `vals`, with no search: the recurrence is read off
+    the reduced q (_exact_recurrence)."""
+    p, q = _lowest_terms(p, q)
+    return _analysed(vals, _exact_recurrence(p, q), _normalised_series(p, q))
 
-    The branches are fitted on `vals`, the series' first coefficients. With
-    vals None they are fitted on the series' own expansion, to a length the
-    series fixes, which certifies them. A branch has degree below m, the
-    highest multiplicity of a cyclotomic factor of q, and the coefficients
-    lie on their branches from len(p) - r on; len(p) + period (2m + 6)
-    coefficients give each residue class 2m + 6 on its branch, as many as
-    fit_quasi_polynomial needs for a window of m + 1. No difference level
-    below a branch's degree is constant on m + 1 points of it, so each fit
-    is its branch, from the least index its class agrees with it. Past
-    `limit` coefficients the branches are not fitted (quasi None).
-    """
-    if q[0] < 0:
-        p, q = [-c for c in p], [-c for c in q]
+
+def _exact_recurrence(p: list, q: list) -> Recurrence:
+    """The recurrence of the series p/q, int lists in lowest terms with
+    q(0) = +-1: q, of degree r, gives a_i = -q_i / q_0, which holds at n
+    exactly when p_(n + r) = 0, so from onset max(0, len(p) - r). A constant
+    q keeps the search's order-1 convention, a_1 = 0."""
     order = max(len(q) - 1, 1)
-    coefficients = tuple(Fraction(-c) for c in q[1:]) or (Fraction(0),)
-    rec = Recurrence(order, coefficients, max(0, len(p) - order))
-    ra = _analysed(vals, rec, _normalised_series(p, q))
-    if vals is not None:
-        return ra
-    m = max(ra.denominator.cyclotomic_multiplicities.values(), default=1)
-    count = len(p) + ra.period * (2 * m + 6)
-    if count > limit:
-        return ra
-    return ra._replace(quasi=fit_quasi_polynomial(_expansion(p, q, count), ra.period,
-                                                  window=m + 1))
+    coefficients = tuple(Fraction(-c, q[0]) for c in q[1:]) or (Fraction(0),)
+    return Recurrence(order, coefficients, max(0, len(p) - order))
 
 
 def _analysed(vals, rec: Recurrence, series: RationalSeries) -> RationalAnalysis:
-    """The tail both heads share: denominator, period, branches on `vals`
-    (none when vals is None)."""
+    """The tail both heads share: denominator, period, branches on `vals`."""
     if any(c.denominator != 1 for c in series.denominator.coeffs):
         return RationalAnalysis(rec, series, None)
     analysis = denominator_analysis(series.denominator)
@@ -632,5 +663,5 @@ def _analysed(vals, rec: Recurrence, series: RationalSeries) -> RationalAnalysis
         return RationalAnalysis(rec, series, analysis)
     mixed = analysis.s is None
     period = math.lcm(*analysis.cyclotomic_multiplicities) if mixed else analysis.s
-    quasi = None if vals is None else fit_quasi_polynomial(vals, period, window=4)
-    return RationalAnalysis(rec, series, analysis, period, mixed, quasi)
+    return RationalAnalysis(rec, series, analysis, period, mixed,
+                            fit_quasi_polynomial(vals, period, window=4))

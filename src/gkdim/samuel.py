@@ -15,6 +15,7 @@ certified_growth reads its verdict from that series and samples nothing.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
 from typing import NamedTuple, Optional
@@ -23,9 +24,10 @@ from .exactnum import (BinomialForm, HilbertSamuelPolynomial, detect_polynomial,
                        sequence_values)
 from .hilbert import (SERIES_DEGREE_BOUND, _at_one, _module_terms, _samuel_fit,
                       _weights_denominator, growth_certificate)
-from .poincare import (DenominatorAnalysis, QuasiPolynomial, RationalSeries,
-                       Recurrence, _lowest_terms, certified_rational_analysis,
-                       rational_analysis)
+from .poincare import (CANCEL_STEP_BOUND, DenominatorAnalysis, QuasiPolynomial,
+                       RationalSeries, Recurrence, _cancel_cyclotomic, _divisors,
+                       _exact_recurrence, _expansion, _normalised_series,
+                       _unit_circle_analysis, fit_quasi_polynomial, rational_analysis)
 from .presentations import AlgebraSpec, ModuleSpec, divide_by_weights, validate_module
 
 
@@ -204,13 +206,14 @@ def certified_growth(a: AlgebraSpec, m: ModuleSpec, top: int) -> tuple:
     (growth_certificate) and, on an unweighted ring, the Hilbert-Samuel
     polynomial (hilbert._samuel_fit), so nothing dense is built past top and
     an exponent of 10^9 costs what 1 does. On a weighted ring the cumulative
-    series p / ((1 - t) prod(1 - t^w)) is reduced: a reduced denominator
-    (1 - t)^k gives the polynomial the same way, any other the branches of
-    certified_rational_analysis, fitted on the series' own expansion. A
-    weighted series that passes degree SERIES_DEGREE_BOUND, or whose
-    branches need more coefficients than that, keeps gk and e only. More
-    than SERIES_DEGREE_BOUND distinct degrees in a summand numerator raise
-    SpecError at "module".
+    series p / ((1 - t) prod(1 - t^w)) is reduced against the cyclotomic
+    factors the weights give its denominator: a reduced denominator
+    (1 - t)^k gives the polynomial the same way, any other its recurrence,
+    root report and branches, fitted on the series' own expansion. A
+    weighted series that passes degree SERIES_DEGREE_BOUND, whose reduction
+    passes CANCEL_STEP_BOUND or whose branches need more coefficients than
+    SERIES_DEGREE_BOUND keeps gk and e only. More than SERIES_DEGREE_BOUND
+    distinct degrees in a summand numerator raise SpecError at "module".
     """
     validate_module(a, m)
     weights = a.scalar_weights()
@@ -233,21 +236,43 @@ def certified_growth(a: AlgebraSpec, m: ModuleSpec, top: int) -> tuple:
         return graded, cumulative, GrowthReport(
             kind, gk, e, evidence=(f"{pole}; the series passes degree "
                                    f"{SERIES_DEGREE_BOUND} and is not expanded"))
-    p, q = _lowest_terms(_dense(terms, degree + 1), _weights_denominator(weights + (1,)))
-    k = len(q) - 1
-    if q == [q[0] * (-1) ** j * math.comb(k, j) for j in range(k + 1)]:  # +-(1 - t)^k
-        fit = _samuel_fit(_at_one({d: q[0] * c for d, c in enumerate(p)}, k), len(p) - 1)
+    # (1 - t) prod(1 - t^w) is the product of Phi_d over the divisors d of 1
+    # and of each weight, so the gcd with p needs trial division by those only
+    mults = Counter(d for w in weights + (1,) for d in _divisors(w))
+    reduced = _cancel_cyclotomic(_dense(terms, degree + 1),
+                                 _weights_denominator(weights + (1,)), mults)
+    if reduced is None:
+        return graded, cumulative, GrowthReport(
+            kind, gk, e, evidence=(f"{pole}; reducing the series could take more "
+                                   f"than {CANCEL_STEP_BOUND} steps and is not done"))
+    p, q, mults = reduced
+    if set(mults) == {1}:  # q = (1 - t)^k
+        fit = _samuel_fit(_at_one(dict(enumerate(p)), mults[1]), len(p) - 1)
         return graded, cumulative, _polynomial_growth(gk, e, fit)
-    ra = certified_rational_analysis(p, q, limit=SERIES_DEGREE_BOUND)
+    # A branch has degree below m = top_mult, the highest multiplicity in q,
+    # and the coefficients lie on their branches from len(p) - deg q on. So
+    # len(p) + period (2m + 6) of them give each residue class 2m + 6 on its
+    # branch, as many as fit_quasi_polynomial needs for a window of m + 1;
+    # no difference level below a branch's degree is constant on m + 1
+    # points of it, so each fit is its branch, from the least index its
+    # class agrees with it.
+    analysis = _unit_circle_analysis(mults)
+    period, top_mult = math.lcm(*mults), max(mults.values())
+    count = len(p) + period * (2 * top_mult + 6)
+    quasi = None
+    if count <= SERIES_DEGREE_BOUND:
+        quasi = fit_quasi_polynomial(_expansion(p, q, count), period, window=top_mult + 1)
+        if quasi is None:
+            raise RuntimeError("internal error: an exact series misses its branches")
     branches = ("branches not fitted: they need more than "
-                f"{SERIES_DEGREE_BOUND} coefficients" if ra.quasi is None else
-                f"quasi-polynomial branches from index {ra.quasi.onset}")
+                f"{SERIES_DEGREE_BOUND} coefficients" if quasi is None else
+                f"quasi-polynomial branches from index {quasi.onset}")
     return graded, cumulative, GrowthReport(
-        kind, gk, e, recurrence=ra.recurrence, series=ra.series,
-        denominator=ra.denominator, quasi=ra.quasi,
-        evidence=(f"{pole}; reduced denominator of degree {k} with period "
-                  f"{ra.period}; {branches}"),
-        flags=("mixed_cyclotomic",) if ra.mixed_cyclotomic else ())
+        kind, gk, e, recurrence=_exact_recurrence(p, q),
+        series=_normalised_series(p, q), denominator=analysis, quasi=quasi,
+        evidence=(f"{pole}; reduced denominator of degree {len(q) - 1} with "
+                  f"period {period}; {branches}"),
+        flags=("mixed_cyclotomic",) if analysis.s is None else ())
 
 
 def _dense(terms: dict, length: int) -> list:

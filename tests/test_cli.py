@@ -115,6 +115,34 @@ def test_analyze_raw_sequence_beside_an_algebra_has_no_holonomy(tmp_path, capsys
     assert payload["report"]["torsion"] is None
 
 
+def test_analyze_gives_sampled_modules_holonomy_only_with_a_polynomial_fit(
+        tmp_path, capsys):
+    # a negative_shift module is counted and fitted, not certified. The
+    # Laurent line over W_1 fits a Hilbert-Samuel polynomial of degree 1,
+    # so it is minimally holonomic; beside k[x] with x of weight 2 the
+    # cumulative counts 2n + 1 + floor(n / 2) + 1 fit period-2 branches but
+    # no polynomial, and a growth dimension read off sampled branches gives
+    # no holonomy verdict
+    laurent = {"spec_version": 1, "algebra": {"kind": "weyl", "weyl_rank": 1},
+               "module": {"negative_shift": 1}}
+    code, payload = _run_json(capsys, ["analyze", _write(tmp_path, laurent)])
+    assert code == 0
+    assert payload["report"]["growth"]["hilbert_samuel"] is not None
+    assert payload["report"]["holonomy"] == {"defect": 0, "gk": 1, "h": 1,
+                                             "min_holonomic": True}
+    doc = {"spec_version": 1,
+           "algebra": {"kind": "polynomial",
+                       "generators": [{"name": "x", "degree": [2]}]},
+           "module": {"summands": [{"ideal": []}], "negative_shift": 1}}
+    code, payload = _run_json(capsys, ["analyze", _write(tmp_path, doc)])
+    assert code == 0
+    growth = payload["report"]["growth"]
+    assert (growth["gk"], growth["hilbert_samuel"]) == (1, None)
+    assert growth["quasi"]["period"] == 2
+    assert payload["report"]["holonomy"] is None
+    assert payload["report"]["torsion"] is None
+
+
 def test_output_is_byte_identical_across_runs(tmp_path, capsys):
     path = _write(tmp_path, PLANE_MOD_XY)
     code1, out1, _ = _run(capsys, ["analyze", path])
@@ -458,6 +486,56 @@ def test_hilbert_of_a_heavy_generator_is_fast(tmp_path, capsys):
     # basis 1, x^i, y^j: one y-power in every positive degree, and x^(n/8000)
     assert payload["report"]["graded_dimensions"] == [
         1 if n == 0 else 1 + (n % 8000 == 0) for n in range(16002)]
+
+
+def test_analyze_of_a_heavy_generator_is_fast(tmp_path, capsys):
+    # k[x, y]/(xy) with x of weight 8000: the cumulative denominator
+    # (1 - t)^2 (1 - t^8000) has known cyclotomic factors, so only the 28
+    # divisors of 8000 and 1 are tried against the numerator 1 - t^8001,
+    # not every order with phi(k) <= 8001
+    doc = {"spec_version": 1,
+           "algebra": {"kind": "polynomial",
+                       "generators": [{"name": "x", "degree": [8000]},
+                                      {"name": "y"}]},
+           "module": {"summands": [{"ideal": ["x*y"]}]}}
+    path = _write(tmp_path, doc)
+    start = time.perf_counter()
+    code, payload = _run_json(capsys, ["analyze", path])
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    growth = payload["report"]["growth"]
+    # (1 + t + ... + t^8000) / ((1 - t)(1 - t^8000)): one pole at t = 1
+    assert (growth["gk"], growth["multiplicity"]) == (1, [8001, 8000])
+    assert growth["denominator"]["cyclotomic_multiplicities"] == [
+        [d, 2 if d == 1 else 1] for d in range(1, 8001) if 8000 % d == 0]
+    quasi = growth["quasi"]
+    assert quasi["period"] == 8000
+    # cumulative count 1 + n + floor(n / 8000): branch i is n + 1 + (n - i) / 8000
+    for i in (0, 1, 7999):
+        branch = [Fraction(*c) for c in quasi["branches"][i]]
+        assert branch == [Fraction(8000 - i, 8000), Fraction(8001, 8000)], i
+
+
+def test_analyze_reports_the_pole_alone_past_the_reduction_bound(tmp_path, capsys):
+    # 30030 = 2 3 5 7 11 13: Phi_30030 has degree 5760 and thousands of
+    # terms, so cancelling the series could take over 10^8 steps; gk and e
+    # come from the pole at t = 1 all the same
+    doc = {"spec_version": 1,
+           "algebra": {"kind": "polynomial",
+                       "generators": [{"name": "x", "degree": [30030]},
+                                      {"name": "y"}]},
+           "module": {"summands": [{"ideal": ["x*y"]}]}}
+    path = _write(tmp_path, doc)
+    start = time.perf_counter()
+    code, payload = _run_json(capsys, ["analyze", path])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    growth = payload["report"]["growth"]
+    assert (growth["gk"], growth["multiplicity"]) == (1, [30031, 30030])
+    assert growth["quasi"] is None and growth["hilbert_samuel"] is None
+    assert growth["evidence"].endswith(
+        "reducing the series could take more than 100000000 steps and is not done")
+    assert payload["report"]["holonomy"]["gk"] == 1
 
 
 def test_hilbert_past_the_series_degree_bound_is_exit_three(tmp_path, capsys):

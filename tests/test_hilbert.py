@@ -1055,4 +1055,8 @@ def test_certified_growth_on_weighted_rings_matches_the_counts():
             for n in range(qp.onset, 301):
                 assert qp.branches[n % qp.period].evaluate(n) == deep[n], (m, n)
             assert max(b.degree for b in qp.branches) == growth.gk, m
+            # in lowest terms: a series whose counts are one polynomial
+            # from some index on reduces to a power of 1 - t
+            assert growth.series.reduced() is growth.series, m
+            assert any(b != qp.branches[0] for b in qp.branches), m
     assert kinds == {"polynomial", "quasi"}
