@@ -28,8 +28,8 @@ from .axioms import (HolonomyCatalog, SESSpec, chain_bound_check,
 from .exactnum import Polynomial, detect_polynomial  # noqa: F401
 from .hilbert import (SERIES_DEGREE_BOUND, DimensionSequence, _checked_series,
                       module_dim_sequence)
-from .poincare import (RationalSeries, _lowest_terms, certified_rational_analysis,
-                       rational_analysis)
+from .poincare import (RationalSeries, _exact_analysis, _lowest_terms,
+                       fit_quasi_polynomial, rational_analysis)
 from .presentations import (AlgebraSpec, ModuleSpec, RefilterError, SpecError,
                             Summand, refilter, validate_module)
 from .samuel import certified_growth, classify_growth
@@ -53,12 +53,6 @@ EXIT_INTERNAL = 4
 COMMANDS = ("analyze", "hilbert", "poincare", "check-ses", "chain",
             "refilter", "classify")
 
-# commands that need max_degree >= 2 * window + 4 samples: classify runs the
-# exact difference-tower detector, and so does analyze on a raw sequence, a
-# catalog entry or a negative_shift module; analyze keeps the rule on a
-# presentation too, whose verdict it reads from the exact series
-_DETECTION_COMMANDS = ("analyze", "classify")
-
 # the fixed warning catalog: reports carry symbolic flags, output carries
 # exactly these strings
 WARNINGS = {
@@ -80,6 +74,9 @@ WARNINGS = {
     "branch_multiplicity_disagreement":
         "quasi-polynomial branches have different leading coefficients; "
         "multiplicity reported as their maximum",
+    "cancel_step_bound":
+        "reducing the exact series could take more than 10^8 trial-division "
+        "steps; no recurrence, series or root report is given",
 }
 
 
@@ -395,11 +392,6 @@ def _check_config(config: RunConfig) -> None:
     # time and memory grow linearly with the sampling depth
     _require(config.max_degree <= SERIES_DEGREE_BOUND, "config.max_degree",
              f"max_degree must be at most {SERIES_DEGREE_BOUND}")
-    if config.command in _DETECTION_COMMANDS:
-        need = 2 * config.window + 4
-        _require(config.max_degree >= need, "config.max_degree",
-                 f"polynomial detection needs max_degree >= {need} "
-                 f"(2 * window + 4)")
     _require(config.fmt in ("json", "text"), "config.format",
              'format must be "json" or "text"')
     # a holonomic number is a smallest growth dimension, so a natural number
@@ -417,23 +409,25 @@ def _need_algebra(parsed: ParsedInput) -> AlgebraSpec:
 def _growth(config: RunConfig, parsed: ParsedInput):
     """The growth step analyze and classify share: the cumulative input (a
     raw sequence, a catalog entry, or a module presentation), its growth
-    classification, the warning flags and the exit code."""
+    classification, the warning flags and the exit code. The difference
+    tower needs 12 terms, and a catalog entry or module sampled to
+    max_degree also needs max_degree >= 2 * window + 4; a raw sequence is
+    judged by its own length."""
     if parsed.sequence is not None:
-        seq = parsed.sequence.cumulative()
-    elif parsed.catalog_id is not None:
-        seq = catalog.cumulative_sequence(parsed.catalog_id, config.max_degree)
+        seq, path = parsed.sequence.cumulative(), "sequence"
     else:
-        m = parsed.module if parsed.module is not None else ModuleSpec.regular()
-        seq = module_dim_sequence(_need_algebra(parsed), m, config.max_degree)
-    # a module or catalog entry has max_degree + 1 terms
-    _need_terms(len(seq), "sequence" if parsed.sequence is not None else "config.max_degree")
+        need, path = 2 * config.window + 4, "config.max_degree"
+        _require(config.max_degree >= need, path,
+                 f"polynomial detection needs max_degree >= {need} (2 * window + 4)")
+        if parsed.catalog_id is not None:
+            seq = catalog.cumulative_sequence(parsed.catalog_id, config.max_degree)
+        else:
+            m = parsed.module if parsed.module is not None else ModuleSpec.regular()
+            seq = module_dim_sequence(_need_algebra(parsed), m, config.max_degree)
+    _require(len(seq) >= 12, path, "growth classification needs at least 12 terms")
     growth = classify_growth(seq, config.window, config.confirm)
     code = EXIT_INCONCLUSIVE if growth.classification == "inconclusive" else EXIT_OK
     return seq, growth, growth.flags + _catalog_flags(parsed), code
-
-
-def _need_terms(count: int, path: str) -> None:
-    _require(count >= 12, path, "growth classification needs at least 12 terms")
 
 
 def _catalog_flags(parsed: ParsedInput) -> tuple:
@@ -452,8 +446,8 @@ def _cmd_analyze(config: RunConfig, parsed: ParsedInput):
         m = m if m is not None else ModuleSpec.regular()
     certified = presented and m.negative_shift is None
     if certified:
-        # an exact series (Hilbert-Serre): no counting past max_degree, no tower
-        _need_terms(config.max_degree + 1, "config.max_degree")
+        # an exact series (Hilbert-Serre): no counting past max_degree, no
+        # tower, so no depth rule
         graded, cumulative, growth = certified_growth(a, m, config.max_degree)
         flags, code = growth.flags, EXIT_OK
     else:
@@ -512,12 +506,20 @@ def _cmd_poincare(config: RunConfig, parsed: ParsedInput):
     if parsed.sequence is None and parsed.catalog_id is None:
         a = _need_algebra(parsed)
         m = parsed.module if parsed.module is not None else ModuleSpec.regular()
+    flags = _catalog_flags(parsed)
     if m is not None and m.negative_shift is None:
-        # an exact series (Hilbert-Serre): no recurrence search
+        # an exact series (Hilbert-Serre): no recurrence search and no walk
+        # over every cyclotomic order; branches are fitted on the printed
+        # coefficients, as on sampled input
         validate_module(a, m)
-        p, q, expansion = _checked_series(a, m, top)
+        p, _, expansion = _checked_series(a, m, top)
         values = expansion[:top + 1]
-        ra = certified_rational_analysis(p, q, values)
+        exact = _exact_analysis(p, a.scalar_weights())
+        ra = None if exact is None else exact[3]
+        if ra is None:
+            flags += ("cancel_step_bound",)
+        else:
+            ra = ra._replace(quasi=fit_quasi_polynomial(values, ra.period, window=4))
     else:
         if parsed.sequence is not None:
             values = list(parsed.sequence)
@@ -529,7 +531,6 @@ def _cmd_poincare(config: RunConfig, parsed: ParsedInput):
             path = "sequence" if parsed.sequence is not None else "config.max_degree"
             raise SpecError(path, "too few terms for recurrence detection")
         ra = rational_analysis(values, min(config.confirm, len(values) - 2))
-    flags = _catalog_flags(parsed)
     report = {"coefficients_analyzed": len(values), "recurrence": None,
               "series": None, "denominator": None, "quasi": None}
     if ra is None:

@@ -41,7 +41,10 @@ shift:
 The analyze command (samuel.certified_growth) reads one uncut pass
 (_module_terms) for its counts, its certificate and its Hilbert-Samuel
 polynomial (_samuel_fit), which on an unweighted ring it takes from the same
-Taylor coefficients.
+Taylor coefficients. The poincare and analyze commands reduce the exact
+series by the one exact routine, poincare._exact_analysis, which alone
+knows how prod(1 - t^w) factors; the hilbert command's reduced field takes
+the primitive gcd (poincare._lowest_terms).
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from operator import le, mul, sub
 from typing import Sequence
 
 from .exactnum import BinomialForm, HilbertSamuelPolynomial, Polynomial
-from .poincare import RationalSeries, _expansion
+from .poincare import RationalSeries, _expansion, _weights_denominator
 from .presentations import (AlgebraSpec, ModuleSpec, Monomial, SpecError,
                             divide_by_weights, monomial_divides,
                             validate_module)
@@ -395,15 +398,6 @@ def _samuel_fit(coefficients: Sequence[int], degree: int) -> HilbertSamuelPolyno
     form = [sum((-1) ** j * coefficients[j] * comb(n - j, i) for j in range(r, n + 1))
             for i in range(n - r + 1)]
     return HilbertSamuelPolynomial(BinomialForm(form), max(0, degree - n))
-
-
-def _weights_denominator(weights: Sequence[int]) -> list:
-    """prod(1 - t^w) over the weights, as an int coefficient list."""
-    q = [1] + [0] * sum(weights)
-    for w in weights:  # times (1 - t^w), from the top index down
-        for i in range(len(q) - 1, w - 1, -1):
-            q[i] -= q[i - w]
-    return q
 
 
 def module_hilbert_series(a: AlgebraSpec, m: ModuleSpec) -> RationalSeries:

@@ -17,11 +17,14 @@ polynomial with constant term 1 and no cyclotomic part has a root strictly
 inside the unit disk (Kronecker) — and pure denominators (1 - t^s)^d yield
 quasi-polynomial branches, one per residue class mod s.
 
-The chain recurrence, series, denominator, period, branches has two heads,
-rational_analysis (search the samples, build the series) and
-certified_rational_analysis (reduce an exact series, read the recurrence),
-and one tail. Every stage runs on integer coefficient lists and builds one
-Fraction per output coefficient:
+The chain recurrence, series, denominator, period, branches is run by one
+sampled head and one exact routine. rational_analysis searches the samples,
+builds the series and walks every cyclotomic order of its denominator;
+_exact_analysis reduces a presentation's series p / prod(1 - t^w)
+(Hilbert-Serre) by the Phi_d its denominator is known to have, and reads
+the recurrence and root report off the rest: no search and no walk. Every
+stage runs on integer coefficient lists and builds one Fraction per output
+coefficient:
 - the samples are scaled to ints once; Berlekamp-Massey runs on them, and
   the onset scan checks the integer characteristic row, sum_j row[j] f(n + j)
   = 0, where row is the shift register C[0..r] itself (order r >= 2) or
@@ -31,9 +34,7 @@ Fraction per output coefficient:
   RationalSeries.reduced, and its expansion is compared with the samples;
 - cyclotomic trial division walks the about 2D orders k with phi(k) <= D of
   a degree-D denominator, divides by cached int Phi_k built from binomials
-  (1 - t^d)^(+-1), and hands the root tests one integer residual; a series
-  whose denominator's cyclotomic factors are known in advance is reduced
-  against those orders alone (_cancel_cyclotomic);
+  (1 - t^d)^(+-1), and hands the root tests one integer residual;
 - each quasi-polynomial branch is built in int from its binomial form
   (_integer_branch) and checked on the samples by int Horner.
 """
@@ -41,6 +42,7 @@ Fraction per output coefficient:
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, islice
@@ -328,38 +330,13 @@ def _cyclotomic_ints(k: int, phi: int, primes: tuple) -> tuple:
     return tuple(c)
 
 
-#: The most int_divmod steps _cancel_cyclotomic may need before it refuses:
-#: dividing a list of length L by Phi_k costs up to (L - phi(k)) steps over
-#: Phi_k's nonzero terms, and a weight with several large prime factors
-#: (30030) gives a Phi_k of high degree with thousands of them. 10^8 steps
-#: take a few seconds.
-CANCEL_STEP_BOUND = 10 ** 8
-
-
-def _cancel_cyclotomic(p: list, q: list, mults: dict) -> Optional[tuple]:
-    """(p, q, mults) in lowest terms, for int lists p != 0 and q the product
-    of Phi_k^mults[k] (scaled to constant term 1), whose multiplicities come
-    back ascending and without zeros; None when the trial division could
-    need more than CANCEL_STEP_BOUND steps.
-
-    The gcd is the product of the Phi_k that divide p, each at most
-    mults[k] times, so trial division by those orders alone finds it: no
-    walk over every order with phi(k) <= deg q, as _strip_cyclotomic needs
-    for a q whose factors are unknown.
-    """
-    factors = {k: _cyclotomic(k) for k in sorted(mults)}
-    steps = sum(mults[k] * (max(0, len(p) - len(c) + 1) + max(0, len(q) - len(c) + 1))
-                * sum(map(bool, c)) for k, c in factors.items())
-    if steps > CANCEL_STEP_BOUND:
-        return None
-    mults = dict(mults)
-    for k, cyc in factors.items():
-        while mults[k]:
-            quo, rem = int_divmod(p, cyc)
-            if rem:
-                break
-            p, q, mults[k] = quo, int_divmod(q, cyc)[0], mults[k] - 1
-    return p, q, {k: mults[k] for k in factors if mults[k]}
+def _weights_denominator(weights: Sequence[int]) -> list:
+    """prod(1 - t^w) over the weights, as an int coefficient list."""
+    q = [1] + [0] * sum(weights)
+    for w in weights:  # times (1 - t^w), from the top index down
+        for i in range(len(q) - 1, w - 1, -1):
+            q[i] -= q[i - w]
+    return q
 
 
 def _cyclotomic(k: int) -> tuple:
@@ -371,7 +348,7 @@ def _cyclotomic(k: int) -> tuple:
 
 
 def _strip_cyclotomic(q: Polynomial) -> tuple:
-    """(multiplicities, residual) for deg q >= 1: the orders k of q's
+    """(multiplicities, residual) for q with q(0) = 1: the orders k of q's
     cyclotomic factors, ascending, with their multiplicities, and what is
     left of q as a primitive int list with a positive constant term.
 
@@ -450,8 +427,6 @@ def denominator_analysis(q: Polynomial) -> DenominatorAnalysis:
         raise ValueError("denominator must have constant term 1")
     if any(c.denominator != 1 for c in q.coeffs):
         raise ValueError("denominator must have integer coefficients")
-    if q.degree <= 0:
-        return DenominatorAnalysis("all_roots_on_unit_circle", s=1, d=0)
     mults, rem = _strip_cyclotomic(q)
     if len(rem) == 1:
         return _unit_circle_analysis(mults)
@@ -467,10 +442,11 @@ def denominator_analysis(q: Polynomial) -> DenominatorAnalysis:
 def _unit_circle_analysis(mults: dict) -> DenominatorAnalysis:
     """The report on a product of cyclotomic factors, from the
     multiplicities of their orders: the pure (1 - t^s)^d shape is the one
-    whose orders are exactly the divisors of the largest, s, all d times."""
-    s = max(mults) if mults else 1
+    whose orders are exactly the divisors of the largest, s, all d times,
+    and the empty product is (1 - t)^0."""
+    s = max(mults, default=1)
     d = mults.get(s, 0)
-    if mults and set(mults) == set(_divisors(s)) and all(m == d for m in mults.values()):
+    if not mults or set(mults) == set(_divisors(s)) and all(m == d for m in mults.values()):
         return DenominatorAnalysis("all_roots_on_unit_circle", s=s, d=d,
                                    cyclotomic_multiplicities=mults)
     return DenominatorAnalysis(
@@ -633,15 +609,58 @@ def rational_analysis(vals, confirm: int) -> Optional[RationalAnalysis]:
     rec = minimal_recurrence(vals, confirm=confirm)
     if rec is None:
         return None
-    return _analysed(vals, rec, series_from_recurrence(vals, rec))
+    series = series_from_recurrence(vals, rec)
+    if any(c.denominator != 1 for c in series.denominator.coeffs):
+        return RationalAnalysis(rec, series, None)
+    analysis = denominator_analysis(series.denominator)
+    if analysis.radius_class != "all_roots_on_unit_circle":
+        return RationalAnalysis(rec, series, analysis)
+    period = math.lcm(*analysis.cyclotomic_multiplicities)
+    return RationalAnalysis(rec, series, analysis, period, analysis.s is None,
+                            fit_quasi_polynomial(vals, period, window=4))
 
 
-def certified_rational_analysis(p: list, q: list, vals) -> RationalAnalysis:
-    """rational_analysis of the exact series p/q (int lists, q(0) = 1) whose
-    expansion begins with `vals`, with no search: the recurrence is read off
-    the reduced q (_exact_recurrence)."""
-    p, q = _lowest_terms(p, q)
-    return _analysed(vals, _exact_recurrence(p, q), _normalised_series(p, q))
+#: The most int_divmod steps _exact_analysis may need before it refuses:
+#: dividing a list of length L by Phi_k costs up to (L - phi(k)) steps over
+#: Phi_k's nonzero terms, and a weight with several large prime factors
+#: (30030) gives a Phi_k of high degree with thousands of them. 10^8 steps
+#: take a few seconds.
+CANCEL_STEP_BOUND = 10 ** 8
+
+
+def _exact_analysis(p: list, weights) -> Optional[tuple]:
+    """(p, q, mults, analysis) for the exact series p / prod(1 - t^w), p an
+    int list: the series in lowest terms as int lists, the multiplicities
+    of q's cyclotomic orders, ascending and without zeros, and its
+    RationalAnalysis without branches; None when the reduction could need
+    more than CANCEL_STEP_BOUND steps.
+
+    prod(1 - t^w) is the product of Phi_d over the divisors d of each
+    weight, so the gcd with p is the product of the Phi_d that divide p,
+    each at most that often, and trial division by those orders alone finds
+    it: no walk over every order with phi(k) <= deg q, as _strip_cyclotomic
+    needs for a q whose factors are unknown. Every root of the reduced q
+    lies on the unit circle, the period is the lcm of its orders, and the
+    recurrence is read off q (_exact_recurrence).
+    """
+    mults = Counter(d for w in weights for d in _divisors(w))
+    factors = {k: _cyclotomic(k) for k in sorted(mults)}
+    q = _weights_denominator(weights)
+    steps = sum(mults[k] * (max(0, len(p) - len(c) + 1) + max(0, len(q) - len(c) + 1))
+                * sum(map(bool, c)) for k, c in factors.items())
+    if steps > CANCEL_STEP_BOUND:
+        return None
+    for k, cyc in factors.items():
+        while mults[k]:
+            quo, rem = int_divmod(p, cyc)
+            if rem:
+                break
+            p, q, mults[k] = quo, int_divmod(q, cyc)[0], mults[k] - 1
+    mults = {k: mults[k] for k in factors if mults[k]}
+    analysis = _unit_circle_analysis(mults)
+    return p, q, mults, RationalAnalysis(
+        _exact_recurrence(p, q), _normalised_series(p, q), analysis,
+        math.lcm(*mults), analysis.s is None)
 
 
 def _exact_recurrence(p: list, q: list) -> Recurrence:
@@ -652,16 +671,3 @@ def _exact_recurrence(p: list, q: list) -> Recurrence:
     order = max(len(q) - 1, 1)
     coefficients = tuple(Fraction(-c, q[0]) for c in q[1:]) or (Fraction(0),)
     return Recurrence(order, coefficients, max(0, len(p) - order))
-
-
-def _analysed(vals, rec: Recurrence, series: RationalSeries) -> RationalAnalysis:
-    """The tail both heads share: denominator, period, branches on `vals`."""
-    if any(c.denominator != 1 for c in series.denominator.coeffs):
-        return RationalAnalysis(rec, series, None)
-    analysis = denominator_analysis(series.denominator)
-    if analysis.radius_class != "all_roots_on_unit_circle":
-        return RationalAnalysis(rec, series, analysis)
-    mixed = analysis.s is None
-    period = math.lcm(*analysis.cyclotomic_multiplicities) if mixed else analysis.s
-    return RationalAnalysis(rec, series, analysis, period, mixed,
-                            fit_quasi_polynomial(vals, period, window=4))

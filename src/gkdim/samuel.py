@@ -9,13 +9,15 @@ verdict inconclusive. The gamma diagnostic, the one floating-point value,
 goes only on inconclusive reports.
 
 A summand presentation fixes its Hilbert series exactly (Hilbert-Serre), so
-certified_growth reads its verdict from that series and samples nothing.
+certified_growth reads its verdict from that series and samples nothing. Of
+poincare's two routines it uses the exact one, _exact_analysis, which the
+poincare command shares; the sampled head, rational_analysis, serves
+classify_growth alone.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
 from typing import NamedTuple, Optional
@@ -23,11 +25,10 @@ from typing import NamedTuple, Optional
 from .exactnum import (BinomialForm, HilbertSamuelPolynomial, detect_polynomial,
                        sequence_values)
 from .hilbert import (SERIES_DEGREE_BOUND, _at_one, _module_terms, _samuel_fit,
-                      _weights_denominator, growth_certificate)
+                      growth_certificate)
 from .poincare import (CANCEL_STEP_BOUND, DenominatorAnalysis, QuasiPolynomial,
-                       RationalSeries, Recurrence, _cancel_cyclotomic, _divisors,
-                       _exact_recurrence, _expansion, _normalised_series,
-                       _unit_circle_analysis, fit_quasi_polynomial, rational_analysis)
+                       RationalSeries, Recurrence, _exact_analysis, _expansion,
+                       fit_quasi_polynomial, rational_analysis)
 from .presentations import AlgebraSpec, ModuleSpec, divide_by_weights, validate_module
 
 
@@ -207,7 +208,8 @@ def certified_growth(a: AlgebraSpec, m: ModuleSpec, top: int) -> tuple:
     polynomial (hilbert._samuel_fit), so nothing dense is built past top and
     an exponent of 10^9 costs what 1 does. On a weighted ring the cumulative
     series p / ((1 - t) prod(1 - t^w)) is reduced against the cyclotomic
-    factors the weights give its denominator: a reduced denominator
+    factors the weights give its denominator (poincare._exact_analysis, as
+    the poincare command reduces the graded series): a reduced denominator
     (1 - t)^k gives the polynomial the same way, any other its recurrence,
     root report and branches, fitted on the series' own expansion. A
     weighted series that passes degree SERIES_DEGREE_BOUND, whose reduction
@@ -236,16 +238,13 @@ def certified_growth(a: AlgebraSpec, m: ModuleSpec, top: int) -> tuple:
         return graded, cumulative, GrowthReport(
             kind, gk, e, evidence=(f"{pole}; the series passes degree "
                                    f"{SERIES_DEGREE_BOUND} and is not expanded"))
-    # (1 - t) prod(1 - t^w) is the product of Phi_d over the divisors d of 1
-    # and of each weight, so the gcd with p needs trial division by those only
-    mults = Counter(d for w in weights + (1,) for d in _divisors(w))
-    reduced = _cancel_cyclotomic(_dense(terms, degree + 1),
-                                 _weights_denominator(weights + (1,)), mults)
-    if reduced is None:
+    # the cumulative series is p / ((1 - t) prod(1 - t^w))
+    exact = _exact_analysis(_dense(terms, degree + 1), weights + (1,))
+    if exact is None:
         return graded, cumulative, GrowthReport(
             kind, gk, e, evidence=(f"{pole}; reducing the series could take more "
                                    f"than {CANCEL_STEP_BOUND} steps and is not done"))
-    p, q, mults = reduced
+    p, q, mults, ra = exact
     if set(mults) == {1}:  # q = (1 - t)^k
         fit = _samuel_fit(_at_one(dict(enumerate(p)), mults[1]), len(p) - 1)
         return graded, cumulative, _polynomial_growth(gk, e, fit)
@@ -256,8 +255,7 @@ def certified_growth(a: AlgebraSpec, m: ModuleSpec, top: int) -> tuple:
     # no difference level below a branch's degree is constant on m + 1
     # points of it, so each fit is its branch, from the least index its
     # class agrees with it.
-    analysis = _unit_circle_analysis(mults)
-    period, top_mult = math.lcm(*mults), max(mults.values())
+    period, top_mult = ra.period, max(mults.values())
     count = len(p) + period * (2 * top_mult + 6)
     quasi = None
     if count <= SERIES_DEGREE_BOUND:
@@ -268,11 +266,11 @@ def certified_growth(a: AlgebraSpec, m: ModuleSpec, top: int) -> tuple:
                 f"{SERIES_DEGREE_BOUND} coefficients" if quasi is None else
                 f"quasi-polynomial branches from index {quasi.onset}")
     return graded, cumulative, GrowthReport(
-        kind, gk, e, recurrence=_exact_recurrence(p, q),
-        series=_normalised_series(p, q), denominator=analysis, quasi=quasi,
+        kind, gk, e, recurrence=ra.recurrence, series=ra.series,
+        denominator=ra.denominator, quasi=quasi,
         evidence=(f"{pole}; reduced denominator of degree {len(q) - 1} with "
                   f"period {period}; {branches}"),
-        flags=("mixed_cyclotomic",) if analysis.s is None else ())
+        flags=("mixed_cyclotomic",) if ra.mixed_cyclotomic else ())
 
 
 def _dense(terms: dict, length: int) -> list:

@@ -303,10 +303,14 @@ def test_wrong_spec_version_is_exit_three(tmp_path, capsys):
 
 
 def test_too_small_max_degree_is_exit_three(tmp_path, capsys):
+    # classify samples a presentation to --max-degree and fits a tower;
+    # analyze reads the exact series and has no depth rule
     path = _write(tmp_path, WEYL_ONE)
-    code, _, err = _run(capsys, ["analyze", path, "--max-degree", "10"])
+    code, _, err = _run(capsys, ["classify", path, "--max-degree", "10"])
     assert code == 3
     assert "config.max_degree" in err
+    code, _, _ = _run(capsys, ["analyze", path, "--max-degree", "10"])
+    assert code == 0
 
 
 def test_max_degree_above_the_series_bound_is_exit_three(tmp_path, capsys):
@@ -423,17 +427,20 @@ def test_classify_short_sequence_is_exit_three(tmp_path, capsys):
         code, _, err = _run(capsys, argv)
         assert code == 3, argv
         assert err == "error: sequence: growth classification needs at least 12 terms\n"
-    # a module or catalog input has no sequence; its length is set by --max-degree
+    # a sampled module or catalog input has no sequence; its length is set
+    # by --max-degree; analyze reads a presentation's exact series instead
     catalog = {"spec_version": 1,
                "algebra": {"kind": "catalog", "catalog_id": "free_algebra_2"}}
-    for command in ("classify", "analyze"):
-        for doc in (plane, catalog):
-            argv = [command, _write(tmp_path, doc, "input.json"), "--window", "2",
-                    "--max-degree", "8"]
-            code, _, err = _run(capsys, argv)
-            assert code == 3, argv
-            assert err == ("error: config.max_degree: growth classification needs "
-                           "at least 12 terms\n")
+    for command, doc in (("classify", plane), ("classify", catalog), ("analyze", catalog)):
+        argv = [command, _write(tmp_path, doc, "input.json"), "--window", "2",
+                "--max-degree", "8"]
+        code, _, err = _run(capsys, argv)
+        assert code == 3, argv
+        assert err == ("error: config.max_degree: growth classification needs "
+                       "at least 12 terms\n")
+    argv = ["analyze", _write(tmp_path, plane, "plane.json"), "--window", "2",
+            "--max-degree", "8"]
+    assert _run(capsys, argv)[::2] == (0, "")
 
 
 def test_decreasing_cumulative_sequence_is_exit_three(tmp_path, capsys):
@@ -847,6 +854,69 @@ def test_poincare_on_a_presentation_searches_for_no_recurrence(tmp_path, capsys,
     assert sampled["report"] == payload["report"]
 
 
+def test_presentations_reach_no_cyclotomic_walk(tmp_path, capsys, monkeypatch):
+    # analyze and poincare reduce a presentation's series by the Phi_d its
+    # denominator prod(1 - t^w) is known to have; the walk over every order
+    # with phi(k) <= deg q serves sampled series only
+    def walk(*args, **kwargs):
+        raise AssertionError("the walk over every cyclotomic order ran")
+
+    monkeypatch.setattr(gkdim.poincare, "_strip_cyclotomic", walk)
+    monkeypatch.setattr(gkdim.poincare, "_cyclotomic_orders", walk)
+    with pytest.raises(AssertionError):
+        gkdim.poincare.denominator_analysis(gkdim.poincare.Polynomial([1, -1]))
+    for weights in ((3, 4), (2, 3, 5), (1, 1, 2, 3), (6, 10)):
+        for ideal in ([], ["v1*v2"], ["v1^2", "v2^3"]):
+            doc = {"spec_version": 1, "algebra": _weighted_ring(weights),
+                   "module": {"summands": [{"shift": 1, "ideal": ideal}]}}
+            path = _write(tmp_path, doc)
+            code, payload = _run_json(capsys, ["analyze", path, "--max-degree", "40"])
+            assert code == 0, (weights, ideal)
+            assert payload["report"]["growth"]["gk"] is not None
+            code, payload = _run_json(capsys, ["poincare", path, "--max-degree", "40"])
+            assert code == 0, (weights, ideal)
+            assert payload["report"]["denominator"] is not None
+
+
+def _heavy_x(tmp_path, weight: int) -> str:
+    """k[x, y]/(xy) with x of the given weight, written as a spec."""
+    doc = {"spec_version": 1,
+           "algebra": {"kind": "polynomial",
+                       "generators": [{"name": "x", "degree": [weight]},
+                                      {"name": "y"}]},
+           "module": {"summands": [{"ideal": ["x*y"]}]}}
+    return _write(tmp_path, doc)
+
+
+def test_poincare_of_a_heavy_generator_is_fast(tmp_path, capsys):
+    # the walk over every order with phi(k) <= 8001 took over a minute; the
+    # 28 divisors of 8000 are tried alone, as analyze tries them
+    start = time.perf_counter()
+    code, payload = _run_json(capsys, ["poincare", _heavy_x(tmp_path, 8000)])
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    report = payload["report"]
+    # (1 + t + ... + t^8000) / (1 - t^8000): every root on the unit circle
+    assert report["denominator"]["s"] == 8000 and report["denominator"]["d"] == 1
+    assert report["recurrence"] == {"order": 8000, "onset": 1,
+                                    "coefficients": [[0, 1]] * 7999 + [[1, 1]]}
+    assert report["quasi"] is None  # 31 coefficients give no branch of period 8000
+
+
+def test_poincare_refuses_past_the_reduction_bound(tmp_path, capsys):
+    # 30030 = 2 3 5 7 11 13: cancelling Phi_30030, of degree 5760 and
+    # thousands of terms, could take over 10^8 steps; the walk ran past a
+    # 300 s timeout, and the refusal is read off the step count at once
+    start = time.perf_counter()
+    code, payload = _run_json(capsys, ["poincare", _heavy_x(tmp_path, 30030)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert payload["report"] == {"coefficients_analyzed": 31, "recurrence": None,
+                                 "series": None, "denominator": None, "quasi": None}
+    assert payload["warnings"] == [WARNINGS["cancel_step_bound"]]
+    assert "10^8" in WARNINGS["cancel_step_bound"]
+
+
 def test_poincare_raw_sequence_without_recurrence_is_exit_one(tmp_path, capsys):
     doc = {"spec_version": 1,
            "sequence": [math.factorial(n) for n in range(9)]}
@@ -1025,15 +1095,20 @@ def test_chain_members_may_differ_only_above_max_degree(tmp_path, capsys):
     ("chain", {"chain": [[], ["x"]]})])
 def test_numerator_commands_answer_below_the_detection_depth(tmp_path, capsys,
                                                              command, field):
-    # check-ses and chain read their verdicts from Hilbert numerators, so
-    # they no longer need max_degree >= 2 * window + 4; analyze still does
+    # check-ses and chain read their verdicts from Hilbert numerators, and
+    # analyze its verdict from the exact series, so none of them needs
+    # max_degree >= 2 * window + 4; classify still samples and does
     doc = {"spec_version": 1,
            "algebra": {"kind": "polynomial",
                        "generators": [{"name": "x"}, {"name": "y"}]}, **field}
     path = _write(tmp_path, doc)
     code, payload = _run_json(capsys, [command, path, "--max-degree", "5"])
     assert code == 0
-    code, _, err = _run(capsys, ["analyze", path, "--max-degree", "5"])
+    code, payload = _run_json(capsys, ["analyze", path, "--max-degree", "5"])
+    assert code == 0
+    growth = payload["report"]["growth"]
+    assert (growth["gk"], growth["multiplicity"]) == (2, [1, 1])
+    code, _, err = _run(capsys, ["classify", path, "--max-degree", "5"])
     assert code == 3 and "2 * window + 4" in err
 
 

@@ -39,6 +39,11 @@ Oracles:
   factor_list and cyclotomic_poly must give denominator_analysis's
   multiplicities and residual (times its split-off linear factors) on seeded
   cyclotomic products times integer residuals of degree <= 30.
+* Exact reduction -- on Hilbert series p / prod(1 - t^w) of seeded monomial
+  ideals with weights 1..12 and 1000, _exact_analysis (division by the
+  known Phi_d alone) must give the recurrence, series, root report and
+  period of the walk it replaced on presentations: _lowest_terms, then
+  denominator_analysis over every order with phi(k) <= deg q.
 * Root-location certificates -- frozen on denominators whose roots are known
   in closed form; non-integral denominators, which no series with integer
   coefficients has (Fatou), are refused.
@@ -54,9 +59,12 @@ import pytest
 import sympy
 
 from gkdim.exactnum import Polynomial
+from gkdim.hilbert import minimalize_ideal, numerator_terms
 from gkdim.poincare import (ROOT_SPLIT_SKIPPED, DenominatorAnalysis, QuasiPolynomial,
                             RationalSeries, Recurrence, _cyclotomic_ints,
-                            _cyclotomic_orders, _divisors, _strip_cyclotomic,
+                            _cyclotomic_orders, _divisors, _exact_analysis,
+                            _exact_recurrence, _lowest_terms, _normalised_series,
+                            _strip_cyclotomic, _weights_denominator,
                             denominator_analysis, fit_quasi_polynomial,
                             minimal_recurrence, quasi_polynomial,
                             rational_analysis, series_from_recurrence)
@@ -910,6 +918,40 @@ def test_denominator_analysis_matches_sympy_factor_list():
         # has no third class
         assert analysis.radius_class in ("all_roots_on_unit_circle", "inside_unit_disk"), q
         assert (analysis.radius_class == "inside_unit_disk") == (residual.degree >= 1), q
+
+
+def _walk_analysis(p: list, weights) -> tuple:
+    """Recurrence, series, root report and period of p / prod(1 - t^w) by the
+    walk: the primitive-gcd reduction, then every order with phi(k) <= deg q."""
+    p, q = _lowest_terms(p, _weights_denominator(weights))
+    series = _normalised_series(p, q)
+    analysis = denominator_analysis(series.denominator)
+    mults = analysis.cyclotomic_multiplicities
+    period = analysis.s if analysis.s is not None else math.lcm(*mults)
+    return _exact_recurrence(p, q), series, analysis, period
+
+
+def test_exact_analysis_matches_the_walk():
+    rng = random.Random(2110)
+    cases = [((1000, 1), [(1, 1)]), ((1000, 3, 1), [(1, 0, 2), (0, 4, 0)])]
+    for w in range(1, 13):
+        for _ in range(12):
+            weights = (w,) + tuple(rng.randint(1, 12) for _ in range(rng.randint(0, 2)))
+            gens = [tuple(rng.randint(0, 3) for _ in weights)
+                    for _ in range(rng.randint(0, 3))]
+            cases.append((weights, gens))
+    for weights, gens in cases:
+        terms = numerator_terms(minimalize_ideal(gens), weights)
+        p = [terms.get(d, 0) for d in range(max(terms, default=-1) + 1)]
+        while p and p[-1] == 0:
+            p.pop()
+        low, q, mults, ra = _exact_analysis(p, weights)
+        assert (ra.recurrence, ra.series, ra.denominator, ra.period) == \
+            _walk_analysis(p, weights), (weights, gens)
+        assert mults == ra.denominator.cyclotomic_multiplicities, (weights, gens)
+        assert ra.mixed_cyclotomic == (ra.denominator.s is None)
+        assert ra.quasi is None
+        assert _normalised_series(low, q) == ra.series
 
 
 # ---------------------------------------------------------------------------
