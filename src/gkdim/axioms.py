@@ -39,9 +39,10 @@ class SESSpec(NamedTuple):
     `big` presents M as a direct sum of shifted monomial quotients A/I_k; for
     each summand, sub_ideals[k] is a monomial ideal J_k containing I_k, and
     the sub-piece M' is the span of J_k inside A/I_k (summed over summands).
-    The quotient M'' is the direct sum of the A/J_k with the same shifts,
-    never supplied; M' is derived by subtraction, of counts (dim M'_n =
-    dim M_n - dim M''_n) and of Hilbert numerators alike.
+    The quotient M'' is the direct sum of the A/J_k with the same shifts and
+    M's Laurent part (negative_shift), never supplied; M' is derived by
+    subtraction, of counts (dim M'_n = dim M_n - dim M''_n) and of Hilbert
+    numerators alike.
     """
 
     ambient: AlgebraSpec
@@ -54,9 +55,6 @@ def validate_ses(s: SESSpec) -> None:
     field path on the first violation."""
     validate_algebra(s.ambient)
     validate_module(s.ambient, s.big)
-    if s.big.negative_shift is not None:
-        raise SpecError("ses", "short-exact-sequence checks need summand "
-                               "presentations, not a negative_shift module")
     if len(s.sub_ideals) != len(s.big.summands):
         raise SpecError("ses.sub_ideals",
                         "need exactly one sub-ideal per module summand")
@@ -76,9 +74,10 @@ def validate_ses(s: SESSpec) -> None:
 
 
 def _quotient(s: SESSpec) -> ModuleSpec:
-    """M'': the direct sum of the A/J_k, shifted as in M."""
-    return ModuleSpec(tuple(Summand(summand.shift, sub) for summand, sub
-                            in zip(s.big.summands, s.sub_ideals)))
+    """M'': the direct sum of the A/J_k, shifted as in M, and M's Laurent
+    part, which M' leaves out."""
+    return s.big._replace(summands=tuple(Summand(summand.shift, sub) for summand, sub
+                                         in zip(s.big.summands, s.sub_ideals)))
 
 
 def ses_dimension_triple(s: SESSpec, top: int):
@@ -207,34 +206,33 @@ class ChainReport(NamedTuple):
 
 def chain_bound_check(ambient: AlgebraSpec, chain) -> ChainReport:
     """Check the length bound n <= e(M) on a chain M = M_0, ..., M_n of
-    summand presentations, each nested in the one before (n = 0 for just M).
+    module presentations, each nested in the one before (n = 0 for just M).
 
-    M_{i+1} is nested in M_i when it has at most as many summands, and its
+    M_{i+1} is nested in M_i when it has at most as many summands, its
     k-th summand has M_i's k-th shift and an ideal J_k containing M_i's I_k
-    (every generator of I_k has a divisor among J_k's). M_i -> M_{i+1} is
-    then A/I_k -> A/J_k on shared summands and kills M_i's others; its
-    kernel is the i-th factor of the ascending chain of kernels of M -> M_i,
-    with the difference of the two numerators as its Hilbert numerator.
+    (every generator of I_k has a divisor among J_k's), and it keeps M_i's
+    Laurent part (negative_shift) or drops it, but gains none. M_i -> M_{i+1}
+    is then A/I_k -> A/J_k on shared summands, the identity on a kept
+    Laurent part, and kills the rest of M_i; its kernel is the i-th factor
+    of the ascending chain of kernels of M -> M_i, with the difference of
+    the two numerators as its Hilbert numerator.
     e(M), gk(M) and the factors' growth dimensions are certified from these;
     a factor of smaller growth dimension is reported via quotients_full_gk.
-    SpecError is raised for a negative_shift member, a member not nested in
-    the previous one, one with the previous one's numerator (a zero
-    factor), and one whose numerator has more than SERIES_DEGREE_BOUND
-    distinct degrees.
+    SpecError is raised for a member not nested in the previous one, one
+    with the previous one's numerator (a zero factor), and one whose
+    numerator has more than SERIES_DEGREE_BOUND distinct degrees.
     """
     if not chain:
         raise SpecError("chain", "chain must start with the module itself")
-    for k, m in enumerate(chain):
-        if m.negative_shift is not None:
-            raise SpecError(f"chain[{k+1}]", "chain checks need summand "
-                                             "presentations, not a negative_shift module")
+    for m in chain:
         validate_module(ambient, m)
     numerators = [_numerator_at_one(ambient, m, f"chain[{k+1}]")
                   for k, m in enumerate(chain)]
     gk_m, e_m = growth_certificate(ambient, numerators[0]) or (0, Fraction(0))
     notes = []
     for i, (outer, inner) in enumerate(zip(chain, chain[1:])):
-        if len(inner.summands) > len(outer.summands) or not all(
+        if inner.negative_shift not in (None, outer.negative_shift) or len(
+                inner.summands) > len(outer.summands) or not all(
                 o.shift == j.shift and _contains(j.ideal, o.ideal)
                 for o, j in zip(outer.summands, inner.summands)):
             raise SpecError(f"chain[{i+2}]",
@@ -287,10 +285,8 @@ def holonomic_defect(ambient: AlgebraSpec, gk: Optional[int],
     against the catalog's holonomic number.
 
     analyze passes the gk that samuel.certified_growth reads from a
-    presentation's exact Hilbert series, so the min-holonomic verdict on a
-    presentation is exact; on other inputs it passes the sampled one when
-    the difference tower fitted a Hilbert-Samuel polynomial, and None
-    otherwise.
+    presentation's exact Hilbert series, so the min-holonomic verdict is
+    exact.
     Raises ValueError when gk is None (no growth dimension was established)
     or the catalog has no entry for the algebra kind.
     """

@@ -407,8 +407,8 @@ def _need_algebra(parsed: ParsedInput) -> AlgebraSpec:
 
 
 def _growth(config: RunConfig, parsed: ParsedInput):
-    """The growth step analyze and classify share: the cumulative input (a
-    raw sequence, a catalog entry, or a module presentation), its growth
+    """The sampled growth step: the cumulative input (a raw sequence, a
+    catalog entry, or, for classify, a module presentation), its growth
     classification, the warning flags and the exit code. The difference
     tower needs 12 terms, and a catalog entry or module sampled to
     max_degree also needs max_degree >= 2 * window + 4; a raw sequence is
@@ -439,15 +439,12 @@ def _catalog_flags(parsed: ParsedInput) -> tuple:
 
 
 def _cmd_analyze(config: RunConfig, parsed: ParsedInput):
-    a, m = parsed.algebra, parsed.module
     presented = parsed.sequence is None and parsed.catalog_id is None
     if presented:
-        a = _need_algebra(parsed)
-        m = m if m is not None else ModuleSpec.regular()
-    certified = presented and m.negative_shift is None
-    if certified:
         # an exact series (Hilbert-Serre): no counting past max_degree, no
         # tower, so no depth rule
+        a = _need_algebra(parsed)
+        m = parsed.module if parsed.module is not None else ModuleSpec.regular()
         graded, cumulative, growth = certified_growth(a, m, config.max_degree)
         flags, code = growth.flags, EXIT_OK
     else:
@@ -459,36 +456,26 @@ def _cmd_analyze(config: RunConfig, parsed: ParsedInput):
         "holonomy": None,
         "torsion": None,
     }
-    # holonomy and torsion need a presented module and its growth dimension:
-    # the certified one, or a sampled one with its Hilbert-Samuel fit
-    if parsed.sequence is None and a is not None and (
-            a.kind in ("weyl", "polynomial") or config.h_override is not None):
-        hc = HolonomyCatalog(override=config.h_override)
-        gk = growth.gk if certified or growth.hilbert_samuel is not None else None
-        try:
-            hol = holonomic_defect(a, gk, hc)
-        except ValueError:
-            hol = None
-        if hol is not None:
-            report["holonomy"] = {"gk": hol.gk, "h": hol.h, "defect": hol.defect,
-                                  "min_holonomic": hol.min_holonomic}
-            if m.negative_shift is None and len(m.summands) == 1:
-                # Hilbert-Serre: A's series is 1 / prod(1 - t^w) with every
-                # w >= 1, so gk(A) is its number of generators
-                tor = torsion_check_cyclic(a, bool(m.summands[0].ideal),
-                                           a.num_generators, hol.h)
-                report["torsion"] = {"applicable": tor.applicable,
-                                     "torsion": tor.torsion,
-                                     "reason": tor.reason}
+    # holonomy and torsion need a presented module and its certified growth
+    # dimension
+    if presented and (a.kind in ("weyl", "polynomial") or config.h_override is not None):
+        hol = holonomic_defect(a, growth.gk, HolonomyCatalog(override=config.h_override))
+        report["holonomy"] = {"gk": hol.gk, "h": hol.h, "defect": hol.defect,
+                              "min_holonomic": hol.min_holonomic}
+        if m.negative_shift is None and len(m.summands) == 1:
+            # Hilbert-Serre: A's series is 1 / prod(1 - t^w) with every
+            # w >= 1, so gk(A) is its number of generators
+            tor = torsion_check_cyclic(a, bool(m.summands[0].ideal),
+                                       a.num_generators, hol.h)
+            report["torsion"] = {"applicable": tor.applicable,
+                                 "torsion": tor.torsion,
+                                 "reason": tor.reason}
     return code, report, flags
 
 
 def _cmd_hilbert(config: RunConfig, parsed: ParsedInput):
     a = _need_algebra(parsed)
     m = parsed.module if parsed.module is not None else ModuleSpec.regular()
-    if m.negative_shift is not None:
-        raise SpecError("module.negative_shift",
-                        "the hilbert command needs a summand presentation")
     # one expansion, for the self-check and the graded dimensions
     p, q, expansion = _checked_series(a, m, config.max_degree)
     report = {
@@ -502,31 +489,25 @@ def _cmd_hilbert(config: RunConfig, parsed: ParsedInput):
 
 def _cmd_poincare(config: RunConfig, parsed: ParsedInput):
     top = config.max_degree
-    a = m = None
-    if parsed.sequence is None and parsed.catalog_id is None:
-        a = _need_algebra(parsed)
-        m = parsed.module if parsed.module is not None else ModuleSpec.regular()
     flags = _catalog_flags(parsed)
-    if m is not None and m.negative_shift is None:
+    if parsed.sequence is None and parsed.catalog_id is None:
         # an exact series (Hilbert-Serre): no recurrence search and no walk
         # over every cyclotomic order; branches are fitted on the printed
         # coefficients, as on sampled input
+        a = _need_algebra(parsed)
+        m = parsed.module if parsed.module is not None else ModuleSpec.regular()
         validate_module(a, m)
-        p, _, expansion = _checked_series(a, m, top)
+        p, q, expansion = _checked_series(a, m, top)
         values = expansion[:top + 1]
-        exact = _exact_analysis(p, a.scalar_weights())
+        exact = _exact_analysis(p, a.scalar_weights(), q)
         ra = None if exact is None else exact[3]
         if ra is None:
             flags += ("cancel_step_bound",)
         else:
             ra = ra._replace(quasi=fit_quasi_polynomial(values, ra.period, window=4))
     else:
-        if parsed.sequence is not None:
-            values = list(parsed.sequence)
-        elif parsed.catalog_id is not None:
-            values = catalog.graded_values(parsed.catalog_id, top)
-        else:
-            values = list(module_dim_sequence(a, m, top).graded())
+        values = (list(parsed.sequence) if parsed.sequence is not None
+                  else catalog.graded_values(parsed.catalog_id, top))
         if len(values) < 3:  # an order-1 recurrence and one confirming equation
             path = "sequence" if parsed.sequence is not None else "config.max_degree"
             raise SpecError(path, "too few terms for recurrence detection")

@@ -2,8 +2,9 @@
 
 A module presented as a direct sum of shifted quotients A/I_k has one
 series (Hilbert-Serre): the summands' numerators, shifted and summed, over
-one prod(1 - t^w). Every count, series and certificate is read from those
-numerators, and one routine computes them: numerator_terms, a pivot
+one prod(1 - t^w), and a Laurent part's, (1 + t) prod(1 - t^w) / (1 - t)
+(_laurent_numerator). Every count, series and certificate is read from those
+numerators, and one routine computes the summands': numerator_terms, a pivot
 recursion in the style of A. M. Bigatti ("Computation of Hilbert-Poincare
 series", JPAA 119, 1997) that returns {degree: coefficient}. It splits on
 the variable x shared by the most generators until they are pairwise
@@ -24,7 +25,7 @@ its size is the number of distinct degrees its leaves reach, never an
 exponent or a shift; past SERIES_DEGREE_BOUND of them it refuses.
 
 Three readers scatter the summands' terms, each shifted by its summand's
-shift:
+shift, and the Laurent part's:
 - counts (_module_numerator, _counts): into a dense list up to the degree
   asked for, divided by prod(1 - t^w) as integer running sums, one per
   factor (presentations.divide_by_weights), with one more factor (1 - t)
@@ -50,9 +51,9 @@ the primitive gcd (poincare._lowest_terms).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, repeat
 from math import comb, prod
-from operator import le, mul, sub
+from operator import add, le, mul, sub
 from typing import Sequence
 
 from .exactnum import BinomialForm, HilbertSamuelPolynomial, Polynomial
@@ -243,29 +244,48 @@ def _colon(gens: tuple, pivot: int, power: int = 1) -> tuple:
         a for a in free if not any(monomial_divides(h, a) for h in emptied))
 
 
+def _check_weight_sum(weights: tuple) -> None:
+    if sum(weights) > SERIES_DEGREE_BOUND:
+        raise SpecError("algebra", f"the generator weights sum to {sum(weights)}, "
+                                   f"above the series degree bound {SERIES_DEGREE_BOUND}")
+
+
+def _laurent_numerator(weights: tuple) -> list:
+    """(1 + t) prod(1 - t^w) / (1 - t) as an int list: the numerator of a
+    Laurent part, whose 2j + 1 states up to degree j give the series
+    (1 + t) / (1 - t). With a weight (validate_module asks for one)
+    prod(1 - t^w) vanishes at t = 1, so its prefix sums end in 0 and are
+    its quotient by 1 - t. A sum(w) above SERIES_DEGREE_BOUND raises
+    SpecError."""
+    _check_weight_sum(weights)
+    sums = list(accumulate(_weights_denominator(weights)))
+    return list(map(add, sums, [0] + sums[:-1]))
+
+
 def _module_numerator(a: AlgebraSpec, m: ModuleSpec, top=None) -> tuple:
     """The module's Hilbert-series numerator over prod(1 - t^w) as a dense
     int list, degrees 0..top, and the degree its expansion self-check reaches.
 
     Each summand's ideal is minimalised once; its numerator_terms, cut after
-    top less its shift, are added in at that shift. The self-check reaches,
-    for every summand, its shift plus twice the weight of its minimal
-    generators plus ten, past the numerator's degree. top=None asks for the numerator to that reach,
-    after refusing a reach or a sum(w) above SERIES_DEGREE_BOUND (SpecError).
+    top less its shift, are added in at that shift to a Laurent part's. The
+    self-check reaches, for every summand, its shift plus twice the weight
+    of its minimal generators plus ten, and for a Laurent part 2 sum(w) +
+    10, past the numerator's degree. top=None asks for the numerator to that
+    reach, after refusing a reach or a sum(w) above SERIES_DEGREE_BOUND.
     """
     weights = a.scalar_weights()
     minimal = [(s.shift, minimalize_ideal(s.ideal)) for s in m.summands]
-    reach = max([10] + [shift + 2 * sum(_wdeg(g, weights) for g in gens) + 10
-                        for shift, gens in minimal])
+    laurent = [] if m.negative_shift is None else [2 * sum(weights) + 10]
+    reach = max([10] + laurent + [shift + 2 * sum(_wdeg(g, weights) for g in gens) + 10
+                                  for shift, gens in minimal])
     if top is None:
         if reach > SERIES_DEGREE_BOUND:
             raise SpecError("module", f"the series self-check would reach degree {reach}, "
                                       f"above the bound {SERIES_DEGREE_BOUND}")
-        if sum(weights) > SERIES_DEGREE_BOUND:
-            raise SpecError("algebra", f"the generator weights sum to {sum(weights)}, "
-                                       f"above the series degree bound {SERIES_DEGREE_BOUND}")
+        _check_weight_sum(weights)
         top = reach
-    dense = [0] * (top + 1)
+    dense = _laurent_numerator(weights)[:top + 1] if laurent else []
+    dense += [0] * (top + 1 - len(dense))
     for shift, gens in minimal:
         if shift <= top:
             for d, c in numerator_terms(gens, weights, top - shift).items():
@@ -296,12 +316,7 @@ def module_dim_sequence(a: AlgebraSpec, m: ModuleSpec, top: int) -> DimensionSeq
     from the module's Hilbert-series numerator."""
     validate_module(a, m)
     dense, _ = _module_numerator(a, m, top)
-    values = _counts(a, dense, cumulative=True)
-    if m.negative_shift is not None:
-        # rank-one module stretching in two directions: 2j + 1 states at level j
-        for n in range(top + 1):
-            values[n] += 2 * n + 1
-    return DimensionSequence(tuple(values), "cumulative")
+    return DimensionSequence(tuple(_counts(a, dense, cumulative=True)), "cumulative")
 
 
 def algebra_dim_sequence(a: AlgebraSpec, top: int) -> DimensionSequence:
@@ -316,31 +331,30 @@ def numerator_at_one(a: AlgebraSpec, m: ModuleSpec) -> tuple:
 
     Each summand's numerator_terms are read uncut at their shifted degrees,
     so the work follows the number of terms, not a shift or a degree. Raises
-    ValueError for a negative_shift module, which has no summand series, and
     SpecError (path "module") for a summand numerator with more than
-    SERIES_DEGREE_BOUND distinct degrees.
+    SERIES_DEGREE_BOUND distinct degrees, and as _laurent_numerator does.
     """
     validate_module(a, m)
-    if m.negative_shift is not None:
-        raise ValueError("a Hilbert numerator needs a summand presentation")
     return _numerator_at_one(a, m, "module")
 
 
 def _numerator_at_one(a: AlgebraSpec, m: ModuleSpec, path: str) -> tuple:
-    """numerator_at_one of a summand presentation already validated; the
-    term-count refusal is a SpecError at `path`, the input field that
-    presented the module."""
+    """numerator_at_one of a module already validated; the term-count
+    refusal is a SpecError at `path`, the input field that presented the
+    module."""
     return _at_one(_module_terms(a, m, path), a.num_generators + 1)
 
 
 def _module_terms(a: AlgebraSpec, m: ModuleSpec, path: str) -> dict:
-    """The Hilbert numerator of a summand presentation already validated, over
-    prod(1 - t^w), as {degree: coefficient} without zero terms: each
-    summand's uncut numerator_terms at its shift. More than
-    SERIES_DEGREE_BOUND distinct degrees in a summand raise SpecError at
-    `path`."""
+    """The Hilbert numerator of a module already validated, over
+    prod(1 - t^w), as {degree: coefficient} without zero terms: a Laurent
+    part's _laurent_numerator and each summand's uncut numerator_terms at
+    its shift. More than SERIES_DEGREE_BOUND distinct degrees in a summand
+    raise SpecError at `path`."""
     weights = a.scalar_weights()
     terms = {}
+    if m.negative_shift is not None:
+        terms = dict(enumerate(_laurent_numerator(weights)))
     for s in m.summands:
         try:
             summand = numerator_terms(minimalize_ideal(s.ideal), weights)
@@ -401,18 +415,17 @@ def _samuel_fit(coefficients: Sequence[int], degree: int) -> HilbertSamuelPolyno
 
 
 def module_hilbert_series(a: AlgebraSpec, m: ModuleSpec) -> RationalSeries:
-    """Hilbert series of a summand presentation as p(t) / prod_i (1 - t^w_i).
+    """Hilbert series of a module presentation as p(t) / prod_i (1 - t^w_i).
 
     p(t) is the sum of the summands' numerators, each shifted by its
-    summand's shift; the denominator is the structured product over the
-    generator weights, built as an int coefficient list. The power-series
-    expansion (a recurrence over the denominator's nonzero terms) is verified
-    once, out to the reach of _module_numerator, against the running sums of
-    _counts. A reach or a sum(w) above SERIES_DEGREE_BOUND raises SpecError
-    (path "module" or "algebra") before any dense work.
+    summand's shift, and of a Laurent part's; the denominator is the
+    structured product over the generator weights, built as an int
+    coefficient list. The power-series expansion (a recurrence over the
+    denominator's nonzero terms) is verified once, out to the reach of
+    _module_numerator, against the running sums of _counts. A reach or a
+    sum(w) above SERIES_DEGREE_BOUND raises SpecError (path "module" or
+    "algebra") before any dense work.
     """
-    if m.negative_shift is not None:
-        raise ValueError("a Hilbert series needs a summand presentation")
     validate_module(a, m)
     p, q, _ = _checked_series(a, m, 0)
     return RationalSeries(Polynomial(p), Polynomial(q))

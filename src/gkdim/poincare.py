@@ -417,7 +417,7 @@ def denominator_analysis(q: Polynomial) -> DenominatorAnalysis:
     the unit disk (Kronecker's theorem).
 
     Rational roots of the residual are split off as linear_factors. A
-    degree-1 residual's root is read off directly; for higher degrees the
+    degree-1 residual is its own linear factor; for higher degrees the
     split scans the divisors of the residual's end coefficients c_0 = 1 and
     c_D, and is skipped, with the note ROOT_SPLIT_SKIPPED, when
     |c_0 * c_D| > ROOT_SPLIT_BOUND = 10^12. The radius class does not depend
@@ -468,21 +468,20 @@ def _split_rational_roots(ints: list):
     polynomial with primitive integer coefficients `ints` (ints[0] > 0).
 
     Returns (tuple of linear factors, the remaining polynomial scaled to
-    constant term 1, notes). The root of a degree-1 polynomial is read off
-    directly. Otherwise candidate roots come from the rational-root theorem
-    on `ints`, unless its end coefficients pass ROOT_SPLIT_BOUND: then
-    nothing is split and the notes say so.
+    constant term 1, notes). A degree-1 polynomial is its own factor.
+    Otherwise candidate roots come from the rational-root theorem on `ints`,
+    unless its end coefficients pass ROOT_SPLIT_BOUND: then nothing is split
+    and the notes say so.
     """
     linear = []
     rest = Polynomial([Fraction(c, ints[0]) for c in ints])
     num0, lead = ints[0], ints[-1]
     if len(ints) == 2:
-        candidates = {Fraction(-num0, lead)}
-    elif abs(num0 * lead) > ROOT_SPLIT_BOUND:
+        return (rest,), Polynomial.one(), ()
+    if abs(num0 * lead) > ROOT_SPLIT_BOUND:
         return (), rest, (ROOT_SPLIT_SKIPPED,)
-    else:
-        candidates = {Fraction(sign * a, b) for a in _divisors(num0)
-                      for b in _divisors(lead) for sign in (1, -1)}
+    candidates = {Fraction(sign * a, b) for a in _divisors(num0)
+                  for b in _divisors(lead) for sign in (1, -1)}
     for root in sorted(candidates):
         if root == 0:
             continue
@@ -628,10 +627,11 @@ def rational_analysis(vals, confirm: int) -> Optional[RationalAnalysis]:
 CANCEL_STEP_BOUND = 10 ** 8
 
 
-def _exact_analysis(p: list, weights) -> Optional[tuple]:
+def _exact_analysis(p: list, weights, q: Optional[list] = None) -> Optional[tuple]:
     """(p, q, mults, analysis) for the exact series p / prod(1 - t^w), p an
-    int list: the series in lowest terms as int lists, the multiplicities
-    of q's cyclotomic orders, ascending and without zeros, and its
+    int list and q, when the caller has built it, prod(1 - t^w) as an int
+    list: the series in lowest terms as int lists, the multiplicities of
+    q's cyclotomic orders, ascending and without zeros, and its
     RationalAnalysis without branches; None when the reduction could need
     more than CANCEL_STEP_BOUND steps.
 
@@ -645,7 +645,8 @@ def _exact_analysis(p: list, weights) -> Optional[tuple]:
     """
     mults = Counter(d for w in weights for d in _divisors(w))
     factors = {k: _cyclotomic(k) for k in sorted(mults)}
-    q = _weights_denominator(weights)
+    if q is None:
+        q = _weights_denominator(weights)
     steps = sum(mults[k] * (max(0, len(p) - len(c) + 1) + max(0, len(q) - len(c) + 1))
                 * sum(map(bool, c)) for k, c in factors.items())
     if steps > CANCEL_STEP_BOUND:

@@ -508,9 +508,10 @@ class Summand(NamedTuple):
 class ModuleSpec(NamedTuple):
     """A graded module presented as a direct sum of shifted monomial quotients.
 
-    negative_shift encodes the rank-one two-directions module (the Laurent
-    line k[x, x^-1] filtered by B_j x^-s): its layer dimensions are the
-    two-sided count 2j + 1 and it carries no cyclic summand.
+    negative_shift adds the rank-one two-directions module (the Laurent line
+    k[x, x^-1] filtered by B_j x^-s), with the two-sided count 2j + 1 up to
+    degree j: the series (1 + t) / (1 - t), a polynomial over prod(1 - t^w)
+    when the algebra has generators (hilbert._laurent_numerator).
     """
 
     summands: tuple = ()  # tuple[Summand, ...]
@@ -542,6 +543,9 @@ def validate_module(a: AlgebraSpec, m: ModuleSpec) -> None:
     if m.negative_shift is not None:
         if (not isinstance(m.negative_shift, int)) or m.negative_shift < 1:
             raise SpecError("module.negative_shift", "negative_shift must be a positive integer")
+        if not a.degrees:
+            raise SpecError("module.negative_shift", "a Laurent part needs an algebra "
+                                                     "with generators")
     for s_idx, s in enumerate(m.summands):
         if (not isinstance(s.shift, int)) or s.shift < 0:
             raise SpecError(f"module.summands[{s_idx+1}].shift",

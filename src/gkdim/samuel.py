@@ -8,7 +8,7 @@ denominator generates no natural-number sequence (Fatou), so it leaves the
 verdict inconclusive. The gamma diagnostic, the one floating-point value,
 goes only on inconclusive reports.
 
-A summand presentation fixes its Hilbert series exactly (Hilbert-Serre), so
+A module presentation fixes its Hilbert series exactly (Hilbert-Serre), so
 certified_growth reads its verdict from that series and samples nothing. Of
 poincare's two routines it uses the exact one, _exact_analysis, which the
 poincare command shares; the sampled head, rational_analysis, serves
@@ -198,12 +198,13 @@ _CERTIFIED = "exact Hilbert series (Hilbert-Serre)"
 
 
 def certified_growth(a: AlgebraSpec, m: ModuleSpec, top: int) -> tuple:
-    """(graded, cumulative, report) for a summand presentation: its
+    """(graded, cumulative, report) for a module presentation: its
     dimensions in degrees 0..top as int lists, and a GrowthReport read from
     its exact Hilbert series, not fitted to them.
 
-    One uncut numerator_terms pass per summand (hilbert._module_terms) gives
-    the dimensions (its terms up to top over prod(1 - t^w)), gk and e
+    One uncut numerator_terms pass per summand, with a Laurent part's
+    numerator (hilbert._module_terms), gives the dimensions (its terms up
+    to top over prod(1 - t^w)), gk and e
     (growth_certificate) and, on an unweighted ring, the Hilbert-Samuel
     polynomial (hilbert._samuel_fit), so nothing dense is built past top and
     an exponent of 10^9 costs what 1 does. On a weighted ring the cumulative

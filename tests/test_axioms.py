@@ -210,9 +210,11 @@ def test_validate_ses_error_paths():
         validate_ses(SESSpec(a, ModuleSpec.cyclic([(2, 0)]), (((0, 3),),)))
     assert exc.value.path == "ses.sub_ideals[1]"
 
+    # a Laurent part needs no sub-ideal: M'' keeps it
+    validate_ses(SESSpec(a, ModuleSpec.laurent(), ()))
     with pytest.raises(SpecError) as exc:
-        validate_ses(SESSpec(a, ModuleSpec.laurent(), ()))
-    assert exc.value.path == "ses"
+        validate_ses(SESSpec(a, ModuleSpec.laurent(), (((1, 0),),)))
+    assert exc.value.path == "ses.sub_ideals"
 
 
 # ---------------------------------------------------------------------------
@@ -307,14 +309,16 @@ def test_chain_refuses_a_member_that_is_no_quotient_of_the_previous(member):
 
 
 def test_chain_refuses_a_negative_shift_member():
+    # a member may keep or drop the previous one's Laurent part, but one
+    # that gains a Laurent part, or moves it, is not its quotient
     a = AlgebraSpec.weyl(1)
-    laurent = ModuleSpec.laurent()
-    for chain, path in (([laurent], "chain[1]"),
-                        ([ModuleSpec.regular(), laurent], "chain[2]")):
+    both = ModuleSpec((Summand(0, ()),), negative_shift=1)
+    for chain in ([ModuleSpec.regular(), ModuleSpec.laurent()],
+                  [ModuleSpec.regular(), both], [both, ModuleSpec.laurent(2)]):
         with pytest.raises(SpecError) as exc:
             chain_bound_check(a, chain)
-        assert exc.value.path == path
-        assert "negative_shift" in exc.value.message
+        assert exc.value.path == "chain[2]"
+        assert "not nested" in exc.value.message
 
 
 # ---------------------------------------------------------------------------

@@ -115,19 +115,21 @@ def test_analyze_raw_sequence_beside_an_algebra_has_no_holonomy(tmp_path, capsys
     assert payload["report"]["torsion"] is None
 
 
-def test_analyze_gives_sampled_modules_holonomy_only_with_a_polynomial_fit(
-        tmp_path, capsys):
-    # a negative_shift module is counted and fitted, not certified. The
-    # Laurent line over W_1 fits a Hilbert-Samuel polynomial of degree 1,
-    # so it is minimally holonomic; beside k[x] with x of weight 2 the
-    # cumulative counts 2n + 1 + floor(n / 2) + 1 fit period-2 branches but
-    # no polynomial, and a growth dimension read off sampled branches gives
-    # no holonomy verdict
+def test_analyze_gives_laurent_modules_certified_holonomy(tmp_path, capsys):
+    # a negative_shift module is certified from its exact series like any
+    # presentation. The Laurent line over W_1 has the Hilbert-Samuel form
+    # (1, 2) from index 0, so it is minimally holonomic; beside k[x] with x
+    # of weight 2 the cumulative counts 2n + 1 + floor(n / 2) + 1 have
+    # period-2 branches and no polynomial, and the certified gk 1 still
+    # gives a holonomy verdict
     laurent = {"spec_version": 1, "algebra": {"kind": "weyl", "weyl_rank": 1},
                "module": {"negative_shift": 1}}
     code, payload = _run_json(capsys, ["analyze", _write(tmp_path, laurent)])
     assert code == 0
-    assert payload["report"]["growth"]["hilbert_samuel"] is not None
+    growth = payload["report"]["growth"]
+    assert (growth["gk"], growth["multiplicity"]) == (1, [2, 1])
+    assert growth["hilbert_samuel"] == {"binomial_coefficients": [[1, 1], [2, 1]],
+                                        "stabilization_index": 0}
     assert payload["report"]["holonomy"] == {"defect": 0, "gk": 1, "h": 1,
                                              "min_holonomic": True}
     doc = {"spec_version": 1,
@@ -137,9 +139,10 @@ def test_analyze_gives_sampled_modules_holonomy_only_with_a_polynomial_fit(
     code, payload = _run_json(capsys, ["analyze", _write(tmp_path, doc)])
     assert code == 0
     growth = payload["report"]["growth"]
-    assert (growth["gk"], growth["hilbert_samuel"]) == (1, None)
+    assert (growth["gk"], growth["multiplicity"], growth["hilbert_samuel"]) == (1, [5, 2], None)
     assert growth["quasi"]["period"] == 2
-    assert payload["report"]["holonomy"] is None
+    assert payload["report"]["holonomy"] == {"defect": 1, "gk": 1, "h": 0,
+                                             "min_holonomic": False}
     assert payload["report"]["torsion"] is None
 
 
@@ -602,12 +605,17 @@ def test_huge_exponents_and_weights_build_nothing_dense(tmp_path, capsys):
 
 
 def test_hilbert_rejects_two_directional_modules(tmp_path, capsys):
-    doc = {"spec_version": 1,
-           "algebra": {"kind": "weyl", "weyl_rank": 1},
-           "module": {"negative_shift": 1}}
-    code, _, err = _run(capsys, ["hilbert", _write(tmp_path, doc)])
-    assert code == 3
-    assert "module.negative_shift" in err
+    # a Laurent part's numerator (1 + t) prod(1 - t^w) / (1 - t) has degree
+    # sum(w), and its self-check reaches 2 sum(w) + 10: past the bound the
+    # module is refused, though the regular module alone is not
+    heavy = {"kind": "polynomial", "generators": [{"name": "x", "degree": [50000]}]}
+    regular = {"spec_version": 1, "algebra": heavy, "module": {"summands": [{"ideal": []}]}}
+    assert _run(capsys, ["hilbert", _write(tmp_path, regular)])[0] == 0
+    doc = dict(regular, module={"summands": [{"ideal": []}], "negative_shift": 1})
+    code, out, err = _run(capsys, ["hilbert", _write(tmp_path, doc)])
+    assert (code, out) == (3, "")
+    assert err == ("error: module: the series self-check would reach degree 100010, "
+                   "above the bound 100000\n")
 
 
 # ---------------------------------------------------------------------------

@@ -387,8 +387,10 @@ def test_module_counts_series_and_brute_force_agree():
 
 
 def test_module_hilbert_series_rejects_two_directional_modules():
-    with pytest.raises(ValueError):
-        module_hilbert_series(AlgebraSpec.weyl(1), ModuleSpec.laurent())
+    # (1 + t) / (1 - t) is no polynomial over the empty prod(1 - t^w)
+    with pytest.raises(SpecError) as err:
+        module_hilbert_series(AlgebraSpec.polynomial(0), ModuleSpec.laurent())
+    assert err.value.path == "module.negative_shift"
 
 
 def test_series_degree_bound_is_inclusive_and_names_its_path():
@@ -962,8 +964,11 @@ def test_certificate_work_depends_on_no_exponent_or_shift():
 
 
 def test_certificate_refuses_a_laurent_module():
-    with pytest.raises(ValueError):
-        numerator_at_one(AlgebraSpec.weyl(1), ModuleSpec.laurent())
+    # only over a ring without generators: elsewhere the Laurent part has
+    # the numerator (1 + t) prod(1 - t^w) / (1 - t)
+    with pytest.raises(SpecError) as err:
+        numerator_at_one(AlgebraSpec.polynomial(0), ModuleSpec.laurent())
+    assert err.value.path == "module.negative_shift"
 
 
 # ---------------------------------------------------------------------------

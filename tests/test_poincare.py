@@ -747,6 +747,24 @@ def test_large_end_coefficients_skip_the_root_split():
         ROOT_SPLIT_SKIPPED)
 
 
+def test_a_degree_one_residual_is_its_own_root_factor():
+    # a residual 1 + c t is split off whole, with nothing left, and its root
+    # is sympy's
+    rng = random.Random(2206)
+    t = sympy.Symbol("t")
+    for c in [-2, 2, -7, 10 ** 15 + 37] + [rng.choice([-1, 1]) * rng.randint(2, 10 ** 6)
+                                            for _ in range(20)]:
+        residual = Polynomial([1, c])
+        analysis = denominator_analysis(Polynomial([1, -1]) * Polynomial([1, 1]) * residual)
+        assert analysis.cyclotomic_multiplicities == {1: 1, 2: 1}, c
+        assert (analysis.linear_factors, analysis.residual) == ((residual,), Polynomial.one()), c
+        assert analysis.notes == (
+            "integer non-cyclotomic factor certifies a root inside the unit disk",), c
+        (factor,) = analysis.linear_factors
+        (root,) = sympy.solve(sum(int(k) * t ** i for i, k in enumerate(factor.coeffs)), t)
+        assert root == sympy.Rational(-1, c), c
+
+
 def _assert_refused_at_once(den):
     start = time.perf_counter()
     with pytest.raises(ValueError, match="integer coefficients"):

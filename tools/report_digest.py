@@ -7,6 +7,7 @@ Usage, from the root of a checkout:
     python3 tools/report_digest.py --src ../other/src    # another checkout's gkdim
     python3 tools/report_digest.py --demos               # each demo's output instead
     python3 tools/report_digest.py --per-report          # one line per report
+    python3 tools/report_digest.py --against ../other/src  # only what differs
 
 Each seeded batch of bench/workloads.py is written to a temporary directory
 and run in this process through gkdim.cli.run, one report after another.
@@ -22,6 +23,12 @@ output names each report that changed.
 --demos digests the scripts in demos/ instead: each runs in its own
 interpreter with the --src package on its path, and its digest covers its
 exit code, stdout and stderr.
+
+--against SRC runs the per-report digest (or, with --demos, the demo
+digests) twice, each in its own interpreter: once for --src and once for
+SRC, over the same workloads and seeds. It prints only the reports whose
+records differ, as "<report>: <SRC's sha256> -> <--src's sha256>", and
+exits 1 when any do, so a byte-identity check of a change is one command.
 """
 
 import argparse
@@ -76,6 +83,26 @@ def demo_digest(demo: Path, src: Path) -> str:
     return hashlib.sha256(json.dumps(record).encode()).hexdigest()
 
 
+def compare(args) -> int:
+    """The lines of --src and --against that differ, printed; 1 when any do."""
+    argv = [sys.executable, str(Path(__file__).resolve())]
+    argv += ["--demos"] if args.demos else ["--per-report"]
+    for workload in args.workload or ():
+        argv += ["--workload", workload]
+    for seed in args.seed or ():
+        argv += ["--seed", str(seed)]
+    runs = []
+    for src in (args.src, args.against):
+        out = subprocess.run(argv + ["--src", str(src.resolve())], stdout=subprocess.PIPE,
+                             text=True, check=True).stdout
+        runs.append(dict(line.rpartition(": ")[::2] for line in out.splitlines()))
+    ours, theirs = runs
+    changed = [key for key in {**theirs, **ours} if ours.get(key) != theirs.get(key)]
+    for key in changed:
+        print(f"{key}: {theirs.get(key, 'missing')} -> {ours.get(key, 'missing')}")
+    return 1 if changed else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", action="append", choices=workloads.WORKLOADS,
@@ -88,7 +115,12 @@ def main(argv=None) -> int:
                         help="digest each script in demos/ instead of the benchmark batches")
     parser.add_argument("--per-report", action="store_true", dest="per_report",
                         help="one line per report: index, command, family, max degree, sha256")
+    parser.add_argument("--against", type=Path,
+                        help="another gkdim package directory: print only the reports "
+                             "(or demos) whose records differ from --src's; exit 1 if any")
     args = parser.parse_args(argv)
+    if args.against is not None:
+        return compare(args)
     if args.demos:
         for demo in sorted((ROOT / "demos").glob("*.py")):
             print(f"{demo.name}: {demo_digest(demo, args.src.resolve())}")
