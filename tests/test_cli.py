@@ -347,6 +347,114 @@ def test_bad_monomial_name_is_exit_three(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# one table of parser errors: every field that carries monomials or scalars,
+# every failure kind, with the exact exit code, stdout and stderr
+
+_PLANE = {"kind": "polynomial", "generators": [{"name": "x"}, {"name": "y"}]}
+
+
+def _spec(**fields):
+    return dict({"spec_version": 1, "algebra": _PLANE}, **fields)
+
+
+#: path of the bad entry -> (command, spec with the entry `bad`)
+_MONOMIAL_FIELDS = {
+    "module.summands[2].ideal[2]": lambda bad: ("analyze", _spec(
+        module={"summands": [{"ideal": ["x"]}, {"shift": 1, "ideal": ["y", bad]}]})),
+    "ses.sub_ideal[2]": lambda bad: ("check-ses", _spec(
+        module={"summands": [{"ideal": ["x^2"]}]}, ses={"sub_ideal": ["x", bad]})),
+    "ses.sub_ideals[2][2]": lambda bad: ("check-ses", _spec(
+        module={"summands": [{"ideal": ["x^2"]}, {"ideal": []}]},
+        ses={"sub_ideals": [["x"], ["y", bad]]})),
+    "chain[2][2]": lambda bad: ("chain", _spec(chain=[["x^2"], ["x", bad]])),
+}
+
+_MONOMIAL_FAILURES = [
+    ("not a string", 5, "monomial must be a string"),
+    ("empty", " ", "monomial must not be empty"),
+    ("unknown generator", "x*z^2", "unknown generator 'z'"),
+    ("bad exponent", "x^2*y^b", "bad exponent 'b'"),
+    ("negative exponent", "y^-1", "exponents must be naturals"),
+    ("bool", True, "monomial must be a string"),
+]
+
+_SCALAR_FIELDS = {
+    "module.summands[2].shift": (0, lambda bad: ("analyze", _spec(
+        module={"summands": [{"ideal": ["x"]}, {"shift": bad, "ideal": ["y"]}]}))),
+    "module.negative_shift": (1, lambda bad: ("analyze", _spec(
+        module={"summands": [{"ideal": ["x"]}], "negative_shift": bad}))),
+    "sequence[3]": (0, lambda bad: ("classify", {
+        "spec_version": 1, "sequence": [1, 2, bad] + list(range(3, 20))})),
+    "weight[2]": (0, lambda bad: ("refilter", _spec(weight=[1, bad]))),
+    "algebra.generators[2].degree[2]": (0, lambda bad: ("analyze", {
+        "spec_version": 1, "algebra": {"kind": "polynomial", "generators": [
+            {"name": "x", "degree": [1, 0]}, {"name": "y", "degree": [1, bad]}]}})),
+}
+
+_SCALAR_FAILURES = [
+    ("not an integer", "1", "expected an integer"),
+    ("fraction", 1.5, "expected an integer"),
+    ("below the minimum", -1, "expected an integer >= {minimum}"),
+    ("bool", True, "expected an integer"),
+]
+
+#: the empty list where a nonempty one is needed, and a list that is no list
+_CONTAINER_FAILURES = [
+    ("module.summands[2].ideal", "expected a list of monomial strings",
+     "analyze", _spec(module={"summands": [{"ideal": []}, {"ideal": "x"}]})),
+    ("ses.sub_ideals", "expected a list", "check-ses",
+     _spec(module={"summands": [{"ideal": []}]}, ses={"sub_ideals": "x"})),
+    ("chain", "expected a nonempty list of ideals", "chain", _spec(chain=[])),
+    ("chain[1]", "expected a list of monomial strings", "chain", _spec(chain=["x"])),
+    ("sequence", "expected a nonempty list of naturals", "classify",
+     {"spec_version": 1, "sequence": []}),
+    ("weight", "expected a nonempty list of integers", "refilter", _spec(weight=[])),
+    ("algebra.generators[2].degree", "expected a nonempty list of naturals", "analyze",
+     {"spec_version": 1, "algebra": {"kind": "polynomial", "generators": [
+         {"name": "x"}, {"name": "y", "degree": []}]}}),
+    ("algebra.generators", "expected a nonempty list of {name, degree} objects",
+     "analyze", {"spec_version": 1, "algebra": {"kind": "polynomial", "generators": []}}),
+]
+
+
+def _parser_error_table():
+    for path, build in _MONOMIAL_FIELDS.items():
+        for kind, bad, message in _MONOMIAL_FAILURES:
+            yield pytest.param(*build(bad), path, message, id=f"{path}-{kind}")
+    for path, (minimum, build) in _SCALAR_FIELDS.items():
+        for kind, bad, message in _SCALAR_FAILURES:
+            # a negative_shift of 0 is below its minimum 1, as -1 is
+            yield pytest.param(*build(bad), path, message.format(minimum=minimum),
+                               id=f"{path}-{kind}")
+    for path, message, command, doc in _CONTAINER_FAILURES:
+        yield pytest.param(command, doc, path, message, id=f"{path}-container")
+
+
+@pytest.mark.parametrize("command, doc, path, message", _parser_error_table())
+def test_parser_error_table(tmp_path, capsys, command, doc, path, message):
+    code, out, err = _run(capsys, [command, _write(tmp_path, doc)])
+    assert (code, out, err) == (3, "", f"error: {path}: {message}\n")
+
+
+@pytest.mark.parametrize("command, doc, path, message", [
+    ("analyze", _spec(module={"summands": [{"ideal": ["x", "z", 5, "z"]}]}),
+     "module.summands[1].ideal[2]", "unknown generator 'z'"),
+    ("chain", _spec(chain=[["x^2", "y"], ["x", "y", "x", "y^-1", "w"]]),
+     "chain[2][4]", "exponents must be naturals"),
+    ("classify", {"spec_version": 1, "sequence": [1, -1, "a"] + [2] * 12},
+     "sequence[2]", "expected an integer >= 0"),
+    ("refilter", _spec(weight=[1, True, -1]), "weight[2]", "expected an integer"),
+    ("analyze", {"spec_version": 1, "algebra": {"kind": "polynomial", "generators": [
+        {"name": "x", "degree": [1, "a", -1]}, {"name": 5}]}},
+     "algebra.generators[1].degree[2]", "expected an integer"),
+], ids=["ideal", "chain", "sequence", "weight", "degree"])
+def test_parser_reports_the_first_bad_entry(tmp_path, capsys, command, doc, path,
+                                            message):
+    code, out, err = _run(capsys, [command, _write(tmp_path, doc)])
+    assert (code, out, err) == (3, "", f"error: {path}: {message}\n")
+
+
+# ---------------------------------------------------------------------------
 # catalog entries through classify
 
 
