@@ -50,23 +50,28 @@ class SESSpec(NamedTuple):
     sub_ideals: tuple  # tuple[tuple[Monomial, ...], ...], one ideal per summand
 
 
-def validate_ses(s: SESSpec) -> None:
+def validate_ses(s: SESSpec, *, validated: bool = False) -> None:
     """Check a short-exact-sequence presentation, raising SpecError with a
-    field path on the first violation."""
-    validate_algebra(s.ambient)
-    validate_module(s.ambient, s.big)
+    field path on the first violation. validated=True skips the checks of
+    the algebra, of M and of the sub-ideals' monomials, for a caller that
+    has made them (the CLI's parser); one sub-ideal per summand, each
+    containing the summand's ideal, is checked either way."""
+    if not validated:
+        validate_algebra(s.ambient)
+        validate_module(s.ambient, s.big)
     if len(s.sub_ideals) != len(s.big.summands):
         raise SpecError("ses.sub_ideals",
                         "need exactly one sub-ideal per module summand")
     width = s.ambient.num_generators
     for k, (summand, sub) in enumerate(zip(s.big.summands, s.sub_ideals)):
-        for j, mono in enumerate(sub):
-            if len(mono) != width:
-                raise SpecError(f"ses.sub_ideals[{k+1}][{j+1}]",
-                                "monomial has the wrong number of exponents")
-            if any((not isinstance(e, int)) or e < 0 for e in mono):
-                raise SpecError(f"ses.sub_ideals[{k+1}][{j+1}]",
-                                "exponents must be naturals")
+        if not validated:
+            for j, mono in enumerate(sub):
+                if len(mono) != width:
+                    raise SpecError(f"ses.sub_ideals[{k+1}][{j+1}]",
+                                    "monomial has the wrong number of exponents")
+                if any((not isinstance(e, int)) or e < 0 for e in mono):
+                    raise SpecError(f"ses.sub_ideals[{k+1}][{j+1}]",
+                                    "exponents must be naturals")
         if not _contains(sub, summand.ideal):
             raise SpecError(f"ses.sub_ideals[{k+1}]", "sub-ideal must contain the summand "
                             "ideal (every ideal generator needs a divisor among the "
@@ -116,7 +121,7 @@ class AxiomReport(NamedTuple):
     notes: tuple = ()
 
 
-def check_multiplicity_axioms(s: SESSpec) -> AxiomReport:
+def check_multiplicity_axioms(s: SESSpec, *, validated: bool = False) -> AxiomReport:
     """Full multiplicity verdict on the sequence.
 
     Classifies the growth-dimension pattern into case "a" (e(M) = e(M'')),
@@ -125,9 +130,10 @@ def check_multiplicity_axioms(s: SESSpec) -> AxiomReport:
     over the rationals. Also checks that multiplicity 0 occurs exactly on
     zero pieces. M and M'' are certified from their Hilbert numerators, and
     M' from the difference of the two numerators, so the verdict holds in
-    every degree and needs no sampling depth.
+    every degree and needs no sampling depth. validated is passed on to
+    validate_ses.
     """
-    validate_ses(s)
+    validate_ses(s, validated=validated)
     m = _numerator_at_one(s.ambient, s.big, "module")
     double = _numerator_at_one(s.ambient, _quotient(s), "ses.sub_ideals")
     certs = [growth_certificate(s.ambient, c)
@@ -204,7 +210,7 @@ class ChainReport(NamedTuple):
     notes: tuple = ()
 
 
-def chain_bound_check(ambient: AlgebraSpec, chain) -> ChainReport:
+def chain_bound_check(ambient: AlgebraSpec, chain, *, validated: bool = False) -> ChainReport:
     """Check the length bound n <= e(M) on a chain M = M_0, ..., M_n of
     module presentations, each nested in the one before (n = 0 for just M).
 
@@ -221,11 +227,14 @@ def chain_bound_check(ambient: AlgebraSpec, chain) -> ChainReport:
     SpecError is raised for a member not nested in the previous one, one
     with the previous one's numerator (a zero factor), and one whose
     numerator has more than SERIES_DEGREE_BOUND distinct degrees.
+    validated=True skips validate_module on the members, for a caller that
+    has checked them (the CLI's parser); the nesting is checked either way.
     """
     if not chain:
         raise SpecError("chain", "chain must start with the module itself")
-    for m in chain:
-        validate_module(ambient, m)
+    if not validated:
+        for m in chain:
+            validate_module(ambient, m)
     numerators = [_numerator_at_one(ambient, m, f"chain[{k+1}]")
                   for k, m in enumerate(chain)]
     gk_m, e_m = growth_certificate(ambient, numerators[0]) or (0, Fraction(0))
@@ -309,15 +318,18 @@ class TorsionReport(NamedTuple):
 
 
 def torsion_check_cyclic(ambient: AlgebraSpec, ideal_nonzero: bool,
-                         gk_a: int, h: int) -> TorsionReport:
+                         gk_a: int, h: int, *, validated: bool = False) -> TorsionReport:
     """Torsion criterion for a cyclic module A/I over an algebra with
     gk(A) > h > 0: every element is torsion exactly when I is nonzero.
 
     The criterion needs the quotient's growth dimension to drop below the
     algebra's, which a nonzero monomial ideal forces; the regular module
-    (I = 0) embeds the algebra, so it is torsion-free.
+    (I = 0) embeds the algebra, so it is torsion-free. validated=True skips
+    validate_algebra, for a caller that has checked the algebra (the CLI's
+    parser).
     """
-    validate_algebra(ambient)
+    if not validated:
+        validate_algebra(ambient)
     if not (gk_a > h > 0):
         return TorsionReport(False, None,
                              "criterion needs the algebra's growth dimension "

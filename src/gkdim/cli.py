@@ -8,6 +8,16 @@ gamma_estimate diagnostic. The JSON format is fixed: keys sorted at every
 level, a two-space indent, strings ASCII-escaped; a report is byte for byte
 what json.dumps(payload, sort_keys=True, indent=2) writes, plus a newline.
 
+parse_spec is the one place a CLI input is checked. It checks every field
+as it reads it, builds an error path only for a field it refuses, and parses
+each distinct monomial string once per spec. The algebra's constructor runs
+validate_algebra once; modules, sub-ideals and chain members need no
+validate_module, since parsing checks every rule it has. The commands then
+call the library with validated=True, which skips those checks. What no
+single field shows is still checked on every path: a sub-ideal containing
+its summand's ideal, and a chain's nesting. Library callers who do not pass
+validated=True get every check.
+
 Exit codes: 0 success, 1 inconclusive classification (report still
 emitted), 2 unreadable or malformed JSON input, 3 schema violation (the
 error message names the offending field path), 4 internal fault (a bug in
@@ -31,7 +41,7 @@ from .hilbert import (SERIES_DEGREE_BOUND, DimensionSequence, _checked_series,
 from .poincare import (RationalSeries, _exact_analysis, _lowest_terms,
                        fit_quasi_polynomial, rational_analysis)
 from .presentations import (AlgebraSpec, ModuleSpec, RefilterError, SpecError,
-                            Summand, refilter, validate_module)
+                            Summand, refilter)
 from .samuel import certified_growth, classify_growth
 
 try:  # the builtin sha256 (_sha2 from Python 3.12): hashlib loads OpenSSL
@@ -49,6 +59,8 @@ EXIT_INCONCLUSIVE = 1
 EXIT_BAD_INPUT = 2
 EXIT_BAD_SCHEMA = 3
 EXIT_INTERNAL = 4
+
+_INT = {int}
 
 COMMANDS = ("analyze", "hilbert", "poincare", "check-ses", "chain",
             "refilter", "classify")
@@ -119,7 +131,24 @@ def _require(cond: bool, path: str, message: str) -> None:
         raise SpecError(path, message)
 
 
-def _parse_fraction(value, path: str) -> Fraction:
+# A check names the field it refuses by a path relative to the part it
+# parses; each enclosing part puts its own path in front on the way out, so
+# a path is formatted only when a check fails.
+
+
+def _parse_each(parse, values: list, path: str) -> tuple:
+    """parse(v) for each entry v of the list `values`; the first refusal is
+    put at path[j], j the entry's 1-based index."""
+    out = []
+    try:
+        for v in values:
+            out.append(parse(v))
+    except SpecError as e:  # at the entry after those parsed
+        raise SpecError(f"{path}[{len(out) + 1}]{e.path}", e.message) from None
+    return tuple(out)
+
+
+def _parse_fraction(value, path: str = "") -> Fraction:
     if isinstance(value, bool):
         raise SpecError(path, "expected an integer or a [numerator, denominator] pair")
     if isinstance(value, int):
@@ -131,129 +160,173 @@ def _parse_fraction(value, path: str) -> Fraction:
     raise SpecError(path, "expected an integer or a [numerator, denominator] pair")
 
 
-def _parse_natural(value, path: str, minimum: int = 0) -> int:
+def _parse_natural(value, path: str = "", minimum: int = 0) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SpecError(path, "expected an integer")
-    _require(value >= minimum, path, f"expected an integer >= {minimum}")
+    if value < minimum:
+        raise SpecError(path, f"expected an integer >= {minimum}")
     return value
 
 
-def _monomial(text, index: dict, path: str) -> tuple:
+def _parse_naturals(values: list, path: str) -> tuple:
+    """The nonempty list `values` of naturals as a tuple: one pass over the
+    entries' types and one for the least, and entry by entry only to name
+    the first bad one."""
+    if set(map(type, values)) == _INT and min(values) >= 0:
+        return tuple(values)
+    return _parse_each(_parse_natural, values, path)
+
+
+def _monomial(text, index: dict) -> tuple:
     """Parse "x1^2*x2" style monomial syntax into an exponent tuple, given
     the generator name -> position map; "1" is the unit monomial."""
-    _require(isinstance(text, str), path, "monomial must be a string")
+    if not isinstance(text, str):
+        raise SpecError("", "monomial must be a string")
     stripped = text.strip()
     if stripped == "1":
         return (0,) * len(index)
-    _require(bool(stripped), path, "monomial must not be empty")
+    if not stripped:
+        raise SpecError("", "monomial must not be empty")
     expo = [0] * len(index)
     for factor in stripped.split("*"):
-        factor = factor.strip()
         name, caret, exp_text = factor.partition("^")
-        name = name.strip()
-        _require(name in index, path, f"unknown generator {name!r}")
+        position = index.get(name.strip())
+        if position is None:
+            raise SpecError("", f"unknown generator {name.strip()!r}")
         if caret:
             try:
                 exp = int(exp_text.strip())
             except ValueError:
-                raise SpecError(path, f"bad exponent {exp_text.strip()!r}") from None
-            _require(exp >= 0, path, "exponents must be naturals")
+                raise SpecError("", f"bad exponent {exp_text.strip()!r}") from None
+            if exp < 0:
+                raise SpecError("", "exponents must be naturals")
         else:
             exp = 1
-        expo[index[name]] += exp
+        expo[position] += exp
     return tuple(expo)
 
 
-def _parse_ideal(doc, names, path: str) -> tuple:
-    _require(isinstance(doc, list), path, "expected a list of monomial strings")
+def _ideal_reader(names: tuple):
+    """read(doc, path): the ideal the list `doc` of monomial strings over the
+    generators `names` presents, as a tuple of exponent tuples, refused at
+    path or path[j]. One reader serves one spec and parses each distinct
+    string once: chain members and sub-ideals restate the ideals before
+    them."""
     index = {n: i for i, n in enumerate(names)}
-    return tuple(_monomial(m, index, f"{path}[{j+1}]") for j, m in enumerate(doc))
+    parsed = {}
+
+    def monomial(m) -> tuple:
+        expo = parsed.get(m) if m.__class__ is str else None
+        if expo is None:
+            expo = parsed[m] = _monomial(m, index)
+        return expo
+
+    def read(doc, path: str) -> tuple:
+        if not isinstance(doc, list):
+            raise SpecError(path, "expected a list of monomial strings")
+        return _parse_each(monomial, doc, path)
+
+    return read
 
 
-def _parse_generators(doc, path: str):
-    _require(isinstance(doc, list) and doc, path,
-             "expected a nonempty list of {name, degree} objects")
-    names, degrees = [], []
-    for i, g in enumerate(doc):
-        gpath = f"{path}[{i+1}]"
-        _require(isinstance(g, dict), gpath, "expected a {name, degree} object")
-        name = g.get("name")
-        _require(isinstance(name, str) and name, f"{gpath}.name",
-                 "expected a nonempty string")
-        names.append(name)
-        deg = g.get("degree", [1])
-        _require(isinstance(deg, list) and deg, f"{gpath}.degree",
-                 "expected a nonempty list of naturals")
-        degrees.append(tuple(
-            _parse_natural(v, f"{gpath}.degree[{j+1}]") for j, v in enumerate(deg)))
-    return tuple(names), tuple(degrees)
+_NAME_RULE = ("a generator name has no '*' or '^', no surrounding whitespace, "
+              "and is not '1', so that a monomial can name it")
 
 
-def parse_algebra(doc, path: str = "algebra"):
+def _generator(g) -> tuple:
+    """(name, degree) of one entry of an algebra's generators."""
+    if not isinstance(g, dict):
+        raise SpecError("", "expected a {name, degree} object")
+    name = g.get("name")
+    if not (isinstance(name, str) and name):
+        raise SpecError(".name", "expected a nonempty string")
+    if "*" in name or "^" in name or name != name.strip() or name == "1":
+        raise SpecError(".name", _NAME_RULE)
+    deg = g.get("degree", [1])
+    if not (isinstance(deg, list) and deg):
+        raise SpecError(".degree", "expected a nonempty list of naturals")
+    return name, _parse_naturals(deg, ".degree")
+
+
+def _lambda_row(row, n: int) -> tuple:
+    if not (isinstance(row, list) and len(row) == n):
+        raise SpecError("", f"expected a row of {n} entries")
+    return _parse_each(_parse_fraction, row, "")
+
+
+_KINDS = ("polynomial", "quantum_affine", "weyl", "pbw_weighted", "catalog")
+
+
+def parse_algebra(doc):
     """Returns an AlgebraSpec, or a catalog id string for kind "catalog"."""
-    _require(isinstance(doc, dict), path, "expected an object")
+    _require(isinstance(doc, dict), "algebra", "expected an object")
+    # the fields' paths, and those of validate_algebra, which the
+    # constructors run, are relative to the algebra
+    try:
+        return _algebra(doc)
+    except SpecError as e:
+        raise SpecError(f"algebra.{e.path}", e.message) from None
+
+
+def _algebra(doc: dict):
     kind = doc.get("kind")
-    kinds = ("polynomial", "quantum_affine", "weyl", "pbw_weighted", "catalog")
-    _require(kind in kinds, f"{path}.kind", f"kind must be one of {', '.join(kinds)}")
+    if kind not in _KINDS:
+        raise SpecError("kind", f"kind must be one of {', '.join(_KINDS)}")
     if kind == "catalog":
         entry_id = doc.get("catalog_id")
-        _require(isinstance(entry_id, str), f"{path}.catalog_id", "expected a string")
+        _require(isinstance(entry_id, str), "catalog_id", "expected a string")
         try:
             catalog.catalog_entry(entry_id)
         except ValueError as e:
-            raise SpecError(f"{path}.catalog_id", str(e)) from None
+            raise SpecError("catalog_id", str(e)) from None
         return entry_id
     if kind == "weyl":
-        rank = _parse_natural(doc.get("weyl_rank"), f"{path}.weyl_rank", minimum=1)
-    else:
-        names, degrees = _parse_generators(doc.get("generators"), f"{path}.generators")
-    if kind == "quantum_affine":
-        lam_doc = doc.get("lambda")
-        n = len(names)
-        _require(isinstance(lam_doc, list) and len(lam_doc) == n,
-                 f"{path}.lambda", f"expected an {n} x {n} matrix")
-        lam = []
-        for i, row in enumerate(lam_doc):
-            _require(isinstance(row, list) and len(row) == n,
-                     f"{path}.lambda[{i+1}]", f"expected a row of {n} entries")
-            lam.append(tuple(_parse_fraction(v, f"{path}.lambda[{i+1}][{j+1}]")
-                             for j, v in enumerate(row)))
-    # the constructors run validate_algebra, whose paths are relative to the algebra
-    try:
-        if kind == "weyl":
-            return AlgebraSpec.weyl(rank)
-        if kind == "polynomial":
-            return AlgebraSpec.polynomial(len(names), degrees=degrees, names=names)
-        if kind == "quantum_affine":
-            return AlgebraSpec.quantum_affine(tuple(lam), degrees=degrees, names=names)
-        # pbw_weighted: the JSON format carries weights only
+        return AlgebraSpec.weyl(_parse_natural(doc.get("weyl_rank"), "weyl_rank", minimum=1))
+    gdoc = doc.get("generators")
+    _require(isinstance(gdoc, list) and gdoc, "generators",
+             "expected a nonempty list of {name, degree} objects")
+    names, degrees = zip(*_parse_each(_generator, gdoc, "generators"))
+    if kind == "polynomial":
+        return AlgebraSpec.polynomial(len(names), degrees=degrees, names=names)
+    if kind == "pbw_weighted":  # the JSON format carries weights only
         return AlgebraSpec.pbw_weighted(degrees, relations=(), names=names)
-    except SpecError as e:
-        raise SpecError(f"{path}.{e.path}", e.message) from None
+    lam_doc = doc.get("lambda")
+    n = len(names)
+    if not (isinstance(lam_doc, list) and len(lam_doc) == n):
+        raise SpecError("lambda", f"expected an {n} x {n} matrix")
+    lam = _parse_each(lambda row: _lambda_row(row, n), lam_doc, "lambda")
+    return AlgebraSpec.quantum_affine(lam, degrees=degrees, names=names)
 
 
-def parse_module(doc, a: AlgebraSpec, path: str = "module") -> ModuleSpec:
-    _require(isinstance(doc, dict), path, "expected an object")
-    summands = []
+def _summand(s, read_ideal) -> Summand:
+    if not isinstance(s, dict):
+        raise SpecError("", "expected a {shift, ideal} object")
+    return Summand(_parse_natural(s.get("shift", 0), ".shift"),
+                   read_ideal(s.get("ideal", []), ".ideal"))
+
+
+def parse_module(doc, read_ideal) -> ModuleSpec:
+    """The ModuleSpec the object `doc` presents, with ideals read by
+    read_ideal (see _ideal_reader)."""
+    _require(isinstance(doc, dict), "module", "expected an object")
     sdoc = doc.get("summands", [])
-    _require(isinstance(sdoc, list), f"{path}.summands", "expected a list")
-    for k, s in enumerate(sdoc):
-        spath = f"{path}.summands[{k+1}]"
-        _require(isinstance(s, dict), spath, "expected a {shift, ideal} object")
-        shift = _parse_natural(s.get("shift", 0), f"{spath}.shift")
-        ideal = _parse_ideal(s.get("ideal", []), a.names, f"{spath}.ideal")
-        summands.append(Summand(shift, ideal))
+    _require(isinstance(sdoc, list), "module.summands", "expected a list")
+    summands = _parse_each(lambda s: _summand(s, read_ideal), sdoc, "module.summands")
     negative_shift = doc.get("negative_shift")
     if negative_shift is not None:
-        negative_shift = _parse_natural(negative_shift, f"{path}.negative_shift",
-                                        minimum=1)
-    # the one rule of validate_module that parsing leaves open
-    _require(summands or negative_shift is not None, f"{path}.summands",
+        negative_shift = _parse_natural(negative_shift, "module.negative_shift", minimum=1)
+    # the last rule of validate_module; its other rule for a Laurent part, an
+    # algebra with generators, holds for every parsed algebra, so a parsed
+    # module needs no validate_module
+    _require(summands or negative_shift is not None, "module.summands",
              "module needs summands or a negative_shift")
-    return ModuleSpec(tuple(summands), negative_shift)
+    return ModuleSpec(summands, negative_shift)
 
 
 def parse_spec(doc) -> ParsedInput:
+    """The one check of a CLI input: every field is checked here, so the
+    commands pass what they read on with validated=True and check only what
+    no single field shows (a sub-ideal's containment, a chain's nesting)."""
     _require(isinstance(doc, dict), "spec", "top level must be an object")
     _require(doc.get("spec_version") == 1, "spec_version", "must be the integer 1")
     algebra = catalog_id = module = sub_ideals = chain = sequence = weight = None
@@ -263,24 +336,22 @@ def parse_spec(doc) -> ParsedInput:
             catalog_id = parsed
         else:
             algebra = parsed
+            read_ideal = _ideal_reader(algebra.names)
     if "module" in doc:
         _require(algebra is not None, "algebra",
                  "an explicit algebra presentation is required with a module")
-        module = parse_module(doc["module"], algebra)
+        module = parse_module(doc["module"], read_ideal)
     if "ses" in doc:
         _require(algebra is not None, "algebra",
                  "an explicit algebra presentation is required with an ses")
         sdoc = doc["ses"]
         _require(isinstance(sdoc, dict), "ses", "expected an object")
         if "sub_ideal" in sdoc:
-            sub_ideals = (_parse_ideal(sdoc["sub_ideal"], algebra.names,
-                                       "ses.sub_ideal"),)
+            sub_ideals = (read_ideal(sdoc["sub_ideal"], "ses.sub_ideal"),)
         elif "sub_ideals" in sdoc:
             ldoc = sdoc["sub_ideals"]
             _require(isinstance(ldoc, list), "ses.sub_ideals", "expected a list")
-            sub_ideals = tuple(
-                _parse_ideal(ideal, algebra.names, f"ses.sub_ideals[{k+1}]")
-                for k, ideal in enumerate(ldoc))
+            sub_ideals = _parse_each(lambda d: read_ideal(d, ""), ldoc, "ses.sub_ideals")
         else:
             raise SpecError("ses", "expected a sub_ideal or sub_ideals field")
     if "chain" in doc:
@@ -289,14 +360,12 @@ def parse_spec(doc) -> ParsedInput:
         cdoc = doc["chain"]
         _require(isinstance(cdoc, list) and cdoc, "chain",
                  "expected a nonempty list of ideals")
-        chain = tuple(_parse_ideal(ideal, algebra.names, f"chain[{k+1}]")
-                      for k, ideal in enumerate(cdoc))
+        chain = _parse_each(lambda d: read_ideal(d, ""), cdoc, "chain")
     if "sequence" in doc:
         sq = doc["sequence"]
         _require(isinstance(sq, list) and sq, "sequence",
                  "expected a nonempty list of naturals")
-        values = tuple(_parse_natural(v, f"sequence[{j+1}]")
-                       for j, v in enumerate(sq))
+        values = _parse_naturals(sq, "sequence")
         meaning = doc.get("sequence_meaning", "cumulative")
         _require(meaning in ("cumulative", "graded_piece"), "sequence_meaning",
                  'must be "cumulative" or "graded_piece"')
@@ -308,7 +377,7 @@ def parse_spec(doc) -> ParsedInput:
         w = doc["weight"]
         _require(isinstance(w, list) and w, "weight",
                  "expected a nonempty list of integers")
-        weight = tuple(_parse_natural(v, f"weight[{j+1}]") for j, v in enumerate(w))
+        weight = _parse_naturals(w, "weight")
     return ParsedInput(algebra, catalog_id, module, sub_ideals, chain, sequence, weight)
 
 
@@ -423,7 +492,8 @@ def _growth(config: RunConfig, parsed: ParsedInput):
             seq = catalog.cumulative_sequence(parsed.catalog_id, config.max_degree)
         else:
             m = parsed.module if parsed.module is not None else ModuleSpec.regular()
-            seq = module_dim_sequence(_need_algebra(parsed), m, config.max_degree)
+            seq = module_dim_sequence(_need_algebra(parsed), m, config.max_degree,
+                                      validated=True)
     _require(len(seq) >= 12, path, "growth classification needs at least 12 terms")
     growth = classify_growth(seq, config.window, config.confirm)
     code = EXIT_INCONCLUSIVE if growth.classification == "inconclusive" else EXIT_OK
@@ -445,7 +515,8 @@ def _cmd_analyze(config: RunConfig, parsed: ParsedInput):
         # tower, so no depth rule
         a = _need_algebra(parsed)
         m = parsed.module if parsed.module is not None else ModuleSpec.regular()
-        graded, cumulative, growth = certified_growth(a, m, config.max_degree)
+        graded, cumulative, growth = certified_growth(a, m, config.max_degree,
+                                                      validated=True)
         flags, code = growth.flags, EXIT_OK
     else:
         seq, growth, flags, code = _growth(config, parsed)
@@ -466,7 +537,7 @@ def _cmd_analyze(config: RunConfig, parsed: ParsedInput):
             # Hilbert-Serre: A's series is 1 / prod(1 - t^w) with every
             # w >= 1, so gk(A) is its number of generators
             tor = torsion_check_cyclic(a, bool(m.summands[0].ideal),
-                                       a.num_generators, hol.h)
+                                       a.num_generators, hol.h, validated=True)
             report["torsion"] = {"applicable": tor.applicable,
                                  "torsion": tor.torsion,
                                  "reason": tor.reason}
@@ -496,7 +567,6 @@ def _cmd_poincare(config: RunConfig, parsed: ParsedInput):
         # coefficients, as on sampled input
         a = _need_algebra(parsed)
         m = parsed.module if parsed.module is not None else ModuleSpec.regular()
-        validate_module(a, m)
         p, q, expansion = _checked_series(a, m, top)
         values = expansion[:top + 1]
         exact = _exact_analysis(p, a.scalar_weights(), q)
@@ -532,7 +602,7 @@ def _cmd_check_ses(config: RunConfig, parsed: ParsedInput):
         raise SpecError("ses", "the check-ses command needs an ses field")
     m = parsed.module if parsed.module is not None else ModuleSpec.regular()
     ses = SESSpec(a, m, parsed.sub_ideals)
-    report = check_multiplicity_axioms(ses)
+    report = check_multiplicity_axioms(ses, validated=True)
     payload = {
         "gk_triple": list(report.gk_triple),
         "e_values": (None if report.e_values is None
@@ -550,7 +620,8 @@ def _cmd_chain(config: RunConfig, parsed: ParsedInput):
     a = _need_algebra(parsed)
     if parsed.chain is None:
         raise SpecError("chain", "the chain command needs a chain field")
-    report = chain_bound_check(a, [ModuleSpec.cyclic(ideal) for ideal in parsed.chain])
+    report = chain_bound_check(a, [ModuleSpec.cyclic(ideal) for ideal in parsed.chain],
+                               validated=True)
     payload = {
         "n": report.n,
         "e_m": _frac(report.e_m),
@@ -616,7 +687,6 @@ def _render_text(payload, prefix: str = "") -> list:
 
 
 _encode_str = json.encoder.encode_basestring_ascii
-_INT = {int}
 _LITERALS = {None: "null", True: "true", False: "false"}
 
 

@@ -311,10 +311,13 @@ def standard_monomial_counts(a: AlgebraSpec, ideal: Sequence[Monomial], top: int
     return _counts(a, dense, cumulative)
 
 
-def module_dim_sequence(a: AlgebraSpec, m: ModuleSpec, top: int) -> DimensionSequence:
+def module_dim_sequence(a: AlgebraSpec, m: ModuleSpec, top: int, *,
+                        validated: bool = False) -> DimensionSequence:
     """Cumulative dimensions of a module presentation, degrees 0..top, read
-    from the module's Hilbert-series numerator."""
-    validate_module(a, m)
+    from the module's Hilbert-series numerator. validated=True skips
+    validate_module, for a caller that has checked m (the CLI's parser)."""
+    if not validated:
+        validate_module(a, m)
     dense, _ = _module_numerator(a, m, top)
     return DimensionSequence(tuple(_counts(a, dense, cumulative=True)), "cumulative")
 
@@ -401,16 +404,25 @@ def _samuel_fit(coefficients: Sequence[int], degree: int) -> HilbertSamuelPolyno
     p = sum_j (-1)^j c_j (1 - t)^j, and for j <= n the coefficients of
     (1 - t)^(j - n - 1) are C(m + n - j, n - j) = sum_i C(n - j, i) C(m, i)
     (Vandermonde), so the form is a_i = sum_(j >= r) (-1)^j c_j C(n - j, i)
-    for i = 0..n - r, r the first index with c_r != 0. The counts exceed it
-    by the coefficients of the quotient of p by (1 - t)^(n + 1), a
-    polynomial of degree deg p - n - 1 whose top coefficient is +-lead(p),
-    never 0: they agree from deg p - n on and differ just below, so that is
-    the least index.
+    for i = 0..n - r, r the first index with c_r != 0. The sum runs over the
+    nonzero c_j only, at most deg p + 1 of them, each walking its row
+    C(n - j, i) by C(k, i + 1) = C(k, i) (k - i) / (i + 1): at most
+    (deg p + 1)(n + 1) integer steps, where binomials of every c_j would
+    cost (n + 1)^2 / 2 of them. The counts exceed the form by the
+    coefficients of the quotient of p by (1 - t)^(n + 1), a polynomial of
+    degree deg p - n - 1 whose top coefficient is +-lead(p), never 0: they
+    agree from deg p - n on and differ just below, so that is the least
+    index.
     """
     n = len(coefficients) - 1
     r = next(j for j, c in enumerate(coefficients) if c)
-    form = [sum((-1) ** j * coefficients[j] * comb(n - j, i) for j in range(r, n + 1))
-            for i in range(n - r + 1)]
+    form = [0] * (n - r + 1)
+    for j in range(r, n + 1):
+        if coefficients[j]:
+            term, k = (-1) ** j * coefficients[j], n - j
+            for i in range(k + 1):
+                form[i] += term
+                term = term * (k - i) // (i + 1)
     return HilbertSamuelPolynomial(BinomialForm(form), max(0, degree - n))
 
 

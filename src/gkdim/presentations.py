@@ -172,7 +172,7 @@ def validate_algebra(a: AlgebraSpec) -> None:
         if len(deg) != m:
             raise SpecError(f"generators[{i+1}].degree",
                             "all multi-degrees must have the same length")
-        if any((not isinstance(c, int)) or c < 0 for c in deg):
+        if not all(map(isinstance, deg, repeat(int))) or min(deg, default=0) < 0:
             raise SpecError(f"generators[{i+1}].degree",
                             "multi-degree entries must be naturals")
         if not any(deg):

@@ -197,7 +197,8 @@ def _gamma_or_none(vals) -> Optional[GammaEstimate]:
 _CERTIFIED = "exact Hilbert series (Hilbert-Serre)"
 
 
-def certified_growth(a: AlgebraSpec, m: ModuleSpec, top: int) -> tuple:
+def certified_growth(a: AlgebraSpec, m: ModuleSpec, top: int, *,
+                     validated: bool = False) -> tuple:
     """(graded, cumulative, report) for a module presentation: its
     dimensions in degrees 0..top as int lists, and a GrowthReport read from
     its exact Hilbert series, not fitted to them.
@@ -217,8 +218,11 @@ def certified_growth(a: AlgebraSpec, m: ModuleSpec, top: int) -> tuple:
     passes CANCEL_STEP_BOUND or whose branches need more coefficients than
     SERIES_DEGREE_BOUND keeps gk and e only. More than SERIES_DEGREE_BOUND
     distinct degrees in a summand numerator raise SpecError at "module".
+    validated=True skips validate_module, for a caller that has checked m
+    (the CLI's parser).
     """
-    validate_module(a, m)
+    if not validated:
+        validate_module(a, m)
     weights = a.scalar_weights()
     terms = _module_terms(a, m, "module")
     graded = divide_by_weights(_dense(terms, top + 1), weights)

@@ -214,29 +214,34 @@ def test_text_format_flattens_keys(tmp_path, capsys):
     assert all(" = " in line for line in lines)
 
 
-def test_each_command_validates_each_module_once(tmp_path, capsys, monkeypatch):
-    # parse_module checks every field of a module as it parses it; then a
-    # library entry point validates it once (check-ses through validate_ses,
-    # chain once per member), and hilbert's private helpers not at all
-    original, modules = gkdim.presentations.validate_module, []
+def test_each_command_validates_each_algebra_and_module_at_most_once(tmp_path, capsys,
+                                                                    monkeypatch):
+    # parse_spec is the one check of a CLI input: the algebra's constructor
+    # runs validate_algebra, parse_module checks every field of a module as
+    # it parses it, and the commands pass validated=True on, so no parsed
+    # algebra or module is validated twice in one report, parsing included
+    checked = []
+    for name in ("validate_algebra", "validate_module"):
+        original = getattr(gkdim.presentations, name)
 
-    def counting(a, m):
-        modules.append(m)
-        return original(a, m)
+        def counting(*args, _name=name, _original=original):
+            checked.append((_name, args[-1]))
+            return _original(*args)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("gkdim") and getattr(module, "validate_module", None) is original:
-            monkeypatch.setattr(module, "validate_module", counting)
-    doc = dict(PLANE_MOD_XY, ses={"sub_ideal": ["x"]}, chain=[[], ["x"]], weight=[1])
-    path = _write(tmp_path, doc)
-    expected = {"analyze": 1, "classify": 1, "poincare": 1, "hilbert": 0,
-                "check-ses": 1, "chain": 2, "refilter": 0}
-    for command in cli.COMMANDS:
-        modules.clear()
-        assert main([command, path]) in (0, 1), command
-        capsys.readouterr()
-        assert len(modules) == expected[command], command
-        assert len(set(modules)) == len(modules), command
+        for loaded in [m for n, m in sys.modules.items() if n.startswith("gkdim")]:
+            if getattr(loaded, name, None) is original:
+                monkeypatch.setattr(loaded, name, counting)
+    extras = {"ses": {"sub_ideal": ["x1"]}, "chain": [[], ["x1"]], "weight": [1]}
+    docs = [dict(PLANE_MOD_XY, ses={"sub_ideal": ["x"]}, chain=[[], ["x"]], weight=[1]),
+            dict(WEYL_ONE, module={"summands": [{"ideal": ["x1*y1"]}]}, **extras),
+            dict(WEYL_ONE, **extras)]
+    for k, doc in enumerate(docs):
+        path = _write(tmp_path, doc, f"spec{k}.json")
+        for command in cli.COMMANDS:
+            checked.clear()
+            assert main([command, path]) in (0, 1), (command, doc)
+            capsys.readouterr()
+            assert len(set(checked)) == len(checked), (command, doc)
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +441,28 @@ def test_parser_error_table(tmp_path, capsys, command, doc, path, message):
     assert (code, out, err) == (3, "", f"error: {path}: {message}\n")
 
 
+@pytest.mark.parametrize("name", ["a*b", "a^2", " a", "a\t", "1"])
+def test_generator_names_no_monomial_can_name_are_refused(tmp_path, capsys, name):
+    # a monomial splits at * and ^, strips whitespace and reads "1" as the
+    # unit, so such a name was unreachable or gave a misleading refusal
+    doc = {"spec_version": 1, "algebra": {"kind": "polynomial", "generators": [
+        {"name": "x"}, {"name": name}]}}
+    code, out, err = _run(capsys, ["analyze", _write(tmp_path, doc)])
+    assert (code, out, err) == (3, "", (
+        "error: algebra.generators[2].name: a generator name has no '*' or '^', "
+        "no surrounding whitespace, and is not '1', so that a monomial can name it\n"))
+
+
+def test_generator_names_a_monomial_can_name_are_accepted(tmp_path, capsys):
+    names = ["a b", "x_1", "\u03b1", "11", "x1'"]
+    doc = {"spec_version": 1,
+           "algebra": {"kind": "polynomial", "generators": [{"name": n} for n in names]},
+           "module": {"summands": [{"ideal": [f" {n} ^2 " for n in names]}]}}
+    code, payload = _run_json(capsys, ["analyze", _write(tmp_path, doc)])
+    assert code == 0
+    assert payload["report"]["growth"]["multiplicity"] == [2 ** len(names), 1]
+
+
 @pytest.mark.parametrize("command, doc, path, message", [
     ("analyze", _spec(module={"summands": [{"ideal": ["x", "z", 5, "z"]}]}),
      "module.summands[1].ideal[2]", "unknown generator 'z'"),
@@ -484,6 +511,25 @@ def test_classify_partition_growth_is_inconclusive_exit_one(tmp_path, capsys):
     assert isinstance(growth["gamma_estimate"]["value"], float)
     assert payload["warnings"] == [WARNINGS["gamma_diagnostic_only"],
                                    WARNINGS["expected_inconclusive"]]
+
+
+def test_analyze_of_a_weyl_algebra_of_high_rank_is_fast(tmp_path, capsys):
+    # the Hilbert-Samuel form of the 2n generators walks one binomial row
+    # for its one nonzero Taylor coefficient; a sum over all 2n + 1 of them,
+    # each a fresh binomial, took seconds at rank 400 on a 2-vCPU VM
+    rank = 400
+    path = _write(tmp_path, {"spec_version": 1,
+                             "algebra": {"kind": "weyl", "weyl_rank": rank}})
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["analyze", path])
+    elapsed = time.perf_counter() - start
+    assert (code, err) == (0, "")
+    growth = json.loads(out)["report"]["growth"]
+    n = 2 * rank
+    assert growth["gk"] == n
+    assert growth["hilbert_samuel"]["binomial_coefficients"] == [
+        [math.comb(n, i), 1] for i in range(n + 1)]
+    assert elapsed < 1.0
 
 
 def test_gamma_is_the_only_float_in_any_payload(tmp_path, capsys):
@@ -946,8 +992,9 @@ def test_poincare_of_a_finite_module_keeps_the_order_one_convention(
 def test_poincare_on_a_presentation_searches_for_no_recurrence(tmp_path, capsys,
                                                                monkeypatch):
     calls = []
-    for name in ("minimal_recurrence", "series_from_recurrence", "validate_module"):
-        module = gkdim.presentations if name == "validate_module" else gkdim.poincare
+    for name in ("minimal_recurrence", "series_from_recurrence", "validate_algebra",
+                 "validate_module"):
+        module = gkdim.presentations if name.startswith("validate") else gkdim.poincare
         original = getattr(module, name)
 
         def counting(*args, _name=name, _original=original, **kwargs):
@@ -959,7 +1006,9 @@ def test_poincare_on_a_presentation_searches_for_no_recurrence(tmp_path, capsys,
                 monkeypatch.setattr(loaded, name, counting)
     code, payload = _run_json(capsys, ["poincare", _write(tmp_path, PLANE_MOD_XY)])
     assert code == 0
-    assert calls == ["validate_module"]
+    # the parsed algebra and module are validated at most once each
+    assert len(set(calls)) == len(calls)
+    assert set(calls) <= {"validate_algebra", "validate_module"}
     # a raw sequence is still searched
     calls.clear()
     graded = {"spec_version": 1, "sequence": [1] + [2] * 30,

@@ -50,8 +50,9 @@ from gkdim.poincare import RationalSeries
 import gkdim.hilbert
 from gkdim import cli
 from gkdim.cli import main
+from gkdim.exactnum import BinomialForm
 from gkdim.hilbert import (MEANINGS, SERIES_DEGREE_BOUND, DimensionSequence,
-                           _colon, _counts, _module_numerator,
+                           _colon, _counts, _module_numerator, _samuel_fit,
                            algebra_dim_sequence, growth_certificate,
                            hilbert_series_monomial_quotient,
                            minimalize_ideal, module_dim_sequence,
@@ -973,6 +974,30 @@ def test_certificate_refuses_a_laurent_module():
 
 # ---------------------------------------------------------------------------
 # certified growth: the Hilbert-Samuel polynomial from the exact series
+
+
+def _samuel_form_reference(coefficients) -> list:
+    """a_i = sum_(j >= r) (-1)^j c_j C(n - j, i) for i = 0..n - r, as the
+    double sum over every Taylor coefficient c_r..c_n, zero or not, with
+    math.comb for each binomial."""
+    n = len(coefficients) - 1
+    r = next(j for j, c in enumerate(coefficients) if c)
+    return [sum((-1) ** j * coefficients[j] * math.comb(n - j, i) for j in range(r, n + 1))
+            for i in range(n - r + 1)]
+
+
+def test_samuel_fit_matches_the_double_sum():
+    rng = random.Random(1729)
+    for _ in range(400):
+        n = rng.randint(0, 14)
+        coefficients = [rng.choice((0, 0, rng.randint(-10 ** 6, 10 ** 6)))
+                        for _ in range(n + 1)]
+        coefficients[rng.randint(0, n)] = rng.choice((-1, 1)) * rng.randint(1, 10 ** 30)
+        degree = rng.randint(0, 30)
+        fit = _samuel_fit(coefficients, degree)
+        assert fit.form.coeffs == BinomialForm(_samuel_form_reference(coefficients)).coeffs
+        assert fit.stabilization_index == max(0, degree - n)
+
 
 
 def _reference_cumulative(weights, summands, top: int) -> list:
