@@ -8,15 +8,10 @@ gamma_estimate diagnostic. The JSON format is fixed: keys sorted at every
 level, a two-space indent, strings ASCII-escaped; a report is byte for byte
 what json.dumps(payload, sort_keys=True, indent=2) writes, plus a newline.
 
-parse_spec is the one place a CLI input is checked. It checks every field
-as it reads it, builds an error path only for a field it refuses, and parses
-each distinct monomial string once per spec. The algebra's constructor runs
-validate_algebra once; modules, sub-ideals and chain members need no
-validate_module, since parsing checks every rule it has. The commands then
-call the library with validated=True, which skips those checks. What no
-single field shows is still checked on every path: a sub-ideal containing
-its summand's ideal, and a chain's nesting. Library callers who do not pass
-validated=True get every check.
+parse_spec is the one place a CLI input is checked: every field as it is
+read, each distinct monomial string once, an error path only for a refused
+field. The commands then call the library with validated=True, which still
+checks what no single field shows (sub-ideal containment, chain nesting).
 
 Exit codes: 0 success, 1 inconclusive classification (report still
 emitted), 2 unreadable or malformed JSON input, 3 schema violation (the
@@ -148,16 +143,16 @@ def _parse_each(parse, values: list, path: str) -> tuple:
     return tuple(out)
 
 
-def _parse_fraction(value, path: str = "") -> Fraction:
+def _parse_fraction(value) -> Fraction:
     if isinstance(value, bool):
-        raise SpecError(path, "expected an integer or a [numerator, denominator] pair")
+        raise SpecError("", "expected an integer or a [numerator, denominator] pair")
     if isinstance(value, int):
         return Fraction(value)
     if (isinstance(value, list) and len(value) == 2
             and all(isinstance(v, int) and not isinstance(v, bool) for v in value)):
-        _require(value[1] != 0, path, "denominator must be nonzero")
+        _require(value[1] != 0, "", "denominator must be nonzero")
         return Fraction(value[0], value[1])
-    raise SpecError(path, "expected an integer or a [numerator, denominator] pair")
+    raise SpecError("", "expected an integer or a [numerator, denominator] pair")
 
 
 def _parse_natural(value, path: str = "", minimum: int = 0) -> int:
