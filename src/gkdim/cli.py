@@ -224,10 +224,6 @@ def _ideal_reader(names: tuple):
     return read
 
 
-_NAME_RULE = ("a generator name has no '*' or '^', no surrounding whitespace, "
-              "and is not '1', so that a monomial can name it")
-
-
 def _generator(g) -> tuple:
     """(name, degree) of one entry of an algebra's generators."""
     if not isinstance(g, dict):
@@ -236,7 +232,8 @@ def _generator(g) -> tuple:
     if not (isinstance(name, str) and name):
         raise SpecError(".name", "expected a nonempty string")
     if "*" in name or "^" in name or name != name.strip() or name == "1":
-        raise SpecError(".name", _NAME_RULE)
+        raise SpecError(".name", "a generator name has no '*' or '^', no surrounding "
+                                 "whitespace, and is not '1', so that a monomial can name it")
     deg = g.get("degree", [1])
     if not (isinstance(deg, list) and deg):
         raise SpecError(".degree", "expected a nonempty list of naturals")
