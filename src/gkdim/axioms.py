@@ -94,9 +94,9 @@ def ses_dimension_triple(s: SESSpec, top: int):
     holds by construction; validity of all three as dimension sequences
     (natural, nondecreasing) is asserted.
     """
-    validate_ses(s)
-    m = module_dim_sequence(s.ambient, s.big, top)
-    double = module_dim_sequence(s.ambient, _quotient(s), top)
+    validate_ses(s)  # checks M, and the sub-ideals M'' is built from
+    m = module_dim_sequence(s.ambient, s.big, top, validated=True)
+    double = module_dim_sequence(s.ambient, _quotient(s), top, validated=True)
     prime = tuple(map(sub, m.values, double.values))
     return DimensionSequence(prime, "cumulative"), m, double
 

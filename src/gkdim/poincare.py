@@ -19,12 +19,14 @@ quasi-polynomial branches, one per residue class mod s.
 
 The chain recurrence, series, denominator, period, branches is run by one
 sampled head and one exact routine. rational_analysis searches the samples,
-builds the series and walks every cyclotomic order of its denominator;
+builds the series, walks every cyclotomic order of its denominator and
+fits one difference tower per residue class (fit_quasi_polynomial);
 _exact_analysis reduces a presentation's series p / prod(1 - t^w)
 (Hilbert-Serre) by the Phi_d its denominator is known to have, and reads
-the recurrence and root report off the rest: no search and no walk. Every
-stage runs on integer coefficient lists and builds one Fraction per output
-coefficient:
+the recurrence and root report off the rest, and _exact_quasi_polynomial
+reads the branches off the reduced series, p / q = c / (1 - t^P)^M: no
+search, no walk and no tower. Every stage runs on integer coefficient
+lists and builds one Fraction per output coefficient:
 - the samples are scaled to ints once; Berlekamp-Massey runs on them, and
   the onset scan checks the integer characteristic row, sum_j row[j] f(n + j)
   = 0, where row is the shift register C[0..r] itself (order r >= 2) or
@@ -36,7 +38,8 @@ coefficient:
   a degree-D denominator, divides by cached int Phi_k built from binomials
   (1 - t^d)^(+-1), and hands the root tests one integer residual;
 - each quasi-polynomial branch is built in int from its binomial form
-  (_integer_branch) and checked on the samples by int Horner.
+  (_integer_branch); a fitted branch is checked on the samples by int
+  Horner, an exact one on the coefficients held by running sums of its form.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, islice
+from itertools import accumulate, combinations, islice
 from operator import mul
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Sequence
@@ -159,7 +162,7 @@ def _shift_registers(seq):
     conn, prev = [1], [1]
     length, gap, prev_disc = 0, 1, 1
     for n in range(len(seq)):
-        disc = sum(c * seq[n - i] for i, c in enumerate(conn[:length + 1]))
+        disc = sum(map(mul, conn[:length + 1], seq[n::-1]))
         if disc == 0:
             gap += 1
         else:
@@ -167,7 +170,8 @@ def _shift_registers(seq):
             for i, c in enumerate(prev):
                 update[i + gap] -= disc * c
             content = math.gcd(*update)
-            update = [c // content for c in update]
+            if content != 1:
+                update = [c // content for c in update]
             if 2 * length <= n:
                 prev, prev_disc = conn, disc
                 length, gap = n + 1 - length, 1
@@ -513,10 +517,14 @@ def _integer_branch(form: BinomialForm, period: int, residue: int) -> tuple:
     prod_(m < j) (n - i - mP) / (j! P^j), so over den = s d! P^d (s the a_j's
     common denominator) term j is s a_j (d! / j!) P^(d - j) times that product.
     """
-    d = form.degree
+    return _branch_ints(*integer_coefficients(form.coeffs), period, residue)
+
+
+def _branch_ints(cs: list, scale: int, period: int, residue: int) -> tuple:
+    """_integer_branch for the form cs / scale, cs ints without trailing zeros."""
+    d = len(cs) - 1
     if d < 0:
         return [], 1
-    cs, scale = integer_coefficients(form.coeffs)
     ints, falling = [0] * (d + 1), [1]
     for j, a in enumerate(cs):
         weight = a * (math.factorial(d) // math.factorial(j)) * period ** (d - j)
@@ -525,6 +533,13 @@ def _integer_branch(form: BinomialForm, period: int, residue: int) -> tuple:
         root = residue + j * period  # times (n - root)
         falling = [hi - root * lo for lo, hi in zip(falling + [0], [0] + falling)]
     return ints, scale * math.factorial(d) * period ** d
+
+
+def _class_window(min_len: int, window: int) -> Optional[int]:
+    """The window fit_quasi_polynomial adapts to a shortest residue class of
+    min_len samples, or None when they are too few for it."""
+    eff_window = max(2, min(window, (min_len - 4) // 2))
+    return eff_window if min_len >= 2 * eff_window + 4 else None
 
 
 def fit_quasi_polynomial(s, period: int, window: int = 4) -> Optional[QuasiPolynomial]:
@@ -537,9 +552,8 @@ def fit_quasi_polynomial(s, period: int, window: int = 4) -> Optional[QuasiPolyn
     vals = sequence_values(s)
     if period < 1:
         raise ValueError("period must be positive")
-    min_len = len(vals) // period  # the samples in the shortest residue class
-    eff_window = max(2, min(window, (min_len - 4) // 2))
-    if min_len < 2 * eff_window + 4:
+    eff_window = _class_window(len(vals) // period, window)
+    if eff_window is None:
         return None
     scaled = []
     onset = 0
@@ -672,3 +686,95 @@ def _exact_recurrence(p: list, q: list) -> Recurrence:
     order = max(len(q) - 1, 1)
     coefficients = tuple(Fraction(-c, q[0]) for c in q[1:]) or (Fraction(0),)
     return Recurrence(order, coefficients, max(0, len(p) - order))
+
+
+def _generalised_binomial(m: int, k: int) -> int:
+    """C(m, k) for any integer m and k >= 0: (-1)^k C(k - m - 1, k) for m < 0."""
+    return math.comb(m, k) if m >= 0 else (-1) ** k * math.comb(k - m - 1, k)
+
+
+def _form_values(form: list, count: int) -> list:
+    """sum_j form[j] C(x, j) for x = 0..count - 1, count >= 1, in int: with
+    h_j = sum_(k >= j) form[k] C(x, k - j), h_j(0) = form[j] and Delta h_j =
+    h_(j + 1), so each h_j is one running sum of the next, from the top."""
+    values = [form[-1] if form else 0] * count
+    for a in reversed(form[:-1]):
+        values = list(accumulate(values[:-1], initial=a))
+    return values
+
+
+def _exact_quasi_polynomial(p: list, q: list, mults: dict, held: Sequence,
+                            window: Optional[int] = None) -> Optional[QuasiPolynomial]:
+    """The quasi-polynomial branches of the series p/q, int lists in lowest
+    terms with q(0) = 1 and q's cyclotomic multiplicities `mults`
+    (_exact_analysis), read off the series, not fitted to it.
+
+    With P the lcm of the orders and M the top multiplicity, p/q = c / (1 -
+    t^P)^M with c = p (1 - t^P)^M / q (exact int_divmod). As t^(jP) has the
+    coefficient C(j + M - 1, M - 1) in (1 - t^P)^(-M), branch i has the int
+    binomial form a_j = sum_r c_(i + rP) C(M - 1 - r, M - 1 - j) in (n - i)/P
+    (Vandermonde). The coefficients lie on their branches from len(p) - deg q
+    on; below, the head of c / (1 - t^P)^M finds each class's last miss. As
+    in fit_quasi_polynomial, the onset is the latest first index from which
+    a class agrees with its branch (len(p) for a constant q, whose period is
+    1 and branch 0). Each coefficient of `held`, a prefix of the expansion,
+    from the onset on is checked against its branch; a miss raises
+    RuntimeError.
+
+    With a window, None is returned unless fit_quasi_polynomial(held, P,
+    window) would find these branches: 2w + 4 samples in the shortest
+    class, w its adapted window, and, past each class's first index on its
+    branch of degree d, w entries of tower level max(d, 0). The first, and
+    the degree m - 1 a pole of order m at t = 1 gives some branch, are
+    checked before anything is built.
+    """
+    period = math.lcm(*mults)
+    top = max(mults.values(), default=0)
+    if window is not None:
+        window = _class_window(len(held) // period, window)
+        # a pole of order m at t = 1: the branches' n^(m - 1) terms average to its
+        if window is None or mults.get(1, 0) - 1 > -(-len(held) // period) - window:
+            return None
+    c = [0] * (len(p) + top * period)  # p (1 - t^P)^M, then over q
+    for j in range(top + 1):
+        b, lo = (-1) ** j * math.comb(top, j), j * period
+        c[lo:lo + len(p)] = [a + b * x for a, x in zip(c[lo:lo + len(p)], p)]
+    c, rem = int_divmod(c, q)
+    if rem:
+        raise RuntimeError("internal error: the reduced denominator does not divide (1 - t^P)^M")
+    depth = -(-len(c) // period)  # the most terms of c in one residue class
+    columns = [[_generalised_binomial(top - 1 - r, top - 1 - j) for r in range(depth)]
+               for j in range(top)]
+    forms = []
+    for i in range(period):
+        form = [sum(map(mul, c[i::period], column)) for column in columns]
+        while form and not form[-1]:
+            form.pop()
+        forms.append(form)
+    held_counts = [len(range(i, len(held), period)) for i in range(period)]
+    if window is not None:
+        # class i's first index x on its branch must be at most spare[i]
+        spare = [n - max(len(form) - 1, 0) - window for n, form in zip(held_counts, forms)]
+        if min(spare) < 0:
+            return None
+    proper = max(0, len(p) - len(q) + 1)
+    head = c[:proper]
+    for _ in range(top):  # divided by 1 - t^P: one running sum per residue class
+        for i in range(period):
+            head[i::period] = accumulate(head[i::period])
+    onset, values = 0, []
+    for i, form in enumerate(forms):
+        known = head[i::period]
+        values.append(_form_values(form, max(len(known), held_counts[i], 1)))
+        miss = next((x for x in reversed(range(len(known))) if known[x] != values[i][x]), None)
+        if miss is not None:
+            if window is not None and spare[i] <= miss:
+                return None
+            onset = max(onset, i + (miss + 1) * period)
+    for i, count in enumerate(held_counts):
+        first = max(0, -(-(onset - i) // period))
+        if held[i + first * period::period] != values[i][first:count]:
+            raise RuntimeError("internal error: quasi-polynomial branch misses a coefficient")
+    branches = tuple(Polynomial([Fraction(c, den) for c in ints]) for ints, den in
+                     (_branch_ints(form, 1, period, i) for i, form in enumerate(forms)))
+    return QuasiPolynomial(period, branches, onset)

@@ -10,9 +10,9 @@ goes only on inconclusive reports.
 
 A module presentation fixes its Hilbert series exactly (Hilbert-Serre), so
 certified_growth reads its verdict from that series and samples nothing. Of
-poincare's two routines it uses the exact one, _exact_analysis, which the
-poincare command shares; the sampled head, rational_analysis, serves
-classify_growth alone.
+poincare's two routines it uses the exact one, _exact_analysis with its
+branches _exact_quasi_polynomial, which the poincare command shares; the
+sampled head, rational_analysis, serves classify_growth alone.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from .exactnum import (BinomialForm, HilbertSamuelPolynomial, detect_polynomial,
 from .hilbert import (SERIES_DEGREE_BOUND, _at_one, _module_terms, _samuel_fit,
                       growth_certificate)
 from .poincare import (CANCEL_STEP_BOUND, DenominatorAnalysis, QuasiPolynomial,
-                       RationalSeries, Recurrence, _exact_analysis, _expansion,
-                       fit_quasi_polynomial, rational_analysis)
+                       RationalSeries, Recurrence, _exact_analysis,
+                       _exact_quasi_polynomial, rational_analysis)
 from .presentations import AlgebraSpec, ModuleSpec, divide_by_weights, validate_module
 
 
@@ -213,11 +213,14 @@ def certified_growth(a: AlgebraSpec, m: ModuleSpec, top: int, *,
     factors the weights give its denominator (poincare._exact_analysis, as
     the poincare command reduces the graded series): a reduced denominator
     (1 - t)^k gives the polynomial the same way, any other its recurrence,
-    root report and branches, fitted on the series' own expansion. A
-    weighted series that passes degree SERIES_DEGREE_BOUND, whose reduction
-    passes CANCEL_STEP_BOUND or whose branches need more coefficients than
-    SERIES_DEGREE_BOUND keeps gk and e only. More than SERIES_DEGREE_BOUND
-    distinct degrees in a summand numerator raise SpecError at "module".
+    root report and branches, read off the reduced series
+    (poincare._exact_quasi_polynomial) and checked against the cumulative
+    dimensions. A weighted series that passes degree SERIES_DEGREE_BOUND,
+    whose reduction passes CANCEL_STEP_BOUND, or with len(p) + P (2m + 6)
+    past SERIES_DEGREE_BOUND (P the period, m the highest multiplicity in
+    the reduced denominator) keeps gk and e only. More than
+    SERIES_DEGREE_BOUND distinct degrees in a summand numerator raise
+    SpecError at "module".
     validated=True skips validate_module, for a caller that has checked m
     (the CLI's parser).
     """
@@ -253,20 +256,14 @@ def certified_growth(a: AlgebraSpec, m: ModuleSpec, top: int, *,
     if set(mults) == {1}:  # q = (1 - t)^k
         fit = _samuel_fit(_at_one(dict(enumerate(p)), mults[1]), len(p) - 1)
         return graded, cumulative, _polynomial_growth(gk, e, fit)
-    # A branch has degree below m = top_mult, the highest multiplicity in q,
-    # and the coefficients lie on their branches from len(p) - deg q on. So
-    # len(p) + period (2m + 6) of them give each residue class 2m + 6 on its
-    # branch, as many as fit_quasi_polynomial needs for a window of m + 1;
-    # no difference level below a branch's degree is constant on m + 1
-    # points of it, so each fit is its branch, from the least index its
-    # class agrees with it.
+    # branches are given while len(p) + period (2m + 6) stays within
+    # SERIES_DEGREE_BOUND, m the highest multiplicity in q: the length of an
+    # expansion with 2m + 6 coefficients of each class on its branch
     period, top_mult = ra.period, max(mults.values())
     count = len(p) + period * (2 * top_mult + 6)
     quasi = None
     if count <= SERIES_DEGREE_BOUND:
-        quasi = fit_quasi_polynomial(_expansion(p, q, count), period, window=top_mult + 1)
-        if quasi is None:
-            raise RuntimeError("internal error: an exact series misses its branches")
+        quasi = _exact_quasi_polynomial(p, q, mults, cumulative)
     branches = ("branches not fitted: they need more than "
                 f"{SERIES_DEGREE_BOUND} coefficients" if quasi is None else
                 f"quasi-polynomial branches from index {quasi.onset}")

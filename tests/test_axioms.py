@@ -59,6 +59,30 @@ def test_triple_balances_for_every_summand_layout():
         assert [p + d for p, d in zip(prime, double)] == list(m)
 
 
+def test_triple_validates_each_module_once(monkeypatch):
+    # validate_ses checks M and the sub-ideals that M'' is built from, so
+    # neither count validates again
+    import sys
+
+    import gkdim.presentations
+
+    original, checked = gkdim.presentations.validate_module, []
+
+    def counting(a, m, *args, **kwargs):
+        checked.append(m)
+        return original(a, m, *args, **kwargs)
+
+    for module in [m for n, m in sys.modules.items() if n.startswith("gkdim")]:
+        if getattr(module, "validate_module", None) is original:
+            monkeypatch.setattr(module, "validate_module", counting)
+    a = AlgebraSpec.polynomial(2)
+    big = ModuleSpec((Summand(0, ()), Summand(2, ((2, 0),))))
+    ses = SESSpec(a, big, (((1, 0),), ((1, 0),)))
+    prime, m, double = ses_dimension_triple(ses, TOP)
+    assert checked == [big]
+    assert [p + d for p, d in zip(prime, double)] == list(m)
+
+
 # ---------------------------------------------------------------------------
 # exactness and multiplicity cases
 

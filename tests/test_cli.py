@@ -35,7 +35,7 @@ import gkdim.hilbert
 import gkdim.poincare
 import gkdim.presentations
 from gkdim import cli
-from gkdim.cli import WARNINGS, main
+from gkdim.cli import WARNINGS, WEYL_RANK_BOUND, main
 from gkdim.exactnum import detect_polynomial
 from gkdim.hilbert import SERIES_DEGREE_BOUND, algebra_dim_sequence
 from gkdim.presentations import AlgebraSpec
@@ -433,6 +433,10 @@ def _parser_error_table():
                                id=f"{path}-{kind}")
     for path, message, command, doc in _CONTAINER_FAILURES:
         yield pytest.param(command, doc, path, message, id=f"{path}-container")
+    # JSON's true and 1.0 compare equal to 1 in Python
+    for kind, bad in (("bool", True), ("float", 1.0)):
+        yield pytest.param("analyze", dict(_spec(), spec_version=bad), "spec_version",
+                           "must be the integer 1", id=f"spec_version-{kind}")
 
 
 @pytest.mark.parametrize("command, doc, path, message", _parser_error_table())
@@ -530,6 +534,23 @@ def test_analyze_of_a_weyl_algebra_of_high_rank_is_fast(tmp_path, capsys):
     assert growth["hilbert_samuel"]["binomial_coefficients"] == [
         [math.comb(n, i), 1] for i in range(n + 1)]
     assert elapsed < 1.0
+
+
+def test_weyl_rank_past_its_bound_is_refused(tmp_path, capsys):
+    # a 70-byte spec of rank 5000 printed 22 MB; the bound is checked as
+    # the field is read, before any count
+    too_high = {"spec_version": 1,
+                "algebra": {"kind": "weyl", "weyl_rank": WEYL_RANK_BOUND + 1}}
+    for command in ("analyze", "hilbert", "poincare"):
+        start = time.perf_counter()
+        code, out, err = _run(capsys, [command, _write(tmp_path, too_high)])
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (3, "")
+        assert err == f"error: algebra.weyl_rank: rank must be at most {WEYL_RANK_BOUND}\n"
+    at_bound = {"spec_version": 1, "algebra": {"kind": "weyl", "weyl_rank": WEYL_RANK_BOUND}}
+    code, out, err = _run(capsys, ["analyze", _write(tmp_path, at_bound)])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["report"]["growth"]["gk"] == 2 * WEYL_RANK_BOUND
 
 
 def test_gamma_is_the_only_float_in_any_payload(tmp_path, capsys):
@@ -935,6 +956,77 @@ def test_analyze_reads_weighted_rings_right_at_every_depth(tmp_path, capsys, wei
     for n in range(quasi["onset"], len(counts)):
         branch = quasi["branches"][n % quasi["period"]]
         assert sum(Fraction(*c) * n ** i for i, c in enumerate(branch)) == counts[n], n
+
+
+def test_presentations_fit_no_branches(tmp_path, capsys, monkeypatch):
+    # poincare and analyze read a presentation's branches off its reduced
+    # series; the per-residue difference tower serves sampled input only
+    def fit(*args, **kwargs):
+        raise AssertionError("a quasi-polynomial was fitted")
+
+    for module in [m for n, m in sys.modules.items() if n.startswith("gkdim")]:
+        if getattr(module, "fit_quasi_polynomial", None) is not None:
+            monkeypatch.setattr(module, "fit_quasi_polynomial", fit)
+    for weights in ((2, 3), (3, 4), (1, 2, 2, 3), (2, 3, 4)):
+        path = _write(tmp_path, {"spec_version": 1, "algebra": _weighted_ring(weights)})
+        period = math.lcm(*weights)
+        for command in ("poincare", "analyze"):
+            code, payload = _run_json(capsys, [command, path, "--max-degree",
+                                               str(9 * period)])
+            assert code == 0, (weights, command)
+            report = payload["report"]
+            quasi = report["quasi"] if command == "poincare" else report["growth"]["quasi"]
+            assert quasi["period"] == period, (weights, command)
+
+
+def _branch_value(branch, n: int) -> Fraction:
+    return sum(Fraction(*c) * n ** i for i, c in enumerate(branch))
+
+
+#: the weighted rings of the benchmark's growth-recurrence workload
+_CYCLOTOMIC_WEIGHTS = ((2, 3), (1, 2, 3), (2, 2, 3), (1, 1, 2, 3), (1, 2, 2, 3),
+                       (2, 2, 3, 3), (3, 4), (1, 3, 4), (2, 3, 4), (1, 2, 3, 4))
+
+
+@pytest.mark.parametrize("weights", _CYCLOTOMIC_WEIGHTS)
+def test_poincare_and_analyze_agree_on_the_branches(tmp_path, capsys, weights):
+    # poincare's branches are those of the graded series, analyze's those of
+    # the cumulative one: the same period and onset, and the cumulative
+    # branches step by the graded ones, C(n) - C(n - 1) = g(n)
+    path = _write(tmp_path, {"spec_version": 1, "algebra": _weighted_ring(weights)})
+    period = math.lcm(*weights)
+    counts = algebra_dim_sequence(
+        AlgebraSpec.polynomial(len(weights), degrees=[(w,) for w in weights]),
+        14 * period).values
+    for depth in (9 * period, 11 * period):
+        code, graded = _run_json(capsys, ["poincare", path, "--max-degree", str(depth)])
+        assert code == 0
+        code, cumulative = _run_json(capsys, ["analyze", path, "--max-degree", str(depth)])
+        assert code == 0
+        g, c = graded["report"]["quasi"], cumulative["report"]["growth"]["quasi"]
+        assert (g["period"], g["onset"]) == (c["period"], c["onset"]) == (period, 0)
+        for n in range(1, len(counts)):
+            step = (_branch_value(c["branches"][n % period], n)
+                    - _branch_value(c["branches"][(n - 1) % period], n - 1))
+            assert step == _branch_value(g["branches"][n % period], n) \
+                == counts[n] - counts[n - 1], (depth, n)
+
+
+def test_poincare_prints_no_false_branches_on_too_few_coefficients(tmp_path, capsys):
+    # k[x]/(x^3), x of weight 4, at shift 4: the series t^4 + t^8 + t^12 has
+    # the zero branch from 13 on; on 8 printed coefficients the fitted
+    # branch was zero from 5 on, and coefficient 8 is 1. With 8 more than
+    # the onset, the branch is printed.
+    doc = {"spec_version": 1,
+           "algebra": {"kind": "polynomial", "generators": [{"name": "x", "degree": [4]}]},
+           "module": {"summands": [{"shift": 4, "ideal": ["x^3"]}]}}
+    path = _write(tmp_path, doc)
+    code, payload = _run_json(capsys, ["poincare", path, "--max-degree", "7"])
+    assert code == 0
+    assert payload["report"]["quasi"] is None
+    code, payload = _run_json(capsys, ["poincare", path, "--max-degree", "20"])
+    assert code == 0
+    assert payload["report"]["quasi"] == {"period": 1, "onset": 13, "branches": [[]]}
 
 
 def test_poincare_refusal_names_the_field_that_is_short(tmp_path, capsys):

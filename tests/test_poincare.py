@@ -47,8 +47,19 @@ Oracles:
 * Root-location certificates -- frozen on denominators whose roots are known
   in closed form; non-integral denominators, which no series with integer
   coefficients has (Fatou), are refused.
+* Shift registers -- the generator-expression form of the Berlekamp-Massey
+  discrepancy, which divided every update by its content (kept here), must
+  give the same register after every sample of seeded integer sequences.
+* Exact branches -- on 120 seeded weighted presentations (weights 1..6 on
+  1-4 generators; shifted summands, Laurent parts, finite and zero
+  modules), _exact_quasi_polynomial must give the period, branches and
+  onset that fit_quasi_polynomial fits on the series' long expansion;
+  sympy's truncated series inversion must give the coefficients the
+  branches predict from the onset on; and with a window, the branches must
+  be the fit on the held coefficients wherever it finds true ones.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 import math
@@ -57,17 +68,21 @@ import time
 
 import pytest
 import sympy
+from sympy.polys import ring_series
 
+import gkdim.poincare
 from gkdim.exactnum import Polynomial
-from gkdim.hilbert import minimalize_ideal, numerator_terms
+from gkdim.hilbert import _checked_series, minimalize_ideal, numerator_terms
 from gkdim.poincare import (ROOT_SPLIT_SKIPPED, DenominatorAnalysis, QuasiPolynomial,
                             RationalSeries, Recurrence, _cyclotomic_ints,
                             _cyclotomic_orders, _divisors, _exact_analysis,
-                            _exact_recurrence, _lowest_terms, _normalised_series,
+                            _exact_quasi_polynomial, _exact_recurrence, _expansion,
+                            _lowest_terms, _normalised_series, _shift_registers,
                             _strip_cyclotomic, _weights_denominator,
                             denominator_analysis, fit_quasi_polynomial,
                             minimal_recurrence, quasi_polynomial,
                             rational_analysis, series_from_recurrence)
+from gkdim.presentations import AlgebraSpec, ModuleSpec, Summand
 
 # ---------------------------------------------------------------------------
 # rational series basics
@@ -429,6 +444,44 @@ def test_search_matches_per_order_solves(confirm):
         assert got == want, (name, vals)
         if got is not None:
             assert all(type(c) is Fraction for c in got.coefficients), (name, vals)
+
+
+def _shift_registers_reference(seq):
+    """_shift_registers with each discrepancy as a generator over the
+    register and every update divided by its content: the form it replaced."""
+    conn, prev = [1], [1]
+    length, gap, prev_disc = 0, 1, 1
+    for n in range(len(seq)):
+        disc = sum(c * seq[n - i] for i, c in enumerate(conn[:length + 1]))
+        if disc == 0:
+            gap += 1
+        else:
+            update = [prev_disc * c for c in conn] + [0] * (len(prev) + gap - len(conn))
+            for i, c in enumerate(prev):
+                update[i + gap] -= disc * c
+            content = math.gcd(*update)
+            update = [c // content for c in update]
+            if 2 * length <= n:
+                prev, prev_disc = conn, disc
+                length, gap = n + 1 - length, 1
+            else:
+                gap += 1
+            conn = update
+        yield length, conn
+
+
+def test_shift_registers_match_the_generator_form():
+    rng = random.Random(1969)
+    for confirm in (1, 8):
+        family = _differential_family(rng, confirm)
+        for name, vals in family:
+            if any(type(v) is not int for v in vals):
+                continue
+            for seq in (vals, vals[::-1], [7 * v for v in vals]):
+                got = [(length, list(conn)) for length, conn in _shift_registers(seq)]
+                want = [(length, list(conn))
+                        for length, conn in _shift_registers_reference(seq)]
+                assert got == want, (name, seq)
 
 
 def test_long_transient_moves_the_onset_not_the_order():
@@ -1034,6 +1087,168 @@ def test_fit_with_a_period_beyond_the_samples_returns_at_once():
 def test_fit_rejects_bad_period():
     with pytest.raises(ValueError):
         fit_quasi_polynomial([1] * 20, 0)
+
+
+# ---------------------------------------------------------------------------
+# quasi-polynomial branches read off an exact series
+
+
+def _random_monomial(rng, n):
+    return tuple(rng.randint(0, 3) for _ in range(n))
+
+
+def _weighted_presentations(rng, count):
+    """(weights, module) pairs: weights 1..6 on 1-4 generators, and in turn
+    shifted summands of monomial quotients, a Laurent part with or without
+    summands, a finite module (a power of every generator in the ideal) and
+    a module with a zero summand (the unit ideal)."""
+    out = []
+    for k in range(count):
+        n = rng.randint(1, 4)
+        weights = tuple(rng.randint(1, 6) for _ in range(n))
+        summands = [Summand(rng.randint(0, 5),
+                            tuple(_random_monomial(rng, n) for _ in range(rng.randint(0, 3))))
+                    for _ in range(rng.randint(1, 2))]
+        kind = k % 4
+        if kind == 1:
+            module = ModuleSpec(tuple(summands[:rng.randint(0, 1)]),
+                                negative_shift=rng.randint(1, 3))
+        elif kind == 2:
+            powers = tuple(tuple(rng.randint(1, 3) if j == i else 0 for j in range(n))
+                           for i in range(n))
+            module = ModuleSpec((Summand(rng.randint(0, 5), powers),))
+        elif kind == 3:
+            unit = Summand(rng.randint(0, 5), ((0,) * n,))
+            module = ModuleSpec((unit,) if rng.random() < 0.5 else (unit, summands[0]))
+        else:
+            module = ModuleSpec(tuple(summands))
+        out.append((weights, module))
+    return out
+
+
+def _exact_series(weights, module):
+    """The graded and the cumulative series of the presentation, each as
+    (p, q, mults, period, top multiplicity) from _exact_analysis."""
+    a = AlgebraSpec.polynomial(len(weights), degrees=[(w,) for w in weights])
+    p, _, _ = _checked_series(a, module, 0)
+    for ws in (weights, weights + (1,)):
+        low, q, mults, ra = _exact_analysis(p, ws)
+        yield low, q, mults, ra.period, max(mults.values(), default=0)
+
+
+def test_exact_branches_match_the_fit_on_the_long_expansion():
+    # len(p) + P (2M + 6) coefficients put 2M + 6 of each class on its
+    # branch, enough for the fit's window of M + 1 (and 8 per class for a
+    # constant q, the fit's least)
+    rng = random.Random(2024)
+    seen = Counter()
+    for weights, module in _weighted_presentations(rng, 120):
+        for p, q, mults, period, top in _exact_series(weights, module):
+            vals = _expansion(p, q, len(p) + period * max(2 * top + 6, 8))
+            want = fit_quasi_polynomial(vals, period, window=top + 1)
+            got = _exact_quasi_polynomial(p, q, mults, vals)
+            assert got == want, (weights, module)
+            seen["zero" if not p else "finite" if top == 0 else "periodic"
+                 if period > 1 else "polynomial"] += 1
+            seen["late onset"] += got.onset > 0
+    assert min(seen.values()) >= 10, seen
+
+
+def _sympy_coefficients(p, weights, count):
+    """The first `count` coefficients of p / prod(1 - t^w), by sympy's
+    truncated power-series inversion over QQ."""
+    ring, t = sympy.polys.rings.ring("t", sympy.QQ)
+    q = math.prod([1 - t ** w for w in weights], start=ring.one)
+    series = ring_series.rs_mul(ring.from_list(p[::-1]) if p else ring.zero,
+                                ring_series.rs_series_inversion(q, t, count), t, count)
+    return [int(series.coeff(t ** n)) for n in range(count)]
+
+
+@pytest.mark.parametrize("weights", [(2, 3), (3, 4), (1, 2, 3, 4), (2, 2, 3, 3)])
+def test_exact_branches_match_sympy_series_coefficients(weights):
+    # the ring, and its quotient by the square of its first generator at
+    # shift 2, whose numerator t^2 (1 - t^(2 w_1)) moves the onset
+    for numerator in ([1], [0, 0, 1] + [0] * (2 * weights[0] - 1) + [-1]):
+        p, q, mults, ra = _exact_analysis(numerator, weights)
+        qp = _exact_quasi_polynomial(p, q, mults, [])
+        period = qp.period
+        assert period == ra.period
+        want = _sympy_coefficients(numerator, weights, qp.onset + 3 * period)
+        for n in range(qp.onset, len(want)):
+            assert qp.branches[n % period].evaluate(n) == want[n], (weights, n)
+        if qp.onset:  # the class that sets the onset misses its branch one period before
+            n = qp.onset - period
+            assert qp.branches[n % period].evaluate(n) != want[n]
+
+
+def test_a_constant_denominator_gives_one_zero_branch_from_the_numerator_end():
+    # t (1 - t^3)(1 - t^4) over (1 - t^3)(1 - t^4): the numerator is all
+    p, q, mults, ra = _exact_analysis([0, 1, 0, 0, -1, -1, 0, 0, 1], (3, 4))
+    assert (p, q, mults) == ([0, 1], [1], {})
+    assert _exact_quasi_polynomial(p, q, mults, [0, 1, 0, 0]) == \
+        QuasiPolynomial(1, (Polynomial([]),), 2)
+    assert _exact_quasi_polynomial([], [1], {}, [0] * 5) == \
+        QuasiPolynomial(1, (Polynomial([]),), 0)
+
+
+def test_exact_branches_check_every_held_coefficient_from_the_onset():
+    # 1/((1 - t^2)(1 - t^3)): period 6, onset 0
+    p, q, mults, ra = _exact_analysis([1], (2, 3))
+    vals = _expansion(p, q, 40)
+    assert _exact_quasi_polynomial(p, q, mults, vals).onset == 0
+    for n in (0, 17, 39):
+        bad = vals[:n] + [vals[n] + 1] + vals[n + 1:]
+        with pytest.raises(RuntimeError, match="misses a coefficient"):
+            _exact_quasi_polynomial(p, q, mults, bad)
+
+
+def test_with_a_window_the_exact_branches_are_the_fit_on_the_held_coefficients():
+    # poincare's rule: branches where fit_quasi_polynomial(held, P, 4) finds
+    # them; where the fit stops on coefficients short of the tail, its
+    # branches miss the long expansion, and the exact routine gives none
+    rng = random.Random(23)
+    agreed = refused = 0
+    for weights, module in _weighted_presentations(rng, 60):
+        p, q, mults, period, top = next(_exact_series(weights, module))
+        vals = _expansion(p, q, len(p) + 14 * period + 40)
+        # 8 per class and up: the adapted window grows from 2 to 4 by 12
+        for depth in (*range(8 * period - 1, 8 * period + 6), 10 * period, 12 * period + 3):
+            held = vals[:depth + 1]
+            got = _exact_quasi_polynomial(p, q, mults, held, window=4)
+            fit = fit_quasi_polynomial(held, period, window=4)
+            if got is not None or fit is None:
+                assert got == fit, (weights, module, depth)
+                agreed += got is not None
+                continue
+            refused += 1
+            assert any(fit.branches[n % period].evaluate(n) != vals[n]
+                       for n in range(fit.onset, len(vals))), (weights, module, depth)
+    assert agreed > 300 and refused > 10, (agreed, refused)
+
+
+def test_with_a_window_a_short_class_can_miss_a_high_degree_branch():
+    # weights 1 (seven times) and 2: branches of degree 7 in both classes
+    # mod 2; on 17 coefficients class 1 has 8, one too few for the tower's
+    # window of 2 at level 7, while the pole bound on the longer class passes
+    weights = (1,) * 7 + (2,)
+    p, q, mults, ra = _exact_analysis([1], weights)
+    assert mults == {1: 8, 2: 1}
+    vals = _expansion(p, q, 40)
+    for length in range(16, 41):
+        got = _exact_quasi_polynomial(p, q, mults, vals[:length], window=4)
+        assert got == fit_quasi_polynomial(vals[:length], 2, window=4), length
+        assert (got is None) == (length < 18), length
+
+
+def test_the_window_rule_is_decided_before_the_series_is_divided(monkeypatch):
+    # weights 2, 3, 5, 7, 11 give period 2310: 67 coefficients are too few,
+    # and (1 - t^2310)^M is never built
+    monkeypatch.setattr(gkdim.poincare, "int_divmod", None)
+    p, q, mults = [1], _weights_denominator((2, 3, 5, 7, 11)), {k: 1 for k in (1, 2310)}
+    assert _exact_quasi_polynomial(p, q, mults, [1] * 67, window=4) is None
+    # and a pole of order 800 at t = 1 gives a branch of degree 799, which
+    # 31 coefficients cannot reach
+    assert _exact_quasi_polynomial(p, q, {1: 800}, [1] * 31, window=4) is None
 
 
 # ---------------------------------------------------------------------------
