@@ -33,8 +33,8 @@ from .axioms import (HolonomyCatalog, SESSpec, chain_bound_check,
 from .exactnum import Polynomial, detect_polynomial  # noqa: F401
 from .hilbert import (SERIES_DEGREE_BOUND, DimensionSequence, _checked_series,
                       module_dim_sequence)
-from .poincare import (RationalSeries, _exact_analysis, _exact_quasi_polynomial,
-                       _lowest_terms, rational_analysis)
+from .poincare import (RationalSeries, _exact_quasi_polynomial, _reduce,
+                       _reduced_analysis, rational_analysis)
 from .presentations import (AlgebraSpec, ModuleSpec, RefilterError, SpecError,
                             Summand, refilter)
 from .samuel import certified_growth, classify_growth
@@ -83,7 +83,7 @@ WARNINGS = {
         "multiplicity reported as their maximum",
     "cancel_step_bound":
         "reducing the exact series could take more than 10^8 trial-division "
-        "steps; no recurrence, series or root report is given",
+        "steps; nothing read from the reduced series is given",
 }
 
 
@@ -399,8 +399,8 @@ def _series_payload(s: RationalSeries) -> dict:
 
 
 def _int_series_payload(p: list, q: list) -> dict:
-    # int lists with q[0] = +-1, normalised to q(0) = 1 as a RationalSeries is
-    return {"numerator": [[q[0] * c, 1] for c in p], "denominator": [[q[0] * c, 1] for c in q]}
+    # int lists with q(0) = 1, as a RationalSeries is normalised
+    return {"numerator": [[c, 1] for c in p], "denominator": [[c, 1] for c in q]}
 
 
 def _recurrence_payload(rec) -> dict:
@@ -545,17 +545,25 @@ def _cmd_analyze(config: RunConfig, parsed: ParsedInput):
     return code, report, flags
 
 
-def _cmd_hilbert(config: RunConfig, parsed: ParsedInput):
+def _presented_series(parsed: ParsedInput, top: int) -> tuple:
+    """(p, q, expansion) of a presentation (hilbert._checked_series; the
+    regular module by default) and its poincare._reduce, or None past the bound."""
     a = _need_algebra(parsed)
     m = parsed.module if parsed.module is not None else ModuleSpec.regular()
+    p, q, expansion = _checked_series(a, m, top)
+    return p, q, expansion, _reduce(p, a.scalar_weights(), q)
+
+
+def _cmd_hilbert(config: RunConfig, parsed: ParsedInput):
     # one expansion, for the self-check and the graded dimensions
-    p, q, expansion = _checked_series(a, m, config.max_degree)
+    p, q, expansion, low = _presented_series(parsed, config.max_degree)
     report = {
         "series": _int_series_payload(p, q),
-        # q(0) = 1, so the constant term of the gcd, and of q's quotient, is +-1
-        "reduced": _int_series_payload(*_lowest_terms(p, q)),
+        "reduced": None if low is None else _int_series_payload(*low[:2]),
         "graded_dimensions": expansion[:config.max_degree + 1],
     }
+    if low is None:
+        return EXIT_INCONCLUSIVE, report, ("cancel_step_bound",)
     return EXIT_OK, report, ()
 
 
@@ -567,16 +575,12 @@ def _cmd_poincare(config: RunConfig, parsed: ParsedInput):
         # every cyclotomic order and no fitted branches; they are read off the
         # reduced series where a fit with window 4 would find them on the
         # printed coefficients
-        a = _need_algebra(parsed)
-        m = parsed.module if parsed.module is not None else ModuleSpec.regular()
-        p, q, expansion = _checked_series(a, m, top)
+        _, _, expansion, low = _presented_series(parsed, top)
         values = expansion[:top + 1]
-        exact = _exact_analysis(p, a.scalar_weights(), q)
-        ra = None if exact is None else exact[3]
+        ra = None if low is None else _reduced_analysis(*low)._replace(
+            quasi=_exact_quasi_polynomial(*low, values, window=4))
         if ra is None:
             flags += ("cancel_step_bound",)
-        else:
-            ra = ra._replace(quasi=_exact_quasi_polynomial(*exact[:3], values, window=4))
     else:
         values = (list(parsed.sequence) if parsed.sequence is not None
                   else catalog.graded_values(parsed.catalog_id, top))

@@ -41,13 +41,9 @@ Scalar = Union[int, Fraction]
 
 
 def falling_binom(m: int, i: int) -> int:
-    """C(m, i) = m(m-1)...(m-i+1)/i! for any integer m (exact, possibly negative m)."""
-    if m >= 0:
-        return math.comb(m, i)
-    num = 1
-    for j in range(i):
-        num *= m - j
-    return num // math.factorial(i)
+    """C(m, i) = m(m-1)...(m-i+1)/i! for any integer m and i >= 0, exactly:
+    (-1)^i C(i - m - 1, i) for m < 0."""
+    return math.comb(m, i) if m >= 0 else (-1) ** i * math.comb(i - m - 1, i)
 
 
 class Polynomial:

@@ -42,10 +42,9 @@ shift, and the Laurent part's:
 The analyze command (samuel.certified_growth) reads one uncut pass
 (_module_terms) for its counts, its certificate and its Hilbert-Samuel
 polynomial (_samuel_fit), which on an unweighted ring it takes from the same
-Taylor coefficients. The poincare and analyze commands reduce the exact
-series by the one exact routine, poincare._exact_analysis, which alone
-knows how prod(1 - t^w) factors; the hilbert command's reduced field takes
-the primitive gcd (poincare._lowest_terms).
+Taylor coefficients. The hilbert, poincare and analyze commands reduce the
+exact series by the one routine that knows how prod(1 - t^w) factors,
+poincare._reduce; no presentation takes a gcd.
 """
 
 from __future__ import annotations

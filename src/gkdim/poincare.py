@@ -20,20 +20,20 @@ quasi-polynomial branches, one per residue class mod s.
 The chain recurrence, series, denominator, period, branches is run by one
 sampled head and one exact routine. rational_analysis searches the samples,
 builds the series, walks every cyclotomic order of its denominator and
-fits one difference tower per residue class (fit_quasi_polynomial);
-_exact_analysis reduces a presentation's series p / prod(1 - t^w)
-(Hilbert-Serre) by the Phi_d its denominator is known to have, and reads
-the recurrence and root report off the rest, and _exact_quasi_polynomial
-reads the branches off the reduced series, p / q = c / (1 - t^P)^M: no
-search, no walk and no tower. Every stage runs on integer coefficient
-lists and builds one Fraction per output coefficient:
+fits one difference tower per residue class (fit_quasi_polynomial). Every
+presentation command reduces its series p / prod(1 - t^w) (Hilbert-Serre)
+by the Phi_d its denominator is known to have (_reduce); the primitive gcd
+(_lowest_terms) serves sampled series only. _reduced_analysis reads the
+recurrence and root report off the reduced series, _exact_quasi_polynomial
+its branches, p / q = c / (1 - t^P)^M: no search, walk or tower. Every
+stage runs on integer coefficient lists and builds one Fraction per output
+coefficient:
 - the samples are scaled to ints once; Berlekamp-Massey runs on them, and
   the onset scan checks the integer characteristic row, sum_j row[j] f(n + j)
   = 0, where row is the shift register C[0..r] itself (order r >= 2) or
   [-num, den] of the ratio (order 1);
 - the series numerator is the int convolution of the scaled denominator with
-  the samples, reduced by the same primitive-gcd quotient as
-  RationalSeries.reduced, and its expansion is compared with the samples;
+  the samples, reduced by _lowest_terms, and its expansion checked on them;
 - cyclotomic trial division walks the about 2D orders k with phi(k) <= D of
   a degree-D denominator, divides by cached int Phi_k built from binomials
   (1 - t^d)^(+-1), and hands the root tests one integer residual;
@@ -45,16 +45,16 @@ lists and builds one Fraction per output coefficient:
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate, combinations, islice
 from operator import mul
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Sequence
 
-from .exactnum import (BinomialForm, Polynomial, detect_polynomial, int_divmod,
-                       integer_coefficients, primitive_gcd, sequence_values)
+from .exactnum import (BinomialForm, Polynomial, detect_polynomial, falling_binom,
+                       int_divmod, integer_coefficients, primitive_gcd,
+                       sequence_values)
 
 
 class _SeriesFields(NamedTuple):
@@ -336,13 +336,19 @@ def _cyclotomic_ints(k: int, phi: int, primes: tuple) -> tuple:
 
 def _weights_denominator(weights: Sequence[int]) -> list:
     """prod(1 - t^w) over the weights, as an int coefficient list."""
-    q = [1] + [0] * sum(weights)
-    for w in weights:  # times (1 - t^w), from the top index down
-        for i in range(len(q) - 1, w - 1, -1):
-            q[i] -= q[i - w]
+    q = [1]
+    for w in set(weights):  # times one binomial row (1 - t^w)^k
+        k = weights.count(w)
+        out, c = q + [0] * (k * w), 1
+        for j in range(1, k + 1):  # c = (-1)^j C(k, j) = -C(k, j - 1) (k - j + 1) / j
+            c = -c * (k - j + 1) // j
+            for i, x in enumerate(q, j * w):
+                out[i] += c * x
+        q = out
     return q
 
 
+@lru_cache(maxsize=None)
 def _cyclotomic(k: int) -> tuple:
     """_cyclotomic_ints for the order k alone."""
     primes = tuple(d for d in _divisors(k)[1:]
@@ -633,7 +639,7 @@ def rational_analysis(vals, confirm: int) -> Optional[RationalAnalysis]:
                             fit_quasi_polynomial(vals, period, window=4))
 
 
-#: The most int_divmod steps _exact_analysis may need before it refuses:
+#: The most int_divmod steps _reduce may need before it refuses:
 #: dividing a list of length L by Phi_k costs up to (L - phi(k)) steps over
 #: Phi_k's nonzero terms, and a weight with several large prime factors
 #: (30030) gives a Phi_k of high degree with thousands of them. 10^8 steps
@@ -641,23 +647,16 @@ def rational_analysis(vals, confirm: int) -> Optional[RationalAnalysis]:
 CANCEL_STEP_BOUND = 10 ** 8
 
 
-def _exact_analysis(p: list, weights, q: Optional[list] = None) -> Optional[tuple]:
-    """(p, q, mults, analysis) for the exact series p / prod(1 - t^w), p an
-    int list and q, when the caller has built it, prod(1 - t^w) as an int
-    list: the series in lowest terms as int lists, the multiplicities of
-    q's cyclotomic orders, ascending and without zeros, and its
-    RationalAnalysis without branches; None when the reduction could need
-    more than CANCEL_STEP_BOUND steps.
-
-    prod(1 - t^w) is the product of Phi_d over the divisors d of each
-    weight, so the gcd with p is the product of the Phi_d that divide p,
-    each at most that often, and trial division by those orders alone finds
-    it: no walk over every order with phi(k) <= deg q, as _strip_cyclotomic
-    needs for a q whose factors are unknown. Every root of the reduced q
-    lies on the unit circle, the period is the lcm of its orders, and the
-    recurrence is read off q (_exact_recurrence).
-    """
-    mults = Counter(d for w in weights for d in _divisors(w))
+def _reduce(p: list, weights, q: Optional[list] = None) -> Optional[tuple]:
+    """(p, q, mults): p / prod(1 - t^w), p an int list, in lowest terms as
+    int lists with q(0) = 1, and q's cyclotomic multiplicities, ascending
+    and nonzero; None past CANCEL_STEP_BOUND steps. q is prod(1 - t^w) if
+    the caller built it. Its factors are the Phi_d over the divisors d of
+    the weights, so trial division by those alone, each at most that often,
+    finds the gcd with p: no gcd and no walk (_strip_cyclotomic)."""
+    mults: dict = {}
+    for w in set(weights):  # the orders once per distinct weight
+        mults.update({d: mults.get(d, 0) + weights.count(w) for d in _divisors(w)})
     factors = {k: _cyclotomic(k) for k in sorted(mults)}
     if q is None:
         q = _weights_denominator(weights)
@@ -666,16 +665,33 @@ def _exact_analysis(p: list, weights, q: Optional[list] = None) -> Optional[tupl
     if steps > CANCEL_STEP_BOUND:
         return None
     for k, cyc in factors.items():
+        divide = _divmod_one_minus_t if k == 1 else partial(int_divmod, v=cyc)
         while mults[k]:
-            quo, rem = int_divmod(p, cyc)
+            quo, rem = divide(p)
             if rem:
                 break
-            p, q, mults[k] = quo, int_divmod(q, cyc)[0], mults[k] - 1
-    mults = {k: mults[k] for k in factors if mults[k]}
+            p, q, mults[k] = quo, divide(q)[0], mults[k] - 1
+    return p, q, {k: mults[k] for k in factors if mults[k]}
+
+
+def _divmod_one_minus_t(u: list) -> tuple:
+    """int_divmod(u, [1, -1]) by one prefix sum, exact when u(1), the last sum, is 0."""
+    *quo, last = accumulate(u or [0])
+    return quo, [last] if last else []
+
+
+def _exact_analysis(p: list, weights, q: Optional[list] = None) -> Optional[tuple]:
+    """_reduce(p, weights, q) and its _reduced_analysis; None past the bound."""
+    low = _reduce(p, weights, q)
+    return None if low is None else (*low, _reduced_analysis(*low))
+
+
+def _reduced_analysis(p: list, q: list, mults: dict) -> RationalAnalysis:
+    """The RationalAnalysis, without branches, of _reduce's p/q: the period
+    is the lcm of q's orders, the recurrence read off q (_exact_recurrence)."""
     analysis = _unit_circle_analysis(mults)
-    return p, q, mults, RationalAnalysis(
-        _exact_recurrence(p, q), _normalised_series(p, q), analysis,
-        math.lcm(*mults), analysis.s is None)
+    return RationalAnalysis(_exact_recurrence(p, q), _normalised_series(p, q), analysis,
+                            math.lcm(*mults), analysis.s is None)
 
 
 def _exact_recurrence(p: list, q: list) -> Recurrence:
@@ -686,11 +702,6 @@ def _exact_recurrence(p: list, q: list) -> Recurrence:
     order = max(len(q) - 1, 1)
     coefficients = tuple(Fraction(-c, q[0]) for c in q[1:]) or (Fraction(0),)
     return Recurrence(order, coefficients, max(0, len(p) - order))
-
-
-def _generalised_binomial(m: int, k: int) -> int:
-    """C(m, k) for any integer m and k >= 0: (-1)^k C(k - m - 1, k) for m < 0."""
-    return math.comb(m, k) if m >= 0 else (-1) ** k * math.comb(k - m - 1, k)
 
 
 def _form_values(form: list, count: int) -> list:
@@ -707,7 +718,7 @@ def _exact_quasi_polynomial(p: list, q: list, mults: dict, held: Sequence,
                             window: Optional[int] = None) -> Optional[QuasiPolynomial]:
     """The quasi-polynomial branches of the series p/q, int lists in lowest
     terms with q(0) = 1 and q's cyclotomic multiplicities `mults`
-    (_exact_analysis), read off the series, not fitted to it.
+    (_reduce), read off the series, not fitted to it.
 
     With P the lcm of the orders and M the top multiplicity, p/q = c / (1 -
     t^P)^M with c = p (1 - t^P)^M / q (exact int_divmod). As t^(jP) has the
@@ -743,7 +754,7 @@ def _exact_quasi_polynomial(p: list, q: list, mults: dict, held: Sequence,
     if rem:
         raise RuntimeError("internal error: the reduced denominator does not divide (1 - t^P)^M")
     depth = -(-len(c) // period)  # the most terms of c in one residue class
-    columns = [[_generalised_binomial(top - 1 - r, top - 1 - j) for r in range(depth)]
+    columns = [[falling_binom(top - 1 - r, top - 1 - j) for r in range(depth)]
                for j in range(top)]
     forms = []
     for i in range(period):

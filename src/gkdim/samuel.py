@@ -211,7 +211,7 @@ def certified_growth(a: AlgebraSpec, m: ModuleSpec, top: int, *,
     an exponent of 10^9 costs what 1 does. On a weighted ring the cumulative
     series p / ((1 - t) prod(1 - t^w)) is reduced against the cyclotomic
     factors the weights give its denominator (poincare._exact_analysis, as
-    the poincare command reduces the graded series): a reduced denominator
+    hilbert and poincare reduce the graded series): a reduced denominator
     (1 - t)^k gives the polynomial the same way, any other its recurrence,
     root report and branches, read off the reduced series
     (poincare._exact_quasi_polynomial) and checked against the cumulative
@@ -256,17 +256,16 @@ def certified_growth(a: AlgebraSpec, m: ModuleSpec, top: int, *,
     if set(mults) == {1}:  # q = (1 - t)^k
         fit = _samuel_fit(_at_one(dict(enumerate(p)), mults[1]), len(p) - 1)
         return graded, cumulative, _polynomial_growth(gk, e, fit)
-    # branches are given while len(p) + period (2m + 6) stays within
-    # SERIES_DEGREE_BOUND, m the highest multiplicity in q: the length of an
-    # expansion with 2m + 6 coefficients of each class on its branch
+    # branches are read while len(p) + P (2m + 6) stays within
+    # SERIES_DEGREE_BOUND, P the period and m the top multiplicity in q: it
+    # bounds the len(p) + P m terms of c = p (1 - t^P)^m they are read from
     period, top_mult = ra.period, max(mults.values())
     count = len(p) + period * (2 * top_mult + 6)
-    quasi = None
-    if count <= SERIES_DEGREE_BOUND:
-        quasi = _exact_quasi_polynomial(p, q, mults, cumulative)
-    branches = ("branches not fitted: they need more than "
-                f"{SERIES_DEGREE_BOUND} coefficients" if quasi is None else
-                f"quasi-polynomial branches from index {quasi.onset}")
+    quasi = (_exact_quasi_polynomial(p, q, mults, cumulative)
+             if count <= SERIES_DEGREE_BOUND else None)
+    branches = (f"branches not read: numerator length plus period times (2m + 6), m the "
+                f"top multiplicity, is {count}, above {SERIES_DEGREE_BOUND}" if quasi is None
+                else f"quasi-polynomial branches from index {quasi.onset}")
     return graded, cumulative, GrowthReport(
         kind, gk, e, recurrence=ra.recurrence, series=ra.series,
         denominator=ra.denominator, quasi=quasi,

@@ -11,8 +11,9 @@ characteristic error paths for each of the seven commands, the bound on
 number of generators, analyze's certified verdicts on weighted rings at
 every depth and on an exponent of 10^9, a derandomized fuzz of poincare
 and classify on natural-number sequences, one of chain and check-ses on monomial ideals, and
-one of poincare on monomial presentations, whose exact series is checked
-against brute-force counts, sympy's cancelled series and the sampled search.
+one of poincare and hilbert on monomial presentations, whose exact series is
+checked against brute-force counts, sympy's cancelled series and the sampled
+search.
 """
 
 import contextlib
@@ -701,6 +702,23 @@ def test_analyze_of_a_heavy_generator_is_fast(tmp_path, capsys):
         assert branch == [Fraction(8000 - i, 8000), Fraction(8001, 8000)], i
 
 
+def test_analyze_names_what_the_branch_bound_counts(tmp_path, capsys):
+    # the cumulative series of weights 2, 3, 5, 7, 11, 13 has period 30030
+    # and Phi_1 of multiplicity 7 in its reduced denominator: len(p) + P (2m
+    # + 6) = 1 + 30030 * 20 passes SERIES_DEGREE_BOUND, so no branches
+    path = _write(tmp_path, {"spec_version": 1,
+                             "algebra": _weighted_ring((2, 3, 5, 7, 11, 13))})
+    code, payload = _run_json(capsys, ["analyze", path])
+    assert code == 0
+    growth = payload["report"]["growth"]
+    assert growth["quasi"] is None
+    assert growth["evidence"] == (
+        "exact Hilbert series (Hilbert-Serre): pole of order 6 at t = 1; reduced "
+        "denominator of degree 42 with period 30030; branches not read: numerator "
+        "length plus period times (2m + 6), m the top multiplicity, is 600601, above "
+        f"{SERIES_DEGREE_BOUND}")
+
+
 def test_analyze_reports_the_pole_alone_past_the_reduction_bound(tmp_path, capsys):
     # 30030 = 2 3 5 7 11 13: Phi_30030 has degree 5760 and thousands of
     # terms, so cancelling the series could take over 10^8 steps; gk and e
@@ -1135,6 +1153,27 @@ def test_presentations_reach_no_cyclotomic_walk(tmp_path, capsys, monkeypatch):
             assert payload["report"]["denominator"] is not None
 
 
+def test_presentations_take_no_gcd(tmp_path, capsys, monkeypatch):
+    # hilbert, poincare and analyze reduce a presentation's series by the
+    # Phi_d its denominator is known to have; the primitive gcd serves
+    # sampled series only
+    def gcd(*args, **kwargs):
+        raise AssertionError("a gcd was taken")
+
+    for module in [m for n, m in sys.modules.items() if n.startswith("gkdim")]:
+        if getattr(module, "primitive_gcd", None) is not None:
+            monkeypatch.setattr(module, "primitive_gcd", gcd)
+    for weights, ideal in (((2, 3), []), ((3, 4), ["v1*v2"]), ((1, 2, 2, 3), ["v1^2", "v4"]),
+                           ((6, 10), ["v2^3"])):
+        doc = {"spec_version": 1, "algebra": _weighted_ring(weights),
+               "module": {"summands": [{"shift": 1, "ideal": ideal}], "negative_shift": 1}}
+        path = _write(tmp_path, doc)
+        for command in ("hilbert", "poincare", "analyze"):
+            code, payload = _run_json(capsys, [command, path, "--max-degree", "40"])
+            assert code == 0, (weights, command)
+        assert payload["report"]["growth"]["gk"] is not None
+
+
 def _heavy_x(tmp_path, weight: int) -> str:
     """k[x, y]/(xy) with x of the given weight, written as a spec."""
     doc = {"spec_version": 1,
@@ -1172,6 +1211,92 @@ def test_poincare_refuses_past_the_reduction_bound(tmp_path, capsys):
                                  "series": None, "denominator": None, "quasi": None}
     assert payload["warnings"] == [WARNINGS["cancel_step_bound"]]
     assert "10^8" in WARNINGS["cancel_step_bound"]
+
+
+@pytest.mark.parametrize("weight, ideal", [(20011, "x^2"), (30030, "x*y")])
+def test_hilbert_refuses_past_the_reduction_bound_as_poincare_does(tmp_path, capsys,
+                                                                  weight, ideal):
+    # hilbert reduces by the known-Phi_d division poincare uses: the
+    # primitive-gcd sequence it ran before took about 23 s on x^2 with x of
+    # weight 20011 (2-vCPU Xeon VM), and answered k[x, y]/(xy) with x of
+    # weight 30030, which all three commands now refuse on the step count
+    doc = {"spec_version": 1,
+           "algebra": {"kind": "polynomial",
+                       "generators": [{"name": "x", "degree": [weight]}, {"name": "y"}]},
+           "module": {"summands": [{"ideal": [ideal]}]}}
+    start = time.perf_counter()
+    code, payload = _run_json(capsys, ["hilbert", _write(tmp_path, doc)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    report = payload["report"]
+    assert report["reduced"] is None
+    assert payload["warnings"] == [WARNINGS["cancel_step_bound"]]
+    # the series and the graded dimensions are printed all the same
+    top = 2 * weight if ideal == "x^2" else weight + 1
+    assert report["series"] == {
+        "numerator": [[1, 1]] + [[0, 1]] * (top - 1) + [[-1, 1]],
+        "denominator": [[1, 1], [-1, 1]] + [[0, 1]] * (weight - 2) + [[-1, 1], [1, 1]]}
+    assert report["graded_dimensions"] == [1] * 31
+
+
+def test_hilbert_reduces_forty_weights_as_poincare_does(tmp_path, capsys):
+    # k[x1..x40] with x_i of weight i, modulo x_i x_(41 - i) for i = 1..14:
+    # the primitive-gcd sequence took about 17 s (2-vCPU Xeon VM); the
+    # known-Phi_d division is poincare's, so the reduced series is its series
+    names = [f"x{i}" for i in range(1, 41)]
+    doc = {"spec_version": 1,
+           "algebra": {"kind": "polynomial",
+                       "generators": [{"name": n, "degree": [i]}
+                                      for i, n in enumerate(names, 1)]},
+           "module": {"summands": [{"ideal": [f"x{i}*x{41 - i}" for i in range(1, 15)]}]}}
+    path = _write(tmp_path, doc)
+    start = time.perf_counter()
+    code, payload = _run_json(capsys, ["hilbert", path])
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    code, poincare = _run_json(capsys, ["poincare", path])
+    assert code == 0
+    assert payload["report"]["reduced"] == poincare["report"]["series"]
+    assert payload["warnings"] == []
+
+
+def _seeded_presentation(rng) -> tuple:
+    """(weights, module doc) for a ring in 1..3 variables of weight 1..6:
+    1..2 summands with shifts 0..5 and up to 3 generators of exponents
+    0..3 (all zero gives a zero summand), a Laurent part one time in three,
+    and the zero module one time in ten."""
+    weights = [rng.randint(1, 6) for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.1:
+        return weights, {"summands": [{"ideal": ["1"]}]}
+    summands = []
+    for _ in range(rng.randint(1, 2)):
+        ideal = ["*".join(f"v{i}^{rng.randint(0, 3)}" for i in range(1, len(weights) + 1))
+                 for _ in range(rng.randint(0, 3))]
+        summands.append({"shift": rng.randint(0, 5), "ideal": ideal})
+    module = {"summands": summands}
+    if rng.random() < 1 / 3:
+        module["negative_shift"] = rng.randint(1, 3)
+    return weights, module
+
+
+def test_hilbert_reduced_matches_the_primitive_gcd(tmp_path, capsys):
+    # the known-Phi_d division against the primitive-gcd reduction it
+    # replaced, on the printed series, scaled to q(0) = 1
+    rng = random.Random(25)
+    laurent = zero = 0
+    for _ in range(320):
+        weights, module = _seeded_presentation(rng)
+        doc = {"spec_version": 1, "algebra": _weighted_ring(weights), "module": module}
+        code, payload = _run_json(capsys, ["hilbert", _write(tmp_path, doc)])
+        assert code == 0, doc
+        report = payload["report"]
+        p, q = ([c for c, _ in report["series"][key]] for key in ("numerator", "denominator"))
+        p, q = gkdim.poincare._lowest_terms(p, q)
+        assert report["reduced"] == {"numerator": [[q[0] * c, 1] for c in p],
+                                     "denominator": [[q[0] * c, 1] for c in q]}, doc
+        laurent += "negative_shift" in module
+        zero += not p
+    assert laurent > 50 and zero > 20
 
 
 def test_poincare_raw_sequence_without_recurrence_is_exit_one(tmp_path, capsys):
@@ -1617,11 +1742,11 @@ def test_poincare_on_presentations_matches_brute_force_sympy_and_the_search(
                            for shift, ideal in summands]}
     path = tmp_path_factory.mktemp("fuzz") / "spec.json"
 
-    def poincare(doc, depth):
+    def poincare(doc, depth, command="poincare"):
         path.write_text(json.dumps({"spec_version": 1, **doc}))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.run(cli.RunConfig(command="poincare", input_path=str(path),
+            code = cli.run(cli.RunConfig(command=command, input_path=str(path),
                                          max_degree=depth))
         assert code in (0, 1), (case, err.getvalue())
         return code, json.loads(out.getvalue())["report"]
@@ -1638,6 +1763,14 @@ def test_poincare_on_presentations_matches_brute_force_sympy_and_the_search(
     assert _expand(p, q, 11) == counts, case
     order = report["recurrence"]["order"]
     assert order == max(len(q) - 1, 1), case
+    # hilbert's reduced series is poincare's, and sympy's scaled to q(0) = 1
+    # (sympy lists the zero numerator as [0])
+    code, hilbert = poincare({"algebra": algebra, "module": module}, 10, "hilbert")
+    assert code == 0, case
+    assert hilbert["reduced"] == report["series"], case
+    scaled = {key: [[(c / q[0]).numerator, (c / q[0]).denominator] for c in f if any(f)]
+              for key, f in (("numerator", p), ("denominator", q))}
+    assert hilbert["reduced"] == scaled, case
     # and where the sampled search answers on samples deep enough to hold
     # the recurrence twice past the numerator, it answers the same
     depth = 2 * (order + len(p)) + 20

@@ -43,7 +43,12 @@ Oracles:
   ideals with weights 1..12 and 1000, _exact_analysis (division by the
   known Phi_d alone) must give the recurrence, series, root report and
   period of the walk it replaced on presentations: _lowest_terms, then
-  denominator_analysis over every order with phi(k) <= deg q.
+  denominator_analysis over every order with phi(k) <= deg q. Its division
+  by Phi_1 = 1 - t, one prefix sum, must give int_divmod's quotient and
+  remainder.
+* Weights denominator -- the product prod(1 - t^w) multiplied out one
+  factor at a time (kept here) must equal _weights_denominator's binomial
+  rows on seeded weight multisets.
 * Root-location certificates -- frozen on denominators whose roots are known
   in closed form; non-integral denominators, which no series with integer
   coefficients has (Fatou), are refused.
@@ -71,11 +76,12 @@ import sympy
 from sympy.polys import ring_series
 
 import gkdim.poincare
-from gkdim.exactnum import Polynomial
+from gkdim.exactnum import Polynomial, int_divmod
 from gkdim.hilbert import _checked_series, minimalize_ideal, numerator_terms
 from gkdim.poincare import (ROOT_SPLIT_SKIPPED, DenominatorAnalysis, QuasiPolynomial,
                             RationalSeries, Recurrence, _cyclotomic_ints,
-                            _cyclotomic_orders, _divisors, _exact_analysis,
+                            _cyclotomic_orders, _divisors, _divmod_one_minus_t,
+                            _exact_analysis,
                             _exact_quasi_polynomial, _exact_recurrence, _expansion,
                             _lowest_terms, _normalised_series, _shift_registers,
                             _strip_cyclotomic, _weights_denominator,
@@ -1023,6 +1029,39 @@ def test_exact_analysis_matches_the_walk():
         assert ra.mixed_cyclotomic == (ra.denominator.s is None)
         assert ra.quasi is None
         assert _normalised_series(low, q) == ra.series
+
+
+def _weights_denominator_reference(weights) -> list:
+    """prod(1 - t^w) multiplied out one factor at a time, from the top index
+    down: the product _weights_denominator replaced."""
+    q = [1] + [0] * sum(weights)
+    for w in weights:
+        for i in range(len(q) - 1, w - 1, -1):
+            q[i] -= q[i - w]
+    return q
+
+
+def test_weights_denominator_matches_the_factor_by_factor_product():
+    rng = random.Random(2020)
+    cases = [(), (1,), (1,) * 40, (7, 7, 7)]
+    cases += [tuple(rng.choice(pool) for _ in range(rng.randint(1, 12)))
+              for pool in ([1], [1, 2], [2, 3, 5], list(range(1, 13)), [4, 4, 9, 30])
+              for _ in range(40)]
+    for weights in cases:
+        assert _weights_denominator(weights) == _weights_denominator_reference(weights), weights
+
+
+def test_division_by_one_minus_t_is_int_divmod():
+    rng = random.Random(2121)
+    for _ in range(300):
+        u = [rng.randint(-9, 9) for _ in range(rng.randint(0, 12))]
+        if rng.random() < 0.5 and u:
+            u[-1] -= sum(u)  # u(1) = 0
+        quo, rem = _divmod_one_minus_t(u)
+        ref_quo, ref_rem = int_divmod(u, [1, -1])
+        assert rem == ref_rem, u
+        if not rem:
+            assert quo == ref_quo, u
 
 
 # ---------------------------------------------------------------------------
