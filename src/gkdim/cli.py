@@ -573,14 +573,16 @@ def _cmd_poincare(config: RunConfig, parsed: ParsedInput):
     if parsed.sequence is None and parsed.catalog_id is None:
         # an exact series (Hilbert-Serre): no recurrence search, no walk over
         # every cyclotomic order and no fitted branches; they are read off the
-        # reduced series where a fit with window 4 would find them on the
-        # printed coefficients
+        # reduced series where the P branches of at most M coefficients each
+        # (P the period, M the top multiplicity) hold no more numbers than
+        # the printed coefficients
         _, _, expansion, low = _presented_series(parsed, top)
         values = expansion[:top + 1]
-        ra = None if low is None else _reduced_analysis(*low)._replace(
-            quasi=_exact_quasi_polynomial(*low, values, window=4))
+        ra = None if low is None else _reduced_analysis(*low)
         if ra is None:
             flags += ("cancel_step_bound",)
+        elif ra.period * max(low[2].values(), default=0) <= len(values):
+            ra = ra._replace(quasi=_exact_quasi_polynomial(*low, values))
     else:
         values = (list(parsed.sequence) if parsed.sequence is not None
                   else catalog.graded_values(parsed.catalog_id, top))

@@ -31,9 +31,10 @@ shift, and the Laurent part's:
   factor (presentations.divide_by_weights), with one more factor (1 - t)
   for cumulative counts;
 - the series (_checked_series): into a dense list up to the reach of its
-  expansion self-check (poincare._expansion); p, q = prod(1 - t^w) and the
-  expansion stay int lists into the hilbert command's report, whose graded
-  dimensions are that verified expansion;
+  expansion self-check; the expansion is its running sums (_counts) to the
+  degree asked for, checked to that reach against poincare._expansion of
+  p / q, q = prod(1 - t^w); p, q and the expansion stay int lists into the
+  hilbert command's report, whose graded dimensions are that expansion;
 - the growth certificate (numerator_at_one, growth_certificate): the
   numerator's Taylor coefficients at t = 1, c_j = sum_i C(i, j) p_i for
   j <= n, from which gk and the multiplicity are read, so the certificate
@@ -444,12 +445,13 @@ def module_hilbert_series(a: AlgebraSpec, m: ModuleSpec) -> RationalSeries:
 
 def _checked_series(a: AlgebraSpec, m: ModuleSpec, top: int) -> tuple:
     """(p, q, expansion) in int lists: module_hilbert_series(a, m), m validated,
-    and its expansion to degree max(reach, top), self-checked to reach."""
+    and its running sums (_counts) to degree max(reach, top), self-checked to
+    reach against the expansion of p / q, whose products cost more."""
     dense, reach = _module_numerator(a, m)
     p = dense[:next((n for n in range(len(dense), 0, -1) if dense[n - 1]), 0)]
     q = _weights_denominator(a.scalar_weights())
-    expansion = _expansion(p, q, max(reach, top) + 1)
-    if expansion[:reach + 1] != _counts(a, dense, cumulative=False):
+    expansion = _counts(a, dense + [0] * (top - reach), cumulative=False)
+    if expansion[:reach + 1] != _expansion(p, q, reach + 1):
         raise RuntimeError("internal error: series expansion disagrees with direct counts")
     return p, q, expansion
 

@@ -25,9 +25,10 @@ presentation command reduces its series p / prod(1 - t^w) (Hilbert-Serre)
 by the Phi_d its denominator is known to have (_reduce); the primitive gcd
 (_lowest_terms) serves sampled series only. _reduced_analysis reads the
 recurrence and root report off the reduced series, _exact_quasi_polynomial
-its branches, p / q = c / (1 - t^P)^M: no search, walk or tower. Every
-stage runs on integer coefficient lists and builds one Fraction per output
-coefficient:
+its branches, p / q = c / (1 - t^P)^M, within BRANCH_WORK_BOUND: no
+search, walk or tower. The poincare command prints them where their P M
+numbers are no more than the coefficients it prints. Every stage runs on
+integer coefficient lists and builds one Fraction per output coefficient:
 - the samples are scaled to ints once; Berlekamp-Massey runs on them, and
   the onset scan checks the integer characteristic row, sum_j row[j] f(n + j)
   = 0, where row is the shift register C[0..r] itself (order r >= 2) or
@@ -541,13 +542,6 @@ def _branch_ints(cs: list, scale: int, period: int, residue: int) -> tuple:
     return ints, scale * math.factorial(d) * period ** d
 
 
-def _class_window(min_len: int, window: int) -> Optional[int]:
-    """The window fit_quasi_polynomial adapts to a shortest residue class of
-    min_len samples, or None when they are too few for it."""
-    eff_window = max(2, min(window, (min_len - 4) // 2))
-    return eff_window if min_len >= 2 * eff_window + 4 else None
-
-
 def fit_quasi_polynomial(s, period: int, window: int = 4) -> Optional[QuasiPolynomial]:
     """Fit one exact polynomial branch per residue class mod `period`.
 
@@ -558,8 +552,9 @@ def fit_quasi_polynomial(s, period: int, window: int = 4) -> Optional[QuasiPolyn
     vals = sequence_values(s)
     if period < 1:
         raise ValueError("period must be positive")
-    eff_window = _class_window(len(vals) // period, window)
-    if eff_window is None:
+    min_len = len(vals) // period  # the shortest residue class
+    eff_window = max(2, min(window, (min_len - 4) // 2))
+    if min_len < 2 * eff_window + 4:
         return None
     scaled = []
     onset = 0
@@ -680,12 +675,6 @@ def _divmod_one_minus_t(u: list) -> tuple:
     return quo, [last] if last else []
 
 
-def _exact_analysis(p: list, weights, q: Optional[list] = None) -> Optional[tuple]:
-    """_reduce(p, weights, q) and its _reduced_analysis; None past the bound."""
-    low = _reduce(p, weights, q)
-    return None if low is None else (*low, _reduced_analysis(*low))
-
-
 def _reduced_analysis(p: list, q: list, mults: dict) -> RationalAnalysis:
     """The RationalAnalysis, without branches, of _reduce's p/q: the period
     is the lcm of q's orders, the recurrence read off q (_exact_recurrence)."""
@@ -714,11 +703,26 @@ def _form_values(form: list, count: int) -> list:
     return values
 
 
-def _exact_quasi_polynomial(p: list, q: list, mults: dict, held: Sequence,
-                            window: Optional[int] = None) -> Optional[QuasiPolynomial]:
+#: The most branch work, M (len(p) + P M) with P the period and M the top
+#: multiplicity of the reduced denominator, for which _exact_quasi_polynomial
+#: reads branches: the forms take M products per term of c = p (1 - t^P)^M /
+#: q, at most len(p) + P M terms, and building the P branches of degree
+#: M - 1 takes P M^2 products of ints that grow with M. The slowest shape it
+#: admits, P = 1 and M = 499, takes about half a second on a 2-vCPU VM.
+BRANCH_WORK_BOUND = 250_000
+
+
+def _branch_work(length: int, period: int, top: int) -> int:
+    """M (len(p) + P M) for a numerator of `length` terms, P = period, M = top."""
+    return top * (length + period * top)
+
+
+def _exact_quasi_polynomial(p: list, q: list, mults: dict,
+                            held: Sequence) -> Optional[QuasiPolynomial]:
     """The quasi-polynomial branches of the series p/q, int lists in lowest
     terms with q(0) = 1 and q's cyclotomic multiplicities `mults`
-    (_reduce), read off the series, not fitted to it.
+    (_reduce), read off the series, not fitted to it; None past
+    BRANCH_WORK_BOUND.
 
     With P the lcm of the orders and M the top multiplicity, p/q = c / (1 -
     t^P)^M with c = p (1 - t^P)^M / q (exact int_divmod). As t^(jP) has the
@@ -731,21 +735,11 @@ def _exact_quasi_polynomial(p: list, q: list, mults: dict, held: Sequence,
     1 and branch 0). Each coefficient of `held`, a prefix of the expansion,
     from the onset on is checked against its branch; a miss raises
     RuntimeError.
-
-    With a window, None is returned unless fit_quasi_polynomial(held, P,
-    window) would find these branches: 2w + 4 samples in the shortest
-    class, w its adapted window, and, past each class's first index on its
-    branch of degree d, w entries of tower level max(d, 0). The first, and
-    the degree m - 1 a pole of order m at t = 1 gives some branch, are
-    checked before anything is built.
     """
     period = math.lcm(*mults)
     top = max(mults.values(), default=0)
-    if window is not None:
-        window = _class_window(len(held) // period, window)
-        # a pole of order m at t = 1: the branches' n^(m - 1) terms average to its
-        if window is None or mults.get(1, 0) - 1 > -(-len(held) // period) - window:
-            return None
+    if _branch_work(len(p), period, top) > BRANCH_WORK_BOUND:
+        return None
     c = [0] * (len(p) + top * period)  # p (1 - t^P)^M, then over q
     for j in range(top + 1):
         b, lo = (-1) ** j * math.comb(top, j), j * period
@@ -763,11 +757,6 @@ def _exact_quasi_polynomial(p: list, q: list, mults: dict, held: Sequence,
             form.pop()
         forms.append(form)
     held_counts = [len(range(i, len(held), period)) for i in range(period)]
-    if window is not None:
-        # class i's first index x on its branch must be at most spare[i]
-        spare = [n - max(len(form) - 1, 0) - window for n, form in zip(held_counts, forms)]
-        if min(spare) < 0:
-            return None
     proper = max(0, len(p) - len(q) + 1)
     head = c[:proper]
     for _ in range(top):  # divided by 1 - t^P: one running sum per residue class
@@ -779,8 +768,6 @@ def _exact_quasi_polynomial(p: list, q: list, mults: dict, held: Sequence,
         values.append(_form_values(form, max(len(known), held_counts[i], 1)))
         miss = next((x for x in reversed(range(len(known))) if known[x] != values[i][x]), None)
         if miss is not None:
-            if window is not None and spare[i] <= miss:
-                return None
             onset = max(onset, i + (miss + 1) * period)
     for i, count in enumerate(held_counts):
         first = max(0, -(-(onset - i) // period))

@@ -401,11 +401,6 @@ class AdmissibleOrder(_OrderFields):
         return -1 if alpha < beta else 1  # tuple comparison is lex
 
 
-def compare(order: AdmissibleOrder, alpha: Monomial, beta: Monomial) -> int:
-    """Module-level alias for order.compare."""
-    return order.compare(alpha, beta)
-
-
 class AdmissibilityReport(NamedTuple):
     ok: bool
     counterexample: Optional[tuple] = None

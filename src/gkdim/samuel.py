@@ -10,8 +10,8 @@ goes only on inconclusive reports.
 
 A module presentation fixes its Hilbert series exactly (Hilbert-Serre), so
 certified_growth reads its verdict from that series and samples nothing. Of
-poincare's two routines it uses the exact one, _exact_analysis with its
-branches _exact_quasi_polynomial, which the poincare command shares; the
+poincare's two routines it uses the exact one, _reduce, _reduced_analysis
+and _exact_quasi_polynomial, which the poincare command shares; the
 sampled head, rational_analysis, serves classify_growth alone.
 """
 
@@ -26,9 +26,10 @@ from .exactnum import (BinomialForm, HilbertSamuelPolynomial, detect_polynomial,
                        sequence_values)
 from .hilbert import (SERIES_DEGREE_BOUND, _at_one, _module_terms, _samuel_fit,
                       growth_certificate)
-from .poincare import (CANCEL_STEP_BOUND, DenominatorAnalysis, QuasiPolynomial,
-                       RationalSeries, Recurrence, _exact_analysis,
-                       _exact_quasi_polynomial, rational_analysis)
+from .poincare import (BRANCH_WORK_BOUND, CANCEL_STEP_BOUND, DenominatorAnalysis,
+                       QuasiPolynomial, RationalSeries, Recurrence, _branch_work,
+                       _exact_quasi_polynomial, _reduce, _reduced_analysis,
+                       rational_analysis)
 from .presentations import AlgebraSpec, ModuleSpec, divide_by_weights, validate_module
 
 
@@ -210,15 +211,16 @@ def certified_growth(a: AlgebraSpec, m: ModuleSpec, top: int, *,
     polynomial (hilbert._samuel_fit), so nothing dense is built past top and
     an exponent of 10^9 costs what 1 does. On a weighted ring the cumulative
     series p / ((1 - t) prod(1 - t^w)) is reduced against the cyclotomic
-    factors the weights give its denominator (poincare._exact_analysis, as
-    hilbert and poincare reduce the graded series): a reduced denominator
-    (1 - t)^k gives the polynomial the same way, any other its recurrence,
-    root report and branches, read off the reduced series
-    (poincare._exact_quasi_polynomial) and checked against the cumulative
-    dimensions. A weighted series that passes degree SERIES_DEGREE_BOUND,
-    whose reduction passes CANCEL_STEP_BOUND, or with len(p) + P (2m + 6)
-    past SERIES_DEGREE_BOUND (P the period, m the highest multiplicity in
-    the reduced denominator) keeps gk and e only. More than
+    factors the weights give its denominator (poincare._reduce, as hilbert
+    and poincare reduce the graded series): a reduced denominator (1 - t)^k
+    gives the polynomial the same way, any other its recurrence, root report
+    and branches, read off the reduced series (poincare._reduced_analysis,
+    _exact_quasi_polynomial) and checked against the cumulative dimensions.
+    A weighted series that passes degree SERIES_DEGREE_BOUND, or whose
+    reduction passes CANCEL_STEP_BOUND, keeps gk and e only; with len(p) +
+    P (2m + 6) past SERIES_DEGREE_BOUND (P the period, m the top multiplicity
+    in q) or m (len(p) + P m) past BRANCH_WORK_BOUND it gets no branches,
+    and its evidence names the bound. More than
     SERIES_DEGREE_BOUND distinct degrees in a summand numerator raise
     SpecError at "module".
     validated=True skips validate_module, for a caller that has checked m
@@ -247,15 +249,16 @@ def certified_growth(a: AlgebraSpec, m: ModuleSpec, top: int, *,
             kind, gk, e, evidence=(f"{pole}; the series passes degree "
                                    f"{SERIES_DEGREE_BOUND} and is not expanded"))
     # the cumulative series is p / ((1 - t) prod(1 - t^w))
-    exact = _exact_analysis(_dense(terms, degree + 1), weights + (1,))
-    if exact is None:
+    low = _reduce(_dense(terms, degree + 1), weights + (1,))
+    if low is None:
         return graded, cumulative, GrowthReport(
             kind, gk, e, evidence=(f"{pole}; reducing the series could take more "
                                    f"than {CANCEL_STEP_BOUND} steps and is not done"))
-    p, q, mults, ra = exact
+    p, q, mults = low
     if set(mults) == {1}:  # q = (1 - t)^k
         fit = _samuel_fit(_at_one(dict(enumerate(p)), mults[1]), len(p) - 1)
         return graded, cumulative, _polynomial_growth(gk, e, fit)
+    ra = _reduced_analysis(p, q, mults)
     # branches are read while len(p) + P (2m + 6) stays within
     # SERIES_DEGREE_BOUND, P the period and m the top multiplicity in q: it
     # bounds the len(p) + P m terms of c = p (1 - t^P)^m they are read from
@@ -263,9 +266,15 @@ def certified_growth(a: AlgebraSpec, m: ModuleSpec, top: int, *,
     count = len(p) + period * (2 * top_mult + 6)
     quasi = (_exact_quasi_polynomial(p, q, mults, cumulative)
              if count <= SERIES_DEGREE_BOUND else None)
-    branches = (f"branches not read: numerator length plus period times (2m + 6), m the "
-                f"top multiplicity, is {count}, above {SERIES_DEGREE_BOUND}" if quasi is None
-                else f"quasi-polynomial branches from index {quasi.onset}")
+    if quasi is not None:
+        branches = f"quasi-polynomial branches from index {quasi.onset}"
+    elif count > SERIES_DEGREE_BOUND:
+        branches = (f"branches not read: numerator length plus period times (2m + 6), m "
+                    f"the top multiplicity, is {count}, above {SERIES_DEGREE_BOUND}")
+    else:
+        branches = (f"branches not read: m (numerator length + period m), m the top "
+                    f"multiplicity, is {_branch_work(len(p), period, top_mult)}, above "
+                    f"{BRANCH_WORK_BOUND}")
     return graded, cumulative, GrowthReport(
         kind, gk, e, recurrence=ra.recurrence, series=ra.series,
         denominator=ra.denominator, quasi=quasi,

@@ -839,14 +839,21 @@ def _weighted_plane(a: int, b: int) -> dict:
 
 def test_poincare_mixed_cyclotomic_flags_without_a_fit(tmp_path, capsys):
     # 1/((1-t^2)(1-t^3)): orders 1, 2, 3 are no pure (1-t^s)^d, so the
-    # period is their lcm 6, and 41 samples are too few to fit six branches
+    # period is their lcm 6; 41 samples are too few to fit six branches
+    # with window 4, but hold the P M = 12 numbers of the branches read off
+    # the series, which count the solutions of 2a + 3b = n
     path = _write(tmp_path, _weighted_plane(2, 3))
     code, payload = _run_json(capsys, ["poincare", path, "--max-degree", "40"])
     assert code == 0
     report = payload["report"]
     assert report["denominator"]["s"] is None
     assert report["denominator"]["cyclotomic_multiplicities"] == [[1, 2], [2, 1], [3, 1]]
-    assert report["quasi"] is None
+    assert gkdim.poincare.fit_quasi_polynomial(_weighted_counts((2, 3), [(0, [])], 40), 6) \
+        is None
+    quasi = report["quasi"]
+    assert (quasi["period"], quasi["onset"]) == (6, 0)
+    counts = _weighted_counts((2, 3), [(0, [])], 80)
+    assert all(_branch_value(quasi["branches"][n % 6], n) == counts[n] for n in range(81))
     assert payload["warnings"] == [WARNINGS["mixed_cyclotomic"]]
 
 
@@ -1032,19 +1039,75 @@ def test_poincare_and_analyze_agree_on_the_branches(tmp_path, capsys, weights):
 
 def test_poincare_prints_no_false_branches_on_too_few_coefficients(tmp_path, capsys):
     # k[x]/(x^3), x of weight 4, at shift 4: the series t^4 + t^8 + t^12 has
-    # the zero branch from 13 on; on 8 printed coefficients the fitted
-    # branch was zero from 5 on, and coefficient 8 is 1. With 8 more than
-    # the onset, the branch is printed.
+    # the zero branch from 13 on; on 8 printed coefficients a fitted branch
+    # would be zero from 5 on, and coefficient 8 is 1. The branch read off
+    # the series is the true one at every depth, past the printed ones too.
     doc = {"spec_version": 1,
            "algebra": {"kind": "polynomial", "generators": [{"name": "x", "degree": [4]}]},
            "module": {"summands": [{"shift": 4, "ideal": ["x^3"]}]}}
     path = _write(tmp_path, doc)
-    code, payload = _run_json(capsys, ["poincare", path, "--max-degree", "7"])
+    assert gkdim.poincare.fit_quasi_polynomial([0, 0, 0, 0, 1, 0, 0, 0], 1) \
+        == gkdim.poincare.QuasiPolynomial(1, (gkdim.poincare.Polynomial([]),), 5)
+    for depth in ("7", "20"):
+        code, payload = _run_json(capsys, ["poincare", path, "--max-degree", depth])
+        assert code == 0
+        assert payload["report"]["quasi"] == {"period": 1, "onset": 13, "branches": [[]]}
+
+
+def test_poincare_and_analyze_agree_on_branches_below_the_fits_depth(tmp_path, capsys):
+    # k[x, y], weights 2 and 3, at --max-degree 20: the 21 printed
+    # coefficients hold the P M = 12 numbers of the period-6 branches, so
+    # poincare prints them, as analyze does, though a window-4 fit needs 72
+    path = _write(tmp_path, _weighted_plane(2, 3))
+    code, graded = _run_json(capsys, ["poincare", path, "--max-degree", "20"])
     assert code == 0
-    assert payload["report"]["quasi"] is None
-    code, payload = _run_json(capsys, ["poincare", path, "--max-degree", "20"])
+    code, cumulative = _run_json(capsys, ["analyze", path, "--max-degree", "20"])
     assert code == 0
-    assert payload["report"]["quasi"] == {"period": 1, "onset": 13, "branches": [[]]}
+    g, c = graded["report"]["quasi"], cumulative["report"]["growth"]["quasi"]
+    assert (g["period"], g["onset"]) == (c["period"], c["onset"]) == (6, 0)
+    counts = _weighted_counts((2, 3), [(0, [])], 60)
+    for n in range(1, 61):
+        step = (_branch_value(c["branches"][n % 6], n)
+                - _branch_value(c["branches"][(n - 1) % 6], n - 1))
+        assert step == _branch_value(g["branches"][n % 6], n) == counts[n], n
+
+
+def test_poincare_reads_no_branches_of_a_long_period_on_few_coefficients(
+        tmp_path, capsys, monkeypatch):
+    # weights 2, 3, 5, 7, 11 (the benchmark's prime_weights case) at depth
+    # 66: the period 2310 times the top multiplicity 5 is past the 67
+    # printed coefficients, so no branch is read, let alone printed
+    monkeypatch.setattr(cli, "_exact_quasi_polynomial", None)
+    path = _write(tmp_path, {"spec_version": 1, "algebra": _weighted_ring((2, 3, 5, 7, 11))})
+    code, payload = _run_json(capsys, ["poincare", path, "--max-degree", "66"])
+    assert code == 0
+    report = payload["report"]
+    assert report["denominator"]["cyclotomic_multiplicities"][0] == [1, 5]
+    assert report["quasi"] is None
+    assert payload["warnings"] == [WARNINGS["mixed_cyclotomic"]]
+
+
+def test_branches_past_the_work_bound_are_not_read_in_under_a_second(tmp_path, capsys):
+    # the Weyl algebra of rank 1000 at depth 2002: P M = 2000 is within the
+    # 2003 printed coefficients, but its branch work M (len(p) + P M) =
+    # 4002000 is past BRANCH_WORK_BOUND (the branches' denominators are near
+    # 1999!); k[x1..x1200, z], z of weight 2: analyze's evidence names the bound
+    weyl = _write(tmp_path, {"spec_version": 1,
+                             "algebra": {"kind": "weyl", "weyl_rank": WEYL_RANK_BOUND}})
+    for depth in ("2002", "2010"):
+        start = time.perf_counter()
+        code, payload = _run_json(capsys, ["poincare", weyl, "--max-degree", depth])
+        assert time.perf_counter() - start < 1.0, depth
+        assert code == 0 and payload["report"]["quasi"] is None, depth
+    ring = _write(tmp_path, {"spec_version": 1, "algebra": _weighted_ring((1,) * 1200 + (2,))})
+    start = time.perf_counter()
+    code, payload = _run_json(capsys, ["analyze", ring])
+    assert time.perf_counter() - start < 1.0
+    growth = payload["report"]["growth"]
+    assert (code, growth["gk"], growth["quasi"]) == (0, 1201, None)
+    assert growth["evidence"].endswith(
+        "branches not read: m (numerator length + period m), m the top multiplicity, "
+        f"is {1202 * (1 + 2 * 1202)}, above {gkdim.poincare.BRANCH_WORK_BOUND}")
 
 
 def test_poincare_refusal_names_the_field_that_is_short(tmp_path, capsys):
@@ -1297,6 +1360,63 @@ def test_hilbert_reduced_matches_the_primitive_gcd(tmp_path, capsys):
         laurent += "negative_shift" in module
         zero += not p
     assert laurent > 50 and zero > 20
+
+
+def _seeded_counts(weights, module, top: int) -> list:
+    """Graded dimensions 0..top of a _seeded_presentation module, by
+    enumerating monomials: 1, 2, 2, ... for a Laurent part, plus each
+    summand's standard monomials at its shift."""
+    counts = [1] + [2] * top if "negative_shift" in module else [0] * (top + 1)
+    monomials = [((), 0)]  # every exponent vector of weighted degree <= top
+    for w in weights:
+        monomials = [(e + (k,), d + k * w) for e, d in monomials
+                     for k in range((top - d) // w + 1)]
+    for summand in module["summands"]:
+        gens = [[int(part.split("^")[1]) for part in g.split("*")] if g != "1"
+                else [0] * len(weights) for g in summand["ideal"]]
+        shift = summand.get("shift", 0)
+        for e, d in monomials:
+            if shift + d <= top and not any(all(map(int.__ge__, e, g)) for g in gens):
+                counts[shift + d] += 1
+    return counts
+
+
+def test_poincare_prints_the_fits_true_branches_and_only_true_ones(tmp_path, capsys):
+    # poincare reads branches off the reduced series wherever P M, P the
+    # period and M the top multiplicity, is at most the printed
+    # coefficients. The window-4 fit on those coefficients is the reference:
+    # wherever its branches hold on a long brute-force count, they are the
+    # printed ones, and every printed branch holds on that count from its
+    # onset
+    rng = random.Random(26)
+    seen = {"as the fit": 0, "without a true fit": 0, "none": 0, "laurent": 0, "zero": 0}
+    for k in range(300):
+        weights, module = _seeded_presentation(rng)
+        depth = (5, 10, 20, 40, 80)[k % 5]
+        doc = {"spec_version": 1, "algebra": _weighted_ring(weights), "module": module}
+        code, payload = _run_json(capsys, ["poincare", _write(tmp_path, doc),
+                                           "--max-degree", str(depth)])
+        assert code == 0, doc
+        report, quasi = payload["report"], payload["report"]["quasi"]
+        mults = dict(report["denominator"]["cyclotomic_multiplicities"])
+        period = math.lcm(*mults)
+        assert (quasi is not None) == (period * max(mults.values(), default=0) <= depth + 1)
+        onset = depth if quasi is None else max(depth, quasi["onset"])
+        counts = _seeded_counts(weights, module, onset + 2 * period + 40)
+        assert report["coefficients_analyzed"] == depth + 1
+        fit = gkdim.poincare.fit_quasi_polynomial(counts[:depth + 1], period, 4)
+        if fit is not None and all(fit.branches[n % period].evaluate(n) == counts[n]
+                                   for n in range(fit.onset, len(counts))):
+            assert quasi == json.loads(json.dumps(cli._quasi_payload(fit))), doc
+            seen["as the fit"] += 1
+        else:
+            seen["none" if quasi is None else "without a true fit"] += 1
+        if quasi is not None:
+            assert all(_branch_value(quasi["branches"][n % period], n) == counts[n]
+                       for n in range(quasi["onset"], len(counts))), doc
+        seen["laurent"] += "negative_shift" in module
+        seen["zero"] += not report["series"]["numerator"]
+    assert min(seen.values()) >= 20, seen
 
 
 def test_poincare_raw_sequence_without_recurrence_is_exit_one(tmp_path, capsys):
@@ -1772,13 +1892,26 @@ def test_poincare_on_presentations_matches_brute_force_sympy_and_the_search(
               for key, f in (("numerator", p), ("denominator", q))}
     assert hilbert["reduced"] == scaled, case
     # and where the sampled search answers on samples deep enough to hold
-    # the recurrence twice past the numerator, it answers the same
+    # the recurrence twice past the numerator, it answers the same, but for
+    # branches its window-4 fit does not find: poincare prints the branches
+    # read off the series wherever P M, P the period and M the top
+    # multiplicity, is at most the printed coefficients, and they hold on
+    # sympy's expansion from their onset
     depth = 2 * (order + len(p)) + 20
     code, report = poincare({"algebra": algebra, "module": module}, depth)
     assert code == 0, case
+    mults = dict(report["denominator"]["cyclotomic_multiplicities"])
+    quasi = report.pop("quasi")
+    period = math.lcm(*mults)
+    assert (quasi is not None) == (period * max(mults.values(), default=0) <= depth + 1), case
+    if quasi is not None:
+        want = _expand(p, q, quasi["onset"] + 3 * period + 1)
+        assert all(_branch_value(quasi["branches"][n % period], n) == want[n]
+                   for n in range(quasi["onset"], len(want))), case
     code, sampled = poincare({"sequence": [int(c) for c in _expand(p, q, depth + 1)],
                               "sequence_meaning": "graded_piece"}, depth)
     if code == 0:
+        assert sampled.pop("quasi") in (None, quasi), case
         assert sampled == report, case
 
 

@@ -751,7 +751,9 @@ def test_hilbert_reads_graded_dimensions_from_the_self_check(tmp_path, monkeypat
            "module": {"summands": [{"ideal": ["x*y"]}]}}
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(doc))
-    # the shared kernel of RationalSeries.expand, which hilbert calls on int lists
+    # the shared kernel of RationalSeries.expand, which hilbert calls on int
+    # lists to its reach alone: the graded dimensions at every depth are the
+    # running sums it checks
     expand, lengths = gkdim.hilbert._expansion, []
 
     def counting(p, q, n):
@@ -759,7 +761,7 @@ def test_hilbert_reads_graded_dimensions_from_the_self_check(tmp_path, monkeypat
         return expand(p, q, n)
 
     monkeypatch.setattr(gkdim.hilbert, "_expansion", counting)
-    for top, expansions in ((3, [15]), (14, [15]), (15, [16]), (40, [41])):
+    for top, expansions in ((3, [15]), (14, [15]), (15, [15]), (40, [15])):
         lengths.clear()
         out = tmp_path / f"{top}.json"
         assert main(["hilbert", str(path), "--max-degree", str(top),

@@ -40,12 +40,12 @@ Oracles:
   multiplicities and residual (times its split-off linear factors) on seeded
   cyclotomic products times integer residuals of degree <= 30.
 * Exact reduction -- on Hilbert series p / prod(1 - t^w) of seeded monomial
-  ideals with weights 1..12 and 1000, _exact_analysis (division by the
-  known Phi_d alone) must give the recurrence, series, root report and
-  period of the walk it replaced on presentations: _lowest_terms, then
-  denominator_analysis over every order with phi(k) <= deg q. Its division
-  by Phi_1 = 1 - t, one prefix sum, must give int_divmod's quotient and
-  remainder.
+  ideals with weights 1..12 and 1000, _reduce (division by the known Phi_d
+  alone) and _reduced_analysis must give the recurrence, series, root
+  report and period of the walk it replaced on presentations:
+  _lowest_terms, then denominator_analysis over every order with phi(k) <=
+  deg q. Its division by Phi_1 = 1 - t, one prefix sum, must give
+  int_divmod's quotient and remainder.
 * Weights denominator -- the product prod(1 - t^w) multiplied out one
   factor at a time (kept here) must equal _weights_denominator's binomial
   rows on seeded weight multisets.
@@ -60,8 +60,9 @@ Oracles:
   modules), _exact_quasi_polynomial must give the period, branches and
   onset that fit_quasi_polynomial fits on the series' long expansion;
   sympy's truncated series inversion must give the coefficients the
-  branches predict from the onset on; and with a window, the branches must
-  be the fit on the held coefficients wherever it finds true ones.
+  branches predict from the onset on; on a prefix of the expansion, the
+  branches must be the fit on it wherever that fit is true; and past
+  BRANCH_WORK_BOUND nothing is divided.
 """
 
 from collections import Counter
@@ -78,13 +79,13 @@ from sympy.polys import ring_series
 import gkdim.poincare
 from gkdim.exactnum import Polynomial, int_divmod
 from gkdim.hilbert import _checked_series, minimalize_ideal, numerator_terms
-from gkdim.poincare import (ROOT_SPLIT_SKIPPED, DenominatorAnalysis, QuasiPolynomial,
-                            RationalSeries, Recurrence, _cyclotomic_ints,
-                            _cyclotomic_orders, _divisors, _divmod_one_minus_t,
-                            _exact_analysis,
-                            _exact_quasi_polynomial, _exact_recurrence, _expansion,
-                            _lowest_terms, _normalised_series, _shift_registers,
-                            _strip_cyclotomic, _weights_denominator,
+from gkdim.poincare import (BRANCH_WORK_BOUND, ROOT_SPLIT_SKIPPED, DenominatorAnalysis,
+                            QuasiPolynomial, RationalSeries, Recurrence, _branch_work,
+                            _cyclotomic_ints, _cyclotomic_orders, _divisors,
+                            _divmod_one_minus_t, _exact_quasi_polynomial,
+                            _exact_recurrence, _expansion, _lowest_terms,
+                            _normalised_series, _reduce, _reduced_analysis,
+                            _shift_registers, _strip_cyclotomic, _weights_denominator,
                             denominator_analysis, fit_quasi_polynomial,
                             minimal_recurrence, quasi_polynomial,
                             rational_analysis, series_from_recurrence)
@@ -1022,7 +1023,8 @@ def test_exact_analysis_matches_the_walk():
         p = [terms.get(d, 0) for d in range(max(terms, default=-1) + 1)]
         while p and p[-1] == 0:
             p.pop()
-        low, q, mults, ra = _exact_analysis(p, weights)
+        low, q, mults = _reduce(p, weights)
+        ra = _reduced_analysis(low, q, mults)
         assert (ra.recurrence, ra.series, ra.denominator, ra.period) == \
             _walk_analysis(p, weights), (weights, gens)
         assert mults == ra.denominator.cyclotomic_multiplicities, (weights, gens)
@@ -1167,12 +1169,12 @@ def _weighted_presentations(rng, count):
 
 def _exact_series(weights, module):
     """The graded and the cumulative series of the presentation, each as
-    (p, q, mults, period, top multiplicity) from _exact_analysis."""
+    (p, q, mults, period, top multiplicity) from _reduce."""
     a = AlgebraSpec.polynomial(len(weights), degrees=[(w,) for w in weights])
     p, _, _ = _checked_series(a, module, 0)
     for ws in (weights, weights + (1,)):
-        low, q, mults, ra = _exact_analysis(p, ws)
-        yield low, q, mults, ra.period, max(mults.values(), default=0)
+        low, q, mults = _reduce(p, ws)
+        yield low, q, mults, math.lcm(*mults), max(mults.values(), default=0)
 
 
 def test_exact_branches_match_the_fit_on_the_long_expansion():
@@ -1208,10 +1210,10 @@ def test_exact_branches_match_sympy_series_coefficients(weights):
     # the ring, and its quotient by the square of its first generator at
     # shift 2, whose numerator t^2 (1 - t^(2 w_1)) moves the onset
     for numerator in ([1], [0, 0, 1] + [0] * (2 * weights[0] - 1) + [-1]):
-        p, q, mults, ra = _exact_analysis(numerator, weights)
+        p, q, mults = _reduce(numerator, weights)
         qp = _exact_quasi_polynomial(p, q, mults, [])
         period = qp.period
-        assert period == ra.period
+        assert period == _reduced_analysis(p, q, mults).period
         want = _sympy_coefficients(numerator, weights, qp.onset + 3 * period)
         for n in range(qp.onset, len(want)):
             assert qp.branches[n % period].evaluate(n) == want[n], (weights, n)
@@ -1222,7 +1224,7 @@ def test_exact_branches_match_sympy_series_coefficients(weights):
 
 def test_a_constant_denominator_gives_one_zero_branch_from_the_numerator_end():
     # t (1 - t^3)(1 - t^4) over (1 - t^3)(1 - t^4): the numerator is all
-    p, q, mults, ra = _exact_analysis([0, 1, 0, 0, -1, -1, 0, 0, 1], (3, 4))
+    p, q, mults = _reduce([0, 1, 0, 0, -1, -1, 0, 0, 1], (3, 4))
     assert (p, q, mults) == ([0, 1], [1], {})
     assert _exact_quasi_polynomial(p, q, mults, [0, 1, 0, 0]) == \
         QuasiPolynomial(1, (Polynomial([]),), 2)
@@ -1232,7 +1234,7 @@ def test_a_constant_denominator_gives_one_zero_branch_from_the_numerator_end():
 
 def test_exact_branches_check_every_held_coefficient_from_the_onset():
     # 1/((1 - t^2)(1 - t^3)): period 6, onset 0
-    p, q, mults, ra = _exact_analysis([1], (2, 3))
+    p, q, mults = _reduce([1], (2, 3))
     vals = _expansion(p, q, 40)
     assert _exact_quasi_polynomial(p, q, mults, vals).onset == 0
     for n in (0, 17, 39):
@@ -1241,53 +1243,63 @@ def test_exact_branches_check_every_held_coefficient_from_the_onset():
             _exact_quasi_polynomial(p, q, mults, bad)
 
 
-def test_with_a_window_the_exact_branches_are_the_fit_on_the_held_coefficients():
-    # poincare's rule: branches where fit_quasi_polynomial(held, P, 4) finds
-    # them; where the fit stops on coefficients short of the tail, its
-    # branches miss the long expansion, and the exact routine gives none
+def test_the_exact_branches_are_the_fit_on_the_held_coefficients_where_it_is_true():
+    # the reference is fit_quasi_polynomial(held, P, 4): wherever its
+    # branches hold on the long expansion, the exact ones read off the
+    # series are the same; where they miss it, or it finds none, the exact
+    # branches still hold on every coefficient from their onset
     rng = random.Random(23)
-    agreed = refused = 0
+    agreed = false_fits = no_fits = 0
     for weights, module in _weighted_presentations(rng, 60):
         p, q, mults, period, top = next(_exact_series(weights, module))
         vals = _expansion(p, q, len(p) + 14 * period + 40)
-        # 8 per class and up: the adapted window grows from 2 to 4 by 12
+        # 8 per class and up: the fit's adapted window grows from 2 to 4 by 12
         for depth in (*range(8 * period - 1, 8 * period + 6), 10 * period, 12 * period + 3):
             held = vals[:depth + 1]
-            got = _exact_quasi_polynomial(p, q, mults, held, window=4)
+            assert period * top <= len(held)  # poincare's size rule admits them
+            got = _exact_quasi_polynomial(p, q, mults, held)
+            assert got == _exact_quasi_polynomial(p, q, mults, vals), (weights, module, depth)
+            assert all(got.branches[n % period].evaluate(n) == vals[n]
+                       for n in range(got.onset, len(vals))), (weights, module, depth)
             fit = fit_quasi_polynomial(held, period, window=4)
-            if got is not None or fit is None:
+            if fit is None:
+                no_fits += 1
+            elif all(fit.branches[n % period].evaluate(n) == vals[n]
+                     for n in range(fit.onset, len(vals))):
                 assert got == fit, (weights, module, depth)
-                agreed += got is not None
-                continue
-            refused += 1
-            assert any(fit.branches[n % period].evaluate(n) != vals[n]
-                       for n in range(fit.onset, len(vals))), (weights, module, depth)
-    assert agreed > 300 and refused > 10, (agreed, refused)
+                agreed += 1
+            else:
+                false_fits += 1
+    assert agreed > 300 and false_fits > 10, (agreed, false_fits, no_fits)
 
 
-def test_with_a_window_a_short_class_can_miss_a_high_degree_branch():
+def test_a_short_class_gets_its_high_degree_branch_off_the_series():
     # weights 1 (seven times) and 2: branches of degree 7 in both classes
     # mod 2; on 17 coefficients class 1 has 8, one too few for the tower's
-    # window of 2 at level 7, while the pole bound on the longer class passes
+    # window of 2 at level 7, so the fit finds nothing below 18, while P M =
+    # 16 coefficients already give the branches read off the series
     weights = (1,) * 7 + (2,)
-    p, q, mults, ra = _exact_analysis([1], weights)
+    p, q, mults = _reduce([1], weights)
     assert mults == {1: 8, 2: 1}
     vals = _expansion(p, q, 40)
+    want = _exact_quasi_polynomial(p, q, mults, vals)
     for length in range(16, 41):
-        got = _exact_quasi_polynomial(p, q, mults, vals[:length], window=4)
-        assert got == fit_quasi_polynomial(vals[:length], 2, window=4), length
-        assert (got is None) == (length < 18), length
+        assert _exact_quasi_polynomial(p, q, mults, vals[:length]) == want, length
+        fit = fit_quasi_polynomial(vals[:length], 2, window=4)
+        assert (fit is None) == (length < 18), length
+        assert fit is None or fit == want, length
 
 
-def test_the_window_rule_is_decided_before_the_series_is_divided(monkeypatch):
-    # weights 2, 3, 5, 7, 11 give period 2310: 67 coefficients are too few,
-    # and (1 - t^2310)^M is never built
+def test_the_work_bound_is_decided_before_the_series_is_divided(monkeypatch):
+    # M (len(p) + P M) past BRANCH_WORK_BOUND: (1 - t^P)^M is never built.
+    # A pole of order 500 at t = 1 is just past it, 499 just within; a
+    # numerator of 2000 terms puts a pole of order 120 past it
+    assert _branch_work(1, 1, 499) <= BRANCH_WORK_BOUND < _branch_work(1, 1, 500)
     monkeypatch.setattr(gkdim.poincare, "int_divmod", None)
-    p, q, mults = [1], _weights_denominator((2, 3, 5, 7, 11)), {k: 1 for k in (1, 2310)}
-    assert _exact_quasi_polynomial(p, q, mults, [1] * 67, window=4) is None
-    # and a pole of order 800 at t = 1 gives a branch of degree 799, which
-    # 31 coefficients cannot reach
-    assert _exact_quasi_polynomial(p, q, {1: 800}, [1] * 31, window=4) is None
+    assert _exact_quasi_polynomial([1], [1], {1: 500}, [1] * 31) is None
+    assert _exact_quasi_polynomial([1] * 2000, [1], {1: 120}, [1] * 31) is None
+    with pytest.raises(TypeError):  # within the bound the series is divided
+        _exact_quasi_polynomial([1], [1], {1: 499}, [1] * 31)
 
 
 # ---------------------------------------------------------------------------
