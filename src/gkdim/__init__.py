@@ -5,8 +5,8 @@ modules, fits eventual (quasi-)polynomials by exact finite differences,
 extracts growth dimension and multiplicity, turns coefficient sequences into
 rational generating functions with certified root-location analysis, and
 verifies exactness and additivity of multiplicities on short exact
-sequences. All arithmetic is exact over the rationals; the one floating
-value (a log-growth diagnostic) is explicitly labeled as such.
+sequences. All arithmetic is exact over the rationals, and no result holds
+a float.
 """
 
 from .exactnum import (BinomialForm, HilbertSamuelPolynomial, Polynomial,
@@ -19,8 +19,8 @@ from .presentations import (AdmissibilityReport, AdmissibleOrder, AlgebraSpec,
                             check_semicommutative_leading,
                             count_monomials_by_weight, defining_relations,
                             divide_by_weights, filtration_layer_dim,
-                            normal_order_quantum, normal_order_weyl, refilter,
-                            validate_algebra, validate_module, zero_module)
+                            normal_order_weyl, refilter, validate_algebra,
+                            validate_module, zero_module)
 from .hilbert import (DimensionSequence, algebra_dim_sequence,
                       hilbert_series_monomial_quotient,
                       minimalize_ideal, module_dim_sequence,
@@ -30,12 +30,10 @@ from .poincare import (DenominatorAnalysis, QuasiPolynomial, RationalAnalysis,
                        fit_quasi_polynomial, minimal_recurrence,
                        quasi_polynomial, rational_analysis,
                        series_from_recurrence)
-from .samuel import (GammaEstimate, GrowthReport, classify_growth,
-                     gamma_estimate, gk_dimension, multiplicity)
+from .samuel import GrowthReport, classify_growth, gk_dimension, multiplicity
 from .axioms import (AxiomReport, ChainReport, HolonomyCatalog,
                      HolonomyReport, SESSpec, TorsionReport,
-                     chain_bound_check, check_exactness,
-                     check_multiplicity_axioms, filtration_equivalent,
+                     chain_bound_check, check_multiplicity_axioms,
                      holonomic_defect, ses_dimension_triple,
                      torsion_check_cyclic, validate_ses)
 from .catalog import (CatalogEntry, catalog_entry, catalog_ids,
@@ -46,25 +44,22 @@ __version__ = "0.1.0"
 __all__ = [
     "AdmissibilityReport", "AdmissibleOrder", "AlgebraSpec", "AxiomReport",
     "BinomialForm", "CatalogEntry", "ChainReport", "DenominatorAnalysis",
-    "DimensionSequence", "GammaEstimate", "GrowthReport",
-    "HilbertSamuelPolynomial", "HolonomyCatalog", "HolonomyReport",
-    "ModuleSpec", "Polynomial", "QuasiPolynomial", "Rational",
-    "RationalAnalysis", "RationalSeries", "Recurrence", "RefilterError",
-    "Relation", "SESSpec", "SpecError", "Summand", "TorsionReport",
-    "algebra_dim_sequence", "catalog_entry", "catalog_ids",
-    "chain_bound_check", "check_admissibility", "check_exactness",
+    "DimensionSequence", "GrowthReport", "HilbertSamuelPolynomial",
+    "HolonomyCatalog", "HolonomyReport", "ModuleSpec", "Polynomial",
+    "QuasiPolynomial", "Rational", "RationalAnalysis", "RationalSeries",
+    "Recurrence", "RefilterError", "Relation", "SESSpec", "SpecError",
+    "Summand", "TorsionReport", "algebra_dim_sequence", "catalog_entry",
+    "catalog_ids", "chain_bound_check", "check_admissibility",
     "check_multiplicity_axioms", "check_semicommutative_leading",
     "classify_growth", "count_monomials_by_weight", "cumulative_sequence",
     "defining_relations", "denominator_analysis", "detect_polynomial",
-    "divide_by_weights", "falling_binom", "filtration_equivalent",
-    "filtration_layer_dim", "finite_difference", "fit_quasi_polynomial",
-    "from_binomial_basis", "gamma_estimate", "gk_dimension",
-    "graded_values", "hilbert_series_monomial_quotient",
+    "divide_by_weights", "falling_binom", "filtration_layer_dim",
+    "finite_difference", "fit_quasi_polynomial", "from_binomial_basis",
+    "gk_dimension", "graded_values", "hilbert_series_monomial_quotient",
     "holonomic_defect", "minimal_recurrence", "minimalize_ideal",
     "module_dim_sequence", "module_hilbert_series", "multiplicity",
-    "normal_order_quantum", "normal_order_weyl", "quasi_polynomial",
-    "rational_analysis", "refilter", "series_from_recurrence",
-    "ses_dimension_triple", "standard_monomial_counts", "to_binomial_basis",
-    "torsion_check_cyclic", "validate_algebra", "validate_module",
-    "validate_ses", "zero_module",
+    "normal_order_weyl", "quasi_polynomial", "rational_analysis", "refilter",
+    "series_from_recurrence", "ses_dimension_triple",
+    "standard_monomial_counts", "to_binomial_basis", "torsion_check_cyclic",
+    "validate_algebra", "validate_module", "validate_ses", "zero_module",
 ]

@@ -1,7 +1,6 @@
 """Checks of growth-dimension exactness and multiplicity additivity on short
 exact sequences of monomial modules, plus chain-length bounds, holonomic
-defects, a torsion criterion for cyclic modules, and dimension-level
-filtration comparison.
+defects and a torsion criterion for cyclic modules.
 
 Growth dimensions and multiplicities of presented modules are certified
 from their exact Hilbert numerators (hilbert.growth_certificate), not fitted
@@ -16,7 +15,7 @@ from typing import NamedTuple, Optional
 
 # detect_polynomial is not called here; bench/test_bench.py checks that its
 # tracer rebinds this module's name
-from .exactnum import detect_polynomial, sequence_values  # noqa: F401
+from .exactnum import detect_polynomial  # noqa: F401
 from .presentations import (AlgebraSpec, ModuleSpec, SpecError, Summand,
                             monomial_divides, validate_algebra,
                             validate_module)
@@ -114,9 +113,9 @@ class AxiomReport(NamedTuple):
     """
 
     gk_triple: tuple
-    e_values: Optional[tuple]
+    e_values: tuple
     case: str
-    exactness_ok: Optional[bool]
+    exactness_ok: bool
     additivity_ok: Optional[bool]
     notes: tuple = ()
 
@@ -176,17 +175,6 @@ def check_multiplicity_axioms(s: SESSpec, *, validated: bool = False) -> AxiomRe
             additivity_ok = False
             notes.append("a piece has multiplicity 0 without being zero (or vice versa)")
     return AxiomReport(gk, e, case, exactness_ok, additivity_ok, tuple(notes))
-
-
-def check_exactness(s: SESSpec) -> AxiomReport:
-    """Growth-dimension exactness GK M = max(GK M', GK M'') on the sequence.
-
-    Returns a partial report: gk_triple, case, and exactness_ok are filled,
-    multiplicity fields are left empty. The growth dimensions are certified
-    as in check_multiplicity_axioms.
-    """
-    report = check_multiplicity_axioms(s)
-    return report._replace(e_values=None, additivity_ok=None)
 
 
 # ---------------------------------------------------------------------------
@@ -340,26 +328,3 @@ def torsion_check_cyclic(ambient: AlgebraSpec, ideal_nonzero: bool,
                              "dimension, so every generator is torsion")
     return TorsionReport(True, False,
                          "the regular module embeds the algebra and has no torsion")
-
-
-# ---------------------------------------------------------------------------
-# filtration comparison
-
-
-def filtration_equivalent(s1, s2, c_max: int) -> Optional[int]:
-    """Smallest shift c <= c_max with s1(i) <= s2(i+c) and s2(i) <= s1(i+c)
-    on the sampled overlap, or None.
-
-    This is the dimension-level necessary condition for two filtrations of
-    the same module to be equivalent (each contained in a shift of the
-    other); it cannot certify subspace-level containment. Inputs are
-    cumulative sequences.
-    """
-    a = sequence_values(s1, require_cumulative=True)
-    b = sequence_values(s2, require_cumulative=True)
-    for c in range(c_max + 1):
-        fwd = all(a[i] <= b[i + c] for i in range(min(len(a), len(b) - c)))
-        bwd = all(b[i] <= a[i + c] for i in range(min(len(b), len(a) - c)))
-        if fwd and bwd:
-            return c
-    return None

@@ -3,10 +3,10 @@
 Parses JSON problem specs, dispatches to the analysis pipelines, and emits
 deterministic machine-readable JSON reports (or flattened text summaries).
 Every numeric field in the JSON output is an exact integer or a
-[numerator, denominator] pair; the only float is the explicitly labeled
-gamma_estimate diagnostic. The JSON format is fixed: keys sorted at every
-level, a two-space indent, strings ASCII-escaped; a report is byte for byte
-what json.dumps(payload, sort_keys=True, indent=2) writes, plus a newline.
+[numerator, denominator] pair; no report holds a float. The JSON format is
+fixed: keys sorted at every level, a two-space indent, strings
+ASCII-escaped; a report is byte for byte what json.dumps(payload,
+sort_keys=True, indent=2) writes, plus a newline.
 
 parse_spec is the one place a CLI input is checked: every field as it is
 read, each distinct monomial string once, an error path only for a refused
@@ -69,8 +69,6 @@ WARNINGS = {
     "mixed_cyclotomic":
         "denominator mixes distinct cyclotomic orders; quasi-polynomial "
         "period taken as their least common multiple",
-    "gamma_diagnostic_only":
-        "gamma estimate is a floating-point diagnostic, not an exact claim",
     "expected_inconclusive":
         "catalog entry is known to grow faster than any polynomial and "
         "slower than any exponential; inconclusive is the honest verdict",
@@ -437,8 +435,6 @@ def _growth_payload(g) -> dict:
         "gk": g.gk,
         "multiplicity": None if g.multiplicity is None else _frac(g.multiplicity),
         "evidence": g.evidence,
-        "gamma_estimate": (None if g.gamma is None else
-                           {"value": g.gamma.value, "trend": g.gamma.trend}),
         "hilbert_samuel": None if g.hilbert_samuel is None else _fit_payload(g.hilbert_samuel),
         "recurrence": None if g.recurrence is None else _recurrence_payload(g.recurrence),
         "series": None if g.series is None else _series_payload(g.series),
@@ -613,8 +609,7 @@ def _cmd_check_ses(config: RunConfig, parsed: ParsedInput):
     report = check_multiplicity_axioms(ses, validated=True)
     payload = {
         "gk_triple": list(report.gk_triple),
-        "e_values": (None if report.e_values is None
-                     else [_frac(e) for e in report.e_values]),
+        "e_values": [_frac(e) for e in report.e_values],
         "case": report.case,
         "exactness_ok": report.exactness_ok,
         "additivity_ok": report.additivity_ok,

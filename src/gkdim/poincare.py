@@ -39,7 +39,7 @@ integer coefficient lists and builds one Fraction per output coefficient:
   a degree-D denominator, divides by cached int Phi_k built from binomials
   (1 - t^d)^(+-1), and hands the root tests one integer residual;
 - each quasi-polynomial branch is built in int from its binomial form
-  (_integer_branch); a fitted branch is checked on the samples by int
+  (_branch_ints); a fitted branch is checked on the samples by int
   Horner, an exact one on the coefficients held by running sums of its form.
 """
 
@@ -53,9 +53,8 @@ from operator import mul
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Sequence
 
-from .exactnum import (BinomialForm, Polynomial, detect_polynomial, falling_binom,
-                       int_divmod, integer_coefficients, primitive_gcd,
-                       sequence_values)
+from .exactnum import (Polynomial, detect_polynomial, falling_binom, int_divmod,
+                       integer_coefficients, primitive_gcd, sequence_values)
 
 
 class _SeriesFields(NamedTuple):
@@ -518,17 +517,13 @@ class QuasiPolynomial(NamedTuple):
     onset: int
 
 
-def _integer_branch(form: BinomialForm, period: int, residue: int) -> tuple:
-    """(ints, den) with sum_k ints[k] n^k / den = sum_j a_j C((n - residue) /
-    period, j) for the form (a_0, ..., a_d): C((n - i)/P, j) is
-    prod_(m < j) (n - i - mP) / (j! P^j), so over den = s d! P^d (s the a_j's
-    common denominator) term j is s a_j (d! / j!) P^(d - j) times that product.
-    """
-    return _branch_ints(*integer_coefficients(form.coeffs), period, residue)
-
-
 def _branch_ints(cs: list, scale: int, period: int, residue: int) -> tuple:
-    """_integer_branch for the form cs / scale, cs ints without trailing zeros."""
+    """(ints, den) with sum_k ints[k] n^k / den = sum_j a_j C((n - residue) /
+    period, j) for the form (a_0, ..., a_d) = cs / scale, cs ints without
+    trailing zeros: C((n - i)/P, j) is prod_(m < j) (n - i - mP) / (j! P^j),
+    so over den = scale d! P^d term j is cs[j] (d! / j!) P^(d - j) times that
+    product.
+    """
     d = len(cs) - 1
     if d < 0:
         return [], 1
@@ -562,7 +557,7 @@ def fit_quasi_polynomial(s, period: int, window: int = 4) -> Optional[QuasiPolyn
         fit = detect_polynomial(vals[i::period], eff_window)
         if fit is None:
             return None
-        scaled.append(_integer_branch(fit.form, period, i))
+        scaled.append(_branch_ints(*integer_coefficients(fit.form.coeffs), period, i))
         # a branch valid on its whole residue class constrains nothing below it
         if fit.stabilization_index > 0:
             onset = max(onset, i + period * fit.stabilization_index)

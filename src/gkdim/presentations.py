@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import le
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 #: Exponent vector of a normal monomial, one entry per generator.
 Monomial = tuple  # tuple[int, ...]
@@ -293,22 +293,6 @@ def quantum_inversion_scalar(word: Sequence[int], lam) -> Fraction:
             if i > j:
                 scalar *= lam[j][i]
     return scalar
-
-
-def normal_order_quantum(word: Sequence[int], lam) -> LinearCombo:
-    """Sort a quantum-affine word; the result is a single scaled monomial.
-
-    Uses x_j x_i = lam[i][j] x_i x_j for i < j, so every inversion of the
-    word contributes one factor lam[min][max].
-    """
-    n = len(lam)
-    for g in word:
-        if not 0 <= g < n:
-            raise ValueError(f"generator index {g} out of range")
-    expo = [0] * n
-    for g in word:
-        expo[g] += 1
-    return {tuple(expo): quantum_inversion_scalar(word, lam)}
 
 
 # ---------------------------------------------------------------------------

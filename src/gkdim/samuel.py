@@ -5,14 +5,14 @@ difference tower (exactnum), or else from the quasi-polynomial branches of
 poincare.rational_analysis; exponential growth from a denominator root
 strictly inside the unit disk. A fitted series with a non-integral
 denominator generates no natural-number sequence (Fatou), so it leaves the
-verdict inconclusive. The gamma diagnostic, the one floating-point value,
-goes only on inconclusive reports.
+verdict inconclusive. Every value a report holds is exact.
 
 A module presentation fixes its Hilbert series exactly (Hilbert-Serre), so
 certified_growth reads its verdict from that series and samples nothing. Of
 poincare's two routines it uses the exact one, _reduce, _reduced_analysis
 and _exact_quasi_polynomial, which the poincare command shares; the
-sampled head, rational_analysis, serves classify_growth alone.
+sampled head, rational_analysis, serves classify_growth and the poincare
+command on raw sequences and catalog entries.
 """
 
 from __future__ import annotations
@@ -45,43 +45,6 @@ def multiplicity(h: HilbertSamuelPolynomial) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# floating-point growth diagnostic
-
-
-class GammaEstimate(NamedTuple):
-    """Diagnostic log-growth estimate; the only non-exact value in the library."""
-
-    value: float
-    trend: str  # "converging" | "diverging" | "oscillating"
-
-
-def gamma_estimate(s) -> GammaEstimate:
-    """log_n f(n) at the last sample plus a trend flag from the last few points.
-
-    Purely a diagnostic: exponents are floats and the trend is a heuristic on
-    the last five estimates. Never used to make exact claims.
-    """
-    vals = sequence_values(s)
-    if len(vals) < 8:
-        raise ValueError("gamma estimate needs at least 8 samples")
-    usable = [(n, v) for n, v in enumerate(vals) if n >= 2 and v >= 1]
-    if len(usable) < 2:
-        raise ValueError("gamma estimate needs positive entries at index 2 or later")
-    pts = usable[-5:]
-    estimates = [math.log(v) / math.log(n) for n, v in pts]
-    diffs = [b - a for a, b in zip(estimates, estimates[1:])]
-    if max(abs(d) for d in diffs) <= 0.02:
-        trend = "converging"
-    elif all(d > 0 for d in diffs) and sum(diffs) > 0.05:
-        trend = "diverging"
-    elif all(d <= 0 for d in diffs) and abs(diffs[-1]) <= abs(diffs[0]):
-        trend = "converging"
-    else:
-        trend = "oscillating"
-    return GammaEstimate(estimates[-1], trend)
-
-
-# ---------------------------------------------------------------------------
 # growth classification
 
 
@@ -96,7 +59,6 @@ class GrowthReport(NamedTuple):
     classification: str
     gk: Optional[int] = None
     multiplicity: Optional[Fraction] = None
-    gamma: Optional[GammaEstimate] = None
     evidence: str = ""
     hilbert_samuel: Optional[HilbertSamuelPolynomial] = None
     recurrence: Optional[Recurrence] = None
@@ -113,8 +75,7 @@ def classify_growth(s, window: int = 6, confirm: int = 8) -> GrowthReport:
     Polynomial growth is established by the exact difference-tower fit (with
     quasi-polynomial branches when the generating function forces a period);
     exponential growth requires an exact minimal recurrence whose denominator
-    has a root strictly inside the unit disk. The floating gamma estimate is
-    attached to inconclusive reports as a diagnostic only.
+    has a root strictly inside the unit disk.
     """
     seq = s if not hasattr(s, "cumulative") else s.cumulative()
     vals = sequence_values(seq)
@@ -142,24 +103,21 @@ def classify_growth(s, window: int = 6, confirm: int = 8) -> GrowthReport:
     max_order = (len(vals) - eff_confirm) // 2
     ra = rational_analysis(vals, eff_confirm)
     if ra is None:
-        gamma = _gamma_or_none(vals)
-        note = f"{gamma.value:.4f} ({gamma.trend})" if gamma else "unavailable"
         return GrowthReport(
-            "inconclusive", gamma=gamma,
+            "inconclusive",
             evidence=(f"no polynomial fit and no linear recurrence of order <= "
-                      f"{max_order}; gamma estimate {note}"),
-            flags=("gamma_diagnostic_only",))
+                      f"{max_order}"))
 
     rec, qp = ra.recurrence, ra.quasi
     exact = dict(recurrence=rec, series=ra.series, denominator=ra.denominator)
     if ra.denominator is None:
         coeffs = ", ".join(map(str, ra.series.denominator.coeffs))
         return GrowthReport(
-            "inconclusive", gamma=_gamma_or_none(vals), **exact,
+            "inconclusive", **exact,
             evidence=(f"minimal recurrence of order {rec.order} gives the "
                       f"non-integral denominator [{coeffs}]; a natural-number "
                       f"sequence has an integral one (Fatou)"),
-            flags=("non_integral_series", "gamma_diagnostic_only"))
+            flags=("non_integral_series",))
     if ra.denominator.radius_class == "inside_unit_disk":
         return GrowthReport(
             "exponential", **exact,
@@ -179,16 +137,8 @@ def classify_growth(s, window: int = 6, confirm: int = 8) -> GrowthReport:
                       f"degree <= {top}"),
             flags=("sampled_agreement",) + flags)
     return GrowthReport(
-        "inconclusive", gamma=_gamma_or_none(vals), **exact,
-        evidence="cyclotomic denominator but no quasi-polynomial fit on the samples",
-        flags=("gamma_diagnostic_only",))
-
-
-def _gamma_or_none(vals) -> Optional[GammaEstimate]:
-    try:
-        return gamma_estimate(vals)
-    except ValueError:
-        return None
+        "inconclusive", **exact,
+        evidence="cyclotomic denominator but no quasi-polynomial fit on the samples")
 
 
 # ---------------------------------------------------------------------------

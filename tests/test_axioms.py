@@ -1,5 +1,5 @@
 """Structural identities on short exact sequences, descending chains,
-holonomic defects, torsion, and filtration comparison.
+holonomic defects and torsion.
 
 The short-exact-sequence triples are checked against closed-form dimension
 counts (binomial coefficients and linear counts computed with math.comb),
@@ -20,8 +20,7 @@ import pytest
 
 from gkdim.axioms import (AxiomReport, ChainReport, HolonomyCatalog,
                           SESSpec, TorsionReport, chain_bound_check,
-                          check_exactness, check_multiplicity_axioms,
-                          filtration_equivalent, holonomic_defect,
+                          check_multiplicity_axioms, holonomic_defect,
                           ses_dimension_triple, torsion_check_cyclic,
                           validate_ses)
 from gkdim.hilbert import DimensionSequence, module_dim_sequence
@@ -181,29 +180,19 @@ def test_degenerate_zero_module():
     assert report.additivity_ok is True
 
 
-def test_exactness_report_leaves_multiplicities_empty():
-    a = AlgebraSpec.polynomial(2)
-    report = check_exactness(SESSpec(a, ModuleSpec.regular(), (((1, 0),),)))
-    assert report.case == "b"
-    assert report.exactness_ok is True
-    assert report.e_values is None
-    assert report.additivity_ok is None
-
-
 def test_weighted_ring_gets_a_certified_verdict():
     # a weight-2 generator makes the counts quasi-periodic, which the
     # difference tower refuses; the Hilbert numerators still decide it:
     # k[x] grows like n / 2, the sub-piece (x) likewise, k[x]/(x) is k
     a = AlgebraSpec.polynomial(1, degrees=[(2,)])
     ses = SESSpec(a, ModuleSpec.regular(), (((1,),),))
-    report = check_exactness(ses)
+    report = check_multiplicity_axioms(ses)
     assert report.case == "b"
     assert report.gk_triple == (1, 1, 0)
     assert report.exactness_ok is True
-    full = check_multiplicity_axioms(ses)
-    assert full.e_values == (Fraction(1, 2), Fraction(1, 2), Fraction(1))
-    assert full.additivity_ok is True
-    assert full.notes == ()
+    assert report.e_values == (Fraction(1, 2), Fraction(1, 2), Fraction(1))
+    assert report.additivity_ok is True
+    assert report.notes == ()
 
 
 def test_verdict_does_not_depend_on_the_sampled_depth():
@@ -435,36 +424,6 @@ def test_torsion_criterion_needs_gap_above_positive_h():
     assert flat.applicable is False and flat.torsion is None
     poly = torsion_check_cyclic(AlgebraSpec.polynomial(2), True, gk_a=2, h=0)
     assert poly.applicable is False
-
-
-# ---------------------------------------------------------------------------
-# filtration comparison
-
-
-def test_equal_filtrations_need_no_shift():
-    vals = [math.comb(n + 2, 2) for n in range(30)]
-    assert filtration_equivalent(vals, vals, 5) == 0
-
-
-def test_shifted_filtration_is_recovered():
-    a = [math.comb(n + 2, 2) for n in range(30)]
-    b = [0, 0, 0] + a[:-3]
-    assert filtration_equivalent(a, b, 10) == 3
-    assert filtration_equivalent(b, a, 10) == 3
-
-
-def test_incomparable_growth_is_rejected():
-    a = [n + 1 for n in range(30)]
-    b = [(n + 1) ** 2 for n in range(30)]
-    assert filtration_equivalent(a, b, 10) is None
-
-
-def test_filtration_comparison_accepts_dimension_sequences():
-    a = AlgebraSpec.polynomial(1)
-    dims = module_dim_sequence(a, ModuleSpec.regular(), 20)
-    assert filtration_equivalent(dims, dims, 3) == 0
-    with pytest.raises(ValueError):
-        filtration_equivalent(dims.graded(), dims, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -513,9 +513,9 @@ def test_classify_partition_growth_is_inconclusive_exit_one(tmp_path, capsys):
     growth = payload["report"]["growth"]
     assert growth["classification"] == "inconclusive"
     assert growth["gk"] is None
-    assert isinstance(growth["gamma_estimate"]["value"], float)
-    assert payload["warnings"] == [WARNINGS["gamma_diagnostic_only"],
-                                   WARNINGS["expected_inconclusive"]]
+    assert growth["evidence"] == ("no polynomial fit and no linear recurrence "
+                                  "of order <= 11")
+    assert payload["warnings"] == [WARNINGS["expected_inconclusive"]]
 
 
 def test_analyze_of_a_weyl_algebra_of_high_rank_is_fast(tmp_path, capsys):
@@ -554,23 +554,41 @@ def test_weyl_rank_past_its_bound_is_refused(tmp_path, capsys):
     assert json.loads(out)["report"]["growth"]["gk"] == 2 * WEYL_RANK_BOUND
 
 
-def test_gamma_is_the_only_float_in_any_payload(tmp_path, capsys):
-    doc = {"spec_version": 1,
-           "algebra": {"kind": "catalog", "catalog_id": "smith_lie"}}
-    _, out, _ = _run(capsys, ["classify", _write(tmp_path, doc)])
-    payload = json.loads(out)
+def _floats(node, at):
+    """The paths of the floats in a JSON payload."""
+    if isinstance(node, float):
+        yield at
+    elif isinstance(node, dict):
+        for k, v in node.items():
+            yield from _floats(v, f"{at}.{k}")
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            yield from _floats(v, f"{at}[{i}]")
 
-    def floats(node, at):
-        if isinstance(node, float):
-            yield at
-        elif isinstance(node, dict):
-            for k, v in node.items():
-                yield from floats(v, f"{at}.{k}")
-        elif isinstance(node, list):
-            for i, v in enumerate(node):
-                yield from floats(v, f"{at}[{i}]")
 
-    assert list(floats(payload, "$")) == ["$.report.growth.gamma_estimate.value"]
+def test_no_report_holds_a_float(tmp_path, capsys):
+    smith_lie = {"spec_version": 1,
+                 "algebra": {"kind": "catalog", "catalog_id": "smith_lie"}}
+    # 12 cumulative samples that fit no polynomial and no recurrence
+    short = {"spec_version": 1, "sequence": [1, 3, 4, 8, 9, 15, 16, 24, 26, 30, 33, 41]}
+    ses = {"spec_version": 1, "algebra": _PLANE, "ses": {"sub_ideal": ["x"]}}
+    chain = {"spec_version": 1, "algebra": _PLANE, "chain": [[], ["x^3"], ["x"]]}
+    quantum = {"spec_version": 1,
+               "algebra": {"kind": "quantum_affine",
+                           "generators": [{"name": "x", "degree": [1, 0]},
+                                          {"name": "y", "degree": [0, 1]}],
+                           "lambda": [[1, 2], [[1, 2], 1]]},
+               "weight": [1, 3]}
+    runs = [("analyze", WEYL_ONE, 0), ("hilbert", PLANE_MOD_XY, 0),
+            ("poincare", PLANE_MOD_XY, 0), ("poincare", GEOMETRIC_3_2, 1),
+            ("check-ses", ses, 0), ("chain", chain, 0), ("refilter", quantum, 0),
+            ("classify", PLANE_MOD_XY, 0), ("classify", smith_lie, 1),
+            ("classify", short, 1), ("classify", GEOMETRIC_3_2, 1)]
+    assert {command for command, _, _ in runs} == set(cli.COMMANDS)
+    for command, doc, expected in runs:
+        code, payload = _run_json(capsys, [command, _write(tmp_path, doc)])
+        assert code == expected, (command, doc)
+        assert list(_floats(payload, "$")) == [], (command, doc)
 
 
 # ---------------------------------------------------------------------------
@@ -858,7 +876,7 @@ def test_poincare_mixed_cyclotomic_flags_without_a_fit(tmp_path, capsys):
 
 
 def test_classify_mixed_cyclotomic_without_a_fit_is_inconclusive(tmp_path, capsys):
-    # the inconclusive branch reports only the gamma flag, not the period rule's
+    # the inconclusive branch reports no flag, not the period rule's
     path = _write(tmp_path, _weighted_plane(2, 3))
     code, payload = _run_json(capsys, ["classify", path, "--max-degree", "40"])
     assert code == 1
@@ -867,7 +885,7 @@ def test_classify_mixed_cyclotomic_without_a_fit_is_inconclusive(tmp_path, capsy
     assert growth["evidence"] == ("cyclotomic denominator but no quasi-polynomial "
                                   "fit on the samples")
     assert growth["quasi"] is None
-    assert payload["warnings"] == [WARNINGS["gamma_diagnostic_only"]]
+    assert payload["warnings"] == []
 
 
 def test_classify_mixed_cyclotomic_fits_period_lcm_branches(tmp_path, capsys):
@@ -1453,8 +1471,25 @@ def test_non_integral_series_is_refused_by_poincare_and_classify(tmp_path, capsy
     assert growth["series"]["denominator"] == [[1, 1], [-5, 2], [3, 2]]
     assert (growth["denominator"], growth["quasi"]) == (None, None)
     assert "non-integral denominator [1, -5/2, 3/2]" in growth["evidence"]
-    assert payload["warnings"] == [WARNINGS["non_integral_series"],
-                                   WARNINGS["gamma_diagnostic_only"]]
+    assert payload["warnings"] == [WARNINGS["non_integral_series"]]
+
+
+def test_short_exponential_input_is_inconclusive_on_exact_evidence_alone(tmp_path,
+                                                                          capsys):
+    # 12 samples of exponential growth whose fitted series is not integral:
+    # the report names that exact refusal, and holds no estimate
+    code, payload = _run_json(capsys, ["classify", _write(tmp_path, GEOMETRIC_3_2)])
+    assert code == 1
+    growth = payload["report"]["growth"]
+    assert growth["classification"] == "inconclusive"
+    assert growth["evidence"] == ("minimal recurrence of order 2 gives the non-integral "
+                                  "denominator [1, -5/2, 3/2]; a natural-number "
+                                  "sequence has an integral one (Fatou)")
+    assert payload["warnings"] == [WARNINGS["non_integral_series"]]
+    assert "gamma_estimate" not in growth
+    assert sorted(growth) == ["classification", "denominator", "evidence", "gk",
+                              "hilbert_samuel", "multiplicity", "quasi",
+                              "recurrence", "series"]
 
 
 def _natural_sequences():

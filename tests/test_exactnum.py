@@ -31,7 +31,7 @@ from gkdim.exactnum import (BinomialForm, Polynomial, detect_polynomial,
                             from_binomial_basis, int_divmod,
                             integer_coefficients, primitive_gcd,
                             sequence_values, to_binomial_basis)
-from gkdim.poincare import _integer_branch
+from gkdim.poincare import _branch_ints
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +115,7 @@ def test_evaluate_frozen():
 
 def _compose_affine(p: Polynomial, a, b) -> Polynomial:
     """The polynomial p(a*x + b), the quasi-polynomial branch rescaling that
-    poincare._integer_branch replaced, kept as its reference.
+    poincare._branch_ints replaced, kept as its reference.
 
     With a*x + b = (u*x + v) / w over ints (w the lcm of the denominators of
     a and b) and the coefficients scaled to ints c_k over their common
@@ -448,7 +448,7 @@ def test_compose_affine_matches_the_fraction_horner():
 def test_integer_branch_matches_the_composed_binomial_form(coeffs, period, data):
     residue = data.draw(st.integers(0, period - 1))
     form = BinomialForm(coeffs)
-    ints, den = _integer_branch(form, period, residue)
+    ints, den = _branch_ints(*integer_coefficients(form.coeffs), period, residue)
     got = Polynomial([Fraction(c, den) for c in ints])
     expected = _compose_affine(from_binomial_basis(form), Fraction(1, period),
                                Fraction(-residue, period))

@@ -5,10 +5,11 @@ these imports run one way: no chain of them leads back to where it started.
 A cycle could otherwise only be held together by imports deferred into
 function bodies, which these tests forbid as well. The runtime needs only
 the standard library, so every import outside the package names a module in
-sys.stdlib_module_names. Start-up stays cheap: no module imports dataclasses,
-which would load inspect (and ast, dis, tokenize) with every gkdim.cli
-import, and a fresh interpreter's import of gkdim.cli loads neither, nor
-hashlib's OpenSSL binding, nor argparse.
+sys.stdlib_module_names. Every name a module imports is read in it, unless
+the import line is marked noqa: F401. Start-up stays cheap: no module
+imports dataclasses, which would load inspect (and ast, dis, tokenize) with
+every gkdim.cli import, and a fresh interpreter's import of gkdim.cli loads
+neither, nor hashlib's OpenSSL binding, nor argparse.
 """
 
 import ast
@@ -118,6 +119,39 @@ def test_the_export_list_is_what_the_package_imports():
     assert sorted(gkdim.__all__) == sorted(imported)
     assert len(set(gkdim.__all__)) == len(gkdim.__all__)
     assert all(hasattr(gkdim, name) for name in gkdim.__all__)
+
+
+def _module_level_imports(tree):
+    """The Import and ImportFrom nodes outside any function or class body."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_module_has_an_unused_import():
+    # a name a module imports is read somewhere in it; a re-export the bench
+    # tracer rebinds (detect_polynomial in axioms and cli) is marked noqa
+    unused = []
+    for module in MODULES:
+        source = (PACKAGE / f"{module}.py").read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source, f"{module}.py")
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in _module_level_imports(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if any("# noqa: F401" in line
+                   for line in lines[node.lineno - 1:node.end_lineno]):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    unused.append(f"{module}.py:{node.lineno} imports {name}")
+    assert unused == []
 
 
 def test_no_module_imports_dataclasses():

@@ -5,7 +5,7 @@ What is verified, and against what:
 * Weyl normal ordering -- against an independent differential-operator
   oracle (x_i acts as multiplication by x_i, y_i as d/dx_i on polynomials),
   plus the multiplicativity of normal ordering over word concatenation.
-* Quantum-affine normal ordering -- against a bubble-sort oracle that
+* The quantum-affine inversion scalar -- against a bubble-sort oracle that
   rewrites one adjacent inversion at a time.
 * Weighted monomial counting and the divide_by_weights kernel -- against
   brute-force enumeration.
@@ -26,8 +26,7 @@ from gkdim.presentations import (AdmissibleOrder, AlgebraSpec, ModuleSpec,
                                  check_semicommutative_leading,
                                  count_monomials_by_weight, defining_relations,
                                  divide_by_weights, filtration_layer_dim, monomial_divides,
-                                 normal_order_quantum, normal_order_weyl,
-                                 quantum_inversion_scalar, refilter,
+                                 normal_order_weyl, quantum_inversion_scalar, refilter,
                                  validate_algebra, validate_module, zero_module)
 
 # ---------------------------------------------------------------------------
@@ -165,11 +164,11 @@ def test_normal_order_weyl_rejects_bad_index():
 
 
 # ---------------------------------------------------------------------------
-# quantum-affine normal ordering: bubble-sort oracle
+# the quantum-affine inversion scalar: bubble-sort oracle
 
 
 def _bubble_sort_scalar(word, lam):
-    """Sort the word by adjacent swaps, collecting one scalar per swap."""
+    """Sort the word by adjacent swaps; the product of one scalar per swap."""
     w = list(word)
     scalar = Fraction(1)
     changed = True
@@ -181,7 +180,7 @@ def _bubble_sort_scalar(word, lam):
                 scalar *= lam[lo][hi]
                 w[p], w[p + 1] = w[p + 1], w[p]
                 changed = True
-    return tuple(w), scalar
+    return scalar
 
 
 def _quantum_matrix(entries):
@@ -198,13 +197,8 @@ def test_quantum_inversion_scalar_matches_bubble_sort():
     lam = _quantum_matrix({(0, 1): 3, (0, 2): Fraction(1, 2), (1, 2): 5})
     for length in range(0, 6):
         for word in itertools.product(range(3), repeat=length):
-            sorted_word, expected = _bubble_sort_scalar(word, lam)
+            expected = _bubble_sort_scalar(word, lam)
             assert quantum_inversion_scalar(list(word), lam) == expected, word
-            combo = normal_order_quantum(list(word), lam)
-            expo = [0, 0, 0]
-            for g in sorted_word:
-                expo[g] += 1
-            assert combo == {tuple(expo): expected}, word
 
 
 def test_quantum_word_with_three_inversions_cubes_the_scalar():
@@ -212,13 +206,6 @@ def test_quantum_word_with_three_inversions_cubes_the_scalar():
     lam = _quantum_matrix({(0, 1): q})
     # x2 x1 x2 x1 has inversions at positions (0,1), (0,3), (2,3)
     assert quantum_inversion_scalar([1, 0, 1, 0], lam) == q ** 3
-    assert normal_order_quantum([1, 0, 1, 0], lam) == {(2, 2): q ** 3}
-
-
-def test_normal_order_quantum_rejects_bad_index():
-    lam = _quantum_matrix({(0, 1): 2})
-    with pytest.raises(ValueError):
-        normal_order_quantum([2], lam)
 
 
 # ---------------------------------------------------------------------------

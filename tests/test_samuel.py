@@ -21,8 +21,7 @@ import sympy
 from gkdim.catalog import cumulative_sequence, graded_values
 from gkdim.exactnum import BinomialForm, Polynomial, from_binomial_basis
 from gkdim.hilbert import DimensionSequence
-from gkdim.samuel import (GammaEstimate, classify_growth, detect_polynomial,
-                          gamma_estimate, gk_dimension, multiplicity)
+from gkdim.samuel import classify_growth, detect_polynomial, gk_dimension, multiplicity
 
 # ---------------------------------------------------------------------------
 # exact polynomial detection
@@ -104,31 +103,6 @@ def test_detect_input_requirements():
         detect_polynomial([1] * 30, window=1)
     with pytest.raises(ValueError):
         detect_polynomial(DimensionSequence((1, 1, 1), "graded_piece"))
-
-
-# ---------------------------------------------------------------------------
-# floating growth diagnostic
-
-
-def test_gamma_of_square_growth_converges_to_two():
-    vals = [n * n for n in range(30)]
-    est = gamma_estimate(vals)
-    assert est.trend == "converging"
-    assert est.value == pytest.approx(2.0, abs=1e-9)
-
-
-def test_gamma_of_geometric_growth_diverges():
-    vals = [2 ** n for n in range(30)]
-    est = gamma_estimate(vals)
-    assert est.trend == "diverging"
-    assert est.value > 5
-
-
-def test_gamma_needs_enough_positive_samples():
-    with pytest.raises(ValueError):
-        gamma_estimate([1, 2, 3])
-    with pytest.raises(ValueError):
-        gamma_estimate([0] * 20)
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +206,7 @@ def test_classify_partition_sums_as_inconclusive():
     report = classify_growth(vals)
     assert report.classification == "inconclusive"
     assert report.gk is None
-    assert report.gamma is not None
-    assert "gamma_diagnostic_only" in report.flags
+    assert report.flags == ()
 
 
 def test_classify_normalizes_graded_input():
