@@ -95,7 +95,8 @@ def ses_dimension_triple(s: SESSpec, top: int):
     """
     validate_ses(s)  # checks M, and the sub-ideals M'' is built from
     m = module_dim_sequence(s.ambient, s.big, top, validated=True)
-    double = module_dim_sequence(s.ambient, _quotient(s), top, validated=True)
+    double = module_dim_sequence(s.ambient, _quotient(s), top, validated=True,
+                                 path="ses.sub_ideals")
     prime = tuple(map(sub, m.values, double.values))
     return DimensionSequence(prime, "cumulative"), m, double
 
@@ -214,7 +215,8 @@ def chain_bound_check(ambient: AlgebraSpec, chain, *, validated: bool = False) -
     a factor of smaller growth dimension is reported via quotients_full_gk.
     SpecError is raised for a member not nested in the previous one, one
     with the previous one's numerator (a zero factor), and one whose
-    numerator has more than SERIES_DEGREE_BOUND distinct degrees.
+    numerator has more than SERIES_DEGREE_BOUND distinct degrees or
+    PIVOT_NODE_BOUND pivot nodes in a summand.
     validated=True skips validate_module on the members, for a caller that
     has checked them (the CLI's parser); the nesting is checked either way.
     """

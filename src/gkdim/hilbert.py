@@ -11,18 +11,24 @@ the variable x shared by the most generators until they are pairwise
 coprime, taking x^m with m the least positive exponent of x among them, so
 every colon step takes x out of some generator and the depth follows no
 exponent. Both ideals of the split get their minimal generators without a
-general re-minimalisation: I + (x^m) keeps the x-free generators and adds
-x^m, and the colon I : x^m (_colon) keeps every lowered generator g / x^m
-and drops an x-free generator only when a lowered generator that lost its
-last x divides it. Weighted degrees come from the ambient algebra's
-generator weights.
+general re-minimalisation: x^m is coprime to the x-free generators J, so
+I + (x^m) is J with the factor 1 - t^(m w(x)), and the colon I : x^m
+(_colon) keeps every lowered generator g / x^m and drops an x-free
+generator only when a lowered generator that lost its last x divides it.
+Each node carries the {degree: coefficient} factor its numerator is still
+to be multiplied by, so no node pays again for a pivot power an ancestor
+split off. Weighted degrees come from the ambient algebra's generator
+weights.
 
-The recursion can drop the terms above a degree top: the colon branch is
-skipped when x^m weighs more than what is left below top, and a coprime
-leaf keeps only its products of degree at most top, so the cut path builds
-nothing past top, whatever the input's exponents, weights or shifts. Uncut,
-its size is the number of distinct degrees its leaves reach, never an
-exponent or a shift; past SERIES_DEGREE_BOUND of them it refuses.
+The recursion can drop the terms above a degree top: factors keep only
+their terms of degree at most top and a colon branch whose factor has none
+left is skipped, so the cut path builds nothing past top, whatever the
+input's exponents, weights or shifts. Uncut, its size is the number of
+distinct degrees its leaves reach, never an exponent or a shift; past
+SERIES_DEGREE_BOUND of them it refuses, and past PIVOT_NODE_BOUND nodes in
+one call, cut or not. Callers report either refusal as a SpecError at the
+input field that presented the ideal: "module", "ses.sub_ideals" or
+"chain[i]".
 
 Three readers scatter the summands' terms, each shifted by its summand's
 shift, and the Laurent part's:
@@ -71,6 +77,12 @@ MEANINGS = ("graded_piece", "cumulative")
 #: linearly with them, so past this bound the series is refused as bad input.
 #: It also bounds the distinct degrees an uncut numerator_terms collects.
 SERIES_DEGREE_BOUND = 10 ** 5
+
+#: The most nodes one numerator_terms call visits, cut or uncut. The tree can
+#: grow exponentially with the number of variables: 143 generators in 18
+#: variables (a 7 KB spec) need 1.3 million nodes. A node costs 10 to 20 us
+#: on a shared 2-vCPU VM, so a call stops after about 5 s there.
+PIVOT_NODE_BOUND = 3 * 10 ** 5
 
 
 class DimensionSequence:
@@ -163,15 +175,19 @@ def numerator_terms(gens: Sequence[Monomial], weights: Sequence[int], top=None) 
     generated by `gens`, over prod(1 - t^w): a map degree -> coefficient,
     without the terms above degree `top` when one is given.
 
-    For a pivot variable x shared by two or more generators, and m its least
-    positive exponent among them, H(S/I) = H(S/(I + x^m)) + t^(m w(x))
-    H(S/(I : x^m)); pairwise coprime generators (at most one generator
-    included) give the product of their factors (1 - t^deg g). The split
-    runs on a stack of (generators, shift) nodes, each leaf adding its
-    product at its shift. Every generating set gives the same numerator;
-    minimal generators give the fewest nodes. Uncut, more than
-    SERIES_DEGREE_BOUND distinct degrees raise ValueError; no term lies
-    above the degree of the generators' lcm.
+    For a pivot variable x shared by two or more generators, m its least
+    positive exponent among them and J the x-free generators, to which x^m
+    is coprime, H(S/I) = (1 - t^(m w(x))) H(S/J) + t^(m w(x)) H(S/(I : x^m));
+    pairwise coprime generators (at most one generator included) give the
+    product of their factors (1 - t^deg g). The split runs on a stack of
+    (generators, factor) nodes, the factor the {degree: coefficient}
+    polynomial, cut after top, that the node's numerator is still to be
+    multiplied by; each leaf adds factor times its product. Every
+    generating set gives the same numerator; minimal generators give the
+    fewest nodes. More than
+    PIVOT_NODE_BOUND nodes, or uncut more than SERIES_DEGREE_BOUND distinct
+    degrees, raise ValueError; no term lies above the degree of the
+    generators' lcm.
     """
     weights = tuple(weights)
     gens = tuple(map(tuple, gens))
@@ -179,41 +195,51 @@ def numerator_terms(gens: Sequence[Monomial], weights: Sequence[int], top=None) 
     if uncut:
         top = sum(map(mul, map(max, zip(*gens)), weights))
     out = {}
-    stack = [(gens, 0)]
+    stack = [(gens, {0: 1})]
+    nodes = 0
     while stack:
-        gens, shift = stack.pop()
+        gens, factor = stack.pop()
+        nodes += 1
+        if nodes > PIVOT_NODE_BOUND:
+            raise ValueError(f"the pivot recursion needs more than {PIVOT_NODE_BOUND} nodes")
         # the pivot: the first variable shared by the most generators
-        counts = [len(col) - col.count(0) for col in zip(*gens)]
-        most = max(counts, default=0)
-        if most < 2:
-            # pairwise coprime generators: t^shift times each (1 - t^d), one
-            # factor at a time with equal degrees merged, so a leaf holds its
+        zeros = list(map(tuple.count, zip(*gens), repeat(0)))
+        fewest = min(zeros, default=len(gens))
+        if len(gens) - fewest < 2:
+            # pairwise coprime generators: the factor times each (1 - t^d),
+            # one at a time with equal degrees merged, so a leaf holds its
             # distinct degrees, not 2^len(gens) products
-            leaf = {shift: 1}
             for g in gens:
-                d = _wdeg(g, weights)
-                nxt = dict(leaf)
-                for k, c in leaf.items():
-                    if k + d <= top:
-                        nxt[k + d] = nxt.get(k + d, 0) - c
-                leaf = nxt
+                factor = _times_binomial(factor, _wdeg(g, weights), top)
                 if uncut:
-                    _check_term_count(leaf)
-            for k, c in leaf.items():
+                    _check_term_count(factor)
+            for k, c in factor.items():
                 out[k] = out.get(k, 0) + c
             if uncut:
                 _check_term_count(out)
             continue
-        pivot = counts.index(most)
+        pivot = zeros.index(fewest)
         power = min([g[pivot] for g in gens if g[pivot]])
-        var_mono = tuple(power if i == pivot else 0 for i in range(len(weights)))
-        # x^power divides every generator x divides, and absorbs them; the rest
-        # stay minimal
-        stack.append((tuple(g for g in gens if not g[pivot]) + (var_mono,), shift))
-        lifted = shift + power * weights[pivot]
-        if lifted <= top:
+        step = power * weights[pivot]
+        # x^power divides every generator x divides, and absorbs them; it is
+        # coprime to the rest, which stay minimal, so it joins the factor
+        plus = _times_binomial(factor, step, top)
+        if uncut:
+            _check_term_count(plus)
+        stack.append((tuple(g for g in gens if not g[pivot]), plus))
+        lifted = {k + step: c for k, c in factor.items() if k + step <= top}
+        if lifted:
             stack.append((_colon(gens, pivot, power), lifted))
     return {d: c for d, c in out.items() if c}
+
+
+def _times_binomial(terms: dict, d: int, top: int) -> dict:
+    """terms times (1 - t^d), without the terms above degree top."""
+    out = dict(terms)
+    for k, c in terms.items():
+        if k + d <= top:
+            out[k + d] = out.get(k + d, 0) - c
+    return out
 
 
 def _check_term_count(terms: dict) -> None:
@@ -262,7 +288,7 @@ def _laurent_numerator(weights: tuple) -> list:
     return list(map(add, sums, [0] + sums[:-1]))
 
 
-def _module_numerator(a: AlgebraSpec, m: ModuleSpec, top=None) -> tuple:
+def _module_numerator(a: AlgebraSpec, m: ModuleSpec, top=None, path: str = "module") -> tuple:
     """The module's Hilbert-series numerator over prod(1 - t^w) as a dense
     int list, degrees 0..top, and the degree its expansion self-check reaches.
 
@@ -272,6 +298,7 @@ def _module_numerator(a: AlgebraSpec, m: ModuleSpec, top=None) -> tuple:
     of its minimal generators plus ten, and for a Laurent part 2 sum(w) +
     10, past the numerator's degree. top=None asks for the numerator to that
     reach, after refusing a reach or a sum(w) above SERIES_DEGREE_BOUND.
+    numerator_terms' refusals are a SpecError at `path`.
     """
     weights = a.scalar_weights()
     minimal = [(s.shift, minimalize_ideal(s.ideal)) for s in m.summands]
@@ -288,7 +315,7 @@ def _module_numerator(a: AlgebraSpec, m: ModuleSpec, top=None) -> tuple:
     dense += [0] * (top + 1 - len(dense))
     for shift, gens in minimal:
         if shift <= top:
-            for d, c in numerator_terms(gens, weights, top - shift).items():
+            for d, c in _summand_terms(gens, weights, path, top - shift).items():
                 dense[shift + d] += c
     return dense, reach
 
@@ -312,13 +339,15 @@ def standard_monomial_counts(a: AlgebraSpec, ideal: Sequence[Monomial], top: int
 
 
 def module_dim_sequence(a: AlgebraSpec, m: ModuleSpec, top: int, *,
-                        validated: bool = False) -> DimensionSequence:
+                        validated: bool = False, path: str = "module") -> DimensionSequence:
     """Cumulative dimensions of a module presentation, degrees 0..top, read
     from the module's Hilbert-series numerator. validated=True skips
-    validate_module, for a caller that has checked m (the CLI's parser)."""
+    validate_module, for a caller that has checked m (the CLI's parser).
+    numerator_terms' refusals are a SpecError at `path`, the input field
+    that presented m."""
     if not validated:
         validate_module(a, m)
-    dense, _ = _module_numerator(a, m, top)
+    dense, _ = _module_numerator(a, m, top, path)
     return DimensionSequence(tuple(_counts(a, dense, cumulative=True)), "cumulative")
 
 
@@ -335,7 +364,8 @@ def numerator_at_one(a: AlgebraSpec, m: ModuleSpec) -> tuple:
     Each summand's numerator_terms are read uncut at their shifted degrees,
     so the work follows the number of terms, not a shift or a degree. Raises
     SpecError (path "module") for a summand numerator with more than
-    SERIES_DEGREE_BOUND distinct degrees, and as _laurent_numerator does.
+    SERIES_DEGREE_BOUND distinct degrees or PIVOT_NODE_BOUND pivot nodes,
+    and as _laurent_numerator does.
     """
     validate_module(a, m)
     return _numerator_at_one(a, m, "module")
@@ -352,20 +382,24 @@ def _module_terms(a: AlgebraSpec, m: ModuleSpec, path: str) -> dict:
     """The Hilbert numerator of a module already validated, over
     prod(1 - t^w), as {degree: coefficient} without zero terms: a Laurent
     part's _laurent_numerator and each summand's uncut numerator_terms at
-    its shift. More than SERIES_DEGREE_BOUND distinct degrees in a summand
-    raise SpecError at `path`."""
+    its shift. A summand with more than SERIES_DEGREE_BOUND distinct degrees
+    or PIVOT_NODE_BOUND pivot nodes raises SpecError at `path`."""
     weights = a.scalar_weights()
     terms = {}
     if m.negative_shift is not None:
         terms = dict(enumerate(_laurent_numerator(weights)))
     for s in m.summands:
-        try:
-            summand = numerator_terms(minimalize_ideal(s.ideal), weights)
-        except ValueError as err:
-            raise SpecError(path, str(err)) from None
-        for d, c in summand.items():
+        for d, c in _summand_terms(minimalize_ideal(s.ideal), weights, path).items():
             terms[s.shift + d] = terms.get(s.shift + d, 0) + c
     return {d: c for d, c in terms.items() if c}
+
+
+def _summand_terms(gens: tuple, weights: tuple, path: str, top=None) -> dict:
+    """numerator_terms(gens, weights, top), its refusals a SpecError at `path`."""
+    try:
+        return numerator_terms(gens, weights, top)
+    except ValueError as err:
+        raise SpecError(path, str(err)) from None
 
 
 def _at_one(terms: dict, count: int) -> tuple:
@@ -436,7 +470,8 @@ def module_hilbert_series(a: AlgebraSpec, m: ModuleSpec) -> RationalSeries:
     denominator's nonzero terms) is verified once, out to the reach of
     _module_numerator, against the running sums of _counts. A reach or a
     sum(w) above SERIES_DEGREE_BOUND raises SpecError (path "module" or
-    "algebra") before any dense work.
+    "algebra") before any dense work, and a summand past PIVOT_NODE_BOUND
+    pivot nodes at "module".
     """
     validate_module(a, m)
     p, q, _ = _checked_series(a, m, 0)

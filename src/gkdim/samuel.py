@@ -171,8 +171,8 @@ def certified_growth(a: AlgebraSpec, m: ModuleSpec, top: int, *,
     P (2m + 6) past SERIES_DEGREE_BOUND (P the period, m the top multiplicity
     in q) or m (len(p) + P m) past BRANCH_WORK_BOUND it gets no branches,
     and its evidence names the bound. More than
-    SERIES_DEGREE_BOUND distinct degrees in a summand numerator raise
-    SpecError at "module".
+    SERIES_DEGREE_BOUND distinct degrees or PIVOT_NODE_BOUND pivot nodes in
+    a summand numerator raise SpecError at "module".
     validated=True skips validate_module, for a caller that has checked m
     (the CLI's parser).
     """

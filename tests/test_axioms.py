@@ -18,6 +18,7 @@ import random
 
 import pytest
 
+import gkdim.hilbert
 from gkdim.axioms import (AxiomReport, ChainReport, HolonomyCatalog,
                           SESSpec, TorsionReport, chain_bound_check,
                           check_multiplicity_axioms, holonomic_defect,
@@ -44,6 +45,19 @@ def test_triple_of_coordinate_ideal_in_the_plane():
         assert double[n] == n + 1
         assert prime[n] == math.comb(n + 2, 2) - (n + 1)
         assert prime[n] + double[n] == big[n]
+
+
+def test_triple_refusals_name_the_field_they_come_from(monkeypatch):
+    # x^2, xy, y^2 takes three pivot nodes, one past a bound of 2
+    monkeypatch.setattr(gkdim.hilbert, "PIVOT_NODE_BOUND", 2)
+    a = AlgebraSpec.polynomial(2)
+    staircase = ((2, 0), (1, 1), (0, 2))
+    for big, path in ((ModuleSpec.regular(), "ses.sub_ideals"),
+                      (ModuleSpec.cyclic(staircase), "module")):
+        with pytest.raises(SpecError) as err:
+            ses_dimension_triple(SESSpec(a, big, (staircase,)), TOP)
+        assert (err.value.path, str(err.value)) == \
+            (path, f"{path}: the pivot recursion needs more than 2 nodes")
 
 
 def test_triple_balances_for_every_summand_layout():

@@ -1718,6 +1718,25 @@ def test_term_count_refusals_name_the_field_they_come_from(tmp_path, capsys,
         assert err == f"error: {path}: the numerator has more than 3 distinct degrees\n"
 
 
+def test_pivot_node_refusals_name_the_field_they_come_from(tmp_path, capsys,
+                                                         monkeypatch):
+    # x^2, xy, y^2 takes three pivot nodes, one past a bound of 2
+    monkeypatch.setattr(gkdim.hilbert, "PIVOT_NODE_BOUND", 2)
+    plane = {"kind": "polynomial", "generators": [{"name": "x"}, {"name": "y"}]}
+    staircase = ["x^2", "x*y", "y^2"]
+    module = {"module": {"summands": [{"shift": 0, "ideal": staircase}]}}
+    cases = [(command, module, "module")
+             for command in ("hilbert", "poincare", "classify", "analyze")]
+    cases += [("check-ses", {"ses": {"sub_ideal": staircase}}, "ses.sub_ideals"),
+              ("check-ses", {**module, "ses": {"sub_ideal": staircase}}, "module"),
+              ("chain", {"chain": [[], staircase]}, "chain[2]")]
+    for command, fields, path in cases:
+        doc = {"spec_version": 1, "algebra": plane, **fields}
+        code, out, err = _run(capsys, [command, _write(tmp_path, doc)])
+        assert (code, out) == (3, ""), (command, path)
+        assert err == f"error: {path}: the pivot recursion needs more than 2 nodes\n"
+
+
 def test_chain_report_does_not_depend_on_max_degree(tmp_path, capsys):
     doc = {"spec_version": 1, "algebra": WEIGHTS_3_4,
            "chain": [[], ["a^2"], ["a", "b^3"], ["1"]]}

@@ -14,7 +14,8 @@ every module once: one divide_by_weights call per module, one
 minimalisation per summand and one expansion self-check per series. The
 kernel-based counts are compared with the free count and convolution they
 replaced, the one numerator recursion with the dict recursion that split
-off x alone, with the dense-list recursion cut after a degree and with the
+off x alone (also on seeded ideals in up to 12 variables, where pending
+factors pile up), with the dense-list recursion cut after a degree and with the
 recursion in powers of t - 1 that it replaced (also by a hypothesis property
 test on exponents up to 10^6 and shifts up to 10^12), and graded() with its
 index loop, all kept below as references, and the DimensionSequence
@@ -613,6 +614,21 @@ def test_dense_numerator_matches_the_dict_recursion():
             assert numerator_terms(minimal, weights, top) == \
                 {d: c for d, c in enumerate(dense) if c}, (weights, ideal, top)
     assert weighted > 100 and len(cases) - weighted > 100
+    # deep trees: 20 to 40 generators (not the unit) in 8 to 12 variables of
+    # weights 1 to 3, where the pending factors of several pivot powers pile
+    # up under a node
+    for _ in range(16):
+        nvars = rng.randint(8, 12)
+        weights = tuple(rng.randint(1, 3) for _ in range(nvars))
+        gens = [tuple(rng.choice((0, 0, 0, 1, 2, 3)) for _ in range(nvars))
+                for _ in range(rng.randint(20, 40))]
+        minimal = minimalize_ideal([g for g in gens if any(g)])
+        assert numerator_terms(minimal, weights) == _numerator_reference(minimal, weights), \
+            (weights, minimal)
+        for top in range(0, 31, 3):
+            dense = _dense_reference(minimal, weights, top)
+            assert numerator_terms(minimal, weights, top) == \
+                {d: c for d, c in enumerate(dense) if c}, (weights, minimal, top)
     # the unit ideal kills everything; the zero ideal keeps the constant 1
     assert numerator_terms([(0, 0), (1, 2)], (1, 1)) == {}
     assert numerator_terms([], (2, 3)) == {0: 1}
