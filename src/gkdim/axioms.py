@@ -216,7 +216,7 @@ def chain_bound_check(ambient: AlgebraSpec, chain, *, validated: bool = False) -
     SpecError is raised for a member not nested in the previous one, one
     with the previous one's numerator (a zero factor), and one whose
     numerator has more than SERIES_DEGREE_BOUND distinct degrees or
-    PIVOT_NODE_BOUND pivot nodes in a summand.
+    PIVOT_NODE_BOUND pivot nodes in one walk.
     validated=True skips validate_module on the members, for a caller that
     has checked them (the CLI's parser); the nesting is checked either way.
     """

@@ -30,28 +30,28 @@ one call, cut or not. Callers report either refusal as a SpecError at the
 input field that presented the ideal: "module", "ses.sub_ideals" or
 "chain[i]".
 
-Three readers scatter the summands' terms, each shifted by its summand's
-shift, and the Laurent part's:
-- counts (_module_numerator, _counts): into a dense list up to the degree
-  asked for, divided by prod(1 - t^w) as integer running sums, one per
-  factor (presentations.divide_by_weights), with one more factor (1 - t)
-  for cumulative counts;
-- the series (_checked_series): into a dense list up to the reach of its
-  expansion self-check; the expansion is its running sums (_counts) to the
-  degree asked for, checked to that reach against poincare._expansion of
-  p / q, q = prod(1 - t^w); p, q and the expansion stay int lists into the
+One reader, _module_terms, lays the numerator out: the Laurent part's and
+one numerator_terms walk per distinct minimal ideal, added in at each of
+that ideal's shifts, cut after a degree or not. It is used three ways:
+- counts (module_dim_sequence): cut after the degree asked for and divided
+  by prod(1 - t^w) as integer running sums, one per factor
+  (presentations.divide_by_weights), with one more factor (1 - t) for
+  cumulative counts;
+- the series (_checked_series): cut after the reach of its expansion
+  self-check; the expansion is its running sums to the degree asked for,
+  checked to that reach against poincare._expansion of p / q,
+  q = prod(1 - t^w); p, q and the expansion stay int lists into the
   hilbert command's report, whose graded dimensions are that expansion;
-- the growth certificate (numerator_at_one, growth_certificate): the
-  numerator's Taylor coefficients at t = 1, c_j = sum_i C(i, j) p_i for
-  j <= n, from which gk and the multiplicity are read, so the certificate
-  depends on no degree asked for.
+- the growth certificate (_numerator_at_one, growth_certificate): uncut,
+  the Taylor coefficients at t = 1, c_j = sum_i C(i, j) p_i for j <= n,
+  from which gk and the multiplicity are read, so the certificate depends
+  on no degree asked for. The analyze command (samuel.certified_growth)
+  reads its counts, its certificate and its Hilbert-Samuel polynomial
+  (_samuel_fit) from that one uncut numerator.
 
-The analyze command (samuel.certified_growth) reads one uncut pass
-(_module_terms) for its counts, its certificate and its Hilbert-Samuel
-polynomial (_samuel_fit), which on an unweighted ring it takes from the same
-Taylor coefficients. The hilbert, poincare and analyze commands reduce the
-exact series by the one routine that knows how prod(1 - t^w) factors,
-poincare._reduce; no presentation takes a gcd.
+The hilbert, poincare and analyze commands reduce the exact series by the
+one routine that knows how prod(1 - t^w) factors, poincare._reduce; no
+presentation takes a gcd.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ from .presentations import (AlgebraSpec, ModuleSpec, Monomial, SpecError,
 MEANINGS = ("graded_piece", "cumulative")
 
 #: The largest degree module_hilbert_series builds densely: the degree its
-#: expansion self-check reaches (_module_numerator) and the degree sum(w) of
+#: expansion self-check reaches (_checked_series) and the degree sum(w) of
 #: the denominator prod(1 - t^w). Both are set by single integers of the
 #: input (a summand's shift, a generator weight), and time and output grow
 #: linearly with them, so past this bound the series is refused as bad input.
@@ -81,7 +81,9 @@ SERIES_DEGREE_BOUND = 10 ** 5
 #: The most nodes one numerator_terms call visits, cut or uncut. The tree can
 #: grow exponentially with the number of variables: 143 generators in 18
 #: variables (a 7 KB spec) need 1.3 million nodes. A node costs 10 to 20 us
-#: on a shared 2-vCPU VM, so a call stops after about 5 s there.
+#: on a shared 2-vCPU VM, so a call stops after about 5 s there. It bounds
+#: one walk: a module walks each distinct ideal once, so k distinct ideals
+#: (or a check-ses, or a chain of k members) still cost up to k walks.
 PIVOT_NODE_BOUND = 3 * 10 ** 5
 
 
@@ -288,45 +290,51 @@ def _laurent_numerator(weights: tuple) -> list:
     return list(map(add, sums, [0] + sums[:-1]))
 
 
-def _module_numerator(a: AlgebraSpec, m: ModuleSpec, top=None, path: str = "module") -> tuple:
-    """The module's Hilbert-series numerator over prod(1 - t^w) as a dense
-    int list, degrees 0..top, and the degree its expansion self-check reaches.
+def _ideal_shifts(m: ModuleSpec) -> dict:
+    """{minimal generators: shifts} of the module's summands, each ideal
+    minimalised once, so that summands presenting one ideal share a key."""
+    ideals = {}
+    for s in m.summands:
+        ideals.setdefault(minimalize_ideal(s.ideal), []).append(s.shift)
+    return ideals
 
-    Each summand's ideal is minimalised once; its numerator_terms, cut after
-    top less its shift, are added in at that shift to a Laurent part's. The
-    self-check reaches, for every summand, its shift plus twice the weight
-    of its minimal generators plus ten, and for a Laurent part 2 sum(w) +
-    10, past the numerator's degree. top=None asks for the numerator to that
-    reach, after refusing a reach or a sum(w) above SERIES_DEGREE_BOUND.
-    numerator_terms' refusals are a SpecError at `path`.
-    """
+
+def _module_terms(a: AlgebraSpec, m: ModuleSpec, path: str, top=None,
+                  ideals=None) -> dict:
+    """The Hilbert numerator of a module already validated, over
+    prod(1 - t^w), as {degree: coefficient} without zero terms or terms past
+    top: a Laurent part's _laurent_numerator and one numerator_terms walk
+    per distinct minimal ideal (`ideals`, _ideal_shifts(m) unless given),
+    cut after top less its least shift and added in at each of its shifts.
+    A walk past PIVOT_NODE_BOUND nodes, or uncut past SERIES_DEGREE_BOUND
+    distinct degrees, raises SpecError at `path`."""
     weights = a.scalar_weights()
-    minimal = [(s.shift, minimalize_ideal(s.ideal)) for s in m.summands]
-    laurent = [] if m.negative_shift is None else [2 * sum(weights) + 10]
-    reach = max([10] + laurent + [shift + 2 * sum(_wdeg(g, weights) for g in gens) + 10
-                                  for shift, gens in minimal])
+    terms = {}
+    if m.negative_shift is not None:
+        terms = dict(enumerate(_laurent_numerator(weights)))
+    for gens, shifts in (_ideal_shifts(m) if ideals is None else ideals).items():
+        low = min(shifts)
+        if top is not None and low > top:
+            continue
+        try:
+            walk = numerator_terms(gens, weights, None if top is None else top - low)
+        except ValueError as err:
+            raise SpecError(path, str(err)) from None
+        for shift in shifts:
+            for d, c in walk.items():
+                terms[shift + d] = terms.get(shift + d, 0) + c
     if top is None:
-        if reach > SERIES_DEGREE_BOUND:
-            raise SpecError("module", f"the series self-check would reach degree {reach}, "
-                                      f"above the bound {SERIES_DEGREE_BOUND}")
-        _check_weight_sum(weights)
-        top = reach
-    dense = _laurent_numerator(weights)[:top + 1] if laurent else []
-    dense += [0] * (top + 1 - len(dense))
-    for shift, gens in minimal:
-        if shift <= top:
-            for d, c in _summand_terms(gens, weights, path, top - shift).items():
-                dense[shift + d] += c
-    return dense, reach
+        return {d: c for d, c in terms.items() if c}
+    return {d: c for d, c in terms.items() if c and d <= top}
 
 
-def _counts(a: AlgebraSpec, dense: list, cumulative: bool) -> list:
-    """Coefficients 0..len(dense) - 1 of the numerator `dense` over
-    prod(1 - t^w), or their prefix sums when cumulative: one
-    divide_by_weights call over the ring's (1 - t^w) factors, with one more
-    factor (1 - t) for the prefix sums."""
-    weights = a.scalar_weights()
-    return divide_by_weights(dense, weights + (1,) if cumulative else weights)
+def _dense(terms: dict, length: int) -> list:
+    """The coefficients 0..length - 1 of the polynomial with the terms {d: p_d}."""
+    out = [0] * length
+    for d, c in terms.items():
+        if d < length:
+            out[d] = c
+    return out
 
 
 def standard_monomial_counts(a: AlgebraSpec, ideal: Sequence[Monomial], top: int,
@@ -334,21 +342,24 @@ def standard_monomial_counts(a: AlgebraSpec, ideal: Sequence[Monomial], top: int
     """Counts of standard monomials (not in the ideal) by weighted degree 0..top."""
     m = ModuleSpec.cyclic(ideal)
     validate_module(a, m)
-    dense, _ = _module_numerator(a, m, top)
-    return _counts(a, dense, cumulative)
+    weights = a.scalar_weights()
+    dense = _dense(_module_terms(a, m, "module", top), top + 1)
+    return divide_by_weights(dense, weights + (1,) if cumulative else weights)
 
 
 def module_dim_sequence(a: AlgebraSpec, m: ModuleSpec, top: int, *,
                         validated: bool = False, path: str = "module") -> DimensionSequence:
-    """Cumulative dimensions of a module presentation, degrees 0..top, read
-    from the module's Hilbert-series numerator. validated=True skips
+    """Cumulative dimensions of a module presentation, degrees 0..top: its
+    Hilbert numerator cut after top, over prod(1 - t^w) and (1 - t) as
+    integer running sums (one divide_by_weights call). validated=True skips
     validate_module, for a caller that has checked m (the CLI's parser).
     numerator_terms' refusals are a SpecError at `path`, the input field
     that presented m."""
     if not validated:
         validate_module(a, m)
-    dense, _ = _module_numerator(a, m, top, path)
-    return DimensionSequence(tuple(_counts(a, dense, cumulative=True)), "cumulative")
+    dense = _dense(_module_terms(a, m, path, top), top + 1)
+    return DimensionSequence(tuple(divide_by_weights(dense, a.scalar_weights() + (1,))),
+                             "cumulative")
 
 
 def algebra_dim_sequence(a: AlgebraSpec, top: int) -> DimensionSequence:
@@ -356,50 +367,14 @@ def algebra_dim_sequence(a: AlgebraSpec, top: int) -> DimensionSequence:
     return module_dim_sequence(a, ModuleSpec.regular(), top)
 
 
-def numerator_at_one(a: AlgebraSpec, m: ModuleSpec) -> tuple:
-    """The module's Hilbert numerator p in powers of (t - 1): the Taylor
-    coefficients c_j = sum_i C(i, j) p_i at t = 1 for j = 0..n, n the
-    number of generators, which is all growth_certificate reads.
-
-    Each summand's numerator_terms are read uncut at their shifted degrees,
-    so the work follows the number of terms, not a shift or a degree. Raises
-    SpecError (path "module") for a summand numerator with more than
-    SERIES_DEGREE_BOUND distinct degrees or PIVOT_NODE_BOUND pivot nodes,
-    and as _laurent_numerator does.
-    """
-    validate_module(a, m)
-    return _numerator_at_one(a, m, "module")
-
-
 def _numerator_at_one(a: AlgebraSpec, m: ModuleSpec, path: str) -> tuple:
-    """numerator_at_one of a module already validated; the term-count
-    refusal is a SpecError at `path`, the input field that presented the
-    module."""
+    """The Hilbert numerator p of a module already validated, in powers of
+    (t - 1): the Taylor coefficients c_j = sum_i C(i, j) p_i at t = 1 for
+    j = 0..n, n the number of generators, which is all growth_certificate
+    reads. The numerator is read uncut, so the work follows its number of
+    terms, not a shift or a degree; its refusals are a SpecError at `path`,
+    the input field that presented the module."""
     return _at_one(_module_terms(a, m, path), a.num_generators + 1)
-
-
-def _module_terms(a: AlgebraSpec, m: ModuleSpec, path: str) -> dict:
-    """The Hilbert numerator of a module already validated, over
-    prod(1 - t^w), as {degree: coefficient} without zero terms: a Laurent
-    part's _laurent_numerator and each summand's uncut numerator_terms at
-    its shift. A summand with more than SERIES_DEGREE_BOUND distinct degrees
-    or PIVOT_NODE_BOUND pivot nodes raises SpecError at `path`."""
-    weights = a.scalar_weights()
-    terms = {}
-    if m.negative_shift is not None:
-        terms = dict(enumerate(_laurent_numerator(weights)))
-    for s in m.summands:
-        for d, c in _summand_terms(minimalize_ideal(s.ideal), weights, path).items():
-            terms[s.shift + d] = terms.get(s.shift + d, 0) + c
-    return {d: c for d, c in terms.items() if c}
-
-
-def _summand_terms(gens: tuple, weights: tuple, path: str, top=None) -> dict:
-    """numerator_terms(gens, weights, top), its refusals a SpecError at `path`."""
-    try:
-        return numerator_terms(gens, weights, top)
-    except ValueError as err:
-        raise SpecError(path, str(err)) from None
 
 
 def _at_one(terms: dict, count: int) -> tuple:
@@ -410,7 +385,7 @@ def _at_one(terms: dict, count: int) -> tuple:
 
 def growth_certificate(a: AlgebraSpec, coefficients: Sequence[int]):
     """(gk, e) of a module whose Hilbert numerator has the coefficients
-    numerator_at_one gives, or None when they all vanish (the zero module).
+    _numerator_at_one gives, or None when they all vanish (the zero module).
 
     Hilbert-Serre (Bruns-Herzog, Cohen-Macaulay Rings, ch. 4): with r the
     index of the first nonzero c_r, p = (1 - t)^r q and q(1) = (-1)^r c_r,
@@ -468,9 +443,9 @@ def module_hilbert_series(a: AlgebraSpec, m: ModuleSpec) -> RationalSeries:
     structured product over the generator weights, built as an int
     coefficient list. The power-series expansion (a recurrence over the
     denominator's nonzero terms) is verified once, out to the reach of
-    _module_numerator, against the running sums of _counts. A reach or a
-    sum(w) above SERIES_DEGREE_BOUND raises SpecError (path "module" or
-    "algebra") before any dense work, and a summand past PIVOT_NODE_BOUND
+    _checked_series, against the running sums of divide_by_weights. A reach
+    or a sum(w) above SERIES_DEGREE_BOUND raises SpecError (path "module" or
+    "algebra") before any dense work, and a walk past PIVOT_NODE_BOUND
     pivot nodes at "module".
     """
     validate_module(a, m)
@@ -480,12 +455,28 @@ def module_hilbert_series(a: AlgebraSpec, m: ModuleSpec) -> RationalSeries:
 
 def _checked_series(a: AlgebraSpec, m: ModuleSpec, top: int) -> tuple:
     """(p, q, expansion) in int lists: module_hilbert_series(a, m), m validated,
-    and its running sums (_counts) to degree max(reach, top), self-checked to
-    reach against the expansion of p / q, whose products cost more."""
-    dense, reach = _module_numerator(a, m)
+    and its running sums to degree max(reach, top), self-checked to reach
+    against the expansion of p / q, whose products cost more.
+
+    The reach is, for every summand, its shift plus twice the weight of its
+    minimal generators plus ten, and for a Laurent part 2 sum(w) + 10, past
+    the numerator's degree; a reach or a sum(w) above SERIES_DEGREE_BOUND is
+    refused before any walk. Each ideal is minimalised once, for the reach
+    and for _module_terms.
+    """
+    weights = a.scalar_weights()
+    ideals = _ideal_shifts(m)
+    laurent = [] if m.negative_shift is None else [2 * sum(weights) + 10]
+    reach = max([10] + laurent + [max(shifts) + 2 * sum(_wdeg(g, weights) for g in gens) + 10
+                                  for gens, shifts in ideals.items()])
+    if reach > SERIES_DEGREE_BOUND:
+        raise SpecError("module", f"the series self-check would reach degree {reach}, "
+                                  f"above the bound {SERIES_DEGREE_BOUND}")
+    _check_weight_sum(weights)
+    dense = _dense(_module_terms(a, m, "module", reach, ideals), reach + 1)
     p = dense[:next((n for n in range(len(dense), 0, -1) if dense[n - 1]), 0)]
-    q = _weights_denominator(a.scalar_weights())
-    expansion = _counts(a, dense + [0] * (top - reach), cumulative=False)
+    q = _weights_denominator(weights)
+    expansion = divide_by_weights(dense + [0] * (top - reach), weights)
     if expansion[:reach + 1] != _expansion(p, q, reach + 1):
         raise RuntimeError("internal error: series expansion disagrees with direct counts")
     return p, q, expansion

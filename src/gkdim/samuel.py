@@ -24,8 +24,8 @@ from typing import NamedTuple, Optional
 
 from .exactnum import (BinomialForm, HilbertSamuelPolynomial, detect_polynomial,
                        sequence_values)
-from .hilbert import (SERIES_DEGREE_BOUND, _at_one, _module_terms, _samuel_fit,
-                      growth_certificate)
+from .hilbert import (SERIES_DEGREE_BOUND, _at_one, _dense, _module_terms,
+                      _samuel_fit, growth_certificate)
 from .poincare import (BRANCH_WORK_BOUND, CANCEL_STEP_BOUND, DenominatorAnalysis,
                        QuasiPolynomial, RationalSeries, Recurrence, _branch_work,
                        _exact_quasi_polynomial, _reduce, _reduced_analysis,
@@ -154,7 +154,7 @@ def certified_growth(a: AlgebraSpec, m: ModuleSpec, top: int, *,
     dimensions in degrees 0..top as int lists, and a GrowthReport read from
     its exact Hilbert series, not fitted to them.
 
-    One uncut numerator_terms pass per summand, with a Laurent part's
+    One uncut numerator_terms walk per distinct ideal, with a Laurent part's
     numerator (hilbert._module_terms), gives the dimensions (its terms up
     to top over prod(1 - t^w)), gk and e
     (growth_certificate) and, on an unweighted ring, the Hilbert-Samuel
@@ -172,7 +172,7 @@ def certified_growth(a: AlgebraSpec, m: ModuleSpec, top: int, *,
     in q) or m (len(p) + P m) past BRANCH_WORK_BOUND it gets no branches,
     and its evidence names the bound. More than
     SERIES_DEGREE_BOUND distinct degrees or PIVOT_NODE_BOUND pivot nodes in
-    a summand numerator raise SpecError at "module".
+    one walk raise SpecError at "module".
     validated=True skips validate_module, for a caller that has checked m
     (the CLI's parser).
     """
@@ -231,15 +231,6 @@ def certified_growth(a: AlgebraSpec, m: ModuleSpec, top: int, *,
         evidence=(f"{pole}; reduced denominator of degree {len(q) - 1} with "
                   f"period {period}; {branches}"),
         flags=("mixed_cyclotomic",) if ra.mixed_cyclotomic else ())
-
-
-def _dense(terms: dict, length: int) -> list:
-    """The coefficients 0..length - 1 of the polynomial with the terms {d: p_d}."""
-    out = [0] * length
-    for d, c in terms.items():
-        if d < length:
-            out[d] = c
-    return out
 
 
 def _polynomial_growth(gk: int, e: Fraction, fit: HilbertSamuelPolynomial) -> GrowthReport:

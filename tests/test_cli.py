@@ -13,7 +13,10 @@ every depth and on an exponent of 10^9, a derandomized fuzz of poincare
 and classify on natural-number sequences, one of chain and check-ses on monomial ideals, and
 one of poincare and hilbert on monomial presentations, whose exact series is
 checked against brute-force counts, sympy's cancelled series and the sampled
-search.
+search. A seeded test runs hilbert, analyze and poincare on 240 presentations
+(Laurent parts, unit ideals and repeated ideals among them) and checks that
+their dimensions agree with each other and with module_dim_sequence, and
+their branch periods with each other.
 """
 
 import contextlib
@@ -2093,3 +2096,66 @@ def test_torsion_is_reported_where_the_recount_had_no_fit(tmp_path, capsys):
         "applicable": True, "torsion": True,
         "reason": "a nonzero ideal lowers the quotient's growth dimension, "
                   "so every generator is torsion"}
+
+
+def _agreement_spec(rng) -> tuple:
+    """(doc, depth): a polynomial ring in 1..4 variables of weight 1..6, all
+    1 on about 30% of them, with 0..3 summands at shifts 0..4, about 30% of them repeating an earlier
+    summand's ideal and some the unit ideal, a Laurent part when there are
+    no summands and on about a quarter of the rest, and a depth 5..40."""
+    nvars = rng.randint(1, 4)
+    weights = [rng.randint(1, 6) for _ in range(nvars)]
+    if rng.random() < 0.3:
+        weights = [1] * nvars
+    ideals = []
+    for _ in range(rng.randint(0, 3)):
+        if ideals and rng.random() < 0.3:
+            ideals.append(rng.choice(ideals))
+        elif rng.random() < 0.1:
+            ideals.append(["1"])
+        else:
+            ideals.append([_mono_text([rng.randint(0, 3) for _ in range(nvars)])
+                           for _ in range(rng.randint(0, 4))])
+    module = {"summands": [{"shift": rng.randint(0, 4), "ideal": ideal} for ideal in ideals]}
+    if not ideals or rng.random() < 0.25:
+        module["negative_shift"] = rng.randint(1, 3)
+    doc = {"spec_version": 1,
+           "algebra": {"kind": "polynomial",
+                       "generators": [{"name": n, "degree": [w]}
+                                      for n, w in zip(_NAMES, weights)]},
+           "module": module}
+    return doc, rng.randint(5, 40)
+
+
+def test_presentation_commands_agree_on_every_count(tmp_path):
+    # hilbert's graded dimensions, analyze's graded and cumulative ones and
+    # module_dim_sequence, which classify counts, come from one reader of the
+    # numerator; poincare's and analyze's branches from one reduced series
+    rng = random.Random(2929)
+    path = tmp_path / "spec.json"
+    repeated = laurent = periods = 0
+    for _ in range(240):
+        doc, depth = _agreement_spec(rng)
+        summands = doc["module"]["summands"]
+        repeated += len({json.dumps(s["ideal"]) for s in summands}) < len(summands)
+        laurent += "negative_shift" in doc["module"]
+        path.write_text(json.dumps(doc))
+        reports = {}
+        for command in ("hilbert", "analyze", "poincare"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.run(cli.RunConfig(command=command, input_path=str(path),
+                                             max_degree=depth))
+            assert code == 0, (command, doc, err.getvalue())
+            reports[command] = json.loads(out.getvalue())["report"]
+        dims = reports["analyze"]["dimensions"]
+        assert reports["hilbert"]["graded_dimensions"] == dims["graded"], doc
+        assert list(itertools.accumulate(dims["graded"])) == dims["cumulative"], doc
+        parsed = cli.parse_spec(doc)
+        counted = gkdim.hilbert.module_dim_sequence(parsed.algebra, parsed.module, depth)
+        assert list(counted) == dims["cumulative"], doc
+        both = (reports["poincare"]["quasi"], reports["analyze"]["growth"]["quasi"])
+        if None not in both:
+            periods += 1
+            assert both[0]["period"] == both[1]["period"], doc
+    assert repeated > 20 and laurent > 40 and periods > 10

@@ -11,15 +11,18 @@ the lowered generators on seeded ideals. Module counts and module Hilbert
 series are checked against the brute-force counts of their shifted summands
 on seeded weighted modules, and call counters pin that each command counts
 every module once: one divide_by_weights call per module, one
-minimalisation per summand and one expansion self-check per series. The
-kernel-based counts are compared with the free count and convolution they
-replaced, the one numerator recursion with the dict recursion that split
-off x alone (also on seeded ideals in up to 12 variables, where pending
-factors pile up), with the dense-list recursion cut after a degree and with the
-recursion in powers of t - 1 that it replaced (also by a hypothesis property
-test on exponents up to 10^6 and shifts up to 10^12), and graded() with its
-index loop, all kept below as references, and the DimensionSequence
-validators by the messages they raise.
+minimalisation per summand, one numerator_terms walk per distinct minimal
+ideal and one expansion self-check per series, whose reach is refused before
+any walk. The kernel-based counts are compared with the free count and
+convolution they replaced, the one numerator recursion with the dict
+recursion that split off x alone (also on seeded ideals in up to 12
+variables, where pending factors pile up), with the dense-list recursion
+cut after a degree and with the recursion in powers of t - 1 that it
+replaced (also by a hypothesis property test on exponents up to 10^6 and
+shifts up to 10^12), and graded() with its index loop, all kept below as
+references, and the DimensionSequence validators by the messages they
+raise. The module reader is checked against the dict recursion also on
+modules presenting one ideal at several shifts on both sides of a cut.
 
 The growth certificate (gk and e from the numerator at t = 1) is checked
 against three oracles: the difference tower on unweighted modules, sympy's
@@ -53,14 +56,15 @@ from gkdim import cli
 from gkdim.cli import main
 from gkdim.exactnum import BinomialForm
 from gkdim.hilbert import (MEANINGS, SERIES_DEGREE_BOUND, DimensionSequence,
-                           _colon, _counts, _module_numerator, _samuel_fit,
+                           _checked_series, _colon, _dense, _module_terms,
+                           _numerator_at_one, _samuel_fit,
                            algebra_dim_sequence, growth_certificate,
                            hilbert_series_monomial_quotient,
                            minimalize_ideal, module_dim_sequence,
-                           module_hilbert_series,
-                           numerator_at_one, numerator_terms,
+                           module_hilbert_series, numerator_terms,
                            standard_monomial_counts)
-from gkdim.presentations import AlgebraSpec, ModuleSpec, SpecError, Summand
+from gkdim.presentations import (AlgebraSpec, ModuleSpec, SpecError, Summand,
+                                 divide_by_weights, validate_module)
 from gkdim.samuel import (certified_growth, detect_polynomial, gk_dimension,
                           multiplicity)
 
@@ -457,9 +461,58 @@ def test_each_module_is_counted_once_per_command(tmp_path, monkeypatch):
     assert free_tops[0] >= max(0 + 4, 1 + 10, 2 + 4) + 10
 
 
+def test_each_distinct_ideal_is_walked_once_per_module(tmp_path, monkeypatch):
+    walks = []
+    walk = gkdim.hilbert.numerator_terms
+
+    def counting(gens, weights, top=None):
+        walks.append(gens)
+        return walk(gens, weights, top)
+
+    monkeypatch.setattr(gkdim.hilbert, "numerator_terms", counting)
+    # summands share a walk when their minimal ideals agree, whatever the
+    # shifts or the generators listed; M'' presents one sub-ideal, x
+    for ideals, distinct in (([["x*y", "x^3"]] * 3, 1),
+                             ([["x*y", "x^3"], ["x^3", "x*y", "x^4"], ["x*y", "x^3"]], 1),
+                             ([["x*y", "x^3"], ["x^2"], ["x*y", "x^3"]], 2)):
+        doc = {"spec_version": 1,
+               "algebra": {"kind": "polynomial",
+                           "generators": [{"name": "x"}, {"name": "y"}]},
+               "module": {"summands": [{"shift": k, "ideal": ideal}
+                                       for k, ideal in enumerate(ideals)]},
+               "ses": {"sub_ideals": [["x"]] * len(ideals)}}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        for command, walked in (("hilbert", distinct), ("poincare", distinct),
+                                ("analyze", distinct), ("classify", distinct),
+                                ("check-ses", distinct + 1)):
+            walks.clear()
+            assert main([command, str(path)]) == 0, command
+            assert len(walks) == walked, (command, ideals)
+
+
+def test_the_series_reach_is_refused_before_any_walk(tmp_path, monkeypatch, capsys):
+    # with a node bound the staircase x^2, xy, y^2 passes, hilbert names the
+    # walk's refusal at shift 0, and at shift 10^6 the self-check's reach,
+    # the shift plus twice the generators' weight 6 plus 10
+    monkeypatch.setattr(gkdim.hilbert, "PIVOT_NODE_BOUND", 2)
+    for shift, message in ((0, "the pivot recursion needs more than 2 nodes"),
+                           (10 ** 6, f"the series self-check would reach degree {10 ** 6 + 22}")):
+        doc = {"spec_version": 1,
+               "algebra": {"kind": "polynomial",
+                           "generators": [{"name": "x"}, {"name": "y"}]},
+               "module": {"summands": [{"shift": shift, "ideal": ["x^2", "x*y", "y^2"]}]}}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["hilbert", str(path)]) == 3
+        assert capsys.readouterr().err.startswith(f"error: module: {message}"), shift
+
+
 def _counts_reference(a, terms, top, cumulative):
-    """_counts as one free count (unbounded-knapsack dynamic programming) and
-    one convolution with the numerator, as it was before the kernel."""
+    """The counts of a numerator as one free count (unbounded-knapsack
+    dynamic programming) and one convolution with the numerator, as it was
+    before the kernel."""
     free = [1] + [0] * top
     for w in a.scalar_weights():
         for d in range(w, top + 1):
@@ -480,14 +533,16 @@ def test_counts_match_the_free_count_convolution():
     high = 0
     for _ in range(80):
         a, m = _random_module(rng)
-        full, _ = _module_numerator(a, m)
-        terms = {d: c for d, c in enumerate(full) if c}
+        weights = a.scalar_weights()
+        terms = _module_terms(a, m, "module")
         for top in (0, 1, 3, 6, 11):
             high += max(terms, default=0) > top
-            dense, _ = _module_numerator(a, m, top)
+            dense = _dense(_module_terms(a, m, "module", top), top + 1)
             for cumulative in (False, True):
-                assert _counts(a, dense, cumulative) == \
-                    _counts_reference(a, terms, top, cumulative), (m, top)
+                assert divide_by_weights(dense, weights + (1,) if cumulative else weights) \
+                    == _counts_reference(a, terms, top, cumulative), (m, top)
+            assert list(module_dim_sequence(a, m, top)) == \
+                _counts_reference(a, terms, top, True), (m, top)
     assert high > 100  # numerator degrees above top are cut off
 
 
@@ -634,23 +689,37 @@ def test_dense_numerator_matches_the_dict_recursion():
     assert numerator_terms([], (2, 3)) == {0: 1}
 
 
+def _repeated_module(rng):
+    """A weighted ring in 1..3 variables and one ideal presented by 2 or 3
+    summands at shifts 0..12, beside 0..1 other summands."""
+    a, m = _random_module(rng)
+    ideal = m.summands[0].ideal
+    repeated = tuple(Summand(rng.randint(0, 12), ideal) for _ in range(rng.randint(2, 3)))
+    return a, ModuleSpec(repeated + m.summands[1:2])
+
+
 def test_module_numerator_matches_the_dict_recursion():
     rng = random.Random(5151)
-    for _ in range(80):
-        a, m = _random_module(rng)
+    above = 0
+    for k in range(160):
+        a, m = (_random_module if k % 2 else _repeated_module)(rng)
         weights = a.scalar_weights()
         expected = {}
         for s in m.summands:
             for d, c in _numerator_reference(minimalize_ideal(s.ideal), weights).items():
                 expected[d + s.shift] = expected.get(d + s.shift, 0) + c
-        dense, reach = _module_numerator(a, m)
-        assert len(dense) == reach + 1
-        assert {d: c for d, c in enumerate(dense) if c} == \
-            {d: c for d, c in expected.items() if c}, m
-        # cut after degree top: the reference's coefficients 0..top
+        expected = {d: c for d, c in expected.items() if c}
+        assert _module_terms(a, m, "module") == expected, m
+        p, _, _ = _checked_series(a, m, 0)
+        assert {d: c for d, c in enumerate(p) if c} == expected, m
+        # cut after degree top: the reference's terms of degree 0..top, also
+        # where a repeated ideal has shifts on both sides of top
         for top in (0, 2, 5, 9):
-            dense, _ = _module_numerator(a, m, top)
-            assert dense == [expected.get(d, 0) for d in range(top + 1)], (m, top)
+            shifts = [s.shift for s in m.summands]
+            above += min(shifts) <= top < max(shifts)
+            assert _module_terms(a, m, "module", top) == \
+                {d: c for d, c in expected.items() if d <= top}, (m, top)
+    assert above > 50
 
 
 def test_numerator_memory_follows_the_degree_asked_for(monkeypatch):
@@ -679,7 +748,7 @@ def test_numerator_memory_follows_the_degree_asked_for(monkeypatch):
         numerator_terms(staircase, (1, 1))
     assert numerator_terms(staircase, (1, 1), 2) == {0: 1, 2: -3}
     with pytest.raises(SpecError) as err:
-        numerator_at_one(plane, ModuleSpec.cyclic(staircase))
+        _at_one_of(plane, ModuleSpec.cyclic(staircase))
     assert err.value.path == "module"
     assert "more than 3 distinct degrees" in err.value.message
     monkeypatch.setattr(gkdim.hilbert, "SERIES_DEGREE_BOUND", 4)
@@ -694,7 +763,7 @@ def test_a_coprime_leaf_grows_with_its_distinct_degrees():
     space = AlgebraSpec.polynomial(n)
     assert numerator_terms(maximal, (1,) * n) == \
         {d: (-1) ** d * math.comb(n, d) for d in range(n + 1)}
-    assert numerator_at_one(space, ModuleSpec.cyclic(maximal)) == (0,) * n + (1,)
+    assert _at_one_of(space, ModuleSpec.cyclic(maximal)) == (0,) * n + (1,)
     assert standard_monomial_counts(space, maximal, 5) == [1, 0, 0, 0, 0, 0]
     # with weights 1, 2, 4, ... every product has its own degree: cut, the
     # leaf keeps degrees 0..top; uncut, it is refused once it passes the bound
@@ -736,8 +805,9 @@ def test_the_one_recursion_matches_the_dense_and_taylor_references(case):
             dense[shift + d] += c
         low = _taylor_reference(minimal, weights, len(weights))
         taylor = list(map(operator.add, taylor, _times_t_power_reference(low, shift)))
-    assert _module_numerator(a, m, top)[0] == dense, (m, top)
-    assert numerator_at_one(a, m) == tuple(taylor), m
+    assert _module_terms(a, m, "module", top) == \
+        {d: c for d, c in enumerate(dense) if c}, (m, top)
+    assert _at_one_of(a, m) == tuple(taylor), m
 
 
 def _graded_reference(values: tuple) -> tuple:
@@ -839,8 +909,15 @@ def test_hilbert_report_series_are_the_library_series(tmp_path_factory, case):
 # the growth certificate: gk and e from the numerator at t = 1
 
 
+def _at_one_of(a, m):
+    """The Taylor coefficients at t = 1 of a module's Hilbert numerator, as
+    every certificate path reads them: validated, then read uncut."""
+    validate_module(a, m)
+    return _numerator_at_one(a, m, "module")
+
+
 def _certificate(a, m):
-    return growth_certificate(a, numerator_at_one(a, m))
+    return growth_certificate(a, _at_one_of(a, m))
 
 
 def _random_unweighted_module(rng):
@@ -921,7 +998,7 @@ def test_certificate_matches_sympy_at_t_equals_one():
 
 def test_counts_and_numerator_at_one_match_brute_force_on_weighted_rings():
     # the chain check compares module_dim_sequence's counts and reads
-    # numerator_at_one's coefficients; both against standard monomials
+    # _numerator_at_one's coefficients; both against standard monomials
     # enumerated one by one. The numerator is the graded counts times
     # prod(1 - t^w), whole below each shift plus generator weight.
     rng = random.Random(2025)
@@ -943,7 +1020,7 @@ def test_counts_and_numerator_at_one_match_brute_force_on_weighted_rings():
             p = [c - (p[i - w] if i >= w else 0) for i, c in enumerate(p)]
         want = tuple(sum(math.comb(i, j) * c for i, c in enumerate(p))
                      for j in range(len(weights) + 1))
-        assert numerator_at_one(a, m) == want, m
+        assert _at_one_of(a, m) == want, m
 
 
 def test_certificate_on_weighted_rings_matches_progression_fits():
@@ -972,7 +1049,7 @@ def test_certificate_work_depends_on_no_exponent_or_shift():
     a = AlgebraSpec.polynomial(1)
     assert _certificate(a, ModuleSpec.cyclic([(10 ** 9,)])) == (0, Fraction(10 ** 9))
     shifted = ModuleSpec((Summand(10 ** 12, ()),))
-    assert numerator_at_one(a, shifted) == (1, 10 ** 12)
+    assert _at_one_of(a, shifted) == (1, 10 ** 12)
     assert _certificate(a, shifted) == (1, Fraction(1))
     # a colon by x alone would recurse 3000 levels deep here: x^3000 y^b and
     # x^3000 z^c for b, c >= 1 lie outside the ideal only below x^3000, and
@@ -985,8 +1062,12 @@ def test_certificate_work_depends_on_no_exponent_or_shift():
 def test_certificate_refuses_a_laurent_module():
     # only over a ring without generators: elsewhere the Laurent part has
     # the numerator (1 + t) prod(1 - t^w) / (1 - t)
+    bare, laurent = AlgebraSpec.polynomial(0), ModuleSpec.laurent()
     with pytest.raises(SpecError) as err:
-        numerator_at_one(AlgebraSpec.polynomial(0), ModuleSpec.laurent())
+        validate_module(bare, laurent)
+    assert err.value.path == "module.negative_shift"
+    with pytest.raises(SpecError) as err:
+        certified_growth(bare, laurent, 5)
     assert err.value.path == "module.negative_shift"
 
 
