@@ -467,8 +467,10 @@ def _check_config(config: RunConfig) -> None:
 
 def _need_algebra(parsed: ParsedInput) -> AlgebraSpec:
     if parsed.algebra is None:
+        given = ("the catalog entry " + parsed.catalog_id if parsed.catalog_id is not None
+                 else "a sequence" if parsed.sequence is not None else "no algebra")
         raise SpecError("algebra", "this command needs an explicit algebra "
-                                   "presentation (not a catalog entry)")
+                                   f"presentation; the spec gives {given}")
     return parsed.algebra
 
 

@@ -37,10 +37,11 @@ that ideal's shifts, cut after a degree or not. It is used three ways:
   by prod(1 - t^w) as integer running sums, one per factor
   (presentations.divide_by_weights), with one more factor (1 - t) for
   cumulative counts;
-- the series (_checked_series): cut after the reach of its expansion
-  self-check; the expansion is its running sums to the degree asked for,
-  checked to that reach against poincare._expansion of p / q,
-  q = prod(1 - t^w); p, q and the expansion stay int lists into the
+- the series (_checked_series): uncut, and refused past
+  SERIES_DEGREE_BOUND by its degree, the one bound of a series; the
+  expansion is its running sums to the degree asked for, the first
+  min(top, deg p + 10) + 1 of them checked against poincare._expansion of
+  p / q, q = prod(1 - t^w); p, q and the expansion stay int lists into the
   hilbert command's report, whose graded dimensions are that expansion;
 - the growth certificate (_numerator_at_one, growth_certificate): uncut,
   the Taylor coefficients at t = 1, c_j = sum_i C(i, j) p_i for j <= n,
@@ -70,12 +71,13 @@ from .presentations import (AlgebraSpec, ModuleSpec, Monomial, SpecError,
 
 MEANINGS = ("graded_piece", "cumulative")
 
-#: The largest degree module_hilbert_series builds densely: the degree its
-#: expansion self-check reaches (_checked_series) and the degree sum(w) of
-#: the denominator prod(1 - t^w). Both are set by single integers of the
-#: input (a summand's shift, a generator weight), and time and output grow
-#: linearly with them, so past this bound the series is refused as bad input.
-#: It also bounds the distinct degrees an uncut numerator_terms collects.
+#: The largest degree module_hilbert_series builds densely: the degree of
+#: the numerator p (_checked_series) and the degree sum(w) of the
+#: denominator prod(1 - t^w). Both are set by single integers of the input
+#: (a summand's shift, an exponent, a generator weight), and time and output
+#: grow linearly with them, so past this bound the series is refused as bad
+#: input. It also bounds the distinct degrees an uncut numerator_terms
+#: collects.
 SERIES_DEGREE_BOUND = 10 ** 5
 
 #: The most nodes one numerator_terms call visits, cut or uncut. The tree can
@@ -290,29 +292,22 @@ def _laurent_numerator(weights: tuple) -> list:
     return list(map(add, sums, [0] + sums[:-1]))
 
 
-def _ideal_shifts(m: ModuleSpec) -> dict:
-    """{minimal generators: shifts} of the module's summands, each ideal
-    minimalised once, so that summands presenting one ideal share a key."""
-    ideals = {}
-    for s in m.summands:
-        ideals.setdefault(minimalize_ideal(s.ideal), []).append(s.shift)
-    return ideals
-
-
-def _module_terms(a: AlgebraSpec, m: ModuleSpec, path: str, top=None,
-                  ideals=None) -> dict:
+def _module_terms(a: AlgebraSpec, m: ModuleSpec, path: str, top=None) -> dict:
     """The Hilbert numerator of a module already validated, over
     prod(1 - t^w), as {degree: coefficient} without zero terms or terms past
     top: a Laurent part's _laurent_numerator and one numerator_terms walk
-    per distinct minimal ideal (`ideals`, _ideal_shifts(m) unless given),
-    cut after top less its least shift and added in at each of its shifts.
-    A walk past PIVOT_NODE_BOUND nodes, or uncut past SERIES_DEGREE_BOUND
-    distinct degrees, raises SpecError at `path`."""
+    per distinct minimal ideal, each ideal minimalised once, cut after top
+    less its least shift and added in at each of its shifts. A walk past
+    PIVOT_NODE_BOUND nodes, or uncut past SERIES_DEGREE_BOUND distinct
+    degrees, raises SpecError at `path`."""
     weights = a.scalar_weights()
     terms = {}
     if m.negative_shift is not None:
         terms = dict(enumerate(_laurent_numerator(weights)))
-    for gens, shifts in (_ideal_shifts(m) if ideals is None else ideals).items():
+    ideals = {}
+    for s in m.summands:
+        ideals.setdefault(minimalize_ideal(s.ideal), []).append(s.shift)
+    for gens, shifts in ideals.items():
         low = min(shifts)
         if top is not None and low > top:
             continue
@@ -441,12 +436,11 @@ def module_hilbert_series(a: AlgebraSpec, m: ModuleSpec) -> RationalSeries:
     p(t) is the sum of the summands' numerators, each shifted by its
     summand's shift, and of a Laurent part's; the denominator is the
     structured product over the generator weights, built as an int
-    coefficient list. The power-series expansion (a recurrence over the
-    denominator's nonzero terms) is verified once, out to the reach of
-    _checked_series, against the running sums of divide_by_weights. A reach
-    or a sum(w) above SERIES_DEGREE_BOUND raises SpecError (path "module" or
-    "algebra") before any dense work, and a walk past PIVOT_NODE_BOUND
-    pivot nodes at "module".
+    coefficient list. No expansion is returned, so the self-check of
+    _checked_series covers degree 0 alone. A sum(w) above
+    SERIES_DEGREE_BOUND raises SpecError at "algebra" before any walk, and a
+    numerator whose degree passes it, or a walk past PIVOT_NODE_BOUND pivot
+    nodes, at "module".
     """
     validate_module(a, m)
     p, q, _ = _checked_series(a, m, 0)
@@ -455,29 +449,25 @@ def module_hilbert_series(a: AlgebraSpec, m: ModuleSpec) -> RationalSeries:
 
 def _checked_series(a: AlgebraSpec, m: ModuleSpec, top: int) -> tuple:
     """(p, q, expansion) in int lists: module_hilbert_series(a, m), m validated,
-    and its running sums to degree max(reach, top), self-checked to reach
-    against the expansion of p / q, whose products cost more.
+    and its running sums to degree top, the first min(top, deg p + 10) + 1 of
+    them self-checked against the expansion of p / q, whose products cost more.
 
-    The reach is, for every summand, its shift plus twice the weight of its
-    minimal generators plus ten, and for a Laurent part 2 sum(w) + 10, past
-    the numerator's degree; a reach or a sum(w) above SERIES_DEGREE_BOUND is
-    refused before any walk. Each ideal is minimalised once, for the reach
-    and for _module_terms.
+    The numerator is read uncut, as certified_growth reads it, each walk
+    bounded by PIVOT_NODE_BOUND, and its degree is the one bound of the
+    series: a sum(w) above SERIES_DEGREE_BOUND is refused before any walk,
+    and a numerator whose degree passes it after the walk.
     """
     weights = a.scalar_weights()
-    ideals = _ideal_shifts(m)
-    laurent = [] if m.negative_shift is None else [2 * sum(weights) + 10]
-    reach = max([10] + laurent + [max(shifts) + 2 * sum(_wdeg(g, weights) for g in gens) + 10
-                                  for gens, shifts in ideals.items()])
-    if reach > SERIES_DEGREE_BOUND:
-        raise SpecError("module", f"the series self-check would reach degree {reach}, "
-                                  f"above the bound {SERIES_DEGREE_BOUND}")
     _check_weight_sum(weights)
-    dense = _dense(_module_terms(a, m, "module", reach, ideals), reach + 1)
-    p = dense[:next((n for n in range(len(dense), 0, -1) if dense[n - 1]), 0)]
-    q = _weights_denominator(weights)
-    expansion = divide_by_weights(dense + [0] * (top - reach), weights)
-    if expansion[:reach + 1] != _expansion(p, q, reach + 1):
+    terms = _module_terms(a, m, "module")
+    degree = max(terms, default=-1)
+    if degree > SERIES_DEGREE_BOUND:
+        raise SpecError("module", f"the series numerator has degree {degree}, "
+                                  f"above the bound {SERIES_DEGREE_BOUND}")
+    p, q = _dense(terms, degree + 1), _weights_denominator(weights)
+    expansion = divide_by_weights(_dense(terms, top + 1), weights)
+    checked = min(top, degree + 10) + 1
+    if expansion[:checked] != _expansion(p, q, checked):
         raise RuntimeError("internal error: series expansion disagrees with direct counts")
     return p, q, expansion
 

@@ -14,9 +14,11 @@ and classify on natural-number sequences, one of chain and check-ses on monomial
 one of poincare and hilbert on monomial presentations, whose exact series is
 checked against brute-force counts, sympy's cancelled series and the sampled
 search. A seeded test runs hilbert, analyze and poincare on 240 presentations
-(Laurent parts, unit ideals and repeated ideals among them) and checks that
-their dimensions agree with each other and with module_dim_sequence, and
-their branch periods with each other.
+(Laurent parts, unit ideals and repeated ideals among them) and on two fixed
+ones with numerators of degree 50000 and 60000, and checks that their
+dimensions agree with each other and with module_dim_sequence, and their
+branch periods with each other. A far-shifted summand beside 150 weights is
+read by hilbert and poincare in under a second.
 """
 
 import contextlib
@@ -344,6 +346,20 @@ def test_unknown_catalog_entry_is_exit_three(tmp_path, capsys):
     code, _, err = _run(capsys, ["classify", _write(tmp_path, doc)])
     assert code == 3
     assert "algebra.catalog_id" in err
+
+
+def test_presentation_commands_name_the_input_without_a_presentation(tmp_path, capsys):
+    given = [({"sequence": [1, 2, 3]}, "a sequence"),
+             ({"algebra": {"kind": "catalog", "catalog_id": "smith_lie"}},
+              "the catalog entry smith_lie"),
+             ({}, "no algebra")]
+    for doc, what in given:
+        path = _write(tmp_path, dict(doc, spec_version=1))
+        for command in ("hilbert", "check-ses", "chain", "refilter"):
+            code, out, err = _run(capsys, [command, path])
+            assert (code, out) == (3, ""), command
+            assert err == ("error: algebra: this command needs an explicit algebra "
+                           f"presentation; the spec gives {what}\n"), command
 
 
 def test_bad_monomial_name_is_exit_three(tmp_path, capsys):
@@ -763,8 +779,9 @@ def test_analyze_reports_the_pole_alone_past_the_reduction_bound(tmp_path, capsy
 
 
 def test_hilbert_past_the_series_degree_bound_is_exit_three(tmp_path, capsys):
-    # one shift integer would drive a dense numerator of degree 10^6 and its
-    # self-check; the bound refuses it before any dense work
+    # one shift integer would drive a dense numerator of degree 10^6 + 1,
+    # t^(10^6) (1 - t) beside 1 - t^2; the bound on its degree refuses it
+    # after the sparse walk and before any dense work
     doc = {"spec_version": 1,
            "algebra": {"kind": "polynomial",
                        "generators": [{"name": "x"}, {"name": "y"}]},
@@ -776,7 +793,7 @@ def test_hilbert_past_the_series_degree_bound_is_exit_three(tmp_path, capsys):
     assert time.perf_counter() - start < 0.1
     assert code == 3
     assert out == ""
-    assert err == ("error: module: the series self-check would reach degree 1000012, "
+    assert err == ("error: module: the series numerator has degree 1000001, "
                    "above the bound 100000\n")
     # a generator weight drives the denominator prod(1 - t^w) the same way
     doc = {"spec_version": 1,
@@ -791,7 +808,8 @@ def test_hilbert_past_the_series_degree_bound_is_exit_three(tmp_path, capsys):
 def test_huge_exponents_and_weights_build_nothing_dense(tmp_path, capsys):
     # an exponent or a generator weight of 10^9: analyze scatters the sparse
     # numerator only to --max-degree and reads its verdict from the terms,
-    # and hilbert refuses the series before building it. k[x, y]/(x^(10^9))
+    # and hilbert refuses the series before building it, by the numerator's
+    # degree 10^9 or by the weight sum 10^9 + 1. k[x, y]/(x^(10^9))
     # has 10^9 monomials in each degree from 10^9 - 1 on (the sampled tower
     # read gk 2, e 1); in k[x, y]/(x) with x of weight 10^9 only y is left
     big = 10 ** 9
@@ -814,22 +832,53 @@ def test_huge_exponents_and_weights_build_nothing_dense(tmp_path, capsys):
         code, out, err = _run(capsys, ["hilbert", path])
         assert time.perf_counter() - start < 0.1
         assert (code, out) == (3, "")
-        assert err == (f"error: module: the series self-check would reach degree "
-                       f"{2 * big + 10}, above the bound 100000\n")
+        assert err == (f"error: module: the series numerator has degree {big}, "
+                       f"above the bound 100000\n" if generators is plane else
+                       f"error: algebra: the generator weights sum to {big + 1}, "
+                       f"above the series degree bound 100000\n")
 
 
-def test_hilbert_rejects_two_directional_modules(tmp_path, capsys):
+def test_hilbert_answers_two_directional_modules(tmp_path, capsys):
     # a Laurent part's numerator (1 + t) prod(1 - t^w) / (1 - t) has degree
-    # sum(w), and its self-check reaches 2 sum(w) + 10: past the bound the
-    # module is refused, though the regular module alone is not
+    # sum(w), 50000 here, within the bound on the numerator's degree, so the
+    # module is answered as the regular module alone is: (1 + t) / (1 - t)
+    # plus 1 / (1 - t^50000) is 2 in each degree below 50000
     heavy = {"kind": "polynomial", "generators": [{"name": "x", "degree": [50000]}]}
     regular = {"spec_version": 1, "algebra": heavy, "module": {"summands": [{"ideal": []}]}}
     assert _run(capsys, ["hilbert", _write(tmp_path, regular)])[0] == 0
     doc = dict(regular, module={"summands": [{"ideal": []}], "negative_shift": 1})
-    code, out, err = _run(capsys, ["hilbert", _write(tmp_path, doc)])
-    assert (code, out) == (3, "")
-    assert err == ("error: module: the series self-check would reach degree 100010, "
-                   "above the bound 100000\n")
+    path = _write(tmp_path, doc)
+    code, payload = _run_json(capsys, ["hilbert", path])
+    assert code == 0
+    assert len(payload["report"]["series"]["numerator"]) == 50001
+    assert payload["report"]["graded_dimensions"] == [2] * 31
+    code, payload = _run_json(capsys, ["poincare", path])
+    assert code == 0
+    assert payload["report"]["coefficients_analyzed"] == 31
+
+
+def test_a_far_shifted_summand_is_read_in_under_a_second(tmp_path, capsys):
+    # weights 1..150 and the ideal (x1) at shift 20000: the series is sized
+    # by its numerator's degree 20001 and checked to the printed degree 30
+    # alone; a check sized by the shift took 10 to 14 s (2-vCPU VM)
+    names = [f"x{i}" for i in range(1, 151)]
+    doc = {"spec_version": 1,
+           "algebra": {"kind": "polynomial",
+                       "generators": [{"name": n, "degree": [i]}
+                                      for i, n in enumerate(names, 1)]},
+           "module": {"summands": [{"shift": 20000, "ideal": ["x1"]}]}}
+    path = _write(tmp_path, doc)
+    for command in ("hilbert", "poincare"):
+        start = time.perf_counter()
+        code, payload = _run_json(capsys, [command, path])
+        assert time.perf_counter() - start < 1.0, command
+        assert code == 1, command
+        assert payload["warnings"] == [WARNINGS["cancel_step_bound"]], command
+        if command == "hilbert":
+            graded = payload["report"]["graded_dimensions"]
+    parsed = cli.parse_spec(doc)
+    counts = gkdim.hilbert.module_dim_sequence(parsed.algebra, parsed.module, 30)
+    assert graded == list(counts.graded()) == [0] * 31
 
 
 # ---------------------------------------------------------------------------
@@ -2131,11 +2180,18 @@ def test_presentation_commands_agree_on_every_count(tmp_path):
     # hilbert's graded dimensions, analyze's graded and cumulative ones and
     # module_dim_sequence, which classify counts, come from one reader of the
     # numerator; poincare's and analyze's branches from one reduced series
+    # k[x, y]/(x^60000) and a Laurent part over x of weight 50000 have
+    # numerators of degree 60000 and 50000, within the series degree bound
     rng = random.Random(2929)
     path = tmp_path / "spec.json"
     repeated = laurent = periods = 0
-    for _ in range(240):
-        doc, depth = _agreement_spec(rng)
+    plane = {"kind": "polynomial", "generators": [{"name": "x"}, {"name": "y"}]}
+    heavy = {"kind": "polynomial", "generators": [{"name": "x", "degree": [50000]}]}
+    fixed = [({"spec_version": 1, "algebra": plane,
+               "module": {"summands": [{"ideal": ["x^60000"]}]}}, 30),
+             ({"spec_version": 1, "algebra": heavy,
+               "module": {"summands": [{"ideal": []}], "negative_shift": 1}}, 30)]
+    for doc, depth in fixed + [_agreement_spec(rng) for _ in range(240)]:
         summands = doc["module"]["summands"]
         repeated += len({json.dumps(s["ideal"]) for s in summands}) < len(summands)
         laurent += "negative_shift" in doc["module"]

@@ -12,8 +12,9 @@ series are checked against the brute-force counts of their shifted summands
 on seeded weighted modules, and call counters pin that each command counts
 every module once: one divide_by_weights call per module, one
 minimalisation per summand, one numerator_terms walk per distinct minimal
-ideal and one expansion self-check per series, whose reach is refused before
-any walk. The kernel-based counts are compared with the free count and
+ideal and one expansion per series, to the degree asked for, whose self-check
+covers min(top, deg p + 10) + 1 coefficients and fires on a wrong running
+sum; a weight sum past the series degree bound is refused before any walk. The kernel-based counts are compared with the free count and
 convolution they replaced, the one numerator recursion with the dict
 recursion that split off x alone (also on seeded ideals in up to 12
 variables, where pending factors pile up), with the dense-list recursion
@@ -400,16 +401,17 @@ def test_module_hilbert_series_rejects_two_directional_modules():
 
 
 def test_series_degree_bound_is_inclusive_and_names_its_path():
-    # the self-check reaches shift + 2 * (weight of the minimal generators) + 10
+    # the bound is on the numerator's degree: t^s (1 - t^2) has degree s + 2
     plane = AlgebraSpec.polynomial(2)
-    at_bound = ModuleSpec((Summand(SERIES_DEGREE_BOUND - 14, ((1, 1),)),))
-    series = module_hilbert_series(plane, at_bound)
-    assert series.numerator.degree == SERIES_DEGREE_BOUND - 12
-    past = ModuleSpec((Summand(SERIES_DEGREE_BOUND - 13, ((1, 1),)),))
+    for shift in (SERIES_DEGREE_BOUND - 14, SERIES_DEGREE_BOUND - 13, SERIES_DEGREE_BOUND - 2):
+        series = module_hilbert_series(plane, ModuleSpec((Summand(shift, ((1, 1),)),)))
+        assert series.numerator.degree == shift + 2
+    past = ModuleSpec((Summand(SERIES_DEGREE_BOUND - 1, ((1, 1),)),))
     with pytest.raises(SpecError) as err:
         module_hilbert_series(plane, past)
     assert err.value.path == "module"
-    assert str(SERIES_DEGREE_BOUND + 1) in err.value.message
+    assert err.value.message == (f"the series numerator has degree {SERIES_DEGREE_BOUND + 1}, "
+                                 f"above the bound {SERIES_DEGREE_BOUND}")
     # the denominator prod(1 - t^w) has degree sum(w); no summand is needed
     heavy = AlgebraSpec.polynomial(2, degrees=[(SERIES_DEGREE_BOUND,), (1,)])
     with pytest.raises(SpecError) as err:
@@ -455,10 +457,8 @@ def test_each_module_is_counted_once_per_command(tmp_path, monkeypatch):
 
     free_tops.clear()
     assert main(["hilbert", str(path)]) == 0
-    assert len(free_tops) == 1  # one expansion self-check for the whole module
-    # it reaches shift + 2 * (weight of the minimal generators) + 10 for
-    # every summand: x^2 weighs 2, xy and y^3 weigh 5, y^2 weighs 2
-    assert free_tops[0] >= max(0 + 4, 1 + 10, 2 + 4) + 10
+    # one expansion for the whole module, to the printed degree 30 alone
+    assert free_tops == [30]
 
 
 def test_each_distinct_ideal_is_walked_once_per_module(tmp_path, monkeypatch):
@@ -491,22 +491,36 @@ def test_each_distinct_ideal_is_walked_once_per_module(tmp_path, monkeypatch):
             assert len(walks) == walked, (command, ideals)
 
 
-def test_the_series_reach_is_refused_before_any_walk(tmp_path, monkeypatch, capsys):
-    # with a node bound the staircase x^2, xy, y^2 passes, hilbert names the
-    # walk's refusal at shift 0, and at shift 10^6 the self-check's reach,
-    # the shift plus twice the generators' weight 6 plus 10
+def test_the_weight_sum_is_refused_before_any_walk(tmp_path, monkeypatch, capsys):
+    # the walk is bounded by its nodes whatever the shift: with a node bound
+    # the staircase x^2, xy, y^2 passes, hilbert names the walk's refusal at
+    # shift 0 and at shift 10^6 alike; a weight sum past SERIES_DEGREE_BOUND
+    # is read off the input and refused before any walk
     monkeypatch.setattr(gkdim.hilbert, "PIVOT_NODE_BOUND", 2)
-    for shift, message in ((0, "the pivot recursion needs more than 2 nodes"),
-                           (10 ** 6, f"the series self-check would reach degree {10 ** 6 + 22}")):
+    walks = []
+    walk = gkdim.hilbert.numerator_terms
+
+    def counting(gens, weights, top=None):
+        walks.append(gens)
+        return walk(gens, weights, top)
+
+    monkeypatch.setattr(gkdim.hilbert, "numerator_terms", counting)
+    heavy = [{"name": "x", "degree": [SERIES_DEGREE_BOUND]}, {"name": "y"}]
+    plane = [{"name": "x"}, {"name": "y"}]
+    for generators, shift, message in (
+            (plane, 0, "module: the pivot recursion needs more than 2 nodes"),
+            (plane, 10 ** 6, "module: the pivot recursion needs more than 2 nodes"),
+            (heavy, 0, f"algebra: the generator weights sum to {SERIES_DEGREE_BOUND + 1}")):
         doc = {"spec_version": 1,
-               "algebra": {"kind": "polynomial",
-                           "generators": [{"name": "x"}, {"name": "y"}]},
+               "algebra": {"kind": "polynomial", "generators": generators},
                "module": {"summands": [{"shift": shift, "ideal": ["x^2", "x*y", "y^2"]}]}}
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(doc))
         capsys.readouterr()
+        walks.clear()
         assert main(["hilbert", str(path)]) == 3
-        assert capsys.readouterr().err.startswith(f"error: module: {message}"), shift
+        assert capsys.readouterr().err.startswith(f"error: {message}"), shift
+        assert len(walks) == (generators is plane), shift
 
 
 def _counts_reference(a, terms, top, cumulative):
@@ -830,7 +844,8 @@ def test_graded_matches_the_index_loop():
 
 
 def test_hilbert_reads_graded_dimensions_from_the_self_check(tmp_path, monkeypatch):
-    # k[x, y] / (x*y): the self-check reaches 2 * 2 + 10 = 14
+    # k[x, y] / (x*y): the numerator 1 - t^2 has degree 2, so the self-check
+    # covers degrees 0..min(top, 2 + 10)
     doc = {"spec_version": 1,
            "algebra": {"kind": "polynomial",
                        "generators": [{"name": "x"}, {"name": "y"}]},
@@ -838,8 +853,8 @@ def test_hilbert_reads_graded_dimensions_from_the_self_check(tmp_path, monkeypat
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(doc))
     # the shared kernel of RationalSeries.expand, which hilbert calls on int
-    # lists to its reach alone: the graded dimensions at every depth are the
-    # running sums it checks
+    # lists to degree 12 at most: the graded dimensions are the running sums
+    # it checks, and those past it
     expand, lengths = gkdim.hilbert._expansion, []
 
     def counting(p, q, n):
@@ -847,7 +862,7 @@ def test_hilbert_reads_graded_dimensions_from_the_self_check(tmp_path, monkeypat
         return expand(p, q, n)
 
     monkeypatch.setattr(gkdim.hilbert, "_expansion", counting)
-    for top, expansions in ((3, [15]), (14, [15]), (15, [15]), (40, [15])):
+    for top, expansions in ((3, [4]), (14, [13]), (15, [13]), (40, [13])):
         lengths.clear()
         out = tmp_path / f"{top}.json"
         assert main(["hilbert", str(path), "--max-degree", str(top),
@@ -855,6 +870,40 @@ def test_hilbert_reads_graded_dimensions_from_the_self_check(tmp_path, monkeypat
         assert lengths == expansions, top
         graded = json.loads(out.read_text())["report"]["graded_dimensions"]
         assert graded == [1] + [2] * top, top
+
+
+def test_the_self_check_catches_a_wrong_running_sum(tmp_path, monkeypatch, capsys):
+    # k[x, y] / (x*y) to degree 30: one running sum off by one at degree 12,
+    # the last the self-check covers (deg p + 10), is an internal error of
+    # hilbert and poincare alike; at degree 13 it is past the check, and
+    # hilbert prints it
+    doc = {"spec_version": 1,
+           "algebra": {"kind": "polynomial",
+                       "generators": [{"name": "x"}, {"name": "y"}]},
+           "module": {"summands": [{"ideal": ["x*y"]}]}}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    divide = gkdim.hilbert.divide_by_weights
+
+    def off_by_one_at(degree):
+        def wrong(coeffs, weights):
+            out = divide(coeffs, weights)
+            out[degree] += 1
+            return out
+        monkeypatch.setattr(gkdim.hilbert, "divide_by_weights", wrong)
+
+    off_by_one_at(12)
+    for command in ("hilbert", "poincare"):
+        capsys.readouterr()
+        assert main([command, str(path)]) == 4, command
+        assert capsys.readouterr().err == (
+            "error: internal: RuntimeError: internal error: series expansion "
+            "disagrees with direct counts\n"), command
+    off_by_one_at(13)
+    capsys.readouterr()
+    assert main(["hilbert", str(path)]) == 0
+    graded = json.loads(capsys.readouterr().out)["report"]["graded_dimensions"]
+    assert graded == [1] + [2] * 12 + [3] + [2] * 17
 
 
 @st.composite
