@@ -10,9 +10,8 @@ a float.
 """
 
 from .exactnum import (BinomialForm, HilbertSamuelPolynomial, Polynomial,
-                       Rational, detect_polynomial, falling_binom,
-                       finite_difference, from_binomial_basis,
-                       to_binomial_basis)
+                       detect_polynomial, falling_binom, finite_difference,
+                       from_binomial_basis, to_binomial_basis)
 from .presentations import (AdmissibilityReport, AdmissibleOrder, AlgebraSpec,
                             ModuleSpec, RefilterError, Relation, SpecError,
                             Summand, check_admissibility,
@@ -46,7 +45,7 @@ __all__ = [
     "BinomialForm", "CatalogEntry", "ChainReport", "DenominatorAnalysis",
     "DimensionSequence", "GrowthReport", "HilbertSamuelPolynomial",
     "HolonomyCatalog", "HolonomyReport", "ModuleSpec", "Polynomial",
-    "QuasiPolynomial", "Rational", "RationalAnalysis", "RationalSeries",
+    "QuasiPolynomial", "RationalAnalysis", "RationalSeries",
     "Recurrence", "RefilterError", "Relation", "SESSpec", "SpecError",
     "Summand", "TorsionReport", "algebra_dim_sequence", "catalog_entry",
     "catalog_ids", "chain_bound_check", "check_admissibility",

@@ -31,10 +31,10 @@ from .axioms import (HolonomyCatalog, SESSpec, chain_bound_check,
 # detect_polynomial is not called here; bench/test_bench.py checks that its
 # tracer rebinds this module's name
 from .exactnum import Polynomial, detect_polynomial  # noqa: F401
-from .hilbert import (SERIES_DEGREE_BOUND, DimensionSequence, _checked_series,
-                      module_dim_sequence)
-from .poincare import (RationalSeries, _exact_quasi_polynomial, _reduce,
-                       _reduced_analysis, rational_analysis)
+from .hilbert import (SERIES_DEGREE_BOUND, DimensionSequence, module_dim_sequence,
+                      presented_series)
+from .poincare import (BRANCH_WORK_BOUND, RationalSeries, _branch_work,
+                       _exact_quasi_polynomial, _reduced_analysis, rational_analysis)
 from .presentations import (AlgebraSpec, ModuleSpec, RefilterError, SpecError,
                             Summand, refilter)
 from .samuel import certified_growth, classify_growth
@@ -543,22 +543,15 @@ def _cmd_analyze(config: RunConfig, parsed: ParsedInput):
     return code, report, flags
 
 
-def _presented_series(parsed: ParsedInput, top: int) -> tuple:
-    """(p, q, expansion) of a presentation (hilbert._checked_series; the
-    regular module by default) and its poincare._reduce, or None past the bound."""
-    a = _need_algebra(parsed)
-    m = parsed.module if parsed.module is not None else ModuleSpec.regular()
-    p, q, expansion = _checked_series(a, m, top)
-    return p, q, expansion, _reduce(p, a.scalar_weights(), q)
-
-
 def _cmd_hilbert(config: RunConfig, parsed: ParsedInput):
-    # one expansion, for the self-check and the graded dimensions
-    p, q, expansion, low = _presented_series(parsed, config.max_degree)
+    m = parsed.module if parsed.module is not None else ModuleSpec.regular()
+    series = presented_series(_need_algebra(parsed), m, reduce=True)
+    low = series.reduced
     report = {
-        "series": _int_series_payload(p, q),
+        "series": _int_series_payload(series.p, series.q),
         "reduced": None if low is None else _int_series_payload(*low[:2]),
-        "graded_dimensions": expansion[:config.max_degree + 1],
+        # one expansion, for the self-check and the graded dimensions
+        "graded_dimensions": series.expansion(config.max_degree),
     }
     if low is None:
         return EXIT_INCONCLUSIVE, report, ("cancel_step_bound",)
@@ -569,26 +562,33 @@ def _cmd_poincare(config: RunConfig, parsed: ParsedInput):
     top = config.max_degree
     flags = _catalog_flags(parsed)
     if parsed.sequence is None and parsed.catalog_id is None:
-        # an exact series (Hilbert-Serre): no recurrence search, no walk over
-        # every cyclotomic order and no fitted branches; they are read off the
-        # reduced series where the P branches of at most M coefficients each
-        # (P the period, M the top multiplicity) hold no more numbers than
-        # the printed coefficients
-        _, _, expansion, low = _presented_series(parsed, top)
-        values = expansion[:top + 1]
-        ra = None if low is None else _reduced_analysis(*low)
-        if ra is None:
+        # an exact series (Hilbert-Serre): no recurrence search, no fitted
+        # branches; they are read off the reduced series where P M (the period
+        # times the top multiplicity) is at most the printed coefficients and
+        # the work within BRANCH_WORK_BOUND, and checked against the expansion
+        # to top; else the expansion stops after its self-checked prefix
+        m = parsed.module if parsed.module is not None else ModuleSpec.regular()
+        series = presented_series(_need_algebra(parsed), m, reduce=True)
+        low, count = series.reduced, top + 1
+        if low is None:
+            ra, reads = None, False
             flags += ("cancel_step_bound",)
-        elif ra.period * max(low[2].values(), default=0) <= len(values):
-            ra = ra._replace(quasi=_exact_quasi_polynomial(*low, values))
+        else:
+            ra, top_mult = _reduced_analysis(*low), max(low[2].values(), default=0)
+            reads = (ra.period * top_mult <= count and _branch_work(
+                len(low[0]), ra.period, top_mult) <= BRANCH_WORK_BOUND)
+        held = series.expansion(top, whole=reads)
+        if reads:
+            ra = ra._replace(quasi=_exact_quasi_polynomial(*low, held))
     else:
         values = (list(parsed.sequence) if parsed.sequence is not None
                   else catalog.graded_values(parsed.catalog_id, top))
-        if len(values) < 3:  # an order-1 recurrence and one confirming equation
+        count = len(values)
+        if count < 3:  # an order-1 recurrence and one confirming equation
             path = "sequence" if parsed.sequence is not None else "config.max_degree"
             raise SpecError(path, "too few terms for recurrence detection")
-        ra = rational_analysis(values, min(config.confirm, len(values) - 2))
-    report = {"coefficients_analyzed": len(values), "recurrence": None,
+        ra = rational_analysis(values, min(config.confirm, count - 2))
+    report = {"coefficients_analyzed": count, "recurrence": None,
               "series": None, "denominator": None, "quasi": None}
     if ra is None:
         return EXIT_INCONCLUSIVE, report, flags

@@ -34,9 +34,6 @@ from itertools import takewhile
 from operator import eq, mul, sub
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
-#: Exact rational number with normalized sign and lowest terms.
-Rational = Fraction
-
 Scalar = Union[int, Fraction]
 
 

@@ -32,27 +32,17 @@ input field that presented the ideal: "module", "ses.sub_ideals" or
 
 One reader, _module_terms, lays the numerator out: the Laurent part's and
 one numerator_terms walk per distinct minimal ideal, added in at each of
-that ideal's shifts, cut after a degree or not. It is used three ways:
-- counts (module_dim_sequence): cut after the degree asked for and divided
-  by prod(1 - t^w) as integer running sums, one per factor
-  (presentations.divide_by_weights), with one more factor (1 - t) for
-  cumulative counts;
-- the series (_checked_series): uncut, and refused past
-  SERIES_DEGREE_BOUND by its degree, the one bound of a series; the
-  expansion is its running sums to the degree asked for, the first
-  min(top, deg p + 10) + 1 of them checked against poincare._expansion of
-  p / q, q = prod(1 - t^w); p, q and the expansion stay int lists into the
-  hilbert command's report, whose graded dimensions are that expansion;
-- the growth certificate (_numerator_at_one, growth_certificate): uncut,
-  the Taylor coefficients at t = 1, c_j = sum_i C(i, j) p_i for j <= n,
-  from which gk and the multiplicity are read, so the certificate depends
-  on no degree asked for. The analyze command (samuel.certified_growth)
-  reads its counts, its certificate and its Hilbert-Samuel polynomial
-  (_samuel_fit) from that one uncut numerator.
-
-The hilbert, poincare and analyze commands reduce the exact series by the
-one routine that knows how prod(1 - t^w) factors, poincare._reduce; no
-presentation takes a gcd.
+that ideal's shifts. Cut after a degree, it gives module_dim_sequence's
+counts: integer running sums over prod(1 - t^w), and (1 - t) for cumulative
+ones (presentations.divide_by_weights). Uncut, it is the exact series the
+hilbert, poincare and analyze commands read through one head,
+presented_series: the walk once, and on request p and q = prod(1 - t^w) as
+int lists within SERIES_DEGREE_BOUND, their reduction by poincare._reduce
+(no presentation takes a gcd), and the running sums to a degree, the first
+min(top, deg p + 10) + 1 checked against poincare._expansion of p / q.
+analyze (samuel.certified_growth) reads gk and e off the Taylor coefficients
+at t = 1 (_at_one, growth_certificate), and on an unweighted ring its
+Hilbert-Samuel polynomial (_samuel_fit), building nothing dense.
 """
 
 from __future__ import annotations
@@ -61,23 +51,23 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 from math import comb, prod
 from operator import add, le, mul, sub
-from typing import Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .exactnum import BinomialForm, HilbertSamuelPolynomial, Polynomial
-from .poincare import RationalSeries, _expansion, _weights_denominator
+from .poincare import RationalSeries, _expansion, _reduce, _weights_denominator
 from .presentations import (AlgebraSpec, ModuleSpec, Monomial, SpecError,
                             divide_by_weights, monomial_divides,
                             validate_module)
 
 MEANINGS = ("graded_piece", "cumulative")
 
-#: The largest degree module_hilbert_series builds densely: the degree of
-#: the numerator p (_checked_series) and the degree sum(w) of the
-#: denominator prod(1 - t^w). Both are set by single integers of the input
-#: (a summand's shift, an exponent, a generator weight), and time and output
-#: grow linearly with them, so past this bound the series is refused as bad
-#: input. It also bounds the distinct degrees an uncut numerator_terms
-#: collects.
+#: The largest degree presented_series builds densely: the degree of the
+#: numerator p and the degree sum(w) of the denominator prod(1 - t^w). Both
+#: are set by single integers of the input (a summand's shift, an exponent,
+#: a generator weight), and time and output grow linearly with them, so past
+#: this bound hilbert and poincare refuse the series as bad input and analyze
+#: keeps gk and e alone. It also bounds the distinct degrees an uncut
+#: numerator_terms collects.
 SERIES_DEGREE_BOUND = 10 ** 5
 
 #: The most nodes one numerator_terms call visits, cut or uncut. The tree can
@@ -431,45 +421,61 @@ def _samuel_fit(coefficients: Sequence[int], degree: int) -> HilbertSamuelPolyno
 
 
 def module_hilbert_series(a: AlgebraSpec, m: ModuleSpec) -> RationalSeries:
-    """Hilbert series of a module presentation as p(t) / prod_i (1 - t^w_i).
-
-    p(t) is the sum of the summands' numerators, each shifted by its
-    summand's shift, and of a Laurent part's; the denominator is the
-    structured product over the generator weights, built as an int
-    coefficient list. No expansion is returned, so the self-check of
-    _checked_series covers degree 0 alone. A sum(w) above
+    """Hilbert series of a module presentation as p(t) / prod_i (1 - t^w_i):
+    presented_series, its self-check covering degree 0. A sum(w) above
     SERIES_DEGREE_BOUND raises SpecError at "algebra" before any walk, and a
     numerator whose degree passes it, or a walk past PIVOT_NODE_BOUND pivot
-    nodes, at "module".
-    """
+    nodes, at "module"."""
     validate_module(a, m)
-    p, q, _ = _checked_series(a, m, 0)
-    return RationalSeries(Polynomial(p), Polynomial(q))
+    series = presented_series(a, m)
+    series.expansion(0)
+    return RationalSeries(Polynomial(series.p), Polynomial(series.q))
 
 
-def _checked_series(a: AlgebraSpec, m: ModuleSpec, top: int) -> tuple:
-    """(p, q, expansion) in int lists: module_hilbert_series(a, m), m validated,
-    and its running sums to degree top, the first min(top, deg p + 10) + 1 of
-    them self-checked against the expansion of p / q, whose products cost more.
+class PresentedSeries(NamedTuple):
+    """A presentation's exact Hilbert series: the uncut numerator
+    {degree: coefficient} over prod(1 - t^w), the weights and, where built,
+    p and q = prod(1 - t^w) as int lists and poincare._reduce(p, weights, q)."""
 
-    The numerator is read uncut, as certified_growth reads it, each walk
-    bounded by PIVOT_NODE_BOUND, and its degree is the one bound of the
-    series: a sum(w) above SERIES_DEGREE_BOUND is refused before any walk,
-    and a numerator whose degree passes it after the walk.
-    """
+    terms: dict
+    weights: tuple
+    p: Optional[list] = None
+    q: Optional[list] = None
+    reduced: Optional[tuple] = None
+
+    def expansion(self, top: int, whole: bool = True) -> list:
+        """The coefficients in degrees 0..top, as running sums over the
+        numerator cut after top. With p built, the first min(top, deg p + 10)
+        + 1 are checked against poincare._expansion of p / q, whose products
+        cost more; whole=False stops after them."""
+        checked = 0 if self.p is None else min(top, len(self.p) + 9) + 1
+        length = top + 1 if whole else checked
+        expansion = divide_by_weights(_dense(self.terms, length), self.weights)
+        if checked and expansion[:checked] != _expansion(self.p, self.q, checked):
+            raise RuntimeError("internal error: series expansion disagrees with direct counts")
+        return expansion
+
+
+def presented_series(a: AlgebraSpec, m: ModuleSpec, *, dense: bool = True,
+                     reduce: bool = False, refuse: bool = True) -> PresentedSeries:
+    """The exact series of a module already validated: its uncut numerator
+    (_module_terms) and, with dense, p and q, with reduce their _reduce (None
+    past CANCEL_STEP_BOUND). A dense series' degree and sum(w) must stay
+    within SERIES_DEGREE_BOUND: with refuse, a sum(w) past it is a SpecError
+    at "algebra" before any walk and a degree past it one at "module";
+    without, the series keeps its terms alone."""
     weights = a.scalar_weights()
-    _check_weight_sum(weights)
+    if dense and refuse:
+        _check_weight_sum(weights)
     terms = _module_terms(a, m, "module")
     degree = max(terms, default=-1)
-    if degree > SERIES_DEGREE_BOUND:
+    if dense and refuse and degree > SERIES_DEGREE_BOUND:
         raise SpecError("module", f"the series numerator has degree {degree}, "
                                   f"above the bound {SERIES_DEGREE_BOUND}")
+    if not dense or max(degree, sum(weights)) > SERIES_DEGREE_BOUND:
+        return PresentedSeries(terms, weights)
     p, q = _dense(terms, degree + 1), _weights_denominator(weights)
-    expansion = divide_by_weights(_dense(terms, top + 1), weights)
-    checked = min(top, degree + 10) + 1
-    if expansion[:checked] != _expansion(p, q, checked):
-        raise RuntimeError("internal error: series expansion disagrees with direct counts")
-    return p, q, expansion
+    return PresentedSeries(terms, weights, p, q, _reduce(p, weights, q) if reduce else None)
 
 
 def hilbert_series_monomial_quotient(a: AlgebraSpec, ideal: Sequence[Monomial]) -> RationalSeries:

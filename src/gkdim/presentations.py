@@ -488,9 +488,10 @@ class ModuleSpec(NamedTuple):
     """A graded module presented as a direct sum of shifted monomial quotients.
 
     negative_shift adds the rank-one two-directions module (the Laurent line
-    k[x, x^-1] filtered by B_j x^-s), with the two-sided count 2j + 1 up to
-    degree j: the series (1 + t) / (1 - t), a polynomial over prod(1 - t^w)
-    when the algebra has generators (hilbert._laurent_numerator).
+    k[x, x^-1]) with the two-sided count 2j + 1 up to degree j: the series
+    (1 + t) / (1 - t) (hilbert._laurent_numerator) whatever its value s, so
+    s changes no count, series or verdict; only validation (s >= 1) and
+    chain's nesting rule read it.
     """
 
     summands: tuple = ()  # tuple[Summand, ...]

@@ -8,11 +8,13 @@ denominator generates no natural-number sequence (Fatou), so it leaves the
 verdict inconclusive. Every value a report holds is exact.
 
 A module presentation fixes its Hilbert series exactly (Hilbert-Serre), so
-certified_growth reads its verdict from that series and samples nothing. Of
-poincare's two routines it uses the exact one, _reduce, _reduced_analysis
-and _exact_quasi_polynomial, which the poincare command shares; the
-sampled head, rational_analysis, serves classify_growth and the poincare
-command on raw sequences and catalog entries.
+certified_growth reads its verdict from that series and samples nothing.
+It reads the series through hilbert.presented_series, the head the hilbert
+and poincare commands read, and takes the cumulative series' reduction from
+the graded one. Of poincare's two routines it uses the exact one,
+_reduced_analysis and _exact_quasi_polynomial, which the poincare command
+shares; the sampled head, rational_analysis, serves classify_growth and the
+poincare command on raw sequences and catalog entries.
 """
 
 from __future__ import annotations
@@ -20,17 +22,17 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import accumulate
+from operator import sub
 from typing import NamedTuple, Optional
 
 from .exactnum import (BinomialForm, HilbertSamuelPolynomial, detect_polynomial,
                        sequence_values)
-from .hilbert import (SERIES_DEGREE_BOUND, _at_one, _dense, _module_terms,
-                      _samuel_fit, growth_certificate)
+from .hilbert import (SERIES_DEGREE_BOUND, _at_one, _samuel_fit, growth_certificate,
+                      presented_series)
 from .poincare import (BRANCH_WORK_BOUND, CANCEL_STEP_BOUND, DenominatorAnalysis,
                        QuasiPolynomial, RationalSeries, Recurrence, _branch_work,
-                       _exact_quasi_polynomial, _reduce, _reduced_analysis,
-                       rational_analysis)
-from .presentations import AlgebraSpec, ModuleSpec, divide_by_weights, validate_module
+                       _exact_quasi_polynomial, _reduced_analysis, rational_analysis)
+from .presentations import AlgebraSpec, ModuleSpec, validate_module
 
 
 def gk_dimension(h: HilbertSamuelPolynomial) -> int:
@@ -152,59 +154,53 @@ def certified_growth(a: AlgebraSpec, m: ModuleSpec, top: int, *,
                      validated: bool = False) -> tuple:
     """(graded, cumulative, report) for a module presentation: its
     dimensions in degrees 0..top as int lists, and a GrowthReport read from
-    its exact Hilbert series, not fitted to them.
+    its exact series (hilbert.presented_series), not fitted to them.
 
-    One uncut numerator_terms walk per distinct ideal, with a Laurent part's
-    numerator (hilbert._module_terms), gives the dimensions (its terms up
-    to top over prod(1 - t^w)), gk and e
-    (growth_certificate) and, on an unweighted ring, the Hilbert-Samuel
-    polynomial (hilbert._samuel_fit), so nothing dense is built past top and
-    an exponent of 10^9 costs what 1 does. On a weighted ring the cumulative
-    series p / ((1 - t) prod(1 - t^w)) is reduced against the cyclotomic
-    factors the weights give its denominator (poincare._reduce, as hilbert
-    and poincare reduce the graded series): a reduced denominator (1 - t)^k
-    gives the polynomial the same way, any other its recurrence, root report
-    and branches, read off the reduced series (poincare._reduced_analysis,
-    _exact_quasi_polynomial) and checked against the cumulative dimensions.
-    A weighted series that passes degree SERIES_DEGREE_BOUND, or whose
+    The numerator's terms give the dimensions, gk and e (growth_certificate)
+    and, on an unweighted ring, the Hilbert-Samuel polynomial (_samuel_fit),
+    so an exponent of 10^9 costs what 1 does. On a weighted ring the graded
+    series p / q is reduced and expanded as for hilbert, and the cumulative
+    one reduces to p / (q (1 - t)): by Pringsheim's theorem a series with
+    nonnegative coefficients has a pole at t = 1 or is a polynomial positive
+    there, so 1 - t divides no reduced graded p of a nonzero module. A
+    reduced denominator (1 - t)^k gives the polynomial the same way, any
+    other its recurrence, root report and branches (_reduced_analysis,
+    _exact_quasi_polynomial), checked against the cumulative dimensions. A
+    weighted series past SERIES_DEGREE_BOUND in degree or sum(w), or whose
     reduction passes CANCEL_STEP_BOUND, keeps gk and e only; with len(p) +
-    P (2m + 6) past SERIES_DEGREE_BOUND (P the period, m the top multiplicity
-    in q) or m (len(p) + P m) past BRANCH_WORK_BOUND it gets no branches,
-    and its evidence names the bound. More than
-    SERIES_DEGREE_BOUND distinct degrees or PIVOT_NODE_BOUND pivot nodes in
-    one walk raise SpecError at "module".
-    validated=True skips validate_module, for a caller that has checked m
-    (the CLI's parser).
-    """
+    P (2m + 6) past SERIES_DEGREE_BOUND (P the period, m the top
+    multiplicity in q) or m (len(p) + P m) past BRANCH_WORK_BOUND it gets no
+    branches; its evidence names the bound. validated=True skips
+    validate_module (the CLI's parser checked m)."""
     if not validated:
         validate_module(a, m)
     weights = a.scalar_weights()
-    terms = _module_terms(a, m, "module")
-    graded = divide_by_weights(_dense(terms, top + 1), weights)
+    weighted = set(weights) != {1}
+    series = presented_series(a, m, dense=weighted, reduce=weighted, refuse=False)
+    graded = series.expansion(top)
     cumulative = list(accumulate(graded))
-    coefficients = _at_one(terms, len(weights) + 1)
+    coefficients = _at_one(series.terms, len(weights) + 1)
     cert = growth_certificate(a, coefficients)
     if cert is None:  # the zero module
         zero = HilbertSamuelPolynomial(BinomialForm(), 0)
         return graded, cumulative, _polynomial_growth(0, Fraction(0), zero)
     gk, e = cert
-    if set(weights) == {1}:
-        fit = _samuel_fit(coefficients, max(terms))
+    if not weighted:
+        fit = _samuel_fit(coefficients, max(series.terms))
         return graded, cumulative, _polynomial_growth(gk, e, fit)
     pole = f"{_CERTIFIED}: pole of order {gk} at t = 1"
     kind = "finite_dimensional" if gk == 0 else "polynomial"
-    degree = max(terms)
-    if max(degree, sum(weights) + 1) > SERIES_DEGREE_BOUND:
+    if series.p is None:
         return graded, cumulative, GrowthReport(
             kind, gk, e, evidence=(f"{pole}; the series passes degree "
                                    f"{SERIES_DEGREE_BOUND} and is not expanded"))
-    # the cumulative series is p / ((1 - t) prod(1 - t^w))
-    low = _reduce(_dense(terms, degree + 1), weights + (1,))
-    if low is None:
+    if series.reduced is None:
         return graded, cumulative, GrowthReport(
             kind, gk, e, evidence=(f"{pole}; reducing the series could take more "
                                    f"than {CANCEL_STEP_BOUND} steps and is not done"))
-    p, q, mults = low
+    p, q, mults = series.reduced
+    q, mults = list(map(sub, q + [0], [0] + q)), {1: 0, **mults}  # times 1 - t
+    mults[1] += 1
     if set(mults) == {1}:  # q = (1 - t)^k
         fit = _samuel_fit(_at_one(dict(enumerate(p)), mults[1]), len(p) - 1)
         return graded, cumulative, _polynomial_growth(gk, e, fit)

@@ -778,6 +778,48 @@ def test_analyze_reports_the_pole_alone_past_the_reduction_bound(tmp_path, capsy
     assert payload["report"]["holonomy"]["gk"] == 1
 
 
+def test_analyze_reads_the_series_bound_hilbert_and_poincare_read(tmp_path, capsys):
+    # one bound for every dense series, deg p and sum(w) at most
+    # SERIES_DEGREE_BOUND: weights 2 and 99998 sum to it, so analyze reduces
+    # the graded series as hilbert does (and meets the step bound, as hilbert
+    # does), where it once bounded the cumulative denominator's degree
+    # sum(w) + 1 and did not expand the series; weights 2 and 99999 pass it
+    for heavy, ending, hilbert_code in (
+            (99998, "reducing the series could take more than 100000000 steps and "
+                    "is not done", 1),
+            (99999, f"the series passes degree {SERIES_DEGREE_BOUND} and is not expanded", 3)):
+        path = _write(tmp_path, {"spec_version": 1, "algebra": _weighted_ring((2, heavy))})
+        code, payload = _run_json(capsys, ["analyze", path])
+        growth = payload["report"]["growth"]
+        assert (code, growth["gk"], growth["multiplicity"]) == (0, 2, [1, 2 * heavy])
+        assert growth["evidence"].endswith(ending), heavy
+        assert _run(capsys, ["hilbert", path])[0] == hilbert_code, heavy
+
+
+def test_analyze_reduces_where_the_graded_steps_fit_the_step_bound(
+        tmp_path, capsys, monkeypatch):
+    # the cumulative series has one more factor 1 - t than the graded one,
+    # so its step estimate is larger; at a CANCEL_STEP_BOUND of the graded
+    # estimate analyze reduces what a reduction of the cumulative series
+    # refused, as hilbert does
+    weights = (6, 10)
+    low, high = 0, 10 ** 6  # the least bound at which the graded series reduces
+    while low < high:
+        monkeypatch.setattr(gkdim.poincare, "CANCEL_STEP_BOUND", (low + high) // 2)
+        if gkdim.poincare._reduce([1], weights) is None:
+            low = (low + high) // 2 + 1
+        else:
+            high = (low + high) // 2
+    monkeypatch.setattr(gkdim.poincare, "CANCEL_STEP_BOUND", low)
+    assert gkdim.poincare._reduce([1], weights + (1,)) is None
+    path = _write(tmp_path, {"spec_version": 1, "algebra": _weighted_ring(weights)})
+    code, payload = _run_json(capsys, ["analyze", path])
+    growth = payload["report"]["growth"]
+    assert code == 0 and growth["denominator"]["cyclotomic_multiplicities"] == \
+        [[1, 3], [2, 2], [3, 1], [5, 1], [6, 1], [10, 1]]
+    assert _run_json(capsys, ["hilbert", path])[1]["report"]["reduced"] is not None
+
+
 def test_hilbert_past_the_series_degree_bound_is_exit_three(tmp_path, capsys):
     # one shift integer would drive a dense numerator of degree 10^6 + 1,
     # t^(10^6) (1 - t) beside 1 - t^2; the bound on its degree refuses it
@@ -1164,7 +1206,7 @@ def test_branches_past_the_work_bound_are_not_read_in_under_a_second(tmp_path, c
     # 1999!); k[x1..x1200, z], z of weight 2: analyze's evidence names the bound
     weyl = _write(tmp_path, {"spec_version": 1,
                              "algebra": {"kind": "weyl", "weyl_rank": WEYL_RANK_BOUND}})
-    for depth in ("2002", "2010"):
+    for depth in ("2002", "2010", "20000"):
         start = time.perf_counter()
         code, payload = _run_json(capsys, ["poincare", weyl, "--max-degree", depth])
         assert time.perf_counter() - start < 1.0, depth
@@ -1178,6 +1220,32 @@ def test_branches_past_the_work_bound_are_not_read_in_under_a_second(tmp_path, c
     assert growth["evidence"].endswith(
         "branches not read: m (numerator length + period m), m the top multiplicity, "
         f"is {1202 * (1 + 2 * 1202)}, above {gkdim.poincare.BRANCH_WORK_BOUND}")
+
+
+def test_poincare_expands_past_the_self_check_only_to_check_branches(
+        tmp_path, capsys, monkeypatch):
+    # the Weyl algebra's series 1 / (1 - t)^(2r) has p = 1: without branches
+    # poincare expands only the self-checked coefficients 0..deg p + 10, so
+    # depth costs nothing it does not print; with branches it expands every
+    # printed coefficient, each checked against its branch. Rank 50 at depth
+    # 98 has P M = 100 past the 99 printed, and rank 250 the branch work
+    # 500 * 501, past BRANCH_WORK_BOUND
+    lengths, divide = [], gkdim.hilbert.divide_by_weights
+
+    def counting(coeffs, weights):
+        lengths.append(len(coeffs))
+        return divide(coeffs, weights)
+
+    monkeypatch.setattr(gkdim.hilbert, "divide_by_weights", counting)
+    for rank, depth, branches in ((50, 5000, True), (50, 98, False), (250, 5000, False)):
+        path = _write(tmp_path, {"spec_version": 1,
+                                 "algebra": {"kind": "weyl", "weyl_rank": rank}})
+        lengths.clear()
+        code, payload = _run_json(capsys, ["poincare", path, "--max-degree", str(depth)])
+        report = payload["report"]
+        assert (code, report["coefficients_analyzed"]) == (0, depth + 1), rank
+        assert (report["quasi"] is not None) == branches, (rank, depth)
+        assert lengths == ([depth + 1] if branches else [11]), (rank, depth)
 
 
 def test_poincare_refusal_names_the_field_that_is_short(tmp_path, capsys):

@@ -53,17 +53,18 @@ from hypothesis import strategies as st
 from gkdim.exactnum import Polynomial
 from gkdim.poincare import RationalSeries
 import gkdim.hilbert
+import gkdim.poincare
+import gkdim.samuel
 from gkdim import cli
 from gkdim.cli import main
 from gkdim.exactnum import BinomialForm
 from gkdim.hilbert import (MEANINGS, SERIES_DEGREE_BOUND, DimensionSequence,
-                           _checked_series, _colon, _dense, _module_terms,
-                           _numerator_at_one, _samuel_fit,
-                           algebra_dim_sequence, growth_certificate,
+                           _colon, _dense, _module_terms, _numerator_at_one,
+                           _samuel_fit, algebra_dim_sequence, growth_certificate,
                            hilbert_series_monomial_quotient,
                            minimalize_ideal, module_dim_sequence,
                            module_hilbert_series, numerator_terms,
-                           standard_monomial_counts)
+                           presented_series, standard_monomial_counts)
 from gkdim.presentations import (AlgebraSpec, ModuleSpec, SpecError, Summand,
                                  divide_by_weights, validate_module)
 from gkdim.samuel import (certified_growth, detect_polynomial, gk_dimension,
@@ -491,6 +492,44 @@ def test_each_distinct_ideal_is_walked_once_per_module(tmp_path, monkeypatch):
             assert len(walks) == walked, (command, ideals)
 
 
+def test_each_presentation_command_walks_once_and_reduces_at_most_once(
+        tmp_path, monkeypatch):
+    # hilbert, poincare and analyze read one head (presented_series): a
+    # 3-summand module with 2 distinct ideals is walked twice and reduced at
+    # most once per report; analyze on an unweighted ring reduces nothing,
+    # its Hilbert-Samuel polynomial coming from the Taylor coefficients
+    walks, reductions = [], []
+    walk, reduce = gkdim.hilbert.numerator_terms, gkdim.poincare._reduce
+
+    def counting(gens, weights, top=None):
+        walks.append(gens)
+        return walk(gens, weights, top)
+
+    def reducing(*args):
+        reductions.append(args)
+        return reduce(*args)
+
+    monkeypatch.setattr(gkdim.hilbert, "numerator_terms", counting)
+    for module in (gkdim.hilbert, gkdim.samuel, cli):
+        if hasattr(module, "_reduce"):
+            monkeypatch.setattr(module, "_reduce", reducing)
+    ideals = (["x*y", "x^3"], ["x^2"], ["x^3", "x*y"])
+    for weights, analyzed in (((1, 1), 0), ((2, 3), 1)):
+        doc = {"spec_version": 1,
+               "algebra": {"kind": "polynomial",
+                           "generators": [{"name": name, "degree": [w]}
+                                          for name, w in zip("xy", weights)]},
+               "module": {"summands": [{"shift": k, "ideal": ideal}
+                                       for k, ideal in enumerate(ideals)]}}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        for command, reduced in (("hilbert", 1), ("poincare", 1), ("analyze", analyzed)):
+            walks.clear()
+            reductions.clear()
+            assert main([command, str(path)]) == 0, command
+            assert (len(walks), len(reductions)) == (2, reduced), (command, weights)
+
+
 def test_the_weight_sum_is_refused_before_any_walk(tmp_path, monkeypatch, capsys):
     # the walk is bounded by its nodes whatever the shift: with a node bound
     # the staircase x^2, xy, y^2 passes, hilbert names the walk's refusal at
@@ -724,7 +763,7 @@ def test_module_numerator_matches_the_dict_recursion():
                 expected[d + s.shift] = expected.get(d + s.shift, 0) + c
         expected = {d: c for d, c in expected.items() if c}
         assert _module_terms(a, m, "module") == expected, m
-        p, _, _ = _checked_series(a, m, 0)
+        p = presented_series(a, m).p
         assert {d: c for d, c in enumerate(p) if c} == expected, m
         # cut after degree top: the reference's terms of degree 0..top, also
         # where a repeated ideal has shifts on both sides of top
@@ -904,6 +943,21 @@ def test_the_self_check_catches_a_wrong_running_sum(tmp_path, monkeypatch, capsy
     assert main(["hilbert", str(path)]) == 0
     graded = json.loads(capsys.readouterr().out)["report"]["graded_dimensions"]
     assert graded == [1] + [2] * 12 + [3] + [2] * 17
+    # poincare without branches to check (the Weyl algebra of rank 250, past
+    # BRANCH_WORK_BOUND) expands only the checked prefix, 0..deg p + 10, and
+    # the check still covers it; analyze on a weighted ring builds p and q,
+    # so its counts are checked too
+    weyl = tmp_path / "weyl.json"
+    weyl.write_text(json.dumps({"spec_version": 1,
+                                "algebra": {"kind": "weyl", "weyl_rank": 250}}))
+    weighted = tmp_path / "weighted.json"
+    weighted.write_text(json.dumps(dict(doc, algebra={
+        "kind": "polynomial", "generators": [{"name": "x", "degree": [2]}, {"name": "y"}]})))
+    off_by_one_at(10)
+    for command, spec in (("poincare", weyl), ("analyze", weighted)):
+        capsys.readouterr()
+        assert main([command, str(spec), "--max-degree", "5000"]) == 4, command
+        assert "series expansion disagrees with direct counts" in capsys.readouterr().err
 
 
 @st.composite

@@ -55,6 +55,9 @@ Oracles:
 * Shift registers -- the generator-expression form of the Berlekamp-Massey
   discrepancy, which divided every update by its content (kept here), must
   give the same register after every sample of seeded integer sequences.
+* Cumulative reduction -- on 320 seeded weighted presentations (weights
+  1..6, 1-3 summands, Laurent parts, zero modules), _reduce of the
+  cumulative series must be the head's graded reduction times 1 - t.
 * Exact branches -- on 120 seeded weighted presentations (weights 1..6 on
   1-4 generators; shifted summands, Laurent parts, finite and zero
   modules), _exact_quasi_polynomial must give the period, branches and
@@ -78,7 +81,7 @@ from sympy.polys import ring_series
 
 import gkdim.poincare
 from gkdim.exactnum import Polynomial, int_divmod
-from gkdim.hilbert import _checked_series, minimalize_ideal, numerator_terms
+from gkdim.hilbert import minimalize_ideal, numerator_terms, presented_series
 from gkdim.poincare import (BRANCH_WORK_BOUND, ROOT_SPLIT_SKIPPED, DenominatorAnalysis,
                             QuasiPolynomial, RationalSeries, Recurrence, _branch_work,
                             _cyclotomic_ints, _cyclotomic_orders, _divisors,
@@ -1171,10 +1174,43 @@ def _exact_series(weights, module):
     """The graded and the cumulative series of the presentation, each as
     (p, q, mults, period, top multiplicity) from _reduce."""
     a = AlgebraSpec.polynomial(len(weights), degrees=[(w,) for w in weights])
-    p, _, _ = _checked_series(a, module, 0)
+    p = presented_series(a, module).p
     for ws in (weights, weights + (1,)):
         low, q, mults = _reduce(p, ws)
         yield low, q, mults, math.lcm(*mults), max(mults.values(), default=0)
+
+
+def test_the_cumulative_reduction_is_the_graded_one_times_one_minus_t():
+    # analyze takes the cumulative series' reduction from the graded one the
+    # head gives. Pringsheim: counts >= 0 give a pole at t = 1 or a
+    # polynomial positive there, so 1 - t divides no reduced graded p of a
+    # nonzero module, and p / ((1 - t) prod(1 - t^w)) reduces to p over
+    # q (1 - t), the multiplicity of 1 - t one more. A zero module is 0 / 1
+    # either way.
+    rng = random.Random(3131)
+    seen = Counter()
+    for k in range(320):
+        n = rng.randint(1, 4)
+        weights = tuple(rng.randint(1, 6) for _ in range(n))
+        a = AlgebraSpec.polynomial(n, degrees=[(w,) for w in weights])
+        summands = tuple(
+            Summand(rng.randint(0, 6), ((0,) * n,) if k % 10 == 0 else
+                    tuple(_random_monomial(rng, n) for _ in range(rng.randint(0, 3))))
+            for _ in range(rng.randint(1, 3)))
+        laurent = k % 10 and rng.random() < 1 / 3
+        module = ModuleSpec(summands, negative_shift=rng.randint(1, 3) if laurent else None)
+        series = presented_series(a, module, reduce=True)
+        p, q, mults = series.reduced
+        cumulative = _reduce(series.p, weights + (1,))
+        if not p:
+            assert (p, q, mults) == cumulative == ([], [1], {}), (weights, module)
+            seen["zero"] += 1
+            continue
+        times = [a - b for a, b in zip(q + [0], [0] + q)]
+        assert cumulative == (p, times, {1: mults.get(1, 0) + 1, **{
+            d: m for d, m in mults.items() if d > 1}}), (weights, module)
+        seen["laurent" if laurent else "finite" if 1 not in mults else "pole"] += 1
+    assert sum(seen.values()) == 320 and min(seen.values()) >= 20, seen
 
 
 def test_exact_branches_match_the_fit_on_the_long_expansion():
