@@ -22,7 +22,12 @@ Fractions once, at the end:
   f(n) = sum a_i C(n, i) by exact subtraction: its column at the first
   constant window, moved back to n = 0 in one closed-form step, is
   (a_0, ..., a_d), and one scan of the constant level finds where the
-  samples start to agree. d is the growth dimension, a_d the multiplicity.
+  samples start to agree. d is the growth dimension, a_d the multiplicity;
+- an exact series' form comes from its numerator instead: the Taylor
+  coefficients at t = 1, one running sum each (_taylor_at_one), give the
+  form of p / (1 - t)^(n + 1) by Vandermonde's identity and its least index
+  from deg p (_samuel_fit), for analyze's Hilbert-Samuel polynomial and
+  for every residue class of poincare's quasi-polynomial branches alike.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import takewhile
+from itertools import accumulate, takewhile
 from operator import eq, mul, sub
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
@@ -399,6 +404,49 @@ def detect_polynomial(s, window: int = 6) -> Optional[HilbertSamuelPolynomial]:
     agreeing = takewhile(partial(eq, column[degree]), reversed(levels[degree][:anchor]))
     stabilization = anchor - len(list(agreeing))
     return HilbertSamuelPolynomial(BinomialForm(tower), stabilization)
+
+
+def _taylor_at_one(coeffs: Sequence[int], count: int) -> list:
+    """The Taylor coefficients c_j, j < count, at t = 1 of the polynomial
+    with the ascending int coefficients `coeffs`: p = sum_j c_j (t - 1)^j.
+    Each c_j is the remainder of one synthetic division by t - 1, a running
+    sum from the top whose last entry is the remainder and the rest the
+    quotient, so count divisions cost count len(coeffs) additions."""
+    rest, out = coeffs[::-1], []
+    for _ in range(count):
+        *rest, remainder = accumulate(rest or [0])
+        out.append(remainder)
+    return out
+
+
+def _samuel_fit(coefficients: Sequence[int], degree: int) -> HilbertSamuelPolynomial:
+    """The Hilbert-Samuel polynomial of the cumulative counts of the series
+    p / (1 - t)^(n + 1), from the Taylor coefficients c_0..c_n of p at t = 1
+    (_taylor_at_one) and the degree of p (-1 for p = 0).
+
+    p = sum_j (-1)^j c_j (1 - t)^j, and for j <= n the coefficients of
+    (1 - t)^(j - n - 1) are C(m + n - j, n - j) = sum_i C(n - j, i) C(m, i)
+    (Vandermonde), so the form is a_i = sum_(j >= r) (-1)^j c_j C(n - j, i)
+    for i = 0..n - r, r the first index with c_r != 0 (the zero form when
+    they all vanish). The sum runs over the nonzero c_j only, each walking
+    its row C(n - j, i) by C(k, i + 1) = C(k, i) (k - i) / (i + 1): at most
+    (deg p + 1)(n + 1) integer steps, where binomials of every c_j would
+    cost (n + 1)^2 / 2 of them. The counts exceed the form by the
+    coefficients of the quotient of p by (1 - t)^(n + 1), a polynomial of
+    degree deg p - n - 1 whose top coefficient is +-lead(p), never 0: they
+    agree from deg p - n on and differ just below, so that is the least
+    index.
+    """
+    n = len(coefficients) - 1
+    r = next((j for j, c in enumerate(coefficients) if c), n + 1)
+    form = [0] * (n - r + 1)
+    for j in range(r, n + 1):
+        if coefficients[j]:
+            term, k = (-1) ** j * coefficients[j], n - j
+            for i in range(k + 1):
+                form[i] += term
+                term = term * (k - i) // (i + 1)
+    return HilbertSamuelPolynomial(BinomialForm(form), max(0, degree - n))
 
 
 def finite_difference(values: Sequence[Scalar]) -> list:

@@ -41,8 +41,10 @@ int lists within SERIES_DEGREE_BOUND, their reduction by poincare._reduce
 (no presentation takes a gcd), and the running sums to a degree, the first
 min(top, deg p + 10) + 1 checked against poincare._expansion of p / q.
 analyze (samuel.certified_growth) reads gk and e off the Taylor coefficients
-at t = 1 (_at_one, growth_certificate), and on an unweighted ring its
-Hilbert-Samuel polynomial (_samuel_fit), building nothing dense.
+at t = 1 of the uncut terms (_at_one, growth_certificate), and on an
+unweighted ring turns them into its Hilbert-Samuel polynomial, building
+nothing dense, with exactnum._samuel_fit: the one Vandermonde kernel, which
+also gives every residue class of poincare's quasi-polynomial branches.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from math import comb, prod
 from operator import add, le, mul, sub
 from typing import NamedTuple, Optional, Sequence
 
-from .exactnum import BinomialForm, HilbertSamuelPolynomial, Polynomial
+from .exactnum import Polynomial
 from .poincare import RationalSeries, _expansion, _reduce, _weights_denominator
 from .presentations import (AlgebraSpec, ModuleSpec, Monomial, SpecError,
                             divide_by_weights, monomial_divides,
@@ -388,36 +390,6 @@ def growth_certificate(a: AlgebraSpec, coefficients: Sequence[int]):
         return None
     weights = a.scalar_weights()
     return len(weights) - r, Fraction((-1) ** r * coefficients[r], prod(weights))
-
-
-def _samuel_fit(coefficients: Sequence[int], degree: int) -> HilbertSamuelPolynomial:
-    """The Hilbert-Samuel polynomial of the cumulative counts of the series
-    p / (1 - t)^(n + 1), from the Taylor coefficients c_0..c_n of p at t = 1
-    (not all zero) and the degree of p.
-
-    p = sum_j (-1)^j c_j (1 - t)^j, and for j <= n the coefficients of
-    (1 - t)^(j - n - 1) are C(m + n - j, n - j) = sum_i C(n - j, i) C(m, i)
-    (Vandermonde), so the form is a_i = sum_(j >= r) (-1)^j c_j C(n - j, i)
-    for i = 0..n - r, r the first index with c_r != 0. The sum runs over the
-    nonzero c_j only, at most deg p + 1 of them, each walking its row
-    C(n - j, i) by C(k, i + 1) = C(k, i) (k - i) / (i + 1): at most
-    (deg p + 1)(n + 1) integer steps, where binomials of every c_j would
-    cost (n + 1)^2 / 2 of them. The counts exceed the form by the
-    coefficients of the quotient of p by (1 - t)^(n + 1), a polynomial of
-    degree deg p - n - 1 whose top coefficient is +-lead(p), never 0: they
-    agree from deg p - n on and differ just below, so that is the least
-    index.
-    """
-    n = len(coefficients) - 1
-    r = next(j for j, c in enumerate(coefficients) if c)
-    form = [0] * (n - r + 1)
-    for j in range(r, n + 1):
-        if coefficients[j]:
-            term, k = (-1) ** j * coefficients[j], n - j
-            for i in range(k + 1):
-                form[i] += term
-                term = term * (k - i) // (i + 1)
-    return HilbertSamuelPolynomial(BinomialForm(form), max(0, degree - n))
 
 
 def module_hilbert_series(a: AlgebraSpec, m: ModuleSpec) -> RationalSeries:

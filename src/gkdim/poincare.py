@@ -53,8 +53,8 @@ from operator import mul
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Sequence
 
-from .exactnum import (Polynomial, detect_polynomial, falling_binom, int_divmod,
-                       integer_coefficients, primitive_gcd, sequence_values)
+from .exactnum import (Polynomial, _samuel_fit, _taylor_at_one, detect_polynomial,
+                       int_divmod, integer_coefficients, primitive_gcd, sequence_values)
 
 
 class _SeriesFields(NamedTuple):
@@ -720,16 +720,16 @@ def _exact_quasi_polynomial(p: list, q: list, mults: dict,
     BRANCH_WORK_BOUND.
 
     With P the lcm of the orders and M the top multiplicity, p/q = c / (1 -
-    t^P)^M with c = p (1 - t^P)^M / q (exact int_divmod). As t^(jP) has the
-    coefficient C(j + M - 1, M - 1) in (1 - t^P)^(-M), branch i has the int
-    binomial form a_j = sum_r c_(i + rP) C(M - 1 - r, M - 1 - j) in (n - i)/P
-    (Vandermonde). The coefficients lie on their branches from len(p) - deg q
-    on; below, the head of c / (1 - t^P)^M finds each class's last miss. As
-    in fit_quasi_polynomial, the onset is the latest first index from which
-    a class agrees with its branch (len(p) for a constant q, whose period is
-    1 and branch 0). Each coefficient of `held`, a prefix of the expansion,
-    from the onset on is checked against its branch; a miss raises
-    RuntimeError.
+    t^P)^M with c = p (1 - t^P)^M / q (exact int_divmod). Residue class i
+    of the coefficients is that of c_i(s) / (1 - s)^M in s = t^P, c_i(s) =
+    sum_k c_(i + kP) s^k, so its branch, in (n - i)/P, is the form
+    _samuel_fit reads off c_i's first M Taylor coefficients at s = 1
+    (_taylor_at_one), and the class agrees with it exactly from the
+    kernel's least index, len(c_i) - M, on. As in fit_quasi_polynomial, the
+    onset is the latest first index from which a class agrees with its
+    branch (len(p) for a constant q, whose period is 1 and branch 0). Each
+    coefficient of `held`, a prefix of the expansion, from the onset on is
+    checked against its branch; a miss raises RuntimeError.
     """
     period = math.lcm(*mults)
     top = max(mults.values(), default=0)
@@ -742,31 +742,20 @@ def _exact_quasi_polynomial(p: list, q: list, mults: dict,
     c, rem = int_divmod(c, q)
     if rem:
         raise RuntimeError("internal error: the reduced denominator does not divide (1 - t^P)^M")
-    depth = -(-len(c) // period)  # the most terms of c in one residue class
-    columns = [[falling_binom(top - 1 - r, top - 1 - j) for r in range(depth)]
-               for j in range(top)]
-    forms = []
+    onset, forms = 0, []
     for i in range(period):
-        form = [sum(map(mul, c[i::period], column)) for column in columns]
-        while form and not form[-1]:
-            form.pop()
-        forms.append(form)
-    held_counts = [len(range(i, len(held), period)) for i in range(period)]
-    proper = max(0, len(p) - len(q) + 1)
-    head = c[:proper]
-    for _ in range(top):  # divided by 1 - t^P: one running sum per residue class
-        for i in range(period):
-            head[i::period] = accumulate(head[i::period])
-    onset, values = 0, []
+        ci = c[i::period]
+        while ci and not ci[-1]:
+            ci.pop()
+        fit = _samuel_fit(_taylor_at_one(ci, top), len(ci) - 1)
+        forms.append(integer_coefficients(fit.form.coeffs)[0])
+        # a branch valid on its whole residue class constrains nothing below it
+        if fit.stabilization_index > 0:
+            onset = max(onset, i + period * fit.stabilization_index)
     for i, form in enumerate(forms):
-        known = head[i::period]
-        values.append(_form_values(form, max(len(known), held_counts[i], 1)))
-        miss = next((x for x in reversed(range(len(known))) if known[x] != values[i][x]), None)
-        if miss is not None:
-            onset = max(onset, i + (miss + 1) * period)
-    for i, count in enumerate(held_counts):
+        count = len(range(i, len(held), period))
         first = max(0, -(-(onset - i) // period))
-        if held[i + first * period::period] != values[i][first:count]:
+        if count and held[i + first * period::period] != _form_values(form, count)[first:]:
             raise RuntimeError("internal error: quasi-polynomial branch misses a coefficient")
     branches = tuple(Polynomial([Fraction(c, den) for c in ints]) for ints, den in
                      (_branch_ints(form, 1, period, i) for i, form in enumerate(forms)))

@@ -25,10 +25,9 @@ from itertools import accumulate
 from operator import sub
 from typing import NamedTuple, Optional
 
-from .exactnum import (BinomialForm, HilbertSamuelPolynomial, detect_polynomial,
-                       sequence_values)
-from .hilbert import (SERIES_DEGREE_BOUND, _at_one, _samuel_fit, growth_certificate,
-                      presented_series)
+from .exactnum import (BinomialForm, HilbertSamuelPolynomial, _samuel_fit, _taylor_at_one,
+                       detect_polynomial, sequence_values)
+from .hilbert import SERIES_DEGREE_BOUND, _at_one, growth_certificate, presented_series
 from .poincare import (BRANCH_WORK_BOUND, CANCEL_STEP_BOUND, DenominatorAnalysis,
                        QuasiPolynomial, RationalSeries, Recurrence, _branch_work,
                        _exact_quasi_polynomial, _reduced_analysis, rational_analysis)
@@ -202,7 +201,7 @@ def certified_growth(a: AlgebraSpec, m: ModuleSpec, top: int, *,
     q, mults = list(map(sub, q + [0], [0] + q)), {1: 0, **mults}  # times 1 - t
     mults[1] += 1
     if set(mults) == {1}:  # q = (1 - t)^k
-        fit = _samuel_fit(_at_one(dict(enumerate(p)), mults[1]), len(p) - 1)
+        fit = _samuel_fit(_taylor_at_one(p, mults[1]), len(p) - 1)
         return graded, cumulative, _polynomial_growth(gk, e, fit)
     ra = _reduced_analysis(p, q, mults)
     # branches are read while len(p) + P (2m + 6) stays within

@@ -57,10 +57,10 @@ import gkdim.poincare
 import gkdim.samuel
 from gkdim import cli
 from gkdim.cli import main
-from gkdim.exactnum import BinomialForm
+from gkdim.exactnum import BinomialForm, _samuel_fit
 from gkdim.hilbert import (MEANINGS, SERIES_DEGREE_BOUND, DimensionSequence,
                            _colon, _dense, _module_terms, _numerator_at_one,
-                           _samuel_fit, algebra_dim_sequence, growth_certificate,
+                           algebra_dim_sequence, growth_certificate,
                            hilbert_series_monomial_quotient,
                            minimalize_ideal, module_dim_sequence,
                            module_hilbert_series, numerator_terms,

@@ -66,11 +66,17 @@ Oracles:
   branches predict from the onset on; on a prefix of the expansion, the
   branches must be the fit on it wherever that fit is true; and past
   BRANCH_WORK_BOUND nothing is divided.
+* Branch reader -- the column reader it replaced (falling-binomial columns
+  per class and a head/miss search for the onset, kept here) must give the
+  same period, branches and onset on 320 seeded weighted presentations,
+  graded and cumulative (weights 1..6, 1-3 summands at shifts 0..6, Laurent
+  parts, zero modules), and on an empty residue class and a constant q.
 """
 
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+import itertools
 import math
 import random
 import time
@@ -80,13 +86,13 @@ import sympy
 from sympy.polys import ring_series
 
 import gkdim.poincare
-from gkdim.exactnum import Polynomial, int_divmod
+from gkdim.exactnum import Polynomial, falling_binom, int_divmod
 from gkdim.hilbert import minimalize_ideal, numerator_terms, presented_series
 from gkdim.poincare import (BRANCH_WORK_BOUND, ROOT_SPLIT_SKIPPED, DenominatorAnalysis,
-                            QuasiPolynomial, RationalSeries, Recurrence, _branch_work,
-                            _cyclotomic_ints, _cyclotomic_orders, _divisors,
+                            QuasiPolynomial, RationalSeries, Recurrence, _branch_ints,
+                            _branch_work, _cyclotomic_ints, _cyclotomic_orders, _divisors,
                             _divmod_one_minus_t, _exact_quasi_polynomial,
-                            _exact_recurrence, _expansion, _lowest_terms,
+                            _exact_recurrence, _expansion, _form_values, _lowest_terms,
                             _normalised_series, _reduce, _reduced_analysis,
                             _shift_registers, _strip_cyclotomic, _weights_denominator,
                             denominator_analysis, fit_quasi_polynomial,
@@ -1336,6 +1342,78 @@ def test_the_work_bound_is_decided_before_the_series_is_divided(monkeypatch):
     assert _exact_quasi_polynomial([1] * 2000, [1], {1: 120}, [1] * 31) is None
     with pytest.raises(TypeError):  # within the bound the series is divided
         _exact_quasi_polynomial([1], [1], {1: 499}, [1] * 31)
+
+
+def _column_reader_reference(p, q, mults, held):
+    """_exact_quasi_polynomial as it was before the Taylor kernel: class i's
+    form a_j = sum_r c_(i + rP) C(M - 1 - r, M - 1 - j), and the onset from
+    the last miss of the head of c / (1 - t^P)^M below len(p) - deg q."""
+    period = math.lcm(*mults)
+    top = max(mults.values(), default=0)
+    c = [0] * (len(p) + top * period)
+    for j in range(top + 1):
+        b, lo = (-1) ** j * math.comb(top, j), j * period
+        c[lo:lo + len(p)] = [a + b * x for a, x in zip(c[lo:lo + len(p)], p)]
+    c, rem = int_divmod(c, q)
+    assert not rem
+    depth = -(-len(c) // period)
+    columns = [[falling_binom(top - 1 - r, top - 1 - j) for r in range(depth)]
+               for j in range(top)]
+    forms = []
+    for i in range(period):
+        form = [sum(map(lambda x, y: x * y, c[i::period], column)) for column in columns]
+        while form and not form[-1]:
+            form.pop()
+        forms.append(form)
+    held_counts = [len(range(i, len(held), period)) for i in range(period)]
+    head = c[:max(0, len(p) - len(q) + 1)]
+    for _ in range(top):
+        for i in range(period):
+            head[i::period] = itertools.accumulate(head[i::period])
+    onset, values = 0, []
+    for i, form in enumerate(forms):
+        known = head[i::period]
+        values.append(_form_values(form, max(len(known), held_counts[i], 1)))
+        miss = next((x for x in reversed(range(len(known))) if known[x] != values[i][x]), None)
+        if miss is not None:
+            onset = max(onset, i + (miss + 1) * period)
+    for i, count in enumerate(held_counts):
+        first = max(0, -(-(onset - i) // period))
+        assert held[i + first * period::period] == values[i][first:count]
+    branches = tuple(Polynomial([Fraction(c, den) for c in ints]) for ints, den in
+                     (_branch_ints(form, 1, period, i) for i, form in enumerate(forms)))
+    return QuasiPolynomial(period, branches, onset)
+
+
+def test_the_taylor_reader_matches_the_column_reader():
+    rng = random.Random(3232)
+    seen = Counter()
+    for k in range(320):
+        n = rng.randint(1, 4)
+        weights = tuple(rng.randint(1, 6) for _ in range(n))
+        a = AlgebraSpec.polynomial(n, degrees=[(w,) for w in weights])
+        summands = tuple(
+            Summand(rng.randint(0, 6), ((0,) * n,) if k % 10 == 0 else
+                    tuple(_random_monomial(rng, n) for _ in range(rng.randint(0, 3))))
+            for _ in range(rng.randint(1, 3)))
+        laurent = k % 10 and rng.random() < 1 / 3
+        module = ModuleSpec(summands, negative_shift=rng.randint(1, 3) if laurent else None)
+        numerator = presented_series(a, module).p
+        for ws in (weights, weights + (1,)):
+            p, q, mults = _reduce(numerator, ws)
+            period, top = math.lcm(*mults), max(mults.values(), default=0)
+            held = _expansion(p, q, len(p) + period * (top + 2))
+            got = _exact_quasi_polynomial(p, q, mults, held)
+            assert got == _column_reader_reference(p, q, mults, held), (ws, module)
+            seen["zero" if not p else "laurent" if laurent else "constant q"
+                 if top == 0 else "late onset" if got.onset else "onset 0"] += 1
+    # an empty residue class: 1 / (1 - t^2) has c = 1, nothing in class 1
+    for p, q, mults in (([1], [1, 0, -1], {1: 1, 2: 1}), ([0, 1], [1], {})):
+        held = _expansion(p, q, 9)
+        got = _exact_quasi_polynomial(p, q, mults, held)
+        assert got == _column_reader_reference(p, q, mults, held), (p, q)
+    assert got == QuasiPolynomial(1, (Polynomial([]),), 2)
+    assert sum(seen.values()) == 640 and min(seen.values()) >= 10, seen
 
 
 # ---------------------------------------------------------------------------
