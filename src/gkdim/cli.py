@@ -187,10 +187,13 @@ def _monomial(text, index: dict) -> tuple:
         if position is None:
             raise SpecError("", f"unknown generator {name.strip()!r}")
         if caret:
-            try:
-                exp = int(exp_text.strip())
+            digits = exp_text.strip()
+            try:  # int() alone would also read "+3", "1_0" and non-ASCII digits
+                if not (digits.isascii() and digits.removeprefix("-").isdigit()):
+                    raise ValueError
+                exp = int(digits)
             except ValueError:
-                raise SpecError("", f"bad exponent {exp_text.strip()!r}") from None
+                raise SpecError("", f"bad exponent {digits!r}") from None
             if exp < 0:
                 raise SpecError("", "exponents must be naturals")
         else:

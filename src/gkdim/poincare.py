@@ -643,15 +643,20 @@ def _reduce(p: list, weights, q: Optional[list] = None) -> Optional[tuple]:
     and nonzero; None past CANCEL_STEP_BOUND steps. q is prod(1 - t^w) if
     the caller built it. Its factors are the Phi_d over the divisors d of
     the weights, so trial division by those alone, each at most that often,
-    finds the gcd with p: no gcd and no walk (_strip_cyclotomic)."""
+    finds the gcd with p: no gcd and no walk (_strip_cyclotomic). The step
+    count charges q's divisions by Phi_k only as often as p can be divided,
+    min(mult, deg p // phi(k)) times, and p's once more, where it fails."""
     mults: dict = {}
     for w in set(weights):  # the orders once per distinct weight
         mults.update({d: mults.get(d, 0) + weights.count(w) for d in _divisors(w)})
     factors = {k: _cyclotomic(k) for k in sorted(mults)}
     if q is None:
         q = _weights_denominator(weights)
-    steps = sum(mults[k] * (max(0, len(p) - len(c) + 1) + max(0, len(q) - len(c) + 1))
-                * sum(map(bool, c)) for k, c in factors.items())
+    steps = 0
+    for k, c in factors.items():  # Phi_k^j divides p != 0 only for j <= deg p / phi(k)
+        times = min(mults[k], (len(p) - 1) // (len(c) - 1)) if p else mults[k]
+        steps += sum(map(bool, c)) * (min(mults[k], times + 1) * max(0, len(p) - len(c) + 1)
+                                      + times * max(0, len(q) - len(c) + 1))
     if steps > CANCEL_STEP_BOUND:
         return None
     for k, cyc in factors.items():

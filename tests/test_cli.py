@@ -399,6 +399,9 @@ _MONOMIAL_FAILURES = [
     ("empty", " ", "monomial must not be empty"),
     ("unknown generator", "x*z^2", "unknown generator 'z'"),
     ("bad exponent", "x^2*y^b", "bad exponent 'b'"),
+    ("underscored exponent", "x^1_0", "bad exponent '1_0'"),
+    ("non-ASCII digit", "x^\u0663", "bad exponent '\u0663'"),
+    ("signed exponent", "x^+3", "bad exponent '+3'"),
     ("negative exponent", "y^-1", "exponents must be naturals"),
     ("bool", True, "monomial must be a string"),
 ]
@@ -781,12 +784,13 @@ def test_analyze_reports_the_pole_alone_past_the_reduction_bound(tmp_path, capsy
 def test_analyze_reads_the_series_bound_hilbert_and_poincare_read(tmp_path, capsys):
     # one bound for every dense series, deg p and sum(w) at most
     # SERIES_DEGREE_BOUND: weights 2 and 99998 sum to it, so analyze reduces
-    # the graded series as hilbert does (and meets the step bound, as hilbert
-    # does), where it once bounded the cumulative denominator's degree
-    # sum(w) + 1 and did not expand the series; weights 2 and 99999 pass it
+    # the graded series as hilbert does, where it once bounded the cumulative
+    # denominator's degree sum(w) + 1 and did not expand the series; weights
+    # 2 and 99999 pass it. The numerator 1 divides by no Phi_k, so the
+    # reduction is charged no division of q, and hilbert exits 0
     for heavy, ending, hilbert_code in (
-            (99998, "reducing the series could take more than 100000000 steps and "
-                    "is not done", 1),
+            (99998, "branches not read: numerator length plus period times (2m + 6), m "
+                    f"the top multiplicity, is 1199977, above {SERIES_DEGREE_BOUND}", 0),
             (99999, f"the series passes degree {SERIES_DEGREE_BOUND} and is not expanded", 3)):
         path = _write(tmp_path, {"spec_version": 1, "algebra": _weighted_ring((2, heavy))})
         code, payload = _run_json(capsys, ["analyze", path])
@@ -794,29 +798,33 @@ def test_analyze_reads_the_series_bound_hilbert_and_poincare_read(tmp_path, caps
         assert (code, growth["gk"], growth["multiplicity"]) == (0, 2, [1, 2 * heavy])
         assert growth["evidence"].endswith(ending), heavy
         assert _run(capsys, ["hilbert", path])[0] == hilbert_code, heavy
+        if hilbert_code == 0:
+            assert _run_json(capsys, ["hilbert", path])[1]["report"]["reduced"] is not None
 
 
 def test_analyze_reduces_where_the_graded_steps_fit_the_step_bound(
         tmp_path, capsys, monkeypatch):
     # the cumulative series has one more factor 1 - t than the graded one,
-    # so its step estimate is larger; at a CANCEL_STEP_BOUND of the graded
-    # estimate analyze reduces what a reduction of the cumulative series
-    # refused, as hilbert does
-    weights = (6, 10)
+    # which the numerator 1 - t^12 of k[x, y]/(x^2), x of weight 6, can
+    # divide, so its step estimate is larger; at a CANCEL_STEP_BOUND of the
+    # graded estimate analyze reduces what a reduction of the cumulative
+    # series refused, as hilbert does
+    weights, numerator = (6, 10), [1] + [0] * 11 + [-1]
     low, high = 0, 10 ** 6  # the least bound at which the graded series reduces
     while low < high:
         monkeypatch.setattr(gkdim.poincare, "CANCEL_STEP_BOUND", (low + high) // 2)
-        if gkdim.poincare._reduce([1], weights) is None:
+        if gkdim.poincare._reduce(numerator, weights) is None:
             low = (low + high) // 2 + 1
         else:
             high = (low + high) // 2
     monkeypatch.setattr(gkdim.poincare, "CANCEL_STEP_BOUND", low)
-    assert gkdim.poincare._reduce([1], weights + (1,)) is None
-    path = _write(tmp_path, {"spec_version": 1, "algebra": _weighted_ring(weights)})
+    assert gkdim.poincare._reduce(numerator, weights + (1,)) is None
+    path = _write(tmp_path, {"spec_version": 1, "algebra": _weighted_ring(weights),
+                             "module": {"summands": [{"ideal": ["v1^2"]}]}})
     code, payload = _run_json(capsys, ["analyze", path])
     growth = payload["report"]["growth"]
     assert code == 0 and growth["denominator"]["cyclotomic_multiplicities"] == \
-        [[1, 3], [2, 2], [3, 1], [5, 1], [6, 1], [10, 1]]
+        [[1, 2], [2, 1], [5, 1], [10, 1]]
     assert _run_json(capsys, ["hilbert", path])[1]["report"]["reduced"] is not None
 
 
