@@ -23,11 +23,9 @@ Fractions once, at the end:
   constant window, moved back to n = 0 in one closed-form step, is
   (a_0, ..., a_d), and one scan of the constant level finds where the
   samples start to agree. d is the growth dimension, a_d the multiplicity;
-- an exact series' form comes from its numerator instead: the Taylor
-  coefficients at t = 1, one running sum each (_taylor_at_one), give the
-  form of p / (1 - t)^(n + 1) by Vandermonde's identity and its least index
-  from deg p (_samuel_fit), for analyze's Hilbert-Samuel polynomial and
-  for every residue class of poincare's quasi-polynomial branches alike.
+- an exact series p / (1 - t)^(n + 1) has its form from p's Taylor
+  coefficients at t = 1, one running sum each, by Vandermonde's identity
+  (_samuel_fit): analyze's Hilbert-Samuel polynomial and poincare's branches.
 """
 
 from __future__ import annotations
@@ -407,11 +405,9 @@ def detect_polynomial(s, window: int = 6) -> Optional[HilbertSamuelPolynomial]:
 
 
 def _taylor_at_one(coeffs: Sequence[int], count: int) -> list:
-    """The Taylor coefficients c_j, j < count, at t = 1 of the polynomial
-    with the ascending int coefficients `coeffs`: p = sum_j c_j (t - 1)^j.
-    Each c_j is the remainder of one synthetic division by t - 1, a running
-    sum from the top whose last entry is the remainder and the rest the
-    quotient, so count divisions cost count len(coeffs) additions."""
+    """The Taylor coefficients c_j, j < count, of p = sum_j c_j (t - 1)^j,
+    p's ascending int coefficients `coeffs`: each is the remainder of one
+    synthetic division by t - 1, a running sum from the top."""
     rest, out = coeffs[::-1], []
     for _ in range(count):
         *rest, remainder = accumulate(rest or [0])

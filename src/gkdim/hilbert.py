@@ -41,10 +41,8 @@ int lists within SERIES_DEGREE_BOUND, their reduction by poincare._reduce
 (no presentation takes a gcd), and the running sums to a degree, the first
 min(top, deg p + 10) + 1 checked against poincare._expansion of p / q.
 analyze (samuel.certified_growth) reads gk and e off the Taylor coefficients
-at t = 1 of the uncut terms (_at_one, growth_certificate), and on an
-unweighted ring turns them into its Hilbert-Samuel polynomial, building
-nothing dense, with exactnum._samuel_fit: the one Vandermonde kernel, which
-also gives every residue class of poincare's quasi-polynomial branches.
+at t = 1 (_at_one, growth_certificate), and on an unweighted ring its
+Hilbert-Samuel polynomial (exactnum._samuel_fit), building nothing dense.
 """
 
 from __future__ import annotations

@@ -25,9 +25,9 @@ presentation command reduces its series p / prod(1 - t^w) (Hilbert-Serre)
 by the Phi_d its denominator is known to have (_reduce); the primitive gcd
 (_lowest_terms) serves sampled series only. _reduced_analysis reads the
 recurrence and root report off the reduced series, _exact_quasi_polynomial
-its branches, p / q = c / (1 - t^P)^M, within BRANCH_WORK_BOUND: no
-search, walk or tower. The poincare command prints them where their P M
-numbers are no more than the coefficients it prints. Every stage runs on
+its branches, p / q = c / (1 - t^P)^M, within BRANCH_WORK_BOUND: one
+Taylor and Vandermonde kernel per residue class of c (exactnum), no search.
+poincare prints them where their P M numbers are no more than it prints. Every stage runs on
 integer coefficient lists and builds one Fraction per output coefficient:
 - the samples are scaled to ints once; Berlekamp-Massey runs on them, and
   the onset scan checks the integer characteristic row, sum_j row[j] f(n + j)
@@ -39,8 +39,8 @@ integer coefficient lists and builds one Fraction per output coefficient:
   a degree-D denominator, divides by cached int Phi_k built from binomials
   (1 - t^d)^(+-1), and hands the root tests one integer residual;
 - each quasi-polynomial branch is built in int from its binomial form
-  (_branch_ints); a fitted branch is checked on the samples by int
-  Horner, an exact one on the coefficients held by running sums of its form.
+  (_branch_ints), fitted or exact, and checked on the samples or the
+  coefficients held by running sums of its form (_held_branches).
 """
 
 from __future__ import annotations
@@ -537,12 +537,40 @@ def _branch_ints(cs: list, scale: int, period: int, residue: int) -> tuple:
     return ints, scale * math.factorial(d) * period ** d
 
 
+def _form_values(form: list, count: int) -> list:
+    """sum_j form[j] C(x, j) for x = 0..count - 1, count >= 1, in int: with
+    h_j = sum_(k >= j) form[k] C(x, k - j), h_j(0) = form[j] and Delta h_j =
+    h_(j + 1), so each h_j is one running sum of the next, from the top."""
+    values = [form[-1] if form else 0] * count
+    for a in reversed(form[:-1]):
+        values = list(accumulate(values[:-1], initial=a))
+    return values
+
+
+def _held_branches(fits: list, held: Sequence) -> QuasiPolynomial:
+    """The branches of one fit per residue class mod P = len(fits), in (n -
+    i)/P, from the latest first index from which a class agrees with its form
+    (0 if all do); each coefficient of `held` from there on is checked against
+    its form by running sums, and a miss raises RuntimeError."""
+    period, branches = len(fits), []
+    onset = max((i + period * fit.stabilization_index for i, fit in enumerate(fits)
+                 if fit.stabilization_index), default=0)
+    for i, fit in enumerate(fits):
+        form, scale = integer_coefficients(fit.form.coeffs)
+        first, mine = max(0, -(-(onset - i) // period)), held[i::period]
+        if [scale * v for v in mine[first:]] != _form_values(form, len(mine) + 1)[first:-1]:
+            raise RuntimeError("internal error: quasi-polynomial branch misses a coefficient")
+        ints, den = _branch_ints(form, scale, period, i)
+        branches.append(Polynomial([Fraction(c, den) for c in ints]))
+    return QuasiPolynomial(period, tuple(branches), onset)
+
+
 def fit_quasi_polynomial(s, period: int, window: int = 4) -> Optional[QuasiPolynomial]:
     """Fit one exact polynomial branch per residue class mod `period`.
 
     The window adapts to the number of samples available in each class; None
     is returned when any branch fails to stabilize. Every sample at or beyond
-    the reported onset is re-verified against its branch, in int.
+    the reported onset is re-verified against its branch (_held_branches).
     """
     vals = sequence_values(s)
     if period < 1:
@@ -551,25 +579,12 @@ def fit_quasi_polynomial(s, period: int, window: int = 4) -> Optional[QuasiPolyn
     eff_window = max(2, min(window, (min_len - 4) // 2))
     if min_len < 2 * eff_window + 4:
         return None
-    scaled = []
-    onset = 0
+    fits = []
     for i in range(period):
-        fit = detect_polynomial(vals[i::period], eff_window)
-        if fit is None:
+        fits.append(detect_polynomial(vals[i::period], eff_window))
+        if fits[-1] is None:
             return None
-        scaled.append(_branch_ints(*integer_coefficients(fit.form.coeffs), period, i))
-        # a branch valid on its whole residue class constrains nothing below it
-        if fit.stabilization_index > 0:
-            onset = max(onset, i + period * fit.stabilization_index)
-    for i, (ints, den) in enumerate(scaled):
-        for n in range(onset + (i - onset) % period, len(vals), period):
-            acc = 0
-            for c in reversed(ints):
-                acc = acc * n + c
-            if acc != den * vals[n]:
-                raise RuntimeError("internal error: quasi-polynomial branch misses a sample")
-    branches = tuple(Polynomial([Fraction(c, den) for c in ints]) for ints, den in scaled)
-    return QuasiPolynomial(period, branches, onset)
+    return _held_branches(fits, vals)
 
 
 def quasi_polynomial(series: RationalSeries, samples, window: int = 4) -> QuasiPolynomial:
@@ -643,17 +658,15 @@ def _reduce(p: list, weights, q: Optional[list] = None) -> Optional[tuple]:
     and nonzero; None past CANCEL_STEP_BOUND steps. q is prod(1 - t^w) if
     the caller built it. Its factors are the Phi_d over the divisors d of
     the weights, so trial division by those alone, each at most that often,
-    finds the gcd with p: no gcd and no walk (_strip_cyclotomic). The step
-    count charges q's divisions by Phi_k only as often as p can be divided,
-    min(mult, deg p // phi(k)) times, and p's once more, where it fails."""
+    finds the gcd with p: no gcd and no walk (_strip_cyclotomic)."""
     mults: dict = {}
     for w in set(weights):  # the orders once per distinct weight
         mults.update({d: mults.get(d, 0) + weights.count(w) for d in _divisors(w)})
     factors = {k: _cyclotomic(k) for k in sorted(mults)}
     if q is None:
         q = _weights_denominator(weights)
-    steps = 0
-    for k, c in factors.items():  # Phi_k^j divides p != 0 only for j <= deg p / phi(k)
+    steps = 0  # q is divided only while p is, and Phi_k^j divides p != 0 only if j phi(k) <= deg p
+    for k, c in factors.items():
         times = min(mults[k], (len(p) - 1) // (len(c) - 1)) if p else mults[k]
         steps += sum(map(bool, c)) * (min(mults[k], times + 1) * max(0, len(p) - len(c) + 1)
                                       + times * max(0, len(q) - len(c) + 1))
@@ -693,28 +706,19 @@ def _exact_recurrence(p: list, q: list) -> Recurrence:
     return Recurrence(order, coefficients, max(0, len(p) - order))
 
 
-def _form_values(form: list, count: int) -> list:
-    """sum_j form[j] C(x, j) for x = 0..count - 1, count >= 1, in int: with
-    h_j = sum_(k >= j) form[k] C(x, k - j), h_j(0) = form[j] and Delta h_j =
-    h_(j + 1), so each h_j is one running sum of the next, from the top."""
-    values = [form[-1] if form else 0] * count
-    for a in reversed(form[:-1]):
-        values = list(accumulate(values[:-1], initial=a))
-    return values
-
-
-#: The most branch work, M (len(p) + P M) with P the period and M the top
-#: multiplicity of the reduced denominator, for which _exact_quasi_polynomial
-#: reads branches: the forms take M products per term of c = p (1 - t^P)^M /
-#: q, at most len(p) + P M terms, and building the P branches of degree
-#: M - 1 takes P M^2 products of ints that grow with M. The slowest shape it
-#: admits, P = 1 and M = 499, takes about half a second on a 2-vCPU VM.
-BRANCH_WORK_BOUND = 250_000
+#: The most branch work, M (len(p) + P M) + 16 P M^2 with P the period and M
+#: the top multiplicity of the reduced denominator, for which
+#: _exact_quasi_polynomial reads branches: building c = p (1 - t^P)^M / q,
+#: at most len(p) + P M terms, and M running sums of it cost M steps a term,
+#: the P forms and branches P M^2 products of ints growing with M, about 16
+#: steps each. The slowest shapes it admits (the Weyl algebra of rank 249 at
+#: depth 500; a pole of order 41 over 10^5 terms) take 0.5 s on a 2-vCPU VM.
+BRANCH_WORK_BOUND = 4_250_000
 
 
 def _branch_work(length: int, period: int, top: int) -> int:
-    """M (len(p) + P M) for a numerator of `length` terms, P = period, M = top."""
-    return top * (length + period * top)
+    """The branch work of a numerator of `length` terms, P = period, M = top."""
+    return top * (length + period * top) + 16 * period * top ** 2
 
 
 def _exact_quasi_polynomial(p: list, q: list, mults: dict,
@@ -726,15 +730,11 @@ def _exact_quasi_polynomial(p: list, q: list, mults: dict,
 
     With P the lcm of the orders and M the top multiplicity, p/q = c / (1 -
     t^P)^M with c = p (1 - t^P)^M / q (exact int_divmod). Residue class i
-    of the coefficients is that of c_i(s) / (1 - s)^M in s = t^P, c_i(s) =
-    sum_k c_(i + kP) s^k, so its branch, in (n - i)/P, is the form
-    _samuel_fit reads off c_i's first M Taylor coefficients at s = 1
-    (_taylor_at_one), and the class agrees with it exactly from the
-    kernel's least index, len(c_i) - M, on. As in fit_quasi_polynomial, the
-    onset is the latest first index from which a class agrees with its
-    branch (len(p) for a constant q, whose period is 1 and branch 0). Each
-    coefficient of `held`, a prefix of the expansion, from the onset on is
-    checked against its branch; a miss raises RuntimeError.
+    is c_i(s) / (1 - s)^M in s = t^P, c_i(s) = sum_k c_(i + kP) s^k, so its
+    branch is the form _samuel_fit reads off c_i's first M Taylor
+    coefficients at s = 1, from the kernel's least index len(c_i) - M on
+    (len(p) for a constant q, whose one branch is 0). `held`, a prefix of
+    the expansion, is checked against the branches (_held_branches).
     """
     period = math.lcm(*mults)
     top = max(mults.values(), default=0)
@@ -747,21 +747,10 @@ def _exact_quasi_polynomial(p: list, q: list, mults: dict,
     c, rem = int_divmod(c, q)
     if rem:
         raise RuntimeError("internal error: the reduced denominator does not divide (1 - t^P)^M")
-    onset, forms = 0, []
+    fits = []
     for i in range(period):
         ci = c[i::period]
         while ci and not ci[-1]:
             ci.pop()
-        fit = _samuel_fit(_taylor_at_one(ci, top), len(ci) - 1)
-        forms.append(integer_coefficients(fit.form.coeffs)[0])
-        # a branch valid on its whole residue class constrains nothing below it
-        if fit.stabilization_index > 0:
-            onset = max(onset, i + period * fit.stabilization_index)
-    for i, form in enumerate(forms):
-        count = len(range(i, len(held), period))
-        first = max(0, -(-(onset - i) // period))
-        if count and held[i + first * period::period] != _form_values(form, count)[first:]:
-            raise RuntimeError("internal error: quasi-polynomial branch misses a coefficient")
-    branches = tuple(Polynomial([Fraction(c, den) for c in ints]) for ints, den in
-                     (_branch_ints(form, 1, period, i) for i, form in enumerate(forms)))
-    return QuasiPolynomial(period, branches, onset)
+        fits.append(_samuel_fit(_taylor_at_one(ci, top), len(ci) - 1))
+    return _held_branches(fits, held)

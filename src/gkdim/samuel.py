@@ -168,8 +168,8 @@ def certified_growth(a: AlgebraSpec, m: ModuleSpec, top: int, *,
     weighted series past SERIES_DEGREE_BOUND in degree or sum(w), or whose
     reduction passes CANCEL_STEP_BOUND, keeps gk and e only; with len(p) +
     P (2m + 6) past SERIES_DEGREE_BOUND (P the period, m the top
-    multiplicity in q) or m (len(p) + P m) past BRANCH_WORK_BOUND it gets no
-    branches; its evidence names the bound. validated=True skips
+    multiplicity in q) or m (len(p) + P m) + 16 P m^2 past BRANCH_WORK_BOUND
+    it gets no branches; its evidence names the bound. validated=True skips
     validate_module (the CLI's parser checked m)."""
     if not validated:
         validate_module(a, m)
@@ -217,9 +217,9 @@ def certified_growth(a: AlgebraSpec, m: ModuleSpec, top: int, *,
         branches = (f"branches not read: numerator length plus period times (2m + 6), m "
                     f"the top multiplicity, is {count}, above {SERIES_DEGREE_BOUND}")
     else:
-        branches = (f"branches not read: m (numerator length + period m), m the top "
-                    f"multiplicity, is {_branch_work(len(p), period, top_mult)}, above "
-                    f"{BRANCH_WORK_BOUND}")
+        branches = (f"branches not read: m (numerator length + period m) + 16 period m^2, "
+                    f"m the top multiplicity, is {_branch_work(len(p), period, top_mult)}, "
+                    f"above {BRANCH_WORK_BOUND}")
     return graded, cumulative, GrowthReport(
         kind, gk, e, recurrence=ra.recurrence, series=ra.series,
         denominator=ra.denominator, quasi=quasi,

@@ -1209,9 +1209,10 @@ def test_poincare_reads_no_branches_of_a_long_period_on_few_coefficients(
 
 def test_branches_past_the_work_bound_are_not_read_in_under_a_second(tmp_path, capsys):
     # the Weyl algebra of rank 1000 at depth 2002: P M = 2000 is within the
-    # 2003 printed coefficients, but its branch work M (len(p) + P M) =
-    # 4002000 is past BRANCH_WORK_BOUND (the branches' denominators are near
-    # 1999!); k[x1..x1200, z], z of weight 2: analyze's evidence names the bound
+    # 2003 printed coefficients, but its branch work M (len(p) + P M) + 16 P
+    # M^2 = 68002000 is past BRANCH_WORK_BOUND (the branches' denominators
+    # are near 1999!, past the 4300 digits Python prints); k[x1..x1200, z], z
+    # of weight 2: analyze's evidence names the bound
     weyl = _write(tmp_path, {"spec_version": 1,
                              "algebra": {"kind": "weyl", "weyl_rank": WEYL_RANK_BOUND}})
     for depth in ("2002", "2010", "20000"):
@@ -1226,8 +1227,26 @@ def test_branches_past_the_work_bound_are_not_read_in_under_a_second(tmp_path, c
     growth = payload["report"]["growth"]
     assert (code, growth["gk"], growth["quasi"]) == (0, 1201, None)
     assert growth["evidence"].endswith(
-        "branches not read: m (numerator length + period m), m the top multiplicity, "
-        f"is {1202 * (1 + 2 * 1202)}, above {gkdim.poincare.BRANCH_WORK_BOUND}")
+        "branches not read: m (numerator length + period m) + 16 period m^2, m the top "
+        f"multiplicity, is {1202 * (1 + 2 * 1202) + 16 * 2 * 1202 ** 2}, above "
+        f"{gkdim.poincare.BRANCH_WORK_BOUND}")
+
+
+def test_a_far_shifted_summand_gets_its_branches_in_under_a_second(tmp_path, capsys):
+    # k[x1..x100, z], z of weight 2, and a second free summand at shift 20000:
+    # c = p (1 - t^2)^102 / q has about 20200 terms, which the running sums
+    # of the Taylor coefficients read in a fraction of a second (the
+    # falling-binomial columns they replaced took 2.7 s, and the bound
+    # refused them)
+    doc = {"spec_version": 1, "algebra": _weighted_ring((1,) * 100 + (2,)),
+           "module": {"summands": [{"ideal": []}, {"shift": 20000, "ideal": []}]}}
+    path = _write(tmp_path, doc)
+    start = time.perf_counter()
+    code, payload = _run_json(capsys, ["analyze", path])
+    assert time.perf_counter() - start < 1.0
+    growth = payload["report"]["growth"]
+    assert (code, growth["gk"], growth["quasi"]["period"]) == (0, 101, 2)
+    assert growth["evidence"].endswith("quasi-polynomial branches from index 19899")
 
 
 def test_poincare_expands_past_the_self_check_only_to_check_branches(
@@ -1237,7 +1256,7 @@ def test_poincare_expands_past_the_self_check_only_to_check_branches(
     # depth costs nothing it does not print; with branches it expands every
     # printed coefficient, each checked against its branch. Rank 50 at depth
     # 98 has P M = 100 past the 99 printed, and rank 250 the branch work
-    # 500 * 501, past BRANCH_WORK_BOUND
+    # 500 * 501 + 16 * 500^2, past BRANCH_WORK_BOUND
     lengths, divide = [], gkdim.hilbert.divide_by_weights
 
     def counting(coeffs, weights):

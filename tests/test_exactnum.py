@@ -13,7 +13,9 @@ with sympy.gcd. The int Horner affine substitution is itself kept here as
 the reference of poincare's integer quasi-polynomial branch kernel, which
 replaced it and from_binomial_basis in the branch fit. detect_polynomial's closed-form back step and level-d scan
 are compared with the step-by-step integer tower and with the Fraction
-polynomial round trip, both kept below.
+polynomial round trip, both kept below. The running-sum Taylor
+coefficients at t = 1 are compared with sum_d C(d, j) p_d, on empty and
+constant polynomials and for count 0 and past the degree too.
 """
 
 from fractions import Fraction
@@ -26,7 +28,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkdim.exactnum import (BinomialForm, Polynomial, detect_polynomial,
+from gkdim.exactnum import (BinomialForm, Polynomial, _taylor_at_one, detect_polynomial,
                             falling_binom, finite_difference,
                             from_binomial_basis, int_divmod,
                             integer_coefficients, primitive_gcd,
@@ -630,3 +632,13 @@ def test_fit_at_anchor_zero():
     fit = detect_polynomial(vals, window=2)
     assert (fit.form, fit.stabilization_index) == (form, 0)
     assert _detect_polynomial_tower(vals, window=2) == (form, 0)
+
+
+def test_taylor_coefficients_at_one_match_the_binomial_sums():
+    rng = random.Random(32)
+    cases = [([], 3), ([7], 0), ([7], 4), ([0, 0, 5], 2)]
+    cases += [([rng.randint(-10 ** 9, 10 ** 9) for _ in range(rng.randint(1, 40))],
+                rng.randint(0, 45)) for _ in range(200)]
+    for coeffs, count in cases:
+        want = [sum(math.comb(d, j) * c for d, c in enumerate(coeffs)) for j in range(count)]
+        assert _taylor_at_one(coeffs, count) == want, (coeffs, count)

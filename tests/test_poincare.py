@@ -1333,13 +1333,13 @@ def test_a_short_class_gets_its_high_degree_branch_off_the_series():
 
 
 def test_the_work_bound_is_decided_before_the_series_is_divided(monkeypatch):
-    # M (len(p) + P M) past BRANCH_WORK_BOUND: (1 - t^P)^M is never built.
-    # A pole of order 500 at t = 1 is just past it, 499 just within; a
-    # numerator of 2000 terms puts a pole of order 120 past it
+    # M (len(p) + P M) + 16 P M^2 past BRANCH_WORK_BOUND: (1 - t^P)^M is
+    # never built. A pole of order 500 at t = 1 is just past it, 499 just
+    # within; a numerator of 40000 terms puts a pole of order 120 past it
     assert _branch_work(1, 1, 499) <= BRANCH_WORK_BOUND < _branch_work(1, 1, 500)
     monkeypatch.setattr(gkdim.poincare, "int_divmod", None)
     assert _exact_quasi_polynomial([1], [1], {1: 500}, [1] * 31) is None
-    assert _exact_quasi_polynomial([1] * 2000, [1], {1: 120}, [1] * 31) is None
+    assert _exact_quasi_polynomial([1] * 40000, [1], {1: 120}, [1] * 31) is None
     with pytest.raises(TypeError):  # within the bound the series is divided
         _exact_quasi_polynomial([1], [1], {1: 499}, [1] * 31)
 
