@@ -25,10 +25,10 @@ presentation command reduces its series p / prod(1 - t^w) (Hilbert-Serre)
 by the Phi_d its denominator is known to have (_reduce); the primitive gcd
 (_lowest_terms) serves sampled series only. _reduced_analysis reads the
 recurrence and root report off the reduced series, _exact_quasi_polynomial
-its branches, p / q = c / (1 - t^P)^M, within BRANCH_WORK_BOUND: one
-Taylor and Vandermonde kernel per residue class of c (exactnum), no search.
-poincare prints them where their P M numbers are no more than it prints. Every stage runs on
-integer coefficient lists and builds one Fraction per output coefficient:
+its branches, p / q = c / (1 - t^P)^M, within BRANCH_WORK_BOUND, through
+exactnum's Taylor and Vandermonde kernels; poincare prints them where their
+P M numbers are no more than the coefficients it prints. Every stage runs
+on integer coefficient lists and builds one Fraction per output coefficient:
 - the samples are scaled to ints once; Berlekamp-Massey runs on them, and
   the onset scan checks the integer characteristic row, sum_j row[j] f(n + j)
   = 0, where row is the shift register C[0..r] itself (order r >= 2) or
