@@ -415,10 +415,10 @@ def _taylor_at_one(coeffs: Sequence[int], count: int) -> list:
     return out
 
 
-def _samuel_fit(coefficients: Sequence[int], degree: int) -> HilbertSamuelPolynomial:
-    """The Hilbert-Samuel polynomial of the cumulative counts of the series
-    p / (1 - t)^(n + 1), from the Taylor coefficients c_0..c_n of p at t = 1
-    (_taylor_at_one) and the degree of p (-1 for p = 0).
+def _samuel_fit(coefficients: Sequence[int], degree: int) -> tuple:
+    """(form, least index) of the Hilbert-Samuel polynomial of the cumulative
+    counts of the series p / (1 - t)^(n + 1), the form an int list, from the
+    Taylor coefficients c_0..c_n of p at t = 1 and the degree of p (-1 for 0).
 
     p = sum_j (-1)^j c_j (1 - t)^j, and for j <= n the coefficients of
     (1 - t)^(j - n - 1) are C(m + n - j, n - j) = sum_i C(n - j, i) C(m, i)
@@ -433,16 +433,16 @@ def _samuel_fit(coefficients: Sequence[int], degree: int) -> HilbertSamuelPolyno
     agree from deg p - n on and differ just below, so that is the least
     index.
     """
-    n = len(coefficients) - 1
-    r = next((j for j, c in enumerate(coefficients) if c), n + 1)
-    form = [0] * (n - r + 1)
-    for j in range(r, n + 1):
-        if coefficients[j]:
-            term, k = (-1) ** j * coefficients[j], n - j
+    n, form = len(coefficients) - 1, [0] * len(coefficients)
+    for j, c in enumerate(coefficients):
+        if c:
+            term, k = -c if j % 2 else c, n - j
             for i in range(k + 1):
                 form[i] += term
                 term = term * (k - i) // (i + 1)
-    return HilbertSamuelPolynomial(BinomialForm(form), max(0, degree - n))
+    while form and not form[-1]:  # a_(n - r) = +-c_r is the top
+        form.pop()
+    return form, max(0, degree - n)
 
 
 def finite_difference(values: Sequence[Scalar]) -> list:

@@ -548,15 +548,13 @@ def _form_values(form: list, count: int) -> list:
 
 
 def _held_branches(fits: list, held: Sequence) -> QuasiPolynomial:
-    """The branches of one fit per residue class mod P = len(fits), in (n -
-    i)/P, from the latest first index from which a class agrees with its form
-    (0 if all do); each coefficient of `held` from there on is checked against
-    its form by running sums, and a miss raises RuntimeError."""
+    """The branches of one (int form, least index, scale) per residue class
+    mod P = len(fits), form / scale in (n - i)/P, from the latest first index
+    from which a class agrees with its form (0 if all do); there on, `held` is
+    checked against the forms by running sums, and a miss raises RuntimeError."""
     period, branches = len(fits), []
-    onset = max((i + period * fit.stabilization_index for i, fit in enumerate(fits)
-                 if fit.stabilization_index), default=0)
-    for i, fit in enumerate(fits):
-        form, scale = integer_coefficients(fit.form.coeffs)
+    onset = max((i + period * least for i, (_, least, _) in enumerate(fits) if least), default=0)
+    for i, (form, _, scale) in enumerate(fits):
         first, mine = max(0, -(-(onset - i) // period)), held[i::period]
         if [scale * v for v in mine[first:]] != _form_values(form, len(mine) + 1)[first:-1]:
             raise RuntimeError("internal error: quasi-polynomial branch misses a coefficient")
@@ -581,9 +579,11 @@ def fit_quasi_polynomial(s, period: int, window: int = 4) -> Optional[QuasiPolyn
         return None
     fits = []
     for i in range(period):
-        fits.append(detect_polynomial(vals[i::period], eff_window))
-        if fits[-1] is None:
+        fit = detect_polynomial(vals[i::period], eff_window)
+        if fit is None:
             return None
+        form, scale = integer_coefficients(fit.form.coeffs)
+        fits.append((form, fit.stabilization_index, scale))
     return _held_branches(fits, vals)
 
 
@@ -752,5 +752,5 @@ def _exact_quasi_polynomial(p: list, q: list, mults: dict,
         ci = c[i::period]
         while ci and not ci[-1]:
             ci.pop()
-        fits.append(_samuel_fit(_taylor_at_one(ci, top), len(ci) - 1))
+        fits.append((*_samuel_fit(_taylor_at_one(ci, top), len(ci) - 1), 1))
     return _held_branches(fits, held)

@@ -181,8 +181,7 @@ def certified_growth(a: AlgebraSpec, m: ModuleSpec, top: int, *,
     coefficients = _at_one(series.terms, len(weights) + 1)
     cert = growth_certificate(a, coefficients)
     if cert is None:  # the zero module
-        zero = HilbertSamuelPolynomial(BinomialForm(), 0)
-        return graded, cumulative, _polynomial_growth(0, Fraction(0), zero)
+        return graded, cumulative, _polynomial_growth(0, Fraction(0), ([], 0))
     gk, e = cert
     if not weighted:
         fit = _samuel_fit(coefficients, max(series.terms))
@@ -228,8 +227,9 @@ def certified_growth(a: AlgebraSpec, m: ModuleSpec, top: int, *,
         flags=("mixed_cyclotomic",) if ra.mixed_cyclotomic else ())
 
 
-def _polynomial_growth(gk: int, e: Fraction, fit: HilbertSamuelPolynomial) -> GrowthReport:
-    """The certified report of growth read as a Hilbert-Samuel polynomial."""
+def _polynomial_growth(gk: int, e: Fraction, fit: tuple) -> GrowthReport:
+    """The certified report whose Hilbert-Samuel polynomial is _samuel_fit's (form, least)."""
+    fit = HilbertSamuelPolynomial(BinomialForm(fit[0]), fit[1])
     if gk == 0:
         return GrowthReport(
             "finite_dimensional", gk=0, multiplicity=e, hilbert_samuel=fit,
