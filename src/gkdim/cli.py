@@ -13,10 +13,10 @@ read, each distinct monomial string once, an error path only for a refused
 field. The commands then call the library with validated=True, which still
 checks what no single field shows (sub-ideal containment, chain nesting).
 
-Exit codes: 0 success, 1 inconclusive classification (report still
-emitted), 2 unreadable or malformed JSON input, 3 schema violation (the
-error message names the offending field path), 4 internal fault (a bug in
-gkdim, reported as "error: internal: ...").
+Exit codes: 0 success, 1 inconclusive (report still emitted), 2 unreadable
+or malformed JSON input, 3 schema violation or a report integer past
+Python's int-to-text digit limit (the message names the field path), 4
+internal fault (a bug in gkdim, reported as "error: internal: ...").
 """
 
 import json
@@ -33,8 +33,8 @@ from .axioms import (HolonomyCatalog, SESSpec, chain_bound_check,
 from .exactnum import Polynomial, detect_polynomial  # noqa: F401
 from .hilbert import (SERIES_DEGREE_BOUND, DimensionSequence, module_dim_sequence,
                       presented_series)
-from .poincare import (BRANCH_WORK_BOUND, RationalSeries, _branch_work,
-                       _exact_quasi_polynomial, _reduced_analysis, rational_analysis)
+from .poincare import (RationalSeries, _branch_forms, _branch_refusal, _held_branches,
+                       _reduced_analysis, rational_analysis)
 from .presentations import (AlgebraSpec, ModuleSpec, RefilterError, SpecError,
                             Summand, refilter)
 from .samuel import certified_growth, classify_growth
@@ -568,21 +568,22 @@ def _cmd_poincare(config: RunConfig, parsed: ParsedInput):
         # an exact series (Hilbert-Serre): no recurrence search, no fitted
         # branches; they are read off the reduced series where P M (the period
         # times the top multiplicity) is at most the printed coefficients and
-        # the work within BRANCH_WORK_BOUND, and checked against the expansion
-        # to top; else the expansion stops after its self-checked prefix
+        # the one branch rule admits them, and checked on the expansion to
+        # onset + P (M + 1), which fixes them; the expansion runs to the later
+        # of that and its self-checked prefix, 0..deg p + 10, cut at top
         m = parsed.module if parsed.module is not None else ModuleSpec.regular()
         series = presented_series(_need_algebra(parsed), m, reduce=True)
-        low, count = series.reduced, top + 1
+        low, count, forms, reach = series.reduced, top + 1, None, len(series.p) + 9
         if low is None:
-            ra, reads = None, False
-            flags += ("cancel_step_bound",)
+            ra, flags = None, flags + ("cancel_step_bound",)
         else:
             ra, top_mult = _reduced_analysis(*low), max(low[2].values(), default=0)
-            reads = (ra.period * top_mult <= count and _branch_work(
-                len(low[0]), ra.period, top_mult) <= BRANCH_WORK_BOUND)
-        held = series.expansion(top, whole=reads)
-        if reads:
-            ra = ra._replace(quasi=_exact_quasi_polynomial(*low, held))
+            if ra.period * top_mult <= count and not _branch_refusal(len(low[0]), low[2]):
+                forms = _branch_forms(*low)
+                reach = max(reach, forms[1] + ra.period * (top_mult + 1) - 1)
+        held = series.expansion(min(top, reach))
+        if forms:
+            ra = ra._replace(quasi=_held_branches(*forms, held))
     else:
         values = (list(parsed.sequence) if parsed.sequence is not None
                   else catalog.graded_values(parsed.catalog_id, top))
@@ -732,6 +733,15 @@ def _json(value, pad: str) -> str:
     return json.dumps(value)
 
 
+def _long_int_path(value, path: str, bound: int) -> Optional[str]:
+    """The path of the first int in a payload at least `bound` in size, or None."""
+    items = (sorted(value.items()) if isinstance(value, dict) else enumerate(value)
+             if isinstance(value, (list, tuple)) else None)
+    if items is None:
+        return path if type(value) is int and abs(value) >= bound else None
+    return next(filter(None, (_long_int_path(v, f"{path}.{k}", bound) for k, v in items)), None)
+
+
 def render_report(payload: dict, fmt: str) -> str:
     if fmt == "json":
         return _json(payload, "") + "\n"
@@ -769,7 +779,15 @@ def run(config: RunConfig) -> int:
             "report": report,
             "warnings": warnings,
         }
-        rendered = render_report(payload, config.fmt)
+        try:
+            rendered = render_report(payload, config.fmt)
+        except ValueError:  # an int past Python's int-to-text limit, or a fault
+            limit = sys.get_int_max_str_digits()
+            path = limit and _long_int_path(report, "report", 10 ** limit)
+            if not path:
+                raise
+            raise SpecError(path, f"holds an integer of more than {limit} digits, past "
+                                  f"Python's limit for converting an int to text") from None
         if config.output:
             try:
                 with open(config.output, "w", encoding="utf-8") as fh:

@@ -33,16 +33,11 @@ input field that presented the ideal: "module", "ses.sub_ideals" or
 One reader, _module_terms, lays the numerator out: the Laurent part's and
 one numerator_terms walk per distinct minimal ideal, added in at each of
 that ideal's shifts. Cut after a degree, it gives module_dim_sequence's
-counts: integer running sums over prod(1 - t^w), and (1 - t) for cumulative
-ones (presentations.divide_by_weights). Uncut, it is the exact series the
+counts (presentations.divide_by_weights). Uncut, it is the exact series the
 hilbert, poincare and analyze commands read through one head,
 presented_series: the walk once, and on request p and q = prod(1 - t^w) as
-int lists within SERIES_DEGREE_BOUND, their reduction by poincare._reduce
-(no presentation takes a gcd), and the running sums to a degree, the first
-min(top, deg p + 10) + 1 checked against poincare._expansion of p / q.
-analyze (samuel.certified_growth) reads gk and e off the Taylor coefficients
-at t = 1 (_at_one, growth_certificate), and on an unweighted ring its
-Hilbert-Samuel polynomial (exactnum._samuel_fit), building nothing dense.
+int lists, their reduction (poincare._reduce) and the running sums to the
+degree the caller asks for, self-checked against poincare._expansion.
 """
 
 from __future__ import annotations
@@ -413,14 +408,12 @@ class PresentedSeries(NamedTuple):
     q: Optional[list] = None
     reduced: Optional[tuple] = None
 
-    def expansion(self, top: int, whole: bool = True) -> list:
+    def expansion(self, top: int) -> list:
         """The coefficients in degrees 0..top, as running sums over the
-        numerator cut after top. With p built, the first min(top, deg p + 10)
-        + 1 are checked against poincare._expansion of p / q, whose products
-        cost more; whole=False stops after them."""
+        numerator cut after top; with p built, the first min(top, deg p + 10)
+        + 1 checked against poincare._expansion of p / q."""
         checked = 0 if self.p is None else min(top, len(self.p) + 9) + 1
-        length = top + 1 if whole else checked
-        expansion = divide_by_weights(_dense(self.terms, length), self.weights)
+        expansion = divide_by_weights(_dense(self.terms, top + 1), self.weights)
         if checked and expansion[:checked] != _expansion(self.p, self.q, checked):
             raise RuntimeError("internal error: series expansion disagrees with direct counts")
         return expansion

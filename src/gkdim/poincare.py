@@ -24,23 +24,16 @@ fits one difference tower per residue class (fit_quasi_polynomial). Every
 presentation command reduces its series p / prod(1 - t^w) (Hilbert-Serre)
 by the Phi_d its denominator is known to have (_reduce); the primitive gcd
 (_lowest_terms) serves sampled series only. _reduced_analysis reads the
-recurrence and root report off the reduced series, _exact_quasi_polynomial
-its branches, p / q = c / (1 - t^P)^M, within BRANCH_WORK_BOUND, through
-exactnum's Taylor and Vandermonde kernels; poincare prints them where their
-P M numbers are no more than the coefficients it prints. Every stage runs
-on integer coefficient lists and builds one Fraction per output coefficient:
-- the samples are scaled to ints once; Berlekamp-Massey runs on them, and
-  the onset scan checks the integer characteristic row, sum_j row[j] f(n + j)
-  = 0, where row is the shift register C[0..r] itself (order r >= 2) or
-  [-num, den] of the ratio (order 1);
-- the series numerator is the int convolution of the scaled denominator with
-  the samples, reduced by _lowest_terms, and its expansion checked on them;
-- cyclotomic trial division walks the about 2D orders k with phi(k) <= D of
-  a degree-D denominator, divides by cached int Phi_k built from binomials
-  (1 - t^d)^(+-1), and hands the root tests one integer residual;
-- each quasi-polynomial branch is built in int from its binomial form
-  (_branch_ints), fitted or exact, and checked on the samples or the
-  coefficients held by running sums of its form (_held_branches).
+recurrence and root report off the reduced series. Whether its branches,
+p / q = c / (1 - t^P)^M, are read is decided here for analyze and poincare
+alike, by one rule on their work and before anything is expanded
+(_branch_refusal); _branch_forms reads them through exactnum's Taylor and
+Vandermonde kernels. Every stage runs on int lists and builds one Fraction
+per output coefficient: Berlekamp-Massey and its onset scan run on the
+samples scaled to ints, the series numerator is an int convolution, trial
+division uses cached int Phi_k, and each branch is built in int from its
+binomial form (_branch_ints) and checked by running sums of that form
+(_held_branches).
 """
 
 from __future__ import annotations
@@ -537,26 +530,34 @@ def _branch_ints(cs: list, scale: int, period: int, residue: int) -> tuple:
     return ints, scale * math.factorial(d) * period ** d
 
 
-def _form_values(form: list, count: int) -> list:
-    """sum_j form[j] C(x, j) for x = 0..count - 1, count >= 1, in int: with
-    h_j = sum_(k >= j) form[k] C(x, k - j), h_j(0) = form[j] and Delta h_j =
-    h_(j + 1), so each h_j is one running sum of the next, from the top."""
-    values = [form[-1] if form else 0] * count
-    for a in reversed(form[:-1]):
+def _form_values(form: list, start: int, count: int) -> list:
+    """sum_j form[j] C(x, j) for x = start..start + count - 1, count >= 1, in
+    int: h_j = sum_(k >= j) form[k] C(x, k - j) has Delta h_j = h_(j + 1), so
+    each h_j is one running sum of the next, from the top, from h_j(start)."""
+    row = [math.comb(start, r) for r in range(len(form))]
+    heads = [sum(map(mul, form[j:], row)) for j in range(len(form))]
+    values = [heads[-1] if form else 0] * count
+    for a in reversed(heads[:-1]):
         values = list(accumulate(values[:-1], initial=a))
     return values
 
 
-def _held_branches(fits: list, held: Sequence) -> QuasiPolynomial:
+def _onset(fits: list) -> int:
+    """The latest index from which a class of one (form, least index, scale)
+    per residue class mod len(fits) agrees with its form; 0 if all do."""
+    return max((i + len(fits) * least for i, (_, least, _) in enumerate(fits) if least),
+               default=0)
+
+
+def _held_branches(fits: list, onset: int, held: Sequence) -> QuasiPolynomial:
     """The branches of one (int form, least index, scale) per residue class
-    mod P = len(fits), form / scale in (n - i)/P, from the latest first index
-    from which a class agrees with its form (0 if all do); there on, `held` is
-    checked against the forms by running sums, and a miss raises RuntimeError."""
+    mod P = len(fits), form / scale in (n - i)/P, from `onset` on, where
+    `held` is checked against them by running sums (a miss: RuntimeError)."""
     period, branches = len(fits), []
-    onset = max((i + period * least for i, (_, least, _) in enumerate(fits) if least), default=0)
     for i, (form, _, scale) in enumerate(fits):
-        first, mine = max(0, -(-(onset - i) // period)), held[i::period]
-        if [scale * v for v in mine[first:]] != _form_values(form, len(mine) + 1)[first:-1]:
+        first = max(0, -(-(onset - i) // period))
+        mine = held[i + first * period::period]
+        if [scale * v for v in mine] != _form_values(form, first, len(mine) + 1)[:-1]:
             raise RuntimeError("internal error: quasi-polynomial branch misses a coefficient")
         ints, den = _branch_ints(form, scale, period, i)
         branches.append(Polynomial([Fraction(c, den) for c in ints]))
@@ -584,7 +585,7 @@ def fit_quasi_polynomial(s, period: int, window: int = 4) -> Optional[QuasiPolyn
             return None
         form, scale = integer_coefficients(fit.form.coeffs)
         fits.append((form, fit.stabilization_index, scale))
-    return _held_branches(fits, vals)
+    return _held_branches(fits, _onset(fits), vals)
 
 
 def quasi_polynomial(series: RationalSeries, samples, window: int = 4) -> QuasiPolynomial:
@@ -706,40 +707,46 @@ def _exact_recurrence(p: list, q: list) -> Recurrence:
     return Recurrence(order, coefficients, max(0, len(p) - order))
 
 
-#: The most branch work, M (len(p) + P M) + 16 P M^2 with P the period and M
-#: the top multiplicity of the reduced denominator, for which
-#: _exact_quasi_polynomial reads branches: building c = p (1 - t^P)^M / q,
-#: at most len(p) + P M terms, and M running sums of it cost M steps a term,
-#: the P forms and branches P M^2 products of ints growing with M, about 16
-#: steps each. The slowest shapes it admits (the Weyl algebra of rank 249 at
-#: depth 500; a pole of order 41 over 10^5 terms) take 0.5 s on a 2-vCPU VM.
+#: The most branch work, _branch_work, for which a reduced series'
+#: branches are read: building c = p (1 - t^P)^M / q, at most len(p) + P M
+#: terms, and M running sums of it cost M steps a term, the P forms and
+#: branches P M^2 products of ints growing with M, about 16 steps each, and
+#: each residue class BRANCH_CLASS_WORK steps of slices, kernel calls and
+#: Fractions. The slowest shapes it admits take about 0.5 s on a 2-vCPU VM.
 BRANCH_WORK_BOUND = 4_250_000
+BRANCH_CLASS_WORK = 128
 
 
 def _branch_work(length: int, period: int, top: int) -> int:
     """The branch work of a numerator of `length` terms, P = period, M = top."""
-    return top * (length + period * top) + 16 * period * top ** 2
+    return top * (length + period * top) + 16 * period * top ** 2 + BRANCH_CLASS_WORK * period
 
 
-def _exact_quasi_polynomial(p: list, q: list, mults: dict,
-                            held: Sequence) -> Optional[QuasiPolynomial]:
-    """The quasi-polynomial branches of the series p/q, int lists in lowest
-    terms with q(0) = 1 and q's cyclotomic multiplicities `mults`
-    (_reduce), read off the series, not fitted to it; None past
-    BRANCH_WORK_BOUND.
+def _branch_refusal(length: int, mults: Mapping) -> Optional[str]:
+    """Why analyze and poincare read no branches of a reduced series with a
+    numerator of `length` terms and cyclotomic multiplicities `mults` in its
+    denominator; None when the work is within BRANCH_WORK_BOUND."""
+    work = _branch_work(length, math.lcm(*mults), max(mults.values(), default=0))
+    return None if work <= BRANCH_WORK_BOUND else (
+        f"branches not read: m (numerator length + period m) + 16 period m^2 + "
+        f"{BRANCH_CLASS_WORK} period, m the top multiplicity, is {work}, above {BRANCH_WORK_BOUND}")
+
+
+def _branch_forms(p: list, q: list, mults: dict) -> tuple:
+    """(fits, onset) of a series _branch_refusal admits, p/q in lowest terms
+    with q(0) = 1 and cyclotomic multiplicities `mults` (_reduce): one (int
+    form, least index, 1) per residue class, read off the series, and their
+    _onset. The caller checks them (_held_branches) on onset + P (M + 1)
+    coefficients or more, M + 1 in each class, which pin a wrong form.
 
     With P the lcm of the orders and M the top multiplicity, p/q = c / (1 -
-    t^P)^M with c = p (1 - t^P)^M / q (exact int_divmod). Residue class i
-    is c_i(s) / (1 - s)^M in s = t^P, c_i(s) = sum_k c_(i + kP) s^k, so its
-    branch is the form _samuel_fit reads off c_i's first M Taylor
-    coefficients at s = 1, from the kernel's least index len(c_i) - M on
-    (len(p) for a constant q, whose one branch is 0). `held`, a prefix of
-    the expansion, is checked against the branches (_held_branches).
-    """
+    t^P)^M with c = p (1 - t^P)^M / q (exact int_divmod). Residue class i is
+    c_i(s) / (1 - s)^M in s = t^P, c_i(s) = sum_k c_(i + kP) s^k, so its
+    branch is the form _samuel_fit reads off c_i's first M Taylor coefficients
+    at s = 1, from the kernel's least index len(c_i) - M on (len(p) for a
+    constant q, whose one branch is 0)."""
     period = math.lcm(*mults)
     top = max(mults.values(), default=0)
-    if _branch_work(len(p), period, top) > BRANCH_WORK_BOUND:
-        return None
     c = [0] * (len(p) + top * period)  # p (1 - t^P)^M, then over q
     for j in range(top + 1):
         b, lo = (-1) ** j * math.comb(top, j), j * period
@@ -753,4 +760,4 @@ def _exact_quasi_polynomial(p: list, q: list, mults: dict,
         while ci and not ci[-1]:
             ci.pop()
         fits.append((*_samuel_fit(_taylor_at_one(ci, top), len(ci) - 1), 1))
-    return _held_branches(fits, held)
+    return fits, _onset(fits)

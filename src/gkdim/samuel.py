@@ -8,13 +8,11 @@ denominator generates no natural-number sequence (Fatou), so it leaves the
 verdict inconclusive. Every value a report holds is exact.
 
 A module presentation fixes its Hilbert series exactly (Hilbert-Serre), so
-certified_growth reads its verdict from that series and samples nothing.
-It reads the series through hilbert.presented_series, the head the hilbert
-and poincare commands read, and takes the cumulative series' reduction from
-the graded one. Of poincare's two routines it uses the exact one,
-_reduced_analysis and _exact_quasi_polynomial, which the poincare command
-shares; the sampled head, rational_analysis, serves classify_growth and the
-poincare command on raw sequences and catalog entries.
+certified_growth reads its verdict from that series, through the head the
+hilbert and poincare commands read (hilbert.presented_series), and samples
+nothing. Its branches come from poincare's exact routine, under the one
+branch rule analyze and poincare share (_branch_refusal), whose reason its
+evidence gives; the sampled head, rational_analysis, serves classify_growth.
 """
 
 from __future__ import annotations
@@ -28,9 +26,9 @@ from typing import NamedTuple, Optional
 from .exactnum import (BinomialForm, HilbertSamuelPolynomial, _samuel_fit, _taylor_at_one,
                        detect_polynomial, sequence_values)
 from .hilbert import SERIES_DEGREE_BOUND, _at_one, growth_certificate, presented_series
-from .poincare import (BRANCH_WORK_BOUND, CANCEL_STEP_BOUND, DenominatorAnalysis,
-                       QuasiPolynomial, RationalSeries, Recurrence, _branch_work,
-                       _exact_quasi_polynomial, _reduced_analysis, rational_analysis)
+from .poincare import (CANCEL_STEP_BOUND, DenominatorAnalysis, QuasiPolynomial,
+                       RationalSeries, Recurrence, _branch_forms, _branch_refusal,
+                       _held_branches, _reduced_analysis, rational_analysis)
 from .presentations import AlgebraSpec, ModuleSpec, validate_module
 
 
@@ -158,19 +156,15 @@ def certified_growth(a: AlgebraSpec, m: ModuleSpec, top: int, *,
     The numerator's terms give the dimensions, gk and e (growth_certificate)
     and, on an unweighted ring, the Hilbert-Samuel polynomial (_samuel_fit),
     so an exponent of 10^9 costs what 1 does. On a weighted ring the graded
-    series p / q is reduced and expanded as for hilbert, and the cumulative
-    one reduces to p / (q (1 - t)): by Pringsheim's theorem a series with
-    nonnegative coefficients has a pole at t = 1 or is a polynomial positive
-    there, so 1 - t divides no reduced graded p of a nonzero module. A
-    reduced denominator (1 - t)^k gives the polynomial the same way, any
-    other its recurrence, root report and branches (_reduced_analysis,
-    _exact_quasi_polynomial), checked against the cumulative dimensions. A
-    weighted series past SERIES_DEGREE_BOUND in degree or sum(w), or whose
-    reduction passes CANCEL_STEP_BOUND, keeps gk and e only; with len(p) +
-    P (2m + 6) past SERIES_DEGREE_BOUND (P the period, m the top
-    multiplicity in q) or m (len(p) + P m) + 16 P m^2 past BRANCH_WORK_BOUND
-    it gets no branches; its evidence names the bound. validated=True skips
-    validate_module (the CLI's parser checked m)."""
+    series p / q is reduced as for hilbert, and the cumulative one is p / (q
+    (1 - t)): by Pringsheim's theorem 1 - t divides no reduced graded p of a
+    nonzero module. A reduced denominator (1 - t)^k gives the polynomial the
+    same way, any other its recurrence, root report and, where the one
+    branch rule admits them, branches checked against the cumulative
+    dimensions, or else its reason (_branch_refusal). A series past
+    SERIES_DEGREE_BOUND in degree or sum(w), or whose reduction passes
+    CANCEL_STEP_BOUND, keeps gk and e only, its evidence naming the bound.
+    validated=True skips validate_module (the CLI's parser checked m)."""
     if not validated:
         validate_module(a, m)
     weights = a.scalar_weights()
@@ -203,27 +197,14 @@ def certified_growth(a: AlgebraSpec, m: ModuleSpec, top: int, *,
         fit = _samuel_fit(_taylor_at_one(p, mults[1]), len(p) - 1)
         return graded, cumulative, _polynomial_growth(gk, e, fit)
     ra = _reduced_analysis(p, q, mults)
-    # branches are read while len(p) + P (2m + 6) stays within
-    # SERIES_DEGREE_BOUND, P the period and m the top multiplicity in q: it
-    # bounds the len(p) + P m terms of c = p (1 - t^P)^m they are read from
-    period, top_mult = ra.period, max(mults.values())
-    count = len(p) + period * (2 * top_mult + 6)
-    quasi = (_exact_quasi_polynomial(p, q, mults, cumulative)
-             if count <= SERIES_DEGREE_BOUND else None)
-    if quasi is not None:
-        branches = f"quasi-polynomial branches from index {quasi.onset}"
-    elif count > SERIES_DEGREE_BOUND:
-        branches = (f"branches not read: numerator length plus period times (2m + 6), m "
-                    f"the top multiplicity, is {count}, above {SERIES_DEGREE_BOUND}")
-    else:
-        branches = (f"branches not read: m (numerator length + period m) + 16 period m^2, "
-                    f"m the top multiplicity, is {_branch_work(len(p), period, top_mult)}, "
-                    f"above {BRANCH_WORK_BOUND}")
+    refusal = _branch_refusal(len(p), mults)
+    quasi = None if refusal else _held_branches(*_branch_forms(p, q, mults), cumulative)
+    branches = refusal or f"quasi-polynomial branches from index {quasi.onset}"
     return graded, cumulative, GrowthReport(
         kind, gk, e, recurrence=ra.recurrence, series=ra.series,
         denominator=ra.denominator, quasi=quasi,
         evidence=(f"{pole}; reduced denominator of degree {len(q) - 1} with "
-                  f"period {period}; {branches}"),
+                  f"period {ra.period}; {branches}"),
         flags=("mixed_cyclotomic",) if ra.mixed_cyclotomic else ())
 
 

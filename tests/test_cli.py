@@ -18,7 +18,10 @@ search. A seeded test runs hilbert, analyze and poincare on 240 presentations
 ones with numerators of degree 50000 and 60000, and checks that their
 dimensions agree with each other and with module_dim_sequence, and their
 branch periods with each other. A far-shifted summand beside 150 weights is
-read by hilbert and poincare in under a second.
+read by hilbert and poincare in under a second. A seeded sweep of branch
+shapes checks that analyze and poincare read branches by one rule, and
+mutations planted in the branch reader make poincare exit 4 at any depth; a
+report holding an integer past Python's int-to-text limit exits 3.
 """
 
 import contextlib
@@ -44,7 +47,8 @@ from gkdim import cli
 from gkdim.cli import WARNINGS, WEYL_RANK_BOUND, main
 from gkdim.exactnum import detect_polynomial
 from gkdim.hilbert import SERIES_DEGREE_BOUND, algebra_dim_sequence
-from gkdim.presentations import AlgebraSpec
+from gkdim.poincare import _branch_refusal
+from gkdim.presentations import AlgebraSpec, ModuleSpec
 from gkdim.samuel import gk_dimension
 
 # ---------------------------------------------------------------------------
@@ -744,8 +748,10 @@ def test_analyze_of_a_heavy_generator_is_fast(tmp_path, capsys):
 
 def test_analyze_names_what_the_branch_bound_counts(tmp_path, capsys):
     # the cumulative series of weights 2, 3, 5, 7, 11, 13 has period 30030
-    # and Phi_1 of multiplicity 7 in its reduced denominator: len(p) + P (2m
-    # + 6) = 1 + 30030 * 20 passes SERIES_DEGREE_BOUND, so no branches
+    # and Phi_1 of multiplicity 7 in its reduced denominator: its branch work
+    # 7 (1 + 30030 * 7) + 16 * 30030 * 7^2 + 128 * 30030 passes
+    # BRANCH_WORK_BOUND, so no branches, and the evidence ends with
+    # poincare's reason
     path = _write(tmp_path, {"spec_version": 1,
                              "algebra": _weighted_ring((2, 3, 5, 7, 11, 13))})
     code, payload = _run_json(capsys, ["analyze", path])
@@ -754,9 +760,9 @@ def test_analyze_names_what_the_branch_bound_counts(tmp_path, capsys):
     assert growth["quasi"] is None
     assert growth["evidence"] == (
         "exact Hilbert series (Hilbert-Serre): pole of order 6 at t = 1; reduced "
-        "denominator of degree 42 with period 30030; branches not read: numerator "
-        "length plus period times (2m + 6), m the top multiplicity, is 600601, above "
-        f"{SERIES_DEGREE_BOUND}")
+        "denominator of degree 42 with period 30030; branches not read: m (numerator "
+        "length + period m) + 16 period m^2 + 128 period, m the top multiplicity, is "
+        "28858837, above 4250000")
 
 
 def test_analyze_reports_the_pole_alone_past_the_reduction_bound(tmp_path, capsys):
@@ -787,10 +793,12 @@ def test_analyze_reads_the_series_bound_hilbert_and_poincare_read(tmp_path, caps
     # the graded series as hilbert does, where it once bounded the cumulative
     # denominator's degree sum(w) + 1 and did not expand the series; weights
     # 2 and 99999 pass it. The numerator 1 divides by no Phi_k, so the
-    # reduction is charged no division of q, and hilbert exits 0
+    # reduction is charged no division of q, and hilbert exits 0. The
+    # period 99998 and top multiplicity 3 put the branch work past
+    # BRANCH_WORK_BOUND
     for heavy, ending, hilbert_code in (
-            (99998, "branches not read: numerator length plus period times (2m + 6), m "
-                    f"the top multiplicity, is 1199977, above {SERIES_DEGREE_BOUND}", 0),
+            (99998, "branches not read: m (numerator length + period m) + 16 period m^2 + "
+                    "128 period, m the top multiplicity, is 28099441, above 4250000", 0),
             (99999, f"the series passes degree {SERIES_DEGREE_BOUND} and is not expanded", 3)):
         path = _write(tmp_path, {"spec_version": 1, "algebra": _weighted_ring((2, heavy))})
         code, payload = _run_json(capsys, ["analyze", path])
@@ -1197,7 +1205,7 @@ def test_poincare_reads_no_branches_of_a_long_period_on_few_coefficients(
     # weights 2, 3, 5, 7, 11 (the benchmark's prime_weights case) at depth
     # 66: the period 2310 times the top multiplicity 5 is past the 67
     # printed coefficients, so no branch is read, let alone printed
-    monkeypatch.setattr(cli, "_exact_quasi_polynomial", None)
+    monkeypatch.setattr(cli, "_branch_forms", None)
     path = _write(tmp_path, {"spec_version": 1, "algebra": _weighted_ring((2, 3, 5, 7, 11))})
     code, payload = _run_json(capsys, ["poincare", path, "--max-degree", "66"])
     assert code == 0
@@ -1210,9 +1218,9 @@ def test_poincare_reads_no_branches_of_a_long_period_on_few_coefficients(
 def test_branches_past_the_work_bound_are_not_read_in_under_a_second(tmp_path, capsys):
     # the Weyl algebra of rank 1000 at depth 2002: P M = 2000 is within the
     # 2003 printed coefficients, but its branch work M (len(p) + P M) + 16 P
-    # M^2 = 68002000 is past BRANCH_WORK_BOUND (the branches' denominators
-    # are near 1999!, past the 4300 digits Python prints); k[x1..x1200, z], z
-    # of weight 2: analyze's evidence names the bound
+    # M^2 + 128 P = 68002128 is past BRANCH_WORK_BOUND (the branches'
+    # denominators are near 1999!, past the 4300 digits Python prints);
+    # k[x1..x1200, z], z of weight 2: analyze's evidence names the bound
     weyl = _write(tmp_path, {"spec_version": 1,
                              "algebra": {"kind": "weyl", "weyl_rank": WEYL_RANK_BOUND}})
     for depth in ("2002", "2010", "20000"):
@@ -1227,9 +1235,9 @@ def test_branches_past_the_work_bound_are_not_read_in_under_a_second(tmp_path, c
     growth = payload["report"]["growth"]
     assert (code, growth["gk"], growth["quasi"]) == (0, 1201, None)
     assert growth["evidence"].endswith(
-        "branches not read: m (numerator length + period m) + 16 period m^2, m the top "
-        f"multiplicity, is {1202 * (1 + 2 * 1202) + 16 * 2 * 1202 ** 2}, above "
-        f"{gkdim.poincare.BRANCH_WORK_BOUND}")
+        "branches not read: m (numerator length + period m) + 16 period m^2 + 128 period, "
+        f"m the top multiplicity, is {1202 * (1 + 2 * 1202) + 16 * 2 * 1202 ** 2 + 128 * 2}, "
+        f"above {gkdim.poincare.BRANCH_WORK_BOUND}")
 
 
 def test_a_far_shifted_summand_gets_its_branches_in_under_a_second(tmp_path, capsys):
@@ -1249,14 +1257,142 @@ def test_a_far_shifted_summand_gets_its_branches_in_under_a_second(tmp_path, cap
     assert growth["evidence"].endswith("quasi-polynomial branches from index 19899")
 
 
+def _branch_shapes(rng) -> list:
+    """(name, spec) for branch shapes on both sides of the one branch rule:
+    the line k[x] over a heavy x; k[x1..x100, z], z of weight 2, with a free
+    summand at a far shift (c grows with it); k[x1..xn, z], whose top
+    multiplicity n + 1 (n + 2 cumulative) is near the bound at period 2;
+    and the Weyl algebra of a rank near the bound at period 1."""
+    shifted = lambda s: {"algebra": _weighted_ring((1,) * 100 + (2,)), "module": {
+        "summands": [{"ideal": []}, {"shift": s, "ideal": []}]}}
+    shapes = [("k[x], x of weight 10000", {"algebra": _weighted_ring((10000,))}),
+              ("k[x], x of weight 50000", {"algebra": _weighted_ring((50000,))})]
+    for low, high in ((2000, 37000), (39000, 60000)):
+        shift = rng.randint(low, high)
+        shapes.append((f"k[x1..x100, z] + shift {shift}", shifted(shift)))
+    for low, high in ((340, 351), (352, 365)):
+        n = rng.randint(low, high)
+        shapes.append((f"k[x1..x{n}, z]", {"algebra": _weighted_ring((1,) * n + (2,))}))
+    for low, high in ((240, 249), (250, 256)):
+        rank = rng.randint(low, high)
+        shapes.append((f"Weyl rank {rank}", {"algebra": {"kind": "weyl", "weyl_rank": rank}}))
+    return shapes
+
+
+def test_analyze_and_poincare_read_branches_by_one_rule(tmp_path, capsys):
+    # both commands read a shape's branches exactly when poincare's one rule
+    # admits the reduced series they read them off (the cumulative one for
+    # analyze, the graded one for poincare, at a depth where P M fits its
+    # output rule), each admitted shape in under a second; on a refused one
+    # analyze's evidence ends with the rule's reason. The Weyl algebra is
+    # unweighted, so analyze reads its Hilbert-Samuel polynomial instead
+    seen = set()
+    for name, doc in _branch_shapes(random.Random(33)):
+        path = _write(tmp_path, {"spec_version": 1, **doc})
+        parsed = cli.parse_spec({"spec_version": 1, **doc})
+        module = parsed.module or ModuleSpec.regular()
+        p, q, mults = gkdim.hilbert.presented_series(parsed.algebra, module, reduce=True).reduced
+        period, top = math.lcm(*mults), max(mults.values())
+        cumulative = {**mults, 1: mults.get(1, 0) + 1}
+        for command, depth, refusal in (
+                ("analyze", 30, _branch_refusal(len(p), cumulative)),
+                ("poincare", max(500, period * top), _branch_refusal(len(p), mults))):
+            start = time.perf_counter()
+            code, payload = _run_json(capsys, [command, path, "--max-degree", str(depth)])
+            elapsed = time.perf_counter() - start
+            report = payload["report"]
+            growth = report.get("growth")
+            quasi = report["quasi"] if growth is None else growth["quasi"]
+            assert code == 0, (name, command)
+            if command == "analyze" and set(cumulative) == {1}:
+                assert quasi is None and "Hilbert-Samuel polynomial" in growth["evidence"], name
+                continue
+            assert (quasi is not None) == (refusal is None), (name, command)
+            seen.add((command, refusal is None))
+            if refusal is None:
+                assert elapsed < 1.0, (name, command, elapsed)
+            elif growth is not None:
+                assert growth["evidence"].endswith("; " + refusal), name
+    assert seen == {(c, r) for c in ("analyze", "poincare") for r in (False, True)}
+
+
+@pytest.mark.parametrize("mutation", ["onset one index early", "top form coefficient off by one",
+                                      "class scale wrong"])
+def test_poincare_catches_a_wrong_branch_reading_at_every_depth(
+        tmp_path, capsys, monkeypatch, mutation):
+    # a reader that gets the onset, a form or a scale wrong makes poincare
+    # exit 4 at depth 500 and at 100000 alike: the coefficients it expands
+    # to onset + P (M + 1) hold M + 1 of every class, which pin each form,
+    # even one wrong only in its top coefficient, which no value below M - 1
+    # shows. k[x, y, z]/(x^2 y^2 z^2) has onset 4 at period 1; weights 2, 3
+    # and 1 with the ideal (v1^2) give six classes; the Weyl algebra of rank
+    # 50 has M = 100, past the self-checked 11 coefficients
+    read = cli._branch_forms
+
+    def mutated(p, q, mults):
+        fits, onset = read(p, q, mults)
+        form, least, scale = fits[0]
+        if mutation == "onset one index early":
+            return fits, onset - 1
+        if mutation == "top form coefficient off by one":
+            fits[0] = (form[:-1] + [form[-1] + 1], least, scale)
+        else:
+            fits[0] = (form, least, 2 * scale)
+        return fits, onset
+
+    monkeypatch.setattr(cli, "_branch_forms", mutated)
+    specs = [{"algebra": {"kind": "polynomial", "generators": [{"name": v} for v in "xyz"]},
+              "module": {"summands": [{"ideal": ["x^2*y^2*z^2"]}]}}]
+    if mutation != "onset one index early":  # elsewhere the onset is 0, or its class
+        specs += [{"algebra": _weighted_ring((2, 3, 1)),  # may agree a step early
+                   "module": {"summands": [{"ideal": ["v1^2"]}]}},
+                  {"algebra": {"kind": "weyl", "weyl_rank": 50}}]
+    for doc in specs:
+        path = _write(tmp_path, {"spec_version": 1, **doc})
+        for depth in ("500", "100000"):
+            code, out, err = _run(capsys, ["poincare", path, "--max-degree", depth])
+            assert (code, out) == (4, ""), (doc, depth)
+            assert err == ("error: internal: RuntimeError: internal error: "
+                           "quasi-polynomial branch misses a coefficient\n"), (doc, depth)
+
+
+def test_a_report_past_the_int_to_text_limit_is_refused_as_bad_input(
+        tmp_path, capsys, monkeypatch):
+    # k[x, y, z]/(x^(10^2200)), a 2.3 KB spec: its Hilbert-Samuel form has
+    # coefficients near C(10^2200, 2), past Python's 4300 digits for
+    # converting an int to text; the report is refused with exit 3 at the
+    # field that holds it, in both formats, and the interpreter's limit is
+    # left as it is. A ValueError of any other cause is still a fault
+    doc = {"spec_version": 1, "algebra": XYZ,
+           "module": {"summands": [{"ideal": ["x^1" + "0" * 2200]}]}}
+    path = _write(tmp_path, doc)
+    for fmt in ("json", "text"):
+        code, out, err = _run(capsys, ["analyze", path, "--format", fmt])
+        assert (code, out) == (3, ""), fmt
+        assert err == ("error: report.growth.hilbert_samuel.binomial_coefficients.0.0: holds "
+                       "an integer of more than 4300 digits, past Python's limit for "
+                       "converting an int to text\n"), fmt
+    assert sys.get_int_max_str_digits() == 4300
+
+    def broken(payload, fmt):
+        raise ValueError("a fault")
+
+    monkeypatch.setattr(cli, "render_report", broken)
+    for spec in (path, _write(tmp_path, PLANE_MOD_XY)):
+        code, out, err = _run(capsys, ["analyze", spec])
+        assert (code, out, err) == (4, "", "error: internal: ValueError: a fault\n")
+
+
 def test_poincare_expands_past_the_self_check_only_to_check_branches(
         tmp_path, capsys, monkeypatch):
     # the Weyl algebra's series 1 / (1 - t)^(2r) has p = 1: without branches
     # poincare expands only the self-checked coefficients 0..deg p + 10, so
-    # depth costs nothing it does not print; with branches it expands every
-    # printed coefficient, each checked against its branch. Rank 50 at depth
-    # 98 has P M = 100 past the 99 printed, and rank 250 the branch work
-    # 500 * 501 + 16 * 500^2, past BRANCH_WORK_BOUND
+    # depth costs nothing it does not print; with branches it expands only
+    # to onset + P (M + 1), the M + 1 coefficients of each class that fix
+    # its branch, each checked against it: rank 50 at depth 5000 has onset
+    # 0, P = 1 and M = 100, so 101 coefficients. Rank 50 at depth 98 has P M
+    # = 100 past the 99 printed, and rank 250 the branch work 500 * 501 + 16
+    # * 500^2 + 128, past BRANCH_WORK_BOUND
     lengths, divide = [], gkdim.hilbert.divide_by_weights
 
     def counting(coeffs, weights):
@@ -1272,7 +1408,7 @@ def test_poincare_expands_past_the_self_check_only_to_check_branches(
         report = payload["report"]
         assert (code, report["coefficients_analyzed"]) == (0, depth + 1), rank
         assert (report["quasi"] is not None) == branches, (rank, depth)
-        assert lengths == ([depth + 1] if branches else [11]), (rank, depth)
+        assert lengths == ([101] if branches else [11]), (rank, depth)
 
 
 def test_poincare_refusal_names_the_field_that_is_short(tmp_path, capsys):

@@ -943,10 +943,10 @@ def test_the_self_check_catches_a_wrong_running_sum(tmp_path, monkeypatch, capsy
     assert main(["hilbert", str(path)]) == 0
     graded = json.loads(capsys.readouterr().out)["report"]["graded_dimensions"]
     assert graded == [1] + [2] * 12 + [3] + [2] * 17
-    # poincare without branches to check (the Weyl algebra of rank 250, past
-    # BRANCH_WORK_BOUND) expands only the checked prefix, 0..deg p + 10, and
-    # the check still covers it; analyze on a weighted ring builds p and q,
-    # so its counts are checked too
+    # poincare without branches to check (the Weyl algebra of rank 250, which
+    # the one branch rule refuses) expands only the checked prefix, 0..deg p
+    # + 10, and the check still covers it; analyze on a weighted ring builds
+    # p and q, so its counts are checked too
     weyl = tmp_path / "weyl.json"
     weyl.write_text(json.dumps({"spec_version": 1,
                                 "algebra": {"kind": "weyl", "weyl_rank": 250}}))

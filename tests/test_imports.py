@@ -9,7 +9,9 @@ sys.stdlib_module_names. Every name a module imports is read in it, unless
 the import line is marked noqa: F401. Start-up stays cheap: no module
 imports dataclasses, which would load inspect (and ast, dis, tokenize) with
 every gkdim.cli import, and a fresh interpreter's import of gkdim.cli loads
-neither, nor hashlib's OpenSSL binding, nor argparse.
+neither, nor hashlib's OpenSSL binding, nor argparse. The branch rule of
+analyze and poincare has one home: only poincare names its bound and its
+work function.
 """
 
 import ast
@@ -108,6 +110,22 @@ def test_runtime_imports_only_the_standard_library():
                         if name.split(".")[0] not in
                         sys.stdlib_module_names | LATER_STDLIB | {"gkdim"}]
     assert outside == []
+
+
+def test_only_poincare_names_the_branch_rule():
+    # no other module imports, reads or defines the bound or the work
+    # function, so the rule cannot grow a second copy
+    rule = {"BRANCH_WORK_BOUND", "BRANCH_CLASS_WORK", "_branch_work"}
+    named = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), path.name)):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, (ast.alias, ast.FunctionDef))
+                    else None)
+            if name in rule:
+                named.setdefault(path.stem, set()).add(name)
+    assert named == {"poincare": rule}
 
 
 def test_the_export_list_is_what_the_package_imports():

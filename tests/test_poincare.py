@@ -60,12 +60,13 @@ Oracles:
   cumulative series must be the head's graded reduction times 1 - t.
 * Exact branches -- on 120 seeded weighted presentations (weights 1..6 on
   1-4 generators; shifted summands, Laurent parts, finite and zero
-  modules), _exact_quasi_polynomial must give the period, branches and
-  onset that fit_quasi_polynomial fits on the series' long expansion;
+  modules), _branch_forms checked by _held_branches must give the period,
+  branches and onset that fit_quasi_polynomial fits on the long expansion;
   sympy's truncated series inversion must give the coefficients the
   branches predict from the onset on; on a prefix of the expansion, the
   branches must be the fit on it wherever that fit is true; and past
-  BRANCH_WORK_BOUND nothing is divided.
+  BRANCH_WORK_BOUND, which _branch_refusal decides for analyze and poincare
+  alike, nothing is divided.
 * Branch reader -- the column reader it replaced (falling-binomial columns
   per class and a head/miss search for the onset, kept here) must give the
   same period, branches and onset on 320 seeded weighted presentations,
@@ -88,12 +89,13 @@ from sympy.polys import ring_series
 import gkdim.poincare
 from gkdim.exactnum import Polynomial, falling_binom, int_divmod
 from gkdim.hilbert import minimalize_ideal, numerator_terms, presented_series
-from gkdim.poincare import (BRANCH_WORK_BOUND, ROOT_SPLIT_SKIPPED, DenominatorAnalysis,
-                            QuasiPolynomial, RationalSeries, Recurrence, _branch_ints,
-                            _branch_work, _cyclotomic_ints, _cyclotomic_orders, _divisors,
-                            _divmod_one_minus_t, _exact_quasi_polynomial,
-                            _exact_recurrence, _expansion, _form_values, _lowest_terms,
-                            _normalised_series, _reduce, _reduced_analysis,
+from gkdim.poincare import (BRANCH_CLASS_WORK, BRANCH_WORK_BOUND, ROOT_SPLIT_SKIPPED,
+                            DenominatorAnalysis, QuasiPolynomial, RationalSeries, Recurrence,
+                            _branch_forms, _branch_ints, _branch_refusal, _branch_work,
+                            _cyclotomic_ints, _cyclotomic_orders, _divisors,
+                            _divmod_one_minus_t, _exact_recurrence, _expansion, _form_values,
+                            _held_branches, _lowest_terms, _normalised_series, _reduce,
+                            _reduced_analysis,
                             _shift_registers, _strip_cyclotomic, _weights_denominator,
                             denominator_analysis, fit_quasi_polynomial,
                             minimal_recurrence, quasi_polynomial,
@@ -1219,6 +1221,14 @@ def test_the_cumulative_reduction_is_the_graded_one_times_one_minus_t():
     assert sum(seen.values()) == 320 and min(seen.values()) >= 20, seen
 
 
+def _exact_quasi_polynomial(p, q, mults, held):
+    """The branches analyze and poincare read off the reduced p/q, checked
+    on `held`; None where the one branch rule refuses them."""
+    if _branch_refusal(len(p), mults):
+        return None
+    return _held_branches(*_branch_forms(p, q, mults), held)
+
+
 def test_exact_branches_match_the_fit_on_the_long_expansion():
     # len(p) + P (2M + 6) coefficients put 2M + 6 of each class on its
     # branch, enough for the fit's window of M + 1 (and 8 per class for a
@@ -1333,10 +1343,18 @@ def test_a_short_class_gets_its_high_degree_branch_off_the_series():
 
 
 def test_the_work_bound_is_decided_before_the_series_is_divided(monkeypatch):
-    # M (len(p) + P M) + 16 P M^2 past BRANCH_WORK_BOUND: (1 - t^P)^M is
-    # never built. A pole of order 500 at t = 1 is just past it, 499 just
-    # within; a numerator of 40000 terms puts a pole of order 120 past it
+    # M (len(p) + P M) + 16 P M^2 + 128 P past BRANCH_WORK_BOUND: (1 - t^P)^M
+    # is never built. A pole of order 500 at t = 1 is just past it, 499 just
+    # within; a numerator of 40000 terms puts a pole of order 120 past it;
+    # each residue class costs BRANCH_CLASS_WORK = 128 more, so 29311 simple
+    # poles (the line over a weight of 29311) pass it and 29310 do not
     assert _branch_work(1, 1, 499) <= BRANCH_WORK_BOUND < _branch_work(1, 1, 500)
+    assert BRANCH_CLASS_WORK == 128
+    assert _branch_work(1, 29310, 1) <= BRANCH_WORK_BOUND < _branch_work(1, 29311, 1)
+    assert _branch_refusal(1, {1: 499}) is None
+    assert _branch_refusal(1, {1: 500}) == (
+        "branches not read: m (numerator length + period m) + 16 period m^2 + 128 period, "
+        "m the top multiplicity, is 4250628, above 4250000")
     monkeypatch.setattr(gkdim.poincare, "int_divmod", None)
     assert _exact_quasi_polynomial([1], [1], {1: 500}, [1] * 31) is None
     assert _exact_quasi_polynomial([1] * 40000, [1], {1: 120}, [1] * 31) is None
@@ -1373,7 +1391,7 @@ def _column_reader_reference(p, q, mults, held):
     onset, values = 0, []
     for i, form in enumerate(forms):
         known = head[i::period]
-        values.append(_form_values(form, max(len(known), held_counts[i], 1)))
+        values.append(_form_values(form, 0, max(len(known), held_counts[i], 1)))
         miss = next((x for x in reversed(range(len(known))) if known[x] != values[i][x]), None)
         if miss is not None:
             onset = max(onset, i + (miss + 1) * period)
