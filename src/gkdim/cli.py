@@ -33,8 +33,7 @@ from .axioms import (HolonomyCatalog, SESSpec, chain_bound_check,
 from .exactnum import Polynomial, detect_polynomial  # noqa: F401
 from .hilbert import (SERIES_DEGREE_BOUND, DimensionSequence, module_dim_sequence,
                       presented_series)
-from .poincare import (RationalSeries, _branch_forms, _branch_refusal, _held_branches,
-                       _reduced_analysis, rational_analysis)
+from .poincare import RationalSeries, _read_branches, _reduced_analysis, rational_analysis
 from .presentations import (AlgebraSpec, ModuleSpec, RefilterError, SpecError,
                             Summand, refilter)
 from .samuel import certified_growth, classify_growth
@@ -565,25 +564,20 @@ def _cmd_poincare(config: RunConfig, parsed: ParsedInput):
     top = config.max_degree
     flags = _catalog_flags(parsed)
     if parsed.sequence is None and parsed.catalog_id is None:
-        # an exact series (Hilbert-Serre): no recurrence search, no fitted
-        # branches; they are read off the reduced series where P M (the period
-        # times the top multiplicity) is at most the printed coefficients and
-        # the one branch rule admits them, and checked on the expansion to
-        # onset + P (M + 1), which fixes them; the expansion runs to the later
-        # of that and its self-checked prefix, 0..deg p + 10, cut at top
+        # an exact series (Hilbert-Serre): no recurrence search; its branches
+        # are checked on the expansion that pins them, or else it runs to its
+        # self-checked prefix, 0..deg p + 10, cut at top either way
         m = parsed.module if parsed.module is not None else ModuleSpec.regular()
         series = presented_series(_need_algebra(parsed), m, reduce=True)
-        low, count, forms, reach = series.reduced, top + 1, None, len(series.p) + 9
+        low, count, quasi, prefix = series.reduced, top + 1, None, len(series.p) + 9
+        held = lambda reach=prefix: series.expansion(min(top, max(prefix, reach)))
         if low is None:
             ra, flags = None, flags + ("cancel_step_bound",)
         else:
-            ra, top_mult = _reduced_analysis(*low), max(low[2].values(), default=0)
-            if ra.period * top_mult <= count and not _branch_refusal(len(low[0]), low[2]):
-                forms = _branch_forms(*low)
-                reach = max(reach, forms[1] + ra.period * (top_mult + 1) - 1)
-        held = series.expansion(min(top, reach))
-        if forms:
-            ra = ra._replace(quasi=_held_branches(*forms, held))
+            quasi, _ = _read_branches(*low, held, count)
+            ra = _reduced_analysis(*low)._replace(quasi=quasi)
+        if quasi is None:
+            held()  # the self-check
     else:
         values = (list(parsed.sequence) if parsed.sequence is not None
                   else catalog.graded_values(parsed.catalog_id, top))

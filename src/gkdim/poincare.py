@@ -3,37 +3,32 @@
 A dimension sequence has a rational generating function p(t)/q(t) with
 q(0) = 1 exactly when its tail satisfies a linear recurrence with constant
 coefficients. A recurrence of order r must hold on the last 2r + confirm
-samples; read backwards, such a tail is generated by a linear shift register
-of length r. One exact Berlekamp-Massey run over the reversed samples
-therefore settles every order r >= 2 at once, and reads off the
-coefficients; order 1 is solved directly, because a zero tail fits a_1 = 0
-but no backward register (minimal_recurrence gives the argument). An exact
-series, such as a presentation's (Hilbert-Serre), needs no search: its
-reduced denominator is the recurrence. No floating point is used anywhere.
-A series with integer coefficients has an integral reduced denominator with
-constant term 1 (Fatou), so only integral denominators get a root analysis.
-Trial division with cyclotomic polynomials settles their roots — an integer
+samples, which, read backwards, a shift register of length r generates: one
+exact Berlekamp-Massey run over them settles every order r >= 2 at once
+(order 1 is solved directly, minimal_recurrence). An exact series, such as a
+presentation's (Hilbert-Serre), needs no search: its reduced denominator is
+the recurrence. No floating point is used anywhere. A series with integer
+coefficients has an integral reduced denominator with constant term 1
+(Fatou), so only integral denominators get a root analysis. Trial division
+with cyclotomic polynomials settles their roots (Kronecker: an integer
 polynomial with constant term 1 and no cyclotomic part has a root strictly
-inside the unit disk (Kronecker) — and pure denominators (1 - t^s)^d yield
-quasi-polynomial branches, one per residue class mod s.
+inside the unit disk), and a denominator of cyclotomic factors gives
+quasi-polynomial branches, one per residue class mod the lcm P of their orders.
 
-The chain recurrence, series, denominator, period, branches is run by one
-sampled head and one exact routine. rational_analysis searches the samples,
-builds the series, walks every cyclotomic order of its denominator and
-fits one difference tower per residue class (fit_quasi_polynomial). Every
-presentation command reduces its series p / prod(1 - t^w) (Hilbert-Serre)
-by the Phi_d its denominator is known to have (_reduce); the primitive gcd
-(_lowest_terms) serves sampled series only. _reduced_analysis reads the
-recurrence and root report off the reduced series. Whether its branches,
-p / q = c / (1 - t^P)^M, are read is decided here for analyze and poincare
-alike, by one rule on their work and before anything is expanded
-(_branch_refusal); _branch_forms reads them through exactnum's Taylor and
-Vandermonde kernels. Every stage runs on int lists and builds one Fraction
-per output coefficient: Berlekamp-Massey and its onset scan run on the
-samples scaled to ints, the series numerator is an int convolution, trial
-division uses cached int Phi_k, and each branch is built in int from its
-binomial form (_branch_ints) and checked by running sums of that form
-(_held_branches).
+The chain recurrence, series, denominator, period, branches has two heads
+and one branch reader. rational_analysis searches the samples, builds the
+series (coprime with no gcd: the recurrence found is minimal) and walks
+every cyclotomic order of its denominator. A presentation's series p /
+prod(1 - t^w) (Hilbert-Serre) is reduced by the Phi_d its denominator is
+known to have (_reduce), and _reduced_analysis reads the recurrence and root
+report off it. Either series' branches, p / q = c / (1 - t^P)^M, are read
+off it through exactnum's Taylor and Vandermonde kernels (_branch_forms) and
+checked (_held_branches) by _read_branches, where the rules on their work
+and on the coefficients held admit them (_branch_refusal), before anything
+is expanded. Every stage runs on int lists and builds one Fraction per
+output coefficient: the samples are scaled to ints, the series numerator is
+an int convolution, trial division uses cached int Phi_k, and each branch
+is built in int from its binomial form (_branch_ints).
 """
 
 from __future__ import annotations
@@ -44,7 +39,7 @@ from functools import lru_cache, partial
 from itertools import accumulate, combinations, islice
 from operator import mul
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .exactnum import (Polynomial, _samuel_fit, _taylor_at_one, detect_polynomial,
                        int_divmod, integer_coefficients, primitive_gcd, sequence_values)
@@ -85,17 +80,21 @@ class RationalSeries(_SeriesFields):
         """The equivalent series with coprime numerator and denominator.
 
         p and q are scaled by one common denominator, which keeps p/q, and
-        divided in int by their primitive gcd (_lowest_terms). The pair is
+        divided in int by their primitive gcd g, exactly, since g is
+        primitive and divides both over Q (Gauss's lemma). The pair is
         normalised to q(0) = 1 once, at the end; the result is the unique
         coprime form with that normalisation, and an already coprime series
         is returned as it is.
         """
-        p, q = self.numerator.coeffs, self.denominator.coeffs
-        ints, _ = integer_coefficients(p + q)
-        p_low, q_low = _lowest_terms(ints[:len(p)], ints[len(p):])
-        if len(q_low) == len(q):
+        cut = len(self.numerator.coeffs)
+        ints, _ = integer_coefficients(self.numerator.coeffs + self.denominator.coeffs)
+        g = primitive_gcd(ints[:cut], ints[cut:])
+        if len(g) < 2:
             return self
-        return _normalised_series(p_low, q_low)
+        (p, p_rem), (q, q_rem) = int_divmod(ints[:cut], g), int_divmod(ints[cut:], g)
+        if p_rem or q_rem:
+            raise RuntimeError("internal error: the gcd leaves a remainder")
+        return _normalised_series(p, q)
 
 
 def _expansion(p: Sequence, q: Sequence, count: int) -> list:
@@ -111,19 +110,6 @@ def _expansion(p: Sequence, q: Sequence, count: int) -> list:
             acc -= c * out[n - k]
         out.append(acc)
     return out
-
-
-def _lowest_terms(p: list, q: list) -> tuple:
-    """p / g and q / g for integer coefficient lists p and q != 0 and g their
-    primitive gcd; both quotients are exact in int, since g is primitive and
-    divides both over Q (Gauss's lemma). Coprime lists come back as they are."""
-    g = primitive_gcd(p, q)
-    if len(g) < 2:
-        return p, q
-    (p, p_rem), (q, q_rem) = int_divmod(p, g), int_divmod(q, g)
-    if p_rem or q_rem:
-        raise RuntimeError("internal error: the gcd leaves a remainder")
-    return p, q
 
 
 def _normalised_series(p: list, q: list) -> RationalSeries:
@@ -240,8 +226,10 @@ def series_from_recurrence(s, rec: Recurrence) -> RationalSeries:
     convolution of the samples with it, truncated at the onset correction
     degree onset + r - 1. Both are built as integer coefficient lists: q
     scaled by the a_i's common denominator, the samples by theirs, which the
-    denominator takes on as well. They are reduced by the integer gcd path of
-    RationalSeries.reduced, and the expansion is re-verified exactly.
+    denominator takes on as well, and the expansion is re-verified exactly.
+    For minimal_recurrence's rec they are coprime with no gcd taken: a common
+    factor g would give a recurrence of order r - deg g from an onset no
+    later, which the search finds first (another rec may need reduced()).
     """
     vals = sequence_values(s)
     ints, sample_scale = _integer_samples(vals)
@@ -254,7 +242,7 @@ def series_from_recurrence(s, rec: Recurrence) -> RationalSeries:
          for k in range(min(rec.onset + rec.order, len(ints)))]
     while p and p[-1] == 0:
         p.pop()
-    series = _normalised_series(*_lowest_terms(p, [sample_scale * c for c in q]))
+    series = _normalised_series(p, [sample_scale * c for c in q])
     if series.expand(len(vals)) != vals:
         raise RuntimeError("internal error: series expansion disagrees with the samples")
     return series
@@ -406,25 +394,22 @@ class DenominatorAnalysis(NamedTuple):
 def denominator_analysis(q: Polynomial) -> DenominatorAnalysis:
     """Classify the roots of an integral q with q(0) = 1 exactly.
 
-    q must lie in Z[t]: a rational series with integer coefficients reduces
-    to P/Q with Q integral and Q(0) = 1 (P. Fatou, Acta Math. 30, 1906), so
-    every dimension series has such a denominator; any other q raises
-    ValueError, as does q(0) != 1.
+    q must lie in Z[t], as every dimension series' reduced denominator does
+    (P. Fatou, Acta Math. 30, 1906); any other q raises ValueError, as does
+    q(0) != 1.
 
     Cyclotomic factors are stripped by trial division with Phi_k for exactly
-    the orders k with phi(k) <= deg q (_strip_cyclotomic): a factor Phi_k of
-    q has degree phi(k), so the search is complete. If nothing is left, all
-    roots lie on the unit circle and the pure (1 - t^s)^d shape is
-    recognized from the multiplicities. Otherwise the residual is integral
-    with constant term 1 and not constant, so it has a root strictly inside
-    the unit disk (Kronecker's theorem).
+    the orders k with phi(k) <= deg q (_strip_cyclotomic), which is complete,
+    since Phi_k has degree phi(k). If nothing is left, all roots lie on the
+    unit circle and the pure (1 - t^s)^d shape is recognized from the
+    multiplicities. Otherwise the residual, integral with constant term 1 and
+    not constant, has a root strictly inside the unit disk (Kronecker).
 
-    Rational roots of the residual are split off as linear_factors. A
-    degree-1 residual is its own linear factor; for higher degrees the
-    split scans the divisors of the residual's end coefficients c_0 = 1 and
-    c_D, and is skipped, with the note ROOT_SPLIT_SKIPPED, when
-    |c_0 * c_D| > ROOT_SPLIT_BOUND = 10^12. The radius class does not depend
-    on the split.
+    Rational roots of the residual are split off as linear_factors, a
+    degree-1 residual as its own; for higher degrees the split scans the
+    divisors of its end coefficients c_0 = 1 and c_D, and is skipped, with the
+    note ROOT_SPLIT_SKIPPED, when |c_0 * c_D| > ROOT_SPLIT_BOUND = 10^12. The
+    radius class does not depend on the split.
     """
     if q.constant_term() != 1:
         raise ValueError("denominator must have constant term 1")
@@ -565,12 +550,10 @@ def _held_branches(fits: list, onset: int, held: Sequence) -> QuasiPolynomial:
 
 
 def fit_quasi_polynomial(s, period: int, window: int = 4) -> Optional[QuasiPolynomial]:
-    """Fit one exact polynomial branch per residue class mod `period`.
-
-    The window adapts to the number of samples available in each class; None
-    is returned when any branch fails to stabilize. Every sample at or beyond
-    the reported onset is re-verified against its branch (_held_branches).
-    """
+    """Fit one exact polynomial branch per residue class mod `period` by a
+    difference tower each: the tests' reference, which no command runs. The
+    window adapts to the samples in each class; None when any branch fails to
+    stabilize. Every sample from the onset is re-verified (_held_branches)."""
     vals = sequence_values(s)
     if period < 1:
         raise ValueError("period must be positive")
@@ -588,35 +571,33 @@ def fit_quasi_polynomial(s, period: int, window: int = 4) -> Optional[QuasiPolyn
     return _held_branches(fits, _onset(fits), vals)
 
 
-def quasi_polynomial(series: RationalSeries, samples, window: int = 4) -> QuasiPolynomial:
-    """Quasi-polynomial coefficient branches of a pure-denominator series.
-
-    Requires denominator_analysis to report the pure form (1 - t^s)^d; the
-    branch polynomials then have degree at most d - 1, which is asserted.
-    """
-    analysis = denominator_analysis(series.reduced().denominator)
+def quasi_polynomial(series: RationalSeries, samples) -> QuasiPolynomial:
+    """Quasi-polynomial coefficient branches of a pure-denominator series,
+    (1 - t^s)^d by denominator_analysis, of degree at most d - 1: read off
+    its reduced form and checked on the samples (_read_branches). Another
+    denominator, samples that are not its first coefficients, or a rule's
+    refusal of the branches for that many, raise ValueError."""
+    low = series.reduced()
+    analysis = denominator_analysis(low.denominator)
     if analysis.s is None:
         raise ValueError("denominator is not of the pure (1 - t^s)^d form")
     vals = sequence_values(samples)
-    if len(vals) // analysis.s < 8:
-        raise ValueError("too few samples in a residue class for branch fitting")
-    qp = fit_quasi_polynomial(vals, analysis.s, window)
-    if qp is None:
-        raise ValueError("samples do not stabilize to quasi-polynomial branches")
-    top = max((b.degree for b in qp.branches), default=-1)
-    if top > analysis.d - 1:
-        raise RuntimeError("internal error: branch degree exceeds d - 1")
-    return qp
+    if low.expand(len(vals)) != vals:
+        raise ValueError("the samples are not the series' coefficients")
+    quasi, refusal = _read_branches(low.numerator.coeffs, low.denominator.coeffs,
+                                    analysis.cyclotomic_multiplicities, lambda _: vals, len(vals))
+    if refusal:
+        raise ValueError(refusal)
+    return quasi
 
 
 class RationalAnalysis(NamedTuple):
     """The rational analysis of a sequence. With every denominator root on
-    the unit circle, period is the pure form's s or, when mixed_cyclotomic,
-    the lcm of the cyclotomic orders, and quasi holds the branches unless
-    they do not stabilize on the samples; otherwise both are None.
-    denominator is None when the series' reduced denominator is not
-    integral: by Fatou's lemma the series then generates no natural-number
-    sequence, and no root analysis runs."""
+    the unit circle, period is the lcm of the cyclotomic orders (the pure
+    form's s unless mixed_cyclotomic), and quasi holds the branches or refusal
+    why none were read; otherwise all three are None. denominator is None when
+    the reduced denominator is not integral: by Fatou's lemma the series then
+    generates no natural-number sequence, and no root analysis runs."""
 
     recurrence: Recurrence
     series: RationalSeries
@@ -624,13 +605,17 @@ class RationalAnalysis(NamedTuple):
     period: Optional[int] = None
     mixed_cyclotomic: bool = False
     quasi: Optional[QuasiPolynomial] = None
+    refusal: Optional[str] = None
 
 
 def rational_analysis(vals, confirm: int) -> Optional[RationalAnalysis]:
     """Recurrence, series, denominator analysis and, on the unit circle, the
-    period and its quasi-polynomial branches; None when no recurrence of
-    admissible order fits (minimal_recurrence with `confirm`). A series
-    whose reduced denominator is not integral gets no denominator analysis."""
+    period and its quasi-polynomial branches, read off the series where both
+    rules admit them for the samples held and checked on every sample from
+    their onset (_read_branches); None when no recurrence of admissible
+    order fits (minimal_recurrence with `confirm`). A series whose reduced
+    denominator is not integral gets no denominator analysis."""
+    vals = sequence_values(vals)
     rec = minimal_recurrence(vals, confirm=confirm)
     if rec is None:
         return None
@@ -640,9 +625,10 @@ def rational_analysis(vals, confirm: int) -> Optional[RationalAnalysis]:
     analysis = denominator_analysis(series.denominator)
     if analysis.radius_class != "all_roots_on_unit_circle":
         return RationalAnalysis(rec, series, analysis)
-    period = math.lcm(*analysis.cyclotomic_multiplicities)
-    return RationalAnalysis(rec, series, analysis, period, analysis.s is None,
-                            fit_quasi_polynomial(vals, period, window=4))
+    mults = analysis.cyclotomic_multiplicities
+    return RationalAnalysis(rec, series, analysis, math.lcm(*mults), analysis.s is None,
+                            *_read_branches(series.numerator.coeffs, series.denominator.coeffs,
+                                            mults, lambda _: vals, len(vals)))
 
 
 #: The most int_divmod steps _reduce may need before it refuses:
@@ -722,22 +708,42 @@ def _branch_work(length: int, period: int, top: int) -> int:
     return top * (length + period * top) + 16 * period * top ** 2 + BRANCH_CLASS_WORK * period
 
 
-def _branch_refusal(length: int, mults: Mapping) -> Optional[str]:
-    """Why analyze and poincare read no branches of a reduced series with a
-    numerator of `length` terms and cyclotomic multiplicities `mults` in its
-    denominator; None when the work is within BRANCH_WORK_BOUND."""
-    work = _branch_work(length, math.lcm(*mults), max(mults.values(), default=0))
-    return None if work <= BRANCH_WORK_BOUND else (
-        f"branches not read: m (numerator length + period m) + 16 period m^2 + "
-        f"{BRANCH_CLASS_WORK} period, m the top multiplicity, is {work}, above {BRANCH_WORK_BOUND}")
+def _branch_refusal(length: int, mults: Mapping, count: Optional[int] = None) -> Optional[str]:
+    """Why no branches are read of a reduced series of a `length`-term
+    numerator and cyclotomic multiplicities `mults`: work past BRANCH_WORK_BOUND
+    or, for `count` coefficients held (poincare's and classify's output rule),
+    P M, the period times the top multiplicity, past count; else None."""
+    period, top = math.lcm(*mults), max(mults.values(), default=0)
+    work = _branch_work(length, period, top)
+    if work > BRANCH_WORK_BOUND:
+        return (f"branches not read: m (numerator length + period m) + 16 period m^2 + "
+                f"{BRANCH_CLASS_WORK} period, m the top multiplicity, is {work}, "
+                f"above {BRANCH_WORK_BOUND}")
+    if count is not None and period * top > count:
+        return (f"branches not read: period m, m the top multiplicity, is {period * top}, "
+                f"above the {count} coefficients held")
+    return None
 
 
-def _branch_forms(p: list, q: list, mults: dict) -> tuple:
-    """(fits, onset) of a series _branch_refusal admits, p/q in lowest terms
-    with q(0) = 1 and cyclotomic multiplicities `mults` (_reduce): one (int
-    form, least index, 1) per residue class, read off the series, and their
-    _onset. The caller checks them (_held_branches) on onset + P (M + 1)
-    coefficients or more, M + 1 in each class, which pin a wrong form.
+def _read_branches(p, q, mults: Mapping, held: Callable, count: Optional[int] = None) -> tuple:
+    """(quasi, None) for every command's branches of p/q, where
+    _branch_refusal admits them for `count` coefficients, else (None, its
+    reason): read off the series (_branch_forms) and checked on held(reach),
+    the coefficients to reach = onset + P (M + 1) - 1 (M + 1 in each class
+    pin a wrong form) or all there are."""
+    refusal = _branch_refusal(len(p), mults, count)
+    if refusal:
+        return None, refusal
+    fits, onset = _branch_forms(p, q, mults)
+    reach = onset + len(fits) * (max(mults.values(), default=0) + 1) - 1
+    return _held_branches(fits, onset, held(reach)), None
+
+
+def _branch_forms(p: Sequence, q: Sequence, mults: Mapping) -> tuple:
+    """(fits, onset) of a series _branch_refusal admits, p/q in lowest terms,
+    p exact, q integral with q(0) = 1 and cyclotomic multiplicities `mults`:
+    one (int form, least index, scale) per residue class, read off the series
+    with p scaled to ints, and their _onset, which _read_branches checks.
 
     With P the lcm of the orders and M the top multiplicity, p/q = c / (1 -
     t^P)^M with c = p (1 - t^P)^M / q (exact int_divmod). Residue class i is
@@ -745,13 +751,13 @@ def _branch_forms(p: list, q: list, mults: dict) -> tuple:
     branch is the form _samuel_fit reads off c_i's first M Taylor coefficients
     at s = 1, from the kernel's least index len(c_i) - M on (len(p) for a
     constant q, whose one branch is 0)."""
-    period = math.lcm(*mults)
-    top = max(mults.values(), default=0)
+    period, top = math.lcm(*mults), max(mults.values(), default=0)
+    p, scale = integer_coefficients(p)
     c = [0] * (len(p) + top * period)  # p (1 - t^P)^M, then over q
     for j in range(top + 1):
         b, lo = (-1) ** j * math.comb(top, j), j * period
         c[lo:lo + len(p)] = [a + b * x for a, x in zip(c[lo:lo + len(p)], p)]
-    c, rem = int_divmod(c, q)
+    c, rem = int_divmod(c, [int(x) for x in q])
     if rem:
         raise RuntimeError("internal error: the reduced denominator does not divide (1 - t^P)^M")
     fits = []
@@ -759,5 +765,5 @@ def _branch_forms(p: list, q: list, mults: dict) -> tuple:
         ci = c[i::period]
         while ci and not ci[-1]:
             ci.pop()
-        fits.append((*_samuel_fit(_taylor_at_one(ci, top), len(ci) - 1), 1))
+        fits.append((*_samuel_fit(_taylor_at_one(ci, top), len(ci) - 1), scale))
     return fits, _onset(fits)

@@ -1,18 +1,18 @@
 """Growth classification of dimension sequences and of module presentations.
 
 On a sampled sequence (classify_growth), polynomial growth comes from the
-difference tower (exactnum), or else from the quasi-polynomial branches of
-poincare.rational_analysis; exponential growth from a denominator root
-strictly inside the unit disk. A fitted series with a non-integral
+difference tower (exactnum), or else from the quasi-polynomial branches
+poincare.rational_analysis reads off the series of the recurrence it finds,
+or whose refusal the evidence names; exponential growth from a denominator
+root strictly inside the unit disk. A fitted series with a non-integral
 denominator generates no natural-number sequence (Fatou), so it leaves the
 verdict inconclusive. Every value a report holds is exact.
 
 A module presentation fixes its Hilbert series exactly (Hilbert-Serre), so
 certified_growth reads its verdict from that series, through the head the
 hilbert and poincare commands read (hilbert.presented_series), and samples
-nothing. Its branches come from poincare's exact routine, under the one
-branch rule analyze and poincare share (_branch_refusal), whose reason its
-evidence gives; the sampled head, rational_analysis, serves classify_growth.
+nothing. Its branches come from poincare's one reader (_read_branches), and
+its evidence gives the work rule's reason where they are refused.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from .exactnum import (BinomialForm, HilbertSamuelPolynomial, _samuel_fit, _tayl
                        detect_polynomial, sequence_values)
 from .hilbert import SERIES_DEGREE_BOUND, _at_one, growth_certificate, presented_series
 from .poincare import (CANCEL_STEP_BOUND, DenominatorAnalysis, QuasiPolynomial,
-                       RationalSeries, Recurrence, _branch_forms, _branch_refusal,
-                       _held_branches, _reduced_analysis, rational_analysis)
+                       RationalSeries, Recurrence, _read_branches, _reduced_analysis,
+                       rational_analysis)
 from .presentations import AlgebraSpec, ModuleSpec, validate_module
 
 
@@ -137,7 +137,8 @@ def classify_growth(s, window: int = 6, confirm: int = 8) -> GrowthReport:
             flags=("sampled_agreement",) + flags)
     return GrowthReport(
         "inconclusive", **exact,
-        evidence="cyclotomic denominator but no quasi-polynomial fit on the samples")
+        evidence=(f"recurrence of order {rec.order}; cyclotomic denominator with period "
+                  f"{ra.period}; {ra.refusal}"))
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +198,7 @@ def certified_growth(a: AlgebraSpec, m: ModuleSpec, top: int, *,
         fit = _samuel_fit(_taylor_at_one(p, mults[1]), len(p) - 1)
         return graded, cumulative, _polynomial_growth(gk, e, fit)
     ra = _reduced_analysis(p, q, mults)
-    refusal = _branch_refusal(len(p), mults)
-    quasi = None if refusal else _held_branches(*_branch_forms(p, q, mults), cumulative)
+    quasi, refusal = _read_branches(p, q, mults, lambda _: cumulative)
     branches = refusal or f"quasi-polynomial branches from index {quasi.onset}"
     return graded, cumulative, GrowthReport(
         kind, gk, e, recurrence=ra.recurrence, series=ra.series,

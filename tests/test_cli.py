@@ -33,6 +33,7 @@ import math
 import random
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -45,7 +46,7 @@ import gkdim.poincare
 import gkdim.presentations
 from gkdim import cli
 from gkdim.cli import WARNINGS, WEYL_RANK_BOUND, main
-from gkdim.exactnum import detect_polynomial
+from gkdim.exactnum import detect_polynomial, int_divmod, primitive_gcd
 from gkdim.hilbert import SERIES_DEGREE_BOUND, algebra_dim_sequence
 from gkdim.poincare import _branch_refusal
 from gkdim.presentations import AlgebraSpec, ModuleSpec
@@ -986,16 +987,41 @@ def test_poincare_mixed_cyclotomic_flags_without_a_fit(tmp_path, capsys):
 
 
 def test_classify_mixed_cyclotomic_without_a_fit_is_inconclusive(tmp_path, capsys):
-    # the inconclusive branch reports no flag, not the period rule's
-    path = _write(tmp_path, _weighted_plane(2, 3))
-    code, payload = _run_json(capsys, ["classify", path, "--max-degree", "40"])
+    # weights 1, 1, 1, 1 and 7 at depth 32: the cumulative denominator
+    # (1 - t)^5 (1 - t^7) gives the order-12 recurrence on the 33 samples,
+    # but its P M = 7 * 6 = 42 numbers of branches are more than they hold;
+    # the evidence names poincare's output rule, and the inconclusive branch
+    # reports no flag, not the period rule's
+    path = _write(tmp_path, {"spec_version": 1, "algebra": _weighted_ring((1, 1, 1, 1, 7))})
+    code, payload = _run_json(capsys, ["classify", path, "--max-degree", "32"])
     assert code == 1
     growth = payload["report"]["growth"]
     assert growth["classification"] == "inconclusive"
-    assert growth["evidence"] == ("cyclotomic denominator but no quasi-polynomial "
-                                  "fit on the samples")
+    refusal = _branch_refusal(1, {1: 6, 7: 1}, 33)
+    assert refusal == ("branches not read: period m, m the top multiplicity, is 42, "
+                       "above the 33 coefficients held")
+    assert growth["evidence"] == ("recurrence of order 12; cyclotomic denominator with "
+                                  "period 7; " + refusal)
     assert growth["quasi"] is None
     assert payload["warnings"] == []
+
+
+def test_classify_reads_the_branches_a_fit_misses(tmp_path, capsys):
+    # weights 2 and 3 at depth 40: no window-4 fit on the 41 cumulative
+    # counts, which hold the P M = 6 * 3 numbers of the branches read off
+    # their series
+    path = _write(tmp_path, _weighted_plane(2, 3))
+    code, payload = _run_json(capsys, ["classify", path, "--max-degree", "40"])
+    assert code == 0
+    growth = payload["report"]["growth"]
+    assert (growth["classification"], growth["gk"], growth["multiplicity"]) == \
+        ("polynomial", 2, [1, 6])
+    cumulative = list(itertools.accumulate(_weighted_counts((2, 3), [(0, [])], 40)))
+    assert gkdim.poincare.fit_quasi_polynomial(cumulative, 6) is None
+    quasi = growth["quasi"]
+    assert (quasi["period"], quasi["onset"]) == (6, 0)
+    assert growth["evidence"] == ("recurrence of order 6; cyclotomic denominator with "
+                                  "period 6; quasi-polynomial branches of degree <= 2")
 
 
 def test_classify_mixed_cyclotomic_fits_period_lcm_branches(tmp_path, capsys):
@@ -1112,24 +1138,41 @@ def test_analyze_reads_weighted_rings_right_at_every_depth(tmp_path, capsys, wei
 
 
 def test_presentations_fit_no_branches(tmp_path, capsys, monkeypatch):
-    # poincare and analyze read a presentation's branches off its reduced
-    # series; the per-residue difference tower serves sampled input only
+    # no command fits a quasi-polynomial: poincare and analyze read a
+    # presentation's branches off its reduced series, and classify and
+    # poincare those of a sampled series (a raw sequence, a catalog entry,
+    # or for classify a presentation counted to its depth) off the series
+    # their recurrence gives
     def fit(*args, **kwargs):
         raise AssertionError("a quasi-polynomial was fitted")
 
     for module in [m for n, m in sys.modules.items() if n.startswith("gkdim")]:
         if getattr(module, "fit_quasi_polynomial", None) is not None:
             monkeypatch.setattr(module, "fit_quasi_polynomial", fit)
+    read = Counter()
     for weights in ((2, 3), (3, 4), (1, 2, 2, 3), (2, 3, 4)):
-        path = _write(tmp_path, {"spec_version": 1, "algebra": _weighted_ring(weights)})
-        period = math.lcm(*weights)
-        for command in ("poincare", "analyze"):
-            code, payload = _run_json(capsys, [command, path, "--max-degree",
-                                               str(9 * period)])
-            assert code == 0, (weights, command)
+        period, depth = math.lcm(*weights), 9 * math.lcm(*weights)
+        ring = _write(tmp_path, {"spec_version": 1, "algebra": _weighted_ring(weights)})
+        counts = _weighted_counts(weights, [(0, [])], depth)
+        raw = _write(tmp_path, {"spec_version": 1, "sequence": counts,
+                                "sequence_meaning": "graded_piece"}, "raw.json")
+        for command, path in (("poincare", ring), ("analyze", ring), ("classify", ring),
+                              ("poincare", raw), ("classify", raw)):
+            code, payload = _run_json(capsys, [command, path, "--max-degree", str(depth)])
+            assert code == 0, (weights, command, path)
             report = payload["report"]
             quasi = report["quasi"] if command == "poincare" else report["growth"]["quasi"]
-            assert quasi["period"] == period, (weights, command)
+            if quasi is not None or command != "classify":  # or a tower answers first
+                assert quasi["period"] == period, (weights, command)
+                read[command] += 1
+    assert (read["poincare"], read["analyze"]) == (8, 4) and read["classify"] >= 4, read
+    for entry in ("free_algebra_2", "smith_lie"):
+        path = _write(tmp_path, {"spec_version": 1,
+                                 "algebra": {"kind": "catalog", "catalog_id": entry}})
+        for command in ("poincare", "classify"):
+            for depth in ("20", "60"):
+                code, _ = _run_json(capsys, [command, path, "--max-degree", depth])
+                assert code in (0, 1), (entry, command, depth)
 
 
 def _branch_value(branch, n: int) -> Fraction:
@@ -1205,7 +1248,7 @@ def test_poincare_reads_no_branches_of_a_long_period_on_few_coefficients(
     # weights 2, 3, 5, 7, 11 (the benchmark's prime_weights case) at depth
     # 66: the period 2310 times the top multiplicity 5 is past the 67
     # printed coefficients, so no branch is read, let alone printed
-    monkeypatch.setattr(cli, "_branch_forms", None)
+    monkeypatch.setattr(gkdim.poincare, "_branch_forms", None)
     path = _write(tmp_path, {"spec_version": 1, "algebra": _weighted_ring((2, 3, 5, 7, 11))})
     code, payload = _run_json(capsys, ["poincare", path, "--max-degree", "66"])
     assert code == 0
@@ -1327,7 +1370,7 @@ def test_poincare_catches_a_wrong_branch_reading_at_every_depth(
     # shows. k[x, y, z]/(x^2 y^2 z^2) has onset 4 at period 1; weights 2, 3
     # and 1 with the ideal (v1^2) give six classes; the Weyl algebra of rank
     # 50 has M = 100, past the self-checked 11 coefficients
-    read = cli._branch_forms
+    read = gkdim.poincare._branch_forms
 
     def mutated(p, q, mults):
         fits, onset = read(p, q, mults)
@@ -1340,7 +1383,7 @@ def test_poincare_catches_a_wrong_branch_reading_at_every_depth(
             fits[0] = (form, least, 2 * scale)
         return fits, onset
 
-    monkeypatch.setattr(cli, "_branch_forms", mutated)
+    monkeypatch.setattr(gkdim.poincare, "_branch_forms", mutated)
     specs = [{"algebra": {"kind": "polynomial", "generators": [{"name": v} for v in "xyz"]},
               "module": {"summands": [{"ideal": ["x^2*y^2*z^2"]}]}}]
     if mutation != "onset one index early":  # elsewhere the onset is 0, or its class
@@ -1655,7 +1698,9 @@ def test_hilbert_reduced_matches_the_primitive_gcd(tmp_path, capsys):
         assert code == 0, doc
         report = payload["report"]
         p, q = ([c for c, _ in report["series"][key]] for key in ("numerator", "denominator"))
-        p, q = gkdim.poincare._lowest_terms(p, q)
+        g = primitive_gcd(p, q)
+        if len(g) > 1:
+            p, q = int_divmod(p, g)[0], int_divmod(q, g)[0]
         assert report["reduced"] == {"numerator": [[q[0] * c, 1] for c in p],
                                      "denominator": [[q[0] * c, 1] for c in q]}, doc
         laurent += "negative_shift" in module

@@ -11,7 +11,10 @@ imports dataclasses, which would load inspect (and ast, dis, tokenize) with
 every gkdim.cli import, and a fresh interpreter's import of gkdim.cli loads
 neither, nor hashlib's OpenSSL binding, nor argparse. The branch rule of
 analyze and poincare has one home: only poincare names its bound and its
-work function.
+work function, and only poincare compares the period times the top
+multiplicity with a count (the output rule of poincare and classify). No
+module calls the per-class difference tower fit_quasi_polynomial: only its
+definition and the package's export name it.
 """
 
 import ast
@@ -112,6 +115,14 @@ def test_runtime_imports_only_the_standard_library():
     assert outside == []
 
 
+def _named(node):
+    """The name a Name, Attribute, alias or def node names, else None."""
+    return (node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute)
+            else node.name if isinstance(node, (ast.alias, ast.FunctionDef))
+            else None)
+
+
 def test_only_poincare_names_the_branch_rule():
     # no other module imports, reads or defines the bound or the work
     # function, so the rule cannot grow a second copy
@@ -119,13 +130,36 @@ def test_only_poincare_names_the_branch_rule():
     named = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), path.name)):
-            name = (node.id if isinstance(node, ast.Name)
-                    else node.attr if isinstance(node, ast.Attribute)
-                    else node.name if isinstance(node, (ast.alias, ast.FunctionDef))
-                    else None)
+            name = _named(node)
             if name in rule:
                 named.setdefault(path.stem, set()).add(name)
     assert named == {"poincare": rule}
+
+
+def test_no_module_calls_the_per_class_fit():
+    # the tests' reference and the benchmark tracer's target, run by no command
+    named = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), path.name)):
+            if _named(node) == "fit_quasi_polynomial":
+                named.setdefault(path.stem, []).append(type(node).__name__)
+    assert named == {"__init__": ["alias"], "poincare": ["FunctionDef"]}
+
+
+def test_only_poincare_writes_the_output_rule():
+    # a comparison of a product with a factor named for the period: P M
+    # against the coefficients held
+    def periodic_product(node):
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                and any("period" in (_named(side) or "") for side in (node.left, node.right)))
+
+    writers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), path.name)):
+            if isinstance(node, ast.Compare) and any(
+                    periodic_product(side) for side in (node.left, *node.comparators)):
+                writers.add(path.stem)
+    assert writers == {"poincare"}
 
 
 def test_the_export_list_is_what_the_package_imports():

@@ -67,6 +67,13 @@ Oracles:
   branches must be the fit on it wherever that fit is true; and past
   BRANCH_WORK_BOUND, which _branch_refusal decides for analyze and poincare
   alike, nothing is divided.
+* Sampled branches -- on 160 seeded weighted counts, graded and cumulative,
+  cut at seeded depths, rational_analysis must read off its series the
+  branches of the window-4 per-class fit wherever that fit holds on a longer
+  expansion, and classify_growth must keep every verdict it gave with the
+  fit's branches; Fraction samples keep their scale with each form, and the
+  series of a searched recurrence, planted common factors and all, is
+  coprime with no gcd taken.
 * Branch reader -- the column reader it replaced (falling-binomial columns
   per class and a head/miss search for the onset, kept here) must give the
   same period, branches and onset on 320 seeded weighted presentations,
@@ -87,14 +94,16 @@ import sympy
 from sympy.polys import ring_series
 
 import gkdim.poincare
-from gkdim.exactnum import Polynomial, falling_binom, int_divmod
+import gkdim.samuel
+from gkdim.exactnum import (Polynomial, falling_binom, int_divmod, integer_coefficients,
+                            primitive_gcd)
 from gkdim.hilbert import minimalize_ideal, numerator_terms, presented_series
 from gkdim.poincare import (BRANCH_CLASS_WORK, BRANCH_WORK_BOUND, ROOT_SPLIT_SKIPPED,
                             DenominatorAnalysis, QuasiPolynomial, RationalSeries, Recurrence,
                             _branch_forms, _branch_ints, _branch_refusal, _branch_work,
                             _cyclotomic_ints, _cyclotomic_orders, _divisors,
                             _divmod_one_minus_t, _exact_recurrence, _expansion, _form_values,
-                            _held_branches, _lowest_terms, _normalised_series, _reduce,
+                            _held_branches, _normalised_series, _reduce,
                             _reduced_analysis,
                             _shift_registers, _strip_cyclotomic, _weights_denominator,
                             denominator_analysis, fit_quasi_polynomial,
@@ -278,6 +287,47 @@ def test_recurrence_of_fibonacci():
     assert rec.order == 2
     assert rec.coefficients == (1, 1)
     assert rec.onset == 0
+
+
+def test_the_searched_series_is_in_lowest_terms_without_a_gcd():
+    # p g / (q g) with a planted factor g, g(0) = 1, expands to the samples
+    # of p / q: the search finds the recurrence of q, not of q g, so the
+    # series it gives is coprime, though series_from_recurrence takes no gcd
+    rng = random.Random(34)
+    checked = planted = 0
+    for _ in range(200):
+        q = Polynomial([1] + [rng.randint(-3, 3) for _ in range(rng.randint(1, 5))])
+        p = Polynomial([rng.randint(-5, 5) for _ in range(rng.randint(1, 6))])
+        g = Polynomial([1] + [rng.randint(-2, 2) for _ in range(rng.randint(1, 3))])
+        plant = rng.random() < 0.5 and g.degree > 0
+        if plant:
+            p, q = p * g, q * g
+        vals = RationalSeries(p, q).expand(2 * q.degree + p.degree + 14)
+        rec = minimal_recurrence(vals)
+        if rec is None:
+            continue
+        series = series_from_recurrence(vals, rec)
+        ints, _ = integer_coefficients(series.numerator.coeffs + series.denominator.coeffs)
+        cut = len(series.numerator.coeffs)
+        assert len(primitive_gcd(ints[:cut], ints[cut:])) < 2, (p, q)
+        assert series.reduced() is series
+        checked += 1
+        planted += plant
+    assert checked > 150 and planted > 60, (checked, planted)
+
+
+def test_the_series_of_a_long_recurrence_takes_no_gcd_time():
+    # p(t) / (1 - t - 2 t^320), p of degree 319 with seeded digits: the
+    # primitive gcd of p and q took about 0.5 s of series_from_recurrence's
+    # 0.6 s on a 2-vCPU VM, and without it the call takes a few milliseconds
+    rng = random.Random(21)
+    p = Polynomial([rng.randint(0, 9) for _ in range(319)] + [1])
+    q = Polynomial([1, -1] + [0] * 318 + [-2])
+    vals = RationalSeries(p, q).expand(652)
+    rec = Recurrence(320, (1,) + (0,) * 318 + (2,), 0)
+    start = time.perf_counter()
+    assert series_from_recurrence(vals, rec) == RationalSeries(p, q)
+    assert time.perf_counter() - start < 0.25
 
 
 def test_corrupted_head_moves_the_onset():
@@ -1009,6 +1059,13 @@ def test_denominator_analysis_matches_sympy_factor_list():
         assert (analysis.radius_class == "inside_unit_disk") == (residual.degree >= 1), q
 
 
+def _lowest_terms(p: list, q: list) -> tuple:
+    """p / g and q / g for int lists p and q and g their primitive gcd, the
+    quotient RationalSeries.reduced takes."""
+    g = primitive_gcd(p, q)
+    return (p, q) if len(g) < 2 else (int_divmod(p, g)[0], int_divmod(q, g)[0])
+
+
 def _walk_analysis(p: list, weights) -> tuple:
     """Recurrence, series, root report and period of p / prod(1 - t^w) by the
     walk: the primitive-gcd reduction, then every order with phi(k) <= deg q."""
@@ -1482,7 +1539,80 @@ def test_rational_analysis_takes_the_lcm_of_mixed_orders():
     assert ra.denominator.s is None
     assert (ra.period, ra.mixed_cyclotomic) == (6, True)
     assert ra.quasi == fit_quasi_polynomial(vals, 6, window=4)
-    assert rational_analysis(vals[:30], 8).quasi is None
+    # 30 samples are too few for the window-4 fit, but hold the P M = 12
+    # numbers of the branches read off the series
+    assert fit_quasi_polynomial(vals[:30], 6, window=4) is None
+    assert rational_analysis(vals[:30], 8)[3:] == (6, True, ra.quasi, None)
+
+
+def test_rational_analysis_reads_no_branches_past_the_samples_held():
+    # 1/((1 - t)^4 (1 - t^7)): P M = 7 * 5 = 35 numbers of branches, which
+    # 30 samples, enough for the order-11 recurrence, do not hold; 35 do
+    q = Polynomial([1, -1]) ** 4 * Polynomial([1] + [0] * 6 + [-1])
+    vals = RationalSeries(Polynomial([1]), q).expand(35)
+    ra = rational_analysis(vals[:30], 8)
+    assert (ra.recurrence.order, ra.period, ra.quasi) == (11, 7, None)
+    assert ra.refusal == ("branches not read: period m, m the top multiplicity, is 35, "
+                          "above the 30 coefficients held")
+    ra = rational_analysis(vals, 8)
+    assert ra.refusal is None
+    assert all(ra.quasi.branches[n % 7].evaluate(n) == v for n, v in enumerate(vals))
+
+
+def test_rational_analysis_reads_fraction_samples():
+    # halves of 1/(1 - t^2)^2's coefficients: the numerator 1/2 is scaled to
+    # the int 1, and the scale 2 goes with each class's form
+    vals = [Fraction(v, 2) for v in
+            RationalSeries(Polynomial([1]), Polynomial([1, 0, -1]) ** 2).expand(30)]
+    ra = rational_analysis(vals, 8)
+    assert ra.series.numerator == Polynomial([Fraction(1, 2)])
+    assert ra.quasi == QuasiPolynomial(2, (Polynomial([Fraction(1, 2), Fraction(1, 4)]),
+                                           Polynomial([])), 0)
+    assert all(ra.quasi.branches[n % 2].evaluate(n) == v for n, v in enumerate(vals))
+    assert ra.quasi == fit_quasi_polynomial(vals, 2)
+
+
+def _fitted_analysis(vals, confirm):
+    """rational_analysis with the branches of the per-class fit it ran
+    before: fit_quasi_polynomial(vals, P, 4) on the samples."""
+    ra = rational_analysis(vals, confirm)
+    if ra is None or ra.period is None:
+        return ra
+    return ra._replace(quasi=fit_quasi_polynomial(vals, ra.period, 4), refusal=None)
+
+
+def test_sampled_branches_are_the_fit_wherever_it_is_true(monkeypatch):
+    # seeded weighted counts, graded and cumulative, cut at seeded depths:
+    # wherever the window-4 fit on the samples has branches that hold on a
+    # longer expansion, rational_analysis reads the same ones off its
+    # series; and no classify verdict the fit gave is lost or changed
+    rng = random.Random(34)
+    seen = Counter()
+    for _ in range(160):
+        weights = tuple(sorted(rng.randint(1, 6) for _ in range(rng.randint(1, 3))))
+        depth = rng.randrange(12, 100)
+        graded = _expansion([1], _weights_denominator(weights), depth + 80)
+        for vals in (graded, list(itertools.accumulate(graded))):
+            held = vals[:depth + 1]
+            ra, fitted = rational_analysis(held, 8), _fitted_analysis(held, 8)
+            fit = None if fitted is None else fitted.quasi
+            if fit is not None and all(fit.branches[n % fit.period].evaluate(n) == vals[n]
+                                       for n in range(fit.onset, len(vals))):
+                assert ra.quasi == fit, (weights, depth)
+                seen["as the fit"] += 1
+            else:
+                seen["no true fit" if ra is None or ra.quasi is None else "gained"] += 1
+            if len(held) >= 12:
+                was = gkdim.samuel.classify_growth(held)
+                with monkeypatch.context() as patch:
+                    patch.setattr(gkdim.samuel, "rational_analysis", _fitted_analysis)
+                    fitted_verdict = gkdim.samuel.classify_growth(held)
+                if fitted_verdict.classification != "inconclusive":
+                    assert was[:3] == fitted_verdict[:3], (weights, depth)
+                    seen["verdict kept"] += 1
+                else:
+                    seen[f"verdict {'gained' if was.gk is not None else 'still missing'}"] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,7 @@ RECORDS = [
     (QuasiPolynomial, {"period": 2, "branches": (ONE, ONE), "onset": 0}, {}),
     (RationalAnalysis, {"recurrence": RECURRENCE, "series": SERIES,
                         "denominator": ANALYSIS},
-     {"period": None, "mixed_cyclotomic": False, "quasi": None}),
+     {"period": None, "mixed_cyclotomic": False, "quasi": None, "refusal": None}),
     (GrowthReport, {"classification": "inconclusive"},
      {"gk": None, "multiplicity": None, "evidence": "",
       "hilbert_samuel": None, "recurrence": None, "series": None,
